@@ -39,7 +39,7 @@ use polyufc_serve::{
 };
 use polyufc_workloads::{polybench_suite, PolybenchSize};
 
-/// Workloads mirroring `serve_loadtest`: blas, composition, stencil.
+/// One workload per class: blas, composition, stencil.
 const WORKLOADS: &[&str] = &["gemm", "mvt", "jacobi-2d"];
 
 /// Client threads per scenario.
@@ -558,8 +558,8 @@ fn main() {
     println!("recovery_ok: {recovery_ok}");
 
     if let Some(path) = json_path {
-        // Hand-rolled JSON, like bench_harness: the offline serde
-        // stand-in has no serializer and the schema is flat.
+        // Hand-rolled JSON: the offline serde stand-in has no
+        // serializer and the schema is flat.
         let mut json = String::new();
         json.push_str("{\n  \"schema\": \"polyufc-bench-chaos/1\",\n");
         json.push_str(&format!("  \"seed\": {SEED},\n"));

@@ -7,10 +7,10 @@
 //! evicted from a private level whose next-level copy was already
 //! displaced is silently dropped.
 //!
-//! It exists for two jobs and must not be "improved":
+//! It exists as a test oracle and must not be "improved":
 //!
-//! * `sim_microbench` measures the production simulator's throughput
-//!   against it (the pre-optimization baseline of the perf trajectory);
+//! * the differential property suite pins the production simulator's
+//!   stamp-LRU and fastmod core against it on single-level hierarchies;
 //! * the write-back regression test demonstrates the lost-write-back bug
 //!   on it, proving the test would fail on the old logic.
 //!

@@ -34,9 +34,8 @@
 //!    touched set's counter once per way it promotes — the invariant
 //!    guarantee 2 relies on).
 //!
-//! Setting the environment variable `POLYUFC_SIM_PATH=per-event` forces
-//! the pre-coalescing per-event path (the A/B reference); the
-//! differential property suite asserts both paths agree exactly.
+//! The differential property suite feeds the same trace event by event
+//! through [`TraceSink::access`] and asserts both routes agree exactly.
 //!
 //! Replacement state is tracked with per-way recency stamps (a monotonic
 //! per-level clock) — a hit is one tag scan plus one stamp store, and a
@@ -279,8 +278,6 @@ pub struct CacheSim {
     /// refresh or insert). Only *differences* against [`RunState`]
     /// snapshots are consulted, to bound evictions (module invariant 2).
     l1_set_clock: Vec<u64>,
-    /// Forces per-event simulation (`POLYUFC_SIM_PATH=per-event`).
-    per_event: bool,
     scratch: Vec<RunState>,
     /// Statistics accumulated so far.
     pub stats: SimStats,
@@ -325,7 +322,6 @@ impl CacheSim {
             line_shift: line.trailing_zeros(),
             base_addrs,
             l1_set_clock: vec![0; l1_sets],
-            per_event: std::env::var("POLYUFC_SIM_PATH").is_ok_and(|v| v == "per-event"),
             scratch: Vec::new(),
             stats: SimStats {
                 hits: vec![0; n],
@@ -338,14 +334,6 @@ impl CacheSim {
     /// The base address assigned to an array.
     pub fn base_addr(&self, array: ArrayId) -> u64 {
         self.base_addrs[array.0]
-    }
-
-    /// Forces the per-event reference path on or off, overriding the
-    /// `POLYUFC_SIM_PATH` environment default. This is the A/B lever the
-    /// differential suite uses to assert both paths produce identical
-    /// [`SimStats`].
-    pub fn use_per_event_path(&mut self, on: bool) {
-        self.per_event = on;
     }
 
     /// One demand access to a line: probes the hierarchy top-down, fills
@@ -566,27 +554,6 @@ impl TraceSink for CacheSim {
     }
 
     fn run(&mut self, g: RunGroup<'_>) {
-        if self.per_event {
-            // The A/B reference path: expand the group exactly like the
-            // default `TraceSink::run` and feed events one by one.
-            for step in 0..g.steps as i64 {
-                for s in g.stmts {
-                    if s.flops > 0 {
-                        self.flops(s.flops);
-                    }
-                    for r in &g.runs[s.start as usize..(s.start + s.len) as usize] {
-                        let off = r.base + r.stride * step;
-                        self.access(AccessEvent {
-                            array: r.array,
-                            offset: off as u64,
-                            bytes: r.bytes,
-                            is_write: r.is_write,
-                        });
-                    }
-                }
-            }
-            return;
-        }
         self.consume_group(g);
     }
 }

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use polyufc_cache::{CacheHierarchy, CacheLevelConfig, CacheSim, RefSim, SimStats};
 use polyufc_ir::affine::{Access, AffineKernel, AffineProgram, Loop, Statement};
-use polyufc_ir::interp::interpret_program;
+use polyufc_ir::interp::{interpret_program, AccessEvent, TraceSink};
 use polyufc_ir::types::ElemType;
 use polyufc_presburger::LinExpr;
 
@@ -135,10 +135,27 @@ fn hierarchies() -> Vec<CacheHierarchy> {
     ]
 }
 
+/// Forwards only `access`/`flops`, so [`TraceSink::run`]'s default
+/// expansion feeds the wrapped simulator event by event.
+struct PerEvent<'a>(&'a mut CacheSim);
+
+impl TraceSink for PerEvent<'_> {
+    fn access(&mut self, ev: AccessEvent) {
+        self.0.access(ev);
+    }
+
+    fn flops(&mut self, n: u64) {
+        self.0.flops(n);
+    }
+}
+
 fn run_stats(h: &CacheHierarchy, p: &AffineProgram, per_event: bool) -> SimStats {
     let mut sim = CacheSim::new(h, p);
-    sim.use_per_event_path(per_event);
-    interpret_program(p, &mut sim);
+    if per_event {
+        interpret_program(p, &mut PerEvent(&mut sim));
+    } else {
+        interpret_program(p, &mut sim);
+    }
     sim.stats
 }
 

@@ -9,8 +9,8 @@
 //!    *online*, reporting a witness cycle together with the acquisition
 //!    backtraces of both closing edges. Without the feature they compile
 //!    to `#[repr(transparent)]` newtypes over `std::sync` with `#[inline]`
-//!    passthrough — zero overhead, enforced by the serve_loadtest
-//!    throughput gates in CI.
+//!    passthrough — zero overhead, watched by the `serve_*` ledger
+//!    workloads (`benchmark/`), which run against the default build.
 //!
 //! 2. **Schedule-exploring protocol checker** ([`explore`], [`shim`],
 //!    [`models`]): the four riskiest serving protocols — single-flight

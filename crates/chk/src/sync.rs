@@ -19,7 +19,7 @@
 //! Without the feature every wrapper is a `#[repr(transparent)]` newtype
 //! over its `std::sync` counterpart with `#[inline]` passthrough — the
 //! compile-time assertions at the bottom of this file pin the layout, and
-//! the serve_loadtest throughput gates in CI pin the behavior.
+//! the `serve_*` ledger workloads (`benchmark/`) watch the behavior.
 //!
 //! Poison-safety: the detector's own state is guarded by a std mutex that
 //! is always re-entered through poison recovery, and the per-thread held

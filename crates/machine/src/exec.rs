@@ -13,7 +13,7 @@ use polyufc_ir::interp::interpret_kernel;
 use polyufc_ir::scf::ScfProgram;
 use rand::{RngExt as _, SeedableRng};
 
-use crate::fault::FaultPlan;
+use crate::fault::{fnv1a, FaultPlan, FNV_OFFSET};
 use crate::guard::GuardSummary;
 use crate::platform::Platform;
 use crate::rapl::EnergyBreakdown;
@@ -418,15 +418,8 @@ fn noise_rng(name: &str, f: f64) -> rand::rngs::StdRng {
     // measurement noise must be reproducible across Rust releases:
     // `DefaultHasher`'s algorithm is explicitly unspecified and has
     // changed before.
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
-    let mut h = FNV_OFFSET;
-    for b in name.bytes() {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    for b in ((f * 1000.0) as u64).to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
+    let h = fnv1a(FNV_OFFSET, name.as_bytes());
+    let h = fnv1a(h, &((f * 1000.0) as u64).to_le_bytes());
     rand::rngs::StdRng::seed_from_u64(h)
 }
 

@@ -27,6 +27,29 @@ use serde::{Deserialize, Serialize};
 
 use crate::platform::Platform;
 
+/// The FNV-1a offset basis: the `h` a fresh [`fnv1a`] fold starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the running FNV-1a hash `h`. The workspace's one
+/// spelling of the loop: every seeded stream (measurement noise, fault
+/// and chaos events) and the artifact cache's shard choice hash through
+/// it, so their values are reproducible across Rust releases.
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The `(seed, domain, key, salt)` fold that keys one injected event:
+/// distinct sites, keys and retry attempts draw independent streams from
+/// one plan seed.
+pub fn fnv1a_event(seed: u64, domain: &str, key: &[u8], salt: u64) -> u64 {
+    let h = fnv1a(FNV_OFFSET, &seed.to_le_bytes());
+    let h = fnv1a(h, domain.as_bytes());
+    let h = fnv1a(h, key);
+    fnv1a(h, &salt.to_le_bytes())
+}
+
 /// Multiplier applied to an observed wall-clock reading when a
 /// measurement times out: the harness re-arms the counter and re-reads,
 /// roughly doubling the observed interval.
@@ -162,22 +185,7 @@ impl FaultPlan {
     /// stream: FNV-1a folded into SplitMix64, never `DefaultHasher`
     /// (whose algorithm is unspecified across Rust releases).
     fn event_rng(&self, domain: &str, key: &[u8], salt: u64) -> StdRng {
-        const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-        const FNV_PRIME: u64 = 0x100000001b3;
-        let mut h = FNV_OFFSET;
-        for b in self.seed.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        for b in domain.bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        for &b in key {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        for b in salt.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        StdRng::seed_from_u64(h)
+        StdRng::seed_from_u64(fnv1a_event(self.seed, domain, key, salt))
     }
 
     /// Bernoulli draw for one event.
@@ -439,6 +447,25 @@ mod tests {
         assert!(p.throttle_window(&plat, b"k", 2.0).is_none());
         assert!(!p.read_times_out(b"k", 0));
         assert_eq!(p.fingerprint(), b"pristine");
+    }
+
+    #[test]
+    fn fnv1a_matches_published_vectors_and_folds_incrementally() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), FNV_OFFSET);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
+            fnv1a(FNV_OFFSET, b"foobar")
+        );
+        let cat = [
+            &7u64.to_le_bytes()[..],
+            b"rapl",
+            b"gemm",
+            &3u64.to_le_bytes(),
+        ]
+        .concat();
+        assert_eq!(fnv1a_event(7, "rapl", b"gemm", 3), fnv1a(FNV_OFFSET, &cat));
     }
 
     #[test]

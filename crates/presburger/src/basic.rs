@@ -281,9 +281,6 @@ impl BasicSet {
     /// Returns an error if the search budget is exceeded or a variable is
     /// unbounded.
     pub fn is_empty(&self) -> Result<bool> {
-        if crate::path::use_legacy() {
-            return crate::reference::is_empty(self);
-        }
         Ok(!self.system().is_feasible(&mut Budget::default())?)
     }
 
@@ -295,9 +292,6 @@ impl BasicSet {
     /// Returns an error if the search budget is exceeded or a variable is
     /// unbounded with constraints that prevent a decision.
     pub fn sample(&self) -> Result<Option<Vec<i64>>> {
-        if crate::path::use_legacy() {
-            return crate::reference::sample(self);
-        }
         self.system().sample(&mut Budget::default())
     }
 
@@ -812,7 +806,7 @@ impl System {
     }
 
     /// Converts the rows back into per-constraint objects (used by the
-    /// symbolic layer and the legacy dispatch).
+    /// symbolic layer).
     pub fn to_constraints(&self) -> Vec<Constraint> {
         let n = self.n;
         self.rows

@@ -68,13 +68,6 @@ impl Context {
     /// Decides emptiness of one basic set through the shared arena.
     pub fn check(&mut self, set: &BasicSet) -> Emptiness {
         self.checks += 1;
-        if crate::path::use_legacy() {
-            return match crate::reference::is_empty(set) {
-                Ok(true) => Emptiness::Empty,
-                Ok(false) => Emptiness::NonEmpty,
-                Err(e) => Emptiness::Unknown(e),
-            };
-        }
         self.sys.reset_from(set);
         self.peak_arena_bytes = self.peak_arena_bytes.max(self.sys.arena_bytes());
         self.budget.reset();
@@ -94,9 +87,6 @@ impl Context {
     ///
     /// Same contract as [`BasicSet::sample`].
     pub fn sample(&mut self, set: &BasicSet) -> Result<Option<Vec<i64>>> {
-        if crate::path::use_legacy() {
-            return crate::reference::sample(set);
-        }
         self.sys.reset_from(set);
         self.peak_arena_bytes = self.peak_arena_bytes.max(self.sys.arena_bytes());
         self.budget.reset();

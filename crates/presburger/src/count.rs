@@ -66,15 +66,6 @@ pub(crate) fn count_system_with_stats(
     limit: CountLimit,
     allow_symbolic: bool,
 ) -> Result<(i128, StrategyStats)> {
-    if crate::path::use_legacy() {
-        let c = crate::reference::count_constraints(
-            sys.n,
-            sys.to_constraints(),
-            limit,
-            allow_symbolic,
-        )?;
-        return Ok((c, StrategyStats::default()));
-    }
     let mut ctx = Ctx {
         budget: Budget::with_limit(limit.0),
         allow_symbolic,

@@ -53,7 +53,6 @@ mod lexorder;
 mod linexpr;
 mod map;
 mod parse;
-mod path;
 mod polysum;
 pub mod reference;
 mod set;
@@ -66,7 +65,6 @@ pub use error::{Error, Result};
 pub use lexorder::{lex_ge_map, lex_gt_map, lex_le_map, lex_lt_map};
 pub use linexpr::LinExpr;
 pub use map::{BasicMap, Map};
-pub use path::{force_presburger_path, presburger_path, PresburgerPath};
 pub use polysum::symbolic_count;
 pub use set::Set;
 pub use space::{Space, VarKind};

@@ -2,16 +2,11 @@
 //!
 //! This module is a verbatim copy of the per-constraint `Vec<i64>` solver
 //! and counting path as they existed before the flat arena-row rewrite of
-//! [`crate::basic`]. It exists for two reasons:
-//!
-//! * **Differential testing** — the proptest suite pins the rewritten flat
-//!   core against this module for `is_empty`, `sample`, `contains`, and
-//!   counting on random shapes, so any behavioural drift in the rewrite is
-//!   caught immediately.
-//! * **A/B benchmarking** — setting `POLYUFC_PRESBURGER_PATH=legacy` (or
-//!   calling [`crate::force_presburger_path`]) routes emptiness, sampling,
-//!   and counting through this module, which is how `count_microbench`
-//!   measures the rewrite's speedup against an in-tree frozen baseline.
+//! [`crate::basic`]. It exists as the oracle of the differential proptest
+//! suite, which calls it directly and pins the rewritten flat core against
+//! it for `is_empty`, `sample`, `contains`, and counting on random shapes,
+//! so any behavioural drift in the rewrite is caught immediately. Nothing
+//! in the library routes a query here.
 //!
 //! Do not "improve" this code: its value is that it does not change.
 

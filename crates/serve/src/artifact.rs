@@ -16,7 +16,7 @@
 //!   block, so a follower's connection slot is filled by a completion
 //!   callback, not a parked thread.
 //! * [`Flight::wait`] — blocking, built on `subscribe` over a channel.
-//!   The legacy thread-per-connection path and tests use this.
+//!   Tests use this.
 
 use polyufc_chk::OrderedMutex;
 use std::sync::Arc;

@@ -25,6 +25,7 @@
 //! use `panic=1,budget=2` to get exactly two deterministic panics and
 //! then pristine behavior, instead of tuning probabilities.
 
+use polyufc_machine::fault::fnv1a_event;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -217,22 +218,7 @@ impl ChaosPlan {
     /// domain, key, salt)`: FNV-1a folds the key material, SplitMix64
     /// generates from the fold.
     fn stream(&self, domain: &str, key: &[u8], salt: u64) -> SplitMix64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        for b in self.seed.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        for b in domain.bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        for &b in key {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        for b in salt.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        SplitMix64(h)
+        SplitMix64(fnv1a_event(self.seed, domain, key, salt))
     }
 
     /// Bernoulli draw for one event.

@@ -4,10 +4,10 @@
 //!
 //! The split of one compile request across threads is deliberate:
 //!
-//! * the **reactor (or connection) thread** probes the exact-line
-//!   response tier, parses and sanitizes the kernel source, and derives
-//!   the artifact key — cheap, and it lets a cache hit complete without
-//!   ever touching the pool;
+//! * the **reactor thread** probes the exact-line response tier, parses
+//!   and sanitizes the kernel source, and derives the artifact key —
+//!   cheap, and it lets a cache hit complete without ever touching the
+//!   pool;
 //! * a **worker thread** (with its persistent [`CompileSession`] and a
 //!   per-worker characterization-prefix cache) runs the expensive
 //!   pipeline only when the key missed, and only once per key no matter
@@ -17,8 +17,8 @@
 //! answers immediately ([`Submitted::Ready`]) or dispatches a compile and
 //! later invokes the caller's `notify` callback with the finished body —
 //! the epoll reactor never blocks on a compile. The blocking
-//! [`Engine::handle_line`] wrapper serves the legacy
-//! thread-per-connection path and tests.
+//! [`Engine::handle_line`] wrapper is the convenience form for callers
+//! with nothing else to do meanwhile (tests, the benchmark's traced pass).
 //!
 //! When the bounded queue is full the leader sheds with a typed
 //! `overloaded` response and aborts its flight so followers shed too —
@@ -459,8 +459,7 @@ impl Engine {
 
     /// Handles one request line, blocking until the response body exists.
     /// Never panics on any input; every failure is a typed error body.
-    /// (The legacy thread-per-connection path; the reactor uses
-    /// [`Engine::submit`].)
+    /// (A convenience over [`Engine::submit`], which the reactor uses.)
     pub fn handle_line(&self, line: &str) -> Outcome {
         let (tx, rx) = std::sync::mpsc::channel();
         match self.submit(line, move |b| {
@@ -799,7 +798,7 @@ impl Engine {
         s
     }
 
-    /// Artifact-cache counters (for tests and the loadtest harness).
+    /// Artifact-cache counters (for tests and the benchmark).
     pub fn cache_stats(&self) -> ArtifactCacheStats {
         self.cache.stats()
     }

@@ -19,12 +19,12 @@
 //!   [`polyufc::CompileSession`] and an ε-independent characterization
 //!   prefix cache per worker, and explicit shed (`overloaded`) when the
 //!   queue is full.
-//! * [`reactor`] / [`server`]: on Linux, a single epoll event loop owns
-//!   every connection — nonblocking sockets, pipelined NDJSON with
-//!   in-order replies, vectored writes of shared body buffers, an eventfd
-//!   doorbell for worker completions, and bounded connection admission.
-//!   Elsewhere, a thread-per-connection fallback with the same wire
-//!   behavior.
+//! * `reactor` / [`server`]: a single epoll event loop owns every
+//!   connection — nonblocking sockets, pipelined NDJSON with in-order
+//!   replies, vectored writes of shared body buffers, an eventfd doorbell
+//!   for worker completions, and bounded connection admission. The daemon
+//!   is Linux/epoll only; on other targets [`Server::bind`] reports
+//!   `Unsupported` and everything else in the crate still builds.
 //! * [`protocol`] / [`json`]: the strict wire layer. Responses are
 //!   byte-deterministic, so a cache hit, a fresh compile, a pipelined
 //!   batch, and the one-shot CLI (`polyufc compile --json`) all emit
@@ -49,5 +49,7 @@ pub use protocol::{
     parse_request, render_error, CompileOptions, CompileRequest, Request, SourceFormat, WireError,
     MAX_REQUEST_BYTES,
 };
-pub use server::{install_signal_handlers, Listen, Server, ServerConfig, ShutdownHandle};
+#[cfg(target_os = "linux")]
+pub use server::ShutdownHandle;
+pub use server::{install_signal_handlers, Listen, Server, ServerConfig};
 pub use shard::ArtifactCache;

@@ -1,18 +1,18 @@
 //! The daemon shell around the [`Engine`](crate::engine::Engine):
 //! listeners, connection admission, and clean shutdown on SIGINT/SIGTERM,
-//! a `shutdown` request, or a [`ShutdownHandle`].
+//! a `shutdown` request, or a `ShutdownHandle`.
 //!
-//! On Linux, [`Server::run`] hands the listener to the epoll
-//! [`reactor`](crate::reactor): one event-loop thread owns every
-//! connection, requests pipeline, and nothing sleeps — worker
-//! completions and signals arrive through an eventfd doorbell. Elsewhere
-//! it falls back to the original thread-per-connection loop with the same
-//! wire behavior.
+//! The daemon is Linux/epoll only: [`Server::run`] hands the listener to
+//! the epoll `reactor` — one event-loop thread owns every connection,
+//! requests pipeline, and nothing sleeps; worker completions and signals
+//! arrive through an eventfd doorbell. On other targets [`Server::bind`]
+//! reports [`std::io::ErrorKind::Unsupported`] and the rest of the crate
+//! (the one-shot path behind `polyufc compile --json`) builds unchanged.
 //!
 //! Shutdown is event-driven end to end: the signal handler both sets
-//! [`SIGNALLED`] *and* writes the doorbell (one `write(2)` — both are
+//! `SIGNALLED` *and* writes the doorbell (one `write(2)` — both are
 //! async-signal-safe), so a parked `epoll_wait` wakes immediately instead
-//! of on its next timeout. [`ShutdownHandle::shutdown`] does the same
+//! of on its next timeout. `ShutdownHandle::shutdown` does the same
 //! from safe code; tests use it to stop a daemon without a signal.
 //!
 //! Admission is bounded: at most `max_conns` concurrent connections
@@ -20,32 +20,17 @@
 //! the limit is answered with one typed `overloaded` line and closed at
 //! accept, before it can buffer requests the daemon cannot serve.
 
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
-#[cfg(target_os = "linux")]
-use std::os::fd::AsRawFd;
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
-#[cfg(unix)]
-use std::path::PathBuf;
-#[cfg(target_os = "linux")]
-use std::sync::atomic::AtomicI32;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
-use crate::engine::{Engine, EngineConfig, Outcome};
-use crate::protocol::{codes, render_error, MAX_REQUEST_BYTES};
+use crate::engine::EngineConfig;
 
 /// Where the daemon listens.
 #[derive(Debug, Clone)]
 pub enum Listen {
     /// A TCP address, e.g. `127.0.0.1:7077` (or `:0` for an ephemeral
-    /// port, which tests and the loadtest use).
+    /// port, which tests and the benchmark use).
     Tcp(String),
     /// A unix-domain socket path.
     #[cfg(unix)]
-    Unix(PathBuf),
+    Unix(std::path::PathBuf),
 }
 
 /// Daemon configuration: where to listen and how to size the engine.
@@ -57,41 +42,59 @@ pub struct ServerConfig {
     pub engine: EngineConfig,
 }
 
-/// Set by the SIGINT/SIGTERM handler; the event loop (and the fallback
-/// accept loop) checks it on every wakeup.
-static SIGNALLED: AtomicBool = AtomicBool::new(false);
-
-/// The reactor's doorbell fd, published while a daemon runs so the
-/// signal handler can wake a parked `epoll_wait`; −1 when no daemon is
-/// running.
 #[cfg(target_os = "linux")]
-static SIGNAL_WAKE_FD: AtomicI32 = AtomicI32::new(-1);
+pub(crate) use daemon::{admission_reject_line, signalled, Acceptor, Conn};
+#[cfg(target_os = "linux")]
+pub use daemon::{install_signal_handlers, Server, ShutdownHandle};
+#[cfg(not(target_os = "linux"))]
+pub use unsupported::{install_signal_handlers, Server};
 
-pub(crate) fn signalled() -> bool {
-    SIGNALLED.load(Ordering::SeqCst)
-}
+/// The daemon proper: everything that touches a socket, a signal or the
+/// reactor.
+#[cfg(target_os = "linux")]
+mod daemon {
+    use std::io::{ErrorKind, Read, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::os::fd::AsRawFd;
+    use std::os::unix::net::{UnixListener, UnixStream};
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
+    use std::sync::Arc;
 
-/// Installs process-wide SIGINT/SIGTERM handlers that request a clean
-/// drain-and-stop. Uses the C `signal` entry point directly — the only
-/// async-signal work is one atomic store plus one `write(2)` to the
-/// reactor's doorbell (both async-signal-safe), and the workspace
-/// vendors no libc crate.
-pub fn install_signal_handlers() {
-    #[cfg(unix)]
-    {
+    use super::{Listen, ServerConfig};
+    use crate::engine::Engine;
+    use crate::protocol::{codes, render_error};
+    use crate::reactor::WakeupFd;
+
+    /// Set by the SIGINT/SIGTERM handler; the event loop checks it on
+    /// every wakeup.
+    static SIGNALLED: AtomicBool = AtomicBool::new(false);
+
+    /// The reactor's doorbell fd, published while a daemon runs so the
+    /// signal handler can wake a parked `epoll_wait`; −1 when no daemon is
+    /// running.
+    static SIGNAL_WAKE_FD: AtomicI32 = AtomicI32::new(-1);
+
+    pub(crate) fn signalled() -> bool {
+        SIGNALLED.load(Ordering::SeqCst)
+    }
+
+    /// Installs process-wide SIGINT/SIGTERM handlers that request a clean
+    /// drain-and-stop. Uses the C `signal` entry point directly — the only
+    /// async-signal work is one atomic store plus one `write(2)` to the
+    /// reactor's doorbell (both async-signal-safe), and the workspace
+    /// vendors no libc crate.
+    pub fn install_signal_handlers() {
         // chk:signal-handler
         extern "C" fn on_signal(_sig: i32) {
+            extern "C" {
+                fn write(fd: i32, buf: *const core::ffi::c_void, count: usize) -> isize;
+            }
             SIGNALLED.store(true, Ordering::SeqCst);
-            #[cfg(target_os = "linux")]
-            {
-                extern "C" {
-                    fn write(fd: i32, buf: *const core::ffi::c_void, count: usize) -> isize;
-                }
-                let fd = SIGNAL_WAKE_FD.load(Ordering::SeqCst);
-                if fd >= 0 {
-                    let one: u64 = 1;
-                    unsafe { write(fd, (&one as *const u64).cast(), 8) };
-                }
+            let fd = SIGNAL_WAKE_FD.load(Ordering::SeqCst);
+            if fd >= 0 {
+                let one: u64 = 1;
+                unsafe { write(fd, (&one as *const u64).cast(), 8) };
             }
         }
         extern "C" {
@@ -104,541 +107,304 @@ pub fn install_signal_handlers() {
             signal(SIGTERM, on_signal as *const () as usize);
         }
     }
-}
 
-pub(crate) enum Acceptor {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Unix(UnixListener, PathBuf),
-}
-
-impl Acceptor {
-    /// One nonblocking accept; `Ok(None)` when no connection is pending.
-    /// Restarts on EINTR — `accept(2)` never auto-restarts under the BSD
-    /// `signal()` semantics glibc installs, so without the loop one
-    /// signal landing mid-accept would bubble an error out of the
-    /// reactor and kill the daemon.
-    pub(crate) fn accept(&self) -> std::io::Result<Option<Conn>> {
-        loop {
-            let result = match self {
-                Acceptor::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
-                #[cfg(unix)]
-                Acceptor::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
-            };
-            match result {
-                Ok(conn) => return Ok(Some(conn)),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
+    pub(crate) enum Acceptor {
+        Tcp(TcpListener),
+        Unix(UnixListener, PathBuf),
     }
 
-    #[cfg(target_os = "linux")]
-    pub(crate) fn raw_fd(&self) -> i32 {
-        match self {
-            Acceptor::Tcp(l) => l.as_raw_fd(),
-            Acceptor::Unix(l, _) => l.as_raw_fd(),
-        }
-    }
-}
-
-pub(crate) enum Conn {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Conn {
-    /// Socket options for the reactor: nonblocking, and NODELAY on TCP —
-    /// one small write per response round trip must not wait out Nagle.
-    #[cfg(target_os = "linux")]
-    pub(crate) fn prepare_nonblocking(&self) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => {
-                let _ = s.set_nodelay(true);
-                s.set_nonblocking(true)
-            }
-            Conn::Unix(s) => s.set_nonblocking(true),
-        }
-    }
-
-    #[cfg(target_os = "linux")]
-    pub(crate) fn raw_fd(&self) -> i32 {
-        match self {
-            Conn::Tcp(s) => s.as_raw_fd(),
-            Conn::Unix(s) => s.as_raw_fd(),
-        }
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-#[cfg(target_os = "linux")]
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
-        // Both streams lower this onto writev(2): one syscall flushes a
-        // whole batch of pipelined response bodies.
-        match self {
-            Conn::Tcp(s) => s.write_vectored(bufs),
-            Conn::Unix(s) => s.write_vectored(bufs),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
-
-/// The one typed response an over-limit connection receives at accept.
-pub(crate) fn admission_reject_line() -> String {
-    let mut s = render_error(
-        codes::OVERLOADED,
-        "connection limit reached; retry against a less loaded daemon",
-    );
-    s.push('\n');
-    s
-}
-
-fn default_max_conns() -> usize {
-    std::env::var("POLYUFC_MAX_CONNS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1024)
-}
-
-/// Stops a running daemon from outside: sets the stop flag *and* rings
-/// the reactor's doorbell, so a parked `epoll_wait` (or a sleeping
-/// fallback accept loop) observes the request immediately rather than on
-/// its next timeout. Clone freely; all clones control the same daemon.
-#[derive(Clone)]
-pub struct ShutdownHandle {
-    flag: Arc<AtomicBool>,
-    #[cfg(target_os = "linux")]
-    wake: Arc<crate::reactor::WakeupFd>,
-}
-
-impl std::fmt::Debug for ShutdownHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShutdownHandle")
-            .field("requested", &self.flag.load(Ordering::SeqCst))
-            .finish()
-    }
-}
-
-impl ShutdownHandle {
-    /// Requests a clean drain-and-stop.
-    pub fn shutdown(&self) {
-        self.flag.store(true, Ordering::SeqCst);
-        #[cfg(target_os = "linux")]
-        self.wake.ring();
-    }
-
-    /// Whether a stop was requested (by this handle, a signal, or a
-    /// `shutdown` request).
-    pub fn is_shutdown(&self) -> bool {
-        self.flag.load(Ordering::SeqCst) || signalled()
-    }
-}
-
-/// A bound, not-yet-running daemon.
-pub struct Server {
-    acceptor: Acceptor,
-    engine: Arc<Engine>,
-    stop: Arc<AtomicBool>,
-    max_conns: usize,
-    #[cfg(target_os = "linux")]
-    wakeup: Arc<crate::reactor::WakeupFd>,
-}
-
-impl Server {
-    /// Binds the listener, spins up the engine, and (on Linux) creates
-    /// the reactor's doorbell eventfd.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind errors (address in use, bad path, ...).
-    pub fn bind(cfg: &ServerConfig) -> std::io::Result<Server> {
-        let acceptor = match &cfg.listen {
-            Listen::Tcp(addr) => {
-                let l = TcpListener::bind(addr)?;
-                l.set_nonblocking(true)?;
-                Acceptor::Tcp(l)
-            }
-            #[cfg(unix)]
-            Listen::Unix(path) => {
-                // A stale socket file from a crashed run would make bind
-                // fail forever; only an unbound path is safe to clear.
-                if path.exists() && UnixStream::connect(path).is_err() {
-                    let _ = std::fs::remove_file(path);
-                }
-                let l = UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
-                Acceptor::Unix(l, path.clone())
-            }
-        };
-        Ok(Server {
-            acceptor,
-            engine: Arc::new(Engine::new(&cfg.engine)),
-            stop: Arc::new(AtomicBool::new(false)),
-            max_conns: default_max_conns(),
-            #[cfg(target_os = "linux")]
-            wakeup: Arc::new(crate::reactor::WakeupFd::new()?),
-        })
-    }
-
-    /// The actually-bound TCP address (for `:0` ephemeral binds); `None`
-    /// for unix sockets.
-    pub fn local_addr(&self) -> Option<std::net::SocketAddr> {
-        match &self.acceptor {
-            Acceptor::Tcp(l) => l.local_addr().ok(),
-            #[cfg(unix)]
-            Acceptor::Unix(..) => None,
-        }
-    }
-
-    /// The engine, for out-of-band inspection (tests, the loadtest).
-    pub fn engine(&self) -> Arc<Engine> {
-        Arc::clone(&self.engine)
-    }
-
-    /// A handle that stops this daemon cleanly from another thread.
-    pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle {
-            flag: Arc::clone(&self.stop),
-            #[cfg(target_os = "linux")]
-            wake: Arc::clone(&self.wakeup),
-        }
-    }
-
-    /// Caps concurrent connections (at least 1); connections past the cap
-    /// are answered with one typed `overloaded` line and closed at accept.
-    pub fn set_max_conns(&mut self, max_conns: usize) {
-        self.max_conns = max_conns.max(1);
-    }
-
-    /// Serves until a `shutdown` request, SIGINT/SIGTERM, or a
-    /// [`ShutdownHandle`]; then drains in-flight connections and compiles
-    /// and returns.
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener/reactor I/O errors other than `WouldBlock`.
-    #[cfg(target_os = "linux")]
-    pub fn run(self) -> std::io::Result<()> {
-        let Server {
-            acceptor,
-            engine,
-            stop,
-            max_conns,
-            wakeup,
-        } = self;
-        // The doorbell: every finished compile job rings once, so the
-        // reactor drains its completion queue without ever polling.
-        {
-            let bell = Arc::clone(&wakeup);
-            engine.set_completion_hook(move || bell.ring());
-        }
-        SIGNAL_WAKE_FD.store(wakeup.fd(), Ordering::SeqCst);
-        let result = crate::reactor::run(&acceptor, &engine, &stop, &wakeup, max_conns);
-        SIGNAL_WAKE_FD.store(-1, Ordering::SeqCst);
-        #[cfg(unix)]
-        if let Acceptor::Unix(_, path) = &acceptor {
-            let _ = std::fs::remove_file(path);
-        }
-        drop(acceptor);
-        // Drain the engine through the Arc: stops the watchdog, gives
-        // workers the shutdown grace, then completes any still-pending
-        // flight with a typed `shutting_down` error — even when tests
-        // hold extra engine Arcs (the old `Arc::try_unwrap` skipped the
-        // drain in exactly that case, leaking hung workers).
-        engine.shutdown();
-        result
-    }
-
-    /// Serves until a `shutdown` request, SIGINT/SIGTERM, or a
-    /// [`ShutdownHandle`] (portable fallback: thread per connection).
-    ///
-    /// # Errors
-    ///
-    /// Propagates accept-loop I/O errors other than `WouldBlock`.
-    #[cfg(not(target_os = "linux"))]
-    pub fn run(self) -> std::io::Result<()> {
-        use std::sync::atomic::AtomicUsize;
-
-        let mut conn_handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        let live = Arc::new(AtomicUsize::new(0));
-        loop {
-            if self.stop.load(Ordering::SeqCst) || signalled() {
-                break;
-            }
-            match self.acceptor.accept() {
-                Err(e) => return Err(e),
-                Ok(None) => std::thread::sleep(Duration::from_millis(10)),
-                Ok(Some(conn)) if live.load(Ordering::SeqCst) >= self.max_conns => {
-                    shed_connection(conn);
-                }
-                Ok(Some(conn)) => {
-                    let engine = Arc::clone(&self.engine);
-                    let stop = Arc::clone(&self.stop);
-                    let live = Arc::clone(&live);
-                    live.fetch_add(1, Ordering::SeqCst);
-                    conn_handles.push(std::thread::spawn(move || {
-                        serve_connection(conn, &engine, &stop);
-                        live.fetch_sub(1, Ordering::SeqCst);
-                    }));
-                    // Reap finished handles so a long-lived daemon does
-                    // not accumulate one JoinHandle per past connection.
-                    conn_handles.retain(|h| !h.is_finished());
-                }
-            }
-        }
-        for h in conn_handles {
-            let _ = h.join();
-        }
-        #[cfg(unix)]
-        if let Acceptor::Unix(_, path) = &self.acceptor {
-            let _ = std::fs::remove_file(path);
-        }
-        self.engine.shutdown();
-        Ok(())
-    }
-}
-
-/// Answers an over-limit connection with one `overloaded` line and drops
-/// it (fallback path; the reactor has its own copy of this policy).
-#[cfg(not(target_os = "linux"))]
-fn shed_connection(conn: Conn) {
-    let line = admission_reject_line();
-    match conn {
-        Conn::Tcp(mut s) => {
-            let _ = s.set_nodelay(true);
-            let _ = s.write_all(line.as_bytes());
-        }
-        #[cfg(unix)]
-        Conn::Unix(mut s) => {
-            let _ = s.write_all(line.as_bytes());
-        }
-    }
-}
-
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-fn serve_connection(conn: Conn, engine: &Engine, stop: &Arc<AtomicBool>) {
-    match conn {
-        Conn::Tcp(s) => {
-            // One small write per response: without NODELAY, Nagle +
-            // delayed ACK turns every round trip into ~40 ms.
-            let _ = s.set_nodelay(true);
-            let _ = s.set_read_timeout(Some(Duration::from_millis(200)));
-            let mut writer = match s.try_clone() {
-                Ok(w) => w,
-                Err(_) => return,
-            };
-            serve_stream(BufReader::new(s), &mut writer, engine, stop);
-        }
-        #[cfg(unix)]
-        Conn::Unix(s) => {
-            let _ = s.set_read_timeout(Some(Duration::from_millis(200)));
-            let mut writer = match s.try_clone() {
-                Ok(w) => w,
-                Err(_) => return,
-            };
-            serve_stream(BufReader::new(s), &mut writer, engine, stop);
-        }
-    }
-}
-
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-fn serve_stream<R: Read, W: Write>(
-    mut reader: BufReader<R>,
-    writer: &mut W,
-    engine: &Engine,
-    stop: &Arc<AtomicBool>,
-) {
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        match read_line_bounded(&mut reader, &mut line, stop) {
-            LineRead::Closed => return,
-            LineRead::Stopping => return,
-            LineRead::Oversized => {
-                let body = render_error(
-                    codes::OVERSIZED,
-                    &format!("request line exceeds {MAX_REQUEST_BYTES} bytes"),
-                );
-                if write_reply(writer, &body).is_err() {
-                    return;
-                }
-            }
-            LineRead::Line => {
-                let text = match std::str::from_utf8(&line) {
-                    Ok(t) => t.trim(),
-                    Err(_) => {
-                        let body = render_error(codes::BAD_JSON, "request line is not valid UTF-8");
-                        if write_reply(writer, &body).is_err() {
-                            return;
-                        }
-                        continue;
-                    }
+    impl Acceptor {
+        /// One nonblocking accept; `Ok(None)` when no connection is
+        /// pending. Restarts on EINTR — `accept(2)` never auto-restarts
+        /// under the BSD `signal()` semantics glibc installs, so without
+        /// the loop one signal landing mid-accept would bubble an error
+        /// out of the reactor and kill the daemon.
+        pub(crate) fn accept(&self) -> std::io::Result<Option<Conn>> {
+            loop {
+                let result = match self {
+                    Acceptor::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+                    Acceptor::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
                 };
-                if text.is_empty() {
-                    continue;
+                match result {
+                    Ok(conn) => return Ok(Some(conn)),
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(e) => return Err(e),
                 }
-                match engine.handle_line(text) {
-                    Outcome::Reply(body) => {
-                        if write_reply(writer, &body).is_err() {
-                            return;
-                        }
-                    }
-                    Outcome::ReplyAndShutdown(body) => {
-                        let _ = write_reply(writer, &body);
-                        stop.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                }
+            }
+        }
+
+        pub(crate) fn raw_fd(&self) -> i32 {
+            match self {
+                Acceptor::Tcp(l) => l.as_raw_fd(),
+                Acceptor::Unix(l, _) => l.as_raw_fd(),
             }
         }
     }
-}
 
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-fn write_reply<W: Write>(w: &mut W, body: &str) -> std::io::Result<()> {
-    w.write_all(body.as_bytes())?;
-    w.write_all(b"\n")?;
-    w.flush()
-}
+    pub(crate) enum Conn {
+        Tcp(TcpStream),
+        Unix(UnixStream),
+    }
 
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-enum LineRead {
-    /// `line` holds one complete request line (without the newline).
-    Line,
-    /// The line exceeded the limit; its remainder was discarded.
-    Oversized,
-    /// The peer closed the connection.
-    Closed,
-    /// The daemon is stopping.
-    Stopping,
-}
-
-/// Reads one newline-terminated line into `line`, capped at
-/// [`MAX_REQUEST_BYTES`]; past the cap it switches to discarding until
-/// the newline so one oversized request costs bounded memory and exactly
-/// one error reply. Read timeouts are polls, not failures: they give the
-/// stop flag a look-in on idle connections.
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-fn read_line_bounded<R: Read>(
-    reader: &mut BufReader<R>,
-    line: &mut Vec<u8>,
-    stop: &Arc<AtomicBool>,
-) -> LineRead {
-    line.clear();
-    let mut discarding = false;
-    loop {
-        if stop.load(Ordering::SeqCst) || signalled() {
-            return LineRead::Stopping;
-        }
-        let buf = match reader.fill_buf() {
-            Ok(b) => b,
-            Err(e)
-                if e.kind() == ErrorKind::WouldBlock
-                    || e.kind() == ErrorKind::TimedOut
-                    || e.kind() == ErrorKind::Interrupted =>
-            {
-                continue;
-            }
-            Err(_) => return LineRead::Closed,
-        };
-        if buf.is_empty() {
-            return LineRead::Closed; // EOF
-        }
-        let (chunk, ate_newline) = match buf.iter().position(|&b| b == b'\n') {
-            Some(i) => (i + 1, true),
-            None => (buf.len(), false),
-        };
-        if !discarding {
-            let take = chunk - usize::from(ate_newline);
-            line.extend_from_slice(&buf[..take]);
-            if line.len() > MAX_REQUEST_BYTES {
-                discarding = true;
+    impl Conn {
+        /// Socket options for the reactor: nonblocking, and NODELAY on
+        /// TCP — one small write per response round trip must not wait
+        /// out Nagle.
+        pub(crate) fn prepare_nonblocking(&self) -> std::io::Result<()> {
+            match self {
+                Conn::Tcp(s) => {
+                    let _ = s.set_nodelay(true);
+                    s.set_nonblocking(true)
+                }
+                Conn::Unix(s) => s.set_nonblocking(true),
             }
         }
-        reader.consume(chunk);
-        if ate_newline {
-            return if discarding {
-                LineRead::Oversized
-            } else {
-                LineRead::Line
+
+        pub(crate) fn raw_fd(&self) -> i32 {
+            match self {
+                Conn::Tcp(s) => s.as_raw_fd(),
+                Conn::Unix(s) => s.as_raw_fd(),
+            }
+        }
+    }
+
+    impl Read for Conn {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self {
+                Conn::Tcp(s) => s.read(buf),
+                Conn::Unix(s) => s.read(buf),
+            }
+        }
+    }
+
+    impl Write for Conn {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            match self {
+                Conn::Tcp(s) => s.write(buf),
+                Conn::Unix(s) => s.write(buf),
+            }
+        }
+
+        fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+            // Both streams lower this onto writev(2): one syscall flushes
+            // a whole batch of pipelined response bodies.
+            match self {
+                Conn::Tcp(s) => s.write_vectored(bufs),
+                Conn::Unix(s) => s.write_vectored(bufs),
+            }
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            match self {
+                Conn::Tcp(s) => s.flush(),
+                Conn::Unix(s) => s.flush(),
+            }
+        }
+    }
+
+    /// The one typed response an over-limit connection receives at accept.
+    pub(crate) fn admission_reject_line() -> String {
+        let mut s = render_error(
+            codes::OVERLOADED,
+            "connection limit reached; retry against a less loaded daemon",
+        );
+        s.push('\n');
+        s
+    }
+
+    fn default_max_conns() -> usize {
+        std::env::var("POLYUFC_MAX_CONNS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or(1024)
+    }
+
+    /// Stops a running daemon from outside: sets the stop flag *and* rings
+    /// the reactor's doorbell, so a parked `epoll_wait` observes the
+    /// request immediately rather than on its next timeout. Clone freely;
+    /// all clones control the same daemon.
+    #[derive(Clone)]
+    pub struct ShutdownHandle {
+        flag: Arc<AtomicBool>,
+        wake: Arc<WakeupFd>,
+    }
+
+    impl std::fmt::Debug for ShutdownHandle {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.debug_struct("ShutdownHandle")
+                .field("requested", &self.flag.load(Ordering::SeqCst))
+                .finish()
+        }
+    }
+
+    impl ShutdownHandle {
+        /// Requests a clean drain-and-stop.
+        pub fn shutdown(&self) {
+            self.flag.store(true, Ordering::SeqCst);
+            self.wake.ring();
+        }
+
+        /// Whether a stop was requested (by this handle, a signal, or a
+        /// `shutdown` request).
+        pub fn is_shutdown(&self) -> bool {
+            self.flag.load(Ordering::SeqCst) || signalled()
+        }
+    }
+
+    /// A bound, not-yet-running daemon.
+    pub struct Server {
+        acceptor: Acceptor,
+        engine: Arc<Engine>,
+        stop: Arc<AtomicBool>,
+        max_conns: usize,
+        wakeup: Arc<WakeupFd>,
+    }
+
+    impl Server {
+        /// Binds the listener, spins up the engine, and creates the
+        /// reactor's doorbell eventfd.
+        ///
+        /// # Errors
+        ///
+        /// Propagates bind errors (address in use, bad path, ...).
+        pub fn bind(cfg: &ServerConfig) -> std::io::Result<Server> {
+            let acceptor = match &cfg.listen {
+                Listen::Tcp(addr) => {
+                    let l = TcpListener::bind(addr)?;
+                    l.set_nonblocking(true)?;
+                    Acceptor::Tcp(l)
+                }
+                Listen::Unix(path) => {
+                    // A stale socket file from a crashed run would make
+                    // bind fail forever; only an unbound path is safe to
+                    // clear.
+                    if path.exists() && UnixStream::connect(path).is_err() {
+                        let _ = std::fs::remove_file(path);
+                    }
+                    let l = UnixListener::bind(path)?;
+                    l.set_nonblocking(true)?;
+                    Acceptor::Unix(l, path.clone())
+                }
             };
+            Ok(Server {
+                acceptor,
+                engine: Arc::new(Engine::new(&cfg.engine)),
+                stop: Arc::new(AtomicBool::new(false)),
+                max_conns: default_max_conns(),
+                wakeup: Arc::new(WakeupFd::new()?),
+            })
+        }
+
+        /// The actually-bound TCP address (for `:0` ephemeral binds);
+        /// `None` for unix sockets.
+        pub fn local_addr(&self) -> Option<std::net::SocketAddr> {
+            match &self.acceptor {
+                Acceptor::Tcp(l) => l.local_addr().ok(),
+                Acceptor::Unix(..) => None,
+            }
+        }
+
+        /// The engine, for out-of-band inspection (tests, the benchmark).
+        pub fn engine(&self) -> Arc<Engine> {
+            Arc::clone(&self.engine)
+        }
+
+        /// A handle that stops this daemon cleanly from another thread.
+        pub fn shutdown_handle(&self) -> ShutdownHandle {
+            ShutdownHandle {
+                flag: Arc::clone(&self.stop),
+                wake: Arc::clone(&self.wakeup),
+            }
+        }
+
+        /// Caps concurrent connections (at least 1); connections past the
+        /// cap are answered with one typed `overloaded` line and closed at
+        /// accept.
+        pub fn set_max_conns(&mut self, max_conns: usize) {
+            self.max_conns = max_conns.max(1);
+        }
+
+        /// Serves until a `shutdown` request, SIGINT/SIGTERM, or a
+        /// [`ShutdownHandle`]; then drains in-flight connections and
+        /// compiles and returns.
+        ///
+        /// # Errors
+        ///
+        /// Propagates listener/reactor I/O errors other than `WouldBlock`.
+        pub fn run(self) -> std::io::Result<()> {
+            let Server {
+                acceptor,
+                engine,
+                stop,
+                max_conns,
+                wakeup,
+            } = self;
+            // The doorbell: every finished compile job rings once, so the
+            // reactor drains its completion queue without ever polling.
+            {
+                let bell = Arc::clone(&wakeup);
+                engine.set_completion_hook(move || bell.ring());
+            }
+            SIGNAL_WAKE_FD.store(wakeup.fd(), Ordering::SeqCst);
+            let result = crate::reactor::run(&acceptor, &engine, &stop, &wakeup, max_conns);
+            SIGNAL_WAKE_FD.store(-1, Ordering::SeqCst);
+            if let Acceptor::Unix(_, path) = &acceptor {
+                let _ = std::fs::remove_file(path);
+            }
+            drop(acceptor);
+            // Drain the engine through the Arc: stops the watchdog, gives
+            // workers the shutdown grace, then completes any still-pending
+            // flight with a typed `shutting_down` error — even when tests
+            // hold extra engine Arcs (the old `Arc::try_unwrap` skipped the
+            // drain in exactly that case, leaking hung workers).
+            engine.shutdown();
+            result
         }
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::io::Cursor;
+/// What callers see where there is no epoll: [`Server`] has no values and
+/// [`Server::bind`] always fails, so everything after a successful bind is
+/// statically unreachable.
+#[cfg(not(target_os = "linux"))]
+mod unsupported {
+    use super::ServerConfig;
 
-    fn quiet_stop() -> Arc<AtomicBool> {
-        Arc::new(AtomicBool::new(false))
-    }
+    /// No daemon runs on this target, so there is nothing to signal.
+    pub fn install_signal_handlers() {}
 
-    #[test]
-    fn bounded_reader_splits_lines() {
-        let mut r = BufReader::new(Cursor::new(b"abc\ndef\n".to_vec()));
-        let mut line = Vec::new();
-        let stop = quiet_stop();
-        assert!(matches!(
-            read_line_bounded(&mut r, &mut line, &stop),
-            LineRead::Line
-        ));
-        assert_eq!(line, b"abc");
-        assert!(matches!(
-            read_line_bounded(&mut r, &mut line, &stop),
-            LineRead::Line
-        ));
-        assert_eq!(line, b"def");
-        assert!(matches!(
-            read_line_bounded(&mut r, &mut line, &stop),
-            LineRead::Closed
-        ));
-    }
+    /// The daemon; uninhabited on this target.
+    #[derive(Debug)]
+    pub enum Server {}
 
-    #[test]
-    fn bounded_reader_discards_oversized_in_constant_memory() {
-        let mut big = vec![b'x'; MAX_REQUEST_BYTES + 4096];
-        big.push(b'\n');
-        big.extend_from_slice(b"{\"op\":\"ping\"}\n");
-        let mut r = BufReader::new(Cursor::new(big));
-        let mut line = Vec::new();
-        let stop = quiet_stop();
-        assert!(matches!(
-            read_line_bounded(&mut r, &mut line, &stop),
-            LineRead::Oversized
-        ));
-        assert!(line.len() <= MAX_REQUEST_BYTES + 8192);
-        // The connection is still line-synchronized after the discard.
-        assert!(matches!(
-            read_line_bounded(&mut r, &mut line, &stop),
-            LineRead::Line
-        ));
-        assert_eq!(line, b"{\"op\":\"ping\"}");
+    impl Server {
+        /// Always fails: the daemon is Linux/epoll only.
+        ///
+        /// # Errors
+        ///
+        /// [`std::io::ErrorKind::Unsupported`], unconditionally.
+        pub fn bind(_cfg: &ServerConfig) -> std::io::Result<Server> {
+            Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "polyufc serve needs Linux (epoll)",
+            ))
+        }
+
+        /// Unreachable: no `Server` exists on this target.
+        pub fn local_addr(&self) -> Option<std::net::SocketAddr> {
+            match *self {}
+        }
+
+        /// Unreachable: no `Server` exists on this target.
+        pub fn set_max_conns(&mut self, _max_conns: usize) {
+            match *self {}
+        }
+
+        /// Unreachable: no `Server` exists on this target.
+        pub fn run(self) -> std::io::Result<()> {
+            match self {}
+        }
     }
 }

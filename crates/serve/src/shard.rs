@@ -30,23 +30,12 @@
 //! would strand its followers.
 
 use polyufc_chk::OrderedMutex;
+use polyufc_machine::fault::{fnv1a, FNV_OFFSET};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::artifact::{Abort, ArtifactCacheStats, Body, Flight, Lookup};
-
-/// FNV-1a, the workspace-standard dependency-free hash; shard choice
-/// only needs dispersion, not DoS resistance (keys are fingerprints the
-/// server computed itself, not attacker-chosen bytes).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 #[derive(Debug)]
 enum Slot {
@@ -116,8 +105,10 @@ impl ArtifactCache {
         self.shards.len()
     }
 
+    /// Shard choice only needs dispersion, not DoS resistance: keys are
+    /// fingerprints the server computed itself, not attacker-chosen bytes.
     fn shard(&self, bytes: &[u8]) -> &OrderedMutex<ShardInner> {
-        &self.shards[(fnv1a(bytes) & self.mask) as usize]
+        &self.shards[(fnv1a(FNV_OFFSET, bytes) & self.mask) as usize]
     }
 
     /// Probes the keyed tier; a miss atomically registers this caller as
