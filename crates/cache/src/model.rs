@@ -300,20 +300,36 @@ impl CacheModel {
         let per_point_flops: f64 = kernel.statements.iter().map(|s| s.flops as f64).sum();
         let flops = domain_size * per_point_flops;
 
+        // A footprint depends only on (reference, loop level), and the
+        // loops below ask for the same one once per cache level and again
+        // for the body and cold terms: compute each on first use.
+        let line_bytes = self.hierarchy.line_bytes();
+        let mut footprints: Vec<Option<DistinctLines>> = vec![None; refs.len() * (depth + 1)];
+        let mut footprint = |ri: usize, level: usize, count_cache: &mut CountCache| {
+            let slot = &mut footprints[ri * (depth + 1) + level];
+            Ok::<_, ModelError>(match *slot {
+                Some(dl) => dl,
+                None => {
+                    let r = &refs[ri];
+                    *slot.insert(distinct_lines(
+                        r,
+                        kernel,
+                        &bounds,
+                        &mids,
+                        level,
+                        line_bytes,
+                        count_cache,
+                    )?)
+                }
+            })
+        };
+
         // Compulsory misses: distinct lines per array (capped at the
         // array's own line count).
-        let line = self.hierarchy.line_bytes() as f64;
+        let line = line_bytes as f64;
         let mut cold_by_array: BTreeMap<usize, f64> = BTreeMap::new();
-        for r in &refs {
-            let dl = distinct_lines(
-                r,
-                kernel,
-                &bounds,
-                &mids,
-                0,
-                self.hierarchy.line_bytes(),
-                count_cache,
-            )?;
+        for (ri, r) in refs.iter().enumerate() {
+            let dl = footprint(ri, 0, count_cache)?;
             let e = cold_by_array.entry(r.array).or_insert(0.0);
             // References to the same array usually overlap heavily (shifted
             // stencil taps, read+write pairs after dedup): take the max,
@@ -327,6 +343,7 @@ impl CacheModel {
         }
 
         // Per-level analysis.
+        let debug = std::env::var("POLYUFC_CM_DEBUG").is_ok();
         let mut levels = Vec::with_capacity(self.hierarchy.n_levels());
         let mut prev_misses = total_accesses;
         for lc in &self.hierarchy.levels {
@@ -335,16 +352,8 @@ impl CacheModel {
             for l in 0..=depth {
                 let mut per_set_load = 0.0;
                 let mut total_lines = 0.0;
-                for r in &refs {
-                    let dl = distinct_lines(
-                        r,
-                        kernel,
-                        &bounds,
-                        &mids,
-                        l,
-                        self.hierarchy.line_bytes(),
-                        count_cache,
-                    )?;
+                for ri in 0..refs.len() {
+                    let dl = footprint(ri, l, count_cache)?;
                     total_lines += dl.lines;
                     let sets = dl.set_coverage(lc.n_sets());
                     per_set_load += dl.lines / sets.max(1.0);
@@ -365,26 +374,9 @@ impl CacheModel {
             // capacity — the data is re-fetched on every iteration of
             // those loops, whether or not the reference depends on them.
             let mut misses = 0.0;
-            for r in &refs {
-                let body = distinct_lines(
-                    r,
-                    kernel,
-                    &bounds,
-                    &mids,
-                    fit_level,
-                    self.hierarchy.line_bytes(),
-                    count_cache,
-                )?;
-                let cold_r = distinct_lines(
-                    r,
-                    kernel,
-                    &bounds,
-                    &mids,
-                    0,
-                    self.hierarchy.line_bytes(),
-                    count_cache,
-                )?
-                .lines;
+            for (ri, r) in refs.iter().enumerate() {
+                let body = footprint(ri, fit_level, count_cache)?;
+                let cold_r = footprint(ri, 0, count_cache)?.lines;
                 let m = if fit_level == 0 {
                     cold_r
                 } else {
@@ -399,11 +391,10 @@ impl CacheModel {
                         //    overlap almost entirely);
                         //  - strided/sub-line footprints share lines at
                         //    cache-line granularity (`ℓ / (coef·e)`).
-                        let mut c =
-                            count_prefix_trips(kernel, &bounds, fit_level, count_cache)? as f64;
+                        let mut c = count_prefix_trips(kernel, fit_level, count_cache)? as f64;
                         let coef = r.coeffs[d_star].abs();
                         if coef > 0 {
-                            let lb = self.hierarchy.line_bytes() as i64;
+                            let lb = line_bytes as i64;
                             let elems_per_line = (lb / r.elem_bytes).max(1) as f64;
                             if body.dense {
                                 let w_eff = body.span_elems.max(elems_per_line);
@@ -415,12 +406,12 @@ impl CacheModel {
                         }
                         c
                     } else {
-                        count_prefix_trips(kernel, &bounds, d_star, count_cache)? as f64
+                        count_prefix_trips(kernel, d_star, count_cache)? as f64
                     };
                     outer_count = outer_count.max(1.0);
                     (outer_count * body.lines).max(cold_r)
                 };
-                if std::env::var("POLYUFC_CM_DEBUG").is_ok() {
+                if debug {
                     eprintln!(
                         "  ref arr{} coeffs {:?} relevant {:?}: fit {} body {:.3e} cold {:.3e} -> m {:.3e}",
                         r.array, r.coeffs, r.relevant, fit_level, body.lines, cold_r, m
@@ -503,9 +494,7 @@ fn collect_refs(
             }
             let strides = decl.strides();
             let mut coeffs = vec![0i64; depth];
-            let mut constant = 0i64;
             for (e, &st) in a.indices.iter().zip(&strides) {
-                constant += e.constant_term() * st as i64;
                 for (v, c) in e.terms() {
                     if v >= depth {
                         return Err(ModelError::Malformed(format!(
@@ -517,7 +506,6 @@ fn collect_refs(
                 }
             }
             let key = (a.array.0, coeffs.clone());
-            let _ = constant;
             if let Some(r) = map.get_mut(&key) {
                 r.multiplicity += 1;
                 continue;
@@ -709,7 +697,7 @@ fn distinct_lines(
     } else {
         let mut dims = prefix.clone();
         dims.extend(aux.iter().copied());
-        count_outer(kernel, bounds, mids, &sorted(&dims), count_cache)? as f64
+        count_outer(kernel, mids, &sorted(&dims), count_cache)? as f64
     };
     // Dense width of the suffix, over union extents.
     let suffix_width: i64 = suffix
@@ -726,9 +714,9 @@ fn distinct_lines(
     // a line still occupy a whole line each (e.g. a 2-wide convolution
     // window with a large channel stride touches a fresh line per
     // channel), while long runs amortize `ℓ/e` elements per line.
-    let mut by_stride_order = free.clone();
-    by_stride_order.sort_by_key(|&d| r.coeffs[d].abs());
-    let d0 = by_stride_order[0];
+    let mut by_stride = free.clone();
+    by_stride.sort_by_key(|&d| r.coeffs[d].abs());
+    let d0 = by_stride[0];
     let c0 = r.coeffs[d0].abs();
     let lines = if c0 * r.elem_bytes >= lb {
         // Every element on its own line.
@@ -747,12 +735,9 @@ fn distinct_lines(
     // Run/stride structure for set-coverage: the smallest-stride free dim
     // forms contiguous (or near-contiguous) runs; the next stride up
     // separates the runs.
-    let mut by_stride = free.clone();
-    by_stride.sort_by_key(|&d| r.coeffs[d].abs());
-    let c0 = r.coeffs[by_stride[0]].abs();
     let (run_lines, stride_lines) = if c0 * r.elem_bytes < lb {
         // Dense-ish runs along the smallest-stride dim.
-        let run_elems = ext[by_stride[0]].max(1) * c0;
+        let run_elems = ext[d0].max(1) * c0;
         let run = ((run_elems * r.elem_bytes) as f64 / lb as f64)
             .ceil()
             .max(1.0) as u64;
@@ -854,7 +839,6 @@ fn eval_with(e: &LinExpr, rep: &[i64]) -> i64 {
 /// reference only earlier prefix iterators).
 fn count_prefix_trips(
     kernel: &AffineKernel,
-    bounds: &[(i64, i64)],
     prefix: usize,
     count_cache: &mut CountCache,
 ) -> Result<i128, ModelError> {
@@ -862,7 +846,7 @@ fn count_prefix_trips(
         return Ok(1);
     }
     let dims: Vec<usize> = (0..prefix).collect();
-    count_outer(kernel, bounds, &vec![0; kernel.depth()], &dims, count_cache)
+    count_outer(kernel, &vec![0; kernel.depth()], &dims, count_cache)
 }
 
 /// Counts the number of distinct value combinations of the given iterator
@@ -870,13 +854,11 @@ fn count_prefix_trips(
 /// bounds replaced by midpoints.
 fn count_outer(
     kernel: &AffineKernel,
-    bounds: &[(i64, i64)],
     mids: &[i64],
     dims: &[usize],
     count_cache: &mut CountCache,
 ) -> Result<i128, ModelError> {
     debug_assert!(dims.windows(2).all(|w| w[0] < w[1]));
-    let _ = bounds;
     let k = dims.len();
     let space = Space::set(0, k);
     let mut b = BasicSet::universe(space);

@@ -2,6 +2,9 @@
 //! of a kernel, their distance (delta) sets, and the permutability /
 //! parallelism queries that drive tiling and parallelization.
 
+use std::cell::OnceCell;
+use std::collections::HashSet;
+
 use polyufc_ir::affine::AffineKernel;
 use polyufc_presburger::{BasicMap, BasicSet, LinExpr, Map, Set, Space};
 
@@ -11,10 +14,16 @@ use polyufc_presburger::{BasicMap, BasicSet, LinExpr, Map, Set, Space};
 #[derive(Debug, Clone)]
 pub struct DepSummary {
     depth: usize,
-    /// One delta set per dependent access pair (possibly unioned pieces).
+    /// The distinct delta sets of the dependent access pairs. Every query
+    /// below is ∃/∀/max over this list, so pairs that repeat a set already
+    /// recorded (stencil taps, repeated reads) add nothing and are not
+    /// stored twice.
     pub deltas: Vec<Set>,
     /// Whether any query hit the solver budget (results then conservative).
     pub budget_exceeded: bool,
+    /// [`DepSummary::can_be_negative_at`] per level, filled on first use:
+    /// the permutability test, the skew loop and the tiling gate all ask.
+    negative_at: Vec<OnceCell<bool>>,
 }
 
 /// Builds the dependence summary of a kernel: for every pair of accesses to
@@ -28,6 +37,7 @@ pub fn analyze_kernel(kernel: &AffineKernel) -> DepSummary {
         depth,
         deltas: Vec::new(),
         budget_exceeded: false,
+        negative_at: vec![OnceCell::new(); depth],
     };
     if depth == 0 {
         return summary;
@@ -42,11 +52,18 @@ pub fn analyze_kernel(kernel: &AffineKernel) -> DepSummary {
         .flat_map(|(si, s)| (0..s.accesses.len()).map(move |ai| (si, ai)))
         .collect();
 
+    // The relation of a pair is a function of the array, the two index
+    // vectors and whether the identity piece is included; an ordered pair
+    // that repeats an analysed one would rebuild the same delta sets.
+    let mut analysed = HashSet::new();
     for &(si, ai) in &accesses {
         for &(sj, aj) in &accesses {
             let a1 = &kernel.statements[si].accesses[ai];
             let a2 = &kernel.statements[sj].accesses[aj];
             if a1.array != a2.array || (!a1.is_write && !a2.is_write) {
+                continue;
+            }
+            if !analysed.insert((a1.array, &a1.indices, &a2.indices, si < sj)) {
                 continue;
             }
             // Equal-element relation { i -> i' : A1(i) == A2(i') }.
@@ -84,6 +101,9 @@ pub fn analyze_kernel(kernel: &AffineKernel) -> DepSummary {
                     }
                 };
                 let delta = combined.deltas();
+                if summary.deltas.iter().any(|s| s.basics()[0] == delta) {
+                    continue;
+                }
                 match prune_empty(&delta) {
                     Some(true) => {}
                     Some(false) => summary.deltas.push(Set::from_basic(delta)),
@@ -125,18 +145,17 @@ impl DepSummary {
     /// Whether a delta with `δ_level <= -1` exists in any dependence
     /// (conservatively `true` on solver failure).
     pub fn can_be_negative_at(&self, level: usize) -> bool {
-        for s in &self.deltas {
-            let mut probe = BasicSet::universe(s.space().clone());
-            probe.add_ge0(-LinExpr::var(level) - LinExpr::constant(1));
-            match s
-                .intersect(&Set::from_basic(probe))
-                .and_then(|x| x.is_empty())
-            {
-                Ok(true) => {}
-                _ => return true,
-            }
-        }
-        false
+        *self.negative_at[level].get_or_init(|| {
+            self.deltas.iter().any(|s| {
+                let mut probe = BasicSet::universe(s.space().clone());
+                probe.add_ge0(-LinExpr::var(level) - LinExpr::constant(1));
+                !matches!(
+                    s.intersect(&Set::from_basic(probe))
+                        .and_then(|x| x.is_empty()),
+                    Ok(true)
+                )
+            })
+        })
     }
 
     /// Whether the full band `0..depth` is fully permutable: every delta is
@@ -251,6 +270,70 @@ mod tests {
                 flops: 3,
             }],
         }
+    }
+
+    /// jacobi-2d-style: `for t, i, j { s0: B[i][j] = f(A ·5); s1: A[i][j] =
+    /// f(B ·5) }` — the two arrays' taps yield the same delta sets.
+    fn five_point_kernel() -> AffineKernel {
+        let mut p = AffineProgram::new("j2d");
+        let a = p.add_array("A", vec![66, 66], ElemType::F64);
+        let b = p.add_array("B", vec![66, 66], ElemType::F64);
+        let (vi, vj) = (LinExpr::var(1), LinExpr::var(2));
+        let sweep = |name: &str, src, dst| {
+            let mut accesses: Vec<Access> = [(0, 0), (0, -1), (0, 1), (-1, 0), (1, 0)]
+                .iter()
+                .map(|&(di, dj)| {
+                    let tap = vec![
+                        vi.clone() + LinExpr::constant(di),
+                        vj.clone() + LinExpr::constant(dj),
+                    ];
+                    Access::read(src, tap)
+                })
+                .collect();
+            accesses.push(Access::write(dst, vec![vi.clone(), vj.clone()]));
+            Statement {
+                name: name.into(),
+                accesses,
+                flops: 5,
+            }
+        };
+        let interior = || {
+            Loop::new(
+                polyufc_ir::affine::Bound::constant(1),
+                polyufc_ir::affine::Bound::constant(65),
+            )
+        };
+        AffineKernel {
+            name: "j2d".into(),
+            loops: vec![Loop::range(8), interior(), interior()],
+            statements: vec![sweep("s0", a, b), sweep("s1", b, a)],
+        }
+    }
+
+    #[test]
+    fn repeated_dependences_are_recorded_once() {
+        use crate::optimizer::{KernelDecision, PlutoOptimizer};
+        let k = five_point_kernel();
+        let d = analyze_kernel(&k);
+        for (i, s) in d.deltas.iter().enumerate() {
+            for other in &d.deltas[i + 1..] {
+                assert_ne!(s.basics(), other.basics());
+            }
+        }
+        // Dropping the repeats changes no answer: the decision is the one
+        // taken with every pair's delta set kept.
+        let (_, dec) = PlutoOptimizer::default().optimize_kernel(&k);
+        assert_eq!(
+            dec,
+            KernelDecision {
+                name: "j2d".into(),
+                skewed: Some((0, 2, 1)),
+                tiled: true,
+                parallel_loops: vec![],
+                analysis_conservative: false,
+                micros: 0,
+            }
+        );
     }
 
     #[test]

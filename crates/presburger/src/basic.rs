@@ -759,11 +759,9 @@ impl System {
 
     /// Whether any row has a nonzero coefficient on `v`.
     pub fn var_appears(&self, v: usize) -> bool {
-        let (n, stride) = (self.n, self.stride);
-        let _ = n;
         self.rows
             .as_slice()
-            .chunks_exact(stride)
+            .chunks_exact(self.stride)
             .any(|row| row[v] != 0)
     }
 
@@ -794,15 +792,19 @@ impl System {
             stride: self.stride,
             rows: Slab::new(),
         };
-        let stride = self.stride;
-        for row in self.rows.as_slice().chunks_exact(stride) {
+        for row in self.rows.as_slice().chunks_exact(self.stride) {
             if keep(row) {
-                let base = out.rows.len();
-                out.rows.extend_zeros(stride);
-                out.rows.as_mut_slice()[base..].copy_from_slice(row);
+                out.push_row(row);
             }
         }
         out
+    }
+
+    /// Appends one raw row (`stride` words: coefficients, constant, kind).
+    fn push_row(&mut self, row: &[i64]) {
+        let base = self.rows.len();
+        self.rows.extend_zeros(self.stride);
+        self.rows.as_mut_slice()[base..].copy_from_slice(row);
     }
 
     /// Converts the rows back into per-constraint objects (used by the
@@ -886,6 +888,80 @@ impl System {
             self.retain_rows(|row| !(row_is_constant(row, n) && row_constant_ok(row, n)));
             active.retain(|&x| x != v);
         }
+    }
+
+    /// Eliminates active variables the system pins to a floor. With
+    /// `[lo, hi]` the finite propagated interval of `t`, it qualifies when
+    /// every row mentioning it is either a bound on `t` alone or one of
+    /// exactly two inequalities `e + k₁ - c·t >= 0` and
+    /// `-e + k₂ + c·t >= 0` with `c >= 1` and `k₁ + k₂ = c - 1` (the shape
+    /// of a tile iterator or a determined div). The pair says
+    /// `0 <= e + k₁ - c·t <= c - 1`, so `t = ⌊(e + k₁)/c⌋` on every
+    /// solution: like an equality-defined variable in
+    /// [`System::gauss_eliminate`] it is a function of the rest, and its
+    /// rows are replaced by `c·lo <= e + k₁ <= c·hi + c - 1`. That is a
+    /// bijection on solutions — the system implies the propagated
+    /// interval, so none is lost, and a floor inside `[lo, hi]` satisfies
+    /// `t`'s own bounds, so none is gained. An equality on `t`, a third
+    /// coupling row, any other `k₁ + k₂`, an unbounded interval or `i64`
+    /// overflow in the new constants leaves `t` alone. `iv` must be the
+    /// propagated intervals of `self`; they stay sound (not necessarily
+    /// tight) for the rewritten system. Returns whether anything was
+    /// eliminated; eliminated variables are removed from `active`.
+    pub fn eliminate_floor_vars(&mut self, active: &mut Vec<usize>, iv: &[Interval]) -> bool {
+        let before = active.len();
+        active.retain(|&t| match self.floor_replacement(t, iv[t]) {
+            Some(rows) => {
+                self.retain_rows(|row| row[t] == 0);
+                for row in &rows {
+                    self.push_row(row);
+                }
+                false
+            }
+            None => true,
+        });
+        active.len() < before
+    }
+
+    /// The two rows `e + k₁ - c·lo >= 0` and `c·hi + c - 1 - (e + k₁) >= 0`
+    /// that replace every row mentioning `t`, or `None` when `t` is not in
+    /// the shape [`System::eliminate_floor_vars`] accepts.
+    fn floor_replacement(&self, t: usize, iv: Interval) -> Option<[Vec<i64>; 2]> {
+        let (lo, hi) = (iv.lo?, iv.hi?);
+        let n = self.n;
+        // [upper: e + k₁ - c·t >= 0, lower: -e + k₂ + c·t >= 0]
+        let mut pair: [Option<&[i64]>; 2] = [None, None];
+        for row in self.rows.as_slice().chunks_exact(self.stride) {
+            if row[t] == 0 {
+                continue;
+            }
+            if row[n + 1] == KIND_EQ {
+                return None;
+            }
+            if row[..n].iter().enumerate().all(|(v, &c)| v == t || c == 0) {
+                continue; // a bound on `t` alone, implied by `[lo, hi]`
+            }
+            let slot = &mut pair[usize::from(row[t] > 0)];
+            if slot.is_some() {
+                return None;
+            }
+            *slot = Some(row);
+        }
+        let (up, low) = (pair[0]?, pair[1]?);
+        let c = low[t];
+        if (0..n).any(|v| up[v].checked_add(low[v]) != Some(0))
+            || up[n].checked_add(low[n]) != Some(c - 1)
+        {
+            return None;
+        }
+        let at_lo = up[n].checked_sub(c.checked_mul(lo)?)?;
+        let at_hi = c.checked_mul(hi)?.checked_add(c - 1)?.checked_sub(up[n])?;
+        // `up` and `low` already carry `e` and `-e`; only `t` and the
+        // constant change.
+        let (mut ge_lo, mut le_hi) = (up.to_vec(), low.to_vec());
+        (ge_lo[t], ge_lo[n]) = (0, at_lo);
+        (le_hi[t], le_hi[n]) = (0, at_hi);
+        Some([ge_lo, le_hi])
     }
 
     /// Detects contradictions between pairs of inequalities with exactly

@@ -341,9 +341,21 @@ fn count_rec(mut sys: System, active: &[usize], ctx: &mut Ctx) -> Result<i128> {
     if remaining.is_empty() {
         return Ok(1);
     }
-    let Some(iv) = sys.propagate(&mut ctx.budget)? else {
+    let Some(mut iv) = sys.propagate(&mut ctx.budget)? else {
         return Ok(0);
     };
+    // Eliminate floor-defined variables (tile iterators, determined divs):
+    // also functions of the rest, and what keeps a tiled domain out of the
+    // symbolic fragment. The enumerating oracle stays a pure enumerator.
+    if ctx.allow_symbolic {
+        ctx.budget.tick(remaining.len() as u64)?;
+        if sys.eliminate_floor_vars(&mut remaining, &iv) {
+            match sys.propagate(&mut ctx.budget)? {
+                Some(again) => iv = again,
+                None => return Ok(0),
+            }
+        }
+    }
 
     // Partition remaining variables into connected components.
     let components = connected_components(&sys, &remaining);
@@ -619,6 +631,69 @@ mod tests {
         let (c_enum, _) =
             count_system_with_stats(&b.system(), CountLimit::default(), false).unwrap();
         assert_eq!(c_enum, c);
+    }
+
+    /// Appends Pluto's tile coupling `tile·t <= x < tile·t + tile` with the
+    /// constant tile-loop range `lo <= t <= hi`.
+    fn tile(b: &mut BasicSet, t: usize, x: usize, (lo, hi): (i64, i64)) {
+        b.add_range(t, lo, hi);
+        b.add_ge0(LinExpr::var(x) - LinExpr::var(t) * 32);
+        b.add_ge0(LinExpr::var(t) * 32 + LinExpr::constant(31) - LinExpr::var(x));
+    }
+
+    /// `lu_update` at `large` after Pluto: `0 <= k < 500`, `k < i, j < 500`,
+    /// every dim tiled by 32 (vars: Tk, Ti, Tj, k, i, j).
+    fn tiled_lu_update() -> BasicSet {
+        let mut b = BasicSet::universe(Space::set(0, 6));
+        b.add_range(3, 0, 499);
+        tile(&mut b, 0, 3, (0, 15));
+        for (t, x) in [(1, 4), (2, 5)] {
+            b.add_ge0(LinExpr::var(x) - LinExpr::var(3) - LinExpr::constant(1));
+            b.add_ge0(LinExpr::constant(499) - LinExpr::var(x));
+            tile(&mut b, t, x, (0, 15));
+        }
+        b
+    }
+
+    #[test]
+    fn tiled_triangular_prism_counts_in_closed_form() {
+        // Σ_{k<500} (499-k)² with no component enumerated and no region
+        // fanned out: the tile iterators are floors of the point iterators.
+        let sys = tiled_lu_update().system();
+        let (c, stats) = count_system_with_stats(&sys, CountLimit::default(), true).unwrap();
+        assert_eq!(c, 41_541_750);
+        assert_eq!((stats.enumerated, stats.parallel_splits), (0, 0));
+    }
+
+    #[test]
+    fn skewed_tiled_stencil_counts_in_closed_form() {
+        // heat-3d at `large` after skew + tiling: `0 <= t < 20`,
+        // `t < x < t + 99` for three skewed space dims, all four tiled
+        // (vars: Tt, T1..T3, t, x1..x3) — 20·98³ points.
+        let mut b = BasicSet::universe(Space::set(0, 8));
+        b.add_range(4, 0, 19);
+        tile(&mut b, 0, 4, (0, 0));
+        for d in 1..4 {
+            let x = 4 + d;
+            b.add_ge0(LinExpr::var(x) - LinExpr::var(4) - LinExpr::constant(1));
+            b.add_ge0(LinExpr::var(4) + LinExpr::constant(98) - LinExpr::var(x));
+            tile(&mut b, d, x, (0, 3));
+        }
+        let (c, stats) = count_system_with_stats(&b.system(), CountLimit::default(), true).unwrap();
+        assert_eq!(c, 20 * 98 * 98 * 98);
+        assert_eq!((stats.enumerated, stats.parallel_splits), (0, 0));
+    }
+
+    #[test]
+    fn enumerative_oracle_does_not_eliminate_floors() {
+        // The same system with the symbolic layer off: tile iterators are
+        // branched over, not eliminated — the oracle stays a pure
+        // enumerator — and the count agrees.
+        let sys = tiled_lu_update().system();
+        let (c, stats) = count_system_with_stats(&sys, CountLimit::default(), false).unwrap();
+        assert_eq!(c, 41_541_750);
+        assert!(stats.enumerated >= 1);
+        assert_eq!(stats.symbolic, 0);
     }
 
     #[test]
