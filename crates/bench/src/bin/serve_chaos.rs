@@ -255,7 +255,7 @@ const SIGUSR1: i32 = 10;
 
 fn main() {
     // Injected worker panics are contained by the engine (the worker is
-    // caught, the flight gets a typed error); silence their backtraces
+    // caught, the request gets a typed error); silence their backtraces
     // so real failures stand out in CI logs.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {

@@ -34,7 +34,7 @@ pub trait Model: Clone {
     /// True once thread `t` has run to completion.
     fn done(&self, t: usize) -> bool;
     /// True if thread `t` can take a step now (false when done or
-    /// blocked on a shim lock/condvar).
+    /// blocked — this is how models express a park or a join).
     fn enabled(&self, t: usize) -> bool;
     /// Executes one atomic region of thread `t`; `Err` is a safety
     /// violation observed *during* the step (e.g. a double completion).

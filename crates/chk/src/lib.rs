@@ -12,14 +12,15 @@
 //!    passthrough — zero overhead, watched by the `serve_*` ledger
 //!    workloads (`benchmark/`), which run against the default build.
 //!
-//! 2. **Schedule-exploring protocol checker** ([`explore`], [`shim`],
-//!    [`models`]): the four riskiest serving protocols — single-flight
-//!    subscribe/abort, pipeline pause/resume, watchdog abort vs. worker
-//!    panic vs. shutdown drain, and quarantine strike/reset — re-expressed
-//!    as small deterministic state machines over a shim sync layer, then
-//!    exhaustively explored over bounded thread interleavings (DFS with a
-//!    preemption budget, seeded-random tail beyond the bound). Violations
-//!    replay deterministically from a printed schedule string.
+//! 2. **Schedule-exploring protocol checker** ([`explore`], [`models`]):
+//!    the four riskiest serving protocols — single-flight lookup/finish/
+//!    expire, pipeline pause/resume, watchdog expiry vs. worker finish
+//!    vs. shutdown drain, and quarantine strike/reset — re-expressed as
+//!    small deterministic state machines (blocking is a thread that is
+//!    not `enabled`), then exhaustively explored over bounded thread
+//!    interleavings (DFS with a preemption budget, seeded-random tail
+//!    beyond the bound). Violations replay deterministically from a
+//!    printed schedule string.
 //!
 //! 3. **Self-lint** lives in `crates/analysis::selflint` (it reuses the
 //!    diagnostics/JSON infrastructure there); this crate provides the
@@ -29,7 +30,6 @@
 
 pub mod explore;
 pub mod models;
-pub mod shim;
 pub mod sync;
 
 pub use explore::{ExploreStats, Explorer, Model, Violation};

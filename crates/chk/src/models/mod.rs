@@ -10,9 +10,9 @@
 //!
 //! | model | source protocol |
 //! |---|---|
-//! | [`single_flight`] | `serve::shard` lookup/fulfill/abort + `serve::artifact::Flight` |
+//! | [`single_flight`] | `serve::shard` lookup/finish/take_expired on the pending slot |
 //! | [`pipeline`] | `serve::reactor` ingest/flush pause-resume watermarks |
-//! | [`watchdog`] | `serve::engine` watchdog abort vs. worker panic vs. shutdown drain |
+//! | [`watchdog`] | `serve::engine` watchdog expiry vs. worker finish vs. shutdown drain |
 //! | [`quarantine`] | `serve::shard` strike/clear/quarantine circuit breaker |
 
 pub mod pipeline;

@@ -1,47 +1,45 @@
-//! Single-flight subscribe/abort model.
+//! Single-flight lookup/finish/expire model.
 //!
-//! Miniature of `serve::shard::ArtifactCache::{lookup, fulfill, abort}`
-//! plus `serve::artifact::Flight::{subscribe, complete}`. Step ↔ source
-//! mapping (one step per lock region):
+//! Miniature of `serve::shard::ArtifactCache::{lookup, finish,
+//! take_expired}` for one key: the pending slot is the only record of an
+//! in-flight compile — its attempt id is the ownership token and its
+//! waiter list the rendezvous. Step ↔ source mapping (one step per lock
+//! region):
 //!
-//! | step | source critical section |
+//! | step | source |
 //! |---|---|
-//! | requester `Lookup` | `shard.rs lookup` (shard mutex): hit, join pending, or become leader |
-//! | requester `Subscribe` | `artifact.rs subscribe` (flight mutex): inline if done, else enqueue waiter |
+//! | requester `Lookup` | `shard.rs ArtifactCache::lookup` (shard mutex): hit, join (queue the waiter on the pending slot), or lead (insert the slot with the leader's waiter queued) |
 //! | leader `Compile` | the compile job itself (no locks held) |
-//! | leader `Fulfill` | `shard.rs fulfill` (shard mutex): publish body iff the slot still holds *this* flight |
-//! | leader `Complete` | `artifact.rs complete` (flight mutex): first completion wins, drain waiters |
-//! | aborter `TakeSlot` | `shard.rs abort` (shard mutex): remove the pending slot iff `Arc::ptr_eq` |
-//! | aborter `Complete` | `artifact.rs complete` with the abort error |
+//! | leader `Finish` | `shard.rs ArtifactCache::finish` (shard mutex): iff the slot is still *this* attempt, make it ready and take its waiters |
+//! | leader `Wake` | `shard.rs Waiters::wake`, after the lock is released |
+//! | aborter `TakeExpired` | `shard.rs ArtifactCache::take_expired` (shard mutex): remove the pending slot, take its waiters |
+//! | aborter `Wake` | `shard.rs Waiters::wake` with the deadline error |
 //!
 //! Checked properties: every requester is answered **exactly once** (zero
 //! answers = lost wakeup, surfaced as a deadlock because the requester
-//! parks forever; two = double completion), and no flight ever delivers
-//! twice. `fault_double_complete` removes the first-completion-wins guard
-//! in `complete`, re-introducing the double delivery that the real
-//! `Flight` prevents.
+//! parks forever; two = double delivery), and always **by the attempt it
+//! was queued on**. `fault_unchecked_finish` drops the attempt-id check
+//! in `finish`: a leader whose attempt the aborter already expired then
+//! ends a *newer* attempt of the key with its late result.
 
 use crate::explore::Model;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Slot {
     Empty,
-    Pending(usize),
+    Pending { attempt: usize, waiters: Vec<usize> },
     Ready,
 }
 
+/// One thread: a requester, or (last index) the aborter.
 #[derive(Debug, Clone)]
-struct FlightSt {
-    done: bool,
-    waiters: Vec<usize>,
-    completions: u32,
-}
-
-#[derive(Debug, Clone)]
-struct Req {
+struct Thread {
     pc: u8,
-    flight: usize,
-    leader: bool,
+    /// The attempt this thread led, joined or expired (`usize::MAX`:
+    /// none — a hit).
+    attempt: usize,
+    /// Waiters handed back by this thread's `finish`/`take_expired`.
+    taken: Vec<usize>,
     deliveries: u32,
 }
 
@@ -50,63 +48,42 @@ struct Req {
 pub struct SingleFlight {
     /// Requester thread count (the aborter is one extra thread).
     pub requesters: usize,
-    /// Disable first-completion-wins in `complete` (injected bug).
-    pub fault_double_complete: bool,
+    /// Skip the attempt-id check in `finish` (injected bug).
+    pub fault_unchecked_finish: bool,
     slot: Slot,
-    flights: Vec<FlightSt>,
-    req: Vec<Req>,
-    aborter_pc: u8,
-    aborter_flight: usize,
+    next_attempt: usize,
+    threads: Vec<Thread>,
 }
 
-// Requester pcs.
-const R_LOOKUP: u8 = 0;
-const R_SUBSCRIBE: u8 = 1;
-const R_COMPILE: u8 = 2;
-const R_FULFILL: u8 = 3;
-const R_COMPLETE: u8 = 4;
-const R_AWAIT: u8 = 5;
-const R_DONE: u8 = 6;
+// Requester pcs; the aborter starts at `TAKE_EXPIRED` and ends after
+// `WAKE`.
+const LOOKUP: u8 = 0;
+const COMPILE: u8 = 1;
+const FINISH: u8 = 2;
+const TAKE_EXPIRED: u8 = 3;
+const WAKE: u8 = 4;
+const AWAIT: u8 = 5;
+const DONE: u8 = 6;
 
 impl SingleFlight {
     /// A model with `requesters` concurrent requests for one key plus a
     /// watchdog-style aborter.
-    pub fn new(requesters: usize, fault_double_complete: bool) -> Self {
+    pub fn new(requesters: usize, fault_unchecked_finish: bool) -> Self {
+        let thread = |pc| Thread {
+            pc,
+            attempt: usize::MAX,
+            taken: Vec::new(),
+            deliveries: 0,
+        };
+        let mut threads = vec![thread(LOOKUP); requesters];
+        threads.push(thread(TAKE_EXPIRED));
         SingleFlight {
             requesters,
-            fault_double_complete,
+            fault_unchecked_finish,
             slot: Slot::Empty,
-            flights: Vec::new(),
-            req: (0..requesters)
-                .map(|_| Req {
-                    pc: R_LOOKUP,
-                    flight: usize::MAX,
-                    leader: false,
-                    deliveries: 0,
-                })
-                .collect(),
-            aborter_pc: 0,
-            aborter_flight: usize::MAX,
+            next_attempt: 0,
+            threads,
         }
-    }
-
-    /// `Flight::complete`: delivers to all waiters; first completion wins
-    /// unless the fault switch re-opens the race.
-    fn complete(&mut self, f: usize) -> Result<(), String> {
-        let fl = &mut self.flights[f];
-        if fl.done && !self.fault_double_complete {
-            return Ok(()); // first completion won; late completer is a no-op
-        }
-        fl.done = true;
-        fl.completions += 1;
-        if fl.completions > 1 {
-            return Err(format!("double completion: flight {f} completed twice"));
-        }
-        let waiters = std::mem::take(&mut fl.waiters);
-        for w in waiters {
-            self.req[w].deliveries += 1;
-        }
-        Ok(())
     }
 }
 
@@ -116,122 +93,93 @@ impl Model for SingleFlight {
     }
 
     fn threads(&self) -> usize {
-        self.requesters + 1
+        self.threads.len()
     }
 
     fn done(&self, t: usize) -> bool {
-        if t < self.requesters {
-            self.req[t].pc == R_DONE
-        } else {
-            self.aborter_pc == 2
-        }
+        self.threads[t].pc == DONE
     }
 
     fn enabled(&self, t: usize) -> bool {
-        if t < self.requesters {
-            match self.req[t].pc {
-                R_AWAIT => self.req[t].deliveries > 0,
-                R_DONE => false,
-                _ => true,
-            }
-        } else {
-            self.aborter_pc < 2
+        match self.threads[t].pc {
+            AWAIT => self.threads[t].deliveries > 0,
+            DONE => false,
+            _ => true,
         }
     }
 
     fn step(&mut self, t: usize) -> Result<(), String> {
-        if t == self.requesters {
-            // Aborter (the watchdog deadline path).
-            match self.aborter_pc {
-                0 => {
-                    if let Slot::Pending(f) = self.slot {
-                        self.slot = Slot::Empty;
-                        self.aborter_flight = f;
-                        self.aborter_pc = 1;
-                    } else {
-                        self.aborter_pc = 2; // nothing pending; give up
-                    }
-                    Ok(())
+        let me = &mut self.threads[t];
+        match me.pc {
+            LOOKUP => match &mut self.slot {
+                Slot::Ready => {
+                    // Cache hit: answered directly under the shard lock.
+                    me.deliveries += 1;
+                    me.pc = AWAIT;
                 }
-                1 => {
-                    self.aborter_pc = 2;
-                    self.complete(self.aborter_flight)
+                Slot::Pending { attempt, waiters } => {
+                    waiters.push(t);
+                    me.attempt = *attempt;
+                    me.pc = AWAIT;
                 }
-                _ => Err("model bug: aborter stepped after done".into()),
-            }
-        } else {
-            match self.req[t].pc {
-                R_LOOKUP => {
-                    match self.slot {
-                        Slot::Ready => {
-                            // Cache hit: answered directly under the shard lock.
-                            self.req[t].deliveries += 1;
-                            self.req[t].pc = R_AWAIT;
-                        }
-                        Slot::Pending(f) => {
-                            self.req[t].flight = f;
-                            self.req[t].pc = R_SUBSCRIBE;
-                        }
-                        Slot::Empty => {
-                            let f = self.flights.len();
-                            self.flights.push(FlightSt {
-                                done: false,
-                                waiters: Vec::new(),
-                                completions: 0,
-                            });
-                            self.slot = Slot::Pending(f);
-                            self.req[t].flight = f;
-                            self.req[t].leader = true;
-                            self.req[t].pc = R_SUBSCRIBE;
-                        }
-                    }
-                    Ok(())
-                }
-                R_SUBSCRIBE => {
-                    let f = self.req[t].flight;
-                    if self.flights[f].done {
-                        // Flight finished between lookup and attach:
-                        // subscribe delivers inline.
-                        self.req[t].deliveries += 1;
-                    } else {
-                        self.flights[f].waiters.push(t);
-                    }
-                    self.req[t].pc = if self.req[t].leader {
-                        R_COMPILE
-                    } else {
-                        R_AWAIT
+                Slot::Empty => {
+                    me.attempt = self.next_attempt;
+                    self.next_attempt += 1;
+                    self.slot = Slot::Pending {
+                        attempt: me.attempt,
+                        waiters: vec![t],
                     };
-                    Ok(())
+                    me.pc = COMPILE;
                 }
-                R_COMPILE => {
-                    self.req[t].pc = R_FULFILL;
-                    Ok(())
-                }
-                R_FULFILL => {
-                    // Publish only if the slot still holds *this* flight
-                    // (the Arc::ptr_eq guard in shard.rs).
-                    if self.slot == Slot::Pending(self.req[t].flight) {
-                        self.slot = Slot::Ready;
+            },
+            COMPILE => me.pc = FINISH,
+            FINISH => {
+                // Publish only if the slot is still *this* attempt;
+                // otherwise someone else ended it and the late result is
+                // dropped.
+                match std::mem::replace(&mut self.slot, Slot::Ready) {
+                    Slot::Pending { attempt, waiters }
+                        if attempt == me.attempt || self.fault_unchecked_finish =>
+                    {
+                        me.taken = waiters;
                     }
-                    self.req[t].pc = R_COMPLETE;
-                    Ok(())
+                    other => self.slot = other,
                 }
-                R_COMPLETE => {
-                    self.req[t].pc = R_AWAIT;
-                    let f = self.req[t].flight;
-                    self.complete(f)
-                }
-                R_AWAIT => {
-                    self.req[t].pc = R_DONE;
-                    Ok(())
-                }
-                _ => Err("model bug: requester stepped after done".into()),
+                me.pc = WAKE;
             }
+            TAKE_EXPIRED => match std::mem::replace(&mut self.slot, Slot::Empty) {
+                Slot::Pending { attempt, waiters } => {
+                    me.attempt = attempt;
+                    me.taken = waiters;
+                    me.pc = WAKE;
+                }
+                other => {
+                    self.slot = other;
+                    me.pc = DONE; // nothing pending
+                }
+            },
+            WAKE => {
+                // `Waiters::wake`: run what ending the attempt handed back.
+                me.pc = if t < self.requesters { AWAIT } else { DONE };
+                let attempt = me.attempt;
+                for w in std::mem::take(&mut me.taken) {
+                    let queued_on = self.threads[w].attempt;
+                    if queued_on != attempt {
+                        return Err(format!(
+                            "stale finish: attempt {attempt} answered t{w}, which is queued on attempt {queued_on}"
+                        ));
+                    }
+                    self.threads[w].deliveries += 1;
+                }
+            }
+            AWAIT => me.pc = DONE,
+            _ => return Err(format!("model bug: t{t} stepped after done")),
         }
+        Ok(())
     }
 
     fn finish(&self) -> Result<(), String> {
-        for (t, r) in self.req.iter().enumerate() {
+        for (t, r) in self.threads[..self.requesters].iter().enumerate() {
             if r.deliveries != 1 {
                 return Err(format!(
                     "requester t{t} answered {} times (expected exactly once)",

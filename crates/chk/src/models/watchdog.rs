@@ -1,44 +1,40 @@
-//! Watchdog abort vs. worker panic vs. shutdown drain model.
+//! Watchdog expiry vs. worker finish vs. shutdown drain model.
 //!
 //! Miniature of the deadline/ownership protocol in `serve::engine`: an
-//! in-flight request is registered in the `InflightRegistry`; exactly one
-//! of three parties *takes* (deregisters) its ticket and thereby owns its
-//! accounting — the worker when the job finishes, the watchdog when the
-//! deadline expires, or shutdown when it drains the registry. The stop
-//! latch is a real mutex+condvar pair built on [`crate::shim::ShimSync`],
-//! so the model exercises honest wait/notify semantics including timeout
-//! wakeups (bounded spurious/timer wakeups) and the missed-generation
-//! re-check: **every** wakeup re-checks the stop flag under the latch
-//! before scanning. Step ↔ source mapping:
+//! in-flight request is one pending slot in the shard cache, and exactly
+//! one of three parties *ends* that slot and thereby owns its accounting
+//! and its waiters — the worker when the job returns, the watchdog when
+//! the deadline expires, or shutdown when it drains what is left. The
+//! watchdog thread parks in `recv_timeout` on a channel nobody sends on;
+//! a timeout is a tick, and `Engine::shutdown` stops it by dropping the
+//! sender and joining, *before* it drains. Step ↔ source mapping:
 //!
 //! | step | source |
 //! |---|---|
-//! | worker `Run` | the compile job (panics in the modelled scenario) |
-//! | worker `Deregister` | `InflightRegistry::deregister` (inflight mutex): `owned = map.remove(ticket)` |
-//! | worker `Strike` | `cache.record_strike` (shard mutex) — **only if owned** |
-//! | worker `Complete` | `cache.abort` → `Flight::complete(Internal)`, first completion wins |
-//! | watchdog `Latch`/`WaitPark`/`WakeOrTimeout` | `spawn_watchdog`'s `wait_timeout` loop on the stop latch |
-//! | watchdog `Scan` | `InflightRegistry::take_expired` (inflight mutex) |
-//! | watchdog `Strike`/`Complete` | `record_strike` + `abort(DeadlineExceeded)` for owned tickets |
-//! | shutdown `Drain` | `InflightRegistry::drain` (inflight mutex) |
-//! | shutdown `Complete` | `abort(ShuttingDown)` for drained tickets |
-//! | shutdown `Stop` | set the stop flag under the latch, `notify_all` |
+//! | worker `Run` | the compile job in `Engine::dispatch` (panics in the modelled scenario) |
+//! | worker `Finish` | `ArtifactCache::finish` (shard mutex): `owned` iff the slot was still this attempt |
+//! | worker `Account` | `record_strike` / `clear_strikes` (shard mutex) — **only if owned** |
+//! | worker `Wake` | `Waiters::wake` for an owned attempt |
+//! | watchdog `Tick` | `spawn_watchdog`'s `recv_timeout`: disconnected → exit, timeout → scan |
+//! | watchdog `Scan` | `ArtifactCache::take_expired` (shard mutex) |
+//! | watchdog `Account`/`Wake` | deadline counter + `record_strike`, then `Waiters::wake(DeadlineExceeded)` |
+//! | shutdown `Stop` | `Watchdog::stop`: drop the sender |
+//! | shutdown `Join` | `Watchdog::stop`: join the thread (blocks until the watchdog exits) |
+//! | shutdown `Drain` | `ArtifactCache::drain_pending` (shard mutex), after the pool's grace |
+//! | shutdown `Wake` | `Waiters::wake(ShuttingDown)` for drained attempts |
 //!
-//! Checked properties: the flight completes exactly once; at most one
+//! Checked properties: the request is answered exactly once; at most one
 //! strike is recorded per failed request (ownership makes strike
-//! accounting exclusive); the watchdog always terminates (a lost stop
-//! notification would park it forever — a deadlock). The injected bug,
-//! `fault_unguarded_strike`, strikes on the worker's panic path without
-//! checking ownership — exactly the double-strike engine.rs bug this
-//! model surfaced (see EXPERIMENTS.md): the watchdog strikes on deadline
-//! expiry, then the panicking worker strikes the same fingerprint again,
-//! so one failed request counts twice toward the quarantine threshold.
+//! accounting exclusive); shutdown's join always returns (a watchdog
+//! that could miss its stop would park it forever — a deadlock); no scan
+//! runs after the join. The injected bug, `fault_unguarded_strike`,
+//! strikes on the worker's panic path without checking ownership: the
+//! watchdog strikes on deadline expiry, then the panicking worker strikes
+//! the same fingerprint again, so one failed request counts twice toward
+//! the quarantine threshold (this was a live `engine.rs` defect; see
+//! EXPERIMENTS.md).
 
 use crate::explore::Model;
-use crate::shim::ShimSync;
-
-const LATCH: usize = 0;
-const STOP_CV: usize = 0;
 
 const WORKER: usize = 0;
 const WATCHDOG: usize = 1;
@@ -46,27 +42,22 @@ const SHUTDOWN: usize = 2;
 
 // Worker pcs.
 const W_RUN: u8 = 0;
-const W_DEREG: u8 = 1;
-const W_STRIKE: u8 = 2;
-const W_COMPLETE: u8 = 3;
-const W_DONE: u8 = 4;
+const W_FINISH: u8 = 1;
+const W_ACCOUNT: u8 = 2;
 
 // Watchdog pcs.
-const D_LATCH: u8 = 0;
-const D_CHECK: u8 = 1;
-const D_PARKED: u8 = 2;
-const D_RECHECK: u8 = 3;
-const D_SCAN: u8 = 4;
-const D_STRIKE: u8 = 5;
-const D_COMPLETE: u8 = 6;
-const D_DONE: u8 = 7;
+const D_TICK: u8 = 0;
+const D_SCAN: u8 = 1;
+const D_ACCOUNT: u8 = 2;
 
 // Shutdown pcs.
-const S_DRAIN: u8 = 0;
-const S_COMPLETE: u8 = 1;
-const S_LATCH: u8 = 2;
-const S_STOP: u8 = 3;
-const S_DONE: u8 = 4;
+const S_STOP: u8 = 0;
+const S_JOIN: u8 = 1;
+const S_DRAIN: u8 = 2;
+
+/// Every thread's last step (run the waiters it owns) and final pc.
+const WAKE: u8 = 3;
+const DONE: u8 = 4;
 
 /// See the module docs.
 #[derive(Debug, Clone)]
@@ -77,51 +68,34 @@ pub struct Watchdog {
     /// Whether the modelled job panics (the interesting scenario) or
     /// completes normally.
     pub worker_panics: bool,
-    sync: ShimSync,
-    ticket: bool,
-    flight_done: bool,
+    /// The pending slot: present until someone ends it.
+    pending: bool,
     completions: u32,
     strikes: u32,
+    /// The stop channel's sender was dropped.
     stop: bool,
-    timeouts_left: u8,
-    w_pc: u8,
-    w_owned: bool,
-    d_pc: u8,
-    d_owned: bool,
-    s_pc: u8,
-    s_owned: bool,
+    /// Timeouts the watchdog may still take (bounds the model).
+    ticks_left: u8,
+    /// Per thread: program counter, and whether it ended the slot.
+    pc: [u8; 3],
+    owned: [bool; 3],
 }
 
 impl Watchdog {
     /// A model with one in-flight request, a deadline watchdog (the
     /// deadline is treated as already expired whenever it scans — the
-    /// worst case), and a shutdown drainer.
+    /// worst case), and a shutdown.
     pub fn new(worker_panics: bool, fault_unguarded_strike: bool) -> Self {
         Watchdog {
             fault_unguarded_strike,
             worker_panics,
-            sync: ShimSync::new(1, 1),
-            ticket: true,
-            flight_done: false,
+            pending: true,
             completions: 0,
             strikes: 0,
             stop: false,
-            timeouts_left: 1,
-            w_pc: W_RUN,
-            w_owned: false,
-            d_pc: D_LATCH,
-            d_owned: false,
-            s_pc: S_DRAIN,
-            s_owned: false,
-        }
-    }
-
-    /// `Flight::complete`: first completion wins (always guarded here;
-    /// the single-flight model owns the double-completion fault).
-    fn complete(&mut self) {
-        if !self.flight_done {
-            self.flight_done = true;
-            self.completions += 1;
+            ticks_left: 3,
+            pc: [W_RUN, D_TICK, S_STOP],
+            owned: [false; 3],
         }
     }
 
@@ -147,160 +121,59 @@ impl Model for Watchdog {
     }
 
     fn done(&self, t: usize) -> bool {
-        match t {
-            WORKER => self.w_pc == W_DONE,
-            WATCHDOG => self.d_pc == D_DONE,
-            _ => self.s_pc == S_DONE,
-        }
+        self.pc[t] == DONE
     }
 
     fn enabled(&self, t: usize) -> bool {
-        match t {
-            WORKER => self.w_pc != W_DONE,
-            WATCHDOG => match self.d_pc {
-                D_LATCH => self.sync.can_lock(LATCH),
-                D_PARKED => {
-                    self.sync.can_wake(STOP_CV, LATCH, WATCHDOG)
-                        || (self.timeouts_left > 0 && self.sync.can_lock(LATCH))
-                }
-                D_DONE => false,
-                _ => true,
-            },
-            _ => match self.s_pc {
-                S_LATCH => self.sync.can_lock(LATCH),
-                S_DONE => false,
-                _ => true,
-            },
+        match (t, self.pc[t]) {
+            (_, DONE) => false,
+            // Parked in recv_timeout: returns on disconnect, or on a
+            // timeout while the model still grants one.
+            (WATCHDOG, D_TICK) => self.stop || self.ticks_left > 0,
+            (SHUTDOWN, S_JOIN) => self.pc[WATCHDOG] == DONE,
+            _ => true,
         }
     }
 
     fn step(&mut self, t: usize) -> Result<(), String> {
-        match t {
-            WORKER => match self.w_pc {
-                W_RUN => {
-                    self.w_pc = W_DEREG;
-                    Ok(())
+        let pc = self.pc[t];
+        self.pc[t] = pc + 1;
+        match (t, pc) {
+            (WORKER, W_RUN) | (SHUTDOWN, S_JOIN) => {}
+            (SHUTDOWN, S_STOP) => self.stop = true,
+            (WATCHDOG, D_TICK) if self.stop => self.pc[t] = DONE, // Disconnected
+            (WATCHDOG, D_TICK) => self.ticks_left -= 1,           // Timeout
+            // finish / take_expired / drain_pending: whoever finds the
+            // slot still pending ends it and owns its outcome.
+            (WORKER, W_FINISH) | (WATCHDOG, D_SCAN) | (SHUTDOWN, S_DRAIN) => {
+                if t == WATCHDOG && self.pc[SHUTDOWN] > S_JOIN {
+                    return Err("watchdog scanned after shutdown joined it".into());
                 }
-                W_DEREG => {
-                    self.w_owned = self.ticket;
-                    self.ticket = false;
-                    self.w_pc = W_STRIKE;
-                    Ok(())
-                }
-                W_STRIKE => {
-                    self.w_pc = W_COMPLETE;
-                    if self.worker_panics {
-                        if self.w_owned || self.fault_unguarded_strike {
-                            return self.strike();
-                        }
-                    } else if self.w_owned {
-                        self.strikes = 0; // clear_strikes on an owned success
-                    }
-                    Ok(())
-                }
-                W_COMPLETE => {
-                    self.complete();
-                    self.w_pc = W_DONE;
-                    Ok(())
-                }
-                _ => Err("model bug: worker stepped after done".into()),
-            },
-            WATCHDOG => match self.d_pc {
-                D_LATCH => {
-                    self.sync.lock(LATCH, WATCHDOG);
-                    self.d_pc = D_CHECK;
-                    Ok(())
-                }
-                D_CHECK => {
-                    if self.stop {
-                        self.sync.unlock(LATCH, WATCHDOG);
-                        self.d_pc = D_DONE;
-                    } else {
-                        self.sync.wait_park(STOP_CV, LATCH, WATCHDOG);
-                        self.d_pc = D_PARKED;
-                    }
-                    Ok(())
-                }
-                D_PARKED => {
-                    if self.sync.can_wake(STOP_CV, LATCH, WATCHDOG) {
-                        self.sync.wake(STOP_CV, LATCH, WATCHDOG);
-                    } else {
-                        // wait_timeout fired: leave the wait set and
-                        // reacquire the latch, exactly like a timeout
-                        // return from Condvar::wait_timeout.
-                        self.timeouts_left -= 1;
-                        self.sync.timeout_unpark(STOP_CV, LATCH, WATCHDOG);
-                    }
-                    self.d_pc = D_RECHECK;
-                    Ok(())
-                }
-                D_RECHECK => {
-                    // Missed-generation re-check: whatever woke us, look
-                    // at the stop flag again under the latch.
-                    if self.stop {
-                        self.sync.unlock(LATCH, WATCHDOG);
-                        self.d_pc = D_DONE;
-                    } else {
-                        // Release the latch for the scan: the abort path
-                        // takes the inflight, shard, and flight locks and
-                        // must not nest under the latch.
-                        self.sync.unlock(LATCH, WATCHDOG);
-                        self.d_pc = D_SCAN;
-                    }
-                    Ok(())
-                }
-                D_SCAN => {
-                    self.d_owned = self.ticket;
-                    self.ticket = false;
-                    self.d_pc = D_STRIKE;
-                    Ok(())
-                }
-                D_STRIKE => {
-                    self.d_pc = D_COMPLETE;
-                    if self.d_owned {
+                self.owned[t] = std::mem::replace(&mut self.pending, false);
+            }
+            (WORKER, W_ACCOUNT) => {
+                if self.worker_panics {
+                    if self.owned[t] || self.fault_unguarded_strike {
                         return self.strike();
                     }
-                    Ok(())
+                } else if self.owned[t] {
+                    self.strikes = 0; // clear_strikes on an owned success
                 }
-                D_COMPLETE => {
-                    if self.d_owned {
-                        self.complete();
-                    }
-                    self.d_pc = D_LATCH; // back around the wait loop
-                    Ok(())
+            }
+            (WATCHDOG, D_ACCOUNT) => {
+                if self.owned[t] {
+                    return self.strike();
                 }
-                _ => Err("model bug: watchdog stepped after done".into()),
-            },
-            SHUTDOWN => match self.s_pc {
-                S_DRAIN => {
-                    self.s_owned = self.ticket;
-                    self.ticket = false;
-                    self.s_pc = S_COMPLETE;
-                    Ok(())
+            }
+            (_, WAKE) => {
+                self.completions += u32::from(self.owned[t]);
+                if t == WATCHDOG {
+                    self.pc[t] = D_TICK; // back around the loop
                 }
-                S_COMPLETE => {
-                    if self.s_owned {
-                        self.complete();
-                    }
-                    self.s_pc = S_LATCH;
-                    Ok(())
-                }
-                S_LATCH => {
-                    self.sync.lock(LATCH, SHUTDOWN);
-                    self.s_pc = S_STOP;
-                    Ok(())
-                }
-                S_STOP => {
-                    self.stop = true;
-                    self.sync.notify_all(STOP_CV);
-                    self.sync.unlock(LATCH, SHUTDOWN);
-                    self.s_pc = S_DONE;
-                    Ok(())
-                }
-                _ => Err("model bug: shutdown stepped after done".into()),
-            },
-            _ => Err("model bug: unknown thread".into()),
+            }
+            _ => return Err(format!("model bug: t{t} stepped at pc {pc}")),
         }
+        Ok(())
     }
 
     fn finish(&self) -> Result<(), String> {
@@ -310,17 +183,12 @@ impl Model for Watchdog {
                 self.completions
             ));
         }
-        // Exactly one party owns the ticket; the expected strike count
+        // Exactly one party owned the slot; the expected strike count
         // follows from who: shutdown drains without striking, the
         // watchdog strikes its deadline, and the worker strikes only a
         // panicked job it still owned (an owned success clears strikes).
-        let expected = if self.s_owned {
-            0
-        } else if self.d_owned || self.worker_panics {
-            1
-        } else {
-            0
-        };
+        let expected =
+            u32::from(!self.owned[SHUTDOWN] && (!self.owned[WORKER] || self.worker_panics));
         if self.strikes != expected {
             return Err(format!(
                 "one request left {} strikes (expected {expected} for this owner)",

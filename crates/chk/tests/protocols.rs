@@ -69,8 +69,8 @@ fn quarantine_is_clean_within_the_bound() {
 }
 
 #[test]
-fn unguarded_complete_produces_a_double_completion() {
-    assert_faulty(SingleFlight::new(3, true), "double completion");
+fn unchecked_finish_ends_a_newer_attempt() {
+    assert_faulty(SingleFlight::new(3, true), "stale finish");
 }
 
 #[test]

@@ -13,13 +13,17 @@ use polyufc_chk::models::single_flight::SingleFlight;
 use polyufc_chk::models::watchdog::Watchdog;
 
 #[test]
-fn pinned_single_flight_double_completion_replays() {
-    // Aborter takes the slot and completes Err between the leader's
-    // fulfill and complete; without first-completion-wins the leader
-    // then completes the same flight again.
-    let v = replay(&SingleFlight::new(3, true), "0.0.0.1.1.2.2.3.0.0.0.1.2.3")
+fn pinned_single_flight_stale_finish_replays() {
+    // t0 leads attempt 0 and t1 joins it; the aborter expires the slot;
+    // t2 then leads attempt 1 of the same key. Without the attempt-id
+    // check t0's late finish ends t2's slot and answers t2 with attempt
+    // 0's result.
+    let v = replay(&SingleFlight::new(3, true), "0.0.1.3.2.0.0")
         .expect_err("pinned schedule is a violation");
-    assert_eq!(v.message, "double completion: flight 0 completed twice");
+    assert_eq!(
+        v.message,
+        "stale finish: attempt 0 answered t2, which is queued on attempt 1"
+    );
 }
 
 #[test]
@@ -41,9 +45,10 @@ fn pinned_pipeline_strand_replays_as_deadlock() {
 
 #[test]
 fn pinned_watchdog_double_strike_replays() {
-    // The watchdog times out, takes the ticket, and strikes; the worker
-    // then panics and — unguarded by ownership — strikes again.
-    let v = replay(&Watchdog::new(true, true), "0.1.1.1.1.1.0.0.0.1")
+    // The watchdog ticks and ends the pending slot; the panicking worker
+    // finds it gone but — unguarded by ownership — strikes anyway, and
+    // the watchdog's own strike is then the second.
+    let v = replay(&Watchdog::new(true, true), "0.1.1.0.0.0.1")
         .expect_err("pinned schedule is a violation");
     assert_eq!(
         v.message,
@@ -67,10 +72,10 @@ fn pinned_quarantine_lost_update_replays() {
 #[test]
 fn serialized_clean_schedule_replays_clean() {
     // Fully serialized execution (no preemption at all) of the clean
-    // single-flight model: leader runs to completion, then each waiter,
-    // then the aborter finds nothing pending.
+    // single-flight model: the leader runs to completion, the second
+    // requester hits, then the aborter finds nothing pending.
     let m = SingleFlight::new(2, false);
-    replay(&m, "0.0.0.0.0.0.1.1.2").expect("serialized schedule is violation-free");
+    replay(&m, "0.0.0.0.0.1.1.2").expect("serialized schedule is violation-free");
 }
 
 #[test]

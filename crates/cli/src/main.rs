@@ -629,7 +629,6 @@ fn self_lint_sources() -> Vec<polyufc_analysis::selflint::SourceFile> {
         src!("crates/serve/src/reactor.rs"),
         src!("crates/serve/src/engine.rs"),
         src!("crates/serve/src/shard.rs"),
-        src!("crates/serve/src/artifact.rs"),
         src!("crates/serve/src/protocol.rs"),
         src!("crates/serve/src/json.rs"),
         src!("crates/serve/src/chaos.rs"),

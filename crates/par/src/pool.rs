@@ -1,5 +1,5 @@
-//! A long-lived bounded worker pool with per-worker state and a stall
-//! watchdog hook.
+//! A long-lived bounded worker pool with per-worker state and stall
+//! replacement.
 //!
 //! [`crate::par_map`] covers one-shot fan-out; a daemon needs the dual
 //! shape: a fixed set of workers that outlive any single batch, a
@@ -42,10 +42,6 @@ impl<S> std::fmt::Debug for PoolFull<S> {
 
 type Job<S> = Box<dyn FnOnce(&mut S) + Send + 'static>;
 
-/// A callback the workers run after every completed job (see
-/// [`StatefulPool::set_completion_hook`]).
-type CompletionHook = Arc<dyn Fn() + Send + Sync + 'static>;
-
 /// Per-worker heartbeat shared between the worker thread and the
 /// supervisor: `busy_since_ms` is `0` while idle, else `1 + milliseconds
 /// since the pool epoch` when the current job started (the `+1` keeps
@@ -68,7 +64,6 @@ pub struct StatefulPool<S> {
     tx: OrderedMutex<Option<SyncSender<Job<S>>>>,
     rx: Arc<OrderedMutex<Receiver<Job<S>>>>,
     workers_m: OrderedMutex<Vec<Worker>>,
-    hook: Arc<OrderedMutex<Option<CompletionHook>>>,
     /// Rebuilds a replacement worker's state; runs on the new thread.
     init: Arc<dyn Fn(usize) -> S + Send + Sync>,
     epoch: Instant,
@@ -103,7 +98,6 @@ impl<S: Send + 'static> StatefulPool<S> {
             tx: OrderedMutex::new("par.pool.tx", Some(tx)),
             rx: Arc::new(OrderedMutex::new("par.pool.rx", rx)),
             workers_m: OrderedMutex::new("par.pool.workers", Vec::with_capacity(workers)),
-            hook: Arc::new(OrderedMutex::new("par.pool.hook", None)),
             init: Arc::new(init),
             epoch: Instant::now(),
             workers,
@@ -126,7 +120,6 @@ impl<S: Send + 'static> StatefulPool<S> {
             detached: AtomicBool::new(false),
         });
         let rx = Arc::clone(&self.rx);
-        let hook = Arc::clone(&self.hook);
         let init = Arc::clone(&self.init);
         let worker_slot = Arc::clone(&slot);
         let epoch = self.epoch;
@@ -137,23 +130,10 @@ impl<S: Send + 'static> StatefulPool<S> {
                 // CompileSession must not be constructed under the
                 // supervisor's lock.
                 let mut state = init(id);
-                worker_loop(&rx, &hook, &worker_slot, epoch, &mut state);
+                worker_loop(&rx, &worker_slot, epoch, &mut state);
             })
             .expect("spawn pool worker");
         Worker { slot, handle }
-    }
-
-    /// Installs (or replaces) a callback every worker runs after each
-    /// completed job. An event-driven caller uses this as a doorbell: the
-    /// serve reactor parks in `epoll_wait` and needs a wakeup-fd write —
-    /// not a poll — to learn that a compile finished and its completion
-    /// queue has entries to drain. The hook must be cheap and must not
-    /// submit jobs back into this pool (it runs on the worker thread).
-    pub fn set_completion_hook<F>(&self, hook: F)
-    where
-        F: Fn() + Send + Sync + 'static,
-    {
-        *self.hook.lock().unwrap() = Some(Arc::new(hook));
     }
 
     /// Submits a job without blocking. `Err(PoolFull)` means every worker
@@ -183,16 +163,6 @@ impl<S: Send + 'static> StatefulPool<S> {
         }
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Capacity of the pending-job queue.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue_cap
-    }
-
     /// Workers detached and replaced by [`StatefulPool::replace_stalled`]
     /// over the pool's lifetime.
     pub fn workers_replaced(&self) -> u64 {
@@ -204,8 +174,8 @@ impl<S: Send + 'static> StatefulPool<S> {
     /// many were replaced. The detached thread cannot be interrupted —
     /// its `JoinHandle` is dropped and it exits on its own when (if) the
     /// stuck job returns. The caller is responsible for poisoning
-    /// whatever results the stuck jobs owed (the serve engine aborts
-    /// their flights with a typed deadline error).
+    /// whatever results the stuck jobs owed (the serve engine answers
+    /// their requests with a typed deadline error).
     pub fn replace_stalled(&self, threshold: Duration) -> usize {
         let now_ms = self.epoch.elapsed().as_millis() as u64;
         let threshold_ms = threshold.as_millis() as u64;
@@ -270,7 +240,6 @@ impl<S> Drop for StatefulPool<S> {
 
 fn worker_loop<S>(
     rx: &OrderedMutex<Receiver<Job<S>>>,
-    hook: &OrderedMutex<Option<CompletionHook>>,
     slot: &WorkerSlot,
     epoch: Instant,
     state: &mut S,
@@ -290,12 +259,6 @@ fn worker_loop<S>(
                 slot.busy_since_ms.store(now_ms + 1, Ordering::Release);
                 job(state);
                 slot.busy_since_ms.store(0, Ordering::Release);
-                // Clone out under the lock, ring outside it: the hook may
-                // write to an fd and must not serialize the other workers.
-                let h = hook.lock().ok().and_then(|g| g.clone());
-                if let Some(h) = h {
-                    h();
-                }
             }
             Err(_) => return, // channel closed: pool shut down
         }
@@ -305,7 +268,6 @@ fn worker_loop<S>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polyufc_chk::OrderedCondvar;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc::channel;
     use std::time::Duration;
@@ -345,20 +307,11 @@ mod tests {
     fn full_queue_returns_pool_full_with_the_job() {
         // One worker blocked on a gate + queue of 1: the third submit
         // must come back as PoolFull, not block or vanish.
-        let gate = Arc::new((
-            OrderedMutex::new("par.pool.test.gate", false),
-            OrderedCondvar::new("par.pool.test.gate"),
-        ));
+        let (open, gate) = channel::<()>();
         let pool = StatefulPool::new(1, 1, |_| ());
-        let g = Arc::clone(&gate);
-        pool.try_execute(move |_| {
-            let (lock, cv) = &*g;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-        })
-        .unwrap();
+        // Blocks until `open` is dropped.
+        pool.try_execute(move |_| assert!(gate.recv().is_err()))
+            .unwrap();
         // Wait until the worker has picked up the blocking job so the
         // queue slot is genuinely free for the second submit.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -377,44 +330,9 @@ mod tests {
             h.fetch_add(1, Ordering::SeqCst);
         });
         assert!(res.is_err(), "queue full must be reported");
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
+        drop(open);
         pool.shutdown();
         assert_eq!(hits.load(Ordering::SeqCst), 0, "shed job must not run");
-    }
-
-    #[test]
-    fn completion_hook_rings_once_per_job() {
-        let pool = StatefulPool::new(2, 16, |_| ());
-        let rings = Arc::new(AtomicUsize::new(0));
-        let r = Arc::clone(&rings);
-        pool.set_completion_hook(move || {
-            r.fetch_add(1, Ordering::SeqCst);
-        });
-        let ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..12 {
-            let ran = Arc::clone(&ran);
-            let mut job = Box::new(move |_: &mut ()| {
-                ran.fetch_add(1, Ordering::SeqCst);
-            }) as Box<dyn FnOnce(&mut ()) + Send>;
-            loop {
-                match pool.try_execute(job) {
-                    Ok(()) => break,
-                    Err(PoolFull(back)) => {
-                        job = back;
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-            }
-        }
-        pool.shutdown();
-        assert_eq!(ran.load(Ordering::SeqCst), 12);
-        assert_eq!(
-            rings.load(Ordering::SeqCst),
-            12,
-            "hook must run exactly once after each job"
-        );
     }
 
     #[test]
@@ -436,24 +354,15 @@ mod tests {
     fn stalled_worker_is_replaced_and_queue_drains() {
         // One worker wedged on a gated job; the queued follow-up can only
         // run if replace_stalled spawns a replacement on the same queue.
-        let gate = Arc::new((
-            OrderedMutex::new("par.pool.test.gate", false),
-            OrderedCondvar::new("par.pool.test.gate"),
-        ));
+        let (open, gate) = channel::<()>();
         let states_built = Arc::new(AtomicUsize::new(0));
         let sb = Arc::clone(&states_built);
         let pool = StatefulPool::new(1, 4, move |_| {
             sb.fetch_add(1, Ordering::SeqCst);
         });
-        let g = Arc::clone(&gate);
-        pool.try_execute(move |_| {
-            let (lock, cv) = &*g;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-        })
-        .unwrap();
+        // Blocks until `open` is dropped.
+        pool.try_execute(move |_| assert!(gate.recv().is_err()))
+            .unwrap();
         let done = Arc::new(AtomicUsize::new(0));
         let d = Arc::clone(&done);
         // Queue a second job behind the wedge.
@@ -495,28 +404,17 @@ mod tests {
             "replacement must rebuild state through init"
         );
         // Unwedge so the detached thread can exit, then shut down.
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
+        drop(open);
         pool.shutdown_with_grace(Duration::from_secs(5));
     }
 
     #[test]
     fn shutdown_with_grace_is_bounded_despite_a_hung_worker() {
-        let gate = Arc::new((
-            OrderedMutex::new("par.pool.test.gate", false),
-            OrderedCondvar::new("par.pool.test.gate"),
-        ));
+        let (open, gate) = channel::<()>();
         let pool = StatefulPool::new(1, 4, |_| ());
-        let g = Arc::clone(&gate);
-        pool.try_execute(move |_| {
-            let (lock, cv) = &*g;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-        })
-        .unwrap();
+        // Blocks until `open` is dropped.
+        pool.try_execute(move |_| assert!(gate.recv().is_err()))
+            .unwrap();
         let t0 = std::time::Instant::now();
         pool.shutdown_with_grace(Duration::from_millis(100));
         assert!(
@@ -524,8 +422,6 @@ mod tests {
             "shutdown must not wait for the hung worker"
         );
         // Unwedge the detached thread so the test process exits cleanly.
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
+        drop(open);
     }
 }

@@ -21,7 +21,7 @@
 //! with nothing else to do meanwhile (tests, the benchmark's traced pass).
 //!
 //! When the bounded queue is full the leader sheds with a typed
-//! `overloaded` response and aborts its flight so followers shed too —
+//! `overloaded` response and ends its attempt so joiners shed too —
 //! backpressure is explicit, never an unbounded buffer.
 //!
 //! **Prefix cache:** stage timing shows warm recompiles are dominated by
@@ -34,9 +34,10 @@
 //! construction — the prefix is exactly the pipeline's own stage-1–3
 //! output.
 
-use polyufc_chk::{OrderedCondvar, OrderedMutex};
+use polyufc_chk::OrderedMutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -48,14 +49,13 @@ use polyufc_ir::textual::parse_affine_program;
 use polyufc_machine::program_fingerprint;
 use polyufc_par::StatefulPool;
 
-use crate::artifact::{Abort, ArtifactCacheStats, Body, Flight, Lookup};
 use crate::chaos::{ChaosPlan, CompileFault};
 use crate::json::{fmt_f64, push_escaped};
 use crate::protocol::{
     assoc_str, codes, objective_str, parse_request, render_error, CompileRequest, Request,
-    WireError, MAX_REQUEST_BYTES,
+    WireError,
 };
-use crate::shard::ArtifactCache;
+use crate::shard::{Abort, ArtifactCache, ArtifactCacheStats, Body, Lookup, Waiter};
 
 /// Engine sizing.
 #[derive(Debug, Clone)]
@@ -68,7 +68,7 @@ pub struct EngineConfig {
     pub queue_cap: usize,
     /// Artifact-cache capacity in ready entries.
     pub cache_capacity: usize,
-    /// Per-request compile budget: a flight pending longer is aborted by
+    /// Per-request compile budget: a compile pending longer is ended by
     /// the watchdog with a typed `deadline_exceeded` error, and a worker
     /// stuck past 1.5× this is detached and replaced. `None` disables
     /// the watchdog (defaults from `POLYUFC_DEADLINE_MS`; `0` or unset
@@ -82,7 +82,7 @@ pub struct EngineConfig {
     /// pristine plans leave dispatch byte-identical).
     pub chaos: ChaosPlan,
     /// How long [`Engine::shutdown`] waits for busy workers to finish
-    /// before detaching them and draining still-pending flights with
+    /// before detaching them and draining still-pending compiles with
     /// typed `shutting_down` errors.
     pub shutdown_grace: Duration,
 }
@@ -224,82 +224,16 @@ struct Shared {
     latency: LatencyHistogram,
 }
 
-/// One pending compile lead, tracked so the watchdog can expire it and
-/// shutdown can drain it. Registered for *every* lead — not just when a
-/// deadline is configured — because shutdown-with-flights-pending must
-/// complete waiters even on deadline-less engines.
-struct InflightEntry {
-    key: Vec<u8>,
-    fingerprint: Vec<u8>,
-    flight: Arc<Flight>,
-    started: Instant,
-}
-
-/// The registry of pending compile leads, shared with the watchdog.
-struct InflightRegistry {
-    next: AtomicU64,
-    map: OrderedMutex<HashMap<u64, InflightEntry>>,
-}
-
-impl Default for InflightRegistry {
-    fn default() -> Self {
-        InflightRegistry {
-            next: AtomicU64::new(0),
-            map: OrderedMutex::new("serve.inflight", HashMap::new()),
-        }
-    }
-}
-
-impl InflightRegistry {
-    fn register(&self, key: Vec<u8>, fingerprint: Vec<u8>, flight: Arc<Flight>) -> u64 {
-        let ticket = self.next.fetch_add(1, Ordering::Relaxed);
-        self.map.lock().unwrap().insert(
-            ticket,
-            InflightEntry {
-                key,
-                fingerprint,
-                flight,
-                started: Instant::now(),
-            },
-        );
-        ticket
-    }
-
-    /// Removes a ticket; `false` means someone else (the watchdog on
-    /// expiry, or the shutdown drain) already took it — i.e. the flight
-    /// was aborted out from under this job.
-    fn deregister(&self, ticket: u64) -> bool {
-        self.map.lock().unwrap().remove(&ticket).is_some()
-    }
-
-    /// Extracts every entry pending longer than `deadline`.
-    fn take_expired(&self, deadline: Duration) -> Vec<InflightEntry> {
-        let mut map = self.map.lock().unwrap();
-        let expired: Vec<u64> = map
-            .iter()
-            .filter(|(_, e)| e.started.elapsed() >= deadline)
-            .map(|(&t, _)| t)
-            .collect();
-        expired.into_iter().filter_map(|t| map.remove(&t)).collect()
-    }
-
-    /// Extracts every entry (the shutdown drain).
-    fn drain(&self) -> Vec<InflightEntry> {
-        self.map.lock().unwrap().drain().map(|(_, e)| e).collect()
-    }
-}
-
-/// The deadline watchdog thread plus its condvar-based stop latch.
+/// The deadline watchdog thread. It scans until its stop channel
+/// disconnects, so stopping it is dropping the sender and joining.
 struct Watchdog {
-    stop: Arc<(OrderedMutex<bool>, OrderedCondvar)>,
+    stop: mpsc::Sender<()>,
     handle: std::thread::JoinHandle<()>,
 }
 
 impl Watchdog {
     fn stop(self) {
-        let (lock, cv) = &*self.stop;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
+        drop(self.stop);
         let _ = self.handle.join();
     }
 }
@@ -345,7 +279,7 @@ impl std::fmt::Debug for Submitted {
 }
 
 /// A compile request parsed, sanitized, and keyed — everything the
-/// reactor/connection thread computes before deciding hit/wait/lead.
+/// reactor/connection thread computes before deciding hit/join/lead.
 pub struct Prepared {
     program: AffineProgram,
     warnings: Vec<String>,
@@ -390,7 +324,6 @@ pub struct Engine {
     pool: Arc<StatefulPool<WorkerState>>,
     cache: Arc<ArtifactCache>,
     shared: Arc<Shared>,
-    inflight: Arc<InflightRegistry>,
     chaos: Arc<ChaosPlan>,
     /// Per-fingerprint chaos attempt counters (bounded; only touched
     /// when a chaos plan is active).
@@ -425,7 +358,6 @@ impl Engine {
             })),
             cache: Arc::new(ArtifactCache::new(cfg.cache_capacity, workers * 4)),
             shared: Arc::new(Shared::default()),
-            inflight: Arc::new(InflightRegistry::default()),
             chaos: Arc::new(cfg.chaos.clone()),
             attempts: OrderedMutex::new("serve.chaos.attempts", HashMap::new()),
             watchdog: OrderedMutex::new("serve.watchdog.handle", None),
@@ -439,22 +371,12 @@ impl Engine {
             *engine.watchdog.lock().unwrap() = Some(spawn_watchdog(
                 deadline,
                 cfg.quarantine_threshold,
-                Arc::clone(&engine.inflight),
                 Arc::clone(&engine.cache),
                 Arc::clone(&engine.shared),
                 Arc::clone(&engine.pool),
             ));
         }
         engine
-    }
-
-    /// Installs the worker-pool completion hook (the reactor's doorbell:
-    /// one wakeup-fd write after every finished compile job).
-    pub fn set_completion_hook<F>(&self, hook: F)
-    where
-        F: Fn() + Send + Sync + 'static,
-    {
-        self.pool.set_completion_hook(hook);
     }
 
     /// Handles one request line, blocking until the response body exists.
@@ -468,7 +390,7 @@ impl Engine {
             Submitted::Ready(b) => Outcome::Reply(body_string(&b)),
             Submitted::ReadyShutdown(b) => Outcome::ReplyAndShutdown(body_string(&b)),
             Submitted::Pending => {
-                let body = rx.recv().expect("every flight completes");
+                let body = rx.recv().expect("every pending compile ends");
                 Outcome::Reply(body_string(&body))
             }
         }
@@ -540,106 +462,103 @@ impl Engine {
             self.shared.errors.fetch_add(1, Ordering::Relaxed);
             return self.ready(t0, body);
         }
-        match self.cache.lookup(&prepared.key) {
+        let (key, fingerprint) = (&prepared.key, &prepared.prefix_key);
+        let waiter = || self.waiter(t0, line, notify);
+        match self.cache.lookup(key, fingerprint, waiter) {
             Lookup::Hit(body) => {
                 self.cache.line_put(line, &body);
                 self.ready(t0, body)
             }
-            Lookup::Wait(flight) => {
-                self.attach(t0, line, &flight, notify);
+            Lookup::Joined => Submitted::Pending,
+            Lookup::Lead(attempt) => {
+                self.dispatch(prepared, attempt);
                 Submitted::Pending
             }
-            Lookup::Lead(flight) => {
-                self.attach(t0, line, &flight, notify);
-                let cache = Arc::clone(&self.cache);
-                let shared = Arc::clone(&self.shared);
-                let inflight = Arc::clone(&self.inflight);
-                let job_flight = Arc::clone(&flight);
-                let key = prepared.key.clone();
-                let lead_key = prepared.key.clone();
-                let fingerprint = prepared.prefix_key.clone();
-                let threshold = self.quarantine_threshold;
-                // Chaos is decided here, deterministically, not on the
-                // worker — submission order fixes the attempt counter.
-                let fault = self.next_compile_fault(&prepared.prefix_key);
-                // Registered for every lead (not just under a deadline):
-                // the shutdown drain needs the full pending set.
-                let ticket =
-                    inflight.register(key.clone(), fingerprint.clone(), Arc::clone(&job_flight));
-                let submitted = self.pool.try_execute(move |state: &mut WorkerState| {
-                    // A panicking pass must not take the worker (or the
-                    // daemon) down, and must not leave its followers
-                    // parked forever; contain it, answer `internal`, and
-                    // hand the worker fresh state in case the old one was
-                    // poisoned mid-update.
-                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        match fault {
-                            Some(CompileFault::Slow(d)) | Some(CompileFault::Hang(d)) => {
-                                std::thread::sleep(d);
+        }
+    }
+
+    /// Queues the compile of a led attempt. Whoever ends the attempt —
+    /// this job, the watchdog, the shutdown drain, or the shed below —
+    /// accounts for its outcome and wakes its waiters; everyone else
+    /// finds it gone and does nothing.
+    fn dispatch(&self, prepared: Prepared, attempt: u64) {
+        let cache = Arc::clone(&self.cache);
+        let shared = Arc::clone(&self.shared);
+        let threshold = self.quarantine_threshold;
+        // Chaos is decided here, deterministically, not on the worker —
+        // submission order fixes the attempt counter.
+        let fault = self.next_compile_fault(&prepared.prefix_key);
+        // The job owns `prepared`; the shed path needs the key back.
+        let shed_key = prepared.key.clone();
+        let submitted = self.pool.try_execute(move |state: &mut WorkerState| {
+            // A panicking pass must not take the worker (or the daemon)
+            // down, and must not leave its waiters parked forever;
+            // contain it, answer `internal`, and hand the worker fresh
+            // state in case the old one was poisoned mid-update.
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                match fault {
+                    Some(CompileFault::Slow(d)) | Some(CompileFault::Hang(d)) => {
+                        std::thread::sleep(d);
+                    }
+                    Some(CompileFault::Panic) => {
+                        panic!("chaos: injected compile panic");
+                    }
+                    None => {}
+                }
+                compile_prepared(&prepared, state)
+            }));
+            let outcome = match run {
+                Ok((body, report, prefix_hit)) => {
+                    if prefix_hit {
+                        shared.prefix_hits.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        shared.prefix_misses.fetch_add(1, Ordering::Relaxed);
+                    }
+                    match report {
+                        Some(r) => {
+                            // A prefix hit re-ran only the search; its
+                            // report clones the cached stage-1–3 counters,
+                            // which were already totaled when the prefix
+                            // was built.
+                            if !prefix_hit {
+                                shared.counts.add(&r);
                             }
-                            Some(CompileFault::Panic) => {
-                                panic!("chaos: injected compile panic");
-                            }
-                            None => {}
+                            shared.compiled.fetch_add(1, Ordering::Relaxed);
                         }
-                        compile_prepared(&prepared, state)
-                    }));
-                    // `false` means the watchdog (deadline) or shutdown
-                    // already aborted this flight: the late result must
-                    // not clear strikes, and fulfill/abort below are
-                    // harmless no-ops past the flight's completion.
-                    let owned = inflight.deregister(ticket);
-                    match run {
-                        Ok((body, report, prefix_hit)) => {
-                            if owned {
-                                cache.clear_strikes(&fingerprint);
-                            }
-                            if prefix_hit {
-                                shared.prefix_hits.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                shared.prefix_misses.fetch_add(1, Ordering::Relaxed);
-                            }
-                            match report {
-                                Some(r) => {
-                                    // A prefix hit re-ran only the search;
-                                    // its report clones the cached stage-1–3
-                                    // counters, which were already totaled
-                                    // when the prefix was built.
-                                    if !prefix_hit {
-                                        shared.counts.add(&r);
-                                    }
-                                    shared.compiled.fetch_add(1, Ordering::Relaxed);
-                                }
-                                None => {
-                                    shared.errors.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                            cache.fulfill(&key, &job_flight, string_body(body));
-                        }
-                        Err(_) => {
-                            *state = WorkerState::new();
-                            // Strike only while owning the ticket: if the
-                            // watchdog (or shutdown) already took it, it
-                            // already recorded this failure — striking
-                            // again would count one failed request twice
-                            // toward quarantine.
-                            if owned {
-                                cache.record_strike(&fingerprint, threshold, quarantine_body);
-                            }
-                            cache.abort(&key, &job_flight, Abort::Internal);
+                        None => {
+                            shared.errors.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                });
-                if let Err(rejected) = submitted {
-                    drop(rejected); // the boxed job, returned unrun
-                    self.inflight.deregister(ticket);
-                    self.shared.shed.fetch_add(1, Ordering::Relaxed);
-                    // Completes the flight inline: every subscriber —
-                    // including this request's own — gets the typed
-                    // `overloaded` body through its callback.
-                    self.cache.abort(&lead_key, &flight, Abort::Overloaded);
+                    Ok(string_body(body))
                 }
-                Submitted::Pending
+                Err(_) => {
+                    *state = WorkerState::new();
+                    Err(Abort::Internal)
+                }
+            };
+            // `None`: the watchdog (deadline) or the shutdown drain ended
+            // this attempt and already accounted for it. A late success
+            // must not clear the strike they recorded, and striking a
+            // late panic would count one failed request twice toward
+            // quarantine.
+            if let Some(waiters) = cache.finish(&prepared.key, attempt, &outcome) {
+                match outcome {
+                    Ok(_) => cache.clear_strikes(&prepared.prefix_key),
+                    Err(_) => {
+                        cache.record_strike(&prepared.prefix_key, threshold, quarantine_body);
+                    }
+                }
+                waiters.wake(&outcome);
+            }
+        });
+        if submitted.is_err() {
+            // The boxed job came back unrun and is dropped here.
+            self.shared.shed.fetch_add(1, Ordering::Relaxed);
+            // Every waiter — this request's own included — gets the typed
+            // `overloaded` body through its callback, inline.
+            let shed = Err(Abort::Overloaded);
+            if let Some(waiters) = self.cache.finish(&shed_key, attempt, &shed) {
+                waiters.wake(&shed);
             }
         }
     }
@@ -668,18 +587,18 @@ impl Engine {
         fault
     }
 
-    /// Subscribes this request's completion callback to a flight: on
-    /// fulfill the body is promoted to the exact-line tier; on abort a
-    /// typed error is rendered per subscriber. Latency is recorded at
-    /// completion, so queue wait counts as service time.
-    fn attach<F>(&self, t0: Instant, line: &str, flight: &Arc<Flight>, notify: F)
+    /// Builds this request's [`Waiter`]: on success the body is promoted
+    /// to the exact-line tier; on abort a typed error is rendered per
+    /// waiter. Latency is recorded at completion, so queue wait counts as
+    /// service time.
+    fn waiter<F>(&self, t0: Instant, line: &str, notify: F) -> Waiter
     where
         F: FnOnce(Body) + Send + 'static,
     {
         let cache = Arc::clone(&self.cache);
         let shared = Arc::clone(&self.shared);
         let line = line.to_string();
-        flight.subscribe(move |res| {
+        Box::new(move |res| {
             let body = match res {
                 Ok(body) => {
                     cache.line_put(&line, &body);
@@ -692,7 +611,7 @@ impl Engine {
             };
             shared.latency.record_us(elapsed_us(t0));
             notify(body);
-        });
+        })
     }
 
     /// The structured `stats` response (deterministic field order; values
@@ -813,11 +732,6 @@ impl Engine {
         self.workers
     }
 
-    /// Hard request-size limit (re-exported for line readers).
-    pub fn max_request_bytes(&self) -> usize {
-        MAX_REQUEST_BYTES
-    }
-
     /// The engine's chaos plan (pristine unless configured otherwise);
     /// the reactor consults it for socket-level injection.
     pub fn chaos(&self) -> &ChaosPlan {
@@ -834,16 +748,16 @@ impl Engine {
         self.pool.workers_replaced()
     }
 
-    /// Flights aborted by the deadline watchdog so far.
+    /// Pending compiles ended by the deadline watchdog so far.
     pub fn deadlines_fired(&self) -> u64 {
         self.shared.deadlines.load(Ordering::Relaxed)
     }
 
     /// Stops the watchdog, drains queued compiles, and joins the workers
     /// — bounded by the configured shutdown grace: workers still stuck
-    /// past it are detached, and every flight still pending afterwards
-    /// completes with a typed `shutting_down` error so no waiter (or
-    /// blocked [`Engine::handle_line`] caller) hangs. Idempotent, and
+    /// past it are detached, and every compile still pending afterwards
+    /// ends with a typed `shutting_down` error so no waiter (or blocked
+    /// [`Engine::handle_line`] caller) hangs. Idempotent, and
     /// callable through a shared reference (the server calls it on its
     /// `Arc<Engine>`).
     pub fn shutdown(&self) {
@@ -852,8 +766,8 @@ impl Engine {
             w.stop();
         }
         self.pool.shutdown_with_grace(self.shutdown_grace);
-        for e in self.inflight.drain() {
-            self.cache.abort(&e.key, &e.flight, Abort::ShuttingDown);
+        for waiters in self.cache.drain_pending() {
+            waiters.wake(&Err(Abort::ShuttingDown));
         }
     }
 }
@@ -1030,60 +944,39 @@ fn quarantine_body() -> Body {
 }
 
 /// Starts the deadline watchdog: every `deadline/4` (clamped to
-/// 2–250 ms) it aborts expired flights with `deadline_exceeded`, records
+/// 2–250 ms) it ends expired compiles with `deadline_exceeded`, records
 /// quarantine strikes against their fingerprints, and replaces workers
 /// stuck past 1.5× the deadline — so a hung compile costs one bounded
 /// window of one worker, never the daemon.
 fn spawn_watchdog(
     deadline: Duration,
     quarantine_threshold: u32,
-    inflight: Arc<InflightRegistry>,
     cache: Arc<ArtifactCache>,
     shared: Arc<Shared>,
     pool: Arc<StatefulPool<WorkerState>>,
 ) -> Watchdog {
-    let stop = Arc::new((
-        OrderedMutex::new("serve.watchdog.latch", false),
-        OrderedCondvar::new("serve.watchdog.latch"),
-    ));
-    let latch = Arc::clone(&stop);
+    let (stop, stopped) = mpsc::channel::<()>();
     let period = (deadline / 4).clamp(Duration::from_millis(2), Duration::from_millis(250));
     let stall_threshold = deadline + deadline / 2;
     let handle = std::thread::Builder::new()
         .name("polyufc-watchdog".to_string())
         .spawn(move || {
-            let (lock, cv) = &*latch;
-            loop {
-                // Park against an absolute scan deadline: a spurious (or
-                // early) wakeup re-checks stop and keeps waiting for the
-                // remainder instead of rescanning immediately.
-                let next_scan = Instant::now() + period;
-                {
-                    let mut stopped = lock.lock().unwrap();
-                    loop {
-                        if *stopped {
-                            return;
-                        }
-                        let now = Instant::now();
-                        if now >= next_scan {
-                            break;
-                        }
-                        let (guard, _timeout) = cv.wait_timeout(stopped, next_scan - now).unwrap();
-                        stopped = guard;
-                    }
-                    // Latch released here: the scan below takes the
-                    // inflight, shard, and flight locks, and holding the
-                    // latch across them would order the latch before all
-                    // of them — a shutdown stuck behind a slow scan, and
-                    // three lock-order edges the daemon doesn't need.
-                }
-                for e in inflight.take_expired(deadline) {
+            // Nothing is ever sent: a timeout is a tick, a disconnect
+            // (the sender dropped) is the stop.
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(period) {
+                for expired in cache.take_expired(deadline) {
+                    // Strike before waking: a client that retries the
+                    // moment it reads `deadline_exceeded` must already
+                    // meet the quarantine this expiry tripped. The
+                    // worker's late `finish` (if the compile ever
+                    // returns) finds the attempt gone.
                     shared.deadlines.fetch_add(1, Ordering::Relaxed);
-                    cache.record_strike(&e.fingerprint, quarantine_threshold, quarantine_body);
-                    // Wakes the leader's and every follower's callbacks
-                    // with the typed error; the worker's late fulfill (if
-                    // the compile ever returns) is a no-op past this.
-                    cache.abort(&e.key, &e.flight, Abort::DeadlineExceeded);
+                    cache.record_strike(
+                        expired.fingerprint(),
+                        quarantine_threshold,
+                        quarantine_body,
+                    );
+                    expired.wake(&Err(Abort::DeadlineExceeded));
                 }
                 pool.replace_stalled(stall_threshold);
             }

@@ -9,16 +9,18 @@
 //!
 //! The performance architecture, bottom-up:
 //!
-//! * [`artifact`] / [`shard`]: a sharded content-addressed response cache
-//!   keyed on the structural fingerprints the measure cache already
-//!   computes, with single-flight dedup — N concurrent identical requests
-//!   compile once — plus an exact-line response tier that answers repeat
-//!   request lines without parsing them.
+//! * [`shard`]: a sharded content-addressed response cache keyed on the
+//!   structural fingerprints the measure cache already computes, with
+//!   single-flight dedup — N concurrent identical requests compile once,
+//!   and the pending cache slot is the only record of that compile —
+//!   plus an exact-line response tier that answers repeat request lines
+//!   without parsing them.
 //! * [`engine`]: asynchronous compile submission into the bounded
 //!   [`polyufc_par::StatefulPool`], one persistent
 //!   [`polyufc::CompileSession`] and an ε-independent characterization
 //!   prefix cache per worker, and explicit shed (`overloaded`) when the
-//!   queue is full.
+//!   queue is full; a deadline watchdog and the shutdown drain end
+//!   pending compiles through the same cache slot.
 //! * `reactor` / [`server`]: a single epoll event loop owns every
 //!   connection — nonblocking sockets, pipelined NDJSON with in-order
 //!   replies, vectored writes of shared body buffers, an eventfd doorbell
@@ -32,7 +34,6 @@
 
 #![warn(missing_docs)]
 
-pub mod artifact;
 pub mod chaos;
 pub mod engine;
 pub mod json;
@@ -42,7 +43,6 @@ pub mod reactor;
 pub mod server;
 pub mod shard;
 
-pub use artifact::{Abort, ArtifactCacheStats, Body, Flight, Lookup};
 pub use chaos::{ChaosPlan, CompileFault};
 pub use engine::{oneshot_response, Engine, EngineConfig, Outcome, Submitted};
 pub use protocol::{
@@ -52,4 +52,4 @@ pub use protocol::{
 #[cfg(target_os = "linux")]
 pub use server::ShutdownHandle;
 pub use server::{install_signal_handlers, Listen, Server, ServerConfig};
-pub use shard::ArtifactCache;
+pub use shard::{Abort, ArtifactCache, ArtifactCacheStats, Body, Lookup, Waiter, Waiters};

@@ -51,7 +51,7 @@ pub mod codes {
     /// This kernel's structural fingerprint repeatedly panicked or timed
     /// out and is quarantined; the request was rejected from cache.
     pub const QUARANTINED: &str = "quarantined";
-    /// The daemon is shutting down; pending flights were drained with
+    /// The daemon is shutting down; pending compiles were drained with
     /// this error instead of compiling.
     pub const SHUTTING_DOWN: &str = "shutting_down";
 }

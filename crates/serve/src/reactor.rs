@@ -1,13 +1,8 @@
 //! The epoll event loop: one thread, every connection, no sleeps.
 //!
-//! The previous daemon accepted with a 10 ms sleep-poll and spawned one
-//! thread per connection, each blocking on a 200 ms-timeout read — fine
-//! for a handful of interactive clients, hostile to tail latency (up to
-//! 10 ms of queueing before `accept`) and to fan-in (N clients = N
-//! stacks, N schedulers' worth of wakeups). This module replaces all of
-//! it with a single level-triggered epoll loop built on raw FFI (the
-//! workspace vendors no libc crate; the `signal(2)` shim in
-//! [`crate::server`] set the precedent):
+//! A single level-triggered epoll loop built on raw FFI (the workspace
+//! vendors no libc crate; [`crate::server`] declares `signal(2)` the same
+//! way):
 //!
 //! * **Nonblocking everything.** The listener, every connection, and the
 //!   doorbell eventfd are registered with one epoll instance; the loop
@@ -42,10 +37,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::artifact::Body;
 use crate::engine::{Engine, Submitted};
 use crate::protocol::{codes, render_error, MAX_REQUEST_BYTES};
 use crate::server::{admission_reject_line, signalled, Acceptor, Conn};
+use crate::shard::Body;
 
 // epoll / eventfd FFI. Constants are from the Linux UAPI headers and are
 // identical across architectures; the event struct is packed on x86_64
@@ -78,9 +73,10 @@ extern "C" {
     fn close(fd: i32) -> i32;
 }
 
-/// The reactor's doorbell: a nonblocking eventfd counter. Workers ring it
-/// after each completed compile, [`crate::server::ShutdownHandle`] rings
-/// it on stop, and the signal handler rings it from async context — all
+/// The reactor's doorbell: a nonblocking eventfd counter. Every
+/// completion rings it once, right after queueing its body (the `notify`
+/// closure in `ingest`), [`crate::server::ShutdownHandle`] rings it on
+/// stop, and the signal handler rings it from async context — all
 /// collapse into one `EPOLLIN` on the event loop.
 pub(crate) struct WakeupFd {
     fd: i32,
@@ -102,8 +98,8 @@ impl WakeupFd {
     /// Adds 1 to the counter; wakes an `epoll_wait` parked on this fd.
     /// Safe to call from any thread, any number of times; rings coalesce.
     /// Restarts on EINTR: a signal storm must not eat a doorbell ring —
-    /// a worker completion whose ring vanished would strand its reply
-    /// until the next unrelated wakeup.
+    /// a completion whose ring vanished would strand its reply until
+    /// the next unrelated wakeup.
     pub(crate) fn ring(&self) {
         let one: u64 = 1;
         loop {
@@ -348,9 +344,9 @@ pub(crate) fn run(
             }
         }
 
-        // Worker completions (and inline shed aborts from this very
-        // iteration) fill their slots now; their connections then flush
-        // alongside the ones with socket events.
+        // Completions (from workers, the watchdog, and inline sheds from
+        // this very iteration) fill their slots now; their connections
+        // then flush alongside the ones with socket events.
         for (id, seq, body) in drain_completions(&completions) {
             if let Some(conn) = conns.get_mut(&id) {
                 conn.fill_slot(seq, body);

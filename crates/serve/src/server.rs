@@ -4,7 +4,7 @@
 //!
 //! The daemon is Linux/epoll only: [`Server::run`] hands the listener to
 //! the epoll `reactor` — one event-loop thread owns every connection,
-//! requests pipeline, and nothing sleeps; worker completions and signals
+//! requests pipeline, and nothing sleeps; compile completions and signals
 //! arrive through an eventfd doorbell. On other targets [`Server::bind`]
 //! reports [`std::io::ErrorKind::Unsupported`] and the rest of the crate
 //! (the one-shot path behind `polyufc compile --json`) builds unchanged.
@@ -245,12 +245,6 @@ mod daemon {
             self.flag.store(true, Ordering::SeqCst);
             self.wake.ring();
         }
-
-        /// Whether a stop was requested (by this handle, a signal, or a
-        /// `shutdown` request).
-        pub fn is_shutdown(&self) -> bool {
-            self.flag.load(Ordering::SeqCst) || signalled()
-        }
     }
 
     /// A bound, not-yet-running daemon.
@@ -341,12 +335,6 @@ mod daemon {
                 max_conns,
                 wakeup,
             } = self;
-            // The doorbell: every finished compile job rings once, so the
-            // reactor drains its completion queue without ever polling.
-            {
-                let bell = Arc::clone(&wakeup);
-                engine.set_completion_hook(move || bell.ring());
-            }
             SIGNAL_WAKE_FD.store(wakeup.fd(), Ordering::SeqCst);
             let result = crate::reactor::run(&acceptor, &engine, &stop, &wakeup, max_conns);
             SIGNAL_WAKE_FD.store(-1, Ordering::SeqCst);
@@ -354,11 +342,11 @@ mod daemon {
                 let _ = std::fs::remove_file(path);
             }
             drop(acceptor);
-            // Drain the engine through the Arc: stops the watchdog, gives
-            // workers the shutdown grace, then completes any still-pending
-            // flight with a typed `shutting_down` error — even when tests
-            // hold extra engine Arcs (the old `Arc::try_unwrap` skipped the
-            // drain in exactly that case, leaking hung workers).
+            // Drain the engine through the shared reference — tests and the
+            // benchmark hold extra engine Arcs, and a hung worker must not
+            // outlive the daemon because of them: stops the watchdog, gives
+            // workers the shutdown grace, then ends any still-pending
+            // compile with a typed `shutting_down` error.
             engine.shutdown();
             result
         }

@@ -1,4 +1,5 @@
-//! The sharded content-addressed artifact cache.
+//! The sharded content-addressed artifact cache, and the single record
+//! of every in-flight compile.
 //!
 //! Keys are byte-exact structural fingerprints (built by the engine from
 //! [`polyufc_machine::program_fingerprint`] plus the request's pipeline
@@ -9,12 +10,38 @@
 //! compilations, and the one-shot CLI a structural property instead of a
 //! test hope.
 //!
-//! **Sharding:** PR 7 guarded the whole cache with one `Mutex`, so cache
-//! *hits* — the common case — serialized on one lock. Keys now hash
-//! (FNV-1a) onto `next_pow2(workers * 4)` shards, each with its own
-//! `Mutex` and its own single-flight [`Flight`] slots; hits never cross
-//! shards, and the hit/miss/eviction counters are `AtomicU64`s bumped
+//! **Sharding:** keys hash (FNV-1a) onto `next_pow2(workers * 4)` shards,
+//! each behind its own mutex, so cache *hits* — the common case — never
+//! serialize on one lock; the hit/miss counters are `AtomicU64`s bumped
 //! outside any lock.
+//!
+//! **Single flight:** when N requests for one key arrive concurrently,
+//! the first *leads* — its lookup inserts a pending slot and it compiles
+//! — and the other N−1 *join*: their completion callbacks ([`Waiter`]s)
+//! queue in that slot instead of burning N−1 workers on identical
+//! compilations. Joiners count as cache hits — they are served from
+//! shared work. The pending slot is the only record of the attempt: its
+//! id is the ownership token, its `started` instant is what the deadline
+//! watchdog expires, its fingerprint is what a failure strikes, and its
+//! waiter list is the rendezvous. Three invariants hold it together:
+//!
+//! * **(a) Exactly-once delivery is structural.** Waiters enter a slot
+//!   only in [`ArtifactCache::lookup`] and leave it only when the slot
+//!   itself is ended — by [`ArtifactCache::finish`] (iff it is still the
+//!   caller's attempt) or [`ArtifactCache::take_expired`] /
+//!   [`ArtifactCache::drain_pending`] — all under the shard lock. Whoever
+//!   ends the slot gets the [`Waiters`]; everyone else gets nothing, so a
+//!   late result for an attempt the watchdog already answered is simply
+//!   dropped.
+//! * **(b) The ender accounts, then wakes.** The one caller whose call
+//!   removed the slot (worker, watchdog, shutdown drain, or a shedding
+//!   submitter) records the outcome — `clear_strikes`, `record_strike`,
+//!   the deadline counter — *before* [`Waiters::wake`], so a client that
+//!   retries the instant it sees `deadline_exceeded` already meets the
+//!   quarantine its failure tripped. Nobody else does any accounting.
+//! * **(c) Waiters run with no lock held.** They re-enter the cache
+//!   (line-tier promotion) and the reactor's completion queue; running
+//!   them after release keeps the daemon's lock graph flat.
 //!
 //! **Exact-line tier:** the keyed tier still costs a parse + sanitize +
 //! fingerprint (~35 µs) before the probe. Repeated requests are usually
@@ -26,30 +53,136 @@
 //! **Bounding:** eviction is generational per shard and per tier — when
 //! a shard's ready-entry count reaches its share of the capacity, the
 //! next insert clears that shard's ready entries (one `evictions` tick)
-//! while in-flight leaders are retained, since dropping a pending flight
-//! would strand its followers.
+//! while pending slots are retained, since dropping one would strand its
+//! waiters.
 
 use polyufc_chk::OrderedMutex;
 use polyufc_machine::fault::{fnv1a, FNV_OFFSET};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use crate::artifact::{Abort, ArtifactCacheStats, Body, Flight, Lookup};
+/// A fully rendered response body, shared zero-copy between the cache,
+/// in-flight completions, and per-connection write queues.
+pub type Body = Arc<[u8]>;
 
-#[derive(Debug)]
-enum Slot {
-    Ready(Body),
-    Pending(Arc<Flight>),
+/// Why an in-flight compilation finished without an artifact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Abort {
+    /// The leader could not enqueue the compile job (queue full).
+    Overloaded,
+    /// The compile job panicked; the worker recovered with a fresh
+    /// session.
+    Internal,
+    /// The compile exceeded the configured per-request deadline; the
+    /// watchdog ended the attempt (and may have replaced the worker).
+    DeadlineExceeded,
+    /// The daemon shut down while this compile was still pending; the
+    /// request was never compiled.
+    ShuttingDown,
 }
 
-#[derive(Debug, Default)]
+/// A request parked on an in-flight compile: called exactly once, with
+/// the attempt's outcome, on whichever thread ended the attempt.
+pub type Waiter = Box<dyn FnOnce(Result<Body, Abort>) + Send + 'static>;
+
+/// The waiters of one ended attempt, handed to the caller that ended it
+/// (invariant (a)): do the outcome's accounting, then [`Waiters::wake`].
+#[derive(Default)]
+pub struct Waiters {
+    fingerprint: Vec<u8>,
+    waiters: Vec<Waiter>,
+}
+
+impl Waiters {
+    /// The structural fingerprint failures of this attempt strike.
+    pub fn fingerprint(&self) -> &[u8] {
+        &self.fingerprint
+    }
+
+    /// Runs every waiter with a clone of `outcome`. Call with no lock
+    /// held (invariant (c)).
+    pub fn wake(self, outcome: &Result<Body, Abort>) {
+        for w in self.waiters {
+            w(outcome.clone());
+        }
+    }
+}
+
+/// A snapshot of the cache's counters, for the `stats` request.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ArtifactCacheStats {
+    /// Lookups served from a ready entry, the exact-line response tier,
+    /// or a shared in-flight compile.
+    pub hits: u64,
+    /// Lookups that became compile leaders.
+    pub misses: u64,
+    /// Generational clears performed on overflow (per shard).
+    pub evictions: u64,
+    /// Ready keyed entries currently resident (across all shards).
+    pub entries: usize,
+    /// Compilations currently in flight.
+    pub inflight: usize,
+    /// Exact-line response-tier entries currently resident.
+    pub line_entries: usize,
+    /// Structural fingerprints currently quarantined (poison-pill tier).
+    pub quarantined: usize,
+    /// Lookups answered by a cached quarantine rejection.
+    pub quarantine_hits: u64,
+    /// Fingerprints ever moved into quarantine (monotonic).
+    pub quarantined_total: u64,
+}
+
+impl ArtifactCacheStats {
+    /// Hit rate in `[0, 1]`; zero when nothing was looked up.
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
+/// The outcome of one cache probe.
+#[derive(Debug)]
+pub enum Lookup {
+    /// A ready artifact: return its bytes. No waiter was built.
+    Hit(Body),
+    /// Someone else is compiling this key: the caller's waiter is queued
+    /// on their attempt.
+    Joined,
+    /// This caller leads attempt `id` (its waiter is already queued):
+    /// compile, then [`ArtifactCache::finish`] the attempt.
+    Lead(u64),
+}
+
+/// One in-flight compile; see the module docs.
+struct Pending {
+    /// Distinguishes this attempt from a later one for the same key.
+    id: u64,
+    started: Instant,
+    parked: Waiters,
+}
+
+enum Slot {
+    Ready(Body),
+    Pending(Pending),
+}
+
+#[derive(Default)]
 struct ShardInner {
     /// Keyed artifact tier: fingerprint key → ready body or in-flight
     /// compile.
     map: HashMap<Vec<u8>, Slot>,
     /// Ready entries in `map` (pending ones are `map.len() - ready`).
     ready: usize,
+    /// Id of the next attempt led on this shard.
+    next_attempt: u64,
+    /// Generational clears of the ready entries so far.
+    evictions: u64,
     /// Exact-line response tier: trimmed request line → body.
     lines: HashMap<Box<str>, Body>,
     /// Consecutive-failure strike counts per structural fingerprint
@@ -60,9 +193,88 @@ struct ShardInner {
     quarantined: HashMap<Vec<u8>, Body>,
 }
 
+/// The slot transitions. Plain state changes: the caller holds the shard
+/// lock, and runs whatever waiters come back only after releasing it.
+impl ShardInner {
+    fn lookup(
+        &mut self,
+        key: &[u8],
+        fingerprint: &[u8],
+        make_waiter: impl FnOnce() -> Waiter,
+    ) -> Lookup {
+        match self.map.get_mut(key) {
+            Some(Slot::Ready(body)) => Lookup::Hit(Arc::clone(body)),
+            Some(Slot::Pending(p)) => {
+                p.parked.waiters.push(make_waiter());
+                Lookup::Joined
+            }
+            None => {
+                let id = self.next_attempt;
+                self.next_attempt += 1;
+                let parked = Waiters {
+                    fingerprint: fingerprint.to_vec(),
+                    waiters: vec![make_waiter()],
+                };
+                let started = Instant::now();
+                let slot = Slot::Pending(Pending {
+                    id,
+                    started,
+                    parked,
+                });
+                self.map.insert(key.to_vec(), slot);
+                Lookup::Lead(id)
+            }
+        }
+    }
+
+    /// Ends attempt `id` of `key` if it is still the pending one; `cap`
+    /// bounds the ready entries.
+    fn finish(
+        &mut self,
+        key: &[u8],
+        id: u64,
+        outcome: &Result<Body, Abort>,
+        cap: usize,
+    ) -> Option<Waiters> {
+        let waiters = match self.map.get_mut(key) {
+            Some(Slot::Pending(p)) if p.id == id => std::mem::take(&mut p.parked),
+            _ => return None,
+        };
+        let Ok(body) = outcome else {
+            // The key is free again: the next request leads a fresh
+            // compile.
+            self.map.remove(key);
+            return Some(waiters);
+        };
+        if self.ready >= cap {
+            // Generational clear of this shard's ready entries only.
+            self.map.retain(|_, s| matches!(s, Slot::Pending(_)));
+            self.ready = 0;
+            self.evictions += 1;
+        }
+        let slot = self.map.get_mut(key).expect("pending slots survive it");
+        *slot = Slot::Ready(Arc::clone(body));
+        self.ready += 1;
+        Some(waiters)
+    }
+
+    /// Removes every slot pending for at least `age`.
+    fn take_expired(&mut self, age: Duration, out: &mut Vec<Waiters>) {
+        if self.map.len() == self.ready {
+            return;
+        }
+        self.map.retain(|_, slot| match slot {
+            Slot::Pending(p) if p.started.elapsed() >= age => {
+                out.push(std::mem::take(&mut p.parked));
+                false
+            }
+            _ => true,
+        });
+    }
+}
+
 /// Bounded, sharded, content-addressed response cache with single-flight
 /// dedup and an exact-line fast tier.
-#[derive(Debug)]
 pub struct ArtifactCache {
     shards: Box<[OrderedMutex<ShardInner>]>,
     /// `shards.len() - 1`; shard count is a power of two.
@@ -73,7 +285,6 @@ pub struct ArtifactCache {
     line_cap: usize,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
     quarantine_hits: AtomicU64,
     quarantined_total: AtomicU64,
 }
@@ -94,7 +305,6 @@ impl ArtifactCache {
             line_cap: shard_cap,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             quarantine_hits: AtomicU64::new(0),
             quarantined_total: AtomicU64::new(0),
         }
@@ -111,71 +321,54 @@ impl ArtifactCache {
         &self.shards[(fnv1a(FNV_OFFSET, bytes) & self.mask) as usize]
     }
 
-    /// Probes the keyed tier; a miss atomically registers this caller as
-    /// the key's compile leader.
-    pub fn lookup(&self, key: &[u8]) -> Lookup {
-        let out = {
-            let mut inner = self.shard(key).lock().unwrap();
-            match inner.map.get(key) {
-                Some(Slot::Ready(body)) => Lookup::Hit(Arc::clone(body)),
-                Some(Slot::Pending(flight)) => Lookup::Wait(Arc::clone(flight)),
-                None => {
-                    let flight = Arc::new(Flight::default());
-                    inner
-                        .map
-                        .insert(key.to_vec(), Slot::Pending(Arc::clone(&flight)));
-                    Lookup::Lead(flight)
-                }
-            }
-        };
-        match &out {
-            // A follower is served from the leader's work: a hit.
-            Lookup::Hit(_) | Lookup::Wait(_) => self.hits.fetch_add(1, Ordering::Relaxed),
+    /// Probes the keyed tier and, in the same critical section, parks the
+    /// caller when the answer is not ready: on a pending key its waiter
+    /// joins the attempt; on a miss the caller becomes the key's compile
+    /// leader, with its waiter queued on the new attempt. `make_waiter`
+    /// runs (under the shard lock — it must not take one) only when the
+    /// waiter is queued; a hit never builds it. This is the only place a
+    /// waiter is queued.
+    pub fn lookup(
+        &self,
+        key: &[u8],
+        fingerprint: &[u8],
+        make_waiter: impl FnOnce() -> Waiter,
+    ) -> Lookup {
+        let mut inner = self.shard(key).lock().unwrap();
+        let out = inner.lookup(key, fingerprint, make_waiter);
+        drop(inner);
+        match out {
+            // A joiner is served from the leader's work: a hit.
+            Lookup::Hit(_) | Lookup::Joined => self.hits.fetch_add(1, Ordering::Relaxed),
             Lookup::Lead(_) => self.misses.fetch_add(1, Ordering::Relaxed),
         };
         out
     }
 
-    /// Publishes the leader's rendered response: the pending slot becomes
-    /// ready and every follower wakes (or has its callback run) with the
-    /// same bytes.
-    pub fn fulfill(&self, key: &[u8], flight: &Arc<Flight>, body: Body) -> Body {
-        {
-            let mut inner = self.shard(key).lock().unwrap();
-            if let Some(Slot::Pending(f)) = inner.map.get(key) {
-                if Arc::ptr_eq(f, flight) {
-                    if inner.ready >= self.shard_cap {
-                        // Generational clear of this shard's ready entries
-                        // only: pending flights have waiters parked on
-                        // them.
-                        inner.map.retain(|_, s| matches!(s, Slot::Pending(_)));
-                        inner.ready = 0;
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    inner
-                        .map
-                        .insert(key.to_vec(), Slot::Ready(Arc::clone(&body)));
-                    inner.ready += 1;
-                }
-            }
-        }
-        flight.complete(Ok(Arc::clone(&body)));
-        body
+    /// Ends attempt `id` of `key` with `outcome`: iff the slot is still
+    /// that attempt, an `Ok` body replaces it as a ready entry and an
+    /// `Err` removes it, and the attempt's waiters come back for the
+    /// caller to account for and wake. `None` means someone else already
+    /// ended the attempt (deadline, shutdown) and answered its waiters;
+    /// the late outcome must be dropped, accounting included.
+    pub fn finish(&self, key: &[u8], id: u64, outcome: &Result<Body, Abort>) -> Option<Waiters> {
+        let mut inner = self.shard(key).lock().unwrap();
+        inner.finish(key, id, outcome, self.shard_cap)
     }
 
-    /// Cancels the leader's flight without publishing an artifact: the
-    /// pending slot is removed (the next request for this key leads a
-    /// fresh compile) and every follower wakes with `abort`.
-    pub fn abort(&self, key: &[u8], flight: &Arc<Flight>, abort: Abort) {
-        {
-            let mut inner = self.shard(key).lock().unwrap();
-            if let Some(Slot::Pending(f)) = inner.map.get(key) {
-                if Arc::ptr_eq(f, flight) {
-                    inner.map.remove(key);
-                }
-            }
+    /// Ends every attempt pending for at least `deadline`, freeing its
+    /// key; the caller owns each returned attempt's outcome.
+    pub fn take_expired(&self, deadline: Duration) -> Vec<Waiters> {
+        let mut taken = Vec::new();
+        for shard in self.shards.iter() {
+            shard.lock().unwrap().take_expired(deadline, &mut taken);
         }
-        flight.complete(Err(abort));
+        taken
+    }
+
+    /// Ends every pending attempt (the shutdown drain).
+    pub fn drain_pending(&self) -> Vec<Waiters> {
+        self.take_expired(Duration::ZERO)
     }
 
     /// Probes the exact-line tier. A hit counts as a cache hit; a miss
@@ -273,12 +466,14 @@ impl ArtifactCache {
     /// Counter snapshot. Counters are lock-free reads; entry counts take
     /// each shard lock briefly (`stats` requests are rare).
     pub fn stats(&self) -> ArtifactCacheStats {
+        let mut evictions = 0;
         let mut entries = 0;
         let mut inflight = 0;
         let mut line_entries = 0;
         let mut quarantined = 0;
         for shard in self.shards.iter() {
             let inner = shard.lock().unwrap();
+            evictions += inner.evictions;
             entries += inner.ready;
             inflight += inner.map.len() - inner.ready;
             line_entries += inner.lines.len();
@@ -287,7 +482,7 @@ impl ArtifactCache {
         ArtifactCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            evictions,
             entries,
             inflight,
             line_entries,
@@ -301,46 +496,90 @@ impl ArtifactCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::{channel, Receiver};
     use std::thread;
+
+    type Outcome = Result<Body, Abort>;
 
     fn body(s: &str) -> Body {
         Arc::from(s.as_bytes())
     }
 
+    /// A waiter that forwards what it receives down a channel.
+    fn probe() -> (Waiter, Receiver<Outcome>) {
+        let (tx, rx) = channel();
+        let waiter: Waiter = Box::new(move |r| {
+            let _ = tx.send(r);
+        });
+        (waiter, rx)
+    }
+
+    /// Looks `key` up expecting to lead; returns the attempt id and the
+    /// leader's own parked probe.
+    fn lead(c: &ArtifactCache, key: &[u8]) -> (u64, Receiver<Outcome>) {
+        let (waiter, rx) = probe();
+        match c.lookup(key, b"fp", || waiter) {
+            Lookup::Lead(id) => (id, rx),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    fn join(c: &ArtifactCache, key: &[u8]) -> Receiver<Outcome> {
+        let (waiter, rx) = probe();
+        match c.lookup(key, b"fp", || waiter) {
+            Lookup::Joined => rx,
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// Ends an attempt the way its owner does: finish, then wake.
+    fn end(c: &ArtifactCache, key: &[u8], id: u64, outcome: Outcome) {
+        c.finish(key, id, &outcome)
+            .expect("attempt still pending")
+            .wake(&outcome);
+    }
+
+    fn publish(c: &ArtifactCache, key: &[u8], s: &str) {
+        let (id, _rx) = lead(c, key);
+        end(c, key, id, Ok(body(s)));
+    }
+
+    fn hit(c: &ArtifactCache, key: &[u8]) -> Body {
+        match c.lookup(key, b"fp", || panic!("a hit never builds its waiter")) {
+            Lookup::Hit(b) => b,
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn leader_then_hits() {
         let c = ArtifactCache::new(8, 1);
-        let flight = match c.lookup(b"k1") {
-            Lookup::Lead(f) => f,
-            other => panic!("{other:?}"),
-        };
-        let published = c.fulfill(b"k1", &flight, body("resp"));
-        assert_eq!(&*published, b"resp");
-        match c.lookup(b"k1") {
-            Lookup::Hit(b) => assert_eq!(&*b, b"resp"),
-            other => panic!("{other:?}"),
-        }
+        let (id, rx) = lead(&c, b"k1");
+        assert!(rx.try_recv().is_err(), "must not run early");
+        end(&c, b"k1", id, Ok(body("resp")));
+        assert_eq!(&*rx.recv().unwrap().unwrap(), b"resp");
+        assert_eq!(&*hit(&c, b"k1"), b"resp");
         let st = c.stats();
         assert_eq!((st.hits, st.misses, st.entries, st.inflight), (1, 1, 1, 0));
     }
 
     #[test]
-    fn followers_share_the_leaders_flight() {
+    fn joiners_share_the_leaders_attempt() {
         let c = Arc::new(ArtifactCache::new(8, 4));
-        let leader = match c.lookup(b"k") {
-            Lookup::Lead(f) => f,
-            other => panic!("{other:?}"),
-        };
+        let (id, _rx) = lead(&c, b"k");
         let mut joins = Vec::new();
         for _ in 0..4 {
             let c = Arc::clone(&c);
-            joins.push(thread::spawn(move || match c.lookup(b"k") {
-                Lookup::Hit(b) => b.to_vec(),
-                Lookup::Wait(f) => f.wait().unwrap().to_vec(),
-                Lookup::Lead(_) => panic!("second leader for one key"),
+            joins.push(thread::spawn(move || {
+                let (waiter, rx) = probe();
+                match c.lookup(b"k", b"fp", || waiter) {
+                    Lookup::Hit(b) => b.to_vec(),
+                    Lookup::Joined => rx.recv().unwrap().unwrap().to_vec(),
+                    Lookup::Lead(_) => panic!("second leader for one key"),
+                }
             }));
         }
-        c.fulfill(b"k", &leader, body("shared"));
+        end(&c, b"k", id, Ok(body("shared")));
         for j in joins {
             assert_eq!(j.join().unwrap(), b"shared");
         }
@@ -350,56 +589,85 @@ mod tests {
     }
 
     #[test]
-    fn abort_wakes_followers_and_frees_the_key() {
-        let c = Arc::new(ArtifactCache::new(8, 2));
-        let leader = match c.lookup(b"k") {
-            Lookup::Lead(f) => f,
-            other => panic!("{other:?}"),
-        };
-        let follower = match c.lookup(b"k") {
-            Lookup::Wait(f) => f,
-            other => panic!("{other:?}"),
-        };
-        c.abort(b"k", &leader, Abort::Overloaded);
-        assert_eq!(follower.wait().unwrap_err(), Abort::Overloaded);
+    fn failed_attempt_wakes_joiners_and_frees_the_key() {
+        let c = ArtifactCache::new(8, 2);
+        let (id, leader) = lead(&c, b"k");
+        let joiner = join(&c, b"k");
+        end(&c, b"k", id, Err(Abort::Overloaded));
+        assert_eq!(leader.recv().unwrap().unwrap_err(), Abort::Overloaded);
+        assert_eq!(joiner.recv().unwrap().unwrap_err(), Abort::Overloaded);
         // The key is free again: the next request leads a fresh compile.
-        assert!(matches!(c.lookup(b"k"), Lookup::Lead(_)));
+        lead(&c, b"k");
         assert_eq!(c.stats().inflight, 1);
+    }
+
+    #[test]
+    fn late_finish_of_an_expired_attempt_is_dropped() {
+        let c = ArtifactCache::new(8, 1);
+        let (old, old_rx) = lead(&c, b"k");
+        let expired = c.take_expired(Duration::ZERO);
+        assert_eq!(expired.len(), 1);
+        for w in expired {
+            w.wake(&Err(Abort::DeadlineExceeded));
+        }
+        assert_eq!(old_rx.recv().unwrap().unwrap_err(), Abort::DeadlineExceeded);
+        // A newer attempt of the same key, with a joiner.
+        let (new, new_rx) = lead(&c, b"k");
+        let joiner = join(&c, b"k");
+        assert_ne!(old, new);
+        // The expired attempt's compile finally returns: not its slot.
+        assert!(c.finish(b"k", old, &Ok(body("stale"))).is_none());
+        assert!(new_rx.try_recv().is_err(), "newer waiters stay parked");
+        assert!(joiner.try_recv().is_err(), "newer waiters stay parked");
+        assert_eq!(c.stats().inflight, 1);
+        end(&c, b"k", new, Ok(body("fresh")));
+        assert_eq!(&*new_rx.recv().unwrap().unwrap(), b"fresh");
+        assert_eq!(&*joiner.recv().unwrap().unwrap(), b"fresh");
+        assert!(old_rx.try_recv().is_err(), "answered exactly once");
+        assert!(c.finish(b"k", new, &Ok(body("twice"))).is_none());
+        assert_eq!(&*hit(&c, b"k"), b"fresh");
+    }
+
+    #[test]
+    fn take_expired_and_drain_end_only_pending_slots() {
+        let c = ArtifactCache::new(8, 2);
+        publish(&c, b"ready", "r");
+        let (_, young) = lead(&c, b"young");
+        assert!(c.take_expired(Duration::from_secs(3600)).is_empty());
+        let st = c.stats();
+        assert_eq!((st.entries, st.inflight), (1, 1));
+        let (_, other) = lead(&c, b"other");
+        let drained = c.drain_pending();
+        assert_eq!(drained.len(), 2);
+        let st = c.stats();
+        assert_eq!((st.entries, st.inflight), (1, 0));
+        for w in drained {
+            assert_eq!(w.fingerprint(), b"fp");
+            w.wake(&Err(Abort::ShuttingDown));
+        }
+        for rx in [young, other] {
+            assert_eq!(rx.recv().unwrap().unwrap_err(), Abort::ShuttingDown);
+        }
+        assert_eq!(&*hit(&c, b"ready"), b"r");
+        assert!(c.drain_pending().is_empty());
     }
 
     #[test]
     fn generational_eviction_retains_pending() {
         // One shard so the eviction arithmetic is deterministic.
         let c = ArtifactCache::new(2, 1);
-        for key in [b"a".as_slice(), b"b"] {
-            match c.lookup(key) {
-                Lookup::Lead(f) => {
-                    c.fulfill(key, &f, body("x"));
-                }
-                other => panic!("{other:?}"),
-            }
-        }
-        let pending = match c.lookup(b"inflight") {
-            Lookup::Lead(f) => f,
-            other => panic!("{other:?}"),
-        };
+        publish(&c, b"a", "x");
+        publish(&c, b"b", "x");
+        let (pending, _rx) = lead(&c, b"inflight");
         // Third ready insert overflows: ready entries clear, the pending
-        // flight survives.
-        match c.lookup(b"c") {
-            Lookup::Lead(f) => {
-                c.fulfill(b"c", &f, body("y"));
-            }
-            other => panic!("{other:?}"),
-        }
+        // slot survives.
+        publish(&c, b"c", "y");
         let st = c.stats();
         assert_eq!(st.evictions, 1);
         assert_eq!(st.entries, 1);
         assert_eq!(st.inflight, 1);
-        c.fulfill(b"inflight", &pending, body("z"));
-        match c.lookup(b"inflight") {
-            Lookup::Hit(b) => assert_eq!(&*b, b"z"),
-            other => panic!("{other:?}"),
-        }
+        end(&c, b"inflight", pending, Ok(body("z")));
+        assert_eq!(&*hit(&c, b"inflight"), b"z");
     }
 
     #[test]
@@ -482,29 +750,15 @@ mod tests {
         assert_eq!(c.stats().quarantined_total, 3);
         // The evicted fingerprint's requests flow through the normal
         // keyed tier again.
-        match c.lookup(b"p1") {
-            Lookup::Lead(f) => {
-                c.fulfill(b"p1", &f, body("recovered"));
-            }
-            other => panic!("{other:?}"),
-        }
-        match c.lookup(b"p1") {
-            Lookup::Hit(b) => assert_eq!(&*b, b"recovered"),
-            other => panic!("{other:?}"),
-        }
+        publish(&c, b"p1", "recovered");
+        assert_eq!(&*hit(&c, b"p1"), b"recovered");
     }
 
     #[test]
     fn keys_disperse_across_shards() {
         let c = ArtifactCache::new(1024, 8);
         for i in 0..256u32 {
-            let key = i.to_le_bytes();
-            match c.lookup(&key) {
-                Lookup::Lead(f) => {
-                    c.fulfill(&key, &f, body("x"));
-                }
-                other => panic!("{other:?}"),
-            }
+            publish(&c, &i.to_le_bytes(), "x");
         }
         // With 256 keys over 8 shards, every shard must hold something —
         // a broken hash (all keys on one shard) would re-serialize hits.

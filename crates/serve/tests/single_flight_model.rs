@@ -1,13 +1,13 @@
 //! Property test: the real sharded cache's single-flight protocol
-//! (`shard.rs` lookup/fulfill/abort + `artifact.rs` subscribe/complete)
-//! agrees with the `chk` protocol model's slot semantics
-//! (`polyufc_chk::models::single_flight`: a key is Empty, Pending with
-//! attached waiters, or Ready) on randomized operation sequences.
+//! (`shard.rs` lookup/finish) agrees with the `chk` protocol model's
+//! slot semantics (`polyufc_chk::models::single_flight`: a key is Empty,
+//! Pending with queued waiters, or Ready) on randomized operation
+//! sequences.
 //!
 //! The schedule explorer checks the model against *interleavings*; this
 //! test checks the model against the *implementation*: for every random
 //! op sequence, the cache must classify lookups exactly as the reference
-//! slot machine does, deliver every subscriber exactly one result, and
+//! slot machine does, deliver every waiter exactly one result, and
 //! deliver the result the reference predicts. A double completion, lost
 //! waiter, or slot misclassification fails the property.
 
@@ -17,24 +17,25 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
-use polyufc_serve::{Abort, ArtifactCache, Body, Flight, Lookup};
+use polyufc_serve::{Abort, ArtifactCache, Body, Lookup, Waiter};
 
 /// Reference slot state, mirroring `chk::models::single_flight::Slot`.
 enum RefSlot {
-    Pending { subscribers: Vec<usize> },
+    Pending { attempt: u64, waiters: Vec<usize> },
     Ready(Vec<u8>),
 }
 
 /// One randomized operation over a small key space.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Probe a key; leads when empty, waits when pending, hits when
+    /// Probe a key; leads when empty, joins when pending, hits when
     /// ready.
     Lookup(u8),
-    /// Complete the key's pending flight with a body derived from the
-    /// step index (no-op when not pending).
+    /// End the key's pending attempt with a body derived from the step
+    /// index (no-op when not pending).
     Fulfill(u8),
-    /// Abort the key's pending flight (no-op when not pending).
+    /// End the key's pending attempt with an abort (no-op when not
+    /// pending).
     AbortKey(u8),
 }
 
@@ -46,11 +47,22 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
-/// What one subscriber observed: completion count and the result.
+/// What one waiter observed: completion count and the result.
 #[derive(Default)]
 struct Observed {
     completions: AtomicUsize,
     result: Mutex<Option<Result<Vec<u8>, Abort>>>,
+}
+
+/// Empties `k`'s reference slot if it is pending.
+fn take_pending(reference: &mut HashMap<u8, RefSlot>, k: u8) -> Option<(u64, Vec<usize>)> {
+    if !matches!(reference.get(&k), Some(RefSlot::Pending { .. })) {
+        return None;
+    }
+    match reference.remove(&k) {
+        Some(RefSlot::Pending { attempt, waiters }) => Some((attempt, waiters)),
+        _ => unreachable!(),
+    }
 }
 
 fn run_sequence(ops: &[Op]) -> Result<(), String> {
@@ -59,118 +71,122 @@ fn run_sequence(ops: &[Op]) -> Result<(), String> {
     // interferes with the reference (eviction is a separate concern).
     let cache = ArtifactCache::new(1024, 1);
     let mut reference: HashMap<u8, RefSlot> = HashMap::new();
-    let mut flights: HashMap<u8, Arc<Flight>> = HashMap::new();
     let mut observers: Vec<Arc<Observed>> = Vec::new();
-    // What the reference expects each subscriber to eventually receive.
+    // What the reference expects each waiter to eventually receive.
     let mut expected: Vec<Result<Vec<u8>, Abort>> = Vec::new();
 
-    let subscribe = |flight: &Arc<Flight>, observers: &mut Vec<Arc<Observed>>| {
-        let obs = Arc::new(Observed::default());
-        let o = Arc::clone(&obs);
-        flight.subscribe(move |r| {
-            o.completions.fetch_add(1, Ordering::SeqCst);
-            *o.result.lock().unwrap() = Some(r.map(|b| b.to_vec()));
-        });
-        observers.push(obs);
-        observers.len() - 1
+    // Ends a pending attempt the way its owner does — finish, then wake —
+    // and records what the reference says its waiters must receive.
+    let end = |k: u8,
+               attempt: u64,
+               waiters: Vec<usize>,
+               outcome: Result<Body, Abort>,
+               expected: &mut Vec<Result<Vec<u8>, Abort>>|
+     -> Result<(), String> {
+        let parked = cache
+            .finish(&[k], attempt, &outcome)
+            .ok_or_else(|| format!("key {k}: the pending attempt was not the leader's"))?;
+        parked.wake(&outcome);
+        for id in waiters {
+            expected[id] = outcome.clone().map(|b| b.to_vec());
+        }
+        Ok(())
     };
 
     for (step, op) in ops.iter().enumerate() {
         match *op {
-            Op::Lookup(k) => match (cache.lookup(&[k]), reference.get_mut(&k)) {
-                (Lookup::Lead(flight), None) => {
-                    let id = subscribe(&flight, &mut observers);
+            Op::Lookup(k) => {
+                let obs = Arc::new(Observed::default());
+                let waiter = || -> Waiter {
+                    let o = Arc::clone(&obs);
+                    Box::new(move |r| {
+                        o.completions.fetch_add(1, Ordering::SeqCst);
+                        *o.result.lock().unwrap() = Some(r.map(|b| b.to_vec()));
+                    })
+                };
+                let got = cache.lookup(&[k], b"fp", waiter);
+                // Only a queued waiter is observed: a hit never builds one.
+                let mut park = || {
+                    observers.push(Arc::clone(&obs));
                     expected.push(Err(Abort::ShuttingDown)); // placeholder
-                    reference.insert(
-                        k,
-                        RefSlot::Pending {
-                            subscribers: vec![id],
-                        },
-                    );
-                    flights.insert(k, flight);
-                }
-                (Lookup::Wait(flight), Some(RefSlot::Pending { subscribers })) => {
-                    if !Arc::ptr_eq(&flight, &flights[&k]) {
+                    observers.len() - 1
+                };
+                match (got, reference.get_mut(&k)) {
+                    (Lookup::Lead(attempt), None) => {
+                        let waiters = vec![park()];
+                        reference.insert(k, RefSlot::Pending { attempt, waiters });
+                    }
+                    (Lookup::Joined, Some(RefSlot::Pending { waiters, .. })) => {
+                        waiters.push(park());
+                    }
+                    (Lookup::Hit(body), Some(RefSlot::Ready(want))) => {
+                        if *body != want[..] {
+                            return Err(format!("step {step}: hit served stale bytes"));
+                        }
+                        if Arc::strong_count(&obs) != 1 {
+                            return Err(format!("step {step}: a hit built its waiter"));
+                        }
+                    }
+                    (got, r) => {
+                        let model = match r {
+                            None => "Empty",
+                            Some(RefSlot::Pending { .. }) => "Pending",
+                            Some(RefSlot::Ready(_)) => "Ready",
+                        };
                         return Err(format!(
-                            "step {step}: waiter joined a different flight than the leader's"
+                            "step {step}: cache said {got:?} but the model slot is {model}"
                         ));
                     }
-                    let id = subscribe(&flight, &mut observers);
-                    expected.push(Err(Abort::ShuttingDown)); // placeholder
-                    subscribers.push(id);
                 }
-                (Lookup::Hit(body), Some(RefSlot::Ready(want))) => {
-                    if *body != want[..] {
-                        return Err(format!("step {step}: hit served stale bytes"));
-                    }
-                }
-                (got, r) => {
-                    let model = match r {
-                        None => "Empty",
-                        Some(RefSlot::Pending { .. }) => "Pending",
-                        Some(RefSlot::Ready(_)) => "Ready",
-                    };
-                    return Err(format!(
-                        "step {step}: cache said {got:?} but the model slot is {model}"
-                    ));
-                }
-            },
+            }
             // Fulfill and abort only act on pending slots (the real
-            // engine only ever completes flights it leads); anything
-            // else is a no-op in both the cache and the reference.
+            // engine only ever ends attempts it leads or expires);
+            // anything else is a no-op in both the cache and the
+            // reference.
             Op::Fulfill(k) => {
-                if matches!(reference.get(&k), Some(RefSlot::Pending { .. })) {
-                    let Some(RefSlot::Pending { subscribers }) = reference.remove(&k) else {
-                        unreachable!()
-                    };
+                if let Some((attempt, waiters)) = take_pending(&mut reference, k) {
                     let body: Body = Arc::from(vec![k, step as u8].into_boxed_slice());
-                    let flight = flights.remove(&k).expect("leader recorded a flight");
-                    cache.fulfill(&[k], &flight, Arc::clone(&body));
-                    for id in subscribers {
-                        expected[id] = Ok(body.to_vec());
-                    }
+                    end(k, attempt, waiters, Ok(Arc::clone(&body)), &mut expected)?;
                     reference.insert(k, RefSlot::Ready(body.to_vec()));
                 }
             }
             Op::AbortKey(k) => {
-                if matches!(reference.get(&k), Some(RefSlot::Pending { .. })) {
-                    let Some(RefSlot::Pending { subscribers }) = reference.remove(&k) else {
-                        unreachable!()
-                    };
-                    let flight = flights.remove(&k).expect("leader recorded a flight");
-                    cache.abort(&[k], &flight, Abort::Internal);
-                    for id in subscribers {
-                        expected[id] = Err(Abort::Internal);
-                    }
-                    // Aborted key is free again: reference slot Empty.
+                // Aborted key is free again: reference slot Empty.
+                if let Some((attempt, waiters)) = take_pending(&mut reference, k) {
+                    end(k, attempt, waiters, Err(Abort::Internal), &mut expected)?;
                 }
             }
         }
     }
 
-    // Drain: abort every still-pending flight so all subscribers settle.
-    for (k, slot) in reference.iter() {
-        if let RefSlot::Pending { subscribers } = slot {
-            let flight = &flights[k];
-            cache.abort(&[*k], flight, Abort::ShuttingDown);
-            for &id in subscribers {
+    // Drain: end every still-pending attempt so all waiters settle.
+    let pending = reference
+        .values()
+        .filter(|slot| matches!(slot, RefSlot::Pending { .. }));
+    if cache.stats().inflight != pending.clone().count() {
+        return Err("pending slot count disagrees with the model".into());
+    }
+    for slot in pending {
+        if let RefSlot::Pending { waiters, .. } = slot {
+            for &id in waiters {
                 expected[id] = Err(Abort::ShuttingDown);
             }
         }
     }
+    for parked in cache.drain_pending() {
+        parked.wake(&Err(Abort::ShuttingDown));
+    }
 
-    // Every subscriber completed exactly once with the predicted result.
+    // Every waiter completed exactly once with the predicted result.
     for (id, obs) in observers.iter().enumerate() {
         let n = obs.completions.load(Ordering::SeqCst);
         if n != 1 {
-            return Err(format!(
-                "subscriber {id} completed {n} times (want exactly 1)"
-            ));
+            return Err(format!("waiter {id} completed {n} times (want exactly 1)"));
         }
         let got = obs.result.lock().unwrap().clone().expect("completed");
         if got != expected[id] {
             return Err(format!(
-                "subscriber {id} got {got:?}, but the model predicted {:?}",
+                "waiter {id} got {got:?}, but the model predicted {:?}",
                 expected[id]
             ));
         }
@@ -191,7 +207,7 @@ proptest! {
 
 #[test]
 fn pinned_lead_wait_fulfill_hit_sequence() {
-    // The canonical leader/follower/fulfill/hit shape, pinned so a
+    // The canonical leader/joiner/fulfill/hit shape, pinned so a
     // strategy change can never silently stop covering it.
     let ops = [
         Op::Lookup(0),
