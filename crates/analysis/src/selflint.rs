@@ -18,12 +18,15 @@
 //!   daemon installs, syscalls do not auto-restart, and one signal
 //!   landing mid-call would otherwise surface a spurious error.
 //! * **`chk-reactor-blocking`** — a function annotated
-//!   `// chk:reactor-thread` is the event loop: it must never block on
-//!   anything but its own `epoll_wait`. Sleeps, joins, blocking channel
-//!   receives, and blocking flight waits are errors.
+//!   `// chk:reactor-thread` runs on the event-loop thread (the marker
+//!   covers one function, so the loop and each of its helpers carry
+//!   one): it must never block on anything but the loop's own
+//!   `epoll_wait`. Sleeps, joins, blocking channel receives, and blocking
+//!   flight waits are errors.
 //! * **`chk-lockdep`** — files adopted by the lock-order detector must
-//!   not construct bare `std::sync::Mutex`/`Condvar`: a bare lock is
-//!   invisible to lockdep, so a cycle through it would go unreported.
+//!   not construct a bare `std::sync::Mutex` (invisible to lockdep, so a
+//!   cycle through it would go unreported) or any `Condvar` (the daemon
+//!   parks on channels and its eventfd; there is no wrapper for one).
 //!
 //! A finding can be acknowledged in place with
 //! `// chk-allow(<pass>): <reason>` on the same or the preceding line;
@@ -193,33 +196,27 @@ fn lint_file(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 
     // Pass 4: lockdep-adopted files must not construct bare std locks.
+    const USE_MUTEX: &str =
+        "use `OrderedMutex::new(\"<site>\", ..)` so the lock-order detector sees it";
+    const NO_CONDVAR: &str = "the daemon parks on channels and its eventfd, and a condvar \
+                              wait is invisible to the lock-order detector";
     for (ln, code) in code_lines.iter().enumerate().map(|(i, c)| (i + 1, c)) {
-        for tok in ["std::sync::Mutex", "std::sync::Condvar"] {
+        for (tok, advice) in [
+            ("std::sync::Mutex", USE_MUTEX),
+            ("std::sync::Condvar", NO_CONDVAR),
+        ] {
             if code.contains(tok) {
-                findings.push((
-                    "chk-lockdep",
-                    ln,
-                    format!("`{tok}` in a lockdep-adopted file: use the chk wrapper"),
-                ));
+                let message = format!("`{tok}` in a lockdep-adopted file: {advice}");
+                findings.push(("chk-lockdep", ln, message));
             }
         }
-        for (bare, wrapper) in [
-            ("Mutex::new(", "OrderedMutex"),
-            ("Condvar::new(", "OrderedCondvar"),
-        ] {
+        for (bare, advice) in [("Mutex::new(", USE_MUTEX), ("Condvar::new(", NO_CONDVAR)] {
             for pos in match_positions(code, bare) {
                 // `OrderedMutex::new(` contains `Mutex::new(`; only the
                 // bare constructor is a finding.
                 if !preceded_by(code, pos, "Ordered") {
-                    findings.push((
-                        "chk-lockdep",
-                        ln,
-                        format!(
-                            "bare `{bare}..)` in a lockdep-adopted file: use \
-                             `{wrapper}::new(\"<site>\", ..)` so the lock-order \
-                             detector sees it"
-                        ),
-                    ));
+                    let message = format!("bare `{bare}..)` in a lockdep-adopted file: {advice}");
+                    findings.push(("chk-lockdep", ln, message));
                 }
             }
         }
@@ -541,6 +538,8 @@ fn wrapped(s: &mut TcpStream, buf: &mut [u8]) {
 
     #[test]
     fn reactor_region_rejects_blocking_calls() {
+        // The marker covers one function: the loop and its marked helper
+        // are linted, the unmarked function is not.
         let src = r#"
 // chk:reactor-thread
 fn event_loop(rx: &Receiver<u8>) {
@@ -548,11 +547,22 @@ fn event_loop(rx: &Receiver<u8>) {
         let _ = rx.recv();
     }
 }
+
+fn worker(rx: &Receiver<u8>) {
+    let _ = rx.recv();
+}
+
+// chk:reactor-thread
+fn helper_the_loop_calls(rx: &Receiver<u8>) {
+    let _ = rx.recv();
+}
 "#;
         let r = lint_one("x.rs", src);
         let errs: Vec<_> = r.at_least(Severity::Error).collect();
-        assert_eq!(errs.len(), 1, "{:?}", r.diagnostics);
-        assert_eq!(errs[0].pass, "chk-reactor-blocking");
+        assert_eq!(errs.len(), 2, "{:?}", r.diagnostics);
+        assert!(errs.iter().all(|d| d.pass == "chk-reactor-blocking"));
+        assert_eq!(errs[0].location.line, Some(5));
+        assert_eq!(errs[1].location.line, Some(15));
     }
 
     #[test]
@@ -562,15 +572,18 @@ use std::sync::Mutex;
 fn build() {
     let _a = Mutex::new(0);
     let _b = OrderedMutex::new("site", 0);
-    let _c = OrderedCondvar::new("site");
+    let _c = Condvar::new();
 }
 "#;
         let r = lint_one("x.rs", src);
         let errs: Vec<_> = r.at_least(Severity::Error).collect();
-        assert_eq!(errs.len(), 2, "{:?}", r.diagnostics);
+        assert_eq!(errs.len(), 3, "{:?}", r.diagnostics);
         assert!(errs.iter().all(|d| d.pass == "chk-lockdep"));
         assert_eq!(errs[0].location.line, Some(2)); // the import
         assert_eq!(errs[1].location.line, Some(4)); // the bare constructor
+        assert!(errs[1].message.contains("OrderedMutex::new("));
+        assert_eq!(errs[2].location.line, Some(6)); // no wrapper to suggest
+        assert!(errs[2].message.contains("parks on channels"));
     }
 
     #[test]

@@ -1,11 +1,16 @@
-//! Bounded schedule exploration for protocol models.
+//! Bounded schedule exploration for protocol harnesses.
 //!
 //! A [`Model`] is a deterministic state machine over N logical threads:
 //! the explorer owns the scheduler, the model owns everything else. Each
-//! `step(t)` executes one atomic region of thread `t` (one lock-protected
-//! critical section in the real code), so every interleaving of regions
-//! that the real kernel scheduler could produce corresponds to some
-//! schedule here.
+//! `step(t)` executes one atomic region of thread `t` — in the serving
+//! stack's harnesses, one call into production code that holds at most
+//! one lock — so every interleaving of regions that the real kernel
+//! scheduler could produce corresponds to some schedule here.
+//!
+//! States are never cloned: the explorer is handed a constructor and
+//! rebuilds a state by re-running its schedule prefix on a fresh one, so
+//! a model may own production types that cannot be copied (boxed
+//! `FnOnce` waiters, an epoll fd).
 //!
 //! Exploration is iterative-deepening-free, CHESS-style DFS: from each
 //! state, continuing the currently running thread is free, while
@@ -23,12 +28,10 @@
 
 /// A deterministic protocol model explored by [`Explorer`].
 ///
-/// Implementations must be `Clone` (the DFS snapshots states at branch
-/// points) and fully deterministic: no wall clock, no OS randomness —
-/// all nondeterminism comes from the schedule.
-pub trait Model: Clone {
-    /// Short protocol name for reports.
-    fn name(&self) -> &'static str;
+/// Implementations must be fully deterministic: no wall clock, no OS
+/// randomness — all nondeterminism comes from the schedule, so the same
+/// prefix run on a fresh instance always reaches the same state.
+pub trait Model {
     /// Number of logical threads.
     fn threads(&self) -> usize;
     /// True once thread `t` has run to completion.
@@ -51,6 +54,15 @@ pub struct Violation {
     pub schedule: String,
     /// What went wrong.
     pub message: String,
+}
+
+impl Violation {
+    fn at(schedule: &[usize], message: String) -> Violation {
+        Violation {
+            schedule: schedule_string(schedule),
+            message,
+        }
+    }
 }
 
 impl std::fmt::Display for Violation {
@@ -83,7 +95,7 @@ pub struct Explorer {
     /// Preemptive context switches allowed per schedule in the DFS.
     pub max_preemptions: usize,
     /// Hard per-schedule step bound (guards against unproductive loops
-    /// in a buggy model; never reached by the shipped models).
+    /// in a buggy model; never reached by the shipped harnesses).
     pub max_steps: usize,
     /// DFS stops counting new schedules past this cap.
     pub max_schedules: u64,
@@ -105,36 +117,39 @@ impl Default for Explorer {
     }
 }
 
-/// Deterministic SplitMix64 stream for the random tail.
+/// Deterministic SplitMix64 stream (Steele, Lea & Flood 2014): one state
+/// word, full 2^64 period, stable across Rust releases. Drives the random
+/// tail here and every `serve::chaos` decision.
 #[derive(Debug, Clone)]
-struct SplitMix64 {
+pub struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
-    fn new(seed: u64) -> Self {
+    /// A stream starting from `seed`.
+    pub fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 
-    fn next_u64(&mut self) -> u64 {
+    /// Next 64 bits of the stream.
+    pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e3779b97f4a7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
         z ^ (z >> 31)
     }
+
+    /// Uniform in `[0, 1)` from the top 53 bits.
+    pub fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
 }
 
 /// Renders a schedule as the dot-separated string printed in reports.
 pub fn schedule_string(schedule: &[usize]) -> String {
-    let mut s = String::new();
-    for (i, t) in schedule.iter().enumerate() {
-        if i > 0 {
-            s.push('.');
-        }
-        s.push_str(&t.to_string());
-    }
-    s
+    let steps: Vec<String> = schedule.iter().map(usize::to_string).collect();
+    steps.join(".")
 }
 
 /// Parses a schedule string back into thread indices.
@@ -155,39 +170,48 @@ fn enabled_set<M: Model>(m: &M) -> Vec<usize> {
     (0..m.threads()).filter(|&t| m.enabled(t)).collect()
 }
 
-fn all_done<M: Model>(m: &M) -> bool {
-    (0..m.threads()).all(|t| m.done(t))
-}
-
 /// Checks a quiescent (no thread enabled) state: either everything is
 /// done and `finish` holds, or some thread is parked forever.
 fn check_terminal<M: Model>(m: &M, schedule: &[usize]) -> Option<Violation> {
-    if all_done(m) {
-        if let Err(msg) = m.finish() {
-            return Some(Violation {
-                schedule: schedule_string(schedule),
-                message: msg,
-            });
-        }
-        return None;
-    }
-    let stuck: Vec<String> = (0..m.threads())
-        .filter(|&t| !m.done(t))
-        .map(|t| format!("t{t}"))
-        .collect();
-    Some(Violation {
-        schedule: schedule_string(schedule),
-        message: format!(
+    let stuck: Vec<usize> = (0..m.threads()).filter(|&t| !m.done(t)).collect();
+    let message = if stuck.is_empty() {
+        m.finish().err()?
+    } else {
+        format!(
             "deadlock/lost wakeup: no thread enabled but {} never finished",
-            stuck.join(", ")
-        ),
-    })
+            thread_names(&stuck)
+        )
+    };
+    Some(Violation::at(schedule, message))
+}
+
+/// `t1, t3` for `[1, 3]`.
+fn thread_names(threads: &[usize]) -> String {
+    let names: Vec<String> = threads.iter().map(|t| format!("t{t}")).collect();
+    names.join(", ")
+}
+
+/// The violation of a schedule that ran past the step bound.
+fn runaway(schedule: &[usize], max_steps: usize) -> Violation {
+    let message = format!("schedule exceeded {max_steps} steps without quiescing");
+    Violation::at(schedule, message)
+}
+
+/// A fresh state advanced through `prefix`. Every step of it already ran
+/// clean once, and models are deterministic, so none can fail now.
+fn rebuild<M: Model>(make: &impl Fn() -> M, prefix: &[usize]) -> M {
+    let mut m = make();
+    for &t in prefix {
+        m.step(t).expect("a replayed prefix step is deterministic");
+    }
+    m
 }
 
 impl Explorer {
-    /// Explores `model` exhaustively within the preemption bound, then
-    /// samples the seeded-random tail. Stops at the first violation.
-    pub fn explore<M: Model>(&self, model: &M) -> ExploreStats {
+    /// Explores the model `make` builds exhaustively within the
+    /// preemption bound, then samples the seeded-random tail. Stops at
+    /// the first violation.
+    pub fn explore<M: Model>(&self, make: impl Fn() -> M) -> ExploreStats {
         let mut stats = ExploreStats {
             schedules: 0,
             random_schedules: 0,
@@ -195,12 +219,19 @@ impl Explorer {
             violation: None,
         };
         let mut prefix = Vec::new();
-        self.dfs(model, &mut prefix, self.max_preemptions, None, &mut stats);
+        self.dfs(
+            &make,
+            make(),
+            &mut prefix,
+            self.max_preemptions,
+            None,
+            &mut stats,
+        );
         if stats.violation.is_none() {
             let mut rng = SplitMix64::new(self.seed);
             for _ in 0..self.random_tail {
                 stats.random_schedules += 1;
-                if let Some(v) = self.random_run(model, &mut rng, &mut stats) {
+                if let Some(v) = self.random_run(make(), &mut rng, &mut stats) {
                     stats.violation = Some(v);
                     break;
                 }
@@ -211,7 +242,8 @@ impl Explorer {
 
     fn dfs<M: Model>(
         &self,
-        state: &M,
+        make: &impl Fn() -> M,
+        state: M,
         prefix: &mut Vec<usize>,
         budget: usize,
         running: Option<usize>,
@@ -221,44 +253,35 @@ impl Explorer {
             return;
         }
         stats.max_depth = stats.max_depth.max(prefix.len());
-        let enabled = enabled_set(state);
+        let enabled = enabled_set(&state);
         if enabled.is_empty() {
             stats.schedules += 1;
-            stats.violation = check_terminal(state, prefix);
+            stats.violation = check_terminal(&state, prefix);
             return;
         }
         if prefix.len() >= self.max_steps {
             stats.schedules += 1;
-            stats.violation = Some(Violation {
-                schedule: schedule_string(prefix),
-                message: format!(
-                    "schedule exceeded {} steps without quiescing",
-                    self.max_steps
-                ),
-            });
+            stats.violation = Some(runaway(prefix, self.max_steps));
             return;
         }
+        let running = running.filter(|&r| state.enabled(r));
+        // The first branch continues in `state`; later ones rebuild it.
+        let mut state = Some(state);
         for &t in &enabled {
-            let preemptive = match running {
-                Some(r) => r != t && state.enabled(r),
-                None => false,
-            };
+            let preemptive = running.is_some_and(|r| r != t);
             if preemptive && budget == 0 {
                 continue;
             }
-            let mut next = state.clone();
+            let mut next = state.take().unwrap_or_else(|| rebuild(make, prefix));
             prefix.push(t);
             if let Err(msg) = next.step(t) {
                 stats.schedules += 1;
-                stats.violation = Some(Violation {
-                    schedule: schedule_string(prefix),
-                    message: msg,
-                });
+                stats.violation = Some(Violation::at(prefix, msg));
                 prefix.pop();
                 return;
             }
             let next_budget = if preemptive { budget - 1 } else { budget };
-            self.dfs(&next, prefix, next_budget, Some(t), stats);
+            self.dfs(make, next, prefix, next_budget, Some(t), stats);
             prefix.pop();
             if stats.violation.is_some() {
                 return;
@@ -268,11 +291,10 @@ impl Explorer {
 
     fn random_run<M: Model>(
         &self,
-        model: &M,
+        mut m: M,
         rng: &mut SplitMix64,
         stats: &mut ExploreStats,
     ) -> Option<Violation> {
-        let mut m = model.clone();
         let mut schedule = Vec::new();
         loop {
             let enabled = enabled_set(&m);
@@ -281,61 +303,48 @@ impl Explorer {
                 return check_terminal(&m, &schedule);
             }
             if schedule.len() >= self.max_steps {
-                return Some(Violation {
-                    schedule: schedule_string(&schedule),
-                    message: format!(
-                        "schedule exceeded {} steps without quiescing",
-                        self.max_steps
-                    ),
-                });
+                return Some(runaway(&schedule, self.max_steps));
             }
             let t = enabled[(rng.next_u64() % enabled.len() as u64) as usize];
             schedule.push(t);
             if let Err(msg) = m.step(t) {
-                return Some(Violation {
-                    schedule: schedule_string(&schedule),
-                    message: msg,
-                });
+                return Some(Violation::at(&schedule, msg));
             }
         }
     }
 }
 
-/// Deterministically re-executes `schedule` against a fresh clone of
-/// `model`, returning the violation it reproduces (a violation found by
+/// Deterministically re-executes `schedule` against a fresh model from
+/// `make`, returning the violation it reproduces (a violation found by
 /// [`Explorer::explore`] replays to the same message), or `Ok(())` if
-/// the schedule runs clean.
-pub fn replay<M: Model>(model: &M, schedule: &str) -> Result<(), Violation> {
-    let steps = parse_schedule(schedule).map_err(|message| Violation {
+/// the schedule runs clean to quiescence. A schedule that stops while
+/// threads are still enabled is an error, not a pass: a pinned "clean"
+/// schedule that was cut short must not succeed vacuously.
+pub fn replay<M: Model>(make: impl Fn() -> M, schedule: &str) -> Result<(), Violation> {
+    // Misuse of the schedule itself is reported against it as written.
+    let misuse = |message: String| Violation {
         schedule: schedule.to_string(),
         message,
-    })?;
-    let mut m = model.clone();
-    let mut ran = Vec::new();
-    for t in steps {
+    };
+    let steps = parse_schedule(schedule).map_err(misuse)?;
+    let mut m = make();
+    for (i, &t) in steps.iter().enumerate() {
         if t >= m.threads() || !m.enabled(t) {
-            return Err(Violation {
-                schedule: schedule.to_string(),
-                message: format!(
-                    "schedule names thread {t} which is not enabled at step {}",
-                    ran.len()
-                ),
-            });
+            let message = format!("schedule names thread {t} which is not enabled at step {i}");
+            return Err(misuse(message));
         }
-        ran.push(t);
         if let Err(msg) = m.step(t) {
-            return Err(Violation {
-                schedule: schedule_string(&ran),
-                message: msg,
-            });
+            return Err(Violation::at(&steps[..=i], msg));
         }
     }
-    // A full replayed schedule ends quiescent; surface terminal checks
-    // (deadlock / finish invariants) exactly like the explorer would.
-    if enabled_set(&m).is_empty() {
-        if let Some(v) = check_terminal(&m, &ran) {
-            return Err(v);
-        }
+    let enabled = enabled_set(&m);
+    if !enabled.is_empty() {
+        return Err(misuse(format!(
+            "schedule ends before quiescence: {} still enabled",
+            thread_names(&enabled)
+        )));
     }
-    Ok(())
+    // Quiescent: surface the terminal checks (deadlock / finish
+    // invariants) exactly like the explorer would.
+    check_terminal(&m, &steps).map_or(Ok(()), Err)
 }

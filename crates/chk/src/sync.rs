@@ -1,7 +1,7 @@
 //! Lock-order-checked synchronization primitives (lockdep).
 //!
-//! [`OrderedMutex`] and [`OrderedCondvar`] mirror the `std::sync` API with
-//! one addition: every lock is created with a `&'static str` *site name*
+//! [`OrderedMutex`] mirrors the `std::sync::Mutex` API with one
+//! addition: every lock is created with a `&'static str` *site name*
 //! (its lock class, e.g. `"serve.shard"`). With the `lockdep` feature
 //! enabled, each acquisition records an edge `top-of-held-stack → class`
 //! in a process-global order graph; a new edge that closes a directed
@@ -16,10 +16,14 @@
 //! `polyufc stats` as the `chk` section). Set `POLYUFC_LOCKDEP_PANIC=1`
 //! to turn a detected cycle into a panic (used by the regression tests).
 //!
-//! Without the feature every wrapper is a `#[repr(transparent)]` newtype
-//! over its `std::sync` counterpart with `#[inline]` passthrough — the
-//! compile-time assertions at the bottom of this file pin the layout, and
+//! Without the feature the wrapper is a `#[repr(transparent)]` newtype
+//! over `std::sync::Mutex` with `#[inline]` passthrough — the
+//! compile-time assertion at the bottom of this file pins the layout, and
 //! the `serve_*` ledger workloads (`benchmark/`) watch the behavior.
+//!
+//! There is deliberately no condvar wrapper: the daemon parks on channels
+//! and its eventfd, and a bare `Condvar` would be invisible to the
+//! detector (the self-lint rejects one in adopted files).
 //!
 //! Poison-safety: the detector's own state is guarded by a std mutex that
 //! is always re-entered through poison recovery, and the per-thread held
@@ -47,8 +51,7 @@ pub struct LockdepStats {
 #[cfg(feature = "lockdep")]
 mod imp {
     use super::LockdepStats;
-    use std::sync::{Condvar, LockResult, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
-    use std::time::Duration;
+    use std::sync::{LockResult, Mutex, MutexGuard, PoisonError};
 
     mod detector {
         use super::LockdepStats;
@@ -300,11 +303,11 @@ mod imp {
             match self.inner.lock() {
                 Ok(g) => Ok(OrderedMutexGuard {
                     class: self.class,
-                    inner: Some(g),
+                    inner: g,
                 }),
                 Err(p) => Err(PoisonError::new(OrderedMutexGuard {
                     class: self.class,
-                    inner: Some(p.into_inner()),
+                    inner: p.into_inner(),
                 })),
             }
         }
@@ -322,119 +325,25 @@ mod imp {
     /// (including drops during unwinding).
     pub struct OrderedMutexGuard<'a, T: ?Sized> {
         class: detector::ClassId,
-        /// `None` only transiently while a condvar wait holds the raw
-        /// guard; `Drop` then skips the detector pop.
-        inner: Option<MutexGuard<'a, T>>,
-    }
-
-    impl<'a, T: ?Sized> OrderedMutexGuard<'a, T> {
-        fn take_inner(mut self) -> MutexGuard<'a, T> {
-            self.inner.take().expect("guard already consumed")
-        }
+        inner: MutexGuard<'a, T>,
     }
 
     impl<T: ?Sized> Drop for OrderedMutexGuard<'_, T> {
         fn drop(&mut self) {
-            if self.inner.is_some() {
-                detector::release(self.class);
-            }
+            detector::release(self.class);
         }
     }
 
     impl<T: ?Sized> std::ops::Deref for OrderedMutexGuard<'_, T> {
         type Target = T;
         fn deref(&self) -> &T {
-            self.inner.as_ref().expect("guard already consumed")
+            &self.inner
         }
     }
 
     impl<T: ?Sized> std::ops::DerefMut for OrderedMutexGuard<'_, T> {
         fn deref_mut(&mut self) -> &mut T {
-            self.inner.as_mut().expect("guard already consumed")
-        }
-    }
-
-    /// Condition variable aware of the lockdep held-class stack: the
-    /// paired mutex's class is popped for the duration of the wait (the
-    /// lock is not held while parked) and re-checked on reacquisition.
-    pub struct OrderedCondvar {
-        inner: Condvar,
-    }
-
-    impl OrderedCondvar {
-        /// Creates a condvar; `_site` names it for documentation parity
-        /// with [`OrderedMutex::new`] (condvars themselves carry no
-        /// ordering state).
-        pub fn new(_site: &'static str) -> Self {
-            OrderedCondvar {
-                inner: Condvar::new(),
-            }
-        }
-
-        /// Blocks until notified; the guard's class leaves the held
-        /// stack while parked.
-        pub fn wait<'a, T>(
-            &self,
-            guard: OrderedMutexGuard<'a, T>,
-        ) -> LockResult<OrderedMutexGuard<'a, T>> {
-            let class = guard.class;
-            let raw = guard.take_inner();
-            detector::release(class);
-            let res = self.inner.wait(raw);
-            detector::acquire(class);
-            match res {
-                Ok(g) => Ok(OrderedMutexGuard {
-                    class,
-                    inner: Some(g),
-                }),
-                Err(p) => Err(PoisonError::new(OrderedMutexGuard {
-                    class,
-                    inner: Some(p.into_inner()),
-                })),
-            }
-        }
-
-        /// Blocks until notified or `dur` elapses; same held-stack
-        /// bookkeeping as [`OrderedCondvar::wait`].
-        pub fn wait_timeout<'a, T>(
-            &self,
-            guard: OrderedMutexGuard<'a, T>,
-            dur: Duration,
-        ) -> LockResult<(OrderedMutexGuard<'a, T>, WaitTimeoutResult)> {
-            let class = guard.class;
-            let raw = guard.take_inner();
-            detector::release(class);
-            let res = self.inner.wait_timeout(raw, dur);
-            detector::acquire(class);
-            match res {
-                Ok((g, t)) => Ok((
-                    OrderedMutexGuard {
-                        class,
-                        inner: Some(g),
-                    },
-                    t,
-                )),
-                Err(p) => {
-                    let (g, t) = p.into_inner();
-                    Err(PoisonError::new((
-                        OrderedMutexGuard {
-                            class,
-                            inner: Some(g),
-                        },
-                        t,
-                    )))
-                }
-            }
-        }
-
-        /// Wakes one waiter.
-        pub fn notify_one(&self) {
-            self.inner.notify_one();
-        }
-
-        /// Wakes all waiters.
-        pub fn notify_all(&self) {
-            self.inner.notify_all();
+            &mut self.inner
         }
     }
 
@@ -452,8 +361,7 @@ mod imp {
 #[cfg(not(feature = "lockdep"))]
 mod imp {
     use super::LockdepStats;
-    use std::sync::{Condvar, LockResult, Mutex, MutexGuard, WaitTimeoutResult};
-    use std::time::Duration;
+    use std::sync::{LockResult, Mutex, MutexGuard};
 
     /// Transparent stand-in for `std::sync::Mutex`; the site name is
     /// dropped at compile time.
@@ -496,53 +404,6 @@ mod imp {
         }
     }
 
-    /// Transparent stand-in for `std::sync::Condvar`.
-    #[repr(transparent)]
-    pub struct OrderedCondvar {
-        inner: Condvar,
-    }
-
-    impl OrderedCondvar {
-        /// Creates a condvar; `_site` exists only for lockdep builds.
-        #[inline]
-        pub fn new(_site: &'static str) -> Self {
-            OrderedCondvar {
-                inner: Condvar::new(),
-            }
-        }
-
-        /// Identical to `std::sync::Condvar::wait`.
-        #[inline]
-        pub fn wait<'a, T>(
-            &self,
-            guard: OrderedMutexGuard<'a, T>,
-        ) -> LockResult<OrderedMutexGuard<'a, T>> {
-            self.inner.wait(guard)
-        }
-
-        /// Identical to `std::sync::Condvar::wait_timeout`.
-        #[inline]
-        pub fn wait_timeout<'a, T>(
-            &self,
-            guard: OrderedMutexGuard<'a, T>,
-            dur: Duration,
-        ) -> LockResult<(OrderedMutexGuard<'a, T>, WaitTimeoutResult)> {
-            self.inner.wait_timeout(guard, dur)
-        }
-
-        /// Identical to `std::sync::Condvar::notify_one`.
-        #[inline]
-        pub fn notify_one(&self) {
-            self.inner.notify_one();
-        }
-
-        /// Identical to `std::sync::Condvar::notify_all`.
-        #[inline]
-        pub fn notify_all(&self) {
-            self.inner.notify_all();
-        }
-    }
-
     /// Always `None` without the `lockdep` feature, so stats output is
     /// byte-identical to a build that never linked this crate.
     #[inline]
@@ -550,15 +411,13 @@ mod imp {
         None
     }
 
-    // The zero-overhead claim, checked at compile time: the wrappers add
-    // no bytes over their std counterparts in the default build.
-    const _: () = {
+    // The zero-overhead claim, checked at compile time: the wrapper adds
+    // no bytes over its std counterpart in the default build.
+    const _: () =
         assert!(std::mem::size_of::<OrderedMutex<u64>>() == std::mem::size_of::<Mutex<u64>>());
-        assert!(std::mem::size_of::<OrderedCondvar>() == std::mem::size_of::<Condvar>());
-    };
 }
 
-pub use imp::{lockdep_stats, OrderedCondvar, OrderedMutex, OrderedMutexGuard};
+pub use imp::{lockdep_stats, OrderedMutex, OrderedMutexGuard};
 
 #[cfg(feature = "lockdep")]
 pub use imp::lockdep_last_cycle;

@@ -1,9 +1,8 @@
 //! Lockdep detector regression tests (require `--features lockdep`).
 #![cfg(feature = "lockdep")]
 
-use polyufc_chk::sync::{lockdep_last_cycle, lockdep_stats, OrderedCondvar, OrderedMutex};
+use polyufc_chk::sync::{lockdep_last_cycle, lockdep_stats, OrderedMutex};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// The order graph is process-global and `cargo test` runs tests
 /// concurrently, so tests that assert on the *latest* cycle report
@@ -80,44 +79,6 @@ fn consistent_order_and_out_of_order_drops_stay_clean() {
     assert_eq!(stats.cycles, before, "consistent order flagged a cycle");
     assert!(stats.sites >= 2);
     assert!(stats.max_chain >= 2, "a->b chain has depth 2");
-}
-
-#[test]
-fn condvar_wait_releases_the_class_during_the_wait() {
-    // While parked in `wait`, the mutex class must leave the held stack:
-    // acquiring in the "opposite" order from the waker must not report a
-    // cycle, because the waiter does not actually hold the lock.
-    let _g = report_guard();
-    let before = lockdep_stats().expect("lockdep on").cycles;
-    let pair = Arc::new((
-        OrderedMutex::new("test.cv.latch", false),
-        OrderedCondvar::new("test.cv.cond"),
-    ));
-    let other = Arc::new(OrderedMutex::new("test.cv.other", 0u32));
-    let waiter = {
-        let pair = Arc::clone(&pair);
-        std::thread::spawn(move || {
-            let (lock, cv) = &*pair;
-            let mut ready = lock.lock().unwrap();
-            while !*ready {
-                let (guard, _timeout) = cv.wait_timeout(ready, Duration::from_millis(50)).unwrap();
-                ready = guard;
-            }
-        })
-    };
-    {
-        // Waker nests latch under other; if the waiter's parked class
-        // were still "held", interleavings could look cyclic.
-        let _go = other.lock().unwrap();
-        let (lock, cv) = &*pair;
-        let mut ready = lock.lock().unwrap();
-        *ready = true;
-        cv.notify_all();
-        drop(ready);
-    }
-    waiter.join().expect("waiter exits");
-    let stats = lockdep_stats().expect("lockdep on");
-    assert_eq!(stats.cycles, before, "condvar wait leaked a held class");
 }
 
 #[test]

@@ -13,9 +13,10 @@
 //!   pristine path is byte-identical to a build without the layer (A/B
 //!   checked by the `serve_chaos` harness and a dispatch-identity test).
 //! * **Deterministic.** Every chaos decision is a pure function of
-//!   `(seed, domain, key, salt)` through FNV-1a folded into SplitMix64 —
-//!   the serve crate vendors no rand, so the generator is inlined here;
-//!   the construction matches the fault layer's bit-for-bit philosophy.
+//!   `(seed, domain, key, salt)` through FNV-1a folded into SplitMix64
+//!   ([`polyufc_chk::SplitMix64`], the one the schedule explorer's random
+//!   tail draws from; the serve crate vendors no rand) — the construction
+//!   matches the fault layer's bit-for-bit philosophy.
 //!
 //! Plans serialize as compact `key=value` spec strings
 //! ([`ChaosPlan::parse_spec`] / [`ChaosPlan::spec_string`] round-trip),
@@ -25,6 +26,7 @@
 //! use `panic=1,budget=2` to get exactly two deterministic panics and
 //! then pristine behavior, instead of tuning probabilities.
 
+use polyufc_chk::SplitMix64;
 use polyufc_machine::fault::fnv1a_event;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -98,26 +100,6 @@ impl PartialEq for ChaosPlan {
 impl Default for ChaosPlan {
     fn default() -> Self {
         ChaosPlan::pristine()
-    }
-}
-
-/// SplitMix64: the dependency-free generator behind every chaos stream.
-/// One state word, full 2^64 period, excellent dispersion — and stable
-/// across Rust releases, unlike `DefaultHasher`.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)` from the top 53 bits.
-    fn next_f64(&mut self) -> f64 {
-        (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 
@@ -218,7 +200,7 @@ impl ChaosPlan {
     /// domain, key, salt)`: FNV-1a folds the key material, SplitMix64
     /// generates from the fold.
     fn stream(&self, domain: &str, key: &[u8], salt: u64) -> SplitMix64 {
-        SplitMix64(fnv1a_event(self.seed, domain, key, salt))
+        SplitMix64::new(fnv1a_event(self.seed, domain, key, salt))
     }
 
     /// Bernoulli draw for one event.
@@ -300,7 +282,7 @@ impl ChaosPlan {
             return None;
         }
         let cap = self.short_read_cap.max(1) as u64;
-        Some((1 + self.stream("short-read-len", &key, io_seq).next() % cap) as usize)
+        Some((1 + self.stream("short-read-len", &key, io_seq).next_u64() % cap) as usize)
     }
 
     /// Byte cap (if any) for one socket write, keyed like
@@ -315,7 +297,7 @@ impl ChaosPlan {
             return None;
         }
         let cap = self.short_write_cap.max(1) as u64;
-        Some((1 + self.stream("short-write-len", &key, io_seq).next() % cap) as usize)
+        Some((1 + self.stream("short-write-len", &key, io_seq).next_u64() % cap) as usize)
     }
 
     /// Serializes the plan as a canonical spec string that

@@ -330,7 +330,6 @@ pub struct Engine {
     attempts: OrderedMutex<HashMap<Vec<u8>, u64>>,
     watchdog: OrderedMutex<Option<Watchdog>>,
     deadline: Option<Duration>,
-    quarantine_threshold: u32,
     shutdown_grace: Duration,
     workers: usize,
     queue_cap: usize,
@@ -356,13 +355,17 @@ impl Engine {
             pool: Arc::new(StatefulPool::new(cfg.workers, cfg.queue_cap, |_| {
                 WorkerState::new()
             })),
-            cache: Arc::new(ArtifactCache::new(cfg.cache_capacity, workers * 4)),
+            cache: Arc::new(ArtifactCache::new(
+                cfg.cache_capacity,
+                workers * 4,
+                cfg.quarantine_threshold,
+                quarantine_body(),
+            )),
             shared: Arc::new(Shared::default()),
             chaos: Arc::new(cfg.chaos.clone()),
             attempts: OrderedMutex::new("serve.chaos.attempts", HashMap::new()),
             watchdog: OrderedMutex::new("serve.watchdog.handle", None),
             deadline: cfg.deadline,
-            quarantine_threshold: cfg.quarantine_threshold,
             shutdown_grace: cfg.shutdown_grace,
             workers,
             queue_cap: cfg.queue_cap.max(1),
@@ -370,7 +373,6 @@ impl Engine {
         if let Some(deadline) = cfg.deadline {
             *engine.watchdog.lock().unwrap() = Some(spawn_watchdog(
                 deadline,
-                cfg.quarantine_threshold,
                 Arc::clone(&engine.cache),
                 Arc::clone(&engine.shared),
                 Arc::clone(&engine.pool),
@@ -479,12 +481,11 @@ impl Engine {
 
     /// Queues the compile of a led attempt. Whoever ends the attempt —
     /// this job, the watchdog, the shutdown drain, or the shed below —
-    /// accounts for its outcome and wakes its waiters; everyone else
-    /// finds it gone and does nothing.
+    /// runs the [`Ended`](crate::shard::Ended) it gets back (account,
+    /// then wake); everyone else finds it gone and does nothing.
     fn dispatch(&self, prepared: Prepared, attempt: u64) {
         let cache = Arc::clone(&self.cache);
         let shared = Arc::clone(&self.shared);
-        let threshold = self.quarantine_threshold;
         // Chaos is decided here, deterministically, not on the worker —
         // submission order fixes the attempt counter.
         let fault = self.next_compile_fault(&prepared.prefix_key);
@@ -536,19 +537,10 @@ impl Engine {
                     Err(Abort::Internal)
                 }
             };
-            // `None`: the watchdog (deadline) or the shutdown drain ended
-            // this attempt and already accounted for it. A late success
-            // must not clear the strike they recorded, and striking a
-            // late panic would count one failed request twice toward
-            // quarantine.
-            if let Some(waiters) = cache.finish(&prepared.key, attempt, &outcome) {
-                match outcome {
-                    Ok(_) => cache.clear_strikes(&prepared.prefix_key),
-                    Err(_) => {
-                        cache.record_strike(&prepared.prefix_key, threshold, quarantine_body);
-                    }
-                }
-                waiters.wake(&outcome);
+            // `None`: the watchdog or the shutdown drain ended this attempt
+            // and already accounted for it; the late outcome is dropped.
+            if let Some(ended) = cache.finish(&prepared.key, attempt, outcome) {
+                ended.run(&cache);
             }
         });
         if submitted.is_err() {
@@ -556,9 +548,11 @@ impl Engine {
             self.shared.shed.fetch_add(1, Ordering::Relaxed);
             // Every waiter — this request's own included — gets the typed
             // `overloaded` body through its callback, inline.
-            let shed = Err(Abort::Overloaded);
-            if let Some(waiters) = self.cache.finish(&shed_key, attempt, &shed) {
-                waiters.wake(&shed);
+            if let Some(ended) = self
+                .cache
+                .finish(&shed_key, attempt, Err(Abort::Overloaded))
+            {
+                ended.run(&self.cache);
             }
         }
     }
@@ -766,8 +760,8 @@ impl Engine {
             w.stop();
         }
         self.pool.shutdown_with_grace(self.shutdown_grace);
-        for waiters in self.cache.drain_pending() {
-            waiters.wake(&Err(Abort::ShuttingDown));
+        for ended in self.cache.take_expired(Duration::ZERO, Abort::ShuttingDown) {
+            ended.run(&self.cache);
         }
     }
 }
@@ -944,13 +938,12 @@ fn quarantine_body() -> Body {
 }
 
 /// Starts the deadline watchdog: every `deadline/4` (clamped to
-/// 2–250 ms) it ends expired compiles with `deadline_exceeded`, records
-/// quarantine strikes against their fingerprints, and replaces workers
-/// stuck past 1.5× the deadline — so a hung compile costs one bounded
-/// window of one worker, never the daemon.
+/// 2–250 ms) it ends expired compiles with `deadline_exceeded` (a strike
+/// against their fingerprints), and replaces workers stuck past 1.5× the
+/// deadline — so a hung compile costs one bounded window of one worker,
+/// never the daemon.
 fn spawn_watchdog(
     deadline: Duration,
-    quarantine_threshold: u32,
     cache: Arc<ArtifactCache>,
     shared: Arc<Shared>,
     pool: Arc<StatefulPool<WorkerState>>,
@@ -964,19 +957,11 @@ fn spawn_watchdog(
             // Nothing is ever sent: a timeout is a tick, a disconnect
             // (the sender dropped) is the stop.
             while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(period) {
-                for expired in cache.take_expired(deadline) {
-                    // Strike before waking: a client that retries the
-                    // moment it reads `deadline_exceeded` must already
-                    // meet the quarantine this expiry tripped. The
-                    // worker's late `finish` (if the compile ever
-                    // returns) finds the attempt gone.
+                // The worker's late `finish` (if the compile ever
+                // returns) finds the attempt gone.
+                for expired in cache.take_expired(deadline, Abort::DeadlineExceeded) {
                     shared.deadlines.fetch_add(1, Ordering::Relaxed);
-                    cache.record_strike(
-                        expired.fingerprint(),
-                        quarantine_threshold,
-                        quarantine_body,
-                    );
-                    expired.wake(&Err(Abort::DeadlineExceeded));
+                    expired.run(&cache);
                 }
                 pool.replace_stalled(stall_threshold);
             }

@@ -52,4 +52,4 @@ pub use protocol::{
 #[cfg(target_os = "linux")]
 pub use server::ShutdownHandle;
 pub use server::{install_signal_handlers, Listen, Server, ServerConfig};
-pub use shard::{Abort, ArtifactCache, ArtifactCacheStats, Body, Lookup, Waiter, Waiters};
+pub use shard::{Abort, ArtifactCache, ArtifactCacheStats, Body, Ended, Lookup, Waiter};

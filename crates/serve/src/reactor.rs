@@ -37,6 +37,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::chaos::ChaosPlan;
 use crate::engine::{Engine, Submitted};
 use crate::protocol::{codes, render_error, MAX_REQUEST_BYTES};
 use crate::server::{admission_reject_line, signalled, Acceptor, Conn};
@@ -261,70 +262,152 @@ impl Drop for EpollGuard {
     }
 }
 
+/// What the event loop needs of the engine. This trait is the only seam
+/// in the loop: it exists so `reactor/protocols.rs` can hand
+/// [`Reactor::turn`] a scripted engine, and hides nothing else.
+pub(crate) trait Backend {
+    /// [`Engine::submit`].
+    fn submit<F>(&self, line: &str, notify: F) -> Submitted
+    where
+        F: FnOnce(Body) + Send + 'static;
+    /// [`Engine::chaos`].
+    fn chaos(&self) -> &ChaosPlan;
+    /// [`Engine::count_chaos_injection`].
+    fn count_chaos_injection(&self);
+}
+
+impl Backend for Engine {
+    fn submit<F>(&self, line: &str, notify: F) -> Submitted
+    where
+        F: FnOnce(Body) + Send + 'static,
+    {
+        Engine::submit(self, line, notify)
+    }
+
+    fn chaos(&self) -> &ChaosPlan {
+        Engine::chaos(self)
+    }
+
+    fn count_chaos_injection(&self) {
+        Engine::count_chaos_injection(self);
+    }
+}
+
+/// The event loop's state between two iterations.
+pub(crate) struct Reactor {
+    epoll: EpollGuard,
+    /// Where `epoll_wait` reports; allocated once, like the loop's state.
+    events: [EpollEvent; 128],
+    wakeup: Arc<WakeupFd>,
+    max_conns: usize,
+    completions: Arc<OrderedMutex<Vec<Completion>>>,
+    conns: HashMap<u64, Connection>,
+    next_id: u64,
+    stopping: bool,
+    drain_deadline: Option<Instant>,
+}
+
 /// Runs the event loop until shutdown; returns after drain.
 // chk:reactor-thread
 pub(crate) fn run(
     acceptor: &Acceptor,
-    engine: &Arc<Engine>,
+    engine: &Engine,
     stop: &Arc<AtomicBool>,
     wakeup: &Arc<WakeupFd>,
     max_conns: usize,
 ) -> std::io::Result<()> {
-    let epfd = unsafe { epoll_create1(0) };
-    if epfd < 0 {
-        return Err(std::io::Error::last_os_error());
+    let mut reactor = Reactor::new(acceptor, wakeup, max_conns)?;
+    let stop_requested = || stop.load(Ordering::SeqCst) || signalled();
+    while reactor.turn(acceptor, engine, stop_requested(), true)? {}
+    // Teardown: close every socket; pending compiles finish inside the
+    // pool during Engine::shutdown, their completions going nowhere.
+    for (_, conn) in reactor.conns.drain() {
+        epoll_del(reactor.epoll.0, conn.sock.raw_fd());
     }
-    let _guard = EpollGuard(epfd);
-    epoll_add(epfd, acceptor.raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-    epoll_add(epfd, wakeup.fd(), EPOLLIN, TOKEN_WAKEUP)?;
+    Ok(())
+}
 
-    let completions: Arc<OrderedMutex<Vec<Completion>>> =
-        Arc::new(OrderedMutex::new("serve.reactor.completions", Vec::new()));
-    let mut conns: HashMap<u64, Connection> = HashMap::new();
-    let mut next_id: u64 = 0;
-    let mut stopping = false;
-    let mut drain_deadline: Option<Instant> = None;
-    let mut events = [EpollEvent { events: 0, data: 0 }; 128];
-
-    loop {
-        if !stopping && (stop.load(Ordering::SeqCst) || signalled()) {
-            stopping = true;
+impl Reactor {
+    /// An epoll instance watching the listener and the doorbell.
+    pub(crate) fn new(
+        acceptor: &Acceptor,
+        wakeup: &Arc<WakeupFd>,
+        max_conns: usize,
+    ) -> std::io::Result<Reactor> {
+        let epfd = unsafe { epoll_create1(0) };
+        if epfd < 0 {
+            return Err(std::io::Error::last_os_error());
         }
-        if stopping && drain_deadline.is_none() {
-            drain_deadline = Some(Instant::now() + DRAIN_DEADLINE);
+        let epoll = EpollGuard(epfd);
+        epoll_add(epfd, acceptor.raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
+        epoll_add(epfd, wakeup.fd(), EPOLLIN, TOKEN_WAKEUP)?;
+        Ok(Reactor {
+            epoll,
+            events: [EpollEvent { events: 0, data: 0 }; 128],
+            wakeup: Arc::clone(wakeup),
+            max_conns,
+            completions: Arc::new(OrderedMutex::new("serve.reactor.completions", Vec::new())),
+            conns: HashMap::new(),
+            next_id: 0,
+            stopping: false,
+            drain_deadline: None,
+        })
+    }
+
+    /// One iteration of the event loop: wait for events (`park == false`
+    /// only polls), ingest, fill, flush. `false` once a requested stop
+    /// has drained and the loop should end.
+    // chk:reactor-thread
+    pub(crate) fn turn<B: Backend>(
+        &mut self,
+        acceptor: &Acceptor,
+        backend: &B,
+        stop_requested: bool,
+        park: bool,
+    ) -> std::io::Result<bool> {
+        let epfd = self.epoll.0;
+        self.stopping |= stop_requested;
+        if self.stopping && self.drain_deadline.is_none() {
+            self.drain_deadline = Some(Instant::now() + DRAIN_DEADLINE);
             epoll_del(epfd, acceptor.raw_fd());
         }
-        if stopping {
-            let expired = drain_deadline.is_some_and(|d| Instant::now() >= d);
-            if expired || conns.values().all(Connection::flushed) {
-                break;
+        if self.stopping {
+            let expired = self.drain_deadline.is_some_and(|d| Instant::now() >= d);
+            if expired || self.conns.values().all(Connection::flushed) {
+                return Ok(false);
             }
         }
 
-        let timeout_ms = if stopping { 50 } else { 500 };
+        let timeout_ms = match (park, self.stopping) {
+            (false, _) => 0,
+            (true, true) => 50,
+            (true, false) => 500,
+        };
+        let events = &mut self.events;
         let n = unsafe { epoll_wait(epfd, events.as_mut_ptr(), events.len() as i32, timeout_ms) };
         if n < 0 {
             let e = std::io::Error::last_os_error();
             if e.kind() == ErrorKind::Interrupted {
-                continue;
+                return Ok(true);
             }
             return Err(e);
         }
 
         let mut touched: Vec<u64> = Vec::new();
-        for ev in &events[..n as usize] {
+        for ev in &self.events[..n as usize] {
             // Copy out of the (possibly packed) struct before use.
             let token = ev.data;
             let mask = ev.events;
             match token {
-                TOKEN_WAKEUP => wakeup.drain(),
+                TOKEN_WAKEUP => self.wakeup.drain(),
                 TOKEN_LISTENER => {
-                    if !stopping {
-                        accept_all(epfd, acceptor, &mut conns, &mut next_id, max_conns)?;
+                    if !self.stopping {
+                        let (conns, next_id) = (&mut self.conns, &mut self.next_id);
+                        accept_all(epfd, acceptor, conns, next_id, self.max_conns)?;
                     }
                 }
                 id => {
-                    let Some(conn) = conns.get_mut(&id) else {
+                    let Some(conn) = self.conns.get_mut(&id) else {
                         continue;
                     };
                     if mask & EPOLLERR != 0 {
@@ -333,9 +416,9 @@ pub(crate) fn run(
                     if mask & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0
                         && !conn.dead
                         && !conn.paused
-                        && !stopping
+                        && !self.stopping
                     {
-                        stopping |= ingest(conn, id, engine, &completions, wakeup);
+                        self.stopping |= ingest(conn, id, backend, &self.completions, &self.wakeup);
                     } else if mask & EPOLLHUP != 0 {
                         conn.peer_closed = true;
                     }
@@ -347,8 +430,8 @@ pub(crate) fn run(
         // Completions (from workers, the watchdog, and inline sheds from
         // this very iteration) fill their slots now; their connections
         // then flush alongside the ones with socket events.
-        for (id, seq, body) in drain_completions(&completions) {
-            if let Some(conn) = conns.get_mut(&id) {
+        for (id, seq, body) in drain_completions(&self.completions) {
+            if let Some(conn) = self.conns.get_mut(&id) {
                 conn.fill_slot(seq, body);
                 touched.push(id);
             }
@@ -357,7 +440,7 @@ pub(crate) fn run(
         touched.sort_unstable();
         touched.dedup();
         for id in touched {
-            let Some(conn) = conns.get_mut(&id) else {
+            let Some(conn) = self.conns.get_mut(&id) else {
                 continue;
             };
             // Flush, and resume a paused connection once its FIFO drains
@@ -371,40 +454,37 @@ pub(crate) fn run(
             // round).
             loop {
                 if !conn.dead {
-                    if let Err(_e) = flush(conn, id, engine) {
+                    if let Err(_e) = flush(conn, id, backend) {
                         conn.dead = true;
                     }
                 }
-                let resume =
-                    conn.paused && !conn.dead && !stopping && conn.slots.len() <= MAX_PIPELINE / 2;
+                let resume = conn.paused
+                    && !conn.dead
+                    && !self.stopping
+                    && conn.slots.len() <= MAX_PIPELINE / 2;
                 if !resume {
                     break;
                 }
                 // Resume reading, starting with any bytes already
                 // buffered (epoll will not re-announce those).
                 conn.paused = false;
-                stopping |= ingest(conn, id, engine, &completions, wakeup);
+                self.stopping |= ingest(conn, id, backend, &self.completions, &self.wakeup);
             }
             if conn.should_close() {
                 let fd = conn.sock.raw_fd();
                 epoll_del(epfd, fd);
-                conns.remove(&id);
+                self.conns.remove(&id);
             } else {
                 update_interest(epfd, conn, id);
             }
         }
+        Ok(true)
     }
-
-    // Teardown: close every socket; pending compiles finish inside the
-    // pool during Engine::shutdown, their completions going nowhere.
-    for (_, conn) in conns.drain() {
-        epoll_del(epfd, conn.sock.raw_fd());
-    }
-    Ok(())
 }
 
 /// Accepts until `WouldBlock`; connections past `max_conns` get one typed
 /// `overloaded` line and an immediate close.
+// chk:reactor-thread
 fn accept_all(
     epfd: i32,
     acceptor: &Acceptor,
@@ -442,10 +522,11 @@ fn accept_all(
 /// Reads and parses everything available on one socket, claiming a slot
 /// per request and submitting compiles. Returns `true` when a `shutdown`
 /// request asks the daemon to drain and stop.
-fn ingest(
+// chk:reactor-thread
+fn ingest<B: Backend>(
     conn: &mut Connection,
     id: u64,
-    engine: &Arc<Engine>,
+    engine: &B,
     completions: &Arc<OrderedMutex<Vec<Completion>>>,
     wakeup: &Arc<WakeupFd>,
 ) -> bool {
@@ -549,7 +630,8 @@ fn ingest(
 ///
 /// Any socket error other than `WouldBlock` (the connection should be
 /// closed).
-fn flush(conn: &mut Connection, id: u64, engine: &Arc<Engine>) -> std::io::Result<()> {
+// chk:reactor-thread
+fn flush<B: Backend>(conn: &mut Connection, id: u64, engine: &B) -> std::io::Result<()> {
     const NEWLINE: &[u8] = b"\n";
     loop {
         let mut iovecs: Vec<IoSlice<'_>> = Vec::new();
@@ -624,6 +706,7 @@ fn flush(conn: &mut Connection, id: u64, engine: &Arc<Engine>) -> std::io::Resul
 
 /// Re-registers the connection's epoll mask when it changed: `EPOLLOUT`
 /// only while a flush is blocked, `EPOLLIN` only while not paused.
+// chk:reactor-thread
 fn update_interest(epfd: i32, conn: &mut Connection, id: u64) {
     let mut want = EPOLLRDHUP;
     if !conn.paused && !conn.peer_closed {
@@ -638,6 +721,10 @@ fn update_interest(epfd: i32, conn: &mut Connection, id: u64) {
     }
 }
 
+// chk:reactor-thread
 fn drain_completions(completions: &Arc<OrderedMutex<Vec<Completion>>>) -> Vec<Completion> {
     std::mem::take(&mut *completions.lock().unwrap())
 }
+
+#[cfg(test)]
+mod protocols;

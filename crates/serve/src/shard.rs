@@ -28,20 +28,26 @@
 //! * **(a) Exactly-once delivery is structural.** Waiters enter a slot
 //!   only in [`ArtifactCache::lookup`] and leave it only when the slot
 //!   itself is ended — by [`ArtifactCache::finish`] (iff it is still the
-//!   caller's attempt) or [`ArtifactCache::take_expired`] /
-//!   [`ArtifactCache::drain_pending`] — all under the shard lock. Whoever
-//!   ends the slot gets the [`Waiters`]; everyone else gets nothing, so a
-//!   late result for an attempt the watchdog already answered is simply
-//!   dropped.
+//!   caller's attempt) or [`ArtifactCache::take_expired`] — all under
+//!   the shard lock. Whoever ends the slot gets the [`Ended`] attempt;
+//!   everyone else gets nothing, so a late result for an attempt the
+//!   watchdog already answered is simply dropped.
 //! * **(b) The ender accounts, then wakes.** The one caller whose call
 //!   removed the slot (worker, watchdog, shutdown drain, or a shedding
-//!   submitter) records the outcome — `clear_strikes`, `record_strike`,
-//!   the deadline counter — *before* [`Waiters::wake`], so a client that
-//!   retries the instant it sees `deadline_exceeded` already meets the
-//!   quarantine its failure tripped. Nobody else does any accounting.
+//!   submitter) runs the [`Ended`] it got back, and [`Ended::step`]
+//!   records the outcome — strikes cleared on success, one strike for an
+//!   outcome that [`Abort::strikes`] — *before* it runs the waiters, so a
+//!   client that retries the instant it sees `deadline_exceeded` already
+//!   meets the quarantine its failure tripped. Nobody else does any
+//!   accounting: which outcome strikes is decided here and nowhere else.
 //! * **(c) Waiters run with no lock held.** They re-enter the cache
 //!   (line-tier promotion) and the reactor's completion queue; running
 //!   them after release keeps the daemon's lock graph flat.
+//!
+//! Each of `lookup`, `finish`, `take_expired` (per shard),
+//! `quarantine_get` and `Ended::step` is one lock region at most, which
+//! is what lets `shard/protocols.rs` hand them to the schedule explorer
+//! as the steps of the attempt lifecycle, unmodified.
 //!
 //! **Exact-line tier:** the keyed tier still costs a parse + sanitize +
 //! fingerprint (~35 µs) before the probe. Repeated requests are usually
@@ -83,30 +89,70 @@ pub enum Abort {
     ShuttingDown,
 }
 
+impl Abort {
+    /// Whether an attempt ending this way counts toward its fingerprint's
+    /// quarantine: a panic or an expiry is the kernel's doing, a shed or a
+    /// shutdown is not.
+    pub fn strikes(self) -> bool {
+        matches!(self, Abort::Internal | Abort::DeadlineExceeded)
+    }
+}
+
 /// A request parked on an in-flight compile: called exactly once, with
 /// the attempt's outcome, on whichever thread ended the attempt.
 pub type Waiter = Box<dyn FnOnce(Result<Body, Abort>) + Send + 'static>;
 
-/// The waiters of one ended attempt, handed to the caller that ended it
-/// (invariant (a)): do the outcome's accounting, then [`Waiters::wake`].
+/// What a pending slot parks: the attempt's waiters and the structural
+/// fingerprint its outcome is accounted against.
 #[derive(Default)]
-pub struct Waiters {
+struct Waiters {
     fingerprint: Vec<u8>,
     waiters: Vec<Waiter>,
 }
 
-impl Waiters {
-    /// The structural fingerprint failures of this attempt strike.
-    pub fn fingerprint(&self) -> &[u8] {
-        &self.fingerprint
+/// One ended attempt, handed to the caller whose call ended it (invariant
+/// (a)). Running it is invariant (b): account for the outcome, then wake
+/// the waiters, with nothing held in between (invariant (c)).
+#[must_use = "an ended attempt's waiters stay parked until it is run"]
+pub struct Ended {
+    parked: Waiters,
+    outcome: Result<Body, Abort>,
+    accounted: bool,
+}
+
+impl Ended {
+    fn new(parked: Waiters, outcome: Result<Body, Abort>) -> Ended {
+        Ended {
+            parked,
+            outcome,
+            accounted: false,
+        }
     }
 
-    /// Runs every waiter with a clone of `outcome`. Call with no lock
-    /// held (invariant (c)).
-    pub fn wake(self, outcome: &Result<Body, Abort>) {
-        for w in self.waiters {
-            w(outcome.clone());
+    /// Does the next part of ending the attempt and says whether one is
+    /// left: the first call accounts for the outcome on the fingerprint's
+    /// shard (one lock region) and returns `true`; the second runs every
+    /// waiter with a clone of the outcome, no lock held, and returns
+    /// `false`.
+    pub fn step(&mut self, cache: &ArtifactCache) -> bool {
+        if !self.accounted {
+            self.accounted = true;
+            match self.outcome {
+                Ok(_) => cache.clear_strikes(&self.parked.fingerprint),
+                Err(abort) if abort.strikes() => cache.record_strike(&self.parked.fingerprint),
+                Err(_) => {}
+            }
+            return true;
         }
+        for w in std::mem::take(&mut self.parked.waiters) {
+            w(self.outcome.clone());
+        }
+        false
+    }
+
+    /// Accounts, then wakes.
+    pub fn run(mut self, cache: &ArtifactCache) {
+        while self.step(cache) {}
     }
 }
 
@@ -258,14 +304,14 @@ impl ShardInner {
         Some(waiters)
     }
 
-    /// Removes every slot pending for at least `age`.
-    fn take_expired(&mut self, age: Duration, out: &mut Vec<Waiters>) {
+    /// Ends every slot pending for at least `age` with `abort`.
+    fn take_expired(&mut self, age: Duration, abort: Abort, out: &mut Vec<Ended>) {
         if self.map.len() == self.ready {
             return;
         }
         self.map.retain(|_, slot| match slot {
             Slot::Pending(p) if p.started.elapsed() >= age => {
-                out.push(std::mem::take(&mut p.parked));
+                out.push(Ended::new(std::mem::take(&mut p.parked), Err(abort)));
                 false
             }
             _ => true,
@@ -283,6 +329,11 @@ pub struct ArtifactCache {
     shard_cap: usize,
     /// Entry capacity per shard for the line tier.
     line_cap: usize,
+    /// Consecutive strikes that quarantine a fingerprint; 0 disables the
+    /// breaker.
+    quarantine_threshold: u32,
+    /// The cached typed rejection a quarantined fingerprint serves.
+    rejection: Body,
     hits: AtomicU64,
     misses: AtomicU64,
     quarantine_hits: AtomicU64,
@@ -291,8 +342,11 @@ pub struct ArtifactCache {
 
 impl ArtifactCache {
     /// A cache bounded to `capacity` ready entries (at least 1) split
-    /// over `shards` shards (rounded up to a power of two, at least 1).
-    pub fn new(capacity: usize, shards: usize) -> Self {
+    /// over `shards` shards (rounded up to a power of two, at least 1),
+    /// whose circuit breaker quarantines a fingerprint behind `rejection`
+    /// after `quarantine_threshold` consecutive striking failures (0
+    /// disables it).
+    pub fn new(capacity: usize, shards: usize, quarantine_threshold: u32, rejection: Body) -> Self {
         let n = shards.max(1).next_power_of_two();
         let capacity = capacity.max(1);
         let shard_cap = capacity.div_ceil(n).max(1);
@@ -303,6 +357,8 @@ impl ArtifactCache {
             mask: (n - 1) as u64,
             shard_cap,
             line_cap: shard_cap,
+            quarantine_threshold,
+            rejection,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             quarantine_hits: AtomicU64::new(0),
@@ -347,28 +403,25 @@ impl ArtifactCache {
 
     /// Ends attempt `id` of `key` with `outcome`: iff the slot is still
     /// that attempt, an `Ok` body replaces it as a ready entry and an
-    /// `Err` removes it, and the attempt's waiters come back for the
-    /// caller to account for and wake. `None` means someone else already
-    /// ended the attempt (deadline, shutdown) and answered its waiters;
-    /// the late outcome must be dropped, accounting included.
-    pub fn finish(&self, key: &[u8], id: u64, outcome: &Result<Body, Abort>) -> Option<Waiters> {
+    /// `Err` removes it, and the attempt comes back [`Ended`] for the
+    /// caller to run. `None` means someone else already ended the attempt
+    /// (deadline, shutdown) and answered its waiters; the late outcome is
+    /// dropped, accounting included.
+    pub fn finish(&self, key: &[u8], id: u64, outcome: Result<Body, Abort>) -> Option<Ended> {
         let mut inner = self.shard(key).lock().unwrap();
-        inner.finish(key, id, outcome, self.shard_cap)
+        let parked = inner.finish(key, id, &outcome, self.shard_cap)?;
+        Some(Ended::new(parked, outcome))
     }
 
-    /// Ends every attempt pending for at least `deadline`, freeing its
-    /// key; the caller owns each returned attempt's outcome.
-    pub fn take_expired(&self, deadline: Duration) -> Vec<Waiters> {
+    /// Ends every attempt pending for at least `age` with `abort`,
+    /// freeing its key (the deadline scan; with a zero age, the shutdown
+    /// drain). The caller runs each returned attempt.
+    pub fn take_expired(&self, age: Duration, abort: Abort) -> Vec<Ended> {
         let mut taken = Vec::new();
         for shard in self.shards.iter() {
-            shard.lock().unwrap().take_expired(deadline, &mut taken);
+            shard.lock().unwrap().take_expired(age, abort, &mut taken);
         }
         taken
-    }
-
-    /// Ends every pending attempt (the shutdown drain).
-    pub fn drain_pending(&self) -> Vec<Waiters> {
-        self.take_expired(Duration::ZERO)
     }
 
     /// Probes the exact-line tier. A hit counts as a cache hit; a miss
@@ -410,55 +463,43 @@ impl ArtifactCache {
     }
 
     /// Records one failure (panic or deadline expiry) against a
-    /// fingerprint. At `threshold` consecutive failures the fingerprint
-    /// is quarantined behind `rejection()`'s body and `true` is returned;
-    /// a `threshold` of 0 disables the breaker. Strikes are
-    /// *consecutive*, not cumulative — [`ArtifactCache::clear_strikes`]
-    /// resets them on success, so a kernel that fails under transient
-    /// pressure but then compiles fine is never poisoned.
-    pub fn record_strike(
-        &self,
-        fingerprint: &[u8],
-        threshold: u32,
-        rejection: impl FnOnce() -> Body,
-    ) -> bool {
+    /// fingerprint; at the threshold the fingerprint is quarantined.
+    /// Strikes are *consecutive*, not cumulative — a success clears them,
+    /// so a kernel that fails under transient pressure but then compiles
+    /// fine is never poisoned. Only [`Ended::step`] calls this.
+    fn record_strike(&self, fingerprint: &[u8]) {
+        let threshold = self.quarantine_threshold;
         if threshold == 0 {
-            return false;
+            return;
         }
-        let quarantined = {
-            let mut inner = self.shard(fingerprint).lock().unwrap();
-            if inner.quarantined.contains_key(fingerprint) {
-                return false; // already poisoned; nothing new to record
-            }
-            let strikes = inner.strikes.entry(fingerprint.to_vec()).or_insert(0);
-            *strikes += 1;
-            if *strikes < threshold {
-                false
-            } else {
-                inner.strikes.remove(fingerprint);
-                // The strike and quarantine maps are bounded the same
-                // generational way as the ready tier: a pathological
-                // *stream* of distinct failing fingerprints must not
-                // grow without bound.
-                if inner.quarantined.len() >= self.shard_cap {
-                    inner.quarantined.clear();
-                }
-                if inner.strikes.len() >= self.shard_cap {
-                    inner.strikes.clear();
-                }
-                inner.quarantined.insert(fingerprint.to_vec(), rejection());
-                true
-            }
-        };
-        if quarantined {
-            self.quarantined_total.fetch_add(1, Ordering::Relaxed);
+        let mut inner = self.shard(fingerprint).lock().unwrap();
+        if inner.quarantined.contains_key(fingerprint) {
+            return; // already poisoned; nothing new to record
         }
-        quarantined
+        let strikes = inner.strikes.entry(fingerprint.to_vec()).or_insert(0);
+        *strikes += 1;
+        if *strikes < threshold {
+            return;
+        }
+        inner.strikes.remove(fingerprint);
+        // The strike and quarantine maps are bounded the same
+        // generational way as the ready tier: a pathological *stream* of
+        // distinct failing fingerprints must not grow without bound.
+        if inner.quarantined.len() >= self.shard_cap {
+            inner.quarantined.clear();
+        }
+        if inner.strikes.len() >= self.shard_cap {
+            inner.strikes.clear();
+        }
+        let rejection = Arc::clone(&self.rejection);
+        inner.quarantined.insert(fingerprint.to_vec(), rejection);
+        drop(inner);
+        self.quarantined_total.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Clears a fingerprint's consecutive-failure strikes after a
-    /// successful compile.
-    pub fn clear_strikes(&self, fingerprint: &[u8]) {
+    /// successful compile. Only [`Ended::step`] calls this.
+    fn clear_strikes(&self, fingerprint: &[u8]) {
         let mut inner = self.shard(fingerprint).lock().unwrap();
         inner.strikes.remove(fingerprint);
     }
@@ -494,6 +535,9 @@ impl ArtifactCache {
 }
 
 #[cfg(test)]
+pub(crate) mod protocols;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::mpsc::{channel, Receiver};
@@ -503,6 +547,15 @@ mod tests {
 
     fn body(s: &str) -> Body {
         Arc::from(s.as_bytes())
+    }
+
+    /// A cache whose breaker trips at `threshold` behind `"poison"`.
+    fn breaker(capacity: usize, shards: usize, threshold: u32) -> ArtifactCache {
+        ArtifactCache::new(capacity, shards, threshold, body("poison"))
+    }
+
+    fn cache(capacity: usize, shards: usize) -> ArtifactCache {
+        breaker(capacity, shards, 3)
     }
 
     /// A waiter that forwards what it receives down a channel.
@@ -532,11 +585,11 @@ mod tests {
         }
     }
 
-    /// Ends an attempt the way its owner does: finish, then wake.
+    /// Ends an attempt the way its owner does: finish, then run.
     fn end(c: &ArtifactCache, key: &[u8], id: u64, outcome: Outcome) {
-        c.finish(key, id, &outcome)
+        c.finish(key, id, outcome)
             .expect("attempt still pending")
-            .wake(&outcome);
+            .run(c);
     }
 
     fn publish(c: &ArtifactCache, key: &[u8], s: &str) {
@@ -553,7 +606,7 @@ mod tests {
 
     #[test]
     fn leader_then_hits() {
-        let c = ArtifactCache::new(8, 1);
+        let c = cache(8, 1);
         let (id, rx) = lead(&c, b"k1");
         assert!(rx.try_recv().is_err(), "must not run early");
         end(&c, b"k1", id, Ok(body("resp")));
@@ -565,7 +618,7 @@ mod tests {
 
     #[test]
     fn joiners_share_the_leaders_attempt() {
-        let c = Arc::new(ArtifactCache::new(8, 4));
+        let c = Arc::new(cache(8, 4));
         let (id, _rx) = lead(&c, b"k");
         let mut joins = Vec::new();
         for _ in 0..4 {
@@ -590,7 +643,7 @@ mod tests {
 
     #[test]
     fn failed_attempt_wakes_joiners_and_frees_the_key() {
-        let c = ArtifactCache::new(8, 2);
+        let c = cache(8, 2);
         let (id, leader) = lead(&c, b"k");
         let joiner = join(&c, b"k");
         end(&c, b"k", id, Err(Abort::Overloaded));
@@ -603,12 +656,12 @@ mod tests {
 
     #[test]
     fn late_finish_of_an_expired_attempt_is_dropped() {
-        let c = ArtifactCache::new(8, 1);
+        let c = cache(8, 1);
         let (old, old_rx) = lead(&c, b"k");
-        let expired = c.take_expired(Duration::ZERO);
+        let expired = c.take_expired(Duration::ZERO, Abort::DeadlineExceeded);
         assert_eq!(expired.len(), 1);
-        for w in expired {
-            w.wake(&Err(Abort::DeadlineExceeded));
+        for ended in expired {
+            ended.run(&c);
         }
         assert_eq!(old_rx.recv().unwrap().unwrap_err(), Abort::DeadlineExceeded);
         // A newer attempt of the same key, with a joiner.
@@ -616,7 +669,7 @@ mod tests {
         let joiner = join(&c, b"k");
         assert_ne!(old, new);
         // The expired attempt's compile finally returns: not its slot.
-        assert!(c.finish(b"k", old, &Ok(body("stale"))).is_none());
+        assert!(c.finish(b"k", old, Ok(body("stale"))).is_none());
         assert!(new_rx.try_recv().is_err(), "newer waiters stay parked");
         assert!(joiner.try_recv().is_err(), "newer waiters stay parked");
         assert_eq!(c.stats().inflight, 1);
@@ -624,38 +677,40 @@ mod tests {
         assert_eq!(&*new_rx.recv().unwrap().unwrap(), b"fresh");
         assert_eq!(&*joiner.recv().unwrap().unwrap(), b"fresh");
         assert!(old_rx.try_recv().is_err(), "answered exactly once");
-        assert!(c.finish(b"k", new, &Ok(body("twice"))).is_none());
+        assert!(c.finish(b"k", new, Ok(body("twice"))).is_none());
         assert_eq!(&*hit(&c, b"k"), b"fresh");
     }
 
     #[test]
-    fn take_expired_and_drain_end_only_pending_slots() {
-        let c = ArtifactCache::new(8, 2);
+    fn take_expired_ends_only_pending_slots_of_that_age() {
+        let c = cache(8, 2);
         publish(&c, b"ready", "r");
         let (_, young) = lead(&c, b"young");
-        assert!(c.take_expired(Duration::from_secs(3600)).is_empty());
+        let hour = Duration::from_secs(3600);
+        assert!(c.take_expired(hour, Abort::DeadlineExceeded).is_empty());
         let st = c.stats();
         assert_eq!((st.entries, st.inflight), (1, 1));
         let (_, other) = lead(&c, b"other");
-        let drained = c.drain_pending();
+        let drain = || c.take_expired(Duration::ZERO, Abort::ShuttingDown);
+        let drained = drain();
         assert_eq!(drained.len(), 2);
         let st = c.stats();
         assert_eq!((st.entries, st.inflight), (1, 0));
-        for w in drained {
-            assert_eq!(w.fingerprint(), b"fp");
-            w.wake(&Err(Abort::ShuttingDown));
+        for ended in drained {
+            assert_eq!(ended.parked.fingerprint, b"fp");
+            ended.run(&c);
         }
         for rx in [young, other] {
             assert_eq!(rx.recv().unwrap().unwrap_err(), Abort::ShuttingDown);
         }
         assert_eq!(&*hit(&c, b"ready"), b"r");
-        assert!(c.drain_pending().is_empty());
+        assert!(drain().is_empty());
     }
 
     #[test]
     fn generational_eviction_retains_pending() {
         // One shard so the eviction arithmetic is deterministic.
-        let c = ArtifactCache::new(2, 1);
+        let c = cache(2, 1);
         publish(&c, b"a", "x");
         publish(&c, b"b", "x");
         let (pending, _rx) = lead(&c, b"inflight");
@@ -672,7 +727,7 @@ mod tests {
 
     #[test]
     fn line_tier_hits_skip_the_keyed_tier() {
-        let c = ArtifactCache::new(8, 2);
+        let c = cache(8, 2);
         assert!(c.line_get("{\"op\":\"compile\"}").is_none());
         let b = body("artifact");
         c.line_put("{\"op\":\"compile\"}", &b);
@@ -685,7 +740,7 @@ mod tests {
 
     #[test]
     fn line_tier_is_bounded_per_shard() {
-        let c = ArtifactCache::new(4, 1);
+        let c = cache(4, 1);
         for i in 0..64 {
             let line = format!("line-{i}");
             c.line_put(&line, &body("x"));
@@ -695,26 +750,26 @@ mod tests {
 
     #[test]
     fn shard_count_rounds_to_pow2() {
-        assert_eq!(ArtifactCache::new(16, 3).shard_count(), 4);
-        assert_eq!(ArtifactCache::new(16, 0).shard_count(), 1);
-        assert_eq!(ArtifactCache::new(16, 8).shard_count(), 8);
+        assert_eq!(cache(16, 3).shard_count(), 4);
+        assert_eq!(cache(16, 0).shard_count(), 1);
+        assert_eq!(cache(16, 8).shard_count(), 8);
     }
 
     #[test]
     fn strikes_quarantine_at_threshold_and_reset_on_success() {
-        let c = ArtifactCache::new(8, 2);
+        let c = breaker(8, 2, 3);
         let fp = b"bad-kernel";
-        assert!(!c.record_strike(fp, 3, || body("poison")));
-        assert!(!c.record_strike(fp, 3, || body("poison")));
+        c.record_strike(fp);
+        c.record_strike(fp);
         // A success between failures resets the consecutive count.
         c.clear_strikes(fp);
-        assert!(!c.record_strike(fp, 3, || body("poison")));
-        assert!(!c.record_strike(fp, 3, || body("poison")));
+        c.record_strike(fp);
+        c.record_strike(fp);
         assert!(c.quarantine_get(fp).is_none());
-        assert!(c.record_strike(fp, 3, || body("poison")));
+        c.record_strike(fp);
         assert_eq!(&*c.quarantine_get(fp).expect("quarantined"), b"poison");
         // Further strikes against a quarantined fingerprint are no-ops.
-        assert!(!c.record_strike(fp, 3, || body("other")));
+        c.record_strike(fp);
         let st = c.stats();
         assert_eq!(st.quarantined, 1);
         assert_eq!(st.quarantined_total, 1);
@@ -722,10 +777,50 @@ mod tests {
     }
 
     #[test]
+    fn only_panics_and_expiries_strike() {
+        let c = breaker(8, 1, 1);
+        for abort in [Abort::Overloaded, Abort::ShuttingDown] {
+            let (id, _rx) = lead(&c, b"k");
+            end(&c, b"k", id, Err(abort));
+            assert!(c.quarantine_get(b"fp").is_none(), "{abort:?} struck");
+        }
+        let (_, _rx) = lead(&c, b"k");
+        for ended in c.take_expired(Duration::ZERO, Abort::DeadlineExceeded) {
+            ended.run(&c);
+        }
+        assert!(c.quarantine_get(b"fp").is_some(), "an expiry strikes");
+    }
+
+    #[test]
+    fn ended_accounts_on_the_fingerprints_shard_then_wakes() {
+        // The key and the fingerprint hash to different shards: the slot
+        // lives with the key, the strike with the fingerprint.
+        let c = breaker(8, 2, 1);
+        let (key, fp) = (b"key".as_slice(), b"fp".as_slice());
+        let (waiter, rx) = probe();
+        let Lookup::Lead(id) = c.lookup(key, fp, || waiter) else {
+            panic!("fresh key leads");
+        };
+        let mut ended = c.finish(key, id, Err(Abort::Internal)).expect("pending");
+        assert!(rx.try_recv().is_err(), "finish alone wakes nobody");
+        assert!(
+            ended.step(&c),
+            "the first step accounts and leaves the wake"
+        );
+        assert!(rx.try_recv().is_err(), "accounting wakes nobody");
+        let quarantined = |bytes: &[u8]| c.shard(bytes).lock().unwrap().quarantined.len();
+        assert_eq!((quarantined(fp), quarantined(key)), (1, 0));
+        assert!(!ended.step(&c), "the second step wakes and is the last");
+        assert_eq!(rx.recv().unwrap().unwrap_err(), Abort::Internal);
+        assert!(!ended.step(&c), "nothing left to do");
+        assert!(rx.try_recv().is_err(), "answered exactly once");
+    }
+
+    #[test]
     fn zero_threshold_disables_the_breaker() {
-        let c = ArtifactCache::new(8, 1);
+        let c = breaker(8, 1, 0);
         for _ in 0..32 {
-            assert!(!c.record_strike(b"fp", 0, || body("poison")));
+            c.record_strike(b"fp");
         }
         assert!(c.quarantine_get(b"fp").is_none());
         assert_eq!(c.stats().quarantined_total, 0);
@@ -737,12 +832,12 @@ mod tests {
         // fingerprint clears the tier generationally. An evicted
         // fingerprint must fall back to a normal compile lead, not get a
         // stale rejection or a dangling strike count.
-        let c = ArtifactCache::new(2, 1);
+        let c = breaker(2, 1, 1);
         for fp in [b"p1".as_slice(), b"p2"] {
-            assert!(c.record_strike(fp, 1, || body("poison")));
+            c.record_strike(fp);
             assert!(c.quarantine_get(fp).is_some());
         }
-        assert!(c.record_strike(b"p3", 1, || body("poison")));
+        c.record_strike(b"p3");
         // p1/p2 were swept by the generational clear; p3 is resident.
         assert!(c.quarantine_get(b"p1").is_none());
         assert!(c.quarantine_get(b"p3").is_some());
@@ -756,7 +851,7 @@ mod tests {
 
     #[test]
     fn keys_disperse_across_shards() {
-        let c = ArtifactCache::new(1024, 8);
+        let c = cache(1024, 8);
         for i in 0..256u32 {
             publish(&c, &i.to_le_bytes(), "x");
         }

@@ -1,15 +1,14 @@
 //! Property test: the real sharded cache's single-flight protocol
-//! (`shard.rs` lookup/finish) agrees with the `chk` protocol model's
-//! slot semantics (`polyufc_chk::models::single_flight`: a key is Empty,
-//! Pending with queued waiters, or Ready) on randomized operation
-//! sequences.
+//! (`shard.rs` lookup/finish) agrees with a sequential reference slot
+//! machine (a key is Empty, Pending with queued waiters, or Ready) on
+//! randomized operation sequences.
 //!
-//! The schedule explorer checks the model against *interleavings*; this
-//! test checks the model against the *implementation*: for every random
-//! op sequence, the cache must classify lookups exactly as the reference
-//! slot machine does, deliver every waiter exactly one result, and
-//! deliver the result the reference predicts. A double completion, lost
-//! waiter, or slot misclassification fails the property.
+//! The schedule explorer (`src/shard/protocols.rs`) checks the same code
+//! under *interleavings*; this test checks it against an independent
+//! *reference*: for every random op sequence, the cache must classify
+//! lookups exactly as the reference does, deliver every waiter exactly
+//! one result, and deliver the result the reference predicts. A double
+//! completion, lost waiter, or slot misclassification fails the property.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -19,7 +18,7 @@ use proptest::prelude::*;
 
 use polyufc_serve::{Abort, ArtifactCache, Body, Lookup, Waiter};
 
-/// Reference slot state, mirroring `chk::models::single_flight::Slot`.
+/// Reference slot state.
 enum RefSlot {
     Pending { attempt: u64, waiters: Vec<usize> },
     Ready(Vec<u8>),
@@ -69,13 +68,13 @@ fn run_sequence(ops: &[Op]) -> Result<(), String> {
     // One shard forces every key through the same lock, the worst case
     // for slot-state confusion; capacity high enough that eviction never
     // interferes with the reference (eviction is a separate concern).
-    let cache = ArtifactCache::new(1024, 1);
+    let cache = ArtifactCache::new(1024, 1, 0, Arc::from(&b""[..]));
     let mut reference: HashMap<u8, RefSlot> = HashMap::new();
     let mut observers: Vec<Arc<Observed>> = Vec::new();
     // What the reference expects each waiter to eventually receive.
     let mut expected: Vec<Result<Vec<u8>, Abort>> = Vec::new();
 
-    // Ends a pending attempt the way its owner does — finish, then wake —
+    // Ends a pending attempt the way its owner does — finish, then run —
     // and records what the reference says its waiters must receive.
     let end = |k: u8,
                attempt: u64,
@@ -83,10 +82,10 @@ fn run_sequence(ops: &[Op]) -> Result<(), String> {
                outcome: Result<Body, Abort>,
                expected: &mut Vec<Result<Vec<u8>, Abort>>|
      -> Result<(), String> {
-        let parked = cache
-            .finish(&[k], attempt, &outcome)
-            .ok_or_else(|| format!("key {k}: the pending attempt was not the leader's"))?;
-        parked.wake(&outcome);
+        cache
+            .finish(&[k], attempt, outcome.clone())
+            .ok_or_else(|| format!("key {k}: the pending attempt was not the leader's"))?
+            .run(&cache);
         for id in waiters {
             expected[id] = outcome.clone().map(|b| b.to_vec());
         }
@@ -173,8 +172,8 @@ fn run_sequence(ops: &[Op]) -> Result<(), String> {
             }
         }
     }
-    for parked in cache.drain_pending() {
-        parked.wake(&Err(Abort::ShuttingDown));
+    for ended in cache.take_expired(std::time::Duration::ZERO, Abort::ShuttingDown) {
+        ended.run(&cache);
     }
 
     // Every waiter completed exactly once with the predicted result.
