@@ -67,16 +67,12 @@ use polyufc_presburger::Context;
 
 /// Drives the pass pipeline over a program.
 #[derive(Debug, Clone, Default)]
-pub struct Analyzer {
-    /// Skip the race pass (used by callers that have already sanitized
-    /// or re-derived the parallel flags themselves).
-    pub skip_races: bool,
-}
+pub struct Analyzer;
 
 impl Analyzer {
     /// An analyzer running all structural and polyhedral passes.
     pub fn new() -> Self {
-        Analyzer::default()
+        Analyzer
     }
 
     /// Runs the structural, bounds, and race passes.
@@ -105,11 +101,9 @@ impl Analyzer {
             let t = Instant::now();
             diagnostics.extend(bounds::check_kernel_in(program, kernel, ctx));
             stats.bounds_us += t.elapsed().as_micros() as u64;
-            if !self.skip_races {
-                let t = Instant::now();
-                diagnostics.extend(races::check_kernel_in(program, kernel, ctx));
-                stats.races_us += t.elapsed().as_micros() as u64;
-            }
+            let t = Instant::now();
+            diagnostics.extend(races::check_kernel_in(program, kernel, ctx));
+            stats.races_us += t.elapsed().as_micros() as u64;
         }
         stats.emptiness_batches = ctx.batches();
         stats.emptiness_checks = ctx.checks();

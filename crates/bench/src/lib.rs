@@ -85,17 +85,6 @@ impl Eval {
         }
     }
 
-    /// Relative time improvement of the capped run vs. baseline
-    /// (positive = faster).
-    pub fn time_improvement(&self) -> f64 {
-        1.0 - self.capped.time_s / self.baseline.time_s
-    }
-
-    /// Relative energy improvement (positive = less energy).
-    pub fn energy_improvement(&self) -> f64 {
-        1.0 - self.capped.energy.total() / self.baseline.energy.total()
-    }
-
     /// Relative EDP improvement (positive = better).
     pub fn edp_improvement(&self) -> f64 {
         1.0 - self.capped.edp() / self.baseline.edp()

@@ -26,9 +26,6 @@
 //! domains; nested-consistent representative iterators stand in for fixed
 //! outer dimensions, mirroring the paper's duplicate-elimination
 //! approximation that trades exactness for compile time (Sec. VIII).
-//!
-//! Set `POLYUFC_CM_DEBUG=1` to trace per-reference fit levels, footprints
-//! and miss estimates to stderr.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -85,15 +82,6 @@ impl LevelStats {
             0.0
         } else {
             self.hits / self.accesses
-        }
-    }
-
-    /// Miss ratio `ρ^m` at this level.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses <= 0.0 {
-            0.0
-        } else {
-            self.misses / self.accesses
         }
     }
 }
@@ -343,7 +331,6 @@ impl CacheModel {
         }
 
         // Per-level analysis.
-        let debug = std::env::var("POLYUFC_CM_DEBUG").is_ok();
         let mut levels = Vec::with_capacity(self.hierarchy.n_levels());
         let mut prev_misses = total_accesses;
         for lc in &self.hierarchy.levels {
@@ -411,12 +398,6 @@ impl CacheModel {
                     outer_count = outer_count.max(1.0);
                     (outer_count * body.lines).max(cold_r)
                 };
-                if debug {
-                    eprintln!(
-                        "  ref arr{} coeffs {:?} relevant {:?}: fit {} body {:.3e} cold {:.3e} -> m {:.3e}",
-                        r.array, r.coeffs, r.relevant, fit_level, body.lines, cold_r, m
-                    );
-                }
                 misses += m;
             }
             misses = misses.max(cold_lines).min(prev_misses);

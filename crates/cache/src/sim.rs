@@ -69,17 +69,6 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Bytes moved between LLC and DRAM for fills (`Q_DRAM` in the paper's
-    /// `Miss_LLC · ℓ` sense).
-    pub fn dram_fill_bytes(&self, line_bytes: u64) -> u64 {
-        self.dram_line_fills * line_bytes
-    }
-
-    /// Total DRAM traffic including writebacks.
-    pub fn dram_total_bytes(&self, line_bytes: u64) -> u64 {
-        (self.dram_line_fills + self.dram_writebacks) * line_bytes
-    }
-
     /// Hit ratio of level `i` (hits / accesses reaching that level).
     pub fn hit_ratio(&self, level: usize) -> f64 {
         let a = self.hits[level] + self.misses[level];

@@ -40,6 +40,6 @@ pub use characterize::{characterize_kernel, Boundedness, Characterization};
 pub use mlpolyufc::{CapGranularity, MlPolyUfc, PhaseReport};
 pub use model::ParametricModel;
 pub use pipeline::{
-    CharacterizedProgram, CompileReport, CompileSession, Error, Pipeline, PipelineOutput,
+    CharacterizedProgram, CompileReport, CompileSession, Error, Finished, Pipeline, PipelineOutput,
 };
 pub use search::{search_cap, Objective, SearchResult};

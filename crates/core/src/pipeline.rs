@@ -161,6 +161,20 @@ pub struct CharacterizedProgram {
     pub report: CompileReport,
 }
 
+/// What stages 4–6 add to a [`CharacterizedProgram`].
+#[derive(Debug)]
+pub struct Finished {
+    /// Per-kernel search outcomes.
+    pub search: Vec<SearchResult>,
+    /// Chosen caps in GHz, per kernel.
+    pub caps_ghz: Vec<f64>,
+    /// The final scf program with embedded caps.
+    pub scf: ScfProgram,
+    /// Search and code-generation time: the share of `steps_4_6_us` the
+    /// prefix's report does not yet hold.
+    pub elapsed_us: u128,
+}
+
 /// Everything the pipeline produces for one input program.
 #[derive(Debug)]
 pub struct PipelineOutput {
@@ -385,7 +399,7 @@ impl Pipeline {
                     // fall back to a compulsory-miss estimate; the cap is
                     // reset to the maximum below.
                     fallback_kernels.push(k.name.clone());
-                    fallback_stats(&optimized, k, self.platform.hierarchy.n_levels())
+                    fallback_stats(&optimized, k, &self.platform.hierarchy)
                 }
                 Err(e) => return Err(e.into()),
             };
@@ -447,13 +461,30 @@ impl Pipeline {
     /// cached prefix must use a pipeline whose platform and associativity
     /// mode match the one that characterized it.
     pub fn finish_characterized(&self, ch: CharacterizedProgram) -> PipelineOutput {
-        let CharacterizedProgram {
-            optimized,
-            cache_stats,
-            characterizations,
-            pluto_report,
-            mut report,
-        } = ch;
+        let Finished {
+            search,
+            caps_ghz,
+            scf,
+            elapsed_us,
+        } = self.finish(&ch);
+        let mut report = ch.report;
+        report.steps_4_6_us += elapsed_us;
+        PipelineOutput {
+            optimized: ch.optimized,
+            scf,
+            cache_stats: ch.cache_stats,
+            characterizations: ch.characterizations,
+            search,
+            caps_ghz,
+            report,
+            pluto_report: ch.pluto_report,
+        }
+    }
+
+    /// [`Pipeline::finish_characterized`] on a borrow: the prefix stays
+    /// with its owner (the serve daemon's per-worker cache) and only what
+    /// stages 4–6 add comes back.
+    pub fn finish(&self, ch: &CharacterizedProgram) -> Finished {
         let t3 = Instant::now();
         let freqs = self.platform.uncore_freqs();
         let conc = self.platform.cores as f64;
@@ -466,9 +497,13 @@ impl Pipeline {
         let mut current = self.platform.uncore_max_ghz;
         // Membership probe built once: the per-kernel `Vec::contains` scan
         // was O(kernels²) on ML graphs with hundreds of kernels.
-        let fallback_set: std::collections::HashSet<&str> =
-            report.fallback_kernels.iter().map(String::as_str).collect();
-        for (k, st) in optimized.kernels.iter().zip(&cache_stats) {
+        let fallback_set: std::collections::HashSet<&str> = ch
+            .report
+            .fallback_kernels
+            .iter()
+            .map(String::as_str)
+            .collect();
+        for (k, st) in ch.optimized.kernels.iter().zip(&ch.cache_stats) {
             let pm = ParametricModel::new(&self.roofline, st, k.outer_parallel().is_some(), conc);
             let mut res = search_cap(&pm, &freqs, self.objective, self.epsilon);
             if fallback_set.contains(k.name.as_str()) {
@@ -491,24 +526,18 @@ impl Pipeline {
             search.push(res);
         }
         let plan = CapPlan::from_ghz(
-            optimized
+            ch.optimized
                 .kernels
                 .iter()
                 .zip(&caps_ghz)
                 .map(|(k, &f)| (k.name.clone(), f)),
         );
-        let scf = remove_redundant_caps(&insert_caps(&optimized, &plan));
-        report.steps_4_6_us += t3.elapsed().as_micros();
-
-        PipelineOutput {
-            optimized,
-            scf,
-            cache_stats,
-            characterizations,
+        let scf = remove_redundant_caps(&insert_caps(&ch.optimized, &plan));
+        Finished {
             search,
             caps_ghz,
-            report,
-            pluto_report,
+            scf,
+            elapsed_us: t3.elapsed().as_micros(),
         }
     }
 
@@ -556,12 +585,14 @@ impl Pipeline {
 
 /// Conservative per-kernel statistics used when the full PolyUFC-CM
 /// analysis exceeds its solver budget: trip counts from interval bounds,
-/// compulsory misses assumed equal to the touched arrays' footprints.
+/// compulsory misses assumed equal to the touched arrays' footprints,
+/// in lines of the hierarchy's own size (as PolyUFC-CM counts them).
 fn fallback_stats(
     program: &AffineProgram,
     kernel: &polyufc_ir::affine::AffineKernel,
-    n_levels: usize,
+    hierarchy: &polyufc_cache::CacheHierarchy,
 ) -> KernelCacheStats {
+    let (n_levels, line) = (hierarchy.n_levels(), hierarchy.line_bytes() as f64);
     let mut points = 1.0f64;
     if let Ok(Some(iv)) = kernel.domain().basics()[0].var_intervals() {
         for bounds in iv.iter().take(kernel.depth()) {
@@ -586,7 +617,7 @@ fn fallback_stats(
         .iter()
         .map(|&a| program.arrays[a].size_bytes() as f64)
         .sum();
-    let cold_lines = (cold_bytes / 64.0).ceil();
+    let cold_lines = (cold_bytes / line).ceil();
     let total_accesses = points * per_point_accesses;
     let mut levels = Vec::with_capacity(n_levels);
     let mut prev = total_accesses;
@@ -603,7 +634,7 @@ fn fallback_stats(
     KernelCacheStats {
         levels,
         cold_lines,
-        q_dram_bytes: cold_lines * 64.0,
+        q_dram_bytes: cold_lines * line,
         flops: points * per_point_flops,
         total_accesses,
     }
@@ -685,6 +716,26 @@ mod tests {
             crate::characterize::Boundedness::BandwidthBound
         );
         assert!(out.caps_ghz[0] >= 2.0, "BB cap {}", out.caps_ghz[0]);
+    }
+
+    #[test]
+    fn fallback_stats_count_lines_of_the_hierarchys_size() {
+        // gemm(32) touches three 8 KiB arrays: 24 KiB cold.
+        let p = matmul_program(32);
+        let hierarchy = |line_bytes| {
+            polyufc_cache::CacheHierarchy::new(vec![polyufc_cache::CacheLevelConfig {
+                size_bytes: 32 << 10,
+                line_bytes,
+                assoc: 8,
+                shared: false,
+            }])
+        };
+        for (line_bytes, lines) in [(64, 384.0), (128, 192.0)] {
+            let st = fallback_stats(&p, &p.kernels[0], &hierarchy(line_bytes));
+            assert_eq!(st.cold_lines, lines, "{line_bytes}-byte lines");
+            assert_eq!(st.levels[0].misses, lines);
+            assert_eq!(st.q_dram_bytes, 24.0 * 1024.0);
+        }
     }
 
     #[test]

@@ -271,12 +271,6 @@ impl<'e> GuardedCapRuntime<'e> {
         }
     }
 
-    /// Replaces the guard configuration (builder style).
-    pub fn with_config(mut self, config: GuardConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Runs an scf program with guarded cap application.
     ///
     /// `predictions` holds the static model's per-kernel expectations at

@@ -8,8 +8,6 @@
 //! also exposes the max-frequency knob that PolyUFC's generated
 //! `set_uncore_cap` calls write to.
 
-use polyufc_ir::scf::ScfProgram;
-
 use crate::exec::{ExecutionEngine, KernelCounters, RunResult};
 
 /// The baseline driver.
@@ -52,17 +50,6 @@ impl UfsDriver {
             uncore_ghz: f,
             guard: None,
         }
-    }
-
-    /// Convenience: baseline run of an scf program (caps ignored — the
-    /// stock driver does not receive them).
-    pub fn run_baseline_scf(
-        &self,
-        engine: &ExecutionEngine,
-        _scf: &ScfProgram,
-        counters: &[KernelCounters],
-    ) -> RunResult {
-        self.run_baseline(engine, counters)
     }
 }
 

@@ -9,15 +9,14 @@ use crate::deps::analyze_kernel;
 use crate::transform::{skew_loop, tile_kernel};
 
 /// Configuration of the optimizer. Defaults match the paper's baseline:
-/// Pluto v0.11.4 with tile size 32, tiling and parallelization on.
+/// Pluto v0.11.4 with tile size 32 and tiling on (parallel loops are
+/// always marked).
 #[derive(Debug, Clone)]
 pub struct PlutoOptimizer {
     /// Rectangular tile size.
     pub tile_size: i64,
     /// Whether to tile permutable bands.
     pub enable_tiling: bool,
-    /// Whether to mark parallel loops.
-    pub enable_parallel: bool,
     /// Skip tiling for kernels whose iteration domain is smaller than
     /// this (tiling tiny kernels only adds loop overhead).
     pub min_points_to_tile: i128,
@@ -28,7 +27,6 @@ impl Default for PlutoOptimizer {
         PlutoOptimizer {
             tile_size: 32,
             enable_tiling: true,
-            enable_parallel: true,
             min_points_to_tile: 4096,
         }
     }
@@ -57,13 +55,6 @@ pub struct KernelDecision {
 pub struct PlutoReport {
     /// One decision per kernel, in program order.
     pub decisions: Vec<KernelDecision>,
-}
-
-impl PlutoReport {
-    /// Total optimizer time in microseconds.
-    pub fn total_micros(&self) -> u128 {
-        self.decisions.iter().map(|d| d.micros).sum()
-    }
 }
 
 impl PlutoOptimizer {
@@ -119,9 +110,7 @@ impl PlutoOptimizer {
         }
 
         // Mark parallel loops on the (possibly skewed) kernel.
-        let parallel: Vec<bool> = (0..k.depth())
-            .map(|d| self.enable_parallel && deps.loop_parallel(d))
-            .collect();
+        let parallel: Vec<bool> = (0..k.depth()).map(|d| deps.loop_parallel(d)).collect();
         for (l, &p) in k.loops.iter_mut().zip(&parallel) {
             l.parallel = p;
         }

@@ -129,14 +129,6 @@ impl BasicSet {
         idx
     }
 
-    /// Introduces an undetermined existential variable and returns its
-    /// index. Negation-based operations will refuse sets containing these.
-    pub fn add_undetermined_div(&mut self) -> usize {
-        let idx = self.n_total();
-        self.divs.push(Div { def: None });
-        idx
-    }
-
     /// Appends a div without adding defining constraints (used by
     /// subtraction and composition, which add constraints explicitly).
     pub(crate) fn push_div_raw(&mut self, d: Div) {

@@ -128,17 +128,6 @@ impl LinExpr {
         acc
     }
 
-    /// Evaluates with partial values: variables at indices `>= values.len()`
-    /// or whose entry is `None` stay symbolic; returns `None` if any such
-    /// variable has a nonzero coefficient.
-    pub fn eval_partial(&self, values: &[Option<i64>]) -> Option<i64> {
-        let mut acc = self.constant;
-        for (i, c) in self.terms() {
-            acc += c * (*values.get(i)?)?;
-        }
-        Some(acc)
-    }
-
     /// Substitutes variable `idx` with the given expression, returning the
     /// resulting expression.
     pub fn substitute(&self, idx: usize, replacement: &LinExpr) -> LinExpr {

@@ -74,11 +74,6 @@ impl Set {
         &self.basics
     }
 
-    /// Number of disjuncts.
-    pub fn n_basic(&self) -> usize {
-        self.basics.len()
-    }
-
     /// Whether all disjuncts have determined divs (negation is sound).
     pub fn all_divs_determined(&self) -> bool {
         self.basics.iter().all(BasicSet::all_divs_determined)

@@ -246,7 +246,7 @@ impl ChaosPlan {
     }
 
     /// The fault (if any) to apply to one compile, keyed by the
-    /// request's structural fingerprint and a per-fingerprint attempt
+    /// request's prefix key (its fingerprint) and a per-fingerprint attempt
     /// counter — retry N of the same kernel draws independently from
     /// retry N+1, so a hang on the first attempt does not doom every
     /// retry.

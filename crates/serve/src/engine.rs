@@ -5,9 +5,11 @@
 //! The split of one compile request across threads is deliberate:
 //!
 //! * the **reactor thread** probes the exact-line response tier, parses
-//!   and sanitizes the kernel source, and derives the artifact key —
-//!   cheap, and it lets a cache hit complete without ever touching the
-//!   pool;
+//!   the request's JSON, builds both keys from the request as sent
+//!   ([`CompileRequest::keys`]) and probes the quarantine and artifact
+//!   tiers — a cache hit completes without parsing the kernel source or
+//!   touching the pool; only a miss is [`prepare`]d (source parsed and
+//!   sanitized) before it leads or joins a compile;
 //! * a **worker thread** (with its persistent [`CompileSession`] and a
 //!   per-worker characterization-prefix cache) runs the expensive
 //!   pipeline only when the key missed, and only once per key no matter
@@ -29,10 +31,10 @@
 //! that read `epsilon`/`objective` — POLYUFC-SEARCH and code generation
 //! — cost ~15 µs. Each worker therefore caches
 //! [`CharacterizedProgram`] prefixes keyed on (platform, assoc,
-//! program): a request differing only in search parameters re-runs only
-//! [`Pipeline::finish_characterized`]. Responses stay byte-identical by
-//! construction — the prefix is exactly the pipeline's own stage-1–3
-//! output.
+//! source): a request differing only in search parameters re-runs only
+//! [`Pipeline::finish`], on a borrow of the cached prefix. Responses stay
+//! byte-identical by construction — the prefix is exactly the pipeline's
+//! own stage-1–3 output.
 
 use polyufc_chk::OrderedMutex;
 use std::collections::HashMap;
@@ -41,19 +43,18 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use polyufc::{CharacterizedProgram, CompileReport, CompileSession, Pipeline, PipelineOutput};
+use polyufc::{CharacterizedProgram, CompileReport, CompileSession, Finished, Pipeline};
 use polyufc_analysis::sanitize_parallel;
 use polyufc_cgeist::parse_scop;
 use polyufc_ir::affine::AffineProgram;
 use polyufc_ir::textual::parse_affine_program;
-use polyufc_machine::program_fingerprint;
 use polyufc_par::StatefulPool;
 
 use crate::chaos::{ChaosPlan, CompileFault};
 use crate::json::{fmt_f64, push_escaped};
 use crate::protocol::{
     assoc_str, codes, objective_str, parse_request, render_error, CompileRequest, Request,
-    WireError,
+    RequestKeys, WireError,
 };
 use crate::shard::{Abort, ArtifactCache, ArtifactCacheStats, Body, Lookup, Waiter};
 
@@ -74,9 +75,9 @@ pub struct EngineConfig {
     /// the watchdog (defaults from `POLYUFC_DEADLINE_MS`; `0` or unset
     /// means off).
     pub deadline: Option<Duration>,
-    /// Consecutive panics/timeouts after which a kernel's structural
-    /// fingerprint is quarantined behind a cached typed rejection; `0`
-    /// disables the circuit breaker.
+    /// Consecutive panics/timeouts after which a kernel (its prefix key)
+    /// is quarantined behind a cached typed rejection; `0` disables the
+    /// circuit breaker.
     pub quarantine_threshold: u32,
     /// Seeded fault injection for the compile path (off by default;
     /// pristine plans leave dispatch byte-identical).
@@ -278,14 +279,13 @@ impl std::fmt::Debug for Submitted {
     }
 }
 
-/// A compile request parsed, sanitized, and keyed — everything the
-/// reactor/connection thread computes before deciding hit/join/lead.
+/// A compile request keyed, parsed and sanitized — everything the
+/// reactor/connection thread computes before a miss leads or joins.
 pub struct Prepared {
     program: AffineProgram,
     warnings: Vec<String>,
     opts: crate::protocol::CompileOptions,
-    key: Vec<u8>,
-    prefix_key: Vec<u8>,
+    keys: RequestKeys,
 }
 
 /// Per-worker compile state: the persistent [`CompileSession`] (warm
@@ -410,8 +410,8 @@ impl Engine {
     {
         let t0 = Instant::now();
         self.shared.requests.fetch_add(1, Ordering::Relaxed);
-        // L0: byte-identical repeat of a compile line — skip parsing,
-        // sanitizing, and fingerprinting entirely.
+        // L0: byte-identical repeat of a compile line — skip even the
+        // JSON parse.
         if let Some(body) = self.cache.line_get(line) {
             return self.ready(t0, body);
         }
@@ -449,28 +449,38 @@ impl Engine {
     where
         F: FnOnce(Body) + Send + 'static,
     {
-        let prepared = match prepare(req) {
+        let keys = req.keys();
+        // Circuit breaker: a fingerprint that struck out serves its
+        // cached typed rejection without touching a worker. Never
+        // promoted to the line tier — quarantine is daemon state, not a
+        // deterministic property of the request.
+        if let Some(body) = self.cache.quarantine_get(&keys.prefix) {
+            self.shared.errors.fetch_add(1, Ordering::Relaxed);
+            return self.ready(t0, body);
+        }
+        let hit = |body: Body| {
+            self.cache.line_put(line, &body);
+            self.ready(t0, body)
+        };
+        if let Some(body) = self.cache.ready_get(&keys.artifact) {
+            return hit(body);
+        }
+        // Only a miss runs the front end, and an unparseable source ends
+        // here: counted as an error, cached in no tier.
+        let prepared = match prepare_keyed(req, keys) {
             Ok(p) => p,
             Err(e) => {
                 self.shared.errors.fetch_add(1, Ordering::Relaxed);
                 return self.ready(t0, string_body(e.render()));
             }
         };
-        // Circuit breaker: a fingerprint that struck out serves its
-        // cached typed rejection without touching a worker. Never
-        // promoted to the line tier — quarantine is daemon state, not a
-        // deterministic property of the request.
-        if let Some(body) = self.cache.quarantine_get(&prepared.prefix_key) {
-            self.shared.errors.fetch_add(1, Ordering::Relaxed);
-            return self.ready(t0, body);
-        }
-        let (key, fingerprint) = (&prepared.key, &prepared.prefix_key);
-        let waiter = || self.waiter(t0, line, notify);
-        match self.cache.lookup(key, fingerprint, waiter) {
-            Lookup::Hit(body) => {
-                self.cache.line_put(line, &body);
-                self.ready(t0, body)
-            }
+        let RequestKeys { artifact, prefix } = &prepared.keys;
+        match self
+            .cache
+            .lookup(artifact, prefix, || self.waiter(t0, line, notify))
+        {
+            // The key became ready between the probe and here.
+            Lookup::Hit(body) => hit(body),
             Lookup::Joined => Submitted::Pending,
             Lookup::Lead(attempt) => {
                 self.dispatch(prepared, attempt);
@@ -488,9 +498,9 @@ impl Engine {
         let shared = Arc::clone(&self.shared);
         // Chaos is decided here, deterministically, not on the worker —
         // submission order fixes the attempt counter.
-        let fault = self.next_compile_fault(&prepared.prefix_key);
+        let fault = self.next_compile_fault(&prepared.keys.prefix);
         // The job owns `prepared`; the shed path needs the key back.
-        let shed_key = prepared.key.clone();
+        let shed_key = prepared.keys.artifact.clone();
         let submitted = self.pool.try_execute(move |state: &mut WorkerState| {
             // A panicking pass must not take the worker (or the daemon)
             // down, and must not leave its waiters parked forever;
@@ -539,7 +549,7 @@ impl Engine {
             };
             // `None`: the watchdog or the shutdown drain ended this attempt
             // and already accounted for it; the late outcome is dropped.
-            if let Some(ended) = cache.finish(&prepared.key, attempt, outcome) {
+            if let Some(ended) = cache.finish(&prepared.keys.artifact, attempt, outcome) {
                 ended.run(&cache);
             }
         });
@@ -778,13 +788,18 @@ fn body_string(b: &Body) -> String {
     String::from_utf8(b.to_vec()).expect("response bodies are rendered UTF-8")
 }
 
-/// Parses, sanitizes, and keys one compile request on the calling
+/// Keys, parses, and sanitizes one compile request on the calling
 /// (reactor/connection) thread.
 ///
 /// # Errors
 ///
 /// `parse_error` when the kernel source does not parse.
 pub fn prepare(req: &CompileRequest) -> Result<Prepared, WireError> {
+    prepare_keyed(req, req.keys())
+}
+
+/// [`prepare`] for a caller that already built the request's keys.
+fn prepare_keyed(req: &CompileRequest, keys: RequestKeys) -> Result<Prepared, WireError> {
     let mut program = match req.format {
         crate::protocol::SourceFormat::TextualIr => parse_affine_program(&req.source)
             .map_err(|e| WireError::new(codes::PARSE_ERROR, format!("textual IR: {e}")))?,
@@ -793,66 +808,18 @@ pub fn prepare(req: &CompileRequest) -> Result<Prepared, WireError> {
     };
     // The daemon and the one-shot CLI must transform the program
     // identically or byte-identity breaks: sanitize unprovable `parallel`
-    // flags here, before fingerprinting, exactly as `polyufc compile`
-    // does before its pipeline call.
+    // flags here exactly as `polyufc compile` does before its pipeline
+    // call.
     let warnings: Vec<String> = sanitize_parallel(&mut program)
         .iter()
         .map(|d| d.to_string())
         .collect();
-    let (key, prefix_key) = artifact_keys(&program, &warnings, &req.opts);
     Ok(Prepared {
         program,
         warnings,
         opts: req.opts.clone(),
-        key,
-        prefix_key,
+        keys,
     })
-}
-
-/// The content addresses of a request, full and prefix.
-///
-/// The **artifact key** covers everything response bytes depend on:
-/// pipeline configuration, the structural program fingerprint the
-/// measure cache already computes, the program's rendered text
-/// (fingerprints deliberately exclude names, but responses embed them),
-/// and the sanitize trace (distinct pre-sanitize sources can converge on
-/// one program yet carry different warnings).
-///
-/// The **prefix key** covers only what stages 1–3 depend on — platform,
-/// associativity mode, and the program itself — so one characterization
-/// prefix serves every ε/objective/emit variant of a program.
-fn artifact_keys(
-    program: &AffineProgram,
-    warnings: &[String],
-    opts: &crate::protocol::CompileOptions,
-) -> (Vec<u8>, Vec<u8>) {
-    let field = |key: &mut Vec<u8>, bytes: &[u8]| {
-        key.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        key.extend_from_slice(bytes);
-    };
-    let text = format!("{program}");
-    let fingerprint = program_fingerprint(&opts.platform, program);
-
-    let mut prefix = Vec::with_capacity(text.len() + 128);
-    field(&mut prefix, b"polyufc-prefix/1");
-    field(&mut prefix, opts.platform.name.as_bytes());
-    field(&mut prefix, assoc_str(opts.assoc).as_bytes());
-    field(&mut prefix, &fingerprint);
-    field(&mut prefix, text.as_bytes());
-
-    let mut key = Vec::with_capacity(text.len() + 192);
-    field(&mut key, b"polyufc-artifact/1");
-    field(&mut key, opts.platform.name.as_bytes());
-    field(&mut key, objective_str(opts.objective).as_bytes());
-    field(&mut key, assoc_str(opts.assoc).as_bytes());
-    field(&mut key, &opts.epsilon.to_le_bytes());
-    field(&mut key, &[opts.emit_scf as u8]);
-    field(&mut key, &fingerprint);
-    field(&mut key, text.as_bytes());
-    for w in warnings {
-        field(&mut key, w.as_bytes());
-    }
-    (key, prefix)
 }
 
 /// Runs the pipeline for a prepared request against per-worker state and
@@ -869,31 +836,33 @@ pub fn compile_prepared(
         .with_objective(p.opts.objective)
         .with_assoc_mode(p.opts.assoc);
     pipeline.epsilon = p.opts.epsilon;
-    if let Some(ch) = state.prefix.get(&p.prefix_key) {
-        let ch = Arc::clone(ch);
-        let out = pipeline.finish_characterized((*ch).clone());
-        let report = out.report.clone();
-        return (render_artifact(p, &out), Some(report), true);
-    }
-    match pipeline.characterize_affine_in(&p.program, &mut state.session) {
-        Ok(ch) => {
-            if state.prefix.len() >= PREFIX_CACHE_CAP {
-                // Generational clear, like the other bounded caches.
-                state.prefix.clear();
+    let cached = state.prefix.get(&p.keys.prefix).map(Arc::clone);
+    let prefix_hit = cached.is_some();
+    let ch = match cached {
+        Some(ch) => ch,
+        None => match pipeline.characterize_affine_in(&p.program, &mut state.session) {
+            Ok(ch) => {
+                if state.prefix.len() >= PREFIX_CACHE_CAP {
+                    // Generational clear, like the other bounded caches.
+                    state.prefix.clear();
+                }
+                let ch = Arc::new(ch);
+                state.prefix.insert(p.keys.prefix.clone(), Arc::clone(&ch));
+                ch
             }
-            let ch = Arc::new(ch);
-            state.prefix.insert(p.prefix_key.clone(), Arc::clone(&ch));
-            let out = pipeline.finish_characterized((*ch).clone());
-            let report = out.report.clone();
-            (render_artifact(p, &out), Some(report), false)
-        }
-        Err(polyufc::Error::AnalysisRejected(report)) => (render_rejected(&report), None, false),
-        Err(polyufc::Error::Model(e)) => (
-            render_error(codes::MODEL, &format!("cache model: {e}")),
-            None,
-            false,
-        ),
-    }
+            Err(polyufc::Error::AnalysisRejected(report)) => {
+                return (render_rejected(&report), None, false)
+            }
+            Err(polyufc::Error::Model(e)) => {
+                let body = render_error(codes::MODEL, &format!("cache model: {e}"));
+                return (body, None, false);
+            }
+        },
+    };
+    let fin = pipeline.finish(&ch);
+    let mut report = ch.report.clone();
+    report.steps_4_6_us += fin.elapsed_us;
+    (render_artifact(p, &ch, &fin), Some(report), prefix_hit)
 }
 
 /// One-shot entry point shared with `polyufc compile --json`: same
@@ -982,10 +951,10 @@ fn push_u64(out: &mut String, key: &str, v: u64) {
 /// so identical requests produce identical bytes whether answered by a
 /// cold compile, a warm session, a cached prefix, the artifact cache, or
 /// the one-shot CLI.
-fn render_artifact(p: &Prepared, out: &PipelineOutput) -> String {
+fn render_artifact(p: &Prepared, ch: &CharacterizedProgram, fin: &Finished) -> String {
     let mut s = String::with_capacity(1024);
     s.push_str("{\"ok\":true,\"schema\":\"polyufc-artifact/1\",\"program\":");
-    push_escaped(&mut s, &out.optimized.name);
+    push_escaped(&mut s, &ch.optimized.name);
     s.push_str(",\"platform\":");
     push_escaped(&mut s, &p.opts.platform.name);
     s.push_str(",\"objective\":");
@@ -995,27 +964,27 @@ fn render_artifact(p: &Prepared, out: &PipelineOutput) -> String {
     s.push_str(",\"assoc\":");
     push_escaped(&mut s, assoc_str(p.opts.assoc));
     s.push_str(",\"kernels\":[");
-    let rows = out
+    let rows = ch
         .optimized
         .kernels
         .iter()
-        .zip(&out.characterizations)
-        .zip(&out.search)
-        .zip(&out.caps_ghz);
-    for (i, (((k, ch), sr), &cap)) in rows.enumerate() {
+        .zip(&ch.characterizations)
+        .zip(&fin.search)
+        .zip(&fin.caps_ghz);
+    for (i, (((k, c), sr), &cap)) in rows.enumerate() {
         if i > 0 {
             s.push(',');
         }
         s.push_str("{\"name\":");
         push_escaped(&mut s, &k.name);
         s.push_str(",\"class\":");
-        push_escaped(&mut s, &format!("{}", ch.class));
+        push_escaped(&mut s, &format!("{}", c.class));
         s.push_str(",\"oi\":");
-        s.push_str(&fmt_f64(ch.oi));
+        s.push_str(&fmt_f64(c.oi));
         s.push_str(",\"balance\":");
-        s.push_str(&fmt_f64(ch.balance));
+        s.push_str(&fmt_f64(c.balance));
         s.push_str(",\"attainable_flops\":");
-        s.push_str(&fmt_f64(ch.attainable_flops));
+        s.push_str(&fmt_f64(c.attainable_flops));
         s.push_str(",\"cap_ghz\":");
         s.push_str(&fmt_f64(cap));
         s.push_str(",\"search_steps\":");
@@ -1023,7 +992,7 @@ fn render_artifact(p: &Prepared, out: &PipelineOutput) -> String {
         s.push('}');
     }
     s.push_str("],\"fallback\":[");
-    for (i, name) in out.report.fallback_kernels.iter().enumerate() {
+    for (i, name) in ch.report.fallback_kernels.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
@@ -1033,7 +1002,7 @@ fn render_artifact(p: &Prepared, out: &PipelineOutput) -> String {
     for (i, w) in p
         .warnings
         .iter()
-        .chain(&out.report.verify_warnings)
+        .chain(&ch.report.verify_warnings)
         .enumerate()
     {
         if i > 0 {
@@ -1044,7 +1013,7 @@ fn render_artifact(p: &Prepared, out: &PipelineOutput) -> String {
     s.push(']');
     if p.opts.emit_scf {
         s.push_str(",\"scf\":");
-        push_escaped(&mut s, &format!("{}", out.scf));
+        push_escaped(&mut s, &format!("{}", fin.scf));
     }
     s.push('}');
     s

@@ -10,11 +10,12 @@
 //! The performance architecture, bottom-up:
 //!
 //! * [`shard`]: a sharded content-addressed response cache keyed on the
-//!   structural fingerprints the measure cache already computes, with
+//!   request's own bytes (its options and kernel source, see
+//!   [`CompileRequest::keys`]) so a hit never parses the kernel, with
 //!   single-flight dedup — N concurrent identical requests compile once,
 //!   and the pending cache slot is the only record of that compile —
 //!   plus an exact-line response tier that answers repeat request lines
-//!   without parsing them.
+//!   without parsing even their JSON.
 //! * [`engine`]: asynchronous compile submission into the bounded
 //!   [`polyufc_par::StatefulPool`], one persistent
 //!   [`polyufc::CompileSession`] and an ε-independent characterization
@@ -46,8 +47,8 @@ pub mod shard;
 pub use chaos::{ChaosPlan, CompileFault};
 pub use engine::{oneshot_response, Engine, EngineConfig, Outcome, Submitted};
 pub use protocol::{
-    parse_request, render_error, CompileOptions, CompileRequest, Request, SourceFormat, WireError,
-    MAX_REQUEST_BYTES,
+    parse_request, render_error, CompileOptions, CompileRequest, Request, RequestKeys,
+    SourceFormat, WireError, MAX_REQUEST_BYTES,
 };
 #[cfg(target_os = "linux")]
 pub use server::ShutdownHandle;

@@ -48,8 +48,9 @@ pub mod codes {
     /// The compile exceeded the configured per-request deadline and was
     /// aborted by the watchdog.
     pub const DEADLINE_EXCEEDED: &str = "deadline_exceeded";
-    /// This kernel's structural fingerprint repeatedly panicked or timed
-    /// out and is quarantined; the request was rejected from cache.
+    /// This kernel (its source on this platform and assoc mode, whatever
+    /// the search parameters) repeatedly panicked or timed out and is
+    /// quarantined; the request was rejected from cache.
     pub const QUARANTINED: &str = "quarantined";
     /// The daemon is shutting down; pending compiles were drained with
     /// this error instead of compiling.
@@ -138,6 +139,52 @@ pub struct CompileRequest {
     pub name: String,
     /// Pipeline configuration.
     pub opts: CompileOptions,
+}
+
+/// The two content addresses of a compile request.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RequestKeys {
+    /// Artifact-tier key: everything the response bytes depend on.
+    pub artifact: Vec<u8>,
+    /// Prefix- and quarantine-tier key: what pipeline stages 1–3 depend
+    /// on, so one entry serves every ε/objective/emit variant.
+    pub prefix: Vec<u8>,
+}
+
+impl CompileRequest {
+    /// Both content addresses, built from the request as sent: the
+    /// parsed options and the source *bytes*, length-prefixed. The source
+    /// determines the program, its sanitize trace and every name a
+    /// response embeds, so nothing is parsed to build a key — and two
+    /// spellings of one program (whitespace, comments) are two keys.
+    /// `name` counts only for C sources; textual IR carries its own.
+    /// The artifact key is the search parameters followed by the prefix
+    /// key. This is the only place either key is built.
+    pub fn keys(&self) -> RequestKeys {
+        let field = |key: &mut Vec<u8>, bytes: &[u8]| {
+            key.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+            key.extend_from_slice(bytes);
+        };
+        let (format, name): (&[u8], &str) = match self.format {
+            SourceFormat::TextualIr => (b"ir", ""),
+            SourceFormat::C => (b"c", &self.name),
+        };
+        let opts = &self.opts;
+
+        let mut prefix = Vec::with_capacity(self.source.len() + name.len() + 64);
+        field(&mut prefix, opts.platform.name.as_bytes());
+        field(&mut prefix, assoc_str(opts.assoc).as_bytes());
+        field(&mut prefix, format);
+        field(&mut prefix, name.as_bytes());
+        field(&mut prefix, self.source.as_bytes());
+
+        let mut artifact = Vec::with_capacity(prefix.len() + 48);
+        field(&mut artifact, objective_str(opts.objective).as_bytes());
+        field(&mut artifact, &opts.epsilon.to_le_bytes());
+        field(&mut artifact, &[opts.emit_scf as u8]);
+        artifact.extend_from_slice(&prefix);
+        RequestKeys { artifact, prefix }
+    }
 }
 
 /// A validated request.

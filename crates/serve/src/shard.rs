@@ -1,14 +1,15 @@
 //! The sharded content-addressed artifact cache, and the single record
 //! of every in-flight compile.
 //!
-//! Keys are byte-exact structural fingerprints (built by the engine from
-//! [`polyufc_machine::program_fingerprint`] plus the request's pipeline
-//! configuration and the response-visible names); values are fully
-//! rendered response bodies as [`Body`] (`Arc<[u8]>`). Caching the
-//! *bytes* rather than a parsed artifact makes the hot path a single map
-//! probe + `Arc` clone, and makes byte-identity between hits, fresh
-//! compilations, and the one-shot CLI a structural property instead of a
-//! test hope.
+//! Keys are opaque bytes to this module: the engine passes the two
+//! content addresses [`CompileRequest::keys`](crate::CompileRequest::keys)
+//! builds from the request's options and source bytes — the artifact key
+//! for the keyed tier, the prefix key as the *fingerprint* an attempt's
+//! outcome is accounted against. Values are fully rendered response
+//! bodies as [`Body`] (`Arc<[u8]>`). Caching the *bytes* rather than a
+//! parsed artifact makes the hot path a single map probe + `Arc` clone,
+//! and makes byte-identity between hits, fresh compilations, and the
+//! one-shot CLI a structural property instead of a test hope.
 //!
 //! **Sharding:** keys hash (FNV-1a) onto `next_pow2(workers * 4)` shards,
 //! each behind its own mutex, so cache *hits* — the common case — never
@@ -47,14 +48,16 @@
 //! Each of `lookup`, `finish`, `take_expired` (per shard),
 //! `quarantine_get` and `Ended::step` is one lock region at most, which
 //! is what lets `shard/protocols.rs` hand them to the schedule explorer
-//! as the steps of the attempt lifecycle, unmodified.
+//! as the steps of the attempt lifecycle, unmodified. `ready_get` is one
+//! more lock region but not a step: it changes nothing it reads, and a
+//! key that turns ready after it missed is `lookup`'s `Hit`.
 //!
-//! **Exact-line tier:** the keyed tier still costs a parse + sanitize +
-//! fingerprint (~35 µs) before the probe. Repeated requests are usually
+//! **Exact-line tier:** the keyed tier still costs a JSON parse and two
+//! key builds before the probe. Repeated requests are usually
 //! *byte-identical* lines, so each shard also maps raw request lines to
-//! bodies; a line hit skips request preparation entirely (~1 µs). Line
-//! hits count as cache hits — both tiers serve the same deterministic
-//! bytes, by construction.
+//! bodies; a line hit skips even that (~1 µs). Line hits count as cache
+//! hits — both tiers serve the same deterministic bytes, by
+//! construction.
 //!
 //! **Bounding:** eviction is generational per shard and per tier — when
 //! a shard's ready-entry count reaches its share of the capacity, the
@@ -102,8 +105,8 @@ impl Abort {
 /// the attempt's outcome, on whichever thread ended the attempt.
 pub type Waiter = Box<dyn FnOnce(Result<Body, Abort>) + Send + 'static>;
 
-/// What a pending slot parks: the attempt's waiters and the structural
-/// fingerprint its outcome is accounted against.
+/// What a pending slot parks: the attempt's waiters and the fingerprint
+/// its outcome is accounted against.
 #[derive(Default)]
 struct Waiters {
     fingerprint: Vec<u8>,
@@ -172,7 +175,7 @@ pub struct ArtifactCacheStats {
     pub inflight: usize,
     /// Exact-line response-tier entries currently resident.
     pub line_entries: usize,
-    /// Structural fingerprints currently quarantined (poison-pill tier).
+    /// Fingerprints currently quarantined (poison-pill tier).
     pub quarantined: usize,
     /// Lookups answered by a cached quarantine rejection.
     pub quarantine_hits: u64,
@@ -220,7 +223,7 @@ enum Slot {
 
 #[derive(Default)]
 struct ShardInner {
-    /// Keyed artifact tier: fingerprint key → ready body or in-flight
+    /// Keyed artifact tier: artifact key → ready body or in-flight
     /// compile.
     map: HashMap<Vec<u8>, Slot>,
     /// Ready entries in `map` (pending ones are `map.len() - ready`).
@@ -231,8 +234,8 @@ struct ShardInner {
     evictions: u64,
     /// Exact-line response tier: trimmed request line → body.
     lines: HashMap<Box<str>, Body>,
-    /// Consecutive-failure strike counts per structural fingerprint
-    /// (cleared on the fingerprint's next success).
+    /// Consecutive-failure strike counts per fingerprint (cleared on the
+    /// fingerprint's next success).
     strikes: HashMap<Vec<u8>, u32>,
     /// Poison-pill tier: fingerprints that struck out, mapped to the
     /// cached typed rejection their requests get without compiling.
@@ -371,8 +374,9 @@ impl ArtifactCache {
         self.shards.len()
     }
 
-    /// Shard choice only needs dispersion, not DoS resistance: keys are
-    /// fingerprints the server computed itself, not attacker-chosen bytes.
+    /// Shard choice only needs dispersion: a client that crafts sources to
+    /// collide here piles its own requests onto one shard's lock, and the
+    /// maps behind it keep the default (keyed) hasher.
     fn shard(&self, bytes: &[u8]) -> &OrderedMutex<ShardInner> {
         &self.shards[(fnv1a(FNV_OFFSET, bytes) & self.mask) as usize]
     }
@@ -399,6 +403,24 @@ impl ArtifactCache {
             Lookup::Lead(_) => self.misses.fetch_add(1, Ordering::Relaxed),
         };
         out
+    }
+
+    /// Probes the keyed tier without queueing anything: a ready body
+    /// counts as a hit; a pending or absent key counts nothing — the
+    /// [`lookup`](Self::lookup) that follows will. This is what lets the
+    /// engine answer a hit before it has parsed the kernel source.
+    pub fn ready_get(&self, key: &[u8]) -> Option<Body> {
+        let body = {
+            let inner = self.shard(key).lock().unwrap();
+            match inner.map.get(key) {
+                Some(Slot::Ready(body)) => Some(Arc::clone(body)),
+                _ => None,
+            }
+        };
+        if body.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        body
     }
 
     /// Ends attempt `id` of `key` with `outcome`: iff the slot is still
@@ -614,6 +636,19 @@ mod tests {
         assert_eq!(&*hit(&c, b"k1"), b"resp");
         let st = c.stats();
         assert_eq!((st.hits, st.misses, st.entries, st.inflight), (1, 1, 1, 0));
+    }
+
+    #[test]
+    fn ready_get_sees_only_ready_entries_and_counts_only_hits() {
+        let c = cache(8, 1);
+        assert!(c.ready_get(b"k").is_none(), "absent");
+        let (id, _rx) = lead(&c, b"k");
+        assert!(c.ready_get(b"k").is_none(), "pending");
+        assert_eq!((c.stats().hits, c.stats().misses), (0, 1));
+        end(&c, b"k", id, Ok(body("resp")));
+        assert_eq!(&*c.ready_get(b"k").expect("ready"), b"resp");
+        let st = c.stats();
+        assert_eq!((st.hits, st.misses, st.inflight), (1, 1, 0));
     }
 
     #[test]
