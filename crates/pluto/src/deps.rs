@@ -6,23 +6,32 @@ use std::cell::OnceCell;
 use std::collections::HashSet;
 
 use polyufc_ir::affine::AffineKernel;
-use polyufc_presburger::{BasicMap, BasicSet, LinExpr, Map, Set, Space};
+use polyufc_presburger::{BasicMap, BasicSet, LinExpr, Set, Space};
 
 /// The delta (dependence distance) sets of one kernel, with convenience
-/// queries. All queries are conservative under solver-budget exhaustion:
-/// an undecidable query is treated as "dependence present".
+/// queries.
+///
+/// Each set is stored with the loop level that carries it: the piece `j`
+/// of the lexicographic order it was cut from forces `δ_<j = 0` and
+/// `δ_j >= 1` on every point (the identity piece, level `depth`, forces
+/// `δ = 0`). So a loop is parallel iff no set is carried at its level,
+/// and only sets carried at an outer level can make `δ_l` negative — the
+/// queries below ask the solver nothing else.
 #[derive(Debug, Clone)]
 pub struct DepSummary {
     depth: usize,
-    /// The distinct delta sets of the dependent access pairs. Every query
-    /// below is ∃/∀/max over this list, so pairs that repeat a set already
-    /// recorded (stencil taps, repeated reads) add nothing and are not
-    /// stored twice.
-    pub deltas: Vec<Set>,
-    /// Whether any query hit the solver budget (results then conservative).
+    /// The distinct delta sets of the dependent access pairs, each with
+    /// its carrying level. Every query below is ∃/∀/max over this list, so
+    /// pairs that repeat a set already recorded (stencil taps, repeated
+    /// reads) add nothing and are not stored twice.
+    pub deltas: Vec<(usize, Set)>,
+    /// Whether some set's emptiness check ran out of solver budget; the
+    /// set was then kept at its carrying level, so every answer stays
+    /// conservative ("dependence present").
     pub budget_exceeded: bool,
     /// [`DepSummary::can_be_negative_at`] per level, filled on first use:
-    /// the permutability test, the skew loop and the tiling gate all ask.
+    /// the permutability test before and after skewing and the tiling
+    /// gate all ask.
     negative_at: Vec<OnceCell<bool>>,
 }
 
@@ -44,6 +53,10 @@ pub fn analyze_kernel(kernel: &AffineKernel) -> DepSummary {
     }
     let domain = kernel.domain();
     let dom_basic = &domain.basics()[0];
+    // Piece j carries at level j; the identity piece (index `depth`) joins
+    // only when the source statement textually precedes the sink.
+    let lex = polyufc_presburger::lex_lt_map(0, depth);
+    let identity = BasicMap::identity(0, depth);
 
     let accesses: Vec<(usize, usize)> = kernel
         .statements
@@ -73,44 +86,20 @@ pub fn analyze_kernel(kernel: &AffineKernel) -> DepSummary {
                 let e2s = e2.shift_vars(0, depth);
                 rel.basic_set_mut().add_eq(e2s - e1.clone());
             }
-            let rel = match rel
+            let rel = rel
                 .intersect_domain(dom_basic)
                 .and_then(|r| r.intersect_range(dom_basic))
-            {
-                Ok(r) => r,
-                Err(_) => {
-                    summary.budget_exceeded = true;
+                .expect("relation and domain both have the kernel's depth");
+            let pieces = lex.basics().iter().chain((si < sj).then_some(&identity));
+            for (level, piece) in pieces.enumerate() {
+                let delta = rel.intersect(piece).expect("same space").deltas();
+                if summary.deltas.iter().any(|(_, s)| s.basics()[0] == delta) {
                     continue;
                 }
-            };
-            // Order: strict lexicographic, plus equality when the source
-            // statement textually precedes the destination.
-            let mut order_pieces = polyufc_presburger::lex_lt_map(0, depth);
-            if si < sj {
-                let id = BasicMap::identity(0, depth);
-                order_pieces = order_pieces
-                    .union_disjoint(&Map::from_basic(id))
-                    .expect("same space");
-            }
-            for piece in order_pieces.basics() {
-                let combined = match intersect_maps(&rel, piece) {
-                    Some(c) => c,
-                    None => {
-                        summary.budget_exceeded = true;
-                        continue;
-                    }
-                };
-                let delta = combined.deltas();
-                if summary.deltas.iter().any(|s| s.basics()[0] == delta) {
-                    continue;
-                }
-                match prune_empty(&delta) {
-                    Some(true) => {}
-                    Some(false) => summary.deltas.push(Set::from_basic(delta)),
-                    None => {
-                        summary.budget_exceeded = true;
-                        summary.deltas.push(Set::from_basic(delta));
-                    }
+                let empty = delta.is_empty();
+                summary.budget_exceeded |= empty.is_err();
+                if !matches!(empty, Ok(true)) {
+                    summary.deltas.push((level, Set::from_basic(delta)));
                 }
             }
         }
@@ -118,17 +107,11 @@ pub fn analyze_kernel(kernel: &AffineKernel) -> DepSummary {
     summary
 }
 
-/// Intersects two basic maps over the same space by merging constraints.
-fn intersect_maps(a: &BasicMap, b: &BasicMap) -> Option<BasicMap> {
-    a.as_basic_set()
-        .intersect(b.as_basic_set())
-        .ok()
-        .map(BasicMap::from_basic_set)
-}
-
-/// `Some(is_empty)` or `None` if undecidable within budget.
-fn prune_empty(b: &BasicSet) -> Option<bool> {
-    b.is_empty().ok()
+/// Whether `s` has no point with `e >= 0`.
+fn empty_where(s: &Set, e: LinExpr) -> polyufc_presburger::Result<bool> {
+    let mut probe = BasicSet::universe(s.space().clone());
+    probe.add_ge0(e);
+    s.intersect(&Set::from_basic(probe))?.is_empty()
 }
 
 impl DepSummary {
@@ -139,23 +122,14 @@ impl DepSummary {
 
     /// Whether the kernel carries no dependences at all.
     pub fn is_dependence_free(&self) -> bool {
-        self.deltas.is_empty() && !self.budget_exceeded
+        self.deltas.is_empty()
     }
 
     /// Whether a delta with `δ_level <= -1` exists in any dependence
-    /// (conservatively `true` on solver failure).
+    /// (conservatively `true` on solver failure): the first probe of
+    /// [`DepSummary::min_delta_at`].
     pub fn can_be_negative_at(&self, level: usize) -> bool {
-        *self.negative_at[level].get_or_init(|| {
-            self.deltas.iter().any(|s| {
-                let mut probe = BasicSet::universe(s.space().clone());
-                probe.add_ge0(-LinExpr::var(level) - LinExpr::constant(1));
-                !matches!(
-                    s.intersect(&Set::from_basic(probe))
-                        .and_then(|x| x.is_empty()),
-                    Ok(true)
-                )
-            })
-        })
+        *self.negative_at[level].get_or_init(|| self.min_delta_at(level, 0) != Some(0))
     }
 
     /// Whether the full band `0..depth` is fully permutable: every delta is
@@ -165,54 +139,59 @@ impl DepSummary {
     }
 
     /// Whether loop `level` is parallel: no dependence has
-    /// `δ_0 = .. = δ_{level-1} = 0` and `δ_level != 0`.
+    /// `δ_0 = .. = δ_{level-1} = 0` and `δ_level != 0`, i.e. none is
+    /// carried at `level`.
     pub fn loop_parallel(&self, level: usize) -> bool {
-        for s in &self.deltas {
-            for sign in [1i64, -1] {
-                let mut probe = BasicSet::universe(s.space().clone());
-                for d in 0..level {
-                    probe.add_eq(LinExpr::var(d));
-                }
-                probe.add_ge0(LinExpr::var(level) * sign - LinExpr::constant(1));
-                match s
-                    .intersect(&Set::from_basic(probe))
-                    .and_then(|x| x.is_empty())
-                {
-                    Ok(true) => {}
-                    _ => return false,
-                }
-            }
-        }
-        true
+        self.deltas.iter().all(|&(carried, _)| carried != level)
     }
 
     /// The most negative value `δ_level` can take, probed down to `-limit`
     /// (`Some(0)` if it cannot be negative). Returns `None` if undecidable
     /// or below the probe limit — callers should then give up on skewing.
+    /// Only sets carried at an outer level are probed; every other set has
+    /// `δ_level >= 0`.
     pub fn min_delta_at(&self, level: usize, limit: i64) -> Option<i64> {
         let mut worst = 0i64;
-        for s in &self.deltas {
+        for (_, s) in self.deltas.iter().filter(|&&(carried, _)| carried < level) {
             let mut k = 0i64;
-            loop {
-                let mut probe = BasicSet::universe(s.space().clone());
-                probe.add_ge0(-LinExpr::var(level) - LinExpr::constant(k + 1));
-                match s
-                    .intersect(&Set::from_basic(probe))
-                    .and_then(|x| x.is_empty())
-                {
-                    Ok(true) => break,
-                    Ok(false) => {
-                        k += 1;
-                        if k > limit {
-                            return None;
-                        }
-                    }
-                    Err(_) => return None,
+            while !empty_where(s, -LinExpr::var(level) - LinExpr::constant(k + 1)).ok()? {
+                k += 1;
+                if k > limit {
+                    return None;
                 }
             }
             worst = worst.max(k);
         }
         Some(-worst)
+    }
+
+    /// The summary of `skew_loop(kernel, 0, inner, factor)`, without
+    /// re-analysis. The skew is strictly lex-monotone — level 0 decides
+    /// first, and otherwise distances are unchanged — so every dependence
+    /// keeps its access pair and its carrying level: a set carried at
+    /// level 0 maps by `δ_inner ↦ δ_inner + factor·δ_0`, every other set
+    /// has `δ_0 = 0` and stays as it is. Only level `inner`'s answers move.
+    pub fn skewed(&self, inner: usize, factor: i64) -> DepSummary {
+        let shear = LinExpr::var(inner) - LinExpr::var(0) * factor;
+        let deltas = self
+            .deltas
+            .iter()
+            .map(|(carried, s)| {
+                let s = match carried {
+                    0 => Set::from_basic(s.basics()[0].substitute_var(inner, &shear)),
+                    _ => s.clone(),
+                };
+                (*carried, s)
+            })
+            .collect();
+        let mut negative_at = self.negative_at.clone();
+        negative_at[inner] = OnceCell::new();
+        DepSummary {
+            depth: self.depth,
+            deltas,
+            budget_exceeded: self.budget_exceeded,
+            negative_at,
+        }
     }
 }
 
@@ -315,8 +294,8 @@ mod tests {
         use crate::optimizer::{KernelDecision, PlutoOptimizer};
         let k = five_point_kernel();
         let d = analyze_kernel(&k);
-        for (i, s) in d.deltas.iter().enumerate() {
-            for other in &d.deltas[i + 1..] {
+        for (i, (_, s)) in d.deltas.iter().enumerate() {
+            for (_, other) in &d.deltas[i + 1..] {
                 assert_ne!(s.basics(), other.basics());
             }
         }
@@ -331,7 +310,6 @@ mod tests {
                 tiled: true,
                 parallel_loops: vec![],
                 analysis_conservative: false,
-                micros: 0,
             }
         );
     }

@@ -1,8 +1,6 @@
 //! The Pluto-style driver: per-kernel dependence analysis, optional
 //! skewing, legality-checked tiling, and parallel-loop marking.
 
-use std::time::Instant;
-
 use polyufc_ir::affine::{AffineKernel, AffineProgram};
 
 use crate::deps::analyze_kernel;
@@ -45,8 +43,6 @@ pub struct KernelDecision {
     pub parallel_loops: Vec<usize>,
     /// Whether dependence analysis hit its budget (conservative fallback).
     pub analysis_conservative: bool,
-    /// Wall-clock time spent on this kernel, in microseconds.
-    pub micros: u128,
 }
 
 /// Per-program optimization report (feeds the Table IV compile-time
@@ -64,10 +60,8 @@ impl PlutoOptimizer {
         let mut out = program.clone();
         let mut report = PlutoReport::default();
         for k in &mut out.kernels {
-            let started = Instant::now();
-            let (nk, mut dec) = self.optimize_kernel(k);
+            let (nk, dec) = self.optimize_kernel(k);
             *k = nk;
-            dec.micros = started.elapsed().as_micros();
             report.decisions.push(dec);
         }
         debug_assert_eq!(out.validate(), Ok(()));
@@ -82,7 +76,6 @@ impl PlutoOptimizer {
             tiled: false,
             parallel_loops: Vec::new(),
             analysis_conservative: false,
-            micros: 0,
         };
         let mut k = kernel.clone();
         // Clear any pre-existing parallel marks; we recompute from deps.
@@ -92,21 +85,17 @@ impl PlutoOptimizer {
         let mut deps = analyze_kernel(&k);
         dec.analysis_conservative = deps.budget_exceeded;
 
-        // Skew to enable tiling if some inner level can be negative.
-        if !deps.fully_permutable() && k.depth() >= 2 {
+        // Skew to enable tiling if some inner level can be negative; the
+        // summary follows each skew instead of being rebuilt.
+        if !deps.fully_permutable() {
             for inner in 1..k.depth() {
-                if deps.can_be_negative_at(inner) {
-                    if let Some(min_d) = deps.min_delta_at(inner, 8) {
-                        if min_d < 0 {
-                            let factor = -min_d;
-                            k = skew_loop(&k, 0, inner, factor);
-                            dec.skewed = Some((0, inner, factor));
-                        }
-                    }
+                if let Some(min_d @ ..=-1) = deps.min_delta_at(inner, 8) {
+                    let factor = -min_d;
+                    k = skew_loop(&k, 0, inner, factor);
+                    deps = deps.skewed(inner, factor);
+                    dec.skewed = Some((0, inner, factor));
                 }
             }
-            deps = analyze_kernel(&k);
-            dec.analysis_conservative |= deps.budget_exceeded;
         }
 
         // Mark parallel loops on the (possibly skewed) kernel.

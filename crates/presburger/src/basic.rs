@@ -140,6 +140,23 @@ impl BasicSet {
         self.add_eq(LinExpr::var(idx) - LinExpr::constant(value));
     }
 
+    /// Replaces variable `idx` by `replacement` in every constraint and div
+    /// definition: the preimage of the set under `x_idx ↦ replacement`.
+    /// With `replacement = x_idx - f·x_j` (`j != idx`) that is the image
+    /// under the unimodular shear `x_idx ↦ x_idx + f·x_j`.
+    pub fn substitute_var(&self, idx: usize, replacement: &LinExpr) -> BasicSet {
+        let mut out = self.clone();
+        for c in &mut out.constraints {
+            c.expr = c.expr.substitute(idx, replacement);
+        }
+        for d in &mut out.divs {
+            if let Some((n, _)) = &mut d.def {
+                *n = n.substitute(idx, replacement);
+            }
+        }
+        out
+    }
+
     /// Intersects with another basic set over the same space, merging div
     /// variables (the other set's divs are renumbered after ours).
     ///
@@ -1521,6 +1538,18 @@ mod tests {
         let c = a.intersect(&b).unwrap();
         let members: Vec<i64> = (0..16).filter(|&i| c.contains(&[i]).unwrap()).collect();
         assert_eq!(members, vec![8, 10]);
+    }
+
+    #[test]
+    fn substitute_var_shears() {
+        // { [i,j] : 0<=i<3, 0<=j<2 } under j ↦ j + 2i.
+        let b = box2(3, 2).substitute_var(1, &(LinExpr::var(1) - LinExpr::var(0) * 2));
+        for i in -1..4 {
+            for j in -1..8 {
+                let want = (0..3).contains(&i) && (0..2).contains(&(j - 2 * i));
+                assert_eq!(b.contains(&[i, j]).unwrap(), want, "({i}, {j})");
+            }
+        }
     }
 
     #[test]
