@@ -28,8 +28,6 @@ pub enum LinalgKind {
     Reduce,
     /// Broadcast of a reduced operand back over the full space.
     Broadcast,
-    /// Materialized transpose.
-    Transpose,
     /// Fill with a constant (writes only).
     Fill,
 }
@@ -43,7 +41,6 @@ impl fmt::Display for LinalgKind {
             LinalgKind::Elementwise => "linalg.elemwise",
             LinalgKind::Reduce => "linalg.reduce",
             LinalgKind::Broadcast => "linalg.broadcast",
-            LinalgKind::Transpose => "linalg.transpose",
             LinalgKind::Fill => "linalg.fill",
         };
         write!(f, "{s}")
@@ -304,43 +301,6 @@ impl LinalgOp {
         }
     }
 
-    /// Broadcast of a rank-(k-1) operand over the innermost axis combined
-    /// with a pointwise op: `out[d0..dk] = f(in[d0..dk], red[d0..dk-1])`.
-    pub fn broadcast_combine(
-        name: impl Into<String>,
-        input: &str,
-        reduced: &str,
-        output: &str,
-        dims: &[usize],
-    ) -> Self {
-        let idx_full: Vec<LinExpr> = (0..dims.len()).map(LinExpr::var).collect();
-        let idx_red: Vec<LinExpr> = (0..dims.len() - 1).map(LinExpr::var).collect();
-        LinalgOp {
-            name: name.into(),
-            kind: LinalgKind::Broadcast,
-            iter_dims: dims.to_vec(),
-            reduction_dims: vec![],
-            accesses: vec![
-                LinalgAccess {
-                    buffer: input.into(),
-                    indices: idx_full.clone(),
-                    is_write: false,
-                },
-                LinalgAccess {
-                    buffer: reduced.into(),
-                    indices: idx_red,
-                    is_write: false,
-                },
-                LinalgAccess {
-                    buffer: output.into(),
-                    indices: idx_full,
-                    is_write: true,
-                },
-            ],
-            flops_per_point: 1,
-        }
-    }
-
     /// Batched matmul with a transposed second operand:
     /// `C[b,m,n] += A[b,m,k] * B[b,n,k]` — the `Q·Kᵀ` shape of attention.
     #[allow(clippy::too_many_arguments)]
@@ -410,35 +370,6 @@ impl LinalgOp {
                 LinalgAccess {
                     buffer: output.into(),
                     indices: idx_full,
-                    is_write: true,
-                },
-            ],
-            flops_per_point: 0,
-        }
-    }
-
-    /// Materialized 2-D transpose of the two innermost dims (outer dims
-    /// pass through): `out[.., j, i] = in[.., i, j]`.
-    pub fn transpose2(name: impl Into<String>, input: &str, output: &str, dims: &[usize]) -> Self {
-        let r = dims.len();
-        assert!(r >= 2);
-        let idx_in: Vec<LinExpr> = (0..r).map(LinExpr::var).collect();
-        let mut idx_out = idx_in.clone();
-        idx_out.swap(r - 2, r - 1);
-        LinalgOp {
-            name: name.into(),
-            kind: LinalgKind::Transpose,
-            iter_dims: dims.to_vec(),
-            reduction_dims: vec![],
-            accesses: vec![
-                LinalgAccess {
-                    buffer: input.into(),
-                    indices: idx_in,
-                    is_write: false,
-                },
-                LinalgAccess {
-                    buffer: output.into(),
-                    indices: idx_out,
                     is_write: true,
                 },
             ],
@@ -671,17 +602,9 @@ mod tests {
             .buffer("M", &[2])
             .buffer("Y", &[2, 8]);
         lp.push(LinalgOp::reduce("max", "X", "M", &[2, 8]));
-        lp.push(LinalgOp::broadcast_combine("sub", "X", "M", "Y", &[2, 8]));
+        lp.push(LinalgOp::broadcast("bcast", "M", "Y", &[2, 8]));
         let ap = lp.lower_to_affine();
         assert!(ap.validate().is_ok());
         assert_eq!(ap.kernels.len(), 2);
-    }
-
-    #[test]
-    fn transpose_swaps_indices() {
-        let op = LinalgOp::transpose2("t", "A", "B", &[3, 4]);
-        assert_eq!(op.accesses[1].indices[0], LinExpr::var(1));
-        assert_eq!(op.accesses[1].indices[1], LinExpr::var(0));
-        assert_eq!(op.flops_per_point, 0);
     }
 }

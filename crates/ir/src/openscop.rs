@@ -142,23 +142,6 @@ pub fn emit_program(program: &AffineProgram) -> String {
     out
 }
 
-/// Round-trip helper used in tests: extracts the DOMAIN row count of each
-/// statement from emitted text.
-pub fn domain_row_counts(scop: &str) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut lines = scop.lines();
-    while let Some(l) = lines.next() {
-        if l.trim() == "DOMAIN" {
-            if let Some(h) = lines.next() {
-                if let Some(n) = h.split_whitespace().next().and_then(|x| x.parse().ok()) {
-                    out.push(n);
-                }
-            }
-        }
-    }
-    out
-}
-
 // Suppress an unused-import lint when LinExpr is only used via terms().
 #[allow(unused)]
 fn _type_anchor(_: &LinExpr) {}
@@ -212,8 +195,8 @@ mod tests {
     fn domain_rows_match_bound_count() {
         let (p, k) = sample();
         let s = emit_kernel(&p, &k);
-        // 2 loops × (1 lb + 1 ub) = 4 rows.
-        assert_eq!(domain_row_counts(&s), vec![4]);
+        // 2 loops × (1 lb + 1 ub) = 4 rows over 2 iterators.
+        assert!(s.contains("DOMAIN\n4 4 2 0 0 0\n"));
     }
 
     #[test]
@@ -223,7 +206,7 @@ mod tests {
         p.kernels[0] = k.clone();
         let s = emit_kernel(&p, &k);
         assert_eq!(s.matches("<body>").count(), 2);
-        assert_eq!(domain_row_counts(&s).len(), 2);
+        assert_eq!(s.matches("DOMAIN\n").count(), 2);
     }
 
     #[test]

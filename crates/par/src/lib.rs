@@ -103,19 +103,6 @@ where
         .collect()
 }
 
-/// Like [`par_map`], but `f` also receives the item's index — handy when a
-/// stage needs to label results without threading the label through the
-/// item type.
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let indexed: Vec<usize> = (0..items.len()).collect();
-    par_map(&indexed, |&i| f(i, &items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,13 +136,6 @@ mod tests {
         let empty: Vec<i32> = Vec::new();
         assert!(par_map(&empty, |&x| x).is_empty());
         assert_eq!(par_map(&[42], |&x| x + 1), vec![43]);
-    }
-
-    #[test]
-    fn indexed_variant_passes_indices() {
-        let items = ["a", "b", "c"];
-        let out = par_map_indexed(&items, |i, s| format!("{i}:{s}"));
-        assert_eq!(out, vec!["0:a", "1:b", "2:c"]);
     }
 
     #[test]

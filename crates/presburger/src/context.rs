@@ -9,9 +9,9 @@
 //! report.
 
 use crate::basic::{Budget, System};
-use crate::count::{count_system_cached, CountCache};
+use crate::count::CountCache;
 use crate::error::{Error, Result};
-use crate::{BasicSet, CountLimit, Map, Set};
+use crate::{BasicSet, Map, Set};
 
 /// Outcome of one emptiness query inside a batch. Unlike
 /// `Result<bool>`, a failed query does not poison its whole batch — the
@@ -128,22 +128,6 @@ impl Context {
         set.count_cached(&mut self.cache)
     }
 
-    /// Counts one basic set's integer points through the cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates counting errors; undetermined divs fall back to
-    /// enumeration (see [`Set::count_cached`]).
-    pub fn count_basic(&mut self, set: &BasicSet) -> Result<i128> {
-        if set.all_divs_determined() {
-            self.sys.reset_from(set);
-            self.peak_arena_bytes = self.peak_arena_bytes.max(self.sys.arena_bytes());
-            count_system_cached(&self.sys, CountLimit::default(), &mut self.cache)
-        } else {
-            Ok(crate::enumerate::enumerate_points(set, CountLimit::default().0)?.len() as i128)
-        }
-    }
-
     /// Counts the pairs of a relation through the cache.
     ///
     /// # Errors
@@ -212,6 +196,5 @@ mod tests {
         assert_eq!(ctx.count_set(&s).unwrap(), 64);
         assert_eq!(ctx.count_set(&s).unwrap(), 64);
         assert!(ctx.cache().hits() >= 1);
-        assert_eq!(ctx.count_basic(&boxed(0, 3)).unwrap(), 16);
     }
 }

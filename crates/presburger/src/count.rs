@@ -48,8 +48,8 @@ pub(crate) struct StrategyStats {
 /// Shared state of one counting invocation.
 struct Ctx {
     budget: Budget,
-    /// When false, the symbolic layer is skipped entirely — the reference
-    /// behaviour for differential testing.
+    /// When false, the symbolic layer is skipped entirely: every coupled
+    /// component is enumerated, as [`count_basic_enumerative`] promises.
     allow_symbolic: bool,
     stats: StrategyStats,
 }
@@ -255,32 +255,6 @@ impl CountCache {
     /// misses computed through this cache.
     pub fn parallel_splits(&self) -> u64 {
         self.parallel_splits
-    }
-
-    /// Estimated heap footprint of the cached entries, in bytes. An
-    /// estimate (hash-map overhead is approximated by the table capacity),
-    /// meant for growth monitoring rather than exact accounting.
-    pub fn approx_bytes(&self) -> usize {
-        let slot = std::mem::size_of::<CountKey>() + std::mem::size_of::<i128>();
-        let mut total = self.map.capacity() * slot;
-        for key in self.map.keys() {
-            total += key.constraints.capacity() * std::mem::size_of::<CanonConstraint>();
-            for (_, _, terms) in &key.constraints {
-                total += terms.capacity() * std::mem::size_of::<(usize, i64)>();
-            }
-        }
-        total
-    }
-
-    /// Folds another cache's counters into this one (used when per-kernel
-    /// caches are aggregated into a compile report).
-    pub fn absorb_stats(&mut self, other: &CountCache) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.symbolic += other.symbolic;
-        self.enumerated += other.enumerated;
-        self.parallel_splits += other.parallel_splits;
-        self.evictions += other.evictions;
     }
 }
 
@@ -721,7 +695,6 @@ mod tests {
         // before the new entry lands.
         assert_eq!(cache.evictions(), 2);
         assert_eq!(cache.len(), 1);
-        assert!(cache.approx_bytes() > 0);
         // Evicted entries recount as misses, with unchanged values.
         let mut b = BasicSet::universe(Space::set(0, 1));
         b.add_range(0, 0, 3);
@@ -743,10 +716,5 @@ mod tests {
         assert_eq!(cache.hits(), 1);
         assert!(cache.symbolic() >= 1);
         assert_eq!(cache.enumerated(), 0);
-        // absorb_stats folds every counter.
-        let mut agg = CountCache::new();
-        agg.absorb_stats(&cache);
-        assert_eq!(agg.symbolic(), cache.symbolic());
-        assert_eq!(agg.evictions(), cache.evictions());
     }
 }

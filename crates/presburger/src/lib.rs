@@ -21,6 +21,12 @@
 //!   ([`count_basic_enumerative`]), plus an exhaustive enumerator for
 //!   validation.
 //!
+//! There is one solver core. Its oracles live in the test suites:
+//! brute-force point membership (`tests/prop.rs`, which checks every
+//! answer) and a pinned digest of a fixed sweep's emptiness verdicts,
+//! sampled witnesses and counts (`tests/solver_digest.rs`, which checks
+//! that the answers — down to which point is sampled — do not move).
+//!
 //! Unlike isl, parametric contexts are expected to be *instantiated*: the
 //! PolyUFC pipeline fixes problem sizes before the heavy cache-model
 //! queries, so counting returns plain integers rather than quasi-polynomials
@@ -54,7 +60,6 @@ mod linexpr;
 mod map;
 mod parse;
 mod polysum;
-pub mod reference;
 mod set;
 mod space;
 

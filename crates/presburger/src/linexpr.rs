@@ -141,18 +141,6 @@ impl LinExpr {
         out
     }
 
-    /// Substitutes variable `idx` with the constant `value`.
-    pub fn substitute_const(&self, idx: usize, value: i64) -> LinExpr {
-        let c = self.coeff(idx);
-        if c == 0 {
-            return self.clone();
-        }
-        let mut out = self.clone();
-        out.set_coeff(idx, 0);
-        out.constant += c * value;
-        out
-    }
-
     /// Shifts all variable indices at or above `at` up by `by` (used when
     /// inserting variables into a space).
     pub fn shift_vars(&self, at: usize, by: usize) -> LinExpr {
@@ -324,14 +312,6 @@ mod tests {
         assert_eq!(s.coeff(0), 3);
         assert_eq!(s.coeff(1), 0);
         assert_eq!(s.constant_term(), -2);
-    }
-
-    #[test]
-    fn substitute_const_folds() {
-        let e = LinExpr::var(0) * 4 + LinExpr::constant(1);
-        let s = e.substitute_const(0, 3);
-        assert!(s.is_constant());
-        assert_eq!(s.constant_term(), 13);
     }
 
     #[test]

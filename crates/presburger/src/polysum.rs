@@ -383,26 +383,6 @@ pub(crate) fn try_count(sys: &System, vars: &[usize]) -> Option<i128> {
     try_count_with_stats(sys, vars).map(|(n, _)| n)
 }
 
-/// Strictly sequential variant over a plain constraint list, used by the
-/// frozen [`crate::reference`] core (which must not share the parallel
-/// driver with the code under test).
-pub(crate) fn try_count_sequential(cons: &[Constraint], vars: &[usize]) -> Option<i128> {
-    let in_vars = |i: usize| vars.contains(&i);
-    if cons
-        .iter()
-        .any(|c| c.expr.terms().any(|(i, _)| !in_vars(i)))
-    {
-        return None;
-    }
-    let root = Region {
-        cons: cons.to_vec(),
-        vars: vars.to_vec(),
-        poly: Poly::one(),
-    };
-    let n = drain_one(root, &mut Work::new())?;
-    (n >= 0).then_some(n)
-}
-
 /// Symbolic count of a basic set with determined divs, when the shape is
 /// inside the closed-form fragment. This is the public entry used by the
 /// differential test suite and diagnostics; the counting pipeline invokes
@@ -789,6 +769,19 @@ mod tests {
         symbolic_count(b)
     }
 
+    fn root(sys: &System) -> Region {
+        Region {
+            cons: sys.to_constraints(),
+            vars: (0..sys.n).collect(),
+            poly: Poly::one(),
+        }
+    }
+
+    /// The region driver with fan-out disabled: a strictly sequential drain.
+    fn sequential(sys: &System) -> Option<i128> {
+        count_regions_with(root(sys), usize::MAX, u64::MAX).map(|(n, _)| n)
+    }
+
     #[test]
     fn rationals_reduce() {
         let r = Rat::new(6, -4).unwrap();
@@ -924,8 +917,8 @@ mod tests {
     #[test]
     fn sequential_and_parallel_drivers_agree() {
         // Trapezoid with competing bounds splits regions; the stack driver
-        // (with parallel fan-out) and the strictly sequential reference
-        // driver must agree exactly.
+        // (with parallel fan-out) and the same driver with fan-out
+        // disabled must agree exactly.
         let mut b = BasicSet::universe(Space::set(0, 2));
         b.add_range(0, 0, 49);
         b.add_range(1, 0, 99);
@@ -934,8 +927,7 @@ mod tests {
         let sys = b.system();
         let vars: Vec<usize> = (0..sys.n).collect();
         let (n, _) = try_count_with_stats(&sys, &vars).unwrap();
-        let seq = try_count_sequential(&sys.to_constraints(), &vars).unwrap();
-        assert_eq!(n, seq);
+        assert_eq!(Some(n), sequential(&sys));
     }
 
     #[test]
@@ -949,16 +941,9 @@ mod tests {
         b.add_ge0(LinExpr::var(1) - LinExpr::var(0));
         b.add_ge0(LinExpr::constant(99) - LinExpr::var(0) - LinExpr::var(1));
         let sys = b.system();
-        let vars: Vec<usize> = (0..sys.n).collect();
-        let root = Region {
-            cons: sys.to_constraints(),
-            vars: vars.clone(),
-            poly: Poly::one(),
-        };
-        let (n, splits) = count_regions_with(root, 2, 0).unwrap();
+        let (n, splits) = count_regions_with(root(&sys), 2, 0).unwrap();
         assert!(splits >= 2, "fan-out must trigger with zeroed thresholds");
-        let seq = try_count_sequential(&sys.to_constraints(), &vars).unwrap();
-        assert_eq!(n, seq);
+        assert_eq!(Some(n), sequential(&sys));
     }
 
     #[test]
@@ -976,12 +961,7 @@ mod tests {
             .filter(|&(i, j)| j >= i - 10 && i + j >= 8 && i + j <= 50)
             .count() as i128;
         assert_eq!(sym(&b), Some(brute));
-        let sys = b.system();
-        let vars: Vec<usize> = (0..sys.n).collect();
-        assert_eq!(
-            try_count_sequential(&sys.to_constraints(), &vars),
-            Some(brute)
-        );
+        assert_eq!(sequential(&b.system()), Some(brute));
     }
 
     #[test]

@@ -189,22 +189,6 @@ impl Set {
         Ok(true)
     }
 
-    /// Samples a point (dims only) from the set, if any.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver budget/unboundedness errors.
-    pub fn sample_point(&self) -> Result<Option<Vec<i64>>> {
-        for b in &self.basics {
-            if let Some(full) = b.sample()? {
-                let np = self.space.n_param();
-                let nd = self.space.n_dim();
-                return Ok(Some(full[np..np + nd].to_vec()));
-            }
-        }
-        Ok(None)
-    }
-
     /// Membership test for a point of `n_param + n_dim` coordinates.
     ///
     /// # Errors
@@ -301,31 +285,6 @@ impl Set {
         Ok(all.into_iter().collect())
     }
 
-    /// Projects out `count` dimensions starting at `first` from every
-    /// disjunct (exact; introduces existentials).
-    pub fn project_out(&self, first: usize, count: usize) -> Set {
-        let basics: Vec<BasicSet> = self
-            .basics
-            .iter()
-            .map(|b| b.project_dims_out(first, count))
-            .collect();
-        let space = Space::set(self.space.n_param(), self.space.n_dim() - count);
-        Set { space, basics }
-    }
-
-    /// Fixes parameter `param_idx` to a concrete value in every disjunct.
-    pub fn fix_param(&self, param_idx: usize, value: i64) -> Set {
-        assert!(
-            param_idx < self.space.n_param(),
-            "parameter index out of range"
-        );
-        let mut out = self.clone();
-        for b in &mut out.basics {
-            b.fix_var(param_idx, value);
-        }
-        out
-    }
-
     /// Whether `self ⊆ other` (requires `other` to have determined divs).
     ///
     /// # Errors
@@ -333,15 +292,6 @@ impl Set {
     /// See [`Set::subtract`].
     pub fn is_subset(&self, other: &Set) -> Result<bool> {
         self.subtract(other)?.is_empty()
-    }
-
-    /// Whether the two sets contain exactly the same points.
-    ///
-    /// # Errors
-    ///
-    /// See [`Set::subtract`] (both operands need determined divs).
-    pub fn is_equal(&self, other: &Set) -> Result<bool> {
-        Ok(self.is_subset(other)? && other.is_subset(self)?)
     }
 
     /// Removes provably empty disjuncts.
@@ -506,37 +456,35 @@ mod tests {
         let e = Set::empty(sp.clone());
         assert!(e.is_empty().unwrap());
         assert_eq!(e.count().unwrap(), 0);
-        assert_eq!(e.sample_point().unwrap(), None);
         let a = interval(sp, 0, 0, 3);
         assert_eq!(a.union(&e).unwrap().count().unwrap(), 4);
         assert_eq!(e.union(&a).unwrap().count().unwrap(), 4);
     }
 
     #[test]
-    fn fix_param_pins_size() {
+    fn fixed_param_pins_size() {
         // [n] -> { [i] : 0 <= i < n }
         let sp = Space::set(1, 1);
         let mut b = BasicSet::universe(sp);
         b.add_ge0(LinExpr::var(1));
         b.add_ge0(LinExpr::var(0) - LinExpr::var(1) - LinExpr::constant(1));
-        let s = Set::from_basic(b).fix_param(0, 12);
-        assert_eq!(s.count().unwrap(), 12);
+        b.fix_var(0, 12);
+        assert_eq!(Set::from_basic(b).count().unwrap(), 12);
     }
 
     #[test]
-    fn subset_and_equality() {
+    fn subset_across_decompositions() {
         let sp = Space::set(0, 1);
         let small = interval(sp.clone(), 0, 2, 5);
         let big = interval(sp.clone(), 0, 0, 9);
         assert!(small.is_subset(&big).unwrap());
         assert!(!big.is_subset(&small).unwrap());
-        assert!(big.is_equal(&big).unwrap());
-        assert!(!big.is_equal(&small).unwrap());
-        // Equality across different disjunct decompositions.
+        // Mutual inclusion across different disjunct decompositions.
         let left = interval(sp.clone(), 0, 0, 4);
         let right = interval(sp.clone(), 0, 5, 9);
         let split = left.union_disjoint(&right).unwrap();
-        assert!(split.is_equal(&big).unwrap());
+        assert!(split.is_subset(&big).unwrap());
+        assert!(big.is_subset(&split).unwrap());
     }
 
     #[test]
@@ -545,7 +493,7 @@ mod tests {
         let mut b = BasicSet::universe(sp);
         b.add_range(0, 0, 4);
         b.add_range(1, 0, 6);
-        let s = Set::from_basic(b).project_out(0, 1);
+        let s = Set::from_basic(b.project_dims_out(0, 1));
         assert_eq!(s.count().unwrap(), 7);
     }
 }

@@ -86,11 +86,6 @@ impl Space {
         self.n_param + self.n_in
     }
 
-    /// Index of the first div variable in the flat variable layout.
-    pub fn div_offset(&self) -> usize {
-        self.n_var()
-    }
-
     /// The space of the reversed relation (inputs and outputs swapped).
     pub fn reversed(&self) -> Space {
         Space {
@@ -155,7 +150,6 @@ mod tests {
         assert_eq!(s.n_dim(), 3);
         assert_eq!(s.n_var(), 5);
         assert_eq!(s.in_offset(), 2);
-        assert_eq!(s.div_offset(), 5);
         assert!(s.is_set());
     }
 

@@ -1,9 +1,14 @@
-//! Property-based tests: the symbolic set algebra must agree with
-//! brute-force point semantics on random small sets and relations.
+//! Property-based tests: the symbolic set algebra and the solver entry
+//! points must agree with brute-force point semantics on random small sets
+//! and relations — boxes with random cuts, triangles, bands and strided
+//! div sets. Brute force is the solver's correctness oracle;
+//! `solver_digest.rs` pins which answers it gives.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use polyufc_presburger::{lex_lt_map, BasicMap, BasicSet, LinExpr, Map, Set, Space};
+use polyufc_presburger::{lex_lt_map, BasicMap, BasicSet, Context, LinExpr, Map, Set, Space};
 
 /// A random inequality `a*i + b*j + c >= 0` over a 2-D space.
 fn arb_constraint() -> impl Strategy<Value = (i64, i64, i64)> {
@@ -23,21 +28,88 @@ fn arb_basic_set() -> impl Strategy<Value = BasicSet> {
     })
 }
 
-fn brute_points(b: &BasicSet) -> std::collections::BTreeSet<Vec<i64>> {
-    let mut out = std::collections::BTreeSet::new();
-    for i in 0..8 {
-        for j in 0..8 {
-            if b.contains(&[i, j]).unwrap() {
-                out.insert(vec![i, j]);
-            }
+/// A random triangle `{ lo <= i <= hi, 0 <= j, a*i - j + c >= 0 }`; every
+/// point lies in `[0, 21)^2`.
+fn arb_triangle() -> impl Strategy<Value = BasicSet> {
+    (0i64..=3, 4i64..=9, 1i64..=2, -2i64..=2).prop_map(|(lo, hi, a, c)| {
+        let mut b = BasicSet::universe(Space::set(0, 2));
+        b.add_range(0, lo, hi);
+        b.add_ge0(LinExpr::var(1));
+        b.add_ge0(LinExpr::var(0) * a - LinExpr::var(1) + LinExpr::constant(c));
+        b
+    })
+}
+
+/// A random band `{ 0 <= i, j < n, |i - j| <= w }` with `n <= 12`.
+fn arb_band() -> impl Strategy<Value = BasicSet> {
+    (4i64..=12, 0i64..=3).prop_map(|(n, w)| {
+        let mut b = BasicSet::universe(Space::set(0, 2));
+        b.add_range(0, 0, n - 1);
+        b.add_range(1, 0, n - 1);
+        b.add_ge0(LinExpr::var(0) - LinExpr::var(1) + LinExpr::constant(w));
+        b.add_ge0(LinExpr::var(1) - LinExpr::var(0) + LinExpr::constant(w));
+        b
+    })
+}
+
+/// A random strided set `{ 0 <= i < n, i mod d == r }` via a determined
+/// div, with `n <= 32`.
+fn arb_stride() -> impl Strategy<Value = BasicSet> {
+    (8i64..=32, 2i64..=5, 0i64..=4).prop_map(|(n, d, r)| {
+        let mut b = BasicSet::universe(Space::set(0, 1));
+        b.add_range(0, 0, n - 1);
+        let q = b.add_div(LinExpr::var(0) - LinExpr::constant(r % d), d);
+        b.add_eq(LinExpr::var(0) - LinExpr::constant(r % d) - LinExpr::var(q) * d);
+        b
+    })
+}
+
+/// Every point of `b` inside the box `[0, extent)^n_dim`.
+fn brute_points_in(b: &BasicSet, extent: i64) -> BTreeSet<Vec<i64>> {
+    let n = b.space().n_dim();
+    let mut out = BTreeSet::new();
+    let mut p = vec![0i64; n];
+    loop {
+        if b.contains(&p).unwrap() {
+            out.insert(p.clone());
+        }
+        // Odometer step; every digit wrapping means the box is done.
+        let Some(d) = (0..n).find(|&d| p[d] + 1 < extent) else {
+            return out;
+        };
+        p[..d].fill(0);
+        p[d] += 1;
+    }
+}
+
+fn brute_points(b: &BasicSet) -> BTreeSet<Vec<i64>> {
+    brute_points_in(b, 8)
+}
+
+/// The solver entry points production calls — counting, `is_empty`,
+/// `Context::check_all`, `BasicSet::sample` and `Context::sample` —
+/// against brute-force membership, for a set whose points all lie in
+/// `[0, extent)^n_dim`.
+fn assert_matches_brute(b: &BasicSet, extent: i64) -> Result<(), String> {
+    let brute = brute_points_in(b, extent);
+    let empty = brute.is_empty();
+    prop_assert_eq!(
+        Set::from_basic(b.clone()).count().unwrap(),
+        brute.len() as i128
+    );
+    prop_assert_eq!(b.is_empty().unwrap(), empty);
+    let mut ctx = Context::new();
+    prop_assert_eq!(ctx.check_all([b])[0].is_empty(), empty);
+    for sampled in [b.sample().unwrap(), ctx.sample(b).unwrap()] {
+        prop_assert_eq!(sampled.is_none(), empty);
+        if let Some(p) = sampled {
+            prop_assert!(brute.contains(&p[..b.space().n_dim()]), "{p:?} not in {b}");
         }
     }
-    out
+    Ok(())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     #[test]
     fn count_matches_enumeration(b in arb_basic_set()) {
         let s = Set::from_basic(b.clone());
@@ -53,9 +125,9 @@ proptest! {
         let sa = Set::from_basic(a.clone());
         let sb = Set::from_basic(b.clone());
         let inter = sa.intersect(&sb).unwrap();
-        let expect: std::collections::BTreeSet<_> =
+        let expect: BTreeSet<_> =
             brute_points(&a).intersection(&brute_points(&b)).cloned().collect();
-        let got: std::collections::BTreeSet<_> =
+        let got: BTreeSet<_> =
             inter.enumerate(1000).unwrap().into_iter().collect();
         prop_assert_eq!(got, expect);
         prop_assert_eq!(inter.count().unwrap(), 0i128.max(expect_len(&a, &b)));
@@ -64,9 +136,9 @@ proptest! {
     #[test]
     fn subtraction_is_pointwise_difference(a in arb_basic_set(), b in arb_basic_set()) {
         let d = Set::from_basic(a.clone()).subtract(&Set::from_basic(b.clone())).unwrap();
-        let expect: std::collections::BTreeSet<_> =
+        let expect: BTreeSet<_> =
             brute_points(&a).difference(&brute_points(&b)).cloned().collect();
-        let got: std::collections::BTreeSet<_> =
+        let got: BTreeSet<_> =
             d.enumerate(1000).unwrap().into_iter().collect();
         prop_assert_eq!(&got, &expect);
         // Disjoint pieces: count must equal cardinality, not overcount.
@@ -76,7 +148,7 @@ proptest! {
     #[test]
     fn union_preserves_membership_and_count(a in arb_basic_set(), b in arb_basic_set()) {
         let u = Set::from_basic(a.clone()).union(&Set::from_basic(b.clone())).unwrap();
-        let expect: std::collections::BTreeSet<_> =
+        let expect: BTreeSet<_> =
             brute_points(&a).union(&brute_points(&b)).cloned().collect();
         prop_assert_eq!(u.count().unwrap(), expect.len() as i128);
         for p in &expect {
@@ -147,12 +219,23 @@ proptest! {
     }
 
     #[test]
-    fn sample_is_member(a in arb_basic_set()) {
-        let s = Set::from_basic(a.clone());
-        match s.sample_point().unwrap() {
-            Some(p) => prop_assert!(a.contains(&p).unwrap()),
-            None => prop_assert_eq!(s.count().unwrap(), 0),
-        }
+    fn boxes_and_random_cuts_match_brute(b in arb_basic_set()) {
+        assert_matches_brute(&b, 8)?;
+    }
+
+    #[test]
+    fn triangles_match_brute(b in arb_triangle()) {
+        assert_matches_brute(&b, 21)?;
+    }
+
+    #[test]
+    fn bands_match_brute(b in arb_band()) {
+        assert_matches_brute(&b, 12)?;
+    }
+
+    #[test]
+    fn strides_match_brute(b in arb_stride()) {
+        assert_matches_brute(&b, 32)?;
     }
 
     #[test]
@@ -163,10 +246,9 @@ proptest! {
 
     #[test]
     fn projection_is_exact(a in arb_basic_set()) {
-        let s = Set::from_basic(a.clone()).project_out(1, 1);
-        let expect: std::collections::BTreeSet<i64> =
-            brute_points(&a).into_iter().map(|p| p[0]).collect();
-        let got: std::collections::BTreeSet<i64> =
+        let s = Set::from_basic(a.project_dims_out(1, 1));
+        let expect: BTreeSet<i64> = brute_points(&a).into_iter().map(|p| p[0]).collect();
+        let got: BTreeSet<i64> =
             s.enumerate(1000).unwrap().into_iter().map(|p| p[0]).collect();
         prop_assert_eq!(got, expect);
     }
@@ -189,7 +271,7 @@ proptest! {
             }
         }
         // Every domain point appears exactly once.
-        let doms: std::collections::BTreeSet<i64> = pts.iter().map(|p| p[0]).collect();
+        let doms: BTreeSet<i64> = pts.iter().map(|p| p[0]).collect();
         prop_assert_eq!(lm.len(), doms.len());
     }
 }
