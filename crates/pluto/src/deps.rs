@@ -306,7 +306,7 @@ mod tests {
             dec,
             KernelDecision {
                 name: "j2d".into(),
-                skewed: Some((0, 2, 1)),
+                skewed: vec![(1, 1), (2, 1)],
                 tiled: true,
                 parallel_loops: vec![],
                 analysis_conservative: false,

@@ -35,8 +35,9 @@ impl Default for PlutoOptimizer {
 pub struct KernelDecision {
     /// Kernel name.
     pub name: String,
-    /// Whether a skew was applied (outer, inner, factor).
-    pub skewed: Option<(usize, usize, i64)>,
+    /// Every skew applied, in order, as `(inner, factor)`: loop `inner`
+    /// is shifted by `factor` times the outermost loop.
+    pub skewed: Vec<(usize, i64)>,
     /// Whether the kernel was tiled.
     pub tiled: bool,
     /// Parallel loop indices (in the transformed kernel).
@@ -72,7 +73,7 @@ impl PlutoOptimizer {
     pub fn optimize_kernel(&self, kernel: &AffineKernel) -> (AffineKernel, KernelDecision) {
         let mut dec = KernelDecision {
             name: kernel.name.clone(),
-            skewed: None,
+            skewed: Vec::new(),
             tiled: false,
             parallel_loops: Vec::new(),
             analysis_conservative: false,
@@ -93,7 +94,7 @@ impl PlutoOptimizer {
                     let factor = -min_d;
                     k = skew_loop(&k, 0, inner, factor);
                     deps = deps.skewed(inner, factor);
-                    dec.skewed = Some((0, inner, factor));
+                    dec.skewed.push((inner, factor));
                 }
             }
         }
@@ -162,7 +163,7 @@ mod tests {
         let (opt, report) = PlutoOptimizer::default().optimize(&p);
         let d = &report.decisions[0];
         assert!(d.tiled);
-        assert!(d.skewed.is_none());
+        assert!(d.skewed.is_empty());
         let k = &opt.kernels[0];
         assert_eq!(k.depth(), 6);
         // Tile loops for i and j are parallel, k is not.
@@ -203,7 +204,7 @@ mod tests {
         });
         let (opt, report) = PlutoOptimizer::default().optimize(&p);
         let d = &report.decisions[0];
-        assert_eq!(d.skewed, Some((0, 1, 1)));
+        assert_eq!(d.skewed, [(1, 1)]);
         assert!(d.tiled);
         assert_eq!(opt.kernels[0].domain_size().unwrap(), 64 * 126);
     }
