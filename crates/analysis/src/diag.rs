@@ -199,9 +199,8 @@ impl fmt::Display for Diagnostic {
 }
 
 /// Solver-level accounting for one analyzer run: how the batched
-/// Presburger [`Context`](polyufc_presburger::Context) was exercised and
-/// how long each pass took. Feeds the pipeline's `CompileReport` and the
-/// `lint_sweep --per-pass` breakdown.
+/// Presburger [`Context`](polyufc_presburger::Context) was exercised.
+/// Feeds the pipeline's `CompileReport`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnalysisStats {
     /// Emptiness batches issued through the shared context.
@@ -210,14 +209,6 @@ pub struct AnalysisStats {
     pub emptiness_checks: u64,
     /// High-water mark of the solver arena, in bytes.
     pub peak_arena_bytes: usize,
-    /// Wall-clock microseconds in the structural verify pass.
-    pub verify_us: u64,
-    /// Wall-clock microseconds in the bounds pass.
-    pub bounds_us: u64,
-    /// Wall-clock microseconds in the race pass.
-    pub races_us: u64,
-    /// Wall-clock microseconds in the model-audit pass.
-    pub audit_us: u64,
 }
 
 /// The result of analyzing one program: every finding of every pass that
@@ -228,7 +219,7 @@ pub struct AnalysisReport {
     pub program: String,
     /// All findings.
     pub diagnostics: Vec<Diagnostic>,
-    /// Solver accounting and per-pass timings for this run.
+    /// Solver accounting for this run.
     pub stats: AnalysisStats,
 }
 

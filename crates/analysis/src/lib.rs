@@ -18,9 +18,8 @@
 //!    (optional: needs the model's numbers, see
 //!    [`Analyzer::analyze_with_model`]).
 //!
-//! The same report feeds three consumers: the `polyufc lint` subcommand,
-//! the pipeline's pre-compilation verify gate, and the bench-harness
-//! cleanliness sweep.
+//! The same report feeds two consumers: the `polyufc lint` subcommand
+//! and the pipeline's pre-compilation verify gate.
 //!
 //! # Example
 //!
@@ -60,8 +59,6 @@ pub mod verify_ir;
 pub use audit::ModelCounts;
 pub use diag::{AnalysisReport, AnalysisStats, Diagnostic, Location, Severity, Witness};
 
-use std::time::Instant;
-
 use polyufc_ir::affine::AffineProgram;
 use polyufc_presburger::Context;
 
@@ -80,8 +77,7 @@ impl Analyzer {
     /// All Presburger queries of one run go through a single batched
     /// [`Context`]: emptiness checks share one arena-backed solver system
     /// and counts share one memoizing cache. The report's
-    /// [`AnalysisStats`] records per-pass wall-clock and solver
-    /// accounting.
+    /// [`AnalysisStats`] records the solver accounting.
     pub fn analyze(&self, program: &AffineProgram) -> AnalysisReport {
         self.analyze_in(program, &mut Context::new())
     }
@@ -89,29 +85,19 @@ impl Analyzer {
     /// [`Analyzer::analyze`] against a caller-provided solver context
     /// (e.g. the pipeline's, so its stats aggregate across phases).
     pub fn analyze_in(&self, program: &AffineProgram, ctx: &mut Context) -> AnalysisReport {
-        let mut stats = AnalysisStats::default();
-        let t = Instant::now();
         let verdict = verify_ir::check_program_in(program, ctx);
-        stats.verify_us = t.elapsed().as_micros() as u64;
         let mut diagnostics = verdict.diagnostics;
         for (kernel, &malformed) in program.kernels.iter().zip(&verdict.malformed) {
             if malformed {
                 continue;
             }
-            let t = Instant::now();
             diagnostics.extend(bounds::check_kernel_in(program, kernel, ctx));
-            stats.bounds_us += t.elapsed().as_micros() as u64;
-            let t = Instant::now();
             diagnostics.extend(races::check_kernel_in(program, kernel, ctx));
-            stats.races_us += t.elapsed().as_micros() as u64;
         }
-        stats.emptiness_batches = ctx.batches();
-        stats.emptiness_checks = ctx.checks();
-        stats.peak_arena_bytes = ctx.peak_arena_bytes();
         AnalysisReport {
             program: program.name.clone(),
             diagnostics,
-            stats,
+            stats: context_stats(ctx),
         }
     }
 
@@ -126,15 +112,20 @@ impl Analyzer {
     ) -> AnalysisReport {
         let mut ctx = Context::new();
         let mut report = self.analyze_in(program, &mut ctx);
-        let t = Instant::now();
         report.diagnostics.extend(audit::audit_program_in(
             program, counts, line_bytes, &mut ctx,
         ));
-        report.stats.audit_us = t.elapsed().as_micros() as u64;
-        report.stats.emptiness_batches = ctx.batches();
-        report.stats.emptiness_checks = ctx.checks();
-        report.stats.peak_arena_bytes = ctx.peak_arena_bytes();
+        report.stats = context_stats(&ctx);
         report
+    }
+}
+
+/// The solver accounting `ctx` has accumulated so far.
+fn context_stats(ctx: &Context) -> AnalysisStats {
+    AnalysisStats {
+        emptiness_batches: ctx.batches(),
+        emptiness_checks: ctx.checks(),
+        peak_arena_bytes: ctx.peak_arena_bytes(),
     }
 }
 

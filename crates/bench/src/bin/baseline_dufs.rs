@@ -6,7 +6,6 @@
 
 use polyufc::Pipeline;
 use polyufc_bench::{fault_plan_from_args, guard_from_args, pct, print_table, size_from_args};
-use polyufc_ir::lower::lower_tensor_to_linalg;
 use polyufc_machine::{DufsGovernor, ExecutionEngine, GuardedCapRuntime, Platform, UfsDriver};
 use polyufc_workloads::ml::sdpa_bert;
 use polyufc_workloads::polybench;
@@ -19,10 +18,7 @@ fn main() {
     let pipe = Pipeline::new(plat.clone());
     let eng = ExecutionEngine::new(plat.clone()).with_fault_plan(fault.clone());
 
-    let sdpa = {
-        let w = sdpa_bert();
-        lower_tensor_to_linalg(&w.graph, w.elem).lower_to_affine()
-    };
+    let sdpa = sdpa_bert().affine();
     let programs = vec![
         ("gemm (CB)", polybench::gemm(size.n3())),
         ("mvt (BB)", polybench::mvt(size.n2())),

@@ -1,22 +1,31 @@
 //! Developer diagnostic: per-kernel static-model vs. machine comparison
-//! for one workload. Usage: `diagnose <workload> <bdw|rpl>`.
+//! for one workload. Usage:
+//! `diagnose [workload] [bdw|rpl] [mini|small|large|xl] [grid]`
+//! (defaults: `mvt`, `rpl`, `small`).
 
 use polyufc::{ParametricModel, Pipeline};
-use polyufc_ir::lower::lower_tensor_to_linalg;
+use polyufc_bench::parse_size;
 use polyufc_machine::{measure_kernel, ExecutionEngine, Platform};
 use polyufc_workloads::{ml_suite, polybench_suite, PolybenchSize};
+
+/// Rejects an unrecognized argument with the accepted values, exit 2.
+fn unknown(what: &str, got: &str, accepted: &str) -> ! {
+    eprintln!("unknown {what} '{got}' (expected {accepted})");
+    std::process::exit(2);
+}
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "mvt".into());
     let plat = match std::env::args().nth(2).as_deref() {
         Some("bdw") => Platform::broadwell(),
-        _ => Platform::raptor_lake(),
+        None | Some("rpl") => Platform::raptor_lake(),
+        Some(other) => unknown("platform", other, "bdw|rpl"),
     };
-    let size = match std::env::args().nth(3).as_deref() {
-        Some("mini") => PolybenchSize::Mini,
-        Some("large") => PolybenchSize::Large,
-        Some("xl") | Some("extralarge") => PolybenchSize::ExtraLarge,
-        _ => PolybenchSize::Small,
+    let size = match std::env::args().nth(3) {
+        None => PolybenchSize::Small,
+        Some(s) => {
+            parse_size(&s).unwrap_or_else(|| unknown("size", &s, "mini|small|large|xl|extralarge"))
+        }
     };
     let program = polybench_suite(size)
         .into_iter()
@@ -26,7 +35,7 @@ fn main() {
             ml_suite()
                 .into_iter()
                 .find(|w| w.name == name)
-                .map(|w| lower_tensor_to_linalg(&w.graph, w.elem).lower_to_affine())
+                .map(|w| w.affine())
         })
         .expect("unknown workload");
 
@@ -70,8 +79,8 @@ fn main() {
         println!(
             "  est Q_DRAM {:.3e}  sim fills {:.3e} wb {:.3e}",
             st.q_dram_bytes,
-            (c.dram_fills * 64) as f64,
-            (c.dram_writebacks * 64) as f64
+            (c.dram_fills * c.line_bytes) as f64,
+            (c.dram_writebacks * c.line_bytes) as f64
         );
         let pm = ParametricModel::new(&pipe.roofline, st, k.outer_parallel().is_some(), conc);
         if std::env::args().nth(4).as_deref() == Some("grid") {

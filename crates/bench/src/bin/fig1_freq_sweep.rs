@@ -4,7 +4,6 @@
 
 use polyufc::Pipeline;
 use polyufc_bench::size_from_args;
-use polyufc_ir::lower::lower_tensor_to_linalg;
 use polyufc_machine::{measure_program, ExecutionEngine, Platform};
 use polyufc_workloads::ml::conv2d_convnext;
 use polyufc_workloads::polybench;
@@ -15,10 +14,7 @@ fn main() {
     let pipe = Pipeline::new(plat.clone());
     let eng = ExecutionEngine::new(plat.clone());
 
-    let conv = {
-        let w = conv2d_convnext();
-        lower_tensor_to_linalg(&w.graph, w.elem).lower_to_affine()
-    };
+    let conv = conv2d_convnext().affine();
     let programs = vec![
         ("conv2d", conv),
         ("2mm", polybench::two_mm(size.n3())),

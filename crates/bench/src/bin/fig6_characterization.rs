@@ -5,7 +5,6 @@
 
 use polyufc::{Boundedness, ParametricModel, Pipeline};
 use polyufc_bench::{evaluate, fault_plan_from_args, flag_from_args, print_table, size_from_args};
-use polyufc_ir::lower::lower_tensor_to_linalg;
 use polyufc_machine::{ExecutionEngine, Platform};
 use polyufc_workloads::{ml_suite, polybench_suite};
 
@@ -66,10 +65,7 @@ fn main() {
             programs.push((w.name.to_string(), w.program));
         }
         for w in ml_suite() {
-            programs.push((
-                w.name.to_string(),
-                lower_tensor_to_linalg(&w.graph, w.elem).lower_to_affine(),
-            ));
+            programs.push((w.name.to_string(), w.affine()));
         }
         if let Some(only) = &only {
             programs.retain(|(name, _)| name == only);

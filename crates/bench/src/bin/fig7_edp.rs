@@ -8,7 +8,6 @@ use polyufc_bench::{
     evaluate_guarded, fault_plan_from_args, geomean, guard_from_args, pct, print_table,
     size_from_args,
 };
-use polyufc_ir::lower::lower_tensor_to_linalg;
 use polyufc_machine::{ExecutionEngine, Platform};
 use polyufc_workloads::{ml_suite, polybench_suite};
 
@@ -37,11 +36,7 @@ fn main() {
             programs.push((w.name.to_string(), true, w.program));
         }
         for w in ml_suite() {
-            programs.push((
-                w.name.to_string(),
-                false,
-                lower_tensor_to_linalg(&w.graph, w.elem).lower_to_affine(),
-            ));
+            programs.push((w.name.to_string(), false, w.affine()));
         }
 
         // Independent evaluation points: fan out, then build rows from the

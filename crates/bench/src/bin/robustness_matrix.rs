@@ -11,7 +11,6 @@
 
 use polyufc::Pipeline;
 use polyufc_bench::{pct, print_table, size_from_args};
-use polyufc_ir::lower::lower_tensor_to_linalg;
 use polyufc_machine::{ExecutionEngine, FaultPlan, GuardedCapRuntime, Platform, UfsDriver};
 use polyufc_workloads::ml::sdpa_bert;
 use polyufc_workloads::polybench;
@@ -46,10 +45,7 @@ fn main() {
     let plat = Platform::broadwell();
     let pipe = Pipeline::new(plat.clone());
 
-    let sdpa = {
-        let w = sdpa_bert();
-        lower_tensor_to_linalg(&w.graph, w.elem).lower_to_affine()
-    };
+    let sdpa = sdpa_bert().affine();
     let programs = vec![
         ("gemm (CB)", polybench::gemm(size.n3())),
         ("mvt (BB)", polybench::mvt(size.n2())),

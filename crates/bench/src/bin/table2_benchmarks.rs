@@ -3,7 +3,6 @@
 //! memory footprints.
 
 use polyufc_bench::{print_table, size_from_args};
-use polyufc_ir::lower::lower_tensor_to_linalg;
 use polyufc_workloads::{ml_suite, polybench_suite};
 
 fn main() {
@@ -12,7 +11,7 @@ fn main() {
     println!("# Table II(a) — selected ML kernels");
     let mut rows = Vec::new();
     for w in ml_suite() {
-        let ap = lower_tensor_to_linalg(&w.graph, w.elem).lower_to_affine();
+        let ap = w.affine();
         let flops: i128 = ap
             .kernels
             .iter()

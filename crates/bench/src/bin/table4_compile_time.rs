@@ -5,7 +5,6 @@
 
 use polyufc::Pipeline;
 use polyufc_bench::{print_table, size_from_args};
-use polyufc_ir::lower::lower_tensor_to_linalg;
 use polyufc_machine::Platform;
 use polyufc_workloads::{ml_suite, polybench_suite};
 
@@ -41,10 +40,7 @@ fn main() {
 
     let mut programs: Vec<(String, polyufc_ir::affine::AffineProgram)> = Vec::new();
     for w in ml_suite() {
-        programs.push((
-            w.name.to_string(),
-            lower_tensor_to_linalg(&w.graph, w.elem).lower_to_affine(),
-        ));
+        programs.push((w.name.to_string(), w.affine()));
     }
     for w in polybench_suite(size) {
         programs.push((w.name.to_string(), w.program));

@@ -1056,7 +1056,7 @@ mod tests {
     fn tiled_matmul_keeps_tile_reuse() {
         use polyufc_pluto::PlutoOptimizer;
         let (p, _) = matmul(128);
-        let (opt, _) = PlutoOptimizer::default().optimize(&p);
+        let (opt, _) = PlutoOptimizer.optimize(&p);
         let h = hierarchy(32, 512);
         let model = CacheModel::new(h.clone(), AssocMode::FullyAssociative);
         let tiled_stats = model.analyze_kernel(&opt, &opt.kernels[0]).unwrap();

@@ -15,7 +15,6 @@ use polyufc_analysis::{AnalysisReport, Analyzer, Diagnostic, Location, ModelCoun
 use polyufc_cache::{AssocMode, CacheModel};
 use polyufc_cgeist::parse_scop;
 use polyufc_ir::affine::AffineProgram;
-use polyufc_ir::lower::lower_tensor_to_linalg;
 use polyufc_machine::{
     measure_kernel_with_plan, ExecutionEngine, FaultPlan, GuardedCapRuntime, Platform, UfsDriver,
 };
@@ -53,15 +52,15 @@ const USAGE: &str = "usage:
                   [--deadline-ms N] [--quarantine N] [--chaos <spec>]
                                           compile-and-cap daemon (NDJSON,
                                           pipelined requests, one per line;
-                                          SIGTERM drains; default connection
-                                          cap 1024 or POLYUFC_MAX_CONNS;
+                                          SIGTERM drains; --max-conns caps
+                                          connections (default 1024);
                                           --deadline-ms bounds each compile
-                                          [or POLYUFC_DEADLINE_MS] with a
-                                          watchdog that aborts + replaces
-                                          stalled workers; --quarantine N
-                                          poisons kernels after N failures;
-                                          --chaos injects seeded faults,
-                                          e.g. `standard,seed=7`)
+                                          (default: none) with a watchdog
+                                          that aborts + replaces stalled
+                                          workers; --quarantine N poisons
+                                          kernels after N failures; --chaos
+                                          injects seeded faults, e.g.
+                                          `standard,seed=7`)
   polyufc stats   [--connect <addr>] [--unix <path>] [--json]
                                           query a running daemon's cache/pool
                                           counters and latency percentiles
@@ -69,7 +68,9 @@ const USAGE: &str = "usage:
 
 global options:
   --threads <n>         worker threads for parallel passes and the daemon
-                        pool (default: POLYUFC_THREADS or all cores)
+                        pool (default: POLYUFC_THREADS or all cores; every
+                        other serve setting is a flag only, with no
+                        environment variable)
 
 simulation options (run/bench):
   --fault-plan <spec>   inject faults: a preset (standard|stuck|thermal|flaky)
@@ -339,8 +340,7 @@ fn serve(args: &[String]) -> Result<u8, String> {
         engine.cache_capacity = c.max(1);
     }
     if let Some(ms) = deadline_ms {
-        // `--deadline-ms 0` explicitly disables a POLYUFC_DEADLINE_MS
-        // default picked up by EngineConfig::default().
+        // `--deadline-ms 0` means no deadline, the default.
         engine.deadline = (ms > 0).then(|| std::time::Duration::from_millis(ms));
     }
     if let Some(q) = quarantine {
@@ -568,11 +568,7 @@ fn lint(args: &[String]) -> Result<u8, String> {
         polybench_suite(size)
             .into_iter()
             .map(|w| w.program)
-            .chain(
-                ml_suite()
-                    .into_iter()
-                    .map(|w| lower_tensor_to_linalg(&w.graph, w.elem).lower_to_affine()),
-            )
+            .chain(ml_suite().into_iter().map(|w| w.affine()))
             .collect()
     } else {
         let path = path.ok_or("lint: missing input file (or pass --workloads)")?;
@@ -683,7 +679,7 @@ fn find_workload(name: &str) -> Option<AffineProgram> {
     ml_suite()
         .into_iter()
         .find(|w| w.name == name)
-        .map(|w| lower_tensor_to_linalg(&w.graph, w.elem).lower_to_affine())
+        .map(|w| w.affine())
 }
 
 fn pipeline_for(opts: &Options) -> Pipeline {
@@ -826,12 +822,14 @@ mod tests {
     }
 
     #[test]
-    fn lint_workloads_mini_is_clean() {
-        let args: Vec<String> = ["lint", "--workloads", "--size", "mini"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(run(&args).unwrap(), 0);
+    fn lint_workloads_clean_at_mini_and_large() {
+        for size in ["mini", "large"] {
+            let args: Vec<String> = ["lint", "--workloads", "--size", size]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            assert_eq!(run(&args).unwrap(), 0, "size {size}");
+        }
     }
 
     #[test]

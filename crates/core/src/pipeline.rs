@@ -240,7 +240,7 @@ pub struct Pipeline {
     pub objective: Objective,
     /// The ε threshold of POLYUFC-SEARCH (paper uses 1e-3).
     pub epsilon: f64,
-    /// The Pluto stage configuration.
+    /// The Pluto stage.
     pub pluto: PlutoOptimizer,
     /// Whether to apply the paper's thread-sharing heuristic to parallel
     /// kernels (sequential misses divided by the thread count).
@@ -250,13 +250,6 @@ pub struct Pipeline {
     /// the cap equals the one already in effect, which is free). Encodes
     /// the Sec. VII-F overhead argument; 0 disables the guard.
     pub cap_switch_guard: f64,
-    /// Whether to run the static verifier (IR lints, bounds proofs, race
-    /// detection on `parallel` flags) before compilation. On by default:
-    /// textual and cgeist inputs are untrusted, and the builtin workloads
-    /// are expected to verify cleanly. Errors abort compilation with
-    /// [`Error::AnalysisRejected`]; warnings land in
-    /// [`CompileReport::verify_warnings`].
-    pub verify: bool,
 }
 
 impl Pipeline {
@@ -274,17 +267,10 @@ impl Pipeline {
             assoc_mode: AssocMode::SetAssociative,
             objective: Objective::Edp,
             epsilon: 1e-3,
-            pluto: PlutoOptimizer::default(),
+            pluto: PlutoOptimizer,
             thread_sharing: false,
             cap_switch_guard: 20.0,
-            verify: true,
         }
-    }
-
-    /// Enables or disables the pre-compilation static verifier.
-    pub fn with_verify(mut self, on: bool) -> Self {
-        self.verify = on;
-        self
     }
 
     /// Sets the optimization objective.
@@ -356,19 +342,18 @@ impl Pipeline {
             session.count_cache.parallel_splits(),
         );
 
-        // Stage 1: static verification (the `--verify` gate). Runs before
-        // anything trusts the program's structure or `parallel` flags.
+        // Stage 1: static verification (IR lints, bounds proofs, race
+        // detection on `parallel` flags). Always runs, before anything
+        // trusts the program's structure or `parallel` flags: textual and
+        // cgeist inputs are untrusted, and the builtin workloads verify
+        // cleanly. Errors abort; warnings land in the report.
         let t_v = Instant::now();
-        let mut verify_warnings = Vec::new();
-        let mut verify_stats = polyufc_analysis::AnalysisStats::default();
-        if self.verify {
-            let report = Analyzer::new().analyze_in(input, &mut session.ctx);
-            if report.has_errors() {
-                return Err(Error::AnalysisRejected(report));
-            }
-            verify_stats = report.stats;
-            verify_warnings = report.diagnostics.iter().map(|d| d.to_string()).collect();
+        let report = Analyzer::new().analyze_in(input, &mut session.ctx);
+        if report.has_errors() {
+            return Err(Error::AnalysisRejected(report));
         }
+        let verify_stats = report.stats;
+        let verify_warnings = report.diagnostics.iter().map(|d| d.to_string()).collect();
         let verify_us = t_v.elapsed().as_micros();
 
         // Stage 2a: preprocessing (validation / extraction).
@@ -784,9 +769,7 @@ mod tests {
             }
             other => panic!("expected AnalysisRejected, got {other:?}"),
         }
-        // Same program compiles with the gate off (legacy trust mode) and
-        // verifies after the flag is sanitized away.
-        assert!(pipe.clone().with_verify(false).compile_affine(&p).is_ok());
+        // The same program verifies after the flag is sanitized away.
         let warns = polyufc_analysis::sanitize_parallel(&mut p);
         assert_eq!(warns.len(), 1);
         let out = pipe.compile_affine(&p).unwrap();

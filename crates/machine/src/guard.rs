@@ -12,11 +12,11 @@
 //!    static power.
 //! 2. **Misprediction watchdog.** After each kernel the observed time and
 //!    energy are compared against the static model predictions; relative
-//!    error above the configured thresholds is a *strike*.
+//!    error above 75% is a *strike*.
 //! 3. **Hysteresis + graceful fallback.** One bad kernel is tolerated
-//!    (noise and model outliers happen); [`GuardConfig::hysteresis`]
-//!    consecutive strikes — or a cap write that still fails verification
-//!    after all retries, which is an unambiguous hardware fault — degrade
+//!    (noise and model outliers happen); two consecutive strikes — or a
+//!    cap write that still fails verification after all retries, which
+//!    is an unambiguous hardware fault — degrade
 //!    the run to the stock [`crate::UfsDriver`] behavior: the cap is
 //!    released and every remaining kernel runs at the governor's maximum
 //!    frequency. Degraded ≈ stock baseline plus the already-sunk
@@ -30,8 +30,6 @@
 //! accumulation mirrors [`ExecutionEngine::run_scf`] operation-for-
 //! operation, so the output is byte-identical to the unguarded path
 //! (property-tested in `tests/guard.rs`).
-
-use std::collections::HashMap;
 
 use polyufc_ir::scf::ScfProgram;
 
@@ -51,40 +49,27 @@ pub struct CapPrediction {
     pub energy_j: f64,
 }
 
-/// Tunable guard thresholds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GuardConfig {
-    /// Maximum verify-after-write retries per cap application.
-    pub max_retries: u32,
-    /// First retry's backoff interval (µs); doubles per retry. An MSR
-    /// write plus read-back verify is microseconds of work, so the
-    /// default is µs-scale — large backoffs would dominate millisecond
-    /// kernels and break the degradation bound for no modeling gain.
-    pub backoff_base_us: f64,
-    /// Consecutive mispredicted kernels required before degrading to the
-    /// stock governor (per-kernel strikes; a verified-good kernel resets
-    /// the streak).
-    pub hysteresis: u32,
-    /// Relative time error above which a kernel counts as mispredicted.
-    /// Generous by design: the analytic model itself carries tens of
-    /// percent of systematic error (Hofmann et al.), and the watchdog
-    /// must fire on *faults*, not on the model being a model.
-    pub time_rel_err: f64,
-    /// Relative energy error threshold, same convention.
-    pub energy_rel_err: f64,
-}
+/// Maximum verify-after-write retries per cap application.
+const MAX_RETRIES: u32 = 3;
 
-impl Default for GuardConfig {
-    fn default() -> Self {
-        GuardConfig {
-            max_retries: 3,
-            backoff_base_us: 5.0,
-            hysteresis: 2,
-            time_rel_err: 0.75,
-            energy_rel_err: 0.75,
-        }
-    }
-}
+/// First retry's backoff interval (µs); doubles per retry. An MSR write
+/// plus read-back verify is microseconds of work, so the backoff is
+/// µs-scale — large backoffs would dominate millisecond kernels and break
+/// the degradation bound for no modeling gain.
+const BACKOFF_BASE_US: f64 = 5.0;
+
+/// Consecutive mispredicted kernels required before degrading to the
+/// stock governor (a verified-good kernel resets the streak).
+const HYSTERESIS: u32 = 2;
+
+/// Relative time error above which a kernel counts as mispredicted.
+/// Generous by design: the analytic model itself carries tens of percent
+/// of systematic error (Hofmann et al.), and the watchdog must fire on
+/// *faults*, not on the model being a model.
+const TIME_REL_ERR: f64 = 0.75;
+
+/// Relative energy error threshold, same convention.
+const ENERGY_REL_ERR: f64 = 0.75;
 
 /// How one kernel's cap application ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,17 +243,12 @@ impl GuardReport {
 pub struct GuardedCapRuntime<'e> {
     /// The engine (and through it the platform and fault plan) to run on.
     pub engine: &'e ExecutionEngine,
-    /// Guard thresholds.
-    pub config: GuardConfig,
 }
 
 impl<'e> GuardedCapRuntime<'e> {
-    /// A guard with default thresholds.
+    /// A guard over `engine`.
     pub fn new(engine: &'e ExecutionEngine) -> Self {
-        GuardedCapRuntime {
-            engine,
-            config: GuardConfig::default(),
-        }
+        GuardedCapRuntime { engine }
     }
 
     /// Runs an scf program with guarded cap application.
@@ -299,7 +279,6 @@ impl<'e> GuardedCapRuntime<'e> {
         );
         let plat = &self.engine.platform;
         let fault = &self.engine.fault;
-        let cfg = &self.config;
 
         let mut time = 0.0;
         let mut energy = EnergyBreakdown::default();
@@ -307,10 +286,7 @@ impl<'e> GuardedCapRuntime<'e> {
         let mut current = plat.uncore_max_ghz;
         let mut switches = 0u32;
         let mut backoff_s = 0.0;
-        // Per-kernel strike ledger plus the consecutive streak the
-        // hysteresis watches; a program can re-run a kernel name, and its
-        // history should count against it.
-        let mut strikes: HashMap<String, u32> = HashMap::new();
+        // The consecutive strike streak the hysteresis watches.
         let mut streak = 0u32;
         let mut degraded = false;
         let mut report = GuardReport::default();
@@ -372,13 +348,12 @@ impl<'e> GuardedCapRuntime<'e> {
                         verified = true;
                         break;
                     }
-                    if attempt >= cfg.max_retries {
+                    if attempt >= MAX_RETRIES {
                         break;
                     }
                     attempt += 1;
                     retries += 1;
-                    backoff_s +=
-                        cfg.backoff_base_us * 1e-6 * (1u64 << (attempt - 1).min(16)) as f64;
+                    backoff_s += BACKOFF_BASE_US * 1e-6 * (1u64 << (attempt - 1).min(16)) as f64;
                 }
                 outcome = if verified && retries == 0 {
                     CapOutcome::Verified
@@ -419,7 +394,7 @@ impl<'e> GuardedCapRuntime<'e> {
                     let ee = (r.energy.total() - pr.energy_j).abs() / pr.energy_j.max(1e-12);
                     t_err = Some(te);
                     e_err = Some(ee);
-                    if te > cfg.time_rel_err || ee > cfg.energy_rel_err {
+                    if te > TIME_REL_ERR || ee > ENERGY_REL_ERR {
                         mispredicted = true;
                     }
                 }
@@ -429,10 +404,9 @@ impl<'e> GuardedCapRuntime<'e> {
                     mispredicted = true;
                 }
                 if mispredicted {
-                    *strikes.entry(c.name.clone()).or_insert(0) += 1;
                     streak += 1;
                     let hard_fault = outcome == CapOutcome::Unverified;
-                    if streak >= cfg.hysteresis || hard_fault {
+                    if streak >= HYSTERESIS || hard_fault {
                         degraded = true;
                         report.fell_back = true;
                         report.fallback_kernel = Some(c.name.clone());

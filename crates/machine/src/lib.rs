@@ -29,8 +29,7 @@ pub use exec::{
 };
 pub use fault::FaultPlan;
 pub use guard::{
-    CapOutcome, CapPrediction, GuardConfig, GuardReport, GuardSummary, GuardedCapRuntime,
-    KernelGuardRecord,
+    CapOutcome, CapPrediction, GuardReport, GuardSummary, GuardedCapRuntime, KernelGuardRecord,
 };
 pub use measure_cache::{
     kernel_fingerprint, measure_cache_reset, measure_cache_stats, program_fingerprint,

@@ -148,7 +148,9 @@ fn stuck_writes_exhaust_retries_then_fall_back() {
     assert_eq!(report.fallback_kernel.as_deref(), Some("a"));
     let a = &report.records[0];
     assert_eq!(a.outcome, CapOutcome::Unverified);
-    assert_eq!(a.retries, runtime.config.max_retries);
+    // Every attempt fails, so the kernel spends the guard's whole retry
+    // budget (its private `MAX_RETRIES`).
+    assert_eq!(a.retries, 3);
     assert!(
         (a.applied_ghz - plat.uncore_max_ghz).abs() < 1e-9,
         "unverified cap must be released to governor max, ran at {}",

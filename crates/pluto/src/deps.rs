@@ -301,7 +301,7 @@ mod tests {
         }
         // Dropping the repeats changes no answer: the decision is the one
         // taken with every pair's delta set kept.
-        let (_, dec) = PlutoOptimizer::default().optimize_kernel(&k);
+        let (_, dec) = PlutoOptimizer.optimize_kernel(&k);
         assert_eq!(
             dec,
             KernelDecision {

@@ -1,5 +1,5 @@
 //! A Pluto-style polyhedral optimizer: dependence analysis, legality-checked
-//! rectangular tiling (default tile size 32, matching the paper's baseline
+//! rectangular tiling (tile size 32, fixed to the paper's baseline
 //! configuration), skewing to enable stencil tiling, and outer-parallel
 //! loop detection.
 //!

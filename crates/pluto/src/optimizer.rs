@@ -6,29 +6,17 @@ use polyufc_ir::affine::{AffineKernel, AffineProgram};
 use crate::deps::analyze_kernel;
 use crate::transform::{skew_loop, tile_kernel};
 
-/// Configuration of the optimizer. Defaults match the paper's baseline:
-/// Pluto v0.11.4 with tile size 32 and tiling on (parallel loops are
-/// always marked).
-#[derive(Debug, Clone)]
-pub struct PlutoOptimizer {
-    /// Rectangular tile size.
-    pub tile_size: i64,
-    /// Whether to tile permutable bands.
-    pub enable_tiling: bool,
-    /// Skip tiling for kernels whose iteration domain is smaller than
-    /// this (tiling tiny kernels only adds loop overhead).
-    pub min_points_to_tile: i128,
-}
+/// Rectangular tile size of the paper's baseline, Pluto v0.11.4.
+const TILE_SIZE: i64 = 32;
 
-impl Default for PlutoOptimizer {
-    fn default() -> Self {
-        PlutoOptimizer {
-            tile_size: 32,
-            enable_tiling: true,
-            min_points_to_tile: 4096,
-        }
-    }
-}
+/// Kernels whose iteration domain is smaller than this stay untiled
+/// (tiling tiny kernels only adds loop overhead).
+const MIN_POINTS_TO_TILE: i128 = 4096;
+
+/// The optimizer, fixed to the paper's baseline: Pluto v0.11.4 tiling
+/// every permutable band at 32 and marking every parallel loop.
+#[derive(Debug, Clone, Copy)]
+pub struct PlutoOptimizer;
 
 /// What the optimizer did to one kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,10 +96,10 @@ impl PlutoOptimizer {
         // Tile fully permutable bands.
         let big_enough = k
             .domain_size()
-            .map(|s| s >= self.min_points_to_tile)
+            .map(|s| s >= MIN_POINTS_TO_TILE)
             .unwrap_or(false);
-        if self.enable_tiling && k.depth() >= 2 && big_enough && deps.fully_permutable() {
-            if let Some(tiled) = tile_kernel(&k, self.tile_size) {
+        if k.depth() >= 2 && big_enough && deps.fully_permutable() {
+            if let Some(tiled) = tile_kernel(&k, TILE_SIZE) {
                 k = tiled;
                 dec.tiled = true;
             }
@@ -160,7 +148,7 @@ mod tests {
     #[test]
     fn matmul_gets_tiled_and_parallel() {
         let p = matmul_program(64);
-        let (opt, report) = PlutoOptimizer::default().optimize(&p);
+        let (opt, report) = PlutoOptimizer.optimize(&p);
         let d = &report.decisions[0];
         assert!(d.tiled);
         assert!(d.skewed.is_empty());
@@ -175,7 +163,7 @@ mod tests {
     #[test]
     fn small_kernels_left_untiled() {
         let p = matmul_program(8);
-        let (opt, report) = PlutoOptimizer::default().optimize(&p);
+        let (opt, report) = PlutoOptimizer.optimize(&p);
         assert!(!report.decisions[0].tiled);
         assert_eq!(opt.kernels[0].depth(), 3);
     }
@@ -202,7 +190,7 @@ mod tests {
                 flops: 3,
             }],
         });
-        let (opt, report) = PlutoOptimizer::default().optimize(&p);
+        let (opt, report) = PlutoOptimizer.optimize(&p);
         let d = &report.decisions[0];
         assert_eq!(d.skewed, [(1, 1)]);
         assert!(d.tiled);
@@ -210,23 +198,10 @@ mod tests {
     }
 
     #[test]
-    fn tiling_can_be_disabled() {
-        let p = matmul_program(64);
-        let opt = PlutoOptimizer {
-            enable_tiling: false,
-            ..Default::default()
-        };
-        let (out, report) = opt.optimize(&p);
-        assert!(!report.decisions[0].tiled);
-        assert_eq!(out.kernels[0].depth(), 3);
-        assert!(out.kernels[0].loops[0].parallel);
-    }
-
-    #[test]
     fn optimized_trace_equals_original() {
         use polyufc_ir::interp::{interpret_program, TraceStats};
         let p = matmul_program(40);
-        let (opt, _) = PlutoOptimizer::default().optimize(&p);
+        let (opt, _) = PlutoOptimizer.optimize(&p);
         let mut s1 = TraceStats::default();
         interpret_program(&p, &mut s1);
         let mut s2 = TraceStats::default();

@@ -86,16 +86,6 @@ pub fn mixed_microbench(oi: f64, bytes: u64, line_bytes: u64) -> KernelCounters 
     }
 }
 
-/// The Choi-style intensity sweep used for calibration: intensities from
-/// far below to far above any machine balance (the paper sweeps 0..10^6).
-pub fn intensity_sweep() -> Vec<f64> {
-    let mut v = vec![
-        0.0625, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 256.0, 1024.0,
-    ];
-    v.push(1_000_000.0);
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,13 +130,5 @@ mod tests {
         let hi = eng.run_kernel(&c, 2.8);
         // Latency per miss falls with uncore frequency.
         assert!(lo.time_s > hi.time_s);
-    }
-
-    #[test]
-    fn intensity_sweep_spans_balance() {
-        let s = intensity_sweep();
-        assert!(s.first().unwrap() < &1.0);
-        assert!(s.last().unwrap() >= &1e6);
-        assert!(s.windows(2).all(|w| w[0] < w[1]));
     }
 }

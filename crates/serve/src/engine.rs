@@ -71,9 +71,8 @@ pub struct EngineConfig {
     pub cache_capacity: usize,
     /// Per-request compile budget: a compile pending longer is ended by
     /// the watchdog with a typed `deadline_exceeded` error, and a worker
-    /// stuck past 1.5× this is detached and replaced. `None` disables
-    /// the watchdog (defaults from `POLYUFC_DEADLINE_MS`; `0` or unset
-    /// means off).
+    /// stuck past 1.5× this is detached and replaced. `None` (the
+    /// default) disables the watchdog.
     pub deadline: Option<Duration>,
     /// Consecutive panics/timeouts after which a kernel (its prefix key)
     /// is quarantined behind a cached typed rejection; `0` disables the
@@ -91,16 +90,11 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         let workers = polyufc_par::worker_count();
-        let deadline = std::env::var("POLYUFC_DEADLINE_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .map(Duration::from_millis);
         EngineConfig {
             workers,
             queue_cap: 4 * workers.max(1),
             cache_capacity: 4096,
-            deadline,
+            deadline: None,
             quarantine_threshold: 3,
             chaos: ChaosPlan::pristine(),
             shutdown_grace: Duration::from_secs(5),

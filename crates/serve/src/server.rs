@@ -16,7 +16,7 @@
 //! from safe code; tests use it to stop a daemon without a signal.
 //!
 //! Admission is bounded: at most `max_conns` concurrent connections
-//! (default 1024, `--max-conns` / `POLYUFC_MAX_CONNS`); a connection past
+//! (default 1024, `--max-conns`); a connection past
 //! the limit is answered with one typed `overloaded` line and closed at
 //! accept, before it can buffer requests the daemon cannot serve.
 
@@ -213,13 +213,9 @@ mod daemon {
         s
     }
 
-    fn default_max_conns() -> usize {
-        std::env::var("POLYUFC_MAX_CONNS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(1024)
-    }
+    /// Concurrent connections admitted unless [`Server::set_max_conns`]
+    /// says otherwise.
+    const DEFAULT_MAX_CONNS: usize = 1024;
 
     /// Stops a running daemon from outside: sets the stop flag *and* rings
     /// the reactor's doorbell, so a parked `epoll_wait` observes the
@@ -286,7 +282,7 @@ mod daemon {
                 acceptor,
                 engine: Arc::new(Engine::new(&cfg.engine)),
                 stop: Arc::new(AtomicBool::new(false)),
-                max_conns: default_max_conns(),
+                max_conns: DEFAULT_MAX_CONNS,
                 wakeup: Arc::new(WakeupFd::new()?),
             })
         }

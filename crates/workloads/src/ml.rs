@@ -7,6 +7,8 @@
 //! LLaMA-2 vocabulary) a scaled shape with the same arithmetic structure
 //! and boundedness is used and noted in the `scaled` flag (see DESIGN.md).
 
+use polyufc_ir::affine::AffineProgram;
+use polyufc_ir::lower::lower_tensor_to_linalg;
 use polyufc_ir::tensor::{TensorGraph, TensorOp, TensorOpKind};
 use polyufc_ir::types::ElemType;
 
@@ -25,6 +27,13 @@ pub struct MlWorkload {
     pub elem: ElemType,
     /// Whether the shape was scaled from the paper's for tractability.
     pub scaled: bool,
+}
+
+impl MlWorkload {
+    /// The workload's affine program: the graph lowered through linalg.
+    pub fn affine(&self) -> AffineProgram {
+        lower_tensor_to_linalg(&self.graph, self.elem).lower_to_affine()
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -185,7 +194,6 @@ pub fn ml_suite() -> Vec<MlWorkload> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polyufc_ir::lower::lower_tensor_to_linalg;
 
     #[test]
     fn suite_covers_table2() {
@@ -208,23 +216,19 @@ mod tests {
     #[test]
     fn all_lower_validly() {
         for w in ml_suite() {
-            let lp = lower_tensor_to_linalg(&w.graph, w.elem);
-            let ap = lp.lower_to_affine();
-            assert_eq!(ap.validate(), Ok(()), "workload `{}`", w.name);
+            assert_eq!(w.affine().validate(), Ok(()), "workload `{}`", w.name);
         }
     }
 
     #[test]
     fn sdpa_produces_nine_kernels() {
-        let w = sdpa_bert();
-        let ap = lower_tensor_to_linalg(&w.graph, w.elem).lower_to_affine();
+        let ap = sdpa_bert().affine();
         assert_eq!(ap.kernels.len(), 9);
     }
 
     #[test]
     fn alexnet_output_shape() {
-        let w = conv2d_alexnet();
-        let ap = lower_tensor_to_linalg(&w.graph, w.elem).lower_to_affine();
+        let ap = conv2d_alexnet().affine();
         // Output 64×54×54 per Table II's stride-4 11×11 kernel.
         let out = ap.arrays.iter().find(|a| a.name == "O").unwrap();
         assert_eq!(out.dims, vec![1, 64, 54, 54]);

@@ -111,7 +111,7 @@ fn c_source_gets_same_caps_as_builder() {
 fn parsed_program_survives_pluto() {
     use polyufc_pluto::PlutoOptimizer;
     let p = parse_scop(GEMM_C, "gemm").unwrap();
-    let (opt, report) = PlutoOptimizer::default().optimize(&p);
+    let (opt, report) = PlutoOptimizer.optimize(&p);
     assert!(report.decisions[1].tiled, "the matmul nest must tile");
     let (a, b) = (trace(&p), trace(&opt));
     assert_eq!(

@@ -9,7 +9,6 @@
 
 use polyufc::Pipeline;
 use polyufc_ir::affine::AffineProgram;
-use polyufc_ir::lower::lower_tensor_to_linalg;
 use polyufc_machine::fault::{fnv1a, FNV_OFFSET};
 use polyufc_machine::Platform;
 use polyufc_workloads::{ml_suite, polybench_suite, PolybenchSize};
@@ -26,10 +25,7 @@ fn programs() -> Vec<(String, AffineProgram)> {
         }
     }
     for w in ml_suite() {
-        out.push((
-            w.name.to_string(),
-            lower_tensor_to_linalg(&w.graph, w.elem).lower_to_affine(),
-        ));
+        out.push((w.name.to_string(), w.affine()));
     }
     out
 }

@@ -52,7 +52,7 @@ fn skewed_summary_equals_reanalysis() {
                 }
             }
             // The decision reports every skew, in order.
-            let (_, decision) = PlutoOptimizer::default().optimize_kernel(kernel);
+            let (_, decision) = PlutoOptimizer.optimize_kernel(kernel);
             assert_eq!(decision.skewed, applied, "{}", kernel.name);
             if !applied.is_empty() {
                 skewed.insert(kernel.name.clone(), applied);

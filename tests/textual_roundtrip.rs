@@ -2,7 +2,6 @@
 //! → parse → print is a fixed point, and traces are preserved.
 
 use polyufc_ir::interp::{interpret_program, TraceStats};
-use polyufc_ir::lower::lower_tensor_to_linalg;
 use polyufc_ir::textual::parse_affine_program;
 use polyufc_workloads::{ml_suite, polybench_suite, PolybenchSize};
 
@@ -24,7 +23,7 @@ fn polybench_suite_roundtrips() {
 #[test]
 fn ml_suite_roundtrips() {
     for w in ml_suite() {
-        let p = lower_tensor_to_linalg(&w.graph, w.elem).lower_to_affine();
+        let p = w.affine();
         let text = p.to_string();
         let parsed = parse_affine_program(&text).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         assert_eq!(parsed.to_string(), text, "{} must round-trip", w.name);
@@ -38,7 +37,7 @@ fn tiled_programs_roundtrip() {
         .into_iter()
         .find(|w| w.name == "gemm")
         .unwrap();
-    let (opt, _) = PlutoOptimizer::default().optimize(&w.program);
+    let (opt, _) = PlutoOptimizer.optimize(&w.program);
     let text = opt.to_string();
     let parsed = parse_affine_program(&text).unwrap();
     assert_eq!(
