@@ -14,7 +14,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use polyufc_ir::affine::{Access, AffineKernel, AffineProgram};
-use polyufc_presburger::{BasicSet, Context, LinExpr, Map, Set, Space};
+use polyufc_presburger::{BasicSet, CountCache, LinExpr, Set, Space};
 
 use crate::diag::{Diagnostic, Location, Severity};
 
@@ -45,24 +45,16 @@ pub struct ModelCounts {
 
 /// Audits every kernel of `program` against the model counters.
 /// `line_bytes` is the cache-line size the model used.
+///
+/// All relation and domain cardinalities go through one memoizing
+/// [`CountCache`] owned by this call, so e.g. the same iteration domain
+/// counted for several array references is solved once.
 pub fn audit_program(
     program: &AffineProgram,
     counts: &[ModelCounts],
     line_bytes: u64,
 ) -> Vec<Diagnostic> {
-    audit_program_in(program, counts, line_bytes, &mut Context::new())
-}
-
-/// [`audit_program`] through a shared batched solver [`Context`]: all
-/// relation and domain cardinalities go through the context's memoizing
-/// count cache, so e.g. the same iteration domain counted for several
-/// array references is solved once.
-pub fn audit_program_in(
-    program: &AffineProgram,
-    counts: &[ModelCounts],
-    line_bytes: u64,
-    ctx: &mut Context,
-) -> Vec<Diagnostic> {
+    let mut cache = CountCache::new();
     let mut out = Vec::new();
     if counts.len() != program.kernels.len() {
         out.push(Diagnostic {
@@ -92,7 +84,7 @@ pub fn audit_program_in(
             });
             continue;
         }
-        audit_kernel(program, kernel, c, line_bytes, ctx, &mut out);
+        audit_kernel(program, kernel, c, line_bytes, &mut cache, &mut out);
     }
     out
 }
@@ -102,7 +94,7 @@ fn audit_kernel(
     kernel: &AffineKernel,
     c: &ModelCounts,
     line_bytes: u64,
-    ctx: &mut Context,
+    cache: &mut CountCache,
     out: &mut Vec<Diagnostic>,
 ) {
     let loc = || Location::kernel(&kernel.name);
@@ -116,12 +108,12 @@ fn audit_kernel(
     let mut recomputed_accesses: Option<f64> = Some(0.0);
     for s in &kernel.statements {
         for a in &s.accesses {
-            let m = a
-                .index_map(depth)
-                .intersect_domain(dom_b)
-                .ok()
-                .map(Map::from_basic);
-            match m.map(|m| m.count_pairs_in(ctx)) {
+            let pairs = a.index_map(depth).intersect_domain(dom_b).ok().map(|m| {
+                let sp = m.space();
+                let as_set = Space::set(sp.n_param(), sp.n_dim());
+                Set::from_basic(m.as_basic_set().clone().recast(as_set))
+            });
+            match pairs.map(|s| s.count_cached(cache)) {
                 Some(Ok(n)) => {
                     if let Some(acc) = recomputed_accesses.as_mut() {
                         *acc += n as f64;
@@ -154,7 +146,7 @@ fn audit_kernel(
 
     // (2) Flops: fresh domain count × Σ_s ω_s.
     let per_point_flops: f64 = kernel.statements.iter().map(|s| s.flops as f64).sum();
-    match dom.count_in(ctx) {
+    match dom.count_cached(cache) {
         Ok(d) => {
             let n = d as f64 * per_point_flops;
             if !close(n, c.flops) {
@@ -211,7 +203,7 @@ fn audit_kernel(
             if a.array.0 >= program.arrays.len() {
                 continue;
             }
-            let Some(elements) = injective_range_count(kernel, a, ctx) else {
+            let Some(elements) = injective_range_count(kernel, a, cache) else {
                 continue;
             };
             let decl = &program.arrays[a.array.0];
@@ -249,7 +241,7 @@ fn close(a: f64, b: f64) -> bool {
 fn injective_range_count(
     kernel: &AffineKernel,
     access: &Access,
-    ctx: &mut Context,
+    cache: &mut CountCache,
 ) -> Option<i128> {
     let mut selected: BTreeSet<usize> = BTreeSet::new();
     for e in &access.indices {
@@ -300,7 +292,7 @@ fn injective_range_count(
             b.add_ge0(remap(e) - LinExpr::var(p) - LinExpr::constant(1));
         }
     }
-    Set::from_basic(b).count_in(ctx).ok()
+    Set::from_basic(b).count_cached(cache).ok()
 }
 
 #[cfg(test)]
@@ -410,14 +402,14 @@ mod tests {
                 flops: 0,
             }],
         };
-        let mut ctx = Context::new();
+        let mut cache = CountCache::new();
         assert_eq!(
-            injective_range_count(&k, &k.statements[0].accesses[0], &mut ctx),
+            injective_range_count(&k, &k.statements[0].accesses[0], &mut cache),
             Some(36)
         );
         // B[j] alone is NOT closed (j's bound references unselected i).
         let b = Access::read(c, vec![LinExpr::var(1), LinExpr::constant(0)]);
-        assert_eq!(injective_range_count(&k, &b, &mut ctx), None);
+        assert_eq!(injective_range_count(&k, &b, &mut cache), None);
         let _ = p;
     }
 }

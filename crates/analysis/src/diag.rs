@@ -348,6 +348,14 @@ fn json_vec(v: &[i64]) -> String {
 /// Escapes a string for embedding in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    push_json_escaped(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` escaped for a JSON string literal, without the
+/// quotes. The one JSON string escaper: [`json_escape`] and the daemon's
+/// wire writer both call it.
+pub fn push_json_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -359,7 +367,6 @@ pub fn json_escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -75,9 +75,9 @@ impl Analyzer {
     /// Runs the structural, bounds, and race passes.
     ///
     /// All Presburger queries of one run go through a single batched
-    /// [`Context`]: emptiness checks share one arena-backed solver system
-    /// and counts share one memoizing cache. The report's
-    /// [`AnalysisStats`] records the solver accounting.
+    /// [`Context`]: emptiness checks and witness samples share one
+    /// arena-backed solver system. The report's [`AnalysisStats`] records
+    /// the solver accounting.
     pub fn analyze(&self, program: &AffineProgram) -> AnalysisReport {
         self.analyze_in(program, &mut Context::new())
     }
@@ -97,7 +97,11 @@ impl Analyzer {
         AnalysisReport {
             program: program.name.clone(),
             diagnostics,
-            stats: context_stats(ctx),
+            stats: AnalysisStats {
+                emptiness_batches: ctx.batches(),
+                emptiness_checks: ctx.checks(),
+                peak_arena_bytes: ctx.peak_arena_bytes(),
+            },
         }
     }
 
@@ -110,22 +114,11 @@ impl Analyzer {
         counts: &[ModelCounts],
         line_bytes: u64,
     ) -> AnalysisReport {
-        let mut ctx = Context::new();
-        let mut report = self.analyze_in(program, &mut ctx);
-        report.diagnostics.extend(audit::audit_program_in(
-            program, counts, line_bytes, &mut ctx,
-        ));
-        report.stats = context_stats(&ctx);
+        let mut report = self.analyze(program);
         report
-    }
-}
-
-/// The solver accounting `ctx` has accumulated so far.
-fn context_stats(ctx: &Context) -> AnalysisStats {
-    AnalysisStats {
-        emptiness_batches: ctx.batches(),
-        emptiness_checks: ctx.checks(),
-        peak_arena_bytes: ctx.peak_arena_bytes(),
+            .diagnostics
+            .extend(audit::audit_program(program, counts, line_bytes));
+        report
     }
 }
 

@@ -109,11 +109,14 @@ impl CompileReport {
 }
 
 /// Reusable per-worker compile state for long-running callers (the serve
-/// daemon): the Presburger counting cache and the batched-emptiness
-/// [`Context`](polyufc_presburger::Context) both persist across
-/// compilations, so a hot daemon amortizes canonicalization, arena
-/// growth, and repeated iteration-domain counts across requests instead
-/// of rebuilding them per compile.
+/// daemon): the cache model's Presburger counting cache and the verify
+/// gate's batched-emptiness [`Context`](polyufc_presburger::Context) both
+/// persist across compilations, so a hot daemon amortizes
+/// canonicalization, arena growth, and repeated iteration-domain counts
+/// across requests instead of rebuilding them per compile. The session
+/// holds one count cache: the verify gate only checks emptiness and
+/// samples witnesses, and a [`Context`](polyufc_presburger::Context) does
+/// not count.
 ///
 /// [`Pipeline::compile_affine`] uses a throwaway session; a daemon calls
 /// [`Pipeline::compile_affine_in`] with one session per worker thread.
@@ -121,9 +124,11 @@ impl CompileReport {
 /// counters around each call and records the deltas.
 #[derive(Debug, Default)]
 pub struct CompileSession {
-    /// Memoized Presburger counting shared across compiles.
+    /// Memoized Presburger counting shared across compiles (the cache
+    /// model's; the only count cache a session holds).
     pub count_cache: polyufc_presburger::CountCache,
-    /// Persistent batched-emptiness solver context for the verify gate.
+    /// Persistent batched-emptiness and sampling solver context for the
+    /// verify gate.
     pub ctx: polyufc_presburger::Context,
 }
 

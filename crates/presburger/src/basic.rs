@@ -4,11 +4,12 @@
 //!
 //! The solver [`System`] stores constraints as *flat arena rows*: one
 //! contiguous `i64` slab holding `stride = n + 2` words per constraint
-//! (`n` coefficients, the constant, and a kind tag). Small systems live in
-//! an inline buffer, so cloning a system during branch-and-bound is a
-//! memcpy with no allocation, and every hot operation (substitution,
-//! Gaussian elimination, interval tightening, membership checks) runs over
-//! dense slices. See DESIGN.md § "Presburger core".
+//! (`n` coefficients, the constant, and a kind tag). A small system lives
+//! in one fixed-size heap block, so building or cloning a system during
+//! branch-and-bound is one allocation plus one copy (or zero-fill) of that
+//! block, and every hot operation (substitution, Gaussian elimination,
+//! interval tightening, membership checks) runs over dense slices. See
+//! DESIGN.md § "Presburger core".
 
 use std::fmt;
 
@@ -20,10 +21,10 @@ use crate::{Constraint, ConstraintKind};
 /// An existentially quantified variable of a [`BasicSet`].
 ///
 /// A div is *determined* when it carries a definition `q = floor(num /
-/// denom)`: its value is then a function of the other variables, which makes
-/// constraint negation (and hence set subtraction) sound, and lets point
-/// containment be checked directly. Divs introduced by projection or
-/// relation composition have no definition and are genuine existentials.
+/// denom)`: its value is then a function of the other variables, which lets
+/// point containment be checked directly and counting run in closed form.
+/// Divs introduced by [`crate::BasicMap::deltas`] have no definition and are
+/// genuine existentials.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Div {
     /// `Some((num, denom))` when the div is `floor(num / denom)`, with
@@ -129,8 +130,8 @@ impl BasicSet {
         idx
     }
 
-    /// Appends a div without adding defining constraints (used by
-    /// subtraction and composition, which add constraints explicitly).
+    /// Appends a div without adding defining constraints (used by the map
+    /// operations, which add constraints explicitly).
     pub(crate) fn push_div_raw(&mut self, d: Div) {
         self.divs.push(d);
     }
@@ -325,78 +326,6 @@ impl BasicSet {
         self
     }
 
-    /// Applies a variable permutation to all constraints and div
-    /// definitions, then switches to `new_space`. `perm[i]` is the new index
-    /// of old variable `i`; it must cover all `n_total` variables and keep
-    /// divs after tuple variables.
-    pub(crate) fn permute(mut self, perm: &[usize], new_space: Space) -> BasicSet {
-        for c in &mut self.constraints {
-            c.expr = c.expr.permute_vars(perm);
-        }
-        for d in &mut self.divs {
-            if let Some((n, _)) = &mut d.def {
-                *n = n.permute_vars(perm);
-            }
-        }
-        self.space = new_space;
-        self
-    }
-
-    /// Converts tuple dimensions `range` (indices relative to the first
-    /// dim) into undetermined divs, producing a set with fewer dimensions.
-    /// This is exact projection with the existential kept symbolic.
-    pub fn project_dims_out(&self, first: usize, count: usize) -> BasicSet {
-        let np = self.space.n_param();
-        let nd = self.space.n_dim();
-        assert!(first + count <= nd, "projection range out of bounds");
-        debug_assert!(self.space.is_set(), "project_dims_out expects a set space");
-        let new_space = Space::set(np, nd - count);
-        let n_total = self.n_total();
-        // New layout: params, dims-before, dims-after, old divs, projected dims.
-        let mut perm = vec![0usize; n_total];
-        let mut next = 0;
-        for (i, p) in perm.iter_mut().enumerate().take(np) {
-            let _ = i;
-            *p = next;
-            next += 1;
-        }
-        for i in 0..nd {
-            if i < first || i >= first + count {
-                perm[np + i] = next;
-                next += 1;
-            }
-        }
-        let div_base = next;
-        for i in 0..self.divs.len() {
-            perm[np + nd + i] = next + i;
-        }
-        next += self.divs.len();
-        for i in first..first + count {
-            perm[np + i] = next;
-            next += 1;
-        }
-        let _ = div_base;
-        let mut out = self.clone().permute(perm.as_slice(), new_space);
-        for _ in 0..count {
-            out.divs.push(Div { def: None });
-        }
-        // Old determined divs may now reference later variables (projected
-        // dims moved after them); definitions remain valid expressions, but
-        // a definition referencing an undetermined div is itself effectively
-        // undetermined for `contains`. Demote such defs.
-        let first_undet = np + (nd - count) + self.divs.len();
-        for d in &mut out.divs {
-            let demote = match &d.def {
-                Some((n, _)) => n.terms().any(|(i, _)| i >= first_undet),
-                None => false,
-            };
-            if demote {
-                d.def = None;
-            }
-        }
-        out
-    }
-
     /// Pretty-prints with the space's default variable names.
     pub fn display(&self) -> String {
         let mut parts: Vec<String> = Vec::new();
@@ -536,10 +465,12 @@ impl Interval {
     }
 }
 
-/// Inline capacity of a [`Slab`] in `i64` words before it spills to the
-/// heap. 160 words hold e.g. 16 rows of an 8-variable system (stride 10),
-/// which covers the vast majority of analysis-pass queries, so cloning
-/// a system during branch-and-bound usually allocates nothing.
+/// Words in a [`Slab`]'s fixed block before it spills to a growable `Vec`.
+/// 160 words hold e.g. 16 rows of an 8-variable system (stride 10), which
+/// covers the vast majority of analysis-pass queries. The block is boxed:
+/// every new or cloned system allocates its 1280 bytes and zero-fills or
+/// copies all of them. Storing rows in a plain `Vec<i64>` instead measured
+/// slower on `compile_cold` (EXPERIMENTS.md).
 const INLINE_WORDS: usize = 160;
 
 /// Row kind tag stored in the last word of each row: equality (`expr == 0`).
@@ -547,16 +478,17 @@ const KIND_EQ: i64 = 0;
 /// Row kind tag: inequality (`expr >= 0`).
 const KIND_GE: i64 = 1;
 
-/// Contiguous `i64` storage with a small-size inline fast path. Cloning an
-/// inline slab is a memcpy; a heap slab clones its `Vec`.
+/// Contiguous `i64` storage: a fixed boxed block while the rows fit, a
+/// `Vec` once they do not. Cloning allocates either way; a fixed block
+/// copies all [`INLINE_WORDS`] words, a spilled one only its length.
 #[derive(Clone)]
 pub(crate) enum Slab {
-    /// Data lives in a fixed inline buffer (no heap allocation).
+    /// Data lives in a fixed-size boxed block of [`INLINE_WORDS`] words.
     Inline {
         len: usize,
         buf: Box<[i64; INLINE_WORDS]>,
     },
-    /// Spilled to the heap once the inline capacity was exceeded.
+    /// Spilled to a growable `Vec` once the fixed block was exceeded.
     Heap(Vec<i64>),
 }
 
@@ -618,7 +550,7 @@ impl Slab {
         }
     }
 
-    /// Appends `extra` zeroed words, spilling to the heap if the inline
+    /// Appends `extra` zeroed words, spilling to a `Vec` if the fixed
     /// capacity is exceeded.
     fn extend_zeros(&mut self, extra: usize) {
         match self {
@@ -640,8 +572,7 @@ impl Slab {
         }
     }
 
-    /// Allocated capacity in bytes (inline slabs report their fixed
-    /// buffer size).
+    /// Allocated capacity in bytes (a fixed block reports its whole size).
     fn capacity_bytes(&self) -> usize {
         match self {
             Slab::Inline { .. } => INLINE_WORDS * std::mem::size_of::<i64>(),
@@ -672,7 +603,7 @@ pub(crate) fn row_constant_ok(row: &[i64], n: usize) -> bool {
 /// Rows are stored back-to-back in one [`Slab`] with `stride = n + 2`:
 /// `[c_0, ..., c_{n-1}, constant, kind]`. The kind column lives inside the
 /// slab so that the whole system is a single contiguous allocation and
-/// `clone` is one memcpy.
+/// `clone` is one allocation plus one copy.
 #[derive(Debug, Clone)]
 pub(crate) struct System {
     pub n: usize,
@@ -1553,20 +1484,6 @@ mod tests {
     }
 
     #[test]
-    fn projection_keeps_points() {
-        // { [i,j] : 0<=i<4, j == 2i } project j out => { [i] : 0<=i<4 }
-        let mut b = BasicSet::universe(Space::set(0, 2));
-        b.add_range(0, 0, 3);
-        b.add_eq(LinExpr::var(1) - LinExpr::var(0) * 2);
-        let p = b.project_dims_out(1, 1);
-        assert_eq!(p.space().n_dim(), 1);
-        assert!(!p.all_divs_determined());
-        // Sampling still works (existential found by search).
-        let s = p.sample().unwrap().unwrap();
-        assert!((0..4).contains(&s[0]));
-    }
-
-    #[test]
     fn simplify_normalizes() {
         let mut b = BasicSet::universe(Space::set(0, 1));
         b.add_ge0(LinExpr::var(0) * 2 - LinExpr::constant(3)); // 2i >= 3 => i >= 2
@@ -1603,7 +1520,7 @@ mod tests {
 
     #[test]
     fn slab_spills_to_heap_and_resets() {
-        // More rows than the inline capacity can hold: the slab must spill
+        // More rows than the fixed block can hold: the slab must spill
         // and keep answering correctly.
         let mut b = BasicSet::universe(Space::set(0, 6));
         for d in 0..6 {

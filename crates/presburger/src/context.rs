@@ -1,5 +1,5 @@
 //! Batched query context: one arena-backed solver [`System`] reused across
-//! many emptiness/counting queries, amortizing allocation and setup.
+//! many emptiness and sampling queries, amortizing allocation and setup.
 //!
 //! The analysis passes issue hundreds of emptiness checks per kernel (one
 //! per ordered access pair, per out-of-shape half-space, per domain). Each
@@ -9,9 +9,8 @@
 //! report.
 
 use crate::basic::{Budget, System};
-use crate::count::CountCache;
 use crate::error::{Error, Result};
-use crate::{BasicSet, Map, Set};
+use crate::{BasicSet, Set};
 
 /// Outcome of one emptiness query inside a batch. Unlike
 /// `Result<bool>`, a failed query does not poison its whole batch — the
@@ -33,14 +32,14 @@ impl Emptiness {
     }
 }
 
-/// Reusable solver state for batched Presburger queries: a scratch
-/// [`System`] whose arena persists across queries, a memoizing
-/// [`CountCache`], and query counters.
+/// Reusable solver state for batched emptiness and sampling queries: a
+/// scratch [`System`] whose arena persists across queries, and query
+/// counters. Counting does not go through a context; callers that memoize
+/// counts own a [`crate::CountCache`].
 #[derive(Debug)]
 pub struct Context {
     sys: System,
     budget: Budget,
-    cache: CountCache,
     checks: u64,
     batches: u64,
     peak_arena_bytes: usize,
@@ -53,12 +52,11 @@ impl Default for Context {
 }
 
 impl Context {
-    /// A fresh context with an empty arena and count cache.
+    /// A fresh context with an empty arena.
     pub fn new() -> Self {
         Context {
             sys: System::empty(0),
             budget: Budget::default(),
-            cache: CountCache::new(),
             checks: 0,
             batches: 0,
             peak_arena_bytes: 0,
@@ -118,25 +116,6 @@ impl Context {
         out
     }
 
-    /// Counts a set's integer points through the context's memoizing
-    /// cache.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Set::count`].
-    pub fn count_set(&mut self, set: &Set) -> Result<i128> {
-        set.count_cached(&mut self.cache)
-    }
-
-    /// Counts the pairs of a relation through the cache.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Map::count_pairs`].
-    pub fn count_pairs(&mut self, map: &Map) -> Result<i128> {
-        map.count_pairs_in(self)
-    }
-
     /// Number of emptiness batches issued so far.
     pub fn batches(&self) -> u64 {
         self.batches
@@ -150,11 +129,6 @@ impl Context {
     /// High-water mark of the shared arena's capacity, in bytes.
     pub fn peak_arena_bytes(&self) -> usize {
         self.peak_arena_bytes
-    }
-
-    /// The context's memoizing count cache (for stats plumbing).
-    pub fn cache(&self) -> &CountCache {
-        &self.cache
     }
 }
 
@@ -187,14 +161,5 @@ mod tests {
         for (s, e) in sets.iter().zip(&out) {
             assert_eq!(s.is_empty().unwrap(), e.is_empty());
         }
-    }
-
-    #[test]
-    fn counts_route_through_cache() {
-        let mut ctx = Context::new();
-        let s = Set::from_basic(boxed(0, 7));
-        assert_eq!(ctx.count_set(&s).unwrap(), 64);
-        assert_eq!(ctx.count_set(&s).unwrap(), 64);
-        assert!(ctx.cache().hits() >= 1);
     }
 }

@@ -159,13 +159,13 @@ pub(crate) fn count_key(sys: &System, limit: CountLimit) -> CountKey {
 /// are cached; errors (budget, unboundedness) are recomputed so their
 /// diagnostics stay accurate.
 ///
-/// The cache is bounded: once [`CountCache::len`] reaches
-/// [`CountCache::capacity`], the next insert clears the map (a generational
-/// reset — cheaper and less pathological than per-entry LRU for the
-/// compile pipeline's bursty, phase-local reuse). Evicted entries are
-/// tallied in [`CountCache::evictions`]. The cache also aggregates the
-/// per-strategy tallies of every miss it computed, surfaced through
-/// [`CountCache::symbolic`] / [`CountCache::enumerated`].
+/// The cache is bounded: once [`CountCache::len`] reaches the capacity
+/// given to [`CountCache::with_capacity`], the next insert clears the map
+/// (a generational reset — cheaper and less pathological than per-entry
+/// LRU for the compile pipeline's bursty, phase-local reuse). Evicted
+/// entries are tallied in [`CountCache::evictions`]. The cache also
+/// aggregates the per-strategy tallies of every miss it computed, surfaced
+/// through [`CountCache::symbolic`] / [`CountCache::enumerated`].
 #[derive(Debug, Clone)]
 pub struct CountCache {
     map: HashMap<CountKey, i128>,
@@ -227,11 +227,6 @@ impl CountCache {
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// The entry bound above which an insert clears the cache.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Entries discarded by the capacity guard so far.

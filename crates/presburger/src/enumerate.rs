@@ -107,7 +107,7 @@ fn enum_rec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LinExpr, Space};
+    use crate::{BasicMap, LinExpr, Space};
 
     #[test]
     fn enumerate_triangle() {
@@ -130,14 +130,14 @@ mod tests {
     }
 
     #[test]
-    fn enumerate_dedups_projection() {
-        // { [i,j] : 0<=i<3, 0<=j<4 } project j => { [i] : 0<=i<3 }
-        let mut b = BasicSet::universe(Space::set(0, 2));
-        b.add_range(0, 0, 2);
-        b.add_range(1, 0, 3);
-        let p = b.project_dims_out(1, 1);
-        let pts = enumerate_points(&p, 100).unwrap();
-        assert_eq!(pts, vec![vec![0], vec![1], vec![2]]);
+    fn enumerate_dedups_existentials() {
+        // The deltas of { [i] -> [j] : 0<=i<3, 0<=j<2 } reach most values
+        // through several (i, j) witnesses: { d : -2 <= d <= 1 }.
+        let mut m = BasicMap::universe(Space::map(0, 1, 1));
+        m.basic_set_mut().add_range(0, 0, 2);
+        m.basic_set_mut().add_range(1, 0, 1);
+        let pts = enumerate_points(&m.deltas(), 100).unwrap();
+        assert_eq!(pts, vec![vec![-2], vec![-1], vec![0], vec![1]]);
     }
 
     #[test]

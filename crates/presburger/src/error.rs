@@ -17,7 +17,7 @@ pub enum Error {
     },
     /// An operation required all div variables to be integer-division
     /// definitions (functions of the other variables), but an undetermined
-    /// existential was present (e.g. introduced by projection/composition).
+    /// existential was present (e.g. introduced by [`crate::BasicMap::deltas`]).
     UndeterminedDivs {
         /// The operation that could not proceed.
         operation: &'static str,
@@ -32,8 +32,6 @@ pub enum Error {
         /// Index of the unbounded variable in the flat layout.
         var: usize,
     },
-    /// A parse error in the textual constraint syntax.
-    Parse(String),
     /// Arithmetic overflow during constraint manipulation.
     Overflow,
 }
@@ -56,7 +54,6 @@ impl fmt::Display for Error {
             Error::Unbounded { var } => {
                 write!(f, "variable {var} is unbounded in a bounded search")
             }
-            Error::Parse(msg) => write!(f, "parse error: {msg}"),
             Error::Overflow => write!(f, "arithmetic overflow"),
         }
     }
@@ -76,11 +73,10 @@ mod tests {
                 found: "b".into(),
             },
             Error::UndeterminedDivs {
-                operation: "subtract",
+                operation: "contains",
             },
             Error::SearchBudgetExceeded { budget: 42 },
             Error::Unbounded { var: 3 },
-            Error::Parse("bad token".into()),
             Error::Overflow,
         ];
         for e in cases {

@@ -1,16 +1,16 @@
-//! Lexicographic order relations `{ [x] -> [y] : x ≺ y }` and friends,
-//! used to build the forward/backward reuse maps of the cache model
-//! (paper Sec. IV-A).
+//! The strict lexicographic order relation `{ [x] -> [y] : x ≺ y }`, which
+//! Pluto intersects with access-pair relations to orient dependences.
 
 use crate::linexpr::LinExpr;
 use crate::map::{BasicMap, Map};
 use crate::space::Space;
 
-fn lex_map(n_param: usize, d: usize, strict: bool, less: bool) -> Map {
+/// `{ [x] -> [y] : x ≺ y }` on `d`-dimensional tuples.
+pub fn lex_lt_map(n_param: usize, d: usize) -> Map {
     let space = Space::map(n_param, d, d);
     let mut out = Map::empty(space.clone());
-    // Piece j (0-based): x_0 == y_0, ..., x_{j-1} == y_{j-1}, x_j < y_j
-    // (or > for "greater"). Pieces are disjoint by construction.
+    // Piece j (0-based): x_0 == y_0, ..., x_{j-1} == y_{j-1}, x_j < y_j.
+    // Pieces are disjoint by construction.
     for j in 0..d {
         let mut m = BasicMap::universe(space.clone());
         for k in 0..j {
@@ -18,47 +18,13 @@ fn lex_map(n_param: usize, d: usize, strict: bool, less: bool) -> Map {
             let yk = LinExpr::var(n_param + d + k);
             m.basic_set_mut().add_eq(yk - xk);
         }
+        // y_j - x_j >= 1
         let xj = LinExpr::var(n_param + j);
         let yj = LinExpr::var(n_param + d + j);
-        if less {
-            // y_j - x_j >= 1
-            m.basic_set_mut().add_ge0(yj - xj - LinExpr::constant(1));
-        } else {
-            m.basic_set_mut().add_ge0(xj - yj - LinExpr::constant(1));
-        }
-        out = out.union_disjoint(&Map::from_basic(m)).expect("same space");
-    }
-    if !strict {
-        // Add the equality piece x == y.
-        let mut m = BasicMap::universe(space.clone());
-        for k in 0..d {
-            let xk = LinExpr::var(n_param + k);
-            let yk = LinExpr::var(n_param + d + k);
-            m.basic_set_mut().add_eq(yk - xk);
-        }
+        m.basic_set_mut().add_ge0(yj - xj - LinExpr::constant(1));
         out = out.union_disjoint(&Map::from_basic(m)).expect("same space");
     }
     out
-}
-
-/// `{ [x] -> [y] : x ≺ y }` on `d`-dimensional tuples.
-pub fn lex_lt_map(n_param: usize, d: usize) -> Map {
-    lex_map(n_param, d, true, true)
-}
-
-/// `{ [x] -> [y] : x ⪯ y }`.
-pub fn lex_le_map(n_param: usize, d: usize) -> Map {
-    lex_map(n_param, d, false, true)
-}
-
-/// `{ [x] -> [y] : x ≻ y }`.
-pub fn lex_gt_map(n_param: usize, d: usize) -> Map {
-    lex_map(n_param, d, true, false)
-}
-
-/// `{ [x] -> [y] : x ⪰ y }`.
-pub fn lex_ge_map(n_param: usize, d: usize) -> Map {
-    lex_map(n_param, d, false, false)
 }
 
 #[cfg(test)]
@@ -101,31 +67,11 @@ mod tests {
     fn lex_lt_2d_counts() {
         // 0..2 x 0..2 tuples: 9 points, strict pairs = 36.
         let m = bounded(lex_lt_map(0, 2), 0, 2);
-        assert_eq!(m.count_pairs().unwrap(), 36);
-        for (x, y) in m.enumerate_pairs(100).unwrap() {
+        let pairs = m.enumerate_pairs(100).unwrap();
+        assert_eq!(pairs.len(), 36);
+        for (x, y) in pairs {
             assert!(x < y, "{x:?} should be lex-less than {y:?}");
         }
-    }
-
-    #[test]
-    fn lex_le_includes_equality() {
-        let m = bounded(lex_le_map(0, 2), 0, 2);
-        assert_eq!(m.count_pairs().unwrap(), 45);
-    }
-
-    #[test]
-    fn lex_gt_is_reverse_of_lt() {
-        let lt = bounded(lex_lt_map(0, 2), 0, 1);
-        let gt = bounded(lex_gt_map(0, 2), 0, 1);
-        let ltp: std::collections::BTreeSet<_> = lt
-            .enumerate_pairs(100)
-            .unwrap()
-            .into_iter()
-            .map(|(x, y)| (y, x))
-            .collect();
-        let gtp: std::collections::BTreeSet<_> =
-            gt.enumerate_pairs(100).unwrap().into_iter().collect();
-        assert_eq!(ltp, gtp);
     }
 
     #[test]
@@ -148,6 +94,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(restricted.count_pairs().unwrap(), 3);
+        assert_eq!(restricted.enumerate_pairs(100).unwrap().len(), 3);
     }
 }

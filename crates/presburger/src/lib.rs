@@ -3,23 +3,28 @@
 //! point counting.
 //!
 //! This crate is the polyhedral substrate of the PolyUFC reproduction. It
-//! provides:
+//! keeps what the compiler calls:
 //!
 //! * [`Space`] — the signature of a set or relation (parameters, input and
 //!   output dimensions).
 //! * [`LinExpr`] — affine expressions over the variables of a space.
-//! * [`BasicSet`] / [`Set`] — conjunctions (resp. finite unions of
+//! * [`BasicSet`] / [`Set`] — conjunctions (resp. finite disjoint unions of
 //!   conjunctions) of affine constraints, with optional existentially
 //!   quantified *div* variables for integer division and modulo.
 //! * [`BasicMap`] / [`Map`] — binary integer relations with the same
-//!   constraint language, supporting composition, inversion, and
-//!   domain/range operations.
-//! * Lexicographic order helpers and [`Map::lexmin_explicit`].
-//! * Integer point counting ([`Set::count`]) by closed-form symbolic
-//!   summation ([`symbolic_count`]) with recursive bound decomposition,
-//!   connected-component factoring, and a verified enumerating fallback
-//!   ([`count_basic_enumerative`]), plus an exhaustive enumerator for
-//!   validation.
+//!   constraint language: access maps, domain/range restriction, the
+//!   difference set [`BasicMap::deltas`] Pluto's dependence analysis is
+//!   built on, and pair enumeration for the exact cache model.
+//! * [`lex_lt_map`], the strict lexicographic order that orients
+//!   dependences.
+//! * Batched emptiness and sampling through one reusable solver arena
+//!   ([`Context`]).
+//! * Integer point counting ([`Set::count`], memoized by
+//!   [`Set::count_cached`] through a [`CountCache`]) by closed-form
+//!   symbolic summation ([`symbolic_count`]) with recursive bound
+//!   decomposition, connected-component factoring, and a verified
+//!   enumerating fallback ([`count_basic_enumerative`]), plus an
+//!   exhaustive enumerator for validation.
 //!
 //! There is one solver core. Its oracles live in the test suites:
 //! brute-force point membership (`tests/prop.rs`, which checks every
@@ -35,13 +40,14 @@
 //! # Example
 //!
 //! ```
-//! use polyufc_presburger::{Space, Set};
+//! use polyufc_presburger::{BasicSet, LinExpr, Set, Space};
 //!
 //! // { [i, j] : 0 <= i < 8, 0 <= j <= i }
-//! let space = Space::set(0, 2);
-//! let set = Set::from_constraint_strs(space, &["i >= 0", "7 - i >= 0", "j >= 0", "i - j >= 0"])
-//!     .unwrap();
-//! assert_eq!(set.count().unwrap(), 36);
+//! let mut b = BasicSet::universe(Space::set(0, 2));
+//! b.add_range(0, 0, 7);
+//! b.add_ge0(LinExpr::var(1));
+//! b.add_ge0(LinExpr::var(0) - LinExpr::var(1));
+//! assert_eq!(Set::from_basic(b).count().unwrap(), 36);
 //! ```
 //!
 //! [isl]: https://libisl.sourceforge.io/
@@ -58,7 +64,6 @@ mod error;
 mod lexorder;
 mod linexpr;
 mod map;
-mod parse;
 mod polysum;
 mod set;
 mod space;
@@ -67,12 +72,12 @@ pub use basic::{BasicSet, Div};
 pub use context::{Context, Emptiness};
 pub use count::{count_basic_enumerative, CountCache, CountLimit};
 pub use error::{Error, Result};
-pub use lexorder::{lex_ge_map, lex_gt_map, lex_le_map, lex_lt_map};
+pub use lexorder::lex_lt_map;
 pub use linexpr::LinExpr;
 pub use map::{BasicMap, Map};
 pub use polysum::symbolic_count;
 pub use set::Set;
-pub use space::{Space, VarKind};
+pub use space::Space;
 
 /// A constraint over the variables of a [`Space`]: an affine expression
 /// required to be `== 0` or `>= 0`.

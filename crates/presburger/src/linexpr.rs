@@ -84,19 +84,8 @@ impl LinExpr {
     }
 
     /// Number of stored coefficients (highest referenced variable + 1).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.coeffs.len()
-    }
-
-    /// Whether no variable coefficient is stored (constant expression
-    /// storage-wise; prefer [`LinExpr::is_constant`] for semantics).
-    pub fn is_empty(&self) -> bool {
-        self.coeffs.is_empty()
-    }
-
-    /// Whether the expression is the constant zero.
-    pub fn is_zero(&self) -> bool {
-        self.constant == 0 && self.coeffs.iter().all(|&c| c == 0)
     }
 
     /// Whether the expression is constant (no variable has a nonzero

@@ -2,21 +2,17 @@
 
 use std::fmt;
 
-use crate::basic::{BasicSet, Div};
+use crate::basic::BasicSet;
 use crate::count::{count_system, count_system_cached, CountCache, CountLimit};
 use crate::enumerate::enumerate_points;
 use crate::error::{Error, Result};
-use crate::linexpr::LinExpr;
 use crate::space::Space;
-use crate::{Constraint, ConstraintKind};
 
 /// A finite union of [`BasicSet`] disjuncts over a common space.
 ///
-/// The disjuncts are kept **pairwise disjoint**: [`Set::union`] subtracts
-/// the current set from the incoming one, so [`Set::count`] can simply sum
-/// per-disjunct counts. Use [`Set::union_disjoint`] when disjointness is
-/// known by construction (it is cheaper and does not require determined
-/// divs).
+/// The disjuncts must be **pairwise disjoint**, so [`Set::count`] can
+/// simply sum per-disjunct counts. [`Set::intersect`] preserves that;
+/// [`Set::union_disjoint`] trusts the caller to guarantee it.
 #[derive(Debug, Clone)]
 pub struct Set {
     space: Space,
@@ -32,36 +28,12 @@ impl Set {
         }
     }
 
-    /// The universe set of a space.
-    pub fn universe(space: Space) -> Self {
-        Set {
-            space: space.clone(),
-            basics: vec![BasicSet::universe(space)],
-        }
-    }
-
     /// Wraps a single basic set.
     pub fn from_basic(basic: BasicSet) -> Self {
         Set {
             space: basic.space().clone(),
             basics: vec![basic],
         }
-    }
-
-    /// Parses a conjunction of textual constraints into a single-disjunct
-    /// set. Textual syntax: dims are named `i, j, k, l, m`
-    /// (alias `d0..`), params `n, p, q` (alias `p0..`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Parse`] on malformed input.
-    pub fn from_constraint_strs(space: Space, constraints: &[&str]) -> Result<Set> {
-        let mut b = BasicSet::universe(space);
-        for s in constraints {
-            let c = crate::parse::parse_constraint(s, b.space())?;
-            b.add_constraint(c);
-        }
-        Ok(Set::from_basic(b))
     }
 
     /// The space of this set.
@@ -72,11 +44,6 @@ impl Set {
     /// The disjuncts.
     pub fn basics(&self) -> &[BasicSet] {
         &self.basics
-    }
-
-    /// Whether all disjuncts have determined divs (negation is sound).
-    pub fn all_divs_determined(&self) -> bool {
-        self.basics.iter().all(BasicSet::all_divs_determined)
     }
 
     fn check_space(&self, other: &Set) -> Result<()> {
@@ -111,25 +78,6 @@ impl Set {
         })
     }
 
-    /// Union preserving the disjointness invariant: the incoming disjuncts
-    /// are first reduced by subtracting `self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UndeterminedDivs`] if `self` contains undetermined
-    /// existentials (subtraction would be unsound); use
-    /// [`Set::union_disjoint`] if disjointness is known.
-    pub fn union(&self, other: &Set) -> Result<Set> {
-        self.check_space(other)?;
-        let fresh = other.subtract(self)?;
-        let mut basics = self.basics.clone();
-        basics.extend(fresh.basics);
-        Ok(Set {
-            space: self.space.clone(),
-            basics,
-        })
-    }
-
     /// Union without a disjointness check. Counting will double-count any
     /// overlap; only use when the operands are disjoint by construction.
     pub fn union_disjoint(&self, other: &Set) -> Result<Set> {
@@ -139,39 +87,6 @@ impl Set {
         Ok(Set {
             space: self.space.clone(),
             basics,
-        })
-    }
-
-    /// Set difference `self \ other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UndeterminedDivs`] if `other` has undetermined divs
-    /// (its constraints cannot be negated), or [`Error::SpaceMismatch`].
-    pub fn subtract(&self, other: &Set) -> Result<Set> {
-        self.check_space(other)?;
-        let mut pieces = self.basics.clone();
-        for b in &other.basics {
-            let mut next = Vec::new();
-            for a in &pieces {
-                next.extend(subtract_basic(a, b)?);
-            }
-            pieces = next;
-        }
-        // Drop trivially/provably empty pieces to keep sizes in check.
-        let mut kept = Vec::new();
-        for mut p in pieces {
-            if !p.simplify() {
-                continue;
-            }
-            match p.is_empty() {
-                Ok(true) => {}
-                _ => kept.push(p),
-            }
-        }
-        Ok(Set {
-            space: self.space.clone(),
-            basics: kept,
         })
     }
 
@@ -187,20 +102,6 @@ impl Set {
             }
         }
         Ok(true)
-    }
-
-    /// Membership test for a point of `n_param + n_dim` coordinates.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UndeterminedDivs`] if any disjunct needs a search.
-    pub fn contains(&self, point: &[i64]) -> Result<bool> {
-        for b in &self.basics {
-            if b.contains(point)? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
     }
 
     /// Counts the integer points with the default [`CountLimit`].
@@ -256,16 +157,6 @@ impl Set {
         Ok(total)
     }
 
-    /// Counts the integer points through a batched [`crate::Context`],
-    /// sharing its memoizing count cache across queries.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Set::count`].
-    pub fn count_in(&self, ctx: &mut crate::Context) -> Result<i128> {
-        ctx.count_set(self)
-    }
-
     /// Enumerates up to `max_points` points (dims only), merged and
     /// deduplicated across disjuncts, in lexicographic order.
     ///
@@ -284,31 +175,6 @@ impl Set {
         }
         Ok(all.into_iter().collect())
     }
-
-    /// Whether `self ⊆ other` (requires `other` to have determined divs).
-    ///
-    /// # Errors
-    ///
-    /// See [`Set::subtract`].
-    pub fn is_subset(&self, other: &Set) -> Result<bool> {
-        self.subtract(other)?.is_empty()
-    }
-
-    /// Removes provably empty disjuncts.
-    pub fn coalesce(&self) -> Set {
-        let mut out = Set::empty(self.space.clone());
-        for b in &self.basics {
-            let mut b = b.clone();
-            if !b.simplify() {
-                continue;
-            }
-            if let Ok(true) = b.is_empty() {
-                continue;
-            }
-            out.basics.push(b);
-        }
-        out
-    }
 }
 
 impl fmt::Display for Set {
@@ -321,113 +187,15 @@ impl fmt::Display for Set {
     }
 }
 
-/// Computes `a \ b` as a list of disjoint pieces.
-///
-/// Requires `b` to have only determined divs: since each div is a function
-/// of the other variables, negating `b`'s non-definition constraints while
-/// keeping the definitions pinned is sound.
-pub(crate) fn subtract_basic(a: &BasicSet, b: &BasicSet) -> Result<Vec<BasicSet>> {
-    if !b.all_divs_determined() {
-        return Err(Error::UndeterminedDivs {
-            operation: "subtract",
-        });
-    }
-    // Base: `a` extended with b's divs (renumbered) and their definitions.
-    let shift_at = a.space().n_var();
-    let div_shift = a.divs().len();
-    let mut base = a.clone();
-    let mut def_exprs: Vec<LinExpr> = Vec::new();
-    for d in b.divs() {
-        let (num, den) = d.def.as_ref().expect("checked determined");
-        let num = num.shift_vars(shift_at, div_shift);
-        let q = base.n_total();
-        base.push_div_raw(Div {
-            def: Some((num.clone(), *den)),
-        });
-        let rem = num - LinExpr::var(q) * *den;
-        base.add_ge0(rem.clone());
-        base.add_ge0(LinExpr::constant(*den - 1) - rem.clone());
-        def_exprs.push(rem.clone());
-        def_exprs.push(LinExpr::constant(*den - 1) - rem);
-    }
-    // Sequential negation over b's constraints (equalities split in two).
-    let mut shifted: Vec<Constraint> = Vec::new();
-    for c in b.constraints() {
-        let e = c.expr.shift_vars(shift_at, div_shift);
-        match c.kind {
-            ConstraintKind::GeZero => shifted.push(Constraint::ge0(e)),
-            ConstraintKind::Eq => {
-                shifted.push(Constraint::ge0(e.clone()));
-                shifted.push(Constraint::ge0(-e));
-            }
-        }
-    }
-    // Skip constraints that are exactly div definitions (they are pinned in
-    // the base; negating them would produce empty pieces anyway, we just
-    // save the work).
-    let is_def = |e: &LinExpr| def_exprs.iter().any(|d| d == e);
-
-    let mut pieces = Vec::new();
-    let mut prefix = base;
-    for c in &shifted {
-        if is_def(&c.expr) {
-            prefix.add_ge0(c.expr.clone());
-            continue;
-        }
-        // Piece: prefix ∧ ¬(e >= 0)  i.e.  -e - 1 >= 0.
-        let mut piece = prefix.clone();
-        piece.add_ge0(-(c.expr.clone()) - LinExpr::constant(1));
-        pieces.push(piece);
-        prefix.add_ge0(c.expr.clone());
-    }
-    Ok(pieces)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BasicMap, LinExpr};
 
     fn interval(space: Space, var: usize, lo: i64, hi: i64) -> Set {
         let mut b = BasicSet::universe(space);
         b.add_range(var, lo, hi);
         Set::from_basic(b)
-    }
-
-    #[test]
-    fn union_is_disjoint() {
-        let sp = Space::set(0, 1);
-        let a = interval(sp.clone(), 0, 0, 9);
-        let b = interval(sp.clone(), 0, 5, 14);
-        let u = a.union(&b).unwrap();
-        assert_eq!(u.count().unwrap(), 15);
-    }
-
-    #[test]
-    fn subtract_interval() {
-        let sp = Space::set(0, 1);
-        let a = interval(sp.clone(), 0, 0, 9);
-        let b = interval(sp.clone(), 0, 3, 5);
-        let d = a.subtract(&b).unwrap();
-        assert_eq!(d.count().unwrap(), 7);
-        assert!(d.contains(&[2]).unwrap());
-        assert!(!d.contains(&[4]).unwrap());
-        assert!(d.contains(&[6]).unwrap());
-    }
-
-    #[test]
-    fn subtract_with_divs() {
-        // a = [0,15], b = multiples of 4 in [0,15]; a \ b has 12 points.
-        let sp = Space::set(0, 1);
-        let a = interval(sp.clone(), 0, 0, 15);
-        let mut bb = BasicSet::universe(sp.clone());
-        bb.add_range(0, 0, 15);
-        let q = bb.add_div(LinExpr::var(0), 4);
-        bb.add_eq(LinExpr::var(0) - LinExpr::var(q) * 4);
-        let b = Set::from_basic(bb);
-        let d = a.subtract(&b).unwrap();
-        assert_eq!(d.count().unwrap(), 12);
-        assert!(!d.contains(&[8]).unwrap());
-        assert!(d.contains(&[9]).unwrap());
     }
 
     #[test]
@@ -443,22 +211,14 @@ mod tests {
     }
 
     #[test]
-    fn parse_example() {
-        let sp = Space::set(0, 2);
-        let s = Set::from_constraint_strs(sp, &["i >= 0", "7 - i >= 0", "j >= 0", "i - j >= 0"])
-            .unwrap();
-        assert_eq!(s.count().unwrap(), 36);
-    }
-
-    #[test]
     fn empty_set_behaviour() {
         let sp = Space::set(0, 1);
         let e = Set::empty(sp.clone());
         assert!(e.is_empty().unwrap());
         assert_eq!(e.count().unwrap(), 0);
         let a = interval(sp, 0, 0, 3);
-        assert_eq!(a.union(&e).unwrap().count().unwrap(), 4);
-        assert_eq!(e.union(&a).unwrap().count().unwrap(), 4);
+        assert_eq!(a.union_disjoint(&e).unwrap().count().unwrap(), 4);
+        assert_eq!(e.union_disjoint(&a).unwrap().count().unwrap(), 4);
     }
 
     #[test]
@@ -473,27 +233,14 @@ mod tests {
     }
 
     #[test]
-    fn subset_across_decompositions() {
-        let sp = Space::set(0, 1);
-        let small = interval(sp.clone(), 0, 2, 5);
-        let big = interval(sp.clone(), 0, 0, 9);
-        assert!(small.is_subset(&big).unwrap());
-        assert!(!big.is_subset(&small).unwrap());
-        // Mutual inclusion across different disjunct decompositions.
-        let left = interval(sp.clone(), 0, 0, 4);
-        let right = interval(sp.clone(), 0, 5, 9);
-        let split = left.union_disjoint(&right).unwrap();
-        assert!(split.is_subset(&big).unwrap());
-        assert!(big.is_subset(&split).unwrap());
-    }
-
-    #[test]
-    fn project_then_count_via_enumeration() {
-        let sp = Space::set(0, 2);
-        let mut b = BasicSet::universe(sp);
-        b.add_range(0, 0, 4);
-        b.add_range(1, 0, 6);
-        let s = Set::from_basic(b.project_dims_out(0, 1));
-        assert_eq!(s.count().unwrap(), 7);
+    fn undetermined_divs_count_via_enumeration() {
+        // The deltas of { [i] -> [j] : 0 <= i <= 4, 0 <= j <= 6 } keep i and
+        // j as undetermined existentials: { d : -4 <= d <= 6 }.
+        let mut m = BasicMap::universe(Space::map(0, 1, 1));
+        m.basic_set_mut().add_range(0, 0, 4);
+        m.basic_set_mut().add_range(1, 0, 6);
+        let d = m.deltas();
+        assert!(!d.all_divs_determined());
+        assert_eq!(Set::from_basic(d).count().unwrap(), 11);
     }
 }

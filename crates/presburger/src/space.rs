@@ -2,23 +2,10 @@
 
 use std::fmt;
 
-/// The kind of a variable within a [`Space`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VarKind {
-    /// A symbolic parameter (problem size).
-    Param,
-    /// An input/tuple dimension (for sets, the only tuple kind).
-    In,
-    /// An output dimension (relations only).
-    Out,
-    /// An existentially quantified division variable.
-    Div,
-}
-
 /// The signature of a set or relation: how many parameters, input
 /// dimensions and output dimensions it has.
 ///
-/// Sets use `n_out == 0`; their tuple dimensions are the `In` dimensions.
+/// Sets use `n_out == 0`; their tuple dimensions are the input dimensions.
 /// Variables of the associated constraint system are laid out as
 /// `[params..., in..., out..., divs...]`; the div count lives on the
 /// [`crate::BasicSet`], not here, because different disjuncts of a union may
@@ -86,25 +73,6 @@ impl Space {
         self.n_param + self.n_in
     }
 
-    /// The space of the reversed relation (inputs and outputs swapped).
-    pub fn reversed(&self) -> Space {
-        Space {
-            n_param: self.n_param,
-            n_in: self.n_out,
-            n_out: self.n_in,
-        }
-    }
-
-    /// The space of this relation's domain, as a set space.
-    pub fn domain(&self) -> Space {
-        Space::set(self.n_param, self.n_in)
-    }
-
-    /// The space of this relation's range, as a set space.
-    pub fn range(&self) -> Space {
-        Space::set(self.n_param, self.n_out)
-    }
-
     /// Whether this is a set space (no output dimensions).
     pub fn is_set(&self) -> bool {
         self.n_out == 0
@@ -154,13 +122,11 @@ mod tests {
     }
 
     #[test]
-    fn map_space_reverse() {
+    fn map_space_layout() {
         let m = Space::map(1, 2, 3);
-        let r = m.reversed();
-        assert_eq!(r.n_in(), 3);
-        assert_eq!(r.n_out(), 2);
-        assert_eq!(m.domain(), Space::set(1, 2));
-        assert_eq!(m.range(), Space::set(1, 3));
+        assert_eq!((m.n_in(), m.n_out(), m.n_dim()), (2, 3, 5));
+        assert_eq!(m.out_offset(), 3);
+        assert!(!m.is_set());
     }
 
     #[test]

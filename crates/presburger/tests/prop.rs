@@ -1,8 +1,9 @@
-//! Property-based tests: the symbolic set algebra and the solver entry
-//! points must agree with brute-force point semantics on random small sets
-//! and relations — boxes with random cuts, triangles, bands and strided
-//! div sets. Brute force is the solver's correctness oracle;
-//! `solver_digest.rs` pins which answers it gives.
+//! Property-based tests: the set and relation operations the compiler
+//! calls and the solver entry points must agree with brute-force point
+//! semantics on random small sets and relations — boxes with random cuts,
+//! triangles, bands, strided div sets and access-pair relations. Brute
+//! force is the solver's correctness oracle; `solver_digest.rs` pins which
+//! answers it gives.
 
 use std::collections::BTreeSet;
 
@@ -62,6 +63,41 @@ fn arb_stride() -> impl Strategy<Value = BasicSet> {
         b.add_eq(LinExpr::var(0) - LinExpr::constant(r % d) - LinExpr::var(q) * d);
         b
     })
+}
+
+/// One access subscript `a*i0 + b*i1 + c` over a 2-deep nest.
+fn arb_subscript() -> impl Strategy<Value = LinExpr> {
+    (-1i64..=1, -1i64..=1, -2i64..=2)
+        .prop_map(|(a, b, c)| LinExpr::var(0) * a + LinExpr::var(1) * b + LinExpr::constant(c))
+}
+
+/// A random equal-element relation `{ i -> i' : A[f(i)] == A[g(i')] }`
+/// over a 2-deep box or triangle of extent at most 6, with 1- or 2-D
+/// subscripts `f` and `g`: the relation Pluto builds for each conflicting
+/// access pair. Returns the domain and both subscript vectors.
+fn arb_access_pair() -> impl Strategy<Value = (BasicSet, Vec<LinExpr>, Vec<LinExpr>)> {
+    let subscripts = || proptest::collection::vec(arb_subscript(), 1..=2);
+    (
+        any::<bool>(),
+        1i64..=6,
+        1i64..=6,
+        subscripts(),
+        subscripts(),
+    )
+        .prop_map(|(triangle, n, m, mut f, mut g)| {
+            let mut dom = BasicSet::universe(Space::set(0, 2));
+            dom.add_range(0, 0, n - 1);
+            if triangle {
+                dom.add_ge0(LinExpr::var(1));
+                dom.add_ge0(LinExpr::var(0) - LinExpr::var(1));
+            } else {
+                dom.add_range(1, 0, m - 1);
+            }
+            let rank = f.len().min(g.len());
+            f.truncate(rank);
+            g.truncate(rank);
+            (dom, f, g)
+        })
 }
 
 /// Every point of `b` inside the box `[0, extent)^n_dim`.
@@ -134,29 +170,6 @@ proptest! {
     }
 
     #[test]
-    fn subtraction_is_pointwise_difference(a in arb_basic_set(), b in arb_basic_set()) {
-        let d = Set::from_basic(a.clone()).subtract(&Set::from_basic(b.clone())).unwrap();
-        let expect: BTreeSet<_> =
-            brute_points(&a).difference(&brute_points(&b)).cloned().collect();
-        let got: BTreeSet<_> =
-            d.enumerate(1000).unwrap().into_iter().collect();
-        prop_assert_eq!(&got, &expect);
-        // Disjoint pieces: count must equal cardinality, not overcount.
-        prop_assert_eq!(d.count().unwrap(), expect.len() as i128);
-    }
-
-    #[test]
-    fn union_preserves_membership_and_count(a in arb_basic_set(), b in arb_basic_set()) {
-        let u = Set::from_basic(a.clone()).union(&Set::from_basic(b.clone())).unwrap();
-        let expect: BTreeSet<_> =
-            brute_points(&a).union(&brute_points(&b)).cloned().collect();
-        prop_assert_eq!(u.count().unwrap(), expect.len() as i128);
-        for p in &expect {
-            prop_assert!(u.contains(p).unwrap());
-        }
-    }
-
-    #[test]
     fn div_sets_count_matches_enumeration(
         modulus in 2i64..6,
         residue in 0i64..5,
@@ -206,16 +219,45 @@ proptest! {
     }
 
     #[test]
-    fn subset_relation_consistent(a in arb_basic_set(), b in arb_basic_set()) {
-        let sa = Set::from_basic(a.clone());
-        let sb = Set::from_basic(b.clone());
-        let inter = sa.intersect(&sb).unwrap();
-        // inter ⊆ a and inter ⊆ b always.
-        prop_assert!(inter.is_subset(&sa).unwrap());
-        prop_assert!(inter.is_subset(&sb).unwrap());
-        // a ⊆ b iff brute-force containment holds.
-        let brute = brute_points(&a).is_subset(&brute_points(&b));
-        prop_assert_eq!(sa.is_subset(&sb).unwrap(), brute);
+    fn deltas_and_lex_pieces_match_brute((dom, f, g) in arb_access_pair()) {
+        // Brute force: every (i, i') of the domain that touches one element.
+        let points = brute_points_in(&dom, 6);
+        let eval = |e: &[LinExpr], p: &[i64]| -> Vec<i64> { e.iter().map(|x| x.eval(p)).collect() };
+        let pairs: Vec<(Vec<i64>, Vec<i64>)> = points
+            .iter()
+            .flat_map(|x| points.iter().map(move |y| (x.clone(), y.clone())))
+            .filter(|(x, y)| eval(&f, x) == eval(&g, y))
+            .collect();
+        let diff = |(x, y): &(Vec<i64>, Vec<i64>)| -> Vec<i64> { vec![y[0] - x[0], y[1] - x[1]] };
+
+        let mut rel = BasicMap::universe(Space::map(0, 2, 2));
+        for (e1, e2) in f.iter().zip(&g) {
+            rel.basic_set_mut().add_eq(e2.shift_vars(0, 2) - e1.clone());
+        }
+        let rel = rel.intersect_domain(&dom).unwrap().intersect_range(&dom).unwrap();
+        let deltas = |m: &BasicMap| -> BTreeSet<Vec<i64>> {
+            Set::from_basic(m.deltas()).enumerate(1000).unwrap().into_iter().collect()
+        };
+        prop_assert_eq!(deltas(&rel), pairs.iter().map(diff).collect::<BTreeSet<_>>());
+
+        // The lex_lt pieces plus the identity cover `i ⪯ i'` disjointly:
+        // their union enumerates exactly those pairs, no piece shares one,
+        // and the per-piece deltas are exactly their differences.
+        let forward: BTreeSet<_> = pairs.iter().filter(|(x, y)| x <= y).cloned().collect();
+        let identity = BasicMap::identity(0, 2);
+        let lex = lex_lt_map(0, 2);
+        let mut union = Map::empty(Space::map(0, 2, 2));
+        let (mut piece_pairs, mut piece_deltas) = (0, BTreeSet::new());
+        for piece in lex.basics().iter().chain([&identity]) {
+            let r = rel.intersect(piece).unwrap();
+            piece_pairs += Map::from_basic(r.clone()).enumerate_pairs(10_000).unwrap().len();
+            piece_deltas.extend(deltas(&r));
+            union = union.union_disjoint(&Map::from_basic(r)).unwrap();
+        }
+        let got: BTreeSet<_> = union.enumerate_pairs(10_000).unwrap().into_iter().collect();
+        prop_assert_eq!(&got, &forward);
+        prop_assert_eq!(piece_pairs, forward.len());
+        prop_assert_eq!(piece_deltas, forward.iter().map(diff).collect::<BTreeSet<_>>());
     }
 
     #[test]
@@ -244,36 +286,6 @@ proptest! {
         prop_assert_eq!(s.is_empty().unwrap(), s.count().unwrap() == 0);
     }
 
-    #[test]
-    fn projection_is_exact(a in arb_basic_set()) {
-        let s = Set::from_basic(a.project_dims_out(1, 1));
-        let expect: BTreeSet<i64> = brute_points(&a).into_iter().map(|p| p[0]).collect();
-        let got: BTreeSet<i64> =
-            s.enumerate(1000).unwrap().into_iter().map(|p| p[0]).collect();
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn lexmin_explicit_minimal(a in arb_basic_set()) {
-        // View the 2-D set as a relation { [i] -> [j] } and take lexmin.
-        let m = Map::from_basic(BasicMap::from_basic_set(
-            a.clone().recast(Space::map(0, 1, 1)),
-        ));
-        let lm = m.lexmin_explicit(1000).unwrap();
-        let pts = brute_points(&a);
-        for (x, y) in &lm {
-            // (x, y) must be a member and minimal among images of x.
-            prop_assert!(pts.contains(&vec![x[0], y[0]]));
-            for j in 0..8 {
-                if pts.contains(&vec![x[0], j]) {
-                    prop_assert!(y[0] <= j);
-                }
-            }
-        }
-        // Every domain point appears exactly once.
-        let doms: BTreeSet<i64> = pts.iter().map(|p| p[0]).collect();
-        prop_assert_eq!(lm.len(), doms.len());
-    }
 }
 
 /// Cardinality of the brute-force intersection (helper kept out of the
@@ -299,5 +311,5 @@ fn lex_lt_composition_semantics() {
         restricted = restricted.union_disjoint(&Map::from_basic(r)).unwrap();
     }
     // 9 points, C(9,2) = 36 strictly ordered pairs.
-    assert_eq!(restricted.count_pairs().unwrap(), 36);
+    assert_eq!(restricted.enumerate_pairs(100).unwrap().len(), 36);
 }

@@ -333,19 +333,7 @@ impl<'a> Parser<'a> {
 /// Appends `s` as a JSON string literal (with quotes) to `out`.
 pub fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    polyufc_analysis::diag::push_json_escaped(out, s);
     out.push('"');
 }
 
@@ -377,10 +365,14 @@ mod tests {
 
     #[test]
     fn escapes_round_trip() {
+        let raw = "a\"b\\c\nd\te\u{1}\r";
         let mut out = String::new();
-        push_escaped(&mut out, "a\"b\\c\nd\te\u{1}");
+        push_escaped(&mut out, raw);
         let back = parse(&out).unwrap();
-        assert_eq!(back.as_str(), Some("a\"b\\c\nd\te\u{1}"));
+        assert_eq!(back.as_str(), Some(raw));
+        // The wire writer and the lint report's escaper are one loop.
+        let lint = polyufc_analysis::diag::json_escape(raw);
+        assert_eq!(out.as_bytes(), format!("\"{lint}\"").as_bytes());
 
         let v = parse(r#""\u00e9\uD83D\uDE00""#).unwrap();
         assert_eq!(v.as_str(), Some("é😀"));
