@@ -6,7 +6,7 @@ use std::cell::OnceCell;
 use std::collections::HashSet;
 
 use polyufc_ir::affine::AffineKernel;
-use polyufc_presburger::{BasicMap, BasicSet, LinExpr, Set, Space};
+use polyufc_presburger::{BasicMap, LinExpr, Set, Space};
 
 /// The delta (dependence distance) sets of one kernel, with convenience
 /// queries.
@@ -107,11 +107,17 @@ pub fn analyze_kernel(kernel: &AffineKernel) -> DepSummary {
     summary
 }
 
-/// Whether `s` has no point with `e >= 0`.
+/// Whether `s` has no point with `e >= 0`. Each disjunct gets the probe
+/// row appended and is decided as it stands, with no re-simplification.
 fn empty_where(s: &Set, e: LinExpr) -> polyufc_presburger::Result<bool> {
-    let mut probe = BasicSet::universe(s.space().clone());
-    probe.add_ge0(e);
-    s.intersect(&Set::from_basic(probe))?.is_empty()
+    for b in s.basics() {
+        let mut probe = b.clone();
+        probe.add_ge0(e.clone());
+        if !probe.is_empty()? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 impl DepSummary {

@@ -217,52 +217,6 @@ impl BasicSet {
         Ok(self.constraints.iter().all(|c| c.holds(&values)))
     }
 
-    /// Simplifies constraints in place: drops trivially true constraints,
-    /// normalizes by the gcd of coefficients, and deduplicates. Returns
-    /// `false` if a trivially false constraint was found (set is empty).
-    pub fn simplify(&mut self) -> bool {
-        let mut seen = std::collections::HashSet::new();
-        let drained = std::mem::take(&mut self.constraints);
-        let mut out = Vec::with_capacity(drained.len());
-        for c in drained {
-            let mut c = c;
-            if c.expr.is_constant() {
-                let k = c.expr.constant_term();
-                let ok = match c.kind {
-                    ConstraintKind::Eq => k == 0,
-                    ConstraintKind::GeZero => k >= 0,
-                };
-                if ok {
-                    continue;
-                }
-                self.constraints = vec![Constraint::ge0(LinExpr::constant(-1))];
-                return false;
-            }
-            let g = c.expr.coeff_gcd();
-            if g > 1 {
-                match c.kind {
-                    ConstraintKind::Eq => {
-                        if c.expr.constant_term() % g != 0 {
-                            self.constraints = vec![Constraint::ge0(LinExpr::constant(-1))];
-                            return false;
-                        }
-                        c.expr = divide_expr(&c.expr, g);
-                    }
-                    ConstraintKind::GeZero => {
-                        // a*x + k >= 0  <=>  x' + floor(k/g) >= 0 with x' = a/g * x
-                        let k = c.expr.constant_term();
-                        c.expr = divide_expr_floor(&c.expr, g, k);
-                    }
-                }
-            }
-            if seen.insert((format!("{:?}", c.expr), c.kind)) {
-                out.push(c);
-            }
-        }
-        self.constraints = out;
-        true
-    }
-
     /// Builds the solver system for this set (all variables, including
     /// params and divs, are solver variables).
     pub(crate) fn system(&self) -> System {
@@ -348,22 +302,6 @@ impl fmt::Display for BasicSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.display())
     }
-}
-
-fn divide_expr(e: &LinExpr, g: i64) -> LinExpr {
-    let mut out = LinExpr::constant(e.constant_term() / g);
-    for (i, c) in e.terms() {
-        out.set_coeff(i, c / g);
-    }
-    out
-}
-
-fn divide_expr_floor(e: &LinExpr, g: i64, k: i64) -> LinExpr {
-    let mut out = LinExpr::constant(k.div_euclid(g));
-    for (i, c) in e.terms() {
-        out.set_coeff(i, c / g);
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1481,24 +1419,6 @@ mod tests {
                 assert_eq!(b.contains(&[i, j]).unwrap(), want, "({i}, {j})");
             }
         }
-    }
-
-    #[test]
-    fn simplify_normalizes() {
-        let mut b = BasicSet::universe(Space::set(0, 1));
-        b.add_ge0(LinExpr::var(0) * 2 - LinExpr::constant(3)); // 2i >= 3 => i >= 2
-        assert!(b.simplify());
-        assert_eq!(b.constraints().len(), 1);
-        assert!(b.contains(&[2]).unwrap());
-        assert!(!b.contains(&[1]).unwrap());
-    }
-
-    #[test]
-    fn simplify_detects_trivial_emptiness() {
-        let mut b = BasicSet::universe(Space::set(0, 1));
-        b.add_ge0(LinExpr::constant(-5));
-        assert!(!b.simplify());
-        assert!(b.is_empty().unwrap());
     }
 
     #[test]

@@ -95,57 +95,36 @@ pub fn count_basic_enumerative(set: &BasicSet, limit: CountLimit) -> Result<i128
     count_system_with_stats(&set.system(), limit, false).map(|(c, _)| c)
 }
 
-/// Canonical form of one constraint: `(kind, constant, sorted terms)` with
-/// an equality's sign normalized so the first nonzero coefficient is
-/// positive (both signs describe the same hyperplane).
-type CanonConstraint = (u8, i64, Vec<(usize, i64)>);
-
-/// Canonical hash key of a [`System`]: variable count, the count limit, and
-/// the sorted canonical constraints. Two systems with the same key describe
-/// the same solution set, so their point counts can be shared.
+/// Canonical hash key of a [`System`], as one flat word list: the variable
+/// count, the count limit, then the sorted, deduplicated canonical rows
+/// `[kind, constant, coeffs…]` (kind 0 for an equality, 1 for an
+/// inequality), an equality's sign normalized so its first nonzero
+/// coefficient is positive (both signs describe the same hyperplane). Two
+/// systems with the same key describe the same solution set, so their
+/// point counts can be shared.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct CountKey {
-    n: usize,
-    limit: u64,
-    constraints: Vec<CanonConstraint>,
-}
+struct CountKey(Vec<i64>);
 
-fn canonicalize_row(coeffs: &[i64], constant: i64, is_eq: bool) -> CanonConstraint {
-    // Dense rows store coefficients by ascending variable index, so the
-    // terms come out sorted with no extra pass.
-    let mut terms: Vec<(usize, i64)> = coeffs
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c != 0)
-        .map(|(v, &c)| (v, c))
-        .collect();
-    let mut k = constant;
-    let tag = if is_eq {
-        // i - j = 0 and j - i = 0 are the same hyperplane.
-        if terms.first().is_some_and(|&(_, c)| c < 0) {
-            for t in &mut terms {
-                t.1 = -t.1;
-            }
-            k = -k;
-        }
-        0u8
-    } else {
-        1u8
-    };
-    (tag, k, terms)
-}
-
-pub(crate) fn count_key(sys: &System, limit: CountLimit) -> CountKey {
-    let mut constraints: Vec<CanonConstraint> = (0..sys.n_rows())
-        .map(|i| canonicalize_row(sys.coeffs(i), sys.constant(i), sys.is_eq(i)))
-        .collect();
-    constraints.sort_unstable();
-    constraints.dedup();
-    CountKey {
-        n: sys.n,
-        limit: limit.0,
-        constraints,
+fn count_key(sys: &System, limit: CountLimit) -> CountKey {
+    let width = sys.n + 2;
+    let mut rows: Vec<i64> = Vec::with_capacity(sys.n_rows() * width);
+    for i in 0..sys.n_rows() {
+        let coeffs = sys.coeffs(i);
+        let flip = sys.is_eq(i) && coeffs.iter().find(|&&c| c != 0).is_some_and(|&c| c < 0);
+        let sign = if flip { -1 } else { 1 };
+        rows.push(i64::from(!sys.is_eq(i)));
+        rows.push(sign * sys.constant(i));
+        rows.extend(coeffs.iter().map(|&c| sign * c));
     }
+    let mut sorted: Vec<&[i64]> = rows.chunks_exact(width).collect();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let mut key = Vec::with_capacity(2 + sorted.len() * width);
+    key.extend([sys.n as i64, limit.0 as i64]);
+    for row in sorted {
+        key.extend_from_slice(row);
+    }
+    CountKey(key)
 }
 
 /// Memoization cache for [`crate::Set::count_cached`].
@@ -463,7 +442,7 @@ fn connected_components(sys: &System, vars: &[usize]) -> Vec<Vec<usize>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{BasicSet, LinExpr, Space};
 
@@ -634,11 +613,10 @@ mod tests {
         assert_eq!((stats.enumerated, stats.parallel_splits), (0, 0));
     }
 
-    #[test]
-    fn skewed_tiled_stencil_counts_in_closed_form() {
-        // heat-3d at `large` after skew + tiling: `0 <= t < 20`,
-        // `t < x < t + 99` for three skewed space dims, all four tiled
-        // (vars: Tt, T1..T3, t, x1..x3) — 20·98³ points.
+    /// heat-3d at `large` after skew + tiling: `0 <= t < 20`,
+    /// `t < x < t + 99` for three skewed space dims, all four tiled
+    /// (vars: Tt, T1..T3, t, x1..x3) — 20·98³ points.
+    pub(crate) fn skewed_tiled_heat3d() -> BasicSet {
         let mut b = BasicSet::universe(Space::set(0, 8));
         b.add_range(4, 0, 19);
         tile(&mut b, 0, 4, (0, 0));
@@ -648,7 +626,13 @@ mod tests {
             b.add_ge0(LinExpr::var(4) + LinExpr::constant(98) - LinExpr::var(x));
             tile(&mut b, d, x, (0, 3));
         }
-        let (c, stats) = count_system_with_stats(&b.system(), CountLimit::default(), true).unwrap();
+        b
+    }
+
+    #[test]
+    fn skewed_tiled_stencil_counts_in_closed_form() {
+        let sys = skewed_tiled_heat3d().system();
+        let (c, stats) = count_system_with_stats(&sys, CountLimit::default(), true).unwrap();
         assert_eq!(c, 20 * 98 * 98 * 98);
         assert_eq!((stats.enumerated, stats.parallel_splits), (0, 0));
     }
@@ -675,6 +659,32 @@ mod tests {
             count_basic_enumerative(&b, CountLimit::default()).unwrap(),
             count(&b)
         );
+    }
+
+    #[test]
+    fn count_key_names_the_solution_set() {
+        use crate::Constraint;
+        let (i, j) = (LinExpr::var(0), LinExpr::var(1));
+        let lo = Constraint::ge0(i.clone() - LinExpr::constant(1));
+        let hi = Constraint::ge0(LinExpr::constant(10) - i.clone() - j.clone());
+        let diag = Constraint::eq(i.clone() - j.clone() - LinExpr::constant(2));
+        let flipped = Constraint::eq(j.clone() - i.clone() + LinExpr::constant(2));
+        let as_ge = Constraint::ge0(i.clone() - j.clone() - LinExpr::constant(2));
+        let shifted = Constraint::eq(i - j - LinExpr::constant(3));
+        let key = |n: usize, limit: u64, rows: &[&Constraint]| {
+            let rows: Vec<Constraint> = rows.iter().map(|&c| c.clone()).collect();
+            count_key(&System::new(n, &rows), CountLimit(limit))
+        };
+        let base = key(2, 100, &[&lo, &hi, &diag]);
+        // Row order, a repeated row and an equality's sign do not matter.
+        assert_eq!(key(2, 100, &[&hi, &diag, &lo]), base);
+        assert_eq!(key(2, 100, &[&lo, &hi, &lo, &diag]), base);
+        assert_eq!(key(2, 100, &[&lo, &hi, &flipped]), base);
+        // The variable count, the limit, a row's kind and its constant do.
+        assert_ne!(key(3, 100, &[&lo, &hi, &diag]), base);
+        assert_ne!(key(2, 101, &[&lo, &hi, &diag]), base);
+        assert_ne!(key(2, 100, &[&lo, &hi, &as_ge]), base);
+        assert_ne!(key(2, 100, &[&lo, &hi, &shifted]), base);
     }
 
     #[test]

@@ -11,8 +11,8 @@ use crate::space::Space;
 /// A finite union of [`BasicSet`] disjuncts over a common space.
 ///
 /// The disjuncts must be **pairwise disjoint**, so [`Set::count`] can
-/// simply sum per-disjunct counts. [`Set::intersect`] preserves that;
-/// [`Set::union_disjoint`] trusts the caller to guarantee it.
+/// simply sum per-disjunct counts. [`Set::union_disjoint`] trusts the
+/// caller to guarantee it.
 #[derive(Debug, Clone)]
 pub struct Set {
     space: Space,
@@ -54,28 +54,6 @@ impl Set {
             });
         }
         Ok(())
-    }
-
-    /// Intersection (pairwise on disjuncts; disjointness is preserved).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::SpaceMismatch`] if the spaces differ.
-    pub fn intersect(&self, other: &Set) -> Result<Set> {
-        self.check_space(other)?;
-        let mut basics = Vec::new();
-        for a in &self.basics {
-            for b in &other.basics {
-                let mut c = a.intersect(b)?;
-                if c.simplify() {
-                    basics.push(c);
-                }
-            }
-        }
-        Ok(Set {
-            space: self.space.clone(),
-            basics,
-        })
     }
 
     /// Union without a disjointness check. Counting will double-count any
@@ -206,7 +184,7 @@ mod tests {
         a.add_range(1, 0, 9);
         let mut b = BasicSet::universe(sp.clone());
         b.add_ge0(LinExpr::var(0) - LinExpr::var(1)); // i >= j
-        let c = Set::from_basic(a).intersect(&Set::from_basic(b)).unwrap();
+        let c = Set::from_basic(a.intersect(&b).unwrap());
         assert_eq!(c.count().unwrap(), 55);
     }
 

@@ -158,9 +158,7 @@ proptest! {
 
     #[test]
     fn intersection_is_pointwise_and(a in arb_basic_set(), b in arb_basic_set()) {
-        let sa = Set::from_basic(a.clone());
-        let sb = Set::from_basic(b.clone());
-        let inter = sa.intersect(&sb).unwrap();
+        let inter = Set::from_basic(a.intersect(&b).unwrap());
         let expect: BTreeSet<_> =
             brute_points(&a).intersection(&brute_points(&b)).cloned().collect();
         let got: BTreeSet<_> =

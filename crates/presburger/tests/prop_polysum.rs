@@ -204,8 +204,6 @@ fn arb_tiled(twists: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = B
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
     #[test]
     fn boxes_agree(b in arb_box()) {
         check_all_paths(&b)?;
