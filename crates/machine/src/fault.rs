@@ -32,8 +32,8 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Folds `bytes` into the running FNV-1a hash `h`. The workspace's one
 /// spelling of the loop: every seeded stream (measurement noise, fault
-/// and chaos events) and the artifact cache's shard choice hash through
-/// it, so their values are reproducible across Rust releases.
+/// and chaos events) hashes through it, so their values are reproducible
+/// across Rust releases.
 pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(h, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)

@@ -100,7 +100,7 @@ impl std::error::Error for JsonError {}
 /// limit.
 pub fn parse(src: &str) -> Result<Value, JsonError> {
     let bytes = src.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { src, bytes, pos: 0 };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
@@ -111,6 +111,7 @@ pub fn parse(src: &str) -> Result<Value, JsonError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -223,6 +224,15 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the plain run before the next quote, backslash or
+            // control byte in one go. It ends on an ASCII byte or at the
+            // end of input, so the slice falls on char boundaries.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -267,20 +277,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control char in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid utf-8"))?,
-                    );
-                }
+                Some(_) => return Err(self.err("raw control char in string")),
             }
         }
     }
@@ -397,6 +394,29 @@ mod tests {
             "1e999",
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn string_errors_name_the_offending_byte() {
+        for (bad, at, message) in [
+            ("\"a\u{1}b\"", 2, "raw control char in string"),
+            ("\"é\nx\"", 3, "raw control char in string"),
+            ("\"\\q\"", 3, "unknown escape"),
+            ("\"\\", 2, "bad escape"),
+            ("\"\\uD800\"", 7, "lone high surrogate"),
+            ("\"\\uD800\\u0041\"", 13, "invalid low surrogate"),
+            ("\"\\uDC00\"", 7, "lone low surrogate"),
+            ("\"\\u12", 3, "truncated \\u escape"),
+            ("\"\\uZZZZ\"", 3, "bad \\u escape"),
+            ("\"abc", 4, "unterminated string"),
+            ("\"ab😀", 7, "unterminated string"),
+        ] {
+            let want = JsonError {
+                at,
+                message: message.to_string(),
+            };
+            assert_eq!(parse(bad), Err(want), "{bad:?}");
         }
     }
 

@@ -247,7 +247,7 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
         "ping" => Ok(Request::Ping),
         "stats" => Ok(Request::Stats),
         "shutdown" => Ok(Request::Shutdown),
-        "compile" => parse_compile(&v).map(|c| Request::Compile(Box::new(c))),
+        "compile" => parse_compile(v).map(|c| Request::Compile(Box::new(c))),
         other => Err(WireError::new(
             codes::UNKNOWN_OP,
             format!("unknown op `{other}` (compile|stats|ping|shutdown)"),
@@ -255,15 +255,23 @@ pub fn parse_request(line: &str) -> Result<Request, WireError> {
     }
 }
 
-fn parse_compile(v: &Value) -> Result<CompileRequest, WireError> {
-    let source = req_str(v, "source")?
-        .ok_or_else(|| {
-            WireError::new(
+fn parse_compile(mut v: Value) -> Result<CompileRequest, WireError> {
+    // The source is the request's bulk: moved out, not copied.
+    let source = match &mut v {
+        Value::Obj(fields) => fields.remove("source"),
+        _ => None,
+    };
+    let source = match source {
+        Some(Value::Str(s)) => s,
+        Some(_) => return Err(not_a_string("source")),
+        None => {
+            return Err(WireError::new(
                 codes::BAD_REQUEST,
                 "compile requires a string field `source`",
-            )
-        })?
-        .to_string();
+            ))
+        }
+    };
+    let v = &v;
     let format = match req_str(v, "format")?.unwrap_or("ir") {
         "ir" | "mlir" => SourceFormat::TextualIr,
         "c" => SourceFormat::C,
@@ -347,11 +355,15 @@ fn req_str<'a>(v: &'a Value, key: &str) -> Result<Option<&'a str>, WireError> {
     match v.get(key) {
         None => Ok(None),
         Some(Value::Str(s)) => Ok(Some(s)),
-        Some(_) => Err(WireError::new(
-            codes::BAD_REQUEST,
-            format!("field `{key}` must be a string"),
-        )),
+        Some(_) => Err(not_a_string(key)),
     }
+}
+
+fn not_a_string(key: &str) -> WireError {
+    WireError::new(
+        codes::BAD_REQUEST,
+        format!("field `{key}` must be a string"),
+    )
 }
 
 #[cfg(test)]

@@ -531,11 +531,15 @@ fn ingest<B: Backend>(
     wakeup: &Arc<WakeupFd>,
 ) -> bool {
     let mut buf = [0u8; 16384];
-    let mut wants_shutdown = false;
     loop {
-        // Parse every complete line currently buffered.
-        while let Some(pos) = conn.rbuf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = conn.rbuf.drain(..=pos).collect();
+        // Parse every complete line currently buffered, in place; the
+        // consumed prefix is dropped once, after the walk.
+        let rbuf = std::mem::take(&mut conn.rbuf);
+        let mut consumed = 0;
+        let mut stop = None;
+        while let Some(len) = rbuf[consumed..].iter().position(|&b| b == b'\n') {
+            let line = &rbuf[consumed..consumed + len];
+            consumed += len + 1;
             if conn.discarding {
                 // The tail of an oversized line: its error reply was
                 // slotted when the cap tripped; the stream is now
@@ -543,7 +547,7 @@ fn ingest<B: Backend>(
                 conn.discarding = false;
                 continue;
             }
-            let text = match std::str::from_utf8(&line[..line.len() - 1]) {
+            let text = match std::str::from_utf8(line) {
                 Ok(t) => t.trim(),
                 Err(_) => {
                     let body = render_error(codes::BAD_JSON, "request line is not valid UTF-8");
@@ -567,15 +571,21 @@ fn ingest<B: Backend>(
                 Submitted::Ready(body) => conn.fill_slot(seq, body),
                 Submitted::ReadyShutdown(body) => {
                     conn.fill_slot(seq, body);
-                    wants_shutdown = true;
-                    return wants_shutdown;
+                    stop = Some(true);
+                    break;
                 }
                 Submitted::Pending => {}
             }
             if conn.slots.len() >= MAX_PIPELINE {
                 conn.paused = true;
-                return wants_shutdown;
+                stop = Some(false);
+                break;
             }
+        }
+        conn.rbuf = rbuf;
+        conn.rbuf.drain(..consumed);
+        if let Some(shutdown) = stop {
+            return shutdown;
         }
         // A partial line past the cap: answer once, then discard to the
         // next newline in constant memory.
@@ -610,14 +620,14 @@ fn ingest<B: Backend>(
         match conn.sock.read(&mut buf[..cap]) {
             Ok(0) => {
                 conn.peer_closed = true;
-                return wants_shutdown;
+                return false;
             }
             Ok(n) => conn.rbuf.extend_from_slice(&buf[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return wants_shutdown,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => {
                 conn.dead = true;
-                return wants_shutdown;
+                return false;
             }
         }
     }

@@ -11,7 +11,7 @@
 //! and makes byte-identity between hits, fresh compilations, and the
 //! one-shot CLI a structural property instead of a test hope.
 //!
-//! **Sharding:** keys hash (FNV-1a) onto `next_pow2(workers * 4)` shards,
+//! **Sharding:** keys hash (SipHash) onto `next_pow2(workers * 4)` shards,
 //! each behind its own mutex, so cache *hits* — the common case — never
 //! serialize on one lock; the hit/miss counters are `AtomicU64`s bumped
 //! outside any lock.
@@ -66,8 +66,8 @@
 //! waiters.
 
 use polyufc_chk::OrderedMutex;
-use polyufc_machine::fault::{fnv1a, FNV_OFFSET};
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -376,9 +376,13 @@ impl ArtifactCache {
 
     /// Shard choice only needs dispersion: a client that crafts sources to
     /// collide here piles its own requests onto one shard's lock, and the
-    /// maps behind it keep the default (keyed) hasher.
+    /// maps behind it keep the default (keyed) hasher. SipHash with std's
+    /// fixed keys is deterministic within a build and takes eight bytes a
+    /// round, which matters on a request line of hundreds of bytes.
     fn shard(&self, bytes: &[u8]) -> &OrderedMutex<ShardInner> {
-        &self.shards[(fnv1a(FNV_OFFSET, bytes) & self.mask) as usize]
+        let mut h = DefaultHasher::new();
+        h.write(bytes);
+        &self.shards[(h.finish() & self.mask) as usize]
     }
 
     /// Probes the keyed tier and, in the same critical section, parks the
@@ -831,7 +835,7 @@ mod tests {
         // The key and the fingerprint hash to different shards: the slot
         // lives with the key, the strike with the fingerprint.
         let c = breaker(8, 2, 1);
-        let (key, fp) = (b"key".as_slice(), b"fp".as_slice());
+        let (key, fp) = (b"key".as_slice(), b"p2".as_slice());
         let (waiter, rx) = probe();
         let Lookup::Lead(id) = c.lookup(key, fp, || waiter) else {
             panic!("fresh key leads");

@@ -36,10 +36,10 @@ use super::*;
 use polyufc_chk::explore::{replay, Explorer, Model};
 use std::sync::mpsc::{channel, Receiver, Sender};
 
-/// Hash to shards 0 and 1 of 2, so the slot and its accounting never
+/// Hash to different shards of 2, so the slot and its accounting never
 /// share a lock.
 const KEY: &[u8] = b"key";
-const FP: &[u8] = b"fp";
+const FP: &[u8] = b"p2";
 const THRESHOLD: u32 = 2;
 const REQUESTERS: usize = 3;
 const WATCHDOG: usize = REQUESTERS;
