@@ -1,15 +1,14 @@
-//! Shared helpers for the figure/table harness binaries: end-to-end
-//! workload evaluation (compile with PolyUFC, "run" on the machine model,
-//! compare against the stock UFS driver baseline) and small table/stat
-//! utilities.
+//! Shared helpers for the `repro` views and the other harness binaries:
+//! end-to-end workload evaluation (compile with PolyUFC, "run" on the
+//! machine model, compare against the stock UFS driver baseline) and
+//! small table/stat utilities.
 
 #![warn(missing_docs)]
 
 use polyufc::{Boundedness, Error, Pipeline, PipelineOutput};
 use polyufc_ir::affine::AffineProgram;
 use polyufc_machine::{
-    ExecutionEngine, FaultPlan, GuardReport, GuardedCapRuntime, KernelCounters, RunResult,
-    UfsDriver,
+    ExecutionEngine, GuardReport, GuardedCapRuntime, KernelCounters, RunResult, UfsDriver,
 };
 use polyufc_workloads::PolybenchSize;
 
@@ -37,7 +36,8 @@ pub struct Eval {
     /// Run under the stock UFS driver.
     pub baseline: RunResult,
     /// The guard's decisions when the capped run went through a
-    /// `GuardedCapRuntime` (`--guard on`); `None` for unguarded runs.
+    /// `GuardedCapRuntime` ([`evaluate_guarded`] with `guard`); `None` for
+    /// unguarded runs.
     pub guard: Option<GuardReport>,
 }
 
@@ -197,15 +197,15 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (s / xs.len() as f64).exp()
 }
 
-/// Reads the size preset from argv: either positional (`fig6 large`) or
-/// via the `--size` flag (`fig6 --size large`, `fig6 --size=large`).
+/// Reads the size preset from argv: either positional (`table4_compile_time
+/// large`) or via the `--size` flag (`--size large`, `--size=large`).
 /// Accepted presets are `mini`, `small`, `large`, `xl` (alias
 /// `extralarge`); no argument defaults to large — the evaluation setting.
 /// An unrecognized preset is a hard error listing the supported sizes,
 /// rather than a silent fall-through to large.
 ///
-/// Other `--flag value` pairs (e.g. fig6's `--only <kernel>`) are skipped,
-/// so binaries may parse additional flags from the same argv.
+/// Other `--flag value` pairs are skipped, so binaries may parse
+/// additional flags from the same argv.
 pub fn size_from_args() -> PolybenchSize {
     let mut args = std::env::args().skip(1);
     let mut spelled: Option<String> = None;
@@ -260,49 +260,6 @@ pub fn report_measure_cache() {
         st.len,
         st.evictions
     );
-}
-
-/// Reads the value of a `--flag value` / `--flag=value` pair from argv
-/// (e.g. fig6's `--only <kernel>`); `None` when the flag is absent.
-pub fn flag_from_args(flag: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    let prefix = format!("{flag}=");
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        } else if let Some(v) = a.strip_prefix(&prefix) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-/// Reads the `--fault-plan <spec>` flag from argv into a [`FaultPlan`];
-/// absent means pristine (no faults). A malformed spec is a hard error —
-/// silently running a robustness experiment without its faults would be
-/// worse than refusing to run.
-pub fn fault_plan_from_args() -> FaultPlan {
-    match flag_from_args("--fault-plan") {
-        None => FaultPlan::pristine(),
-        Some(spec) => FaultPlan::parse_spec(&spec).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }),
-    }
-}
-
-/// Reads the `--guard on|off` flag from argv; absent means off (the
-/// historical unguarded path). The flag takes an explicit value because
-/// `size_from_args` treats every `--flag` as value-bearing.
-pub fn guard_from_args() -> bool {
-    match flag_from_args("--guard").as_deref() {
-        None | Some("off") | Some("0") | Some("false") => false,
-        Some("on") | Some("1") | Some("true") => true,
-        Some(other) => {
-            eprintln!("--guard: expected on|off, got '{other}'");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// Renders a fixed-width table.
