@@ -75,17 +75,6 @@ pub struct LevelStats {
     pub fit_level: usize,
 }
 
-impl LevelStats {
-    /// Hit ratio `ρ^h` at this level.
-    pub fn hit_ratio(&self) -> f64 {
-        if self.accesses <= 0.0 {
-            0.0
-        } else {
-            self.hits / self.accesses
-        }
-    }
-}
-
 /// The full result of analyzing one kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelCacheStats {

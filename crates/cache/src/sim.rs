@@ -68,18 +68,6 @@ pub struct SimStats {
     pub bytes_requested: u64,
 }
 
-impl SimStats {
-    /// Hit ratio of level `i` (hits / accesses reaching that level).
-    pub fn hit_ratio(&self, level: usize) -> f64 {
-        let a = self.hits[level] + self.misses[level];
-        if a == 0 {
-            0.0
-        } else {
-            self.hits[level] as f64 / a as f64
-        }
-    }
-}
-
 /// Strength-reduced `line → set` mapping: a mask when the set count is a
 /// power of two, a precomputed-reciprocal remainder (Lemire fastmod)
 /// otherwise. Exact for 32-bit operands, which covers every realistic

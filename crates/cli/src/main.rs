@@ -15,9 +15,7 @@ use polyufc_analysis::{AnalysisReport, Analyzer, Diagnostic, Location, ModelCoun
 use polyufc_cache::{AssocMode, CacheModel};
 use polyufc_cgeist::parse_scop;
 use polyufc_ir::affine::AffineProgram;
-use polyufc_machine::{
-    measure_kernel_with_plan, ExecutionEngine, FaultPlan, GuardedCapRuntime, Platform, UfsDriver,
-};
+use polyufc_machine::{ExecutionEngine, FaultPlan, GuardedCapRuntime, Platform, UfsDriver};
 use polyufc_workloads::{ml_suite, polybench_suite, PolybenchSize};
 
 fn main() -> ExitCode {
@@ -732,12 +730,7 @@ fn report(program: &AffineProgram, out: &PipelineOutput, opts: &Options) {
 
 fn simulate(out: &PipelineOutput, opts: &Options) {
     let eng = ExecutionEngine::new(opts.platform.clone()).with_fault_plan(opts.fault.clone());
-    let counters: Vec<_> = out
-        .optimized
-        .kernels
-        .iter()
-        .map(|k| measure_kernel_with_plan(&opts.platform, &out.optimized, k, &opts.fault))
-        .collect();
+    let counters = eng.measure_program(&out.optimized);
     let (capped, guard_report) = if opts.guard {
         let predictions = pipeline_for(opts).cap_predictions(out);
         let (r, rep) = GuardedCapRuntime::new(&eng).run_scf(&out.scf, &counters, &predictions);

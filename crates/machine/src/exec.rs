@@ -96,15 +96,16 @@ pub fn measure_kernel(
     program: &AffineProgram,
     kernel: &AffineKernel,
 ) -> KernelCounters {
-    measure_kernel_with_plan(platform, program, kernel, &FaultPlan::pristine())
+    measure_kernel_under(platform, program, kernel, &FaultPlan::pristine())
 }
 
 /// [`measure_kernel`] under a fault plan: the trace simulation itself is
-/// exact, but a non-pristine plan perturbs the returned hit/miss/DRAM
-/// counts the way a noisy multiplexed PAPI read would. Faulted points are
-/// cached under a key that includes the plan's fingerprint, so they can
-/// never poison (or be served from) the clean cache namespace.
-pub fn measure_kernel_with_plan(
+/// exact, but the plan perturbs the returned hit/miss/DRAM counts the way
+/// a noisy multiplexed PAPI read would (a pristine plan leaves them
+/// alone). Faulted points are cached under a key that includes the plan's
+/// fingerprint, so they can never poison (or be served from) the clean
+/// cache namespace.
+fn measure_kernel_under(
     platform: &Platform,
     program: &AffineProgram,
     kernel: &AffineKernel,
@@ -128,35 +129,33 @@ pub fn measure_kernel_with_plan(
         line_bytes: platform.hierarchy.line_bytes(),
         parallel: kernel.outer_parallel().is_some(),
     };
-    if !plan.is_pristine() {
-        // Key the perturbation by the structural fingerprint, not the
-        // kernel name: names are excluded from the cache key, so two
-        // identically shaped kernels must perturb identically or a cache
-        // hit would depend on which one was measured first.
-        plan.perturb_counters(&mut counters, &key);
-    }
+    // Key the perturbation by the structural fingerprint, not the kernel
+    // name: names are excluded from the cache key, so two identically
+    // shaped kernels must perturb identically or a cache hit would depend
+    // on which one was measured first.
+    plan.perturb_counters(&mut counters, &key);
     crate::measure_cache::insert(key, &counters);
     counters
 }
 
-/// Measures every kernel of a program.
-pub fn measure_program(platform: &Platform, program: &AffineProgram) -> Vec<KernelCounters> {
-    // Kernels are measured by independent trace simulations, so fan them
-    // out; results come back in kernel order (par_map preserves input
-    // order), keeping downstream reports byte-identical to a serial run.
-    polyufc_par::par_map(&program.kernels, |k| measure_kernel(platform, program, k))
-}
-
-/// Measures every kernel of a program under a fault plan (see
-/// [`measure_kernel_with_plan`]).
-pub fn measure_program_with_plan(
+/// Measures every kernel of a program under `plan`. Kernels are measured
+/// by independent trace simulations, so fan them out; results come back
+/// in kernel order (par_map preserves input order), keeping downstream
+/// reports byte-identical to a serial run.
+fn measure_program_under(
     platform: &Platform,
     program: &AffineProgram,
     plan: &FaultPlan,
 ) -> Vec<KernelCounters> {
     polyufc_par::par_map(&program.kernels, |k| {
-        measure_kernel_with_plan(platform, program, k, plan)
+        measure_kernel_under(platform, program, k, plan)
     })
+}
+
+/// Measures every kernel of a program (no faults; see
+/// [`ExecutionEngine::measure_program`] for the plan-aware entry).
+pub fn measure_program(platform: &Platform, program: &AffineProgram) -> Vec<KernelCounters> {
+    measure_program_under(platform, program, &FaultPlan::pristine())
 }
 
 /// The execution engine for a platform.
@@ -210,22 +209,70 @@ impl ExecutionEngine {
 
     /// Measures every kernel of a program under this engine's fault plan.
     pub fn measure_program(&self, program: &AffineProgram) -> Vec<KernelCounters> {
-        measure_program_with_plan(&self.platform, program, &self.fault)
+        measure_program_under(&self.platform, program, &self.fault)
     }
 
-    /// Simulates one kernel at an uncore frequency.
+    /// Simulates one kernel at an uncore frequency: the clean physics
+    /// first, then the fault plan's transforms — a transient
+    /// thermal-throttle window forcing part of the work to a lower uncore
+    /// frequency, observation noise on the timer and RAPL readings, and
+    /// measurement timeouts inflating the observed wall-clock. Under a
+    /// pristine plan each transform is an identity (no window, ×1.0, no
+    /// timeout).
     pub fn run_kernel(&self, c: &KernelCounters, f_uncore_ghz: f64) -> RunResult {
-        if self.fault.is_pristine() {
-            return self.run_kernel_clean(c, f_uncore_ghz);
-        }
-        self.run_kernel_faulty(c, f_uncore_ghz)
-    }
-
-    /// The fault-free run path — exactly the pre-fault-layer model, so
-    /// pristine plans stay byte-identical to historical results.
-    fn run_kernel_clean(&self, c: &KernelCounters, f_uncore_ghz: f64) -> RunResult {
         let p = &self.platform;
         let f = p.clamp_uncore(f_uncore_ghz);
+        let (base_time, base_energy) = self.physics(c, f);
+        let mut time = base_time;
+        let mut energy = base_energy;
+        let mut f_eff = f;
+
+        let key = c.name.as_bytes();
+        let salt = (f * 1000.0) as u64;
+
+        // Thermal throttle: `share` of the work runs at the forced
+        // frequency; time and energy blend by work share.
+        if let Some((share, f_thr)) = self.fault.throttle_window(p, key, f) {
+            if (f_thr - f).abs() > 1e-9 {
+                let (slow_time, slow) = self.physics(c, f_thr);
+                let blend = |fast: f64, slow: f64| (1.0 - share) * fast + share * slow;
+                time = blend(base_time, slow_time);
+                energy = EnergyBreakdown {
+                    static_j: blend(base_energy.static_j, slow.static_j),
+                    core_j: blend(base_energy.core_j, slow.core_j),
+                    uncore_j: blend(base_energy.uncore_j, slow.uncore_j),
+                    dram_j: blend(base_energy.dram_j, slow.dram_j),
+                };
+                f_eff = blend(f, f_thr);
+            }
+        }
+
+        // Observation noise: the timer and the RAPL meter read through
+        // independent noisy channels.
+        time *= self.fault.observe_scale("timer", key, salt);
+        energy = energy.observed(&self.fault, key, salt);
+
+        // Measurement timeout: the harness re-arms and re-reads, roughly
+        // doubling the observed interval.
+        if self.fault.read_times_out(key, salt) {
+            time *= crate::fault::TIMEOUT_STALL_SCALE;
+        }
+
+        let time = time.max(1e-9);
+        RunResult {
+            time_s: time,
+            energy,
+            avg_power_w: energy.total() / time,
+            uncore_ghz: f_eff,
+            guard: None,
+        }
+    }
+
+    /// Time and energy of one kernel at an on-grid uncore frequency `f`,
+    /// with the engine's measurement noise: the model every run is built
+    /// from.
+    fn physics(&self, c: &KernelCounters, f: f64) -> (f64, EnergyBreakdown) {
+        let p = &self.platform;
         let cores_used = if c.parallel { p.cores } else { 1 };
 
         // Compute time.
@@ -273,66 +320,7 @@ impl ExecutionEngine {
             energy.uncore_j *= ej;
             energy.dram_j *= ej;
         }
-        RunResult {
-            time_s: time,
-            energy,
-            avg_power_w: energy.total() / time,
-            uncore_ghz: f,
-            guard: None,
-        }
-    }
-
-    /// The faulted run path: the clean physics first, then the plan's
-    /// transforms appended — a transient thermal-throttle window forcing
-    /// part of the work to a lower uncore frequency, observation noise on
-    /// the timer and RAPL readings, and measurement timeouts inflating
-    /// the observed wall-clock.
-    fn run_kernel_faulty(&self, c: &KernelCounters, f_uncore_ghz: f64) -> RunResult {
-        let p = &self.platform;
-        let f = p.clamp_uncore(f_uncore_ghz);
-        let base = self.run_kernel_clean(c, f);
-        let mut time = base.time_s;
-        let mut energy = base.energy;
-        let mut f_eff = f;
-
-        let key = c.name.as_bytes();
-        let salt = (f * 1000.0) as u64;
-
-        // Thermal throttle: `share` of the work runs at the forced
-        // frequency; time and energy blend by work share.
-        if let Some((share, f_thr)) = self.fault.throttle_window(p, key, f) {
-            if (f_thr - f).abs() > 1e-9 {
-                let slow = self.run_kernel_clean(c, f_thr);
-                time = (1.0 - share) * base.time_s + share * slow.time_s;
-                energy = EnergyBreakdown {
-                    static_j: (1.0 - share) * base.energy.static_j + share * slow.energy.static_j,
-                    core_j: (1.0 - share) * base.energy.core_j + share * slow.energy.core_j,
-                    uncore_j: (1.0 - share) * base.energy.uncore_j + share * slow.energy.uncore_j,
-                    dram_j: (1.0 - share) * base.energy.dram_j + share * slow.energy.dram_j,
-                };
-                f_eff = (1.0 - share) * f + share * f_thr;
-            }
-        }
-
-        // Observation noise: the timer and the RAPL meter read through
-        // independent noisy channels.
-        time *= self.fault.observe_scale("timer", key, salt);
-        energy = energy.observed(&self.fault, key, salt);
-
-        // Measurement timeout: the harness re-arms and re-reads, roughly
-        // doubling the observed interval.
-        if self.fault.read_times_out(key, salt) {
-            time *= crate::fault::TIMEOUT_STALL_SCALE;
-        }
-
-        let time = time.max(1e-9);
-        RunResult {
-            time_s: time,
-            energy,
-            avg_power_w: energy.total() / time,
-            uncore_ghz: f_eff,
-            guard: None,
-        }
+        (time, energy)
     }
 
     /// Simulates an scf program: kernels run under the most recent
@@ -364,17 +352,13 @@ impl ExecutionEngine {
             };
             // An unguarded runtime trusts every write: dropped or stuck
             // writes silently leave the knob somewhere else.
-            let f = if self.fault.is_pristine() {
-                requested
-            } else {
-                self.fault.perturb_write(
-                    current,
-                    requested,
-                    &self.platform,
-                    c.name.as_bytes(),
-                    i as u64,
-                )
-            };
+            let f = self.fault.perturb_write(
+                current,
+                requested,
+                &self.platform,
+                c.name.as_bytes(),
+                i as u64,
+            );
             if (f - current).abs() > 1e-9 {
                 switches += 1;
                 current = f;

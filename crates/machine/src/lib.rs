@@ -23,10 +23,7 @@ pub mod rapl;
 pub mod ufs;
 
 pub use dufs::DufsGovernor;
-pub use exec::{
-    measure_kernel, measure_kernel_with_plan, measure_program, measure_program_with_plan,
-    ExecutionEngine, KernelCounters, RunResult,
-};
+pub use exec::{measure_kernel, measure_program, ExecutionEngine, KernelCounters, RunResult};
 pub use fault::FaultPlan;
 pub use guard::{
     CapOutcome, CapPrediction, GuardReport, GuardSummary, GuardedCapRuntime, KernelGuardRecord,

@@ -309,7 +309,7 @@ impl Fp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::measure_kernel;
+    use crate::exec::{measure_kernel, ExecutionEngine};
     use polyufc_ir::affine::{Access, Loop, Statement};
     use polyufc_ir::types::ElemType;
 
@@ -491,7 +491,10 @@ mod tests {
 
         // Production path (global cache): clean, faulted, clean again.
         let clean = measure_kernel(&plat, &p, k);
-        let faulted = crate::exec::measure_kernel_with_plan(&plat, &p, k, &plan);
+        let faulted = ExecutionEngine::new(plat.clone())
+            .with_fault_plan(plan)
+            .measure_program(&p)
+            .remove(0);
         assert_ne!(
             (clean.hits.clone(), clean.dram_fills),
             (faulted.hits.clone(), faulted.dram_fills),

@@ -244,31 +244,6 @@ impl RooflineModel {
     pub fn frequencies(&self) -> Vec<f64> {
         self.bw_table.iter().map(|&(f, _)| f).collect()
     }
-
-    /// The *energy balance* `B^e_DRAM(f)` in flops per byte: the intensity
-    /// at which flop energy equals byte energy (Choi et al.'s energy
-    /// roofline), using the per-byte memory energy `M^p(f)`.
-    pub fn energy_balance(&self, f_ghz: f64) -> f64 {
-        self.miss_penalty_p(f_ghz).max(1e-18) / self.e_fpu.max(1e-18)
-    }
-
-    /// One point of Choi's smooth "arch curve": the energy per flop of a
-    /// kernel with intensity `oi` at frequency `f` —
-    /// `e(I) = e_FPU + M^p(f)/I` (flop energy plus amortized byte energy).
-    pub fn arch_curve_energy_per_flop(&self, oi: f64, f_ghz: f64) -> f64 {
-        self.e_fpu + self.miss_penalty_p(f_ghz) / oi.max(1e-12)
-    }
-
-    /// Samples the arch curve over a log-spaced intensity range,
-    /// returning `(oi, J/flop)` pairs — the Fig. 6 power-roof data.
-    pub fn arch_curve(&self, f_ghz: f64, points: usize) -> Vec<(f64, f64)> {
-        (0..points)
-            .map(|i| {
-                let oi = 10f64.powf(-2.0 + 6.0 * i as f64 / (points.max(2) - 1) as f64);
-                (oi, self.arch_curve_energy_per_flop(oi, f_ghz))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -330,26 +305,6 @@ mod tests {
         // shrinks with f) — but BB at low f can become CB... verify
         // monotonicity of the threshold itself.
         assert!(m.time_balance(0.8) >= m.time_balance(4.6));
-    }
-
-    #[test]
-    fn arch_curve_monotone_and_asymptotic() {
-        let m = model(Platform::broadwell());
-        let f = 2.0;
-        let curve = m.arch_curve(f, 24);
-        // Energy per flop decreases with intensity and approaches e_FPU.
-        for w in curve.windows(2) {
-            assert!(w[1].1 <= w[0].1 + 1e-18);
-        }
-        let last = curve.last().unwrap().1;
-        assert!(
-            last < m.e_fpu * 1.1,
-            "high-OI energy/flop must approach e_FPU"
-        );
-        // The energy balance point is where both terms are equal.
-        let b = m.energy_balance(f);
-        let at_b = m.arch_curve_energy_per_flop(b, f);
-        assert!((at_b / (2.0 * m.e_fpu) - 1.0).abs() < 1e-9);
     }
 
     #[test]

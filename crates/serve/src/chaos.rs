@@ -4,30 +4,34 @@
 //! timing: a compile that hangs a pool worker, a client socket that
 //! dribbles bytes one at a time, a signal storm landing mid-`epoll_wait`.
 //! A [`ChaosPlan`] describes one such adversarial environment for
-//! `polyufc serve` the same way [`polyufc_machine`]'s `FaultPlan`
-//! describes one for the capping runtime — and obeys the same two
-//! invariants that make the layer safe to compile in everywhere:
+//! `polyufc serve` the way [`polyufc_machine`]'s `FaultPlan` describes
+//! one for the capping runtime, and it is built on the same core
+//! (`polyufc_machine::fault`):
 //!
-//! * **Off by default.** [`ChaosPlan::pristine`] is the `Default`, every
-//!   injection site checks [`ChaosPlan::is_pristine`] first, and the
-//!   pristine path is byte-identical to a build without the layer (A/B
-//!   checked by the `serve_chaos` harness and a dispatch-identity test).
+//! * **Off by default.** [`ChaosPlan::pristine`] is the `Default`, and
+//!   under it every draw is a zero-rate [`chance`], which returns `false`
+//!   without drawing: the reactor and the workers call the plan
+//!   unconditionally and behave byte-identically to a build without the
+//!   layer (checked by the `serve_chaos` harness and
+//!   `pristine_is_default_and_injects_nothing`). Only the engine keeps a
+//!   pristine early-out, which spares every compile the attempts-table
+//!   mutex.
 //! * **Deterministic.** Every chaos decision is a pure function of
-//!   `(seed, domain, key, salt)` through FNV-1a folded into SplitMix64
-//!   ([`polyufc_chk::SplitMix64`], the one the schedule explorer's random
-//!   tail draws from; the serve crate vendors no rand) — the construction
-//!   matches the fault layer's bit-for-bit philosophy.
+//!   `(seed, domain, key, salt)`, drawn by the fault layer's [`chance`]
+//!   and [`event_u64`] (FNV-1a folded into the vendored `StdRng`), so a
+//!   seeded chaos scenario reproduces bit-for-bit (`draws_are_pinned`).
 //!
-//! Plans serialize as compact `key=value` spec strings
+//! Plans are spelled in the fault layer's `preset,key=value` grammar
 //! ([`ChaosPlan::parse_spec`] / [`ChaosPlan::spec_string`] round-trip),
 //! which is also how the `--chaos` CLI flag takes them.
 //!
 //! An optional **budget** bounds the total number of injections: tests
 //! use `panic=1,budget=2` to get exactly two deterministic panics and
-//! then pristine behavior, instead of tuning probabilities.
+//! then pristine behavior, instead of tuning probabilities. The budget
+//! counter counts every granted injection, budget or not; it is what the
+//! daemon's `stats` report as `chaos_injections`.
 
-use polyufc_chk::SplitMix64;
-use polyufc_machine::fault::fnv1a_event;
+use polyufc_machine::fault::{chance, event_u64, parse_plan_spec};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -186,32 +190,14 @@ impl ChaosPlan {
         }
     }
 
-    /// Whether this plan injects nothing (the fast-path check at every
-    /// injection site).
+    /// Whether this plan injects nothing (the engine's compile early-out
+    /// and the CLI's banner ask).
     pub fn is_pristine(&self) -> bool {
         self.slow_prob == 0.0
             && self.hang_prob == 0.0
             && self.panic_prob == 0.0
             && self.short_read_prob == 0.0
             && self.short_write_prob == 0.0
-    }
-
-    /// A deterministic stream for one chaos event, keyed by `(seed,
-    /// domain, key, salt)`: FNV-1a folds the key material, SplitMix64
-    /// generates from the fold.
-    fn stream(&self, domain: &str, key: &[u8], salt: u64) -> SplitMix64 {
-        SplitMix64::new(fnv1a_event(self.seed, domain, key, salt))
-    }
-
-    /// Bernoulli draw for one event.
-    fn chance(&self, p: f64, domain: &str, key: &[u8], salt: u64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        if p >= 1.0 {
-            return true;
-        }
-        self.stream(domain, key, salt).next_f64() < p
     }
 
     /// Consumes one budget unit; `false` when the budget is exhausted
@@ -251,18 +237,16 @@ impl ChaosPlan {
     /// retry N+1, so a hang on the first attempt does not doom every
     /// retry.
     pub fn compile_fault(&self, fingerprint: &[u8], attempt: u64) -> Option<CompileFault> {
-        if self.is_pristine() {
-            return None;
-        }
-        if self.chance(self.panic_prob, "compile-panic", fingerprint, attempt) && self.charge() {
+        let draw = |p: f64, domain: &str| chance(self.seed, p, domain, fingerprint, attempt);
+        if draw(self.panic_prob, "compile-panic") && self.charge() {
             return Some(CompileFault::Panic);
         }
-        if self.chance(self.hang_prob, "compile-hang", fingerprint, attempt) && self.charge() {
+        if draw(self.hang_prob, "compile-hang") && self.charge() {
             return Some(CompileFault::Hang(Duration::from_millis(
                 self.hang_ms.max(1),
             )));
         }
-        if self.chance(self.slow_prob, "compile-slow", fingerprint, attempt) && self.charge() {
+        if draw(self.slow_prob, "compile-slow") && self.charge() {
             return Some(CompileFault::Slow(Duration::from_millis(
                 self.slow_ms.max(1),
             )));
@@ -274,30 +258,34 @@ impl ChaosPlan {
     /// a per-connection I/O counter. Always at least 1 — a zero-byte
     /// read would be indistinguishable from EOF.
     pub fn read_clamp(&self, conn: u64, io_seq: u64) -> Option<usize> {
-        if self.short_read_prob == 0.0 {
-            return None;
-        }
-        let key = conn.to_le_bytes();
-        if !self.chance(self.short_read_prob, "short-read", &key, io_seq) || !self.charge() {
-            return None;
-        }
-        let cap = self.short_read_cap.max(1) as u64;
-        Some((1 + self.stream("short-read-len", &key, io_seq).next_u64() % cap) as usize)
+        let (p, cap) = (self.short_read_prob, self.short_read_cap);
+        self.clamp(p, cap, ["short-read", "short-read-len"], conn, io_seq)
     }
 
     /// Byte cap (if any) for one socket write, keyed like
     /// [`ChaosPlan::read_clamp`]. Always at least 1 — a zero-byte write
     /// reads back as `WriteZero` and would kill the connection.
     pub fn write_clamp(&self, conn: u64, io_seq: u64) -> Option<usize> {
-        if self.short_write_prob == 0.0 {
-            return None;
-        }
+        let (p, cap) = (self.short_write_prob, self.short_write_cap);
+        self.clamp(p, cap, ["short-write", "short-write-len"], conn, io_seq)
+    }
+
+    /// One socket clamp: with probability `prob` (and budget left), a
+    /// length in `1..=cap`, drawn from the `event` and `len` streams.
+    fn clamp(
+        &self,
+        prob: f64,
+        cap: usize,
+        [event, len]: [&str; 2],
+        conn: u64,
+        io_seq: u64,
+    ) -> Option<usize> {
         let key = conn.to_le_bytes();
-        if !self.chance(self.short_write_prob, "short-write", &key, io_seq) || !self.charge() {
+        if !chance(self.seed, prob, event, &key, io_seq) || !self.charge() {
             return None;
         }
-        let cap = self.short_write_cap.max(1) as u64;
-        Some((1 + self.stream("short-write-len", &key, io_seq).next_u64() % cap) as usize)
+        let cap = cap.max(1) as u64;
+        Some((1 + event_u64(self.seed, len, &key, io_seq) % cap) as usize)
     }
 
     /// Serializes the plan as a canonical spec string that
@@ -330,70 +318,35 @@ impl ChaosPlan {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first unknown key or malformed
-    /// value.
+    /// Returns a description of the first unknown preset or key, or the
+    /// first malformed, negative or non-finite value.
     pub fn parse_spec(spec: &str) -> Result<ChaosPlan, String> {
-        let mut plan = ChaosPlan::pristine();
-        for (i, tok) in spec.split(',').enumerate() {
-            let tok = tok.trim();
-            if tok.is_empty() {
-                continue;
+        let preset = |name: &str| match name {
+            "pristine" | "none" | "off" => Some(ChaosPlan::pristine()),
+            "slow" => Some(ChaosPlan::slow_compiles(42, 0.3, 10)),
+            "hung" => Some(ChaosPlan::hung_compiles(42, 0.08, 800)),
+            "panic" => Some(ChaosPlan::panicking_compiles(42, 0.08)),
+            "socket" => Some(ChaosPlan::socket_faults(42, 0.4)),
+            "standard" => Some(ChaosPlan::standard_matrix(42)),
+            _ => None,
+        };
+        parse_plan_spec(spec, "chaos", ChaosPlan::pristine(), preset, |plan, o| {
+            match o.key {
+                "seed" => plan.seed = o.integer()?,
+                "slow" => plan.slow_prob = o.number()?,
+                "slow-ms" => plan.slow_ms = o.integer()?,
+                "hang" => plan.hang_prob = o.number()?,
+                "hang-ms" => plan.hang_ms = o.integer()?,
+                "panic" => plan.panic_prob = o.number()?,
+                "short-read" => plan.short_read_prob = o.number()?,
+                "short-read-cap" => plan.short_read_cap = o.integer()?,
+                "short-write" => plan.short_write_prob = o.number()?,
+                "short-write-cap" => plan.short_write_cap = o.integer()?,
+                "budget" => plan.budget = o.integer()?,
+                _ => return Err(o.unknown()),
             }
-            if let Some((k, v)) = tok.split_once('=') {
-                let k = k.trim();
-                let v = v.trim();
-                let f = |v: &str| -> Result<f64, String> {
-                    v.parse::<f64>()
-                        .map_err(|_| format!("chaos: bad number '{v}' for '{k}'"))
-                };
-                let u = |v: &str| -> Result<u64, String> {
-                    v.parse::<u64>()
-                        .map_err(|_| format!("chaos: bad integer '{v}' for '{k}'"))
-                };
-                match k {
-                    "seed" => plan.seed = u(v)?,
-                    "slow" => plan.slow_prob = f(v)?,
-                    "slow-ms" => plan.slow_ms = u(v)?,
-                    "hang" => plan.hang_prob = f(v)?,
-                    "hang-ms" => plan.hang_ms = u(v)?,
-                    "panic" => plan.panic_prob = f(v)?,
-                    "short-read" => plan.short_read_prob = f(v)?,
-                    "short-read-cap" => plan.short_read_cap = u(v)? as usize,
-                    "short-write" => plan.short_write_prob = f(v)?,
-                    "short-write-cap" => plan.short_write_cap = u(v)? as usize,
-                    "budget" => plan.budget = u(v)?,
-                    _ => return Err(format!("chaos: unknown key '{k}'")),
-                }
-            } else {
-                // Preset name; only meaningful as the leading token so
-                // overrides compose on top of it.
-                let preset = match tok {
-                    "pristine" | "none" | "off" => ChaosPlan::pristine(),
-                    "slow" => ChaosPlan::slow_compiles(42, 0.3, 10),
-                    "hung" => ChaosPlan::hung_compiles(42, 0.08, 800),
-                    "panic" => ChaosPlan::panicking_compiles(42, 0.08),
-                    "socket" => ChaosPlan::socket_faults(42, 0.4),
-                    "standard" => ChaosPlan::standard_matrix(42),
-                    _ => return Err(format!("chaos: unknown preset '{tok}'")),
-                };
-                if i != 0 {
-                    return Err(format!("chaos: preset '{tok}' must be the first token"));
-                }
-                plan = preset;
-            }
-        }
-        for p in [
-            plan.slow_prob,
-            plan.hang_prob,
-            plan.panic_prob,
-            plan.short_read_prob,
-            plan.short_write_prob,
-        ] {
-            if !p.is_finite() || p < 0.0 {
-                return Err(format!("chaos: negative or non-finite rate {p}"));
-            }
-        }
-        Ok(plan)
+            Ok(())
+        })
     }
 }
 
@@ -408,6 +361,7 @@ mod tests {
         assert_eq!(p.compile_fault(b"k", 0), None);
         assert_eq!(p.read_clamp(1, 0), None);
         assert_eq!(p.write_clamp(1, 0), None);
+        assert_eq!(p.injections_charged(), 0);
         assert_eq!(p.spec_string(), "pristine");
     }
 
@@ -474,5 +428,51 @@ mod tests {
         assert!(ChaosPlan::parse_spec("hang=abc").is_err());
         assert!(ChaosPlan::parse_spec("seed=1,standard").is_err());
         assert!(ChaosPlan::parse_spec("slow=-0.5").is_err());
+    }
+
+    #[test]
+    fn spec_rejects_non_finite_and_negative_numbers() {
+        for key in ["slow", "hang", "panic", "short-read", "short-write"] {
+            for bad in ["inf", "-inf", "NaN", "-0.5"] {
+                let spec = format!("seed=1,{key}={bad}");
+                let err = ChaosPlan::parse_spec(&spec).unwrap_err();
+                assert!(err.starts_with("chaos: "), "{spec}: {err}");
+            }
+        }
+        assert!(ChaosPlan::parse_spec("seed=1,slow=0").is_ok());
+    }
+
+    #[test]
+    fn draws_are_pinned() {
+        // The draws every recorded chaos run made: a change here moves
+        // every seeded chaos scenario.
+        let p = ChaosPlan::standard_matrix(7);
+        let compiles: String = (0..32)
+            .map(|a| match p.compile_fault(b"gemm", a) {
+                None => '.',
+                Some(CompileFault::Slow(_)) => 's',
+                Some(CompileFault::Hang(_)) => 'h',
+                Some(CompileFault::Panic) => 'p',
+            })
+            .collect();
+        let clamps = |f: &dyn Fn(u64) -> Option<usize>| -> String {
+            let caps: Vec<String> = (0..32)
+                .map(|io| f(io).map_or("-".into(), |k| k.to_string()))
+                .collect();
+            caps.join(" ")
+        };
+        let reads = clamps(&|io| p.read_clamp(9, io));
+        let writes = clamps(&|io| p.write_clamp(9, io));
+        assert_eq!(compiles, "..............p..s.....p.s.h.s..");
+        assert_eq!(
+            reads,
+            "- 7 1 - - - 4 - - - - - - - - - - - - - - - - - 5 - 4 - 2 - - -"
+        );
+        assert_eq!(
+            writes,
+            "- - - - - - - - - - 1 - - 10 5 29 - - 18 - 6 16 23 11 - - - - 9 - - -"
+        );
+        // Every granted injection above was charged once.
+        assert_eq!(p.injections_charged(), 6 + 6 + 10);
     }
 }

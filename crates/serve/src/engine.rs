@@ -215,7 +215,6 @@ struct Shared {
     prefix_hits: AtomicU64,
     prefix_misses: AtomicU64,
     deadlines: AtomicU64,
-    chaos_injections: AtomicU64,
     latency: LatencyHistogram,
 }
 
@@ -562,8 +561,9 @@ impl Engine {
     }
 
     /// Draws the (deterministic) chaos fault for one compile submission
-    /// and counts it. Pristine plans return `None` without touching the
-    /// attempt table — the hot path stays byte- and work-identical.
+    /// (the plan counts what it grants). Pristine plans return `None`
+    /// without touching the attempt table — the hot path stays byte- and
+    /// work-identical.
     fn next_compile_fault(&self, fingerprint: &[u8]) -> Option<CompileFault> {
         if self.chaos.is_pristine() {
             return None;
@@ -578,11 +578,7 @@ impl Engine {
             *e += 1;
             a
         };
-        let fault = self.chaos.compile_fault(fingerprint, attempt);
-        if fault.is_some() {
-            self.shared.chaos_injections.fetch_add(1, Ordering::Relaxed);
-        }
-        fault
+        self.chaos.compile_fault(fingerprint, attempt)
     }
 
     /// Builds this request's [`Waiter`]: on success the body is promoted
@@ -705,11 +701,7 @@ impl Engine {
         push_u64(&mut s, "quarantined", a.quarantined as u64);
         push_u64(&mut s, "quarantined_total", a.quarantined_total);
         push_u64(&mut s, "quarantine_hits", a.quarantine_hits);
-        push_u64(
-            &mut s,
-            "chaos_injections",
-            self.shared.chaos_injections.load(Ordering::Relaxed),
-        );
+        push_u64(&mut s, "chaos_injections", self.chaos.injections_charged());
         s.pop();
         s.push_str("}}");
         s
@@ -734,11 +726,6 @@ impl Engine {
     /// the reactor consults it for socket-level injection.
     pub fn chaos(&self) -> &ChaosPlan {
         &self.chaos
-    }
-
-    /// Counts one socket-level chaos injection (rung by the reactor).
-    pub fn count_chaos_injection(&self) {
-        self.shared.chaos_injections.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Workers detached and replaced by the stall watchdog so far.

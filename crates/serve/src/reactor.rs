@@ -175,9 +175,8 @@ struct Connection {
     peer_closed: bool,
     /// Unrecoverable socket error; close now, drop pending slots.
     dead: bool,
-    /// Per-connection I/O sequence number, bumped per syscall *only when
-    /// a chaos plan is active* — the pristine path never touches it, so
-    /// pristine dispatch stays instruction-identical.
+    /// Per-connection I/O sequence number, bumped per read or write
+    /// syscall: the salt of that syscall's chaos draw.
     io_salt: u64,
 }
 
@@ -272,8 +271,6 @@ pub(crate) trait Backend {
         F: FnOnce(Body) + Send + 'static;
     /// [`Engine::chaos`].
     fn chaos(&self) -> &ChaosPlan;
-    /// [`Engine::count_chaos_injection`].
-    fn count_chaos_injection(&self);
 }
 
 impl Backend for Engine {
@@ -286,10 +283,6 @@ impl Backend for Engine {
 
     fn chaos(&self) -> &ChaosPlan {
         Engine::chaos(self)
-    }
-
-    fn count_chaos_injection(&self) {
-        Engine::count_chaos_injection(self);
     }
 }
 
@@ -603,19 +596,12 @@ fn ingest<B: Backend>(
         }
         // Chaos: clamp this read short (≥1 byte — zero would read as
         // EOF), forcing the line accumulator through arbitrary split
-        // points. Pristine plans skip the draw entirely.
-        let cap = if engine.chaos().is_pristine() {
-            buf.len()
-        } else {
-            let salt = conn.io_salt;
-            conn.io_salt += 1;
-            match engine.chaos().read_clamp(id, salt) {
-                Some(k) => {
-                    engine.count_chaos_injection();
-                    k.clamp(1, buf.len())
-                }
-                None => buf.len(),
-            }
+        // points. A pristine plan never clamps.
+        let salt = conn.io_salt;
+        conn.io_salt += 1;
+        let cap = match engine.chaos().read_clamp(id, salt) {
+            Some(k) => k.clamp(1, buf.len()),
+            None => buf.len(),
         };
         match conn.sock.read(&mut buf[..cap]) {
             Ok(0) => {
@@ -668,16 +654,10 @@ fn flush<B: Backend>(conn: &mut Connection, id: u64, engine: &B) -> std::io::Res
         // partial-write accounting below through every resume path. The
         // clamped write moves a prefix of the logical stream, so the
         // accounting loop needs no special casing.
-        let clamp = if engine.chaos().is_pristine() {
-            None
-        } else {
-            let salt = conn.io_salt;
-            conn.io_salt += 1;
-            engine.chaos().write_clamp(id, salt)
-        };
-        let wrote = match clamp {
+        let salt = conn.io_salt;
+        conn.io_salt += 1;
+        let wrote = match engine.chaos().write_clamp(id, salt) {
             Some(k) => {
-                engine.count_chaos_injection();
                 let first = iovecs
                     .iter()
                     .find(|s| !s.is_empty())

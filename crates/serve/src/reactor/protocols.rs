@@ -67,8 +67,6 @@ impl Backend for Scripted {
     fn chaos(&self) -> &ChaosPlan {
         &self.chaos
     }
-
-    fn count_chaos_injection(&self) {}
 }
 
 struct Pipeline {

@@ -384,3 +384,38 @@ fn quarantine_rejections_never_poison_the_artifact_cache() {
     assert_eq!(stats.entries, 0, "rejection leaked into the keyed tier");
     assert_eq!(stats.line_entries, 0, "rejection leaked into the line tier");
 }
+
+/// The daemon counts chaos injections once, on the plan: the `stats`
+/// key reports the plan's budget counter, which socket clamps and
+/// compile faults both charge.
+#[test]
+fn stats_count_every_socket_and_compile_injection() {
+    let mut plan = ChaosPlan::socket_faults(21, 0.5);
+    plan.panic_prob = 1.0;
+    let d = Daemon::start(EngineConfig {
+        chaos: plan,
+        ..EngineConfig::default()
+    });
+    let src = mini_source("gemm");
+    let mut panics = 0;
+    for epsilon in [1e-3, 2e-3, 3e-3] {
+        if roundtrip(&d, &compile_line(&src, epsilon)).contains("\"code\":\"internal\"") {
+            panics += 1;
+        }
+    }
+    assert_eq!(roundtrip(&d, "{\"op\":\"ping\"}"), PONG);
+    // Stop the daemon first: a closed connection's last reads still draw.
+    let engine = Arc::clone(&d.engine);
+    drop(d);
+    let stats = engine.stats_json();
+    let key = "\"chaos_injections\":";
+    let at = stats.find(key).expect("chaos_injections in stats") + key.len();
+    let digits: String = stats[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    let reported: u64 = digits.parse().expect("a count");
+    assert_eq!(reported, engine.chaos().injections_charged());
+    assert!(panics >= 1, "no compile panicked");
+    assert!(reported > panics, "no socket clamp counted: {stats}");
+}
