@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// until the DIMMs saturate. Power: uncore dynamic power is linear in the
 /// uncore frequency (`α·f + γ`), core power is charged per active core at
 /// the fixed base frequency, and a constant `p_con` models static power.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Platform {
     /// Short name ("BDW", "RPL").
     pub name: String,

@@ -1,11 +1,12 @@
 //! The calibrated roofline model: performance and power constants of
 //! Table I, obtained by one-time microbenchmarking of a platform.
 
-use polyufc_machine::ExecutionEngine;
+use polyufc_machine::{ExecutionEngine, Platform};
 use serde::{Deserialize, Serialize};
 
 use crate::fit::{linear_fit, reciprocal_fit};
 use crate::microbench::{flop_microbench, llc_chase, pointer_chase, stream_microbench};
+use std::sync::Mutex;
 
 /// Measured roofline constants of one platform (paper Table I).
 ///
@@ -48,6 +49,11 @@ pub struct RooflineModel {
     pub uncore_idle_fit: (f64, f64),
 }
 
+/// One cached calibration: platform, noise bits, model.
+type Calibration = (Platform, u64, RooflineModel);
+
+static CALIBRATIONS: Mutex<Vec<Calibration>> = Mutex::new(Vec::new());
+
 impl RooflineModel {
     /// [`RooflineModel::calibrate`] with a process-wide cache.
     ///
@@ -55,24 +61,29 @@ impl RooflineModel {
     /// noise amplitude; the noise stream itself is deterministic per
     /// kernel×frequency), so sweeps that construct many pipelines for the
     /// same platform can share one calibration instead of re-running the
-    /// microbenchmarks every time. The cache key is the engine's full
-    /// `Debug` fingerprint plus the noise bits, so distinct platform
-    /// configurations never collide.
+    /// microbenchmarks every time. An entry matches on every platform
+    /// field (`Platform`'s field-wise `==`) and the noise bits, so
+    /// distinct platform configurations never collide; a handful of
+    /// platforms per process keeps the scan short.
     pub fn calibrate_cached(engine: &ExecutionEngine) -> RooflineModel {
-        use std::collections::HashMap;
-        use std::sync::{Mutex, OnceLock};
-
-        static CACHE: OnceLock<Mutex<HashMap<String, RooflineModel>>> = OnceLock::new();
-        let key = format!("{:?}#noise={:x}", engine.platform, engine.noise.to_bits());
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Some(m) = cache.lock().unwrap().get(&key) {
-            return m.clone();
+        let noise = engine.noise.to_bits();
+        let find = |cache: &[Calibration]| {
+            let (_, _, m) = cache
+                .iter()
+                .find(|(p, n, _)| *n == noise && *p == engine.platform)?;
+            Some(m.clone())
+        };
+        if let Some(m) = find(&CALIBRATIONS.lock().unwrap()) {
+            return m;
         }
         // Calibrate outside the lock: it takes milliseconds and parallel
         // sweeps must not serialize behind one another. A racing thread
-        // computes the same (deterministic) model; last insert wins.
+        // computes the same (deterministic) model; the first insert wins.
         let model = RooflineModel::calibrate(engine);
-        cache.lock().unwrap().insert(key, model.clone());
+        let mut cache = CALIBRATIONS.lock().unwrap();
+        if find(&cache).is_none() {
+            cache.push((engine.platform.clone(), noise, model.clone()));
+        }
         model
     }
 
@@ -253,6 +264,25 @@ mod tests {
 
     fn model(p: Platform) -> RooflineModel {
         RooflineModel::calibrate(&ExecutionEngine::noiseless(p))
+    }
+
+    #[test]
+    fn calibration_cache_keys_on_every_platform_field() {
+        let mut plat = Platform::broadwell();
+        plat.name = "calibration-cache-probe".into();
+        let entries = || {
+            let cache = CALIBRATIONS.lock().unwrap();
+            cache.iter().filter(|(p, ..)| p.name == plat.name).count()
+        };
+        let first = RooflineModel::calibrate_cached(&ExecutionEngine::noiseless(plat.clone()));
+        let again = RooflineModel::calibrate_cached(&ExecutionEngine::noiseless(plat.clone()));
+        assert_eq!(entries(), 1, "the same platform returns the cached model");
+        assert_eq!(format!("{again:?}"), format!("{first:?}"));
+        let mut narrower = plat.clone();
+        narrower.dram_bw_peak_gbps /= 2.0;
+        let other = RooflineModel::calibrate_cached(&ExecutionEngine::noiseless(narrower));
+        assert_eq!(entries(), 2, "a one-field change gets its own model");
+        assert!(other.bw_table.last().unwrap().1 < first.bw_table.last().unwrap().1);
     }
 
     #[test]

@@ -8,12 +8,16 @@
 //!   the request's JSON, builds both keys from the request as sent
 //!   ([`CompileRequest::keys`]) and probes the quarantine and artifact
 //!   tiers — a cache hit completes without parsing the kernel source or
-//!   touching the pool; only a miss is [`prepare`]d (source parsed and
-//!   sanitized) before it leads or joins a compile;
+//!   touching the pool. A miss leads or joins a compile, and the reactor
+//!   [`prepare`]s it (source parsed and sanitized) only when no worker
+//!   has compiled its program yet ([`ArtifactCache::known`]), so a parse
+//!   error is still answered inline;
 //! * a **worker thread** (with its persistent [`CompileSession`] and a
 //!   per-worker characterization-prefix cache) runs the expensive
 //!   pipeline only when the key missed, and only once per key no matter
-//!   how many requests race (single flight).
+//!   how many requests race (single flight). A known program's request
+//!   arrives unparsed: the worker finishes it from its prefix cache, or
+//!   runs the front end itself when it does not hold the prefix.
 //!
 //! The engine's entry point is asynchronous: [`Engine::submit`] either
 //! answers immediately ([`Submitted::Ready`]) or dispatches a compile and
@@ -31,10 +35,12 @@
 //! that read `epsilon`/`objective` — POLYUFC-SEARCH and code generation
 //! — cost ~15 µs. Each worker therefore caches
 //! [`CharacterizedProgram`] prefixes keyed on (platform, assoc,
-//! source): a request differing only in search parameters re-runs only
-//! [`Pipeline::finish`], on a borrow of the cached prefix. Responses stay
-//! byte-identical by construction — the prefix is exactly the pipeline's
-//! own stage-1–3 output.
+//! source), each with the sanitize warnings of its source: a request
+//! differing only in search parameters re-runs only [`Pipeline::finish`],
+//! on a borrow of the cached prefix. Responses stay byte-identical by
+//! construction — the prefix is exactly the pipeline's own stage-1–3
+//! output, and the warnings are what the front end printed for the same
+//! source bytes.
 
 use polyufc_chk::OrderedMutex;
 use std::collections::HashMap;
@@ -53,8 +59,8 @@ use polyufc_par::StatefulPool;
 use crate::chaos::{ChaosPlan, CompileFault};
 use crate::json::{fmt_f64, push_escaped};
 use crate::protocol::{
-    assoc_str, codes, objective_str, parse_request, render_error, CompileRequest, Request,
-    RequestKeys, WireError,
+    assoc_str, codes, objective_str, parse_request, render_error, CompileOptions, CompileRequest,
+    Request, RequestKeys, SourceFormat, WireError,
 };
 use crate::shard::{Abort, ArtifactCache, ArtifactCacheStats, Body, Lookup, Waiter};
 
@@ -272,27 +278,41 @@ impl std::fmt::Debug for Submitted {
     }
 }
 
-/// A compile request keyed, parsed and sanitized — everything the
-/// reactor/connection thread computes before a miss leads or joins.
+/// A compile request keyed and, unless its program is known to parse,
+/// parsed and sanitized — everything the reactor/connection thread
+/// computes before a miss leads or joins.
 pub struct Prepared {
-    program: AffineProgram,
-    warnings: Vec<String>,
-    opts: crate::protocol::CompileOptions,
+    front: Front,
+    opts: CompileOptions,
     keys: RequestKeys,
 }
 
+/// The front end's part of a [`Prepared`] request.
+enum Front {
+    /// Parsed and sanitized, with the sanitize warnings.
+    Parsed(AffineProgram, Vec<String>),
+    /// The source as sent, of a program some worker already compiled.
+    Known(SourceFormat, String, String),
+}
+
+/// A worker's cached ε-independent prefix of one source.
+struct PrefixEntry {
+    characterized: CharacterizedProgram,
+    /// Sanitize warnings of the source, which every reply prints.
+    warnings: Vec<String>,
+}
+
 /// Per-worker compile state: the persistent [`CompileSession`] (warm
-/// Presburger caches) plus a bounded cache of ε-independent
-/// [`CharacterizedProgram`] prefixes.
+/// Presburger caches) plus a bounded cache of ε-independent prefixes.
 pub struct WorkerState {
     session: CompileSession,
-    prefix: HashMap<Vec<u8>, Arc<CharacterizedProgram>>,
+    prefix: HashMap<Vec<u8>, PrefixEntry>,
 }
 
 /// Prefix entries per worker; generational clear on overflow, like the
 /// other bounded caches. Characterized mini-suite programs are a few KB
 /// each, so this bounds worker memory to low MB.
-const PREFIX_CACHE_CAP: usize = 64;
+pub(crate) const PREFIX_CACHE_CAP: usize = 64;
 
 impl WorkerState {
     /// Fresh state: empty session caches, empty prefix cache.
@@ -423,7 +443,7 @@ impl Engine {
                 self.shared.latency.record_us(elapsed_us(t0));
                 Submitted::ReadyShutdown(body)
             }
-            Request::Compile(c) => self.submit_compile(t0, line, &c, notify),
+            Request::Compile(c) => self.submit_compile(t0, line, *c, notify),
         }
     }
 
@@ -436,7 +456,7 @@ impl Engine {
         &self,
         t0: Instant,
         line: &str,
-        req: &CompileRequest,
+        req: CompileRequest,
         notify: F,
     ) -> Submitted
     where
@@ -458,13 +478,20 @@ impl Engine {
         if let Some(body) = self.cache.ready_get(&keys.artifact) {
             return hit(body);
         }
-        // Only a miss runs the front end, and an unparseable source ends
-        // here: counted as an error, cached in no tier.
-        let prepared = match prepare_keyed(req, keys) {
-            Ok(p) => p,
-            Err(e) => {
-                self.shared.errors.fetch_add(1, Ordering::Relaxed);
-                return self.ready(t0, string_body(e.render()));
+        // Only a miss of a program no worker has compiled runs the front
+        // end here, so an unparseable source still ends here: counted as
+        // an error, cached in no tier.
+        let prepared = if self.cache.known(&keys.prefix) {
+            let front = Front::Known(req.format, req.source, req.name);
+            let opts = req.opts;
+            Prepared { front, opts, keys }
+        } else {
+            match prepare_keyed(&req, keys) {
+                Ok(p) => p,
+                Err(e) => {
+                    self.shared.errors.fetch_add(1, Ordering::Relaxed);
+                    return self.ready(t0, string_body(e.render()));
+                }
             }
         };
         let RequestKeys { artifact, prefix } = &prepared.keys;
@@ -781,26 +808,34 @@ pub fn prepare(req: &CompileRequest) -> Result<Prepared, WireError> {
 
 /// [`prepare`] for a caller that already built the request's keys.
 fn prepare_keyed(req: &CompileRequest, keys: RequestKeys) -> Result<Prepared, WireError> {
-    let mut program = match req.format {
-        crate::protocol::SourceFormat::TextualIr => parse_affine_program(&req.source)
-            .map_err(|e| WireError::new(codes::PARSE_ERROR, format!("textual IR: {e}")))?,
-        crate::protocol::SourceFormat::C => parse_scop(&req.source, &req.name)
-            .map_err(|e| WireError::new(codes::PARSE_ERROR, format!("cgeist: {e}")))?,
-    };
-    // The daemon and the one-shot CLI must transform the program
-    // identically or byte-identity breaks: sanitize unprovable `parallel`
-    // flags here exactly as `polyufc compile` does before its pipeline
-    // call.
-    let warnings: Vec<String> = sanitize_parallel(&mut program)
-        .iter()
-        .map(|d| d.to_string())
-        .collect();
+    let (program, warnings) = front_end(req.format, &req.source, &req.name)?;
     Ok(Prepared {
-        program,
-        warnings,
+        front: Front::Parsed(program, warnings),
         opts: req.opts.clone(),
         keys,
     })
+}
+
+/// Parses a kernel source and sanitizes it. The daemon and the one-shot
+/// CLI must transform the program identically or byte-identity breaks:
+/// unprovable `parallel` flags are sanitized here exactly as `polyufc
+/// compile` does before its pipeline call.
+fn front_end(
+    format: SourceFormat,
+    source: &str,
+    name: &str,
+) -> Result<(AffineProgram, Vec<String>), WireError> {
+    let mut program = match format {
+        SourceFormat::TextualIr => parse_affine_program(source)
+            .map_err(|e| WireError::new(codes::PARSE_ERROR, format!("textual IR: {e}")))?,
+        SourceFormat::C => parse_scop(source, name)
+            .map_err(|e| WireError::new(codes::PARSE_ERROR, format!("cgeist: {e}")))?,
+    };
+    let warnings = sanitize_parallel(&mut program)
+        .iter()
+        .map(|d| d.to_string())
+        .collect();
+    Ok((program, warnings))
 }
 
 /// Runs the pipeline for a prepared request against per-worker state and
@@ -817,33 +852,54 @@ pub fn compile_prepared(
         .with_objective(p.opts.objective)
         .with_assoc_mode(p.opts.assoc);
     pipeline.epsilon = p.opts.epsilon;
-    let cached = state.prefix.get(&p.keys.prefix).map(Arc::clone);
-    let prefix_hit = cached.is_some();
-    let ch = match cached {
-        Some(ch) => ch,
-        None => match pipeline.characterize_affine_in(&p.program, &mut state.session) {
-            Ok(ch) => {
-                if state.prefix.len() >= PREFIX_CACHE_CAP {
-                    // Generational clear, like the other bounded caches.
-                    state.prefix.clear();
-                }
-                let ch = Arc::new(ch);
-                state.prefix.insert(p.keys.prefix.clone(), Arc::clone(&ch));
-                ch
+    if let Some(entry) = state.prefix.get(&p.keys.prefix) {
+        return finish(&pipeline, &p.opts, entry, true);
+    }
+    let parsed;
+    let (program, warnings) = match &p.front {
+        Front::Parsed(program, warnings) => (program, warnings),
+        // Another worker holds this program's prefix: run the front end
+        // here. It parsed before, and parsing reads only the key's bytes.
+        Front::Known(format, source, name) => match front_end(*format, source, name) {
+            Ok(front) => {
+                parsed = front;
+                (&parsed.0, &parsed.1)
             }
-            Err(polyufc::Error::AnalysisRejected(report)) => {
-                return (render_rejected(&report), None, false)
-            }
-            Err(polyufc::Error::Model(e)) => {
-                let body = render_error(codes::MODEL, &format!("cache model: {e}"));
-                return (body, None, false);
-            }
+            Err(e) => return (e.render(), None, false),
         },
     };
-    let fin = pipeline.finish(&ch);
-    let mut report = ch.report.clone();
+    match pipeline.characterize_affine_in(program, &mut state.session) {
+        Ok(characterized) => {
+            if state.prefix.len() >= PREFIX_CACHE_CAP {
+                // Generational clear, like the other bounded caches.
+                state.prefix.clear();
+            }
+            let entry = PrefixEntry {
+                characterized,
+                warnings: warnings.clone(),
+            };
+            let entry = state.prefix.entry(p.keys.prefix.clone()).or_insert(entry);
+            finish(&pipeline, &p.opts, entry, false)
+        }
+        Err(polyufc::Error::AnalysisRejected(report)) => (render_rejected(&report), None, false),
+        Err(polyufc::Error::Model(e)) => {
+            let body = render_error(codes::MODEL, &format!("cache model: {e}"));
+            (body, None, false)
+        }
+    }
+}
+
+/// Stages 4–6 on a cached or fresh prefix, rendered.
+fn finish(
+    pipeline: &Pipeline,
+    opts: &CompileOptions,
+    entry: &PrefixEntry,
+    prefix_hit: bool,
+) -> (String, Option<CompileReport>, bool) {
+    let fin = pipeline.finish(&entry.characterized);
+    let mut report = entry.characterized.report.clone();
     report.steps_4_6_us += fin.elapsed_us;
-    (render_artifact(p, &ch, &fin), Some(report), prefix_hit)
+    (render_artifact(opts, entry, &fin), Some(report), prefix_hit)
 }
 
 /// One-shot entry point shared with `polyufc compile --json`: same
@@ -932,18 +988,19 @@ fn push_u64(out: &mut String, key: &str, v: u64) {
 /// so identical requests produce identical bytes whether answered by a
 /// cold compile, a warm session, a cached prefix, the artifact cache, or
 /// the one-shot CLI.
-fn render_artifact(p: &Prepared, ch: &CharacterizedProgram, fin: &Finished) -> String {
+fn render_artifact(opts: &CompileOptions, entry: &PrefixEntry, fin: &Finished) -> String {
+    let ch = &entry.characterized;
     let mut s = String::with_capacity(1024);
     s.push_str("{\"ok\":true,\"schema\":\"polyufc-artifact/1\",\"program\":");
     push_escaped(&mut s, &ch.optimized.name);
     s.push_str(",\"platform\":");
-    push_escaped(&mut s, &p.opts.platform.name);
+    push_escaped(&mut s, &opts.platform.name);
     s.push_str(",\"objective\":");
-    push_escaped(&mut s, objective_str(p.opts.objective));
+    push_escaped(&mut s, objective_str(opts.objective));
     s.push_str(",\"epsilon\":");
-    s.push_str(&fmt_f64(p.opts.epsilon));
+    s.push_str(&fmt_f64(opts.epsilon));
     s.push_str(",\"assoc\":");
-    push_escaped(&mut s, assoc_str(p.opts.assoc));
+    push_escaped(&mut s, assoc_str(opts.assoc));
     s.push_str(",\"kernels\":[");
     let rows = ch
         .optimized
@@ -980,7 +1037,7 @@ fn render_artifact(p: &Prepared, ch: &CharacterizedProgram, fin: &Finished) -> S
         push_escaped(&mut s, name);
     }
     s.push_str("],\"warnings\":[");
-    for (i, w) in p
+    for (i, w) in entry
         .warnings
         .iter()
         .chain(&ch.report.verify_warnings)
@@ -992,7 +1049,7 @@ fn render_artifact(p: &Prepared, ch: &CharacterizedProgram, fin: &Finished) -> S
         push_escaped(&mut s, w);
     }
     s.push(']');
-    if p.opts.emit_scf {
+    if opts.emit_scf {
         s.push_str(",\"scf\":");
         push_escaped(&mut s, &format!("{}", fin.scf));
     }
@@ -1063,5 +1120,31 @@ mod tests {
             bodies.push(body);
         }
         assert_eq!(state.prefix.len(), 1, "one prefix entry for 3 epsilons");
+    }
+
+    #[test]
+    fn a_known_request_compiles_with_or_without_the_prefix() {
+        let source = include_str!("../../analysis/tests/fixtures/false_parallel_reduction.mlir");
+        let req = CompileRequest {
+            format: crate::protocol::SourceFormat::TextualIr,
+            source: source.to_string(),
+            name: "request".to_string(),
+            opts: crate::protocol::CompileOptions::default(),
+        };
+        let known = Prepared {
+            front: Front::Known(req.format, req.source.clone(), req.name.clone()),
+            opts: req.opts.clone(),
+            keys: req.keys(),
+        };
+        let expected = oneshot_response(&req);
+        assert!(!expected.contains("\"warnings\":[]"), "{expected}");
+        // A worker without the prefix runs the front end itself, then
+        // holds the prefix and its warnings.
+        let mut state = WorkerState::new();
+        for prefix_hit in [false, true] {
+            let (body, report, hit) = compile_prepared(&known, &mut state);
+            assert_eq!((report.is_some(), hit), (true, prefix_hit));
+            assert_eq!(body, expected);
+        }
     }
 }

@@ -36,7 +36,8 @@
 //! * **(b) The ender accounts, then wakes.** The one caller whose call
 //!   removed the slot (worker, watchdog, shutdown drain, or a shedding
 //!   submitter) runs the [`Ended`] it got back, and [`Ended::step`]
-//!   records the outcome — strikes cleared on success, one strike for an
+//!   records the outcome — on success strikes cleared and the fingerprint
+//!   recorded as [known](ArtifactCache::known), one strike for an
 //!   outcome that [`Abort::strikes`] — *before* it runs the waiters, so a
 //!   client that retries the instant it sees `deadline_exceeded` already
 //!   meets the quarantine its failure tripped. Nobody else does any
@@ -63,10 +64,11 @@
 //! a shard's ready-entry count reaches its share of the capacity, the
 //! next insert clears that shard's ready entries (one `evictions` tick)
 //! while pending slots are retained, since dropping one would strand its
-//! waiters.
+//! waiters. The known-fingerprint record is cleared the same way at
+//! `KNOWN_CAP` entries per shard.
 
 use polyufc_chk::OrderedMutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{DefaultHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -141,7 +143,7 @@ impl Ended {
         if !self.accounted {
             self.accounted = true;
             match self.outcome {
-                Ok(_) => cache.clear_strikes(&self.parked.fingerprint),
+                Ok(_) => cache.record_success(std::mem::take(&mut self.parked.fingerprint)),
                 Err(abort) if abort.strikes() => cache.record_strike(&self.parked.fingerprint),
                 Err(_) => {}
             }
@@ -240,7 +242,16 @@ struct ShardInner {
     /// Poison-pill tier: fingerprints that struck out, mapped to the
     /// cached typed rejection their requests get without compiling.
     quarantined: HashMap<Vec<u8>, Body>,
+    /// Fingerprints some attempt ended `Ok` for ([`ArtifactCache::known`]).
+    known: HashSet<Vec<u8>>,
 }
+
+/// Known fingerprints per shard: one worker's whole prefix cache. The
+/// engine has `next_pow2(workers * 4)` shards, so the record has room for
+/// the whole prefix tier (`PREFIX_CACHE_CAP` × workers) four times over,
+/// while a stream of distinct programs holds at most this many source
+/// keys per shard.
+const KNOWN_CAP: usize = crate::engine::PREFIX_CACHE_CAP;
 
 /// The slot transitions. Plain state changes: the caller holds the shard
 /// lock, and runs whatever waiters come back only after releasing it.
@@ -523,11 +534,27 @@ impl ArtifactCache {
         self.quarantined_total.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Clears a fingerprint's consecutive-failure strikes after a
-    /// successful compile. Only [`Ended::step`] calls this.
-    fn clear_strikes(&self, fingerprint: &[u8]) {
-        let mut inner = self.shard(fingerprint).lock().unwrap();
-        inner.strikes.remove(fingerprint);
+    /// After a successful compile: clears the fingerprint's
+    /// consecutive-failure strikes and records it as known. Only
+    /// [`Ended::step`] calls this.
+    fn record_success(&self, fingerprint: Vec<u8>) {
+        let mut inner = self.shard(&fingerprint).lock().unwrap();
+        inner.strikes.remove(&fingerprint);
+        if !inner.known.contains(&fingerprint) {
+            if inner.known.len() >= KNOWN_CAP {
+                inner.known.clear();
+            }
+            inner.known.insert(fingerprint);
+        }
+    }
+
+    /// Whether an attempt with this fingerprint ended `Ok`. The prefix
+    /// key holds the source bytes, format and C name, so its source is
+    /// known to parse: every `Ok` outcome, typed rejections included, comes
+    /// from a request that got past the front end.
+    pub fn known(&self, fingerprint: &[u8]) -> bool {
+        let inner = self.shard(fingerprint).lock().unwrap();
+        inner.known.contains(fingerprint)
     }
 
     /// Counter snapshot. Counters are lock-free reads; entry counts take
@@ -801,7 +828,7 @@ mod tests {
         c.record_strike(fp);
         c.record_strike(fp);
         // A success between failures resets the consecutive count.
-        c.clear_strikes(fp);
+        c.record_success(fp.to_vec());
         c.record_strike(fp);
         c.record_strike(fp);
         assert!(c.quarantine_get(fp).is_none());
@@ -853,6 +880,29 @@ mod tests {
         assert_eq!(rx.recv().unwrap().unwrap_err(), Abort::Internal);
         assert!(!ended.step(&c), "nothing left to do");
         assert!(rx.try_recv().is_err(), "answered exactly once");
+    }
+
+    #[test]
+    fn only_an_accounted_success_makes_a_fingerprint_known() {
+        let c = cache(8, 1);
+        for abort in [Abort::Overloaded, Abort::Internal] {
+            let (id, _rx) = lead(&c, b"k");
+            end(&c, b"k", id, Err(abort));
+            assert!(!c.known(b"fp"), "{abort:?}");
+        }
+        let (id, _rx) = lead(&c, b"k");
+        let mut ended = c.finish(b"k", id, Ok(body("x"))).expect("pending");
+        assert!(!c.known(b"fp"), "finishing accounts nothing");
+        assert!(ended.step(&c));
+        assert!(c.known(b"fp"), "the accounting step records it");
+        assert!(!ended.step(&c));
+        // Bounded generationally, like the shard's other maps.
+        for i in 0..KNOWN_CAP as u64 {
+            c.record_success(i.to_le_bytes().to_vec());
+        }
+        let known = c.shards[0].lock().unwrap().known.len();
+        assert!(known <= KNOWN_CAP, "{known}");
+        assert!(c.known(&(KNOWN_CAP as u64 - 1).to_le_bytes()));
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! queued on; `finish` ends an attempt iff it is the pending one; the
 //! cache's strike count and quarantine flag equal what the *accounted*
 //! attempts say after every step (strikes move when an `Ended` accounts,
-//! not when its slot ended); a probe sees the quarantine iff it has
-//! tripped.
+//! not when its slot ended), and so does whether the fingerprint is
+//! known; a probe sees the quarantine iff it has tripped.
 //!
 //! Planted misuses live in this shell, not in `shard.rs` ([`Misuse`]).
 //! The old `quarantine` model's split read/write strike is not among
@@ -92,6 +92,7 @@ struct Lifecycle {
     ready: Option<Body>,
     strikes: u32,
     quarantined: bool,
+    known: bool,
 }
 
 fn body_of(attempt: u64) -> Body {
@@ -124,6 +125,7 @@ fn lifecycle(leaders_panic: bool, shutdown: bool, misuse: Misuse) -> impl Fn() -
             ready: None,
             strikes: 0,
             quarantined: false,
+            known: false,
         }
     }
 }
@@ -165,7 +167,7 @@ impl Lifecycle {
         let ended = ending.first_mut().expect("ending threads hold an attempt");
         let accounting = !ended.accounted;
         match ended.outcome {
-            Ok(_) if accounting => self.strikes = 0,
+            Ok(_) if accounting => (self.strikes, self.known) = (0, true),
             Err(abort) if accounting && abort.strikes() && !self.quarantined => {
                 self.strikes += 1;
                 if self.strikes == THRESHOLD {
@@ -340,6 +342,9 @@ impl Model for Lifecycle {
                 "{what} strike: the cache holds {held:?} (quarantined, strikes), \
                  the accounted attempts say {told:?}"
             ));
+        }
+        if self.cache.known(FP) != self.known {
+            return Err(format!("known record is not {}", self.known));
         }
         Ok(())
     }

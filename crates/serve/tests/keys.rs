@@ -184,3 +184,54 @@ fn a_c_request_is_named_by_its_tag() {
     assert_eq!(engine.cache_stats().misses, 2);
     engine.shutdown();
 }
+
+/// Sanitize downgrades this fixture's racy `parallel` flag, so every
+/// reply to it carries a warning from the front end.
+const FALSE_PARALLEL: &str =
+    include_str!("../../analysis/tests/fixtures/false_parallel_reduction.mlir");
+
+#[test]
+fn sanitize_warnings_survive_a_prefix_hit() {
+    let engine = Engine::new(&EngineConfig {
+        workers: 1,
+        ..EngineConfig::default()
+    });
+    for head in ["", "\"epsilon\":0.002,"] {
+        let line = compile_line(head, FALSE_PARALLEL);
+        let body = engine.handle_line(&line).body().to_string();
+        assert!(!body.contains("\"warnings\":[]"), "{head}: {body}");
+        assert_eq!(body, oneshot_response(&request(&line)), "{head}");
+    }
+    let [.., prefix_hits, _, errors] = counters(&engine);
+    assert_eq!((prefix_hits, errors), (1, 0));
+    engine.shutdown();
+}
+
+#[test]
+fn fresh_epsilon_variants_compile_on_either_of_two_workers() {
+    // Each worker has its own prefix cache, so a variant of a program one
+    // worker compiled may land on the other, which then runs the front
+    // end itself. Which worker takes which job is up to the schedule.
+    let engine = Engine::new(&EngineConfig {
+        workers: 2,
+        ..EngineConfig::default()
+    });
+    let gemm = mini_source("gemm");
+    let warmed = compile_line("", &gemm);
+    assert_eq!(
+        engine.handle_line(&warmed).body(),
+        oneshot_response(&request(&warmed))
+    );
+    let before = counters(&engine);
+    let variants = ["0.002", "0.003", "0.004", "0.005", "0.006", "0.007"];
+    for eps in variants {
+        let line = compile_line(&format!("\"epsilon\":{eps},"), &gemm);
+        let body = engine.handle_line(&line).body().to_string();
+        assert_eq!(body, oneshot_response(&request(&line)), "epsilon {eps}");
+    }
+    let after = counters(&engine);
+    let prefix_compiles = (after[3] + after[4]) - (before[3] + before[4]);
+    assert_eq!(prefix_compiles, variants.len() as u64);
+    assert_eq!(after[5], 0, "no errors");
+    engine.shutdown();
+}
