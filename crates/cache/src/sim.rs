@@ -6,8 +6,9 @@
 //! The simulator consumes the interpreter's run-length trace directly
 //! (see `polyufc_ir::interp::RunGroup`): per innermost-loop instance it
 //! walks each access stream's cache-*line* crossings instead of probing
-//! the hierarchy once per element. Three invariants make the coalesced
-//! walk produce *bit-identical* [`SimStats`] to per-event simulation:
+//! the hierarchy once per element. Invariants 1–3 make the coalesced
+//! walk produce *bit-identical* [`SimStats`] to per-event simulation, and
+//! invariant 4 makes the one-pass victim search exact:
 //!
 //! 1. **Order preservation** — within one step every stream is touched in
 //!    program order, and streams are advanced step-major, so the sequence
@@ -20,7 +21,8 @@
 //!    counter per L1 set; while a stream's set has seen fewer than
 //!    `assoc` touches since the stream's last refresh, a repeat access to
 //!    the same line is a *guaranteed* L1 hit: the counters and the
-//!    recency update are applied without probing the set. (This
+//!    recency update are applied without probing the set; a writing
+//!    stream's line is already dirty from the touch that loaded it. (This
 //!    subsumes the narrow-group case — `k ≤ assoc` streams can never
 //!    accumulate `assoc` touches between a stream's consecutive steps —
 //!    and extends the regime to wide stencil groups, where a stream's
@@ -33,15 +35,23 @@
 //!    which is preserved, and a compressed refresh still bumps each
 //!    touched set's counter once per way it promotes — the invariant
 //!    guarantee 2 relies on).
+//! 4. **Victims stay valid** — a probe that misses returns its set's LRU
+//!    way, found in the same scan, and the fill writes that way. Between
+//!    a level's probe and its fill only slower levels change (their fills
+//!    and the write-backs those evict), so the victim is still the LRU.
 //!
 //! The differential property suite feeds the same trace event by event
 //! through [`TraceSink::access`] and asserts both routes agree exactly.
 //!
-//! Replacement state is tracked with per-way recency stamps (a monotonic
-//! per-level clock) — a hit is one tag scan plus one stamp store, and a
-//! victim is the minimum-stamp way — and set indexing is strength-reduced
-//! to a bitmask for power-of-two set counts or a precomputed-reciprocal
-//! remainder (Lemire fastmod) otherwise.
+//! Replacement state is one 8-byte `(u32 tag, u32 stamp)` record per way
+//! — a hit is one tag scan plus one stamp store, and the victim is the
+//! minimum-stamp way — plus one dirty bit mask per set. Stamps come from
+//! a per-level clock and are compared only within a set, so before a
+//! clock can wrap every set's stamps are re-ranked in place (order kept,
+//! empty ways stay 0) and the clock restarts above them. [`CacheSim::new`]
+//! keeps every line below `u32::MAX`, the empty tag. Set indexing is
+//! strength-reduced to a bitmask for power-of-two set counts or a
+//! precomputed-reciprocal remainder (Lemire fastmod) otherwise.
 
 use polyufc_ir::affine::AffineProgram;
 use polyufc_ir::interp::{AccessEvent, RunGroup, TraceSink};
@@ -104,119 +114,126 @@ impl SetIndex {
     }
 }
 
-const NO_TAG: u64 = u64::MAX;
+const NO_TAG: u32 = u32::MAX;
 
 /// One way of a set: the line tag and its recency stamp, interleaved so a
 /// probe's tag scan and the subsequent stamp refresh touch the *same*
 /// host cache lines (a large level's hot state is one contiguous
-/// `assoc × 16` byte region per set, not two slices a megabyte apart —
+/// `assoc × 8` byte region per set, not two slices a megabyte apart —
 /// splitting them measured ~50% slower on column-walk traces).
 #[derive(Clone, Copy)]
 struct Way {
-    /// Line tag (`NO_TAG` = empty).
-    tag: u64,
-    /// Recency stamp; `0` marks an empty way, live ways carry
-    /// monotonically increasing stamps from the level's clock, so the LRU
-    /// victim is simply the minimum-stamp way of a set.
-    stamp: u64,
+    /// Line tag (`NO_TAG` = empty); [`CacheSim::new`] bounds every line
+    /// below it.
+    tag: u32,
+    /// Recency stamp; `0` marks an empty way, live ways carry increasing
+    /// stamps from the level's clock, so the LRU victim is simply the
+    /// minimum-stamp way of a set.
+    stamp: u32,
 }
 
-/// One cache level: flat `n_sets × assoc` way records plus a dirty
-/// side-array (bools stay out of the hot scan loops; the array is small
-/// and only consulted on hits-for-write and evictions).
+/// One cache level: flat `n_sets × assoc` way records plus one dirty bit
+/// mask per set (bit `i` = way `i`; kept out of the hot scan loops).
 struct Level {
     assoc: usize,
     set_index: SetIndex,
     ways: Vec<Way>,
-    /// Dirty flags, parallel to `ways`.
-    dirty: Vec<bool>,
+    dirty: Vec<u32>,
     /// Recency clock; incremented on every touch. Only the *relative*
-    /// order of stamps is ever consulted, which is what lets the coalesced
-    /// path compress a stretch of identical steps into one refresh.
-    clock: u64,
+    /// order of stamps within a set is ever consulted, which is what lets
+    /// the coalesced path compress a stretch of identical steps into one
+    /// refresh, and [`Level::renormalise`] restart the clock before it
+    /// wraps ([`CacheSim::reserve`]).
+    clock: u32,
 }
 
 impl Level {
     fn new(n_sets: u64, assoc: usize) -> Self {
-        let n = n_sets as usize * assoc;
+        assert!(assoc <= 32, "dirty masks hold at most 32 ways");
+        let empty = Way {
+            tag: NO_TAG,
+            stamp: 0,
+        };
         Level {
             assoc,
             set_index: SetIndex::new(n_sets),
-            ways: vec![
-                Way {
-                    tag: NO_TAG,
-                    stamp: 0
-                };
-                n
-            ],
-            dirty: vec![false; n],
+            ways: vec![empty; n_sets as usize * assoc],
+            dirty: vec![0; n_sets as usize],
             clock: 0,
         }
     }
 
-    #[inline]
-    fn set_base(&self, line: u64) -> usize {
-        self.set_index.of(line) as usize * self.assoc
+    /// Replaces every set's live stamps by their ranks `1..=k` within the
+    /// set (empty ways stay 0) and restarts the clock above them: the
+    /// order LRU compares is unchanged.
+    #[cold]
+    #[inline(never)]
+    fn renormalise(&mut self) {
+        for set in self.ways.chunks_exact_mut(self.assoc) {
+            let old: Vec<u32> = set.iter().map(|w| w.stamp).collect();
+            for way in set.iter_mut().filter(|w| w.stamp != 0) {
+                way.stamp = old.iter().filter(|&&s| s != 0 && s <= way.stamp).count() as u32;
+            }
+        }
+        self.clock = self.assoc as u32;
     }
 
-    /// Demand probe: on hit refreshes recency, ORs in dirtiness, and
-    /// returns the absolute way index.
+    /// Marks way `w` most recent.
     #[inline]
-    fn probe(&mut self, line: u64, write: bool) -> Option<usize> {
-        let base = self.set_base(line);
-        let set = &self.ways[base..base + self.assoc];
-        // Narrow (L1/L2-like) sets scan branch-free — the whole set is one
-        // or two host lines and the compiler unrolls the loop flat. Wide
-        // (LLC-like) sets early-exit instead: a hit stops short of the
-        // full `assoc × 16` byte sweep and a miss reads it all either way.
-        let hit = if self.assoc <= 8 {
-            let mut hit = usize::MAX;
-            for (i, way) in set.iter().enumerate() {
-                if way.tag == line {
-                    hit = i;
-                }
-            }
-            if hit == usize::MAX {
-                return None;
-            }
-            hit
-        } else {
-            set.iter().position(|way| way.tag == line)?
-        };
-        let w = base + hit;
+    fn refresh(&mut self, w: usize) {
         self.clock += 1;
         self.ways[w].stamp = self.clock;
-        if write {
-            self.dirty[w] = true;
-        }
-        Some(w)
     }
 
-    /// Inserts a line known to be absent, displacing the LRU way (empty
-    /// ways, stamp 0, lose every comparison and fill first). Returns the
-    /// way used and the evicted `(line, dirty)` if a valid way was
-    /// displaced.
+    /// Demand probe. A hit refreshes recency, ORs in dirtiness and returns
+    /// `Ok(way)`; a miss returns `Err(victim)`, the set's LRU way found in
+    /// the same scan (empty ways, stamp 0, lose every comparison and fill
+    /// first). Way indices are absolute.
     #[inline]
-    fn insert(&mut self, line: u64, dirty: bool) -> (usize, Option<(u64, bool)>) {
-        let base = self.set_base(line);
-        let set = &self.ways[base..base + self.assoc];
-        let mut victim = 0;
-        let mut min = set[0].stamp;
-        for (i, way) in set.iter().enumerate().skip(1) {
+    fn probe(&mut self, line: u64, write: bool) -> Result<usize, usize> {
+        let tag = line as u32;
+        let set = self.set_index.of(line) as usize;
+        let base = set * self.assoc;
+        let ways = &self.ways[base..base + self.assoc];
+        // Narrow (L1/L2-like) sets scan branch-free — the whole set is one
+        // host line and the compiler unrolls the loop flat. Wide (LLC-like)
+        // sets early-exit instead: a hit stops short of the full sweep.
+        let wide = self.assoc > 8;
+        let (mut hit, mut victim, mut min) = (usize::MAX, 0, u32::MAX);
+        for (i, way) in ways.iter().enumerate() {
+            if way.tag == tag {
+                hit = i;
+                if wide {
+                    break;
+                }
+            }
             if way.stamp < min {
-                min = way.stamp;
-                victim = i;
+                (victim, min) = (i, way.stamp);
             }
         }
-        let w = base + victim;
-        let evicted = (min != 0).then(|| (self.ways[w].tag, self.dirty[w]));
-        self.clock += 1;
-        self.ways[w] = Way {
-            tag: line,
-            stamp: self.clock,
-        };
-        self.dirty[w] = dirty;
-        (w, evicted)
+        if hit == usize::MAX {
+            return Err(base + victim);
+        }
+        self.refresh(base + hit);
+        if write {
+            self.dirty[set] |= 1 << hit;
+        }
+        Ok(base + hit)
+    }
+
+    /// Fills `line` into `victim`, the way a missing [`Level::probe`] of
+    /// it returned, and returns the displaced `(line, dirty)` if the way
+    /// was valid.
+    #[inline]
+    fn fill(&mut self, victim: usize, line: u64, dirty: bool) -> Option<(u64, bool)> {
+        let set = self.set_index.of(line) as usize;
+        let i = victim - set * self.assoc;
+        let old = self.ways[victim];
+        let evicted = (old.stamp != 0).then(|| (old.tag.into(), self.dirty[set] >> i & 1 != 0));
+        self.ways[victim].tag = line as u32;
+        self.refresh(victim);
+        self.dirty[set] = self.dirty[set] & !(1 << i) | u32::from(dirty) << i;
+        evicted
     }
 }
 
@@ -256,6 +273,9 @@ pub struct CacheSim {
     /// snapshots are consulted, to bound evictions (module invariant 2).
     l1_set_clock: Vec<u64>,
     scratch: Vec<RunState>,
+    /// Clock ticks every level can still take without wrapping: a lower
+    /// bound, spent per touch and per step by [`CacheSim::reserve`].
+    headroom: u64,
     /// Statistics accumulated so far.
     pub stats: SimStats,
 }
@@ -276,7 +296,10 @@ impl CacheSim {
     ///
     /// # Panics
     ///
-    /// Panics if the hierarchy's line size is not a power of two.
+    /// Panics if the hierarchy's line size is not a power of two, if a
+    /// level has more than 32 ways, or if the program's last line is not
+    /// below `u32::MAX` (way records hold 32-bit tags, and non-power-of-two
+    /// set indexing is exact only for 32-bit lines).
     pub fn new(hierarchy: &CacheHierarchy, program: &AffineProgram) -> Self {
         let line = hierarchy.line_bytes();
         assert!(line.is_power_of_two(), "line size must be a power of two");
@@ -287,6 +310,11 @@ impl CacheSim {
             let sz = a.size_bytes() as u64;
             next += sz.div_ceil(line) * line;
         }
+        assert!(
+            next / line <= u64::from(NO_TAG),
+            "program spans {} lines; 32-bit tags hold at most 2^32 - 1",
+            next / line
+        );
         let levels = hierarchy
             .levels
             .iter()
@@ -300,6 +328,7 @@ impl CacheSim {
             base_addrs,
             l1_set_clock: vec![0; l1_sets],
             scratch: Vec::new(),
+            headroom: u32::MAX.into(),
             stats: SimStats {
                 hits: vec![0; n],
                 misses: vec![0; n],
@@ -313,44 +342,55 @@ impl CacheSim {
         self.base_addrs[array.0]
     }
 
+    /// Accounts for up to `ticks` clock ticks on every level,
+    /// renormalising all levels first if one could wrap. A touch ticks a
+    /// level at most `levels` times: its own probe or fill, plus one per
+    /// write-back cascade started above it.
+    #[inline]
+    fn reserve(&mut self, ticks: u64) {
+        if self.headroom < ticks {
+            self.levels.iter_mut().for_each(Level::renormalise);
+            // Each clock now equals its level's associativity, at most 32.
+            self.headroom = (u32::MAX - 32).into();
+        }
+        self.headroom -= ticks;
+    }
+
     /// One demand access to a line: probes the hierarchy top-down, fills
     /// missed levels, and returns the L1 way now holding the line.
     ///
     /// Every touch promotes exactly one L1 way — the hit way's refresh or
-    /// the fill insert — so the set's touch counter is bumped once here.
+    /// the fill — so the set's touch counter is bumped once here.
+    #[inline]
     fn touch(&mut self, line: u64, write: bool) -> usize {
-        let n = self.levels.len();
         let set0 = self.levels[0].set_index.of(line) as usize;
         self.l1_set_clock[set0] += 1;
-        if let Some(w) = self.levels[0].probe(line, write) {
-            self.stats.hits[0] += 1;
-            return w;
-        }
-        self.stats.misses[0] += 1;
-        let mut outermost_miss = n;
-        for i in 1..n {
-            if self.levels[i].probe(line, false).is_some() {
-                self.stats.hits[i] += 1;
-                outermost_miss = i;
-                break;
+        match self.levels[0].probe(line, write) {
+            Ok(w) => {
+                self.stats.hits[0] += 1;
+                w
             }
-            self.stats.misses[i] += 1;
+            Err(victim) => self.miss(0, victim, line, write),
         }
-        if outermost_miss == n {
-            self.stats.dram_line_fills += 1;
-        }
-        // Fill the line into every level that missed, slowest first.
-        let mut w0 = 0;
-        for j in (0..outermost_miss).rev() {
-            let (w, evicted) = self.levels[j].insert(line, write && j == 0);
-            if j == 0 {
-                w0 = w;
-            }
-            if let Some((victim, true)) = evicted {
-                self.write_back(j + 1, victim);
+    }
+
+    /// `level` missed `line`, and its probe chose `victim`: fetches the
+    /// line from the levels below, then fills it into `victim` (module
+    /// invariant 4) and returns that way. Missed levels fill slowest
+    /// first.
+    fn miss(&mut self, level: usize, victim: usize, line: u64, write: bool) -> usize {
+        self.stats.misses[level] += 1;
+        match self.levels.get_mut(level + 1).map(|l| l.probe(line, false)) {
+            None => self.stats.dram_line_fills += 1,
+            Some(Ok(_)) => self.stats.hits[level + 1] += 1,
+            Some(Err(below)) => {
+                self.miss(level + 1, below, line, false);
             }
         }
-        w0
+        if let Some((evicted, true)) = self.levels[level].fill(victim, line, write) {
+            self.write_back(level + 1, evicted);
+        }
+        victim
     }
 
     /// Propagates a dirty line evicted out of level `from - 1`. If the
@@ -362,23 +402,19 @@ impl CacheSim {
     fn write_back(&mut self, from: usize, line: u64) {
         let mut lvl = from;
         let mut line = line;
-        loop {
-            if lvl == self.levels.len() {
-                self.stats.dram_writebacks += 1;
+        while lvl < self.levels.len() {
+            let Err(victim) = self.levels[lvl].probe(line, true) else {
                 return;
-            }
-            if self.levels[lvl].probe(line, true).is_some() {
-                return;
-            }
-            let (_, evicted) = self.levels[lvl].insert(line, true);
-            match evicted {
-                Some((victim, true)) => {
-                    line = victim;
+            };
+            match self.levels[lvl].fill(victim, line, true) {
+                Some((evicted, true)) => {
+                    line = evicted;
                     lvl += 1;
                 }
                 _ => return,
             }
         }
+        self.stats.dram_writebacks += 1;
     }
 
     /// The coalesced consumption of one run group (see the module docs for
@@ -415,6 +451,10 @@ impl CacheSim {
                 is_write: r.is_write,
             });
         }
+        // A step ticks a level at most `k` times for guaranteed hits or a
+        // stretch refresh, plus what its touches tick.
+        let step_ticks = (k * (self.levels.len() + 1)) as u64;
+        self.reserve(step_ticks);
         // Step 0: full probes seed each stream's L1 way and next crossing.
         for s in rs.iter_mut() {
             s.way = self.touch(s.line, s.is_write);
@@ -430,6 +470,7 @@ impl CacheSim {
         let mut hits0 = 0u64;
         let mut t = 1u64;
         while t < g.steps {
+            self.reserve(step_ticks);
             // A stretch needs every stream's residency guarantee to hold at
             // entry: inserts from crossings late in the previous step can
             // have pushed an early stream's set past the eviction bound.
@@ -449,9 +490,7 @@ impl CacheSim {
                 if nc > t {
                     hits0 += k as u64 * (nc - t);
                     for s in rs.iter_mut() {
-                        let l0 = &mut self.levels[0];
-                        l0.clock += 1;
-                        l0.ways[s.way].stamp = l0.clock;
+                        self.levels[0].refresh(s.way);
                         let c = self.l1_set_clock[s.l1set] + 1;
                         self.l1_set_clock[s.l1set] = c;
                         s.snapshot = c;
@@ -476,12 +515,7 @@ impl CacheSim {
                     // `assoc` touches of its set since the last refresh:
                     // guaranteed L1 hit (module invariant 2).
                     hits0 += 1;
-                    let l0 = &mut self.levels[0];
-                    l0.clock += 1;
-                    l0.ways[s.way].stamp = l0.clock;
-                    if s.is_write {
-                        l0.dirty[s.way] = true;
-                    }
+                    self.levels[0].refresh(s.way);
                     let c = self.l1_set_clock[s.l1set] + 1;
                     self.l1_set_clock[s.l1set] = c;
                     s.snapshot = c;
@@ -523,6 +557,7 @@ impl TraceSink for CacheSim {
         let line = addr >> self.line_shift;
         self.stats.accesses += 1;
         self.stats.bytes_requested += ev.bytes as u64;
+        self.reserve(self.levels.len() as u64);
         self.touch(line, ev.is_write);
     }
 
@@ -751,6 +786,135 @@ mod tests {
         );
         // The frozen pre-fix reference (`crate::refsim::RefSim`) loses it;
         // see `tests/writeback_regression.rs` for the explicit contrast.
+    }
+
+    #[test]
+    fn lines_up_to_the_32_bit_bound_are_accepted() {
+        // 2^32 - 1 lines of 64 bytes: the last line is u32::MAX - 1. Only
+        // base addresses are computed, so nothing this large is allocated.
+        let mut p = AffineProgram::new("huge");
+        p.add_array("A", vec![(1 << 35) - 8], ElemType::F64);
+        CacheSim::new(&tiny_hierarchy(16, 4), &p);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit tags")]
+    fn a_line_at_the_32_bit_bound_panics() {
+        // A declared 2^38-byte array ends on line u32::MAX, which a 32-bit
+        // tag cannot tell from an empty way (and fastmod would mis-index).
+        let mut p = AffineProgram::new("huge");
+        p.add_array("A", vec![1 << 35], ElemType::F64);
+        CacheSim::new(&tiny_hierarchy(16, 4), &p);
+    }
+
+    #[test]
+    fn renormalise_ranks_stamps_within_each_set() {
+        let mut l = Level::new(2, 4);
+        for (w, stamp) in l.ways.iter_mut().zip([0, 500, 7, 90_000, 3, 0, 1, 2]) {
+            w.stamp = stamp;
+        }
+        l.clock = 90_000;
+        l.renormalise();
+        let stamps: Vec<u32> = l.ways.iter().map(|w| w.stamp).collect();
+        assert_eq!(stamps, [0, 2, 1, 3, 3, 0, 1, 2]);
+        assert_eq!(l.clock, 4);
+    }
+
+    /// Pushes every level's clock to within a few ticks of wrapping before
+    /// each run group (or each access, per event), so renormalisation
+    /// fires over and over, mid-group included.
+    struct Aged<'a>(&'a mut CacheSim, u32);
+
+    impl Aged<'_> {
+        fn age(&mut self) {
+            for l in &mut self.0.levels {
+                l.clock = l.clock.max(u32::MAX - 40);
+            }
+            let headroom = self.0.levels.iter().map(|l| u32::MAX - l.clock).min();
+            self.0.headroom = headroom.unwrap_or(0).into();
+        }
+
+        /// Runs `f` on the aged simulator, counting renormalisations.
+        fn aged(&mut self, f: impl FnOnce(&mut CacheSim)) {
+            self.age();
+            let before = self.0.levels[0].clock;
+            f(self.0);
+            self.1 += u32::from(self.0.levels[0].clock < before);
+        }
+    }
+
+    impl TraceSink for Aged<'_> {
+        fn access(&mut self, ev: AccessEvent) {
+            self.aged(|sim| sim.access(ev));
+        }
+
+        fn flops(&mut self, n: u64) {
+            self.0.flops(n);
+        }
+
+        fn run(&mut self, g: RunGroup<'_>) {
+            self.aged(|sim| sim.run(g));
+        }
+    }
+
+    /// [`Aged`] without `run`, so the default expansion feeds it per event.
+    struct AgedEvents<'a>(Aged<'a>);
+
+    impl TraceSink for AgedEvents<'_> {
+        fn access(&mut self, ev: AccessEvent) {
+            self.0.access(ev);
+        }
+
+        fn flops(&mut self, n: u64) {
+            self.0.flops(n);
+        }
+    }
+
+    #[test]
+    fn clocks_near_wrap_give_a_fresh_simulators_stats() {
+        use polyufc_ir::affine::{Access, AffineKernel, Loop, Statement};
+        use polyufc_presburger::LinExpr;
+        // B[j][i] += A[i][j] over 40 x 40: a row walk, a column walk and a
+        // write stream, through 3 levels with a non-power-of-two L2.
+        let mut p = AffineProgram::new("transpose");
+        let a = p.add_array("A", vec![40, 40], ElemType::F64);
+        let b = p.add_array("B", vec![40, 40], ElemType::F64);
+        let (i, j) = (LinExpr::var(0), LinExpr::var(1));
+        p.kernels.push(AffineKernel {
+            name: "t".into(),
+            loops: vec![Loop::range(40), Loop::range(40)],
+            statements: vec![Statement {
+                name: "S".into(),
+                accesses: vec![
+                    Access::read(a, vec![i.clone(), j.clone()]),
+                    Access::read(b, vec![j.clone(), i.clone()]),
+                    Access::write(b, vec![j, i]),
+                ],
+                flops: 1,
+            }],
+        });
+        let lvl = |lines: u64, assoc: u32| CacheLevelConfig {
+            size_bytes: lines * 64,
+            line_bytes: 64,
+            assoc,
+            shared: false,
+        };
+        let h = CacheHierarchy::new(vec![lvl(16, 4), lvl(96, 4), lvl(256, 8)]);
+        let mut fresh = CacheSim::new(&h, &p);
+        polyufc_ir::interp::interpret_program(&p, &mut fresh);
+        assert!(fresh.stats.dram_writebacks > 0 && fresh.stats.hits[1] > 0);
+
+        let mut sim = CacheSim::new(&h, &p);
+        let mut aged = Aged(&mut sim, 0);
+        polyufc_ir::interp::interpret_program(&p, &mut aged);
+        assert!(aged.1 >= 40, "renormalised only {} times", aged.1);
+        assert_eq!(sim.stats, fresh.stats);
+
+        let mut sim = CacheSim::new(&h, &p);
+        let mut aged = AgedEvents(Aged(&mut sim, 0));
+        polyufc_ir::interp::interpret_program(&p, &mut aged);
+        assert!(aged.0 .1 > 100, "renormalised only {} times", aged.0 .1);
+        assert_eq!(sim.stats, fresh.stats);
     }
 
     #[test]

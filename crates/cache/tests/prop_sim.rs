@@ -1,10 +1,11 @@
 //! Property tests: the optimized cache simulator must agree exactly with
-//! a naive reference LRU implementation on random traces, and basic
-//! conservation laws must hold.
+//! naive reference LRU implementations on random traces — one level, and a
+//! whole multi-level hierarchy with write-backs — and basic conservation
+//! laws must hold.
 
 use proptest::prelude::*;
 
-use polyufc_cache::{CacheHierarchy, CacheLevelConfig, CacheSim};
+use polyufc_cache::{CacheHierarchy, CacheLevelConfig, CacheSim, SimStats};
 use polyufc_ir::affine::AffineProgram;
 use polyufc_ir::interp::{AccessEvent, TraceSink};
 use polyufc_ir::types::{ArrayId, ElemType};
@@ -44,6 +45,122 @@ impl RefCache {
             set.insert(0, line);
         }
     }
+}
+
+/// A naive, obviously-correct write-allocate, write-back hierarchy: one
+/// MRU-first `(line, dirty)` list per set per level, L1 first. It shares
+/// no code with [`CacheSim`]'s walk, so a bug in that walk cannot hide
+/// behind a comparison of the simulator with itself.
+struct RefHierarchy {
+    /// Per level: `n_sets` and `assoc`.
+    shape: Vec<(u64, usize)>,
+    /// Per level, per set: `(line, dirty)`, most recently used first.
+    sets: Vec<Vec<Vec<(u64, bool)>>>,
+    stats: SimStats,
+}
+
+impl RefHierarchy {
+    fn new(h: &CacheHierarchy) -> Self {
+        let shape: Vec<_> = h
+            .levels
+            .iter()
+            .map(|l| (l.n_sets(), l.assoc as usize))
+            .collect();
+        RefHierarchy {
+            sets: shape
+                .iter()
+                .map(|&(n, _)| vec![Vec::new(); n as usize])
+                .collect(),
+            stats: SimStats {
+                hits: vec![0; shape.len()],
+                misses: vec![0; shape.len()],
+                ..SimStats::default()
+            },
+            shape,
+        }
+    }
+
+    fn set(&mut self, level: usize, line: u64) -> &mut Vec<(u64, bool)> {
+        let s = (line % self.shape[level].0) as usize;
+        &mut self.sets[level][s]
+    }
+
+    /// Moves `line` to the front of its set at `level`, ORing in `dirty`;
+    /// `false` if the line is absent.
+    fn refresh(&mut self, level: usize, line: u64, dirty: bool) -> bool {
+        let set = self.set(level, line);
+        let Some(pos) = set.iter().position(|&(l, _)| l == line) else {
+            return false;
+        };
+        let (_, was_dirty) = set.remove(pos);
+        set.insert(0, (line, was_dirty || dirty));
+        true
+    }
+
+    /// Inserts an absent line at the front, returning the LRU entry it
+    /// displaced from a full set.
+    fn fill(&mut self, level: usize, line: u64, dirty: bool) -> Option<(u64, bool)> {
+        let assoc = self.shape[level].1;
+        let set = self.set(level, line);
+        let evicted = if set.len() == assoc { set.pop() } else { None };
+        set.insert(0, (line, dirty));
+        evicted
+    }
+
+    fn access(&mut self, line: u64, write: bool) {
+        self.stats.accesses += 1;
+        self.stats.bytes_requested += 8;
+        let levels = self.shape.len();
+        let mut missed = 0;
+        while missed < levels && !self.refresh(missed, line, write && missed == 0) {
+            self.stats.misses[missed] += 1;
+            missed += 1;
+        }
+        if missed < levels {
+            self.stats.hits[missed] += 1;
+        } else {
+            self.stats.dram_line_fills += 1;
+        }
+        for level in (0..missed).rev() {
+            if let Some((victim, true)) = self.fill(level, line, write && level == 0) {
+                self.write_back(level + 1, victim);
+            }
+        }
+    }
+
+    /// A dirty victim of `level - 1`: absorbed where present, otherwise
+    /// allocated dirty (displacing further dirty victims downwards), and
+    /// counted once it leaves the last level.
+    fn write_back(&mut self, level: usize, line: u64) {
+        if level == self.shape.len() {
+            self.stats.dram_writebacks += 1;
+        } else if !self.refresh(level, line, true) {
+            if let Some((victim, true)) = self.fill(level, line, true) {
+                self.write_back(level + 1, victim);
+            }
+        }
+    }
+}
+
+/// A random 2–3-level hierarchy: per level a set count (often not a power
+/// of two) and an associativity, sorted so capacities nest.
+fn hierarchy() -> impl Strategy<Value = CacheHierarchy> {
+    (2usize..4, proptest::collection::vec((1u64..8, 1u32..5), 3)).prop_map(|(depth, mut shapes)| {
+        shapes.truncate(depth);
+        shapes.sort_by_key(|&(sets, assoc)| sets * assoc as u64);
+        CacheHierarchy::new(
+            shapes
+                .into_iter()
+                .enumerate()
+                .map(|(i, (sets, assoc))| CacheLevelConfig {
+                    size_bytes: sets * assoc as u64 * 64,
+                    line_bytes: 64,
+                    assoc,
+                    shared: i + 1 == depth,
+                })
+                .collect(),
+        )
+    })
 }
 
 fn one_level(n_sets: u64, assoc: u32) -> CacheHierarchy {
@@ -124,5 +241,24 @@ proptest! {
             big.access(ev);
         }
         prop_assert!(big.stats.misses[0] <= small.stats.misses[0]);
+    }
+}
+
+proptest! {
+    // Default config, so `PROPTEST_CASES` deepens this property.
+
+    #[test]
+    fn hierarchy_matches_reference_with_writebacks(
+        trace in proptest::collection::vec((0u64..1024, any::<bool>()), 1..600),
+        h in hierarchy(),
+    ) {
+        let p = program(1024);
+        let mut sim = CacheSim::new(&h, &p);
+        let mut reference = RefHierarchy::new(&h);
+        for &(offset, write) in &trace {
+            sim.access(AccessEvent { array: ArrayId(0), offset, bytes: 8, is_write: write });
+            reference.access(offset * 8 / 64, write);
+        }
+        prop_assert_eq!(&sim.stats, &reference.stats, "hierarchy {:?}", h.levels);
     }
 }
