@@ -11,19 +11,6 @@ use crate::diag::{Diagnostic, Location, Severity, Witness};
 /// Pass identifier.
 pub const PASS: &str = "bounds";
 
-/// Checks every access of `kernel` against its array's declared shape.
-///
-/// For each subscript `e_j` of an access to an array with extent `n_j` in
-/// dimension `j`, the access is in bounds iff both
-/// `D ∩ { i : e_j(i) <= -1 }` and `D ∩ { i : e_j(i) >= n_j }` are empty.
-///
-/// Structurally malformed accesses (bad array id, wrong arity, subscripts
-/// referencing out-of-scope iterators) are skipped — the IR verifier
-/// reports those.
-pub fn check_kernel(program: &AffineProgram, kernel: &AffineKernel) -> Vec<Diagnostic> {
-    check_kernel_in(program, kernel, &mut Context::new())
-}
-
 /// One out-of-shape half-space to decide, with everything needed to
 /// render a diagnostic if it turns out inhabited.
 struct SideCheck {
@@ -38,9 +25,19 @@ struct SideCheck {
     viol: BasicSet,
 }
 
-/// [`check_kernel`] through a shared batched solver [`Context`]: every
-/// out-of-shape half-space of every access is built up front and decided
-/// in one emptiness batch; only inhabited ones pay for a witness sample.
+/// Checks every access of `kernel` against its array's declared shape.
+///
+/// For each subscript `e_j` of an access to an array with extent `n_j` in
+/// dimension `j`, the access is in bounds iff both
+/// `D ∩ { i : e_j(i) <= -1 }` and `D ∩ { i : e_j(i) >= n_j }` are empty.
+///
+/// Structurally malformed accesses (bad array id, wrong arity, subscripts
+/// referencing out-of-scope iterators) are skipped — the IR verifier
+/// reports those.
+///
+/// Every out-of-shape half-space of every access is built up front and
+/// decided in one emptiness batch through the shared solver [`Context`];
+/// only inhabited ones pay for a witness sample.
 pub fn check_kernel_in(
     program: &AffineProgram,
     kernel: &AffineKernel,
@@ -191,13 +188,13 @@ mod tests {
     #[test]
     fn in_bounds_is_clean() {
         let (p, k) = stencil(15, 16, 1);
-        assert!(check_kernel(&p, &k).is_empty());
+        assert!(check_kernel_in(&p, &k, &mut Context::new()).is_empty());
     }
 
     #[test]
     fn overflow_above_with_witness() {
         let (p, k) = stencil(16, 16, 1);
-        let d = check_kernel(&p, &k);
+        let d = check_kernel_in(&p, &k, &mut Context::new());
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].pass, PASS);
         match &d[0].witness {
@@ -217,7 +214,7 @@ mod tests {
     #[test]
     fn underflow_below_with_witness() {
         let (p, k) = stencil(16, 16, -1);
-        let d = check_kernel(&p, &k);
+        let d = check_kernel_in(&p, &k, &mut Context::new());
         assert_eq!(d.len(), 1);
         match &d[0].witness {
             Some(Witness::Point { index_value, .. }) => assert!(*index_value < 0),
@@ -235,7 +232,7 @@ mod tests {
             polyufc_ir::affine::Bound::constant(4),
         );
         p.kernels[0] = k.clone();
-        assert!(check_kernel(&p, &k).is_empty());
+        assert!(check_kernel_in(&p, &k, &mut Context::new()).is_empty());
     }
 
     #[test]
@@ -261,7 +258,7 @@ mod tests {
             }],
         };
         p.kernels.push(kern.clone());
-        let d = check_kernel(&p, &kern);
+        let d = check_kernel_in(&p, &kern, &mut Context::new());
         assert_eq!(d.len(), 1);
         match &d[0].witness {
             Some(Witness::Point {

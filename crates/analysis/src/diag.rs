@@ -4,6 +4,8 @@
 
 use std::fmt;
 
+use polyufc_ir::deps::DepSummary;
+
 /// How bad a finding is. Ordering is by badness: `Info < Warning < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -221,6 +223,9 @@ pub struct AnalysisReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Solver accounting for this run.
     pub stats: AnalysisStats,
+    /// The well-formed kernels' dependence summaries, in kernel order (one
+    /// per kernel when there is no error), handed on to Pluto.
+    pub deps: Vec<DepSummary>,
 }
 
 impl AnalysisReport {
@@ -384,7 +389,7 @@ mod tests {
         let mut r = AnalysisReport {
             program: "p".into(),
             diagnostics: vec![],
-            stats: AnalysisStats::default(),
+            ..Default::default()
         };
         assert!(r.is_clean());
         assert_eq!(r.max_severity(), None);
@@ -429,7 +434,7 @@ mod tests {
                     index_value: 16,
                 }),
             }],
-            stats: AnalysisStats::default(),
+            ..Default::default()
         };
         let j = r.to_json();
         assert!(j.contains("\"program\": \"q\\\"uote\""));

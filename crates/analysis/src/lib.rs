@@ -1,6 +1,6 @@
 //! Static verification of affine programs: a pass framework over the
 //! PolyUFC affine IR with structured diagnostics, backed by the
-//! Presburger layer's exact dependence machinery.
+//! Presburger layer and the dependence summaries of [`polyufc_ir::deps`].
 //!
 //! Four passes, in fixed order:
 //!
@@ -10,9 +10,9 @@
 //! 2. [`bounds`] — proves every access-map image lies inside its memref
 //!    shape, with a sampled witness iteration on violation.
 //! 3. [`races`] — proves every `parallel`-flagged loop free of
-//!    loop-carried dependences by access-map composition, domain
-//!    intersection, and integer emptiness, with a witness iteration pair
-//!    on violation.
+//!    loop-carried dependences by asking the kernel's dependence summary
+//!    (built here, returned as [`AnalysisReport::deps`]), with a witness
+//!    iteration pair on violation.
 //! 4. [`audit`] — cross-checks the cache model's per-kernel counters
 //!    against independently recomputed access-relation cardinalities
 //!    (optional: needs the model's numbers, see
@@ -59,7 +59,8 @@ pub mod verify_ir;
 pub use audit::ModelCounts;
 pub use diag::{AnalysisReport, AnalysisStats, Diagnostic, Location, Severity, Witness};
 
-use polyufc_ir::affine::AffineProgram;
+use polyufc_ir::affine::{AffineKernel, AffineProgram};
+use polyufc_ir::deps::analyze_kernel;
 use polyufc_presburger::Context;
 
 /// Drives the pass pipeline over a program.
@@ -74,10 +75,9 @@ impl Analyzer {
 
     /// Runs the structural, bounds, and race passes.
     ///
-    /// All Presburger queries of one run go through a single batched
-    /// [`Context`]: emptiness checks and witness samples share one
-    /// arena-backed solver system. The report's [`AnalysisStats`] records
-    /// the solver accounting.
+    /// All Presburger queries of one run outside the dependence summaries
+    /// go through a single batched [`Context`], one arena-backed solver
+    /// system; the report's [`AnalysisStats`] records its accounting.
     pub fn analyze(&self, program: &AffineProgram) -> AnalysisReport {
         self.analyze_in(program, &mut Context::new())
     }
@@ -87,12 +87,15 @@ impl Analyzer {
     pub fn analyze_in(&self, program: &AffineProgram, ctx: &mut Context) -> AnalysisReport {
         let verdict = verify_ir::check_program_in(program, ctx);
         let mut diagnostics = verdict.diagnostics;
+        let mut deps = Vec::with_capacity(program.kernels.len());
         for (kernel, &malformed) in program.kernels.iter().zip(&verdict.malformed) {
             if malformed {
                 continue;
             }
+            let summary = analyze_kernel(kernel);
             diagnostics.extend(bounds::check_kernel_in(program, kernel, ctx));
-            diagnostics.extend(races::check_kernel_in(program, kernel, ctx));
+            diagnostics.extend(races::check_kernel_in(program, kernel, &summary, ctx));
+            deps.push(summary);
         }
         AnalysisReport {
             program: program.name.clone(),
@@ -102,6 +105,7 @@ impl Analyzer {
                 emptiness_checks: ctx.checks(),
                 peak_arena_bytes: ctx.peak_arena_bytes(),
             },
+            deps,
         }
     }
 
@@ -128,27 +132,34 @@ impl Analyzer {
 /// This is the trust-hole fix for frontends (`ir::textual`,
 /// `cgeist`) that accept parallel markers from the input file: instead of
 /// trusting the marker, the dependence test either proves it or the loop
-/// runs sequentially.
+/// runs sequentially. Only a flagged kernel's dependences are analysed.
 pub fn sanitize_parallel(program: &mut AffineProgram) -> Vec<Diagnostic> {
+    let flagged = |k: &AffineKernel| k.loops.iter().any(|l| l.parallel);
+    if !program.kernels.iter().any(flagged) {
+        return Vec::new();
+    }
     let mut out = Vec::new();
-    let malformed_kernels = verify_ir::check_program(program).malformed;
-    for (ki, kernel) in program.kernels.iter_mut().enumerate() {
-        let malformed = malformed_kernels.get(ki).copied().unwrap_or(true);
+    let mut ctx = Context::new();
+    let malformed_kernels = verify_ir::check_program_in(program, &mut ctx).malformed;
+    for (kernel, malformed) in program.kernels.iter_mut().zip(malformed_kernels) {
+        if !flagged(kernel) {
+            continue;
+        }
+        let deps = (!malformed).then(|| analyze_kernel(kernel));
         for d in 0..kernel.depth() {
             if !kernel.loops[d].parallel {
                 continue;
             }
-            let reason = if malformed {
-                Some("kernel is structurally malformed".to_string())
-            } else {
-                match races::carried_dependence(kernel, d) {
+            let reason = match &deps {
+                None => Some("kernel is structurally malformed".to_string()),
+                Some(deps) => match races::carried_in(kernel, deps, d, &mut ctx) {
                     Ok(None) => None,
                     Ok(Some(w)) => Some(format!(
                         "carries a {} dependence (witness iterations {:?} -> {:?})",
                         w.kind, w.src, w.dst
                     )),
                     Err(e) => Some(format!("independence not provable (solver: {e})")),
-                }
+                },
             };
             if let Some(reason) = reason {
                 kernel.loops[d].parallel = false;

@@ -1,25 +1,21 @@
-//! Race detection for `parallel`-flagged loops: exact dependence relations
-//! built from access-map composition and domain intersection, decided by
-//! integer emptiness, with sampled witness iteration pairs.
+//! Race detection for `parallel`-flagged loops, read off the kernel's
+//! dependence summary ([`polyufc_ir::deps`]), with sampled witness
+//! iteration pairs.
 //!
-//! A loop at depth `d` of a kernel may run in parallel iff no two distinct
-//! iterations that agree on all outer iterators (`i_j = i'_j` for `j < d`)
-//! and differ at `d` touch the same array element with at least one write.
-//! For every ordered pair of accesses `(p, q)` to the same array the
-//! dependence relation is
+//! A loop at depth `d` may run in parallel iff no two iterations that agree
+//! on the outer iterators and differ at `d` touch one element with at least
+//! one write: iff [`DepSummary::loop_parallel`]. Only a refuted flag pays
+//! for a witness: the relation of the access pair `(p, q)` behind the
+//! level's first dependence (the first pair, in nesting order, that has
+//! one) is rebuilt and sampled,
 //!
 //! ```text
-//! { [i] -> [i'] : i, i' ∈ D,  E_p(i) = E_q(i'),
-//!                 i_j = i'_j (j < d),  i_d < i'_d }
+//! { [i] -> [i'] : i, i' ∈ D,  E_p(i) = E_q(i'),  i_j = i'_j (j < d),  i_d < i'_d }
 //! ```
-//!
-//! Both orders of every pair are checked, so restricting to `i_d < i'_d`
-//! loses nothing; the relation being empty for all pairs *proves* the flag.
 
 use polyufc_ir::affine::{AffineKernel, AffineProgram};
-use polyufc_presburger::{
-    BasicMap, Context, Emptiness, LinExpr, Result as PresburgerResult, Space,
-};
+use polyufc_ir::deps::{access_relation, analyze_kernel, DepSummary};
+use polyufc_presburger::{Context, Emptiness, LinExpr, Result as PresburgerResult};
 
 use crate::diag::{Diagnostic, Location, Severity, Witness};
 
@@ -57,119 +53,67 @@ pub fn carried_dependence(
     kernel: &AffineKernel,
     level: usize,
 ) -> PresburgerResult<Option<RaceWitness>> {
-    carried_dependence_in(kernel, level, &mut Context::new())
+    if level >= kernel.depth() {
+        return Ok(None);
+    }
+    carried_in(kernel, &analyze_kernel(kernel), level, &mut Context::new())
 }
 
-/// One access pair's dependence relation at a loop level, plus the
-/// metadata needed to turn a non-empty relation into a [`RaceWitness`].
-struct PairRelation {
-    map: BasicMap,
-    array: usize,
-    statements: (String, String),
-    kind: &'static str,
-}
-
-/// Builds the dependence relation of every conflicting ordered access
-/// pair at `level`, in the deterministic `(p, q)` nesting order the
-/// sequential checker used.
-fn pair_relations(kernel: &AffineKernel, level: usize) -> PresburgerResult<Vec<PairRelation>> {
+/// [`carried_dependence`] against the kernel's summary, sampling through
+/// `ctx`; `level` must be below the kernel's depth.
+pub(crate) fn carried_in(
+    kernel: &AffineKernel,
+    deps: &DepSummary,
+    level: usize,
+    ctx: &mut Context,
+) -> PresburgerResult<Option<RaceWitness>> {
+    if deps.loop_parallel(level) {
+        return Ok(None);
+    }
     let depth = kernel.depth();
     let dom = kernel.domain();
-    let dom_b = &dom.basics()[0];
-    // All accesses, flattened with their statement labels.
-    let refs: Vec<(&str, &polyufc_ir::affine::Access)> = kernel
-        .statements
-        .iter()
-        .flat_map(|s| s.accesses.iter().map(move |a| (s.name.as_str(), a)))
-        .collect();
-    let mut out = Vec::new();
-    for (sp, p) in &refs {
-        for (sq, q) in &refs {
-            if p.array != q.array || !(p.is_write || q.is_write) {
-                continue;
-            }
-            // { [i] -> [i'] : E_p(i) = E_q(i') } over the iteration space.
-            let mut m = BasicMap::universe(Space::map(0, depth, depth));
-            for (e_src, e_dst) in p.indices.iter().zip(&q.indices) {
-                m.basic_set_mut()
-                    .add_eq(e_dst.shift_vars(0, depth) - e_src.clone());
-            }
-            let mut m = m.intersect_domain(dom_b)?.intersect_range(dom_b)?;
-            // Same outer iterators, strictly later at `level`.
-            for j in 0..level {
-                m.basic_set_mut()
-                    .add_eq(LinExpr::var(j) - LinExpr::var(depth + j));
-            }
+    for dep in deps.dependences.iter().filter(|d| d.level == level) {
+        let [(si, ai), (sj, aj)] = dep.pair;
+        let (sp, sq) = (&kernel.statements[si], &kernel.statements[sj]);
+        let (p, q) = (&sp.accesses[ai], &sq.accesses[aj]);
+        let mut m = access_relation(&dom.basics()[0], p, q);
+        // Same outer iterators, strictly later at `level`.
+        for j in 0..level {
             m.basic_set_mut()
-                .add_ge0(LinExpr::var(depth + level) - LinExpr::var(level) - LinExpr::constant(1));
-            out.push(PairRelation {
-                map: m,
+                .add_eq(LinExpr::var(j) - LinExpr::var(depth + j));
+        }
+        m.basic_set_mut()
+            .add_ge0(LinExpr::var(depth + level) - LinExpr::var(level) - LinExpr::constant(1));
+        // Only a set kept on an exhausted budget can be empty, and a sample
+        // search over an empty set exhausts its own: decide emptiness first.
+        match ctx.check(m.as_basic_set()) {
+            Emptiness::Empty => continue,
+            Emptiness::Unknown(e) => return Err(e),
+            Emptiness::NonEmpty => {}
+        }
+        if let Some((src, dst)) = m.sample_pair_in(ctx)? {
+            return Ok(Some(RaceWitness {
+                src,
+                dst,
                 array: p.array.0,
-                statements: (sp.to_string(), sq.to_string()),
+                statements: (sp.name.clone(), sq.name.clone()),
                 kind: if p.is_write && q.is_write {
                     "write-write"
                 } else {
                     "read-write"
                 },
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// [`carried_dependence`] through a shared batched solver [`Context`]:
-/// all access-pair relations of the level are built up front and decided
-/// in one emptiness batch over the context's arena, then only the first
-/// non-empty relation (in the sequential checker's order) pays for a
-/// witness sample.
-///
-/// # Errors
-///
-/// Propagates Presburger solver errors; callers must treat an error as
-/// "cannot prove independent".
-pub fn carried_dependence_in(
-    kernel: &AffineKernel,
-    level: usize,
-    ctx: &mut Context,
-) -> PresburgerResult<Option<RaceWitness>> {
-    if level >= kernel.depth() {
-        return Ok(None);
-    }
-    let pairs = pair_relations(kernel, level)?;
-    // Decide emptiness first: the infeasibility machinery detects
-    // contradictory relations (the common, provably-parallel case) in
-    // microseconds, whereas a raw integer sample search over an empty set
-    // exhausts its budget on large iteration spaces.
-    let verdicts = ctx.check_all(pairs.iter().map(|pr| pr.map.as_basic_set()));
-    for (pr, verdict) in pairs.iter().zip(verdicts) {
-        match verdict {
-            Emptiness::Empty => continue,
-            Emptiness::Unknown(e) => return Err(e),
-            Emptiness::NonEmpty => {}
-        }
-        if let Some((src, dst)) = pr.map.sample_pair_in(ctx)? {
-            return Ok(Some(RaceWitness {
-                src,
-                dst,
-                array: pr.array,
-                statements: pr.statements.clone(),
-                kind: pr.kind,
             }));
         }
     }
     Ok(None)
 }
 
-/// Checks every `parallel`-flagged loop of `kernel`, emitting one error
-/// per racy (or unprovable) loop.
-pub fn check_kernel(program: &AffineProgram, kernel: &AffineKernel) -> Vec<Diagnostic> {
-    check_kernel_in(program, kernel, &mut Context::new())
-}
-
-/// [`check_kernel`] through a shared batched solver [`Context`].
+/// Checks every `parallel`-flagged loop of `kernel` against its summary
+/// `deps`, emitting one error per racy (or unprovable) loop.
 pub fn check_kernel_in(
     program: &AffineProgram,
     kernel: &AffineKernel,
+    deps: &DepSummary,
     ctx: &mut Context,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -177,7 +121,7 @@ pub fn check_kernel_in(
         if !l.parallel {
             continue;
         }
-        match carried_dependence_in(kernel, d, ctx) {
+        match carried_in(kernel, deps, d, ctx) {
             Ok(None) => {}
             Ok(Some(w)) => {
                 let arr = program
@@ -215,9 +159,18 @@ pub fn check_kernel_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polyufc_ir::affine::{Access, AffineKernel, AffineProgram, Loop, Statement};
+    use polyufc_ir::affine::{Access, Loop, Statement};
     use polyufc_ir::types::ElemType;
-    use polyufc_presburger::LinExpr;
+
+    /// The race pass over one kernel, as the analyzer runs it.
+    fn check_kernel(program: &AffineProgram, kernel: &AffineKernel) -> Vec<Diagnostic> {
+        check_kernel_in(
+            program,
+            kernel,
+            &analyze_kernel(kernel),
+            &mut Context::new(),
+        )
+    }
 
     /// matmul: `C[i][j] += A[i][k] * B[k][j]`, 4x4x4.
     fn matmul(parallel_levels: &[usize]) -> (AffineProgram, AffineKernel) {

@@ -115,7 +115,7 @@ pub fn lint_sources(files: &[SourceFile]) -> AnalysisReport {
     AnalysisReport {
         program: "self".to_string(),
         diagnostics,
-        stats: Default::default(),
+        ..Default::default()
     }
 }
 

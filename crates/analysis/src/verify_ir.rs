@@ -25,13 +25,8 @@ pub struct IrVerdict {
     pub malformed: Vec<bool>,
 }
 
-/// Runs all structural checks over a program.
-pub fn check_program(program: &AffineProgram) -> IrVerdict {
-    check_program_in(program, &mut Context::new())
-}
-
-/// [`check_program`] through a shared batched solver [`Context`]: the
-/// per-kernel dead-domain emptiness queries reuse the context's arena.
+/// Runs all structural checks over a program. The per-kernel dead-domain
+/// emptiness queries go through the shared batched solver [`Context`].
 pub fn check_program_in(program: &AffineProgram, ctx: &mut Context) -> IrVerdict {
     let mut v = IrVerdict::default();
     let mut used_arrays: BTreeSet<usize> = BTreeSet::new();
@@ -196,7 +191,7 @@ mod tests {
 
     #[test]
     fn clean_program_has_no_findings() {
-        let v = check_program(&clean_program());
+        let v = check_program_in(&clean_program(), &mut Context::new());
         assert!(v.diagnostics.is_empty());
         assert_eq!(v.malformed, vec![false]);
     }
@@ -205,7 +200,7 @@ mod tests {
     fn dangling_array_is_malformed() {
         let mut p = clean_program();
         p.kernels[0].statements[0].accesses[0].array = ArrayId(7);
-        let v = check_program(&p);
+        let v = check_program_in(&p, &mut Context::new());
         assert_eq!(v.malformed, vec![true]);
         assert!(v
             .diagnostics
@@ -225,7 +220,7 @@ mod tests {
             ArrayId(0),
             vec![LinExpr::var(0), LinExpr::var(1)],
         ));
-        let v = check_program(&p);
+        let v = check_program_in(&p, &mut Context::new());
         assert!(v.malformed[0]);
         assert!(v
             .diagnostics
@@ -241,7 +236,7 @@ mod tests {
     fn empty_domain_is_an_error() {
         let mut p = clean_program();
         p.kernels[0].loops[0] = Loop::new(Bound::constant(8), Bound::constant(4));
-        let v = check_program(&p);
+        let v = check_program_in(&p, &mut Context::new());
         assert!(!v.malformed[0]);
         assert!(
             v.diagnostics
@@ -255,7 +250,7 @@ mod tests {
     fn bad_bound_scope_is_an_error() {
         let mut p = clean_program();
         p.kernels[0].loops[0].ub = Bound::expr(LinExpr::var(2));
-        let v = check_program(&p);
+        let v = check_program_in(&p, &mut Context::new());
         assert!(v.malformed[0]);
         assert!(v
             .diagnostics
@@ -272,7 +267,7 @@ mod tests {
             loops: vec![Loop::range(2)],
             statements: vec![],
         });
-        let v = check_program(&p);
+        let v = check_program_in(&p, &mut Context::new());
         assert_eq!(v.malformed, vec![false]);
         let warnings: Vec<_> = v
             .diagnostics

@@ -170,6 +170,29 @@ proptest! {
             if let Some(w) = verdict {
                 prop_assert_eq!(&w.src[..level], &w.dst[..level]);
                 prop_assert!(w.src[level] < w.dst[level]);
+                let in_domain = |pt: &[i64]| {
+                    pt.len() == spec.extents.len()
+                        && pt.iter().zip(&spec.extents).all(|(&x, &e)| (0..e).contains(&x))
+                };
+                prop_assert!(in_domain(&w.src) && in_domain(&w.dst), "{:?}", w);
+                // The named statements' accesses to the named array: one
+                // at `src` and one at `dst` hit the same element, and at
+                // least one of the two writes.
+                let touches = |stmt: &str, pt: &[i64]| -> Vec<(i64, bool)> {
+                    kernel
+                        .statements
+                        .iter()
+                        .filter(|s| s.name == stmt)
+                        .flat_map(|s| &s.accesses)
+                        .filter(|a| a.array.0 == w.array)
+                        .map(|a| (a.indices[0].eval(pt), a.is_write))
+                        .collect()
+                };
+                let (at_src, at_dst) = (touches(&w.statements.0, &w.src), touches(&w.statements.1, &w.dst));
+                let conflict = at_src
+                    .iter()
+                    .any(|&(e1, w1)| at_dst.iter().any(|&(e2, w2)| e1 == e2 && (w1 || w2)));
+                prop_assert!(conflict, "{:?} is no conflict", w);
             }
         }
     }

@@ -584,7 +584,7 @@ fn lint(args: &[String]) -> Result<u8, String> {
                         message: format!("parse error: {e}"),
                         witness: None,
                     }],
-                    stats: Default::default(),
+                    ..Default::default()
                 };
                 emit_reports(&[report], json);
                 return Ok(2);

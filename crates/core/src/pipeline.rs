@@ -366,9 +366,9 @@ impl Pipeline {
         input.validate().map_err(ModelError::Malformed)?;
         let preprocess_us = t0.elapsed().as_micros();
 
-        // Stage 2b: Pluto.
+        // Stage 2b: Pluto, on the gate's dependence summaries.
         let t1 = Instant::now();
-        let (optimized, pluto_report) = self.pluto.optimize(input);
+        let (optimized, pluto_report) = self.pluto.optimize_with(input, report.deps);
         let pluto_us = t1.elapsed().as_micros();
 
         // Stages 3a/3b: PolyUFC-CM + OI.

@@ -1,30 +1,43 @@
-//! Polyhedral dependence analysis: dependence relations between accesses
-//! of a kernel, their distance (delta) sets, and the permutability /
-//! parallelism queries that drive tiling and parallelization.
+//! Polyhedral dependence analysis, once per kernel: the distance (delta)
+//! sets of every conflicting access pair, each filed by its carrying loop
+//! level. Pluto and the verifier's race pass read one [`DepSummary`]; the
+//! verify gate builds it and hands it to Pluto.
 
 use std::cell::OnceCell;
 use std::collections::HashSet;
 
-use polyufc_ir::affine::AffineKernel;
-use polyufc_presburger::{BasicMap, LinExpr, Set, Space};
+use polyufc_presburger::{BasicMap, BasicSet, LinExpr, Set, Space};
 
-/// The delta (dependence distance) sets of one kernel, with convenience
-/// queries.
+use crate::affine::{Access, AffineKernel};
+
+/// One distinct delta set of a kernel.
+#[derive(Debug, Clone)]
+pub struct Dependence {
+    /// The carrying loop level: piece `level` of the lexicographic order
+    /// forces `δ_<level = 0` and `δ_level >= 1` (the identity piece, level
+    /// `depth`, forces `δ = 0`).
+    pub level: usize,
+    /// The distance vectors `i' - i`.
+    pub delta: Set,
+    /// `(statement, access)` of the source and of the sink access of the
+    /// first pair, in statement-then-access order, that gave this set.
+    pub pair: [(usize, usize); 2],
+}
+
+/// The dependences of one kernel, with the queries Pluto and the race pass
+/// ask.
 ///
-/// Each set is stored with the loop level that carries it: the piece `j`
-/// of the lexicographic order it was cut from forces `δ_<j = 0` and
-/// `δ_j >= 1` on every point (the identity piece, level `depth`, forces
-/// `δ = 0`). So a loop is parallel iff no set is carried at its level,
-/// and only sets carried at an outer level can make `δ_l` negative — the
+/// A loop is parallel iff no dependence is carried at its level, and only
+/// dependences carried at an outer level can make `δ_l` negative — the
 /// queries below ask the solver nothing else.
 #[derive(Debug, Clone)]
 pub struct DepSummary {
     depth: usize,
-    /// The distinct delta sets of the dependent access pairs, each with
-    /// its carrying level. Every query below is ∃/∀/max over this list, so
-    /// pairs that repeat a set already recorded (stencil taps, repeated
-    /// reads) add nothing and are not stored twice.
-    pub deltas: Vec<(usize, Set)>,
+    /// The distinct delta sets of the dependent access pairs. Every query
+    /// below is ∃/∀/max over this list, so pairs that repeat a set already
+    /// recorded (stencil taps, repeated reads) add nothing and are not
+    /// stored twice.
+    pub dependences: Vec<Dependence>,
     /// Whether some set's emptiness check ran out of solver budget; the
     /// set was then kept at its carrying level, so every answer stays
     /// conservative ("dependence present").
@@ -33,6 +46,22 @@ pub struct DepSummary {
     /// the permutability test before and after skewing and the tiling
     /// gate all ask.
     negative_at: Vec<OnceCell<bool>>,
+}
+
+/// `{ i -> i' : i, i' ∈ D, E_src(i) = E_sink(i') }`: the iteration pairs
+/// at which two accesses of a kernel touch the same element, over the
+/// kernel's iteration domain `domain`.
+pub fn access_relation(domain: &BasicSet, src: &Access, sink: &Access) -> BasicMap {
+    let depth = domain.space().n_dim();
+    let mut rel = BasicMap::universe(Space::map(0, depth, depth));
+    for (e1, e2) in src.indices.iter().zip(&sink.indices) {
+        // e1 over in-dims (vars 0..depth), e2 shifted to out-dims.
+        rel.basic_set_mut()
+            .add_eq(e2.shift_vars(0, depth) - e1.clone());
+    }
+    rel.intersect_domain(domain)
+        .and_then(|r| r.intersect_range(domain))
+        .expect("relation and domain both have the kernel's depth")
 }
 
 /// Builds the dependence summary of a kernel: for every pair of accesses to
@@ -44,7 +73,7 @@ pub fn analyze_kernel(kernel: &AffineKernel) -> DepSummary {
     let depth = kernel.depth();
     let mut summary = DepSummary {
         depth,
-        deltas: Vec::new(),
+        dependences: Vec::new(),
         budget_exceeded: false,
         negative_at: vec![OnceCell::new(); depth],
     };
@@ -79,27 +108,25 @@ pub fn analyze_kernel(kernel: &AffineKernel) -> DepSummary {
             if !analysed.insert((a1.array, &a1.indices, &a2.indices, si < sj)) {
                 continue;
             }
-            // Equal-element relation { i -> i' : A1(i) == A2(i') }.
-            let mut rel = BasicMap::universe(Space::map(0, depth, depth));
-            for (e1, e2) in a1.indices.iter().zip(&a2.indices) {
-                // e1 over in-dims (vars 0..depth), e2 shifted to out-dims.
-                let e2s = e2.shift_vars(0, depth);
-                rel.basic_set_mut().add_eq(e2s - e1.clone());
-            }
-            let rel = rel
-                .intersect_domain(dom_basic)
-                .and_then(|r| r.intersect_range(dom_basic))
-                .expect("relation and domain both have the kernel's depth");
+            let rel = access_relation(dom_basic, a1, a2);
             let pieces = lex.basics().iter().chain((si < sj).then_some(&identity));
             for (level, piece) in pieces.enumerate() {
                 let delta = rel.intersect(piece).expect("same space").deltas();
-                if summary.deltas.iter().any(|(_, s)| s.basics()[0] == delta) {
+                if summary
+                    .dependences
+                    .iter()
+                    .any(|d| d.delta.basics()[0] == delta)
+                {
                     continue;
                 }
                 let empty = delta.is_empty();
                 summary.budget_exceeded |= empty.is_err();
                 if !matches!(empty, Ok(true)) {
-                    summary.deltas.push((level, Set::from_basic(delta)));
+                    summary.dependences.push(Dependence {
+                        level,
+                        delta: Set::from_basic(delta),
+                        pair: [(si, ai), (sj, aj)],
+                    });
                 }
             }
         }
@@ -121,16 +148,6 @@ fn empty_where(s: &Set, e: LinExpr) -> polyufc_presburger::Result<bool> {
 }
 
 impl DepSummary {
-    /// Nesting depth of the analyzed kernel.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Whether the kernel carries no dependences at all.
-    pub fn is_dependence_free(&self) -> bool {
-        self.deltas.is_empty()
-    }
-
     /// Whether a delta with `δ_level <= -1` exists in any dependence
     /// (conservatively `true` on solver failure): the first probe of
     /// [`DepSummary::min_delta_at`].
@@ -148,7 +165,7 @@ impl DepSummary {
     /// `δ_0 = .. = δ_{level-1} = 0` and `δ_level != 0`, i.e. none is
     /// carried at `level`.
     pub fn loop_parallel(&self, level: usize) -> bool {
-        self.deltas.iter().all(|&(carried, _)| carried != level)
+        self.dependences.iter().all(|d| d.level != level)
     }
 
     /// The most negative value `δ_level` can take, probed down to `-limit`
@@ -158,9 +175,9 @@ impl DepSummary {
     /// `δ_level >= 0`.
     pub fn min_delta_at(&self, level: usize, limit: i64) -> Option<i64> {
         let mut worst = 0i64;
-        for (_, s) in self.deltas.iter().filter(|&&(carried, _)| carried < level) {
+        for d in self.dependences.iter().filter(|d| d.level < level) {
             let mut k = 0i64;
-            while !empty_where(s, -LinExpr::var(level) - LinExpr::constant(k + 1)).ok()? {
+            while !empty_where(&d.delta, -LinExpr::var(level) - LinExpr::constant(k + 1)).ok()? {
                 k += 1;
                 if k > limit {
                     return None;
@@ -179,22 +196,22 @@ impl DepSummary {
     /// has `δ_0 = 0` and stays as it is. Only level `inner`'s answers move.
     pub fn skewed(&self, inner: usize, factor: i64) -> DepSummary {
         let shear = LinExpr::var(inner) - LinExpr::var(0) * factor;
-        let deltas = self
-            .deltas
+        let dependences = self
+            .dependences
             .iter()
-            .map(|(carried, s)| {
-                let s = match carried {
-                    0 => Set::from_basic(s.basics()[0].substitute_var(inner, &shear)),
-                    _ => s.clone(),
-                };
-                (*carried, s)
+            .map(|d| Dependence {
+                delta: match d.level {
+                    0 => Set::from_basic(d.delta.basics()[0].substitute_var(inner, &shear)),
+                    _ => d.delta.clone(),
+                },
+                ..*d
             })
             .collect();
         let mut negative_at = self.negative_at.clone();
         negative_at[inner] = OnceCell::new();
         DepSummary {
             depth: self.depth,
-            deltas,
+            dependences,
             budget_exceeded: self.budget_exceeded,
             negative_at,
         }
@@ -204,8 +221,8 @@ impl DepSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polyufc_ir::affine::{Access, AffineKernel, AffineProgram, Loop, Statement};
-    use polyufc_ir::types::ElemType;
+    use crate::affine::{Access, AffineKernel, AffineProgram, Loop, Statement};
+    use crate::types::ElemType;
 
     fn matmul_kernel() -> AffineKernel {
         let mut p = AffineProgram::new("mm");
@@ -240,8 +257,8 @@ mod tests {
             loops: vec![
                 Loop::range(4),
                 Loop::new(
-                    polyufc_ir::affine::Bound::constant(1),
-                    polyufc_ir::affine::Bound::constant(15),
+                    crate::affine::Bound::constant(1),
+                    crate::affine::Bound::constant(15),
                 ),
             ],
             statements: vec![Statement {
@@ -257,73 +274,12 @@ mod tests {
         }
     }
 
-    /// jacobi-2d-style: `for t, i, j { s0: B[i][j] = f(A ·5); s1: A[i][j] =
-    /// f(B ·5) }` — the two arrays' taps yield the same delta sets.
-    fn five_point_kernel() -> AffineKernel {
-        let mut p = AffineProgram::new("j2d");
-        let a = p.add_array("A", vec![66, 66], ElemType::F64);
-        let b = p.add_array("B", vec![66, 66], ElemType::F64);
-        let (vi, vj) = (LinExpr::var(1), LinExpr::var(2));
-        let sweep = |name: &str, src, dst| {
-            let mut accesses: Vec<Access> = [(0, 0), (0, -1), (0, 1), (-1, 0), (1, 0)]
-                .iter()
-                .map(|&(di, dj)| {
-                    let tap = vec![
-                        vi.clone() + LinExpr::constant(di),
-                        vj.clone() + LinExpr::constant(dj),
-                    ];
-                    Access::read(src, tap)
-                })
-                .collect();
-            accesses.push(Access::write(dst, vec![vi.clone(), vj.clone()]));
-            Statement {
-                name: name.into(),
-                accesses,
-                flops: 5,
-            }
-        };
-        let interior = || {
-            Loop::new(
-                polyufc_ir::affine::Bound::constant(1),
-                polyufc_ir::affine::Bound::constant(65),
-            )
-        };
-        AffineKernel {
-            name: "j2d".into(),
-            loops: vec![Loop::range(8), interior(), interior()],
-            statements: vec![sweep("s0", a, b), sweep("s1", b, a)],
-        }
-    }
-
-    #[test]
-    fn repeated_dependences_are_recorded_once() {
-        use crate::optimizer::{KernelDecision, PlutoOptimizer};
-        let k = five_point_kernel();
-        let d = analyze_kernel(&k);
-        for (i, (_, s)) in d.deltas.iter().enumerate() {
-            for (_, other) in &d.deltas[i + 1..] {
-                assert_ne!(s.basics(), other.basics());
-            }
-        }
-        // Dropping the repeats changes no answer: the decision is the one
-        // taken with every pair's delta set kept.
-        let (_, dec) = PlutoOptimizer.optimize_kernel(&k);
-        assert_eq!(
-            dec,
-            KernelDecision {
-                name: "j2d".into(),
-                skewed: vec![(1, 1), (2, 1)],
-                tiled: true,
-                parallel_loops: vec![],
-                analysis_conservative: false,
-            }
-        );
-    }
-
     #[test]
     fn matmul_permutable_and_parallel() {
         let d = analyze_kernel(&matmul_kernel());
-        assert!(!d.is_dependence_free()); // C[i][j] reduction on k
+        // The C[i][j] reduction on k, first found between its read and write.
+        assert_eq!(d.dependences.len(), 1);
+        assert_eq!(d.dependences[0].pair, [(0, 2), (0, 3)]);
         assert!(d.fully_permutable());
         assert!(d.loop_parallel(0));
         assert!(d.loop_parallel(1));
@@ -358,7 +314,7 @@ mod tests {
             }],
         };
         let d = analyze_kernel(&k);
-        assert!(d.is_dependence_free());
+        assert!(d.dependences.is_empty());
         assert!(d.loop_parallel(0));
         assert!(d.fully_permutable());
     }

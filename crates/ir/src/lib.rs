@@ -17,6 +17,8 @@
 //! * [`scf`] — the lowered output program: kernels interleaved with
 //!   `set_uncore_cap` runtime calls.
 //!
+//! [`deps`] is the one dependence analysis; Pluto and the verifier read it.
+//!
 //! The [`interp`] module walks affine kernels at their concrete problem
 //! sizes and streams memory-access/flop events; it drives both the exact
 //! cache simulator and the machine simulator.
@@ -25,6 +27,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod affine;
+pub mod deps;
 pub mod interp;
 pub mod linalg;
 pub mod lower;

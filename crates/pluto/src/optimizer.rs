@@ -1,9 +1,9 @@
-//! The Pluto-style driver: per-kernel dependence analysis, optional
-//! skewing, legality-checked tiling, and parallel-loop marking.
+//! The Pluto-style driver: per-kernel optional skewing, legality-checked
+//! tiling, and parallel-loop marking off the kernel's dependence summary.
 
 use polyufc_ir::affine::{AffineKernel, AffineProgram};
+use polyufc_ir::deps::{analyze_kernel, DepSummary};
 
-use crate::deps::analyze_kernel;
 use crate::transform::{skew_loop, tile_kernel};
 
 /// Rectangular tile size of the paper's baseline, Pluto v0.11.4.
@@ -43,13 +43,25 @@ pub struct PlutoReport {
 }
 
 impl PlutoOptimizer {
-    /// Optimizes every kernel of a program, returning the transformed
-    /// program and a report of the decisions taken.
+    /// Analyses and optimizes every kernel of a program, returning the
+    /// transformed program and a report of the decisions taken.
     pub fn optimize(&self, program: &AffineProgram) -> (AffineProgram, PlutoReport) {
+        let deps = program.kernels.iter().map(analyze_kernel).collect();
+        self.optimize_with(program, deps)
+    }
+
+    /// [`PlutoOptimizer::optimize`] on summaries already built, one per
+    /// kernel in program order (the pipeline passes the verify gate's).
+    pub fn optimize_with(
+        &self,
+        program: &AffineProgram,
+        deps: Vec<DepSummary>,
+    ) -> (AffineProgram, PlutoReport) {
+        assert_eq!(deps.len(), program.kernels.len(), "one summary per kernel");
         let mut out = program.clone();
         let mut report = PlutoReport::default();
-        for k in &mut out.kernels {
-            let (nk, dec) = self.optimize_kernel(k);
+        for (k, deps) in out.kernels.iter_mut().zip(deps) {
+            let (nk, dec) = self.optimize_kernel(k, deps);
             *k = nk;
             report.decisions.push(dec);
         }
@@ -57,8 +69,12 @@ impl PlutoOptimizer {
         (out, report)
     }
 
-    /// Optimizes a single kernel.
-    pub fn optimize_kernel(&self, kernel: &AffineKernel) -> (AffineKernel, KernelDecision) {
+    /// Optimizes a single kernel, given its dependence summary.
+    pub fn optimize_kernel(
+        &self,
+        kernel: &AffineKernel,
+        mut deps: DepSummary,
+    ) -> (AffineKernel, KernelDecision) {
         let mut dec = KernelDecision {
             name: kernel.name.clone(),
             skewed: Vec::new(),
@@ -71,7 +87,6 @@ impl PlutoOptimizer {
         for l in &mut k.loops {
             l.parallel = false;
         }
-        let mut deps = analyze_kernel(&k);
         dec.analysis_conservative = deps.budget_exceeded;
 
         // Skew to enable tiling if some inner level can be negative; the
@@ -207,5 +222,62 @@ mod tests {
         let mut s2 = TraceStats::default();
         interpret_program(&opt, &mut s2);
         assert_eq!(s1, s2);
+    }
+
+    /// jacobi-2d-style: `for t, i, j { s0: B[i][j] = f(A ·5); s1: A[i][j] =
+    /// f(B ·5) }` — the two arrays' taps yield the same delta sets.
+    fn five_point_kernel() -> AffineKernel {
+        let mut p = AffineProgram::new("j2d");
+        let a = p.add_array("A", vec![66, 66], ElemType::F64);
+        let b = p.add_array("B", vec![66, 66], ElemType::F64);
+        let (vi, vj) = (LinExpr::var(1), LinExpr::var(2));
+        let sweep = |name: &str, src, dst| {
+            let mut accesses: Vec<Access> = [(0, 0), (0, -1), (0, 1), (-1, 0), (1, 0)]
+                .iter()
+                .map(|&(di, dj)| {
+                    let tap = vec![
+                        vi.clone() + LinExpr::constant(di),
+                        vj.clone() + LinExpr::constant(dj),
+                    ];
+                    Access::read(src, tap)
+                })
+                .collect();
+            accesses.push(Access::write(dst, vec![vi.clone(), vj.clone()]));
+            Statement {
+                name: name.into(),
+                accesses,
+                flops: 5,
+            }
+        };
+        let interior = || Loop::new(Bound::constant(1), Bound::constant(65));
+        AffineKernel {
+            name: "j2d".into(),
+            loops: vec![Loop::range(8), interior(), interior()],
+            statements: vec![sweep("s0", a, b), sweep("s1", b, a)],
+        }
+    }
+
+    #[test]
+    fn repeated_dependences_are_recorded_once() {
+        let k = five_point_kernel();
+        let d = analyze_kernel(&k);
+        for (i, dep) in d.dependences.iter().enumerate() {
+            for other in &d.dependences[i + 1..] {
+                assert_ne!(dep.delta.basics(), other.delta.basics());
+            }
+        }
+        // Dropping the repeats changes no answer: the decision is the one
+        // taken with every pair's delta set kept.
+        let (_, dec) = PlutoOptimizer.optimize_kernel(&k, d);
+        assert_eq!(
+            dec,
+            KernelDecision {
+                name: "j2d".into(),
+                skewed: vec![(1, 1), (2, 1)],
+                tiled: true,
+                parallel_loops: vec![],
+                analysis_conservative: false,
+            }
+        );
     }
 }

@@ -4,18 +4,20 @@
 //! execution order that touches one element with at least one write gives
 //! an exact distance vector, and every query must agree with what those
 //! vectors say — before and after `skewed(inner, f)`, whose oracle is the
-//! brute force of the kernel `skew_loop` actually builds.
+//! brute force of the kernel `skew_loop` actually builds. Pluto fed a
+//! summary the verify gate built transforms exactly as Pluto analysing for
+//! itself.
 
 use std::collections::{HashMap, HashSet};
 
 use polyufc_ir::affine::{Access, AffineKernel, AffineProgram, Bound, Loop, Statement};
 use polyufc_ir::types::ElemType;
-use polyufc_pluto::{analyze_kernel, skew_loop, DepSummary};
+use polyufc_pluto::{analyze_kernel, skew_loop, DepSummary, PlutoOptimizer};
 use polyufc_presburger::LinExpr;
 use proptest::prelude::*;
 
-/// A random kernel drawn from `seed`.
-fn kernel(seed: u64) -> AffineKernel {
+/// A program holding one random kernel drawn from `seed`.
+fn program(seed: u64) -> AffineProgram {
     let mut rng = TestRng::new(seed);
     let mut pick = |lo: i64, hi: i64| rng.next_in_range(lo as i128, hi as i128) as i64;
     let depth = pick(1, 3) as usize;
@@ -39,7 +41,7 @@ fn kernel(seed: u64) -> AffineKernel {
         .map(|a| {
             let rank = pick(1, 2);
             (
-                p.add_array(format!("A{a}"), vec![8, 8], ElemType::F64),
+                p.add_array(format!("A{a}"), vec![8; rank as usize], ElemType::F64),
                 rank,
             )
         })
@@ -74,11 +76,12 @@ fn kernel(seed: u64) -> AffineKernel {
             }
         })
         .collect();
-    AffineKernel {
+    p.kernels.push(AffineKernel {
         name: format!("k{seed:x}"),
         loops,
         statements,
-    }
+    });
+    p
 }
 
 /// The domain's points in execution (lexicographic) order.
@@ -130,11 +133,16 @@ fn distances(k: &AffineKernel) -> HashSet<Vec<i64>> {
 }
 
 /// Compares every query of `deps` with the answer the distances give.
-fn check(deps: &DepSummary, dist: &HashSet<Vec<i64>>, what: &str) -> Result<(), String> {
+fn check(
+    deps: &DepSummary,
+    depth: usize,
+    dist: &HashSet<Vec<i64>>,
+    what: &str,
+) -> Result<(), String> {
     let carried = |d: &Vec<i64>| d.iter().position(|&x| x != 0).unwrap_or(d.len());
     prop_assert!(!deps.budget_exceeded, "{what}: budget");
-    prop_assert_eq!(deps.is_dependence_free(), dist.is_empty(), "{what}");
-    for l in 0..deps.depth() {
+    prop_assert_eq!(deps.dependences.is_empty(), dist.is_empty(), "{what}");
+    for l in 0..depth {
         let min = dist.iter().map(|d| d[l].min(0)).min().unwrap_or(0);
         let parallel = dist.iter().all(|d| carried(d) != l);
         prop_assert_eq!(deps.loop_parallel(l), parallel, "{what}: parallel({l})");
@@ -150,15 +158,37 @@ fn check(deps: &DepSummary, dist: &HashSet<Vec<i64>>, what: &str) -> Result<(), 
 proptest! {
     #[test]
     fn dep_summary_matches_brute_force(seed in any::<u64>()) {
-        let k = kernel(seed);
-        let deps = analyze_kernel(&k);
-        check(&deps, &distances(&k), &format!("{k:?}"))?;
+        let p = program(seed);
+        let k = &p.kernels[0];
+        let deps = analyze_kernel(k);
+        check(&deps, k.depth(), &distances(k), &format!("{k:?}"))?;
         for inner in 1..k.depth() {
             for f in 1..=2 {
-                let skewed = skew_loop(&k, 0, inner, f);
+                let skewed = skew_loop(k, 0, inner, f);
                 let what = format!("{k:?} skewed({inner}, {f})");
-                check(&deps.skewed(inner, f), &distances(&skewed), &what)?;
+                check(&deps.skewed(inner, f), k.depth(), &distances(&skewed), &what)?;
             }
         }
+    }
+
+    /// The gate analyses the input kernel, `parallel` flags and all, and
+    /// its race pass asks `loop_parallel` at each flagged level before the
+    /// summary reaches Pluto; Pluto must then transform and decide exactly
+    /// as `optimize`, which clears the flags and analyses for itself.
+    #[test]
+    fn pluto_on_gate_summary_matches_optimize(seed in any::<u64>(), flags in any::<u8>()) {
+        let mut p = program(seed);
+        for (l, lp) in p.kernels[0].loops.iter_mut().enumerate() {
+            lp.parallel = (flags >> l) & 1 == 1;
+        }
+        let k = &p.kernels[0];
+        let gate = analyze_kernel(k);
+        for l in (0..k.depth()).filter(|&l| k.loops[l].parallel) {
+            gate.loop_parallel(l);
+        }
+        let (want, want_report) = PlutoOptimizer.optimize(&p);
+        let (got, got_report) = PlutoOptimizer.optimize_with(&p, vec![gate]);
+        prop_assert_eq!(&got.kernels, &want.kernels, "{:?}", k);
+        prop_assert_eq!(&got_report.decisions, &want_report.decisions, "{:?}", k);
     }
 }

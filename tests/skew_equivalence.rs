@@ -9,15 +9,16 @@ use std::collections::BTreeMap;
 use polyufc_pluto::{analyze_kernel, skew_loop, DepSummary, PlutoOptimizer};
 use polyufc_workloads::{polybench_suite, PolybenchSize};
 
-/// Every answer the optimizer can ask of a summary.
-fn answers(d: &DepSummary) -> Vec<String> {
+/// Every answer the optimizer can ask of a summary of a depth-`depth`
+/// kernel.
+fn answers(d: &DepSummary, depth: usize) -> Vec<String> {
     let mut out = vec![format!(
         "free {} permutable {} budget {}",
-        d.is_dependence_free(),
+        d.dependences.is_empty(),
         d.fully_permutable(),
         d.budget_exceeded
     )];
-    for l in 0..d.depth() {
+    for l in 0..depth {
         out.push(format!(
             "level {l}: parallel {} negative {} min {:?}",
             d.loop_parallel(l),
@@ -42,8 +43,8 @@ fn skewed_summary_equals_reanalysis() {
                     k = skew_loop(&k, 0, inner, -min_d);
                     deps = deps.skewed(inner, -min_d);
                     assert_eq!(
-                        answers(&deps),
-                        answers(&analyze_kernel(&k)),
+                        answers(&deps, k.depth()),
+                        answers(&analyze_kernel(&k), k.depth()),
                         "{} after skewing level {inner} by {}",
                         kernel.name,
                         -min_d
@@ -52,7 +53,7 @@ fn skewed_summary_equals_reanalysis() {
                 }
             }
             // The decision reports every skew, in order.
-            let (_, decision) = PlutoOptimizer.optimize_kernel(kernel);
+            let (_, decision) = PlutoOptimizer.optimize_kernel(kernel, analyze_kernel(kernel));
             assert_eq!(decision.skewed, applied, "{}", kernel.name);
             if !applied.is_empty() {
                 skewed.insert(kernel.name.clone(), applied);
