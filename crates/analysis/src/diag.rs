@@ -239,17 +239,6 @@ impl AnalysisReport {
         self.max_severity() == Some(Severity::Error)
     }
 
-    /// Whether the program is clean: no warnings and no errors (infos are
-    /// allowed — they record skipped checks, not findings).
-    pub fn is_clean(&self) -> bool {
-        self.max_severity().is_none_or(|s| s < Severity::Warning)
-    }
-
-    /// Findings at or above a severity.
-    pub fn at_least(&self, s: Severity) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter().filter(move |d| d.severity >= s)
-    }
-
     /// Human-readable multi-line rendering with a trailing summary line.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
@@ -391,7 +380,6 @@ mod tests {
             diagnostics: vec![],
             ..Default::default()
         };
-        assert!(r.is_clean());
         assert_eq!(r.max_severity(), None);
         r.diagnostics.push(Diagnostic {
             pass: "ir-verify",
@@ -400,7 +388,8 @@ mod tests {
             message: "note".into(),
             witness: None,
         });
-        assert!(r.is_clean());
+        assert_eq!(r.max_severity(), Some(Severity::Info));
+        assert!(!r.has_errors());
         r.diagnostics.push(Diagnostic {
             pass: "race",
             severity: Severity::Error,
@@ -411,7 +400,6 @@ mod tests {
                 dst: vec![0, 1],
             }),
         });
-        assert!(!r.is_clean());
         assert!(r.has_errors());
         let text = r.render_text();
         assert!(text.contains("error[race] kernel `k`, loop %i1"));

@@ -24,7 +24,7 @@
 //! # Example
 //!
 //! ```
-//! use polyufc_analysis::Analyzer;
+//! use polyufc_analysis::{Analyzer, Severity};
 //! use polyufc_ir::affine::{Access, AffineKernel, AffineProgram, Loop, Statement};
 //! use polyufc_ir::types::ElemType;
 //! use polyufc_presburger::LinExpr;
@@ -43,7 +43,8 @@
 //!     }],
 //! });
 //! let report = Analyzer::new().analyze(&p);
-//! assert!(report.is_clean());
+//! // Clean: infos record skipped checks, nothing is a finding.
+//! assert!(report.diagnostics.iter().all(|d| d.severity == Severity::Info));
 //! ```
 
 #![warn(missing_docs)]
@@ -233,7 +234,11 @@ mod tests {
         assert_eq!(diags[0].severity, Severity::Warning);
         assert!(!p.kernels[0].loops[0].parallel);
         // Now clean: the downgraded program passes the analyzer.
-        assert!(Analyzer::new().analyze(&p).is_clean());
+        let report = Analyzer::new().analyze(&p);
+        assert!(report
+            .diagnostics
+            .iter()
+            .all(|d| d.severity == Severity::Info));
         // Idempotent.
         assert!(sanitize_parallel(&mut p).is_empty());
     }

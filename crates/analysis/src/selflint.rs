@@ -480,6 +480,13 @@ mod tests {
         lint_sources(&[SourceFile::new(path, text)])
     }
 
+    fn errors(r: &AnalysisReport) -> Vec<&Diagnostic> {
+        r.diagnostics
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .collect()
+    }
+
     #[test]
     fn signal_handler_region_rejects_unsafe_tokens() {
         let src = r#"
@@ -494,7 +501,7 @@ fn elsewhere() {
 }
 "#;
         let r = lint_one("x.rs", src);
-        let errs: Vec<_> = r.at_least(Severity::Error).collect();
+        let errs = errors(&r);
         assert_eq!(errs.len(), 1, "{:?}", r.diagnostics);
         assert_eq!(errs[0].pass, "chk-signal-safety");
         assert_eq!(errs[0].location.line, Some(5));
@@ -517,7 +524,7 @@ fn restarting(fd: i32) {
 }
 "#;
         let r = lint_one("x.rs", src);
-        let errs: Vec<_> = r.at_least(Severity::Error).collect();
+        let errs = errors(&r);
         assert_eq!(errs.len(), 1, "{:?}", r.diagnostics);
         assert_eq!(errs[0].pass, "chk-eintr-loop");
         assert_eq!(errs[0].location.line, Some(3));
@@ -558,7 +565,7 @@ fn helper_the_loop_calls(rx: &Receiver<u8>) {
 }
 "#;
         let r = lint_one("x.rs", src);
-        let errs: Vec<_> = r.at_least(Severity::Error).collect();
+        let errs = errors(&r);
         assert_eq!(errs.len(), 2, "{:?}", r.diagnostics);
         assert!(errs.iter().all(|d| d.pass == "chk-reactor-blocking"));
         assert_eq!(errs[0].location.line, Some(5));
@@ -576,7 +583,7 @@ fn build() {
 }
 "#;
         let r = lint_one("x.rs", src);
-        let errs: Vec<_> = r.at_least(Severity::Error).collect();
+        let errs = errors(&r);
         assert_eq!(errs.len(), 3, "{:?}", r.diagnostics);
         assert!(errs.iter().all(|d| d.pass == "chk-lockdep"));
         assert_eq!(errs[0].location.line, Some(2)); // the import
@@ -595,11 +602,7 @@ fn one_shot(fd: i32) {
 }
 "#;
         let r = lint_one("x.rs", src);
-        assert!(
-            r.at_least(Severity::Error).next().is_none(),
-            "{:?}",
-            r.diagnostics
-        );
+        assert!(errors(&r).is_empty(), "{:?}", r.diagnostics);
         let info: Vec<_> = r.diagnostics.iter().collect();
         assert_eq!(info.len(), 1);
         assert_eq!(info[0].severity, Severity::Info);

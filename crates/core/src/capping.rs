@@ -26,6 +26,19 @@ impl CapPlan {
     }
 }
 
+/// Stage 6: the scf program with the caps of `caps_ghz` (one per kernel,
+/// in program order), redundant caps removed.
+pub fn capped_scf(program: &AffineProgram, caps_ghz: &[f64]) -> ScfProgram {
+    let plan = CapPlan::from_ghz(
+        program
+            .kernels
+            .iter()
+            .zip(caps_ghz)
+            .map(|(k, &f)| (k.name.clone(), f)),
+    );
+    remove_redundant_caps(&insert_caps(program, &plan))
+}
+
 /// Lowers an affine program to scf with one `set_uncore_cap` call before
 /// each kernel, per the plan.
 ///

@@ -35,7 +35,7 @@ pub mod model;
 pub mod pipeline;
 pub mod search;
 
-pub use capping::{insert_caps, remove_redundant_caps, CapPlan};
+pub use capping::{capped_scf, insert_caps, remove_redundant_caps, CapPlan};
 pub use characterize::{characterize_kernel, Boundedness, Characterization};
 pub use mlpolyufc::{CapGranularity, MlPolyUfc, PhaseReport};
 pub use model::ParametricModel;

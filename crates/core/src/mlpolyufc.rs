@@ -112,17 +112,7 @@ impl MlPolyUfc {
                         out.caps_ghz[i] = group_cap[g];
                     }
                 }
-                let plan = crate::capping::CapPlan::from_ghz(
-                    out.optimized
-                        .kernels
-                        .iter()
-                        .zip(&out.caps_ghz)
-                        .map(|(k, &f)| (k.name.clone(), f)),
-                );
-                out.scf = crate::capping::remove_redundant_caps(&crate::capping::insert_caps(
-                    &out.optimized,
-                    &plan,
-                ));
+                out.scf = crate::capping::capped_scf(&out.optimized, &out.caps_ghz);
                 Ok(out)
             }
         }

@@ -111,23 +111,69 @@ impl<'a> ParametricModel<'a> {
         self.compute_time() + self.memory_time(f_c)
     }
 
+    /// Every estimate at frequency `f_c`, from one `T(f_c, I)`, one
+    /// `time_balance(f_c)` and one class decision: the one home of Eqns.
+    /// 5, 6, 10 and 11, which the per-quantity methods below read.
+    pub fn point(&self, f_c: f64) -> ModelPoint {
+        let time = self.exec_time(f_c);
+        let b = self.roofline.time_balance(f_c);
+        let oi = self.oi();
+        let class = if oi >= b {
+            Boundedness::ComputeBound
+        } else {
+            Boundedness::BandwidthBound
+        };
+        // Eqn. 10. Structure: constant power, the uncore's
+        // frequency-dependent idle power (over-provisioning cost — what CB
+        // capping saves), the *active* memory power `BW_max(f)·M^p(f) −
+        // P_idle(f)` derated by `B/I` for CB kernels, and the FPU power
+        // derated by `I/B` for BB kernels — the Eqn. 10 case split.
+        let i = oi.max(1e-9);
+        let p_idle = self.roofline.uncore_idle(f_c);
+        // Full-rate memory power: the measured streaming-power fit
+        // P̂_DRAM(f) = α·f + γ (equivalent to the paper's Q·M^p(f) term at
+        // full bandwidth, but monotone in f even past the bandwidth knee,
+        // where the per-byte fit M^p(f) inverts its slope).
+        let p_mem_active = (self.roofline.p_dram_hat(f_c) - p_idle).max(0.0);
+        let pf = self.roofline.p_hat_fpu * if self.parallel { 1.0 } else { 0.25 };
+        // Eqn. 11 subtracts the FPU share already inside the power.
+        let (dynamic, fpu_share) = match class {
+            Boundedness::ComputeBound => (p_mem_active * (b / i).min(1.0) + pf, pf),
+            Boundedness::BandwidthBound => {
+                (p_mem_active + pf * (i / b).min(1.0), pf * (oi / b).min(1.0))
+            }
+        };
+        let power = self.roofline.p_con + p_idle + dynamic;
+        // Eqn. 11: the flop energy `Ω·e_FPU` plus the non-FPU power
+        // integrated over the whole run. Because `Ω·e_FPU` equals the FPU
+        // power over the compute phase, this degenerates to `P·T` for
+        // fully compute-bound kernels and to the paper's `Ω·e_FPU + T^Q·P`
+        // shape when phases do not overlap.
+        let energy = self.stats.flops * self.roofline.e_fpu + (power - fpu_share).max(0.0) * time;
+        ModelPoint {
+            time,
+            performance: self.stats.flops / time.max(1e-15),
+            bandwidth: self.stats.q_dram_bytes / time.max(1e-15),
+            power,
+            energy,
+            edp: energy * time,
+            class,
+        }
+    }
+
     /// Performance `Perf(f_c, I) = Ω / T` (Eqn. 5), flops/s.
     pub fn performance(&self, f_c: f64) -> f64 {
-        self.stats.flops / self.exec_time(f_c).max(1e-15)
+        self.point(f_c).performance
     }
 
     /// Achieved bandwidth `BW(f_c, I) = Q_DRAM / T` (Eqn. 6), bytes/s.
     pub fn bandwidth(&self, f_c: f64) -> f64 {
-        self.stats.q_dram_bytes / self.exec_time(f_c).max(1e-15)
+        self.point(f_c).bandwidth
     }
 
     /// The kernel's class at frequency `f`.
     pub fn class_at(&self, f: f64) -> Boundedness {
-        if self.oi() >= self.roofline.time_balance(f) {
-            Boundedness::ComputeBound
-        } else {
-            Boundedness::BandwidthBound
-        }
+        self.point(f).class
     }
 
     /// Peak (ceiling) power `P̂(f_s, I)` (Eqn. 8), watts.
@@ -144,53 +190,38 @@ impl<'a> ParametricModel<'a> {
     }
 
     /// Average power `P(f_c, I)` (Eqn. 10), watts.
-    ///
-    /// Structure: constant power, the uncore's frequency-dependent idle
-    /// power (over-provisioning cost — what CB capping saves), the
-    /// *active* memory power `BW_max(f)·M^p(f) − P_idle(f)` derated by
-    /// `B/I` for CB kernels, and the FPU power derated by `I/B` for BB
-    /// kernels — the Eqn. 10 case split.
     pub fn avg_power(&self, f_c: f64) -> f64 {
-        let b = self.roofline.time_balance(f_c);
-        let i = self.oi().max(1e-9);
-        let p_idle = self.roofline.uncore_idle(f_c);
-        // Full-rate memory power: the measured streaming-power fit
-        // P̂_DRAM(f) = α·f + γ (equivalent to the paper's Q·M^p(f) term at
-        // full bandwidth, but monotone in f even past the bandwidth knee,
-        // where the per-byte fit M^p(f) inverts its slope).
-        let p_mem_active = (self.roofline.p_dram_hat(f_c) - p_idle).max(0.0);
-        let pf = self.roofline.p_hat_fpu * if self.parallel { 1.0 } else { 0.25 };
-        let dynamic = match self.class_at(f_c) {
-            Boundedness::ComputeBound => p_mem_active * (b / i).min(1.0) + pf,
-            Boundedness::BandwidthBound => p_mem_active + pf * (i / b).min(1.0),
-        };
-        self.roofline.p_con + p_idle + dynamic
+        self.point(f_c).power
     }
 
-    /// Total energy `E(f_c, I)` (Eqn. 11): the flop energy `Ω·e_FPU`
-    /// plus the non-FPU power integrated over the whole run. Because
-    /// `Ω·e_FPU` equals the FPU power over the compute phase, this
-    /// degenerates to `P·T` for fully compute-bound kernels and to the
-    /// paper's `Ω·e_FPU + T^Q·P` shape when phases do not overlap.
+    /// Total energy `E(f_c, I)` (Eqn. 11), joules.
     pub fn energy(&self, f_c: f64) -> f64 {
-        let t = self.exec_time(f_c);
-        let p = self.avg_power(f_c);
-        // The FPU share already inside avg_power.
-        let pf = self.roofline.p_hat_fpu * if self.parallel { 1.0 } else { 0.25 };
-        let fpu_share = match self.class_at(f_c) {
-            Boundedness::ComputeBound => pf,
-            Boundedness::BandwidthBound => {
-                pf * (self.oi() / self.roofline.time_balance(f_c)).min(1.0)
-            }
-        };
-        let flop_energy = self.stats.flops * self.roofline.e_fpu;
-        flop_energy + (p - fpu_share).max(0.0) * t
+        self.point(f_c).energy
     }
 
     /// Energy-delay product `EDP(f_c) = E · T`.
     pub fn edp(&self, f_c: f64) -> f64 {
-        self.energy(f_c) * self.exec_time(f_c)
+        self.point(f_c).edp
     }
+}
+
+/// The model at one frequency ([`ParametricModel::point`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ModelPoint {
+    /// Execution time `T(f_c, I)`, seconds.
+    pub time: f64,
+    /// `Perf = Ω / T` (Eqn. 5), flops/s.
+    pub performance: f64,
+    /// `BW = Q_DRAM / T` (Eqn. 6), bytes/s.
+    pub bandwidth: f64,
+    /// Average power `P(f_c, I)` (Eqn. 10), watts.
+    pub power: f64,
+    /// `E(f_c, I)` (Eqn. 11), joules.
+    pub energy: f64,
+    /// `E · T`.
+    pub edp: f64,
+    /// The kernel's class at this frequency.
+    pub class: Boundedness,
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use polyufc_pluto::{PlutoOptimizer, PlutoReport};
 use polyufc_roofline::RooflineModel;
 use serde::{Deserialize, Serialize};
 
-use crate::capping::{insert_caps, remove_redundant_caps, CapPlan};
+use crate::capping::capped_scf;
 use crate::characterize::{characterize_kernel, Characterization};
 use crate::model::ParametricModel;
 use crate::search::{search_cap, Objective, SearchResult};
@@ -166,17 +166,16 @@ pub struct CharacterizedProgram {
     pub report: CompileReport,
 }
 
-/// What stages 4–6 add to a [`CharacterizedProgram`].
+/// What the search adds to a [`CharacterizedProgram`] ([`capped_scf`] on
+/// the caps is the rest of stages 4–6).
 #[derive(Debug)]
 pub struct Finished {
     /// Per-kernel search outcomes.
     pub search: Vec<SearchResult>,
     /// Chosen caps in GHz, per kernel.
     pub caps_ghz: Vec<f64>,
-    /// The final scf program with embedded caps.
-    pub scf: ScfProgram,
-    /// Search and code-generation time: the share of `steps_4_6_us` the
-    /// prefix's report does not yet hold.
+    /// Search time: a share of `steps_4_6_us` the prefix's report does
+    /// not yet hold (code generation is the other).
     pub elapsed_us: u128,
 }
 
@@ -445,20 +444,22 @@ impl Pipeline {
     }
 
     /// Stages 4–6 on a characterized program: POLYUFC-SEARCH under this
-    /// pipeline's `objective`/`epsilon`, the cap-switch guard, and cap
-    /// insertion. Composes with [`Pipeline::characterize_affine_in`] to
-    /// exactly [`Pipeline::compile_affine_in`]; callers re-finishing a
-    /// cached prefix must use a pipeline whose platform and associativity
-    /// mode match the one that characterized it.
+    /// pipeline's `objective`/`epsilon` and the cap-switch guard
+    /// ([`Pipeline::finish`]), then cap insertion ([`capped_scf`]).
+    /// Composes with [`Pipeline::characterize_affine_in`] to exactly
+    /// [`Pipeline::compile_affine_in`]; callers re-finishing a cached
+    /// prefix must use a pipeline whose platform and associativity mode
+    /// match the one that characterized it.
     pub fn finish_characterized(&self, ch: CharacterizedProgram) -> PipelineOutput {
         let Finished {
             search,
             caps_ghz,
-            scf,
             elapsed_us,
         } = self.finish(&ch);
+        let t = Instant::now();
+        let scf = capped_scf(&ch.optimized, &caps_ghz);
         let mut report = ch.report;
-        report.steps_4_6_us += elapsed_us;
+        report.steps_4_6_us += elapsed_us + t.elapsed().as_micros();
         PipelineOutput {
             optimized: ch.optimized,
             scf,
@@ -471,9 +472,10 @@ impl Pipeline {
         }
     }
 
-    /// [`Pipeline::finish_characterized`] on a borrow: the prefix stays
-    /// with its owner (the serve daemon's per-worker cache) and only what
-    /// stages 4–6 add comes back.
+    /// The search half of [`Pipeline::finish_characterized`], on a
+    /// borrow: the prefix stays with its owner (the serve daemon's
+    /// per-worker cache), and a caller that needs the scf program runs
+    /// [`capped_scf`] on the caps.
     pub fn finish(&self, ch: &CharacterizedProgram) -> Finished {
         let t3 = Instant::now();
         let freqs = self.platform.uncore_freqs();
@@ -515,18 +517,9 @@ impl Pipeline {
             caps_ghz.push(cap);
             search.push(res);
         }
-        let plan = CapPlan::from_ghz(
-            ch.optimized
-                .kernels
-                .iter()
-                .zip(&caps_ghz)
-                .map(|(k, &f)| (k.name.clone(), f)),
-        );
-        let scf = remove_redundant_caps(&insert_caps(&ch.optimized, &plan));
         Finished {
             search,
             caps_ghz,
-            scf,
             elapsed_us: t3.elapsed().as_micros(),
         }
     }

@@ -10,11 +10,21 @@
 //! performance loss does not exceed the bandwidth loss by more than ε;
 //! for BB kernels a higher frequency is admissible only while the
 //! performance gain tracks the bandwidth gain within ε.
+//!
+//! One model evaluation ([`ParametricModel::point`]) yields everything a
+//! grid point is judged on, and [`search_cap`] evaluates each grid index
+//! at most once per call: the bisection and the ±3 refinement revisit
+//! points, and a revisit reads a memo that lives only for that call (no
+//! state outlives a search). A revisit still counts in
+//! [`SearchResult::steps`] and still appends its [`SearchStep`] to the
+//! log: `steps` is what the paper's search costs in objective
+//! evaluations, and the daemon's replies print it as `search_steps`, so
+//! the memo changes how long a search takes, never what it reports.
 
 use serde::{Deserialize, Serialize};
 
 use crate::characterize::Boundedness;
-use crate::model::ParametricModel;
+use crate::model::{ModelPoint, ParametricModel};
 
 /// What the search optimizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -58,6 +68,81 @@ pub struct SearchResult {
     pub log: Vec<SearchStep>,
 }
 
+/// The reference point and the ε rule every grid evaluation is judged
+/// against: the one copy of the admissibility test and the objective.
+struct Judge<'m> {
+    model: &'m ParametricModel<'m>,
+    objective: Objective,
+    epsilon: f64,
+    /// The reference (maximum) frequency, and the model there.
+    f_ref: f64,
+    at_ref: ModelPoint,
+}
+
+impl<'m> Judge<'m> {
+    fn new(model: &'m ParametricModel<'m>, freqs: &[f64], objective: Objective, eps: f64) -> Self {
+        let f_ref = *freqs.last().expect("empty frequency grid");
+        let at_ref = model.point(f_ref);
+        Judge {
+            model,
+            objective,
+            epsilon: eps,
+            f_ref,
+            at_ref,
+        }
+    }
+
+    fn value(&self, p: &ModelPoint) -> f64 {
+        match self.objective {
+            Objective::Performance => -p.performance,
+            Objective::Energy => p.energy,
+            Objective::Edp => p.edp,
+        }
+    }
+
+    /// One model evaluation at `f`: the log entry and the objective
+    /// value (whether or not `f` is admissible).
+    fn eval(&self, f: f64) -> (SearchStep, f64) {
+        let p = self.model.point(f);
+        let dp = p.performance / self.at_ref.performance;
+        let db = p.bandwidth / self.at_ref.bandwidth;
+        let admissible = match self.at_ref.class {
+            // CB: allow lower f while perf loss tracks bw loss within ε.
+            Boundedness::ComputeBound => (1.0 - dp) <= (1.0 - db) + self.epsilon,
+            // BB: allow a setting only when perf gains align with bw gains.
+            Boundedness::BandwidthBound => dp >= db - self.epsilon,
+        };
+        let step = SearchStep {
+            f_ghz: f,
+            delta_perf: dp,
+            delta_bw: db,
+            delta_edp: p.edp / self.at_ref.edp,
+            admissible,
+        };
+        (step, self.value(&p))
+    }
+
+    /// Whether `v` ties the incumbent `best`: only the performance
+    /// objective has ties, values within ε of each other.
+    fn ties(&self, v: f64, best: f64) -> bool {
+        self.objective == Objective::Performance && (v - best).abs() <= self.epsilon * best.abs()
+    }
+
+    /// The result for the admissible `(f, value)` chosen, falling back to
+    /// the reference frequency when nothing was admissible; one step per
+    /// log entry.
+    fn result(&self, best: Option<(f64, f64)>, log: Vec<SearchStep>) -> SearchResult {
+        let (f_ghz, objective_value) = best.unwrap_or((self.f_ref, self.value(&self.at_ref)));
+        SearchResult {
+            f_ghz,
+            steps: log.len(),
+            objective_value,
+            class: self.at_ref.class,
+            log,
+        }
+    }
+}
+
 /// Runs POLYUFC-SEARCH for one kernel over the platform frequency grid.
 ///
 /// `freqs` must be the ascending 0.1 GHz grid; `epsilon` is the paper's
@@ -72,45 +157,15 @@ pub fn search_cap(
     objective: Objective,
     epsilon: f64,
 ) -> SearchResult {
-    assert!(!freqs.is_empty(), "empty frequency grid");
-    let f_ref = *freqs.last().expect("non-empty");
-    let class = model.class_at(f_ref);
-    let perf_ref = model.performance(f_ref);
-    let bw_ref = model.bandwidth(f_ref);
-    let edp_ref = model.edp(f_ref);
-
-    let mut log: Vec<SearchStep> = Vec::new();
-    let mut evals = 0usize;
-
-    let admissible = |f: f64, log: &mut Vec<SearchStep>, evals: &mut usize| -> (bool, f64) {
-        *evals += 1;
-        let dp = model.performance(f) / perf_ref;
-        let db = model.bandwidth(f) / bw_ref;
-        let de = model.edp(f) / edp_ref;
-        let ok = match class {
-            // CB: allow lower f while perf loss tracks bw loss within ε.
-            Boundedness::ComputeBound => (1.0 - dp) <= (1.0 - db) + epsilon,
-            // BB: allow a setting only when perf gains align with bw gains.
-            Boundedness::BandwidthBound => dp >= db - epsilon,
-        };
-        let value = match objective {
-            Objective::Performance => -model.performance(f),
-            Objective::Energy => model.energy(f),
-            Objective::Edp => model.edp(f),
-        };
-        log.push(SearchStep {
-            f_ghz: f,
-            delta_perf: dp,
-            delta_bw: db,
-            delta_edp: de,
-            admissible: ok,
-        });
-        (ok, value)
-    };
-
-    let score = |f: f64, log: &mut Vec<SearchStep>, evals: &mut usize| -> f64 {
-        let (ok, v) = admissible(f, log, evals);
-        if ok {
+    let judge = Judge::new(model, freqs, objective, epsilon);
+    let mut log = Vec::new();
+    // This call's memo: the bisection and the refinement revisit grid
+    // points, and a point's evaluation depends only on its index.
+    let mut memo: Vec<Option<(SearchStep, f64)>> = vec![None; freqs.len()];
+    let mut score = |i: usize, log: &mut Vec<SearchStep>| -> f64 {
+        let (step, v) = *memo[i].get_or_insert_with(|| judge.eval(freqs[i]));
+        log.push(step);
+        if step.admissible {
             v
         } else {
             f64::INFINITY
@@ -122,8 +177,8 @@ pub fn search_cap(
     let (mut lo, mut hi) = (0usize, freqs.len() - 1);
     while lo < hi {
         let mid = (lo + hi) / 2;
-        let a = score(freqs[mid], &mut log, &mut evals);
-        let b = score(freqs[mid + 1], &mut log, &mut evals);
+        let a = score(mid, &mut log);
+        let b = score(mid + 1, &mut log);
         if a <= b {
             hi = mid;
         } else {
@@ -134,38 +189,16 @@ pub fn search_cap(
     // bandwidth table is only piecewise-linear, so the objective can have
     // small local plateaus the bisection may land next to).
     let mut best_idx = lo;
-    let mut best_val = score(freqs[lo], &mut log, &mut evals);
-    let lo_r = lo.saturating_sub(3);
-    let hi_r = (lo + 3).min(freqs.len() - 1);
-    for i in lo_r..=hi_r {
-        let v = score(freqs[i], &mut log, &mut evals);
-        let better = v < best_val
-            || (objective == Objective::Performance
-                && (v - best_val).abs() <= epsilon * best_val.abs()
-                && freqs[i] < freqs[best_idx]);
-        if better {
+    let mut best_val = score(lo, &mut log);
+    for i in lo.saturating_sub(3)..=(lo + 3).min(freqs.len() - 1) {
+        let v = score(i, &mut log);
+        if v < best_val || (judge.ties(v, best_val) && freqs[i] < freqs[best_idx]) {
             best_idx = i;
             best_val = v;
         }
     }
-    // Fall back to the reference frequency if nothing was admissible.
-    let (f_best, value) = if best_val.is_finite() {
-        (freqs[best_idx], best_val)
-    } else {
-        let v = match objective {
-            Objective::Performance => -model.performance(f_ref),
-            Objective::Energy => model.energy(f_ref),
-            Objective::Edp => model.edp(f_ref),
-        };
-        (f_ref, v)
-    };
-    SearchResult {
-        f_ghz: f_best,
-        steps: evals,
-        objective_value: value,
-        class,
-        log,
-    }
+    let best = best_val.is_finite().then(|| (freqs[best_idx], best_val));
+    judge.result(best, log)
 }
 
 /// Exhaustive 0.1 GHz scan (the ablation baseline for the binary search):
@@ -176,63 +209,17 @@ pub fn scan_cap(
     objective: Objective,
     epsilon: f64,
 ) -> SearchResult {
-    assert!(!freqs.is_empty(), "empty frequency grid");
-    let f_ref = *freqs.last().expect("non-empty");
-    let class = model.class_at(f_ref);
-    let perf_ref = model.performance(f_ref);
-    let bw_ref = model.bandwidth(f_ref);
-    let edp_ref = model.edp(f_ref);
-    let mut log = Vec::new();
+    let judge = Judge::new(model, freqs, objective, epsilon);
+    let mut log = Vec::with_capacity(freqs.len());
     let mut best: Option<(f64, f64)> = None;
     for &f in freqs {
-        let dp = model.performance(f) / perf_ref;
-        let db = model.bandwidth(f) / bw_ref;
-        let de = model.edp(f) / edp_ref;
-        let ok = match class {
-            Boundedness::ComputeBound => (1.0 - dp) <= (1.0 - db) + epsilon,
-            Boundedness::BandwidthBound => dp >= db - epsilon,
-        };
-        log.push(SearchStep {
-            f_ghz: f,
-            delta_perf: dp,
-            delta_bw: db,
-            delta_edp: de,
-            admissible: ok,
-        });
-        if !ok {
-            continue;
-        }
-        let v = match objective {
-            Objective::Performance => -model.performance(f),
-            Objective::Energy => model.energy(f),
-            Objective::Edp => model.edp(f),
-        };
-        let replace = match best {
-            None => true,
-            Some((_, bv)) => {
-                v < bv
-                    || (objective == Objective::Performance && (v - bv).abs() <= epsilon * bv.abs())
-            }
-        };
-        if replace {
+        let (step, v) = judge.eval(f);
+        log.push(step);
+        if step.admissible && best.is_none_or(|(_, bv)| v < bv || judge.ties(v, bv)) {
             best = Some((f, v));
         }
     }
-    let (f_best, value) = best.unwrap_or_else(|| {
-        let v = match objective {
-            Objective::Performance => -model.performance(f_ref),
-            Objective::Energy => model.energy(f_ref),
-            Objective::Edp => model.edp(f_ref),
-        };
-        (f_ref, v)
-    });
-    SearchResult {
-        f_ghz: f_best,
-        steps: freqs.len(),
-        objective_value: value,
-        class,
-        log,
-    }
+    judge.result(best, log)
 }
 
 #[cfg(test)]

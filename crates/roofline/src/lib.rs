@@ -22,5 +22,5 @@ pub mod microbench;
 pub mod model;
 
 pub use fit::{linear_fit, poly_fit, reciprocal_fit};
-pub use microbench::{flop_microbench, mixed_microbench, pointer_chase, stream_microbench};
+pub use microbench::{flop_microbench, pointer_chase, stream_microbench};
 pub use model::RooflineModel;

@@ -69,23 +69,6 @@ pub fn llc_chase(n_hits: u64, line_bytes: u64) -> KernelCounters {
     }
 }
 
-/// A mixed-intensity microbenchmark: streams `bytes` and performs
-/// `oi · bytes` flops — one point on the roofline at intensity `oi`.
-pub fn mixed_microbench(oi: f64, bytes: u64, line_bytes: u64) -> KernelCounters {
-    let lines = bytes / line_bytes;
-    KernelCounters {
-        name: format!("ubench_mixed_{oi}"),
-        flops: (oi * bytes as f64) as u64,
-        accesses: bytes / 8,
-        hits: vec![0; 3],
-        misses: vec![lines; 3],
-        dram_fills: lines,
-        dram_writebacks: 0,
-        line_bytes,
-        parallel: true,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -250,11 +250,6 @@ impl RooflineModel {
     pub fn attainable(&self, oi: f64, f_ghz: f64) -> f64 {
         (oi * self.bandwidth(f_ghz)).min(self.peak_flops)
     }
-
-    /// The calibration frequencies (from the bandwidth table).
-    pub fn frequencies(&self) -> Vec<f64> {
-        self.bw_table.iter().map(|&(f, _)| f).collect()
-    }
 }
 
 #[cfg(test)]

@@ -32,15 +32,16 @@
 //!
 //! **Prefix cache:** stage timing shows warm recompiles are dominated by
 //! Pluto re-optimization (hundreds of µs to ms), while the only stages
-//! that read `epsilon`/`objective` — POLYUFC-SEARCH and code generation
-//! — cost ~15 µs. Each worker therefore caches
-//! [`CharacterizedProgram`] prefixes keyed on (platform, assoc,
-//! source), each with the sanitize warnings of its source: a request
-//! differing only in search parameters re-runs only [`Pipeline::finish`],
-//! on a borrow of the cached prefix. Responses stay byte-identical by
-//! construction — the prefix is exactly the pipeline's own stage-1–3
-//! output, and the warnings are what the front end printed for the same
-//! source bytes.
+//! that read `epsilon`/`objective` are POLYUFC-SEARCH (≈ 1 µs a kernel)
+//! and code generation, which runs only for a `"emit":"scf"` reply, the
+//! one that prints it. Each worker therefore caches
+//! [`CharacterizedProgram`] prefixes keyed on (platform, assoc, source),
+//! each with the sanitize warnings of its source: a request differing
+//! only in search parameters re-runs only [`Pipeline::finish`] (and
+//! [`capped_scf`]) on a borrow of the cached prefix, 5–9 µs in all.
+//! Responses stay byte-identical by construction — the prefix is exactly
+//! the pipeline's own stage-1–3 output, and the warnings are what the
+//! front end printed for the same source bytes.
 
 use polyufc_chk::OrderedMutex;
 use std::collections::HashMap;
@@ -49,10 +50,13 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use polyufc::{CharacterizedProgram, CompileReport, CompileSession, Finished, Pipeline};
+use polyufc::{
+    capped_scf, CharacterizedProgram, CompileReport, CompileSession, Finished, Pipeline,
+};
 use polyufc_analysis::sanitize_parallel;
 use polyufc_cgeist::parse_scop;
 use polyufc_ir::affine::AffineProgram;
+use polyufc_ir::scf::ScfProgram;
 use polyufc_ir::textual::parse_affine_program;
 use polyufc_par::StatefulPool;
 
@@ -841,9 +845,9 @@ fn front_end(
 /// Runs the pipeline for a prepared request against per-worker state and
 /// renders the response body. The report is `Some` only for successful
 /// compiles; the final flag says whether the ε-independent prefix came
-/// from the worker's cache (in which case only POLYUFC-SEARCH and code
-/// generation ran). Rejection and model errors render as deterministic
-/// typed bodies, which are cached like artifacts.
+/// from the worker's cache (then only POLYUFC-SEARCH ran, and code
+/// generation if the reply prints scf). Rejection and model errors
+/// render as deterministic typed bodies, cached like artifacts.
 pub fn compile_prepared(
     p: &Prepared,
     state: &mut WorkerState,
@@ -889,17 +893,23 @@ pub fn compile_prepared(
     }
 }
 
-/// Stages 4–6 on a cached or fresh prefix, rendered.
+/// Stages 4–6 on a cached or fresh prefix, rendered (codegen only when
+/// the reply prints the scf text).
 fn finish(
     pipeline: &Pipeline,
     opts: &CompileOptions,
     entry: &PrefixEntry,
     prefix_hit: bool,
 ) -> (String, Option<CompileReport>, bool) {
-    let fin = pipeline.finish(&entry.characterized);
-    let mut report = entry.characterized.report.clone();
+    let ch = &entry.characterized;
+    let fin = pipeline.finish(ch);
+    let scf = opts
+        .emit_scf
+        .then(|| capped_scf(&ch.optimized, &fin.caps_ghz));
+    let mut report = ch.report.clone();
     report.steps_4_6_us += fin.elapsed_us;
-    (render_artifact(opts, entry, &fin), Some(report), prefix_hit)
+    let body = render_artifact(opts, entry, &fin, scf.as_ref());
+    (body, Some(report), prefix_hit)
 }
 
 /// One-shot entry point shared with `polyufc compile --json`: same
@@ -988,7 +998,12 @@ fn push_u64(out: &mut String, key: &str, v: u64) {
 /// so identical requests produce identical bytes whether answered by a
 /// cold compile, a warm session, a cached prefix, the artifact cache, or
 /// the one-shot CLI.
-fn render_artifact(opts: &CompileOptions, entry: &PrefixEntry, fin: &Finished) -> String {
+fn render_artifact(
+    opts: &CompileOptions,
+    entry: &PrefixEntry,
+    fin: &Finished,
+    scf: Option<&ScfProgram>,
+) -> String {
     let ch = &entry.characterized;
     let mut s = String::with_capacity(1024);
     s.push_str("{\"ok\":true,\"schema\":\"polyufc-artifact/1\",\"program\":");
@@ -1049,9 +1064,9 @@ fn render_artifact(opts: &CompileOptions, entry: &PrefixEntry, fin: &Finished) -
         push_escaped(&mut s, w);
     }
     s.push(']');
-    if opts.emit_scf {
+    if let Some(scf) = scf {
         s.push_str(",\"scf\":");
-        push_escaped(&mut s, &format!("{}", fin.scf));
+        push_escaped(&mut s, &format!("{scf}"));
     }
     s.push('}');
     s
