@@ -13,11 +13,11 @@ pub const PASS: &str = "bounds";
 
 /// One out-of-shape half-space to decide, with everything needed to
 /// render a diagnostic if it turns out inhabited.
-struct SideCheck {
+struct SideCheck<'a> {
     /// Identifies the subscript: (statement index, access index, dim).
     subscript: (usize, usize, usize),
-    statement: String,
-    array: String,
+    statement: &'a str,
+    array: &'a str,
     is_write: bool,
     side: &'static str,
     extent: i64,
@@ -72,8 +72,8 @@ pub fn check_kernel_in(
                     viol.add_ge0(excess);
                     checks.push(SideCheck {
                         subscript: (si, ai, j),
-                        statement: s.name.clone(),
-                        array: decl.name.clone(),
+                        statement: &s.name,
+                        array: &decl.name,
                         is_write: a.is_write,
                         side,
                         extent,
@@ -95,8 +95,8 @@ pub fn check_kernel_in(
         }
         let location = || {
             Location::kernel(&kernel.name)
-                .statement(&c.statement)
-                .array(c.array.clone())
+                .statement(c.statement)
+                .array(c.array)
         };
         match verdict {
             Emptiness::Empty => {}

@@ -281,6 +281,7 @@ impl CacheModel {
         // loops below ask for the same one once per cache level and again
         // for the body and cold terms: compute each on first use.
         let line_bytes = self.hierarchy.line_bytes();
+        let mut scratch = Scratch::default();
         let mut footprints: Vec<Option<DistinctLines>> = vec![None; refs.len() * (depth + 1)];
         let mut footprint = |ri: usize, level: usize, count_cache: &mut CountCache| {
             let slot = &mut footprints[ri * (depth + 1) + level];
@@ -296,6 +297,7 @@ impl CacheModel {
                         level,
                         line_bytes,
                         count_cache,
+                        &mut scratch,
                     )?)
                 }
             })
@@ -304,6 +306,7 @@ impl CacheModel {
         // Compulsory misses: distinct lines per array (capped at the
         // array's own line count).
         let line = line_bytes as f64;
+        let mut prefix_dims = Vec::new();
         let mut cold_by_array: BTreeMap<usize, f64> = BTreeMap::new();
         for (ri, r) in refs.iter().enumerate() {
             let dl = footprint(ri, 0, count_cache)?;
@@ -367,7 +370,9 @@ impl CacheModel {
                         //    overlap almost entirely);
                         //  - strided/sub-line footprints share lines at
                         //    cache-line granularity (`ℓ / (coef·e)`).
-                        let mut c = count_prefix_trips(kernel, fit_level, count_cache)? as f64;
+                        let mut c =
+                            count_prefix_trips(kernel, fit_level, count_cache, &mut prefix_dims)?
+                                as f64;
                         let coef = r.coeffs[d_star].abs();
                         if coef > 0 {
                             let lb = line_bytes as i64;
@@ -382,7 +387,7 @@ impl CacheModel {
                         }
                         c
                     } else {
-                        count_prefix_trips(kernel, d_star, count_cache)? as f64
+                        count_prefix_trips(kernel, d_star, count_cache, &mut prefix_dims)? as f64
                     };
                     outer_count = outer_count.max(1.0);
                     (outer_count * body.lines).max(cold_r)
@@ -443,7 +448,8 @@ fn collect_refs(
     // differ only in the constant offset (stencil taps, shifted reads)
     // touch essentially the same lines and must not have their footprints
     // double-counted.
-    let mut map: BTreeMap<(usize, Vec<i64>), Ref> = BTreeMap::new();
+    let mut refs: Vec<Ref> = Vec::new();
+    let (mut coeffs, mut relevant) = (Vec::new(), Vec::new());
     for s in &kernel.statements {
         for a in &s.accesses {
             // `analyze_kernel` is public API and may see programs that
@@ -462,9 +468,11 @@ fn collect_refs(
                     decl.name
                 )));
             }
-            let strides = decl.strides();
-            let mut coeffs = vec![0i64; depth];
-            for (e, &st) in a.indices.iter().zip(&strides) {
+            coeffs.clear();
+            coeffs.resize(depth, 0);
+            for (j, e) in a.indices.iter().enumerate() {
+                // `ArrayDecl::strides()[j]`, without its allocation.
+                let st: usize = decl.dims[j + 1..].iter().rev().product();
                 for (v, c) in e.terms() {
                     if v >= depth {
                         return Err(ModelError::Malformed(format!(
@@ -475,14 +483,17 @@ fn collect_refs(
                     coeffs[v] += c * st as i64;
                 }
             }
-            let key = (a.array.0, coeffs.clone());
-            if let Some(r) = map.get_mut(&key) {
+            if let Some(r) = refs
+                .iter_mut()
+                .find(|r| r.array == a.array.0 && r.coeffs == coeffs)
+            {
                 r.multiplicity += 1;
                 continue;
             }
             // Relevant iterators: nonzero coefficient, plus transitive
             // bound dependence.
-            let mut relevant: Vec<bool> = coeffs.iter().map(|&c| c != 0).collect();
+            relevant.clear();
+            relevant.extend(coeffs.iter().map(|&c| c != 0));
             loop {
                 let mut changed = false;
                 for d in 0..depth {
@@ -507,20 +518,32 @@ fn collect_refs(
                     break;
                 }
             }
-            map.insert(
-                key,
-                Ref {
-                    coeffs,
-                    elem_bytes: decl.elem.size_bytes() as i64,
-                    array: a.array.0,
-                    multiplicity: 1,
-                    array_bytes: decl.size_bytes() as f64,
-                    relevant: (0..depth).filter(|&d| relevant[d]).collect(),
-                },
-            );
+            refs.push(Ref {
+                coeffs: coeffs.clone(),
+                elem_bytes: decl.elem.size_bytes() as i64,
+                array: a.array.0,
+                multiplicity: 1,
+                array_bytes: decl.size_bytes() as f64,
+                relevant: (0..depth).filter(|&d| relevant[d]).collect(),
+            });
         }
     }
-    Ok(map.into_values().collect())
+    refs.sort_by(|a, b| (a.array, &a.coeffs).cmp(&(b.array, &b.coeffs)));
+    Ok(refs)
+}
+
+/// Buffers reused by every footprint of one
+/// [`CacheModel::analyze_kernel_cached`] call (per reference × loop level),
+/// so those queries allocate no index lists of their own.
+#[derive(Debug, Default)]
+struct Scratch {
+    free: Vec<usize>,
+    order: Vec<usize>,
+    aux: Vec<usize>,
+    dims: Vec<usize>,
+    in_closure: Vec<bool>,
+    ext: Vec<i64>,
+    rep: Vec<i64>,
 }
 
 /// Distinct-line estimate of a reference within one execution of the loop
@@ -583,6 +606,7 @@ fn gcd_u64(a: u64, b: u64) -> u64 {
 /// use union extents, and the dominating-prefix count includes the free
 /// bound parents (which are functions of the point iterators for tiled
 /// bounds, so including them does not change the count).
+#[allow(clippy::too_many_arguments)]
 fn distinct_lines(
     r: &Ref,
     kernel: &AffineKernel,
@@ -591,10 +615,21 @@ fn distinct_lines(
     level: usize,
     line_bytes: u64,
     count_cache: &mut CountCache,
+    scratch: &mut Scratch,
 ) -> Result<DistinctLines, ModelError> {
     let depth = kernel.depth();
+    let Scratch {
+        free,
+        order,
+        aux,
+        dims,
+        in_closure,
+        ext,
+        rep,
+    } = scratch;
     // Free iterators (>= level) with nonzero coefficient.
-    let free: Vec<usize> = (level..depth).filter(|&d| r.coeffs[d] != 0).collect();
+    free.clear();
+    free.extend((level..depth).filter(|&d| r.coeffs[d] != 0));
     if free.is_empty() {
         return Ok(DistinctLines {
             lines: 1.0,
@@ -605,11 +640,12 @@ fn distinct_lines(
         });
     }
     // Effective (union) extents under the restriction.
-    let ext = restricted_extents(kernel, bounds, mids, level)?;
+    restricted_extents(kernel, bounds, mids, level, ext, rep);
 
     // Free bound parents (transitively) of the coefficient dims.
-    let mut in_closure = vec![false; depth];
-    for &d in &free {
+    in_closure.clear();
+    in_closure.resize(depth, false);
+    for &d in free.iter() {
         in_closure[d] = true;
     }
     loop {
@@ -636,12 +672,12 @@ fn distinct_lines(
             break;
         }
     }
-    let aux: Vec<usize> = (level..depth)
-        .filter(|&d| in_closure[d] && !free.contains(&d))
-        .collect();
+    aux.clear();
+    aux.extend((level..depth).filter(|&d| in_closure[d] && !free.contains(&d)));
 
     // Order free dims by |coeff| descending; find the dominating prefix.
-    let mut order = free.clone();
+    order.clear();
+    order.extend_from_slice(free);
     order.sort_by_key(|&d| std::cmp::Reverse(r.coeffs[d].abs()));
     let mut prefix_len = 0;
     for i in 0..order.len() {
@@ -655,8 +691,7 @@ fn distinct_lines(
             break;
         }
     }
-    let prefix: Vec<usize> = order[..prefix_len].to_vec();
-    let suffix: Vec<usize> = order[prefix_len..].to_vec();
+    let (prefix, suffix) = order.split_at(prefix_len);
 
     // Distinct values of the prefix dims: polyhedral count of their
     // (restricted) sub-domain, including free bound parents so tile/point
@@ -665,9 +700,11 @@ fn distinct_lines(
     let prefix_count = if prefix.is_empty() {
         1.0
     } else {
-        let mut dims = prefix.clone();
-        dims.extend(aux.iter().copied());
-        count_outer(kernel, mids, &sorted(&dims), count_cache)? as f64
+        dims.clear();
+        dims.extend_from_slice(prefix);
+        dims.extend_from_slice(aux);
+        dims.sort_unstable();
+        count_outer(kernel, mids, dims, count_cache)? as f64
     };
     // Dense width of the suffix, over union extents.
     let suffix_width: i64 = suffix
@@ -684,7 +721,7 @@ fn distinct_lines(
     // a line still occupy a whole line each (e.g. a 2-wide convolution
     // window with a large channel stride touches a fresh line per
     // channel), while long runs amortize `ℓ/e` elements per line.
-    let mut by_stride = free.clone();
+    let by_stride = free;
     by_stride.sort_by_key(|&d| r.coeffs[d].abs());
     let d0 = by_stride[0];
     let c0 = r.coeffs[d0].abs();
@@ -742,26 +779,24 @@ fn distinct_lines(
     })
 }
 
-fn sorted(v: &[usize]) -> Vec<usize> {
-    let mut v = v.to_vec();
-    v.sort_unstable();
-    v
-}
-
 /// Effective extent of each iterator when iterators `< level` are fixed at
 /// midpoints. An iterator whose bounds reference a *free* (>= level)
 /// iterator (a tile loop inside the body) gets its **union** extent — the
 /// interval-propagated global range restricted only by the fixed outers —
-/// because the body sweeps the parent.
+/// because the body sweeps the parent. Writes `ext`; `rep` is scratch.
 fn restricted_extents(
     kernel: &AffineKernel,
     bounds: &[(i64, i64)],
     mids: &[i64],
     level: usize,
-) -> Result<Vec<i64>, ModelError> {
+    ext: &mut Vec<i64>,
+    rep: &mut Vec<i64>,
+) {
     let depth = kernel.depth();
-    let mut ext = vec![0i64; depth];
-    let mut rep: Vec<i64> = mids.to_vec();
+    ext.clear();
+    ext.resize(depth, 0);
+    rep.clear();
+    rep.extend_from_slice(mids);
     for e in ext.iter_mut().take(level) {
         *e = 1;
     }
@@ -781,20 +816,19 @@ fn restricted_extents(
         let lo =
             l.lb.exprs
                 .iter()
-                .map(|e| eval_with(e, &rep))
+                .map(|e| eval_with(e, rep))
                 .max()
                 .unwrap_or(bounds[d].0);
         let hi =
             l.ub.exprs
                 .iter()
-                .map(|e| eval_with(e, &rep))
+                .map(|e| eval_with(e, rep))
                 .min()
                 .unwrap_or(bounds[d].1 + 1)
                 - 1;
         ext[d] = (hi - lo + 1).max(0);
         rep[d] = (lo + hi) / 2;
     }
-    Ok(ext)
 }
 
 fn eval_with(e: &LinExpr, rep: &[i64]) -> i64 {
@@ -811,12 +845,15 @@ fn count_prefix_trips(
     kernel: &AffineKernel,
     prefix: usize,
     count_cache: &mut CountCache,
+    dims: &mut Vec<usize>,
 ) -> Result<i128, ModelError> {
     if prefix == 0 {
         return Ok(1);
     }
-    let dims: Vec<usize> = (0..prefix).collect();
-    count_outer(kernel, &vec![0; kernel.depth()], &dims, count_cache)
+    dims.clear();
+    dims.extend(0..prefix);
+    // Prefix bounds mention only earlier prefix iterators: no midpoints.
+    count_outer(kernel, &[], dims, count_cache)
 }
 
 /// Counts the number of distinct value combinations of the given iterator

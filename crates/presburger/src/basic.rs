@@ -90,6 +90,11 @@ impl BasicSet {
             c.expr.len() <= self.n_total(),
             "constraint references unknown variable"
         );
+        if self.constraints.capacity() == 0 {
+            // Room for a lower and an upper bound per variable, the usual
+            // shape, so building a set grows its list once, not 2–3 times.
+            self.constraints.reserve(2 * self.n_total());
+        }
         self.constraints.push(c);
     }
 
@@ -621,12 +626,6 @@ impl System {
     #[inline]
     pub fn coeffs(&self, i: usize) -> &[i64] {
         &self.row(i)[..self.n]
-    }
-
-    /// The constant term of row `i`.
-    #[inline]
-    pub fn constant(&self, i: usize) -> i64 {
-        self.row(i)[self.n]
     }
 
     /// Whether row `i` is an equality constraint.

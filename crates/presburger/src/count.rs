@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use crate::basic::{row_is_constant, Budget, System};
 use crate::error::{Error, Result};
-use crate::{polysum, BasicSet};
+use crate::{polysum, BasicSet, Constraint, ConstraintKind};
 
 /// A work limit for counting, in solver steps.
 ///
@@ -95,36 +95,55 @@ pub fn count_basic_enumerative(set: &BasicSet, limit: CountLimit) -> Result<i128
     count_system_with_stats(&set.system(), limit, false).map(|(c, _)| c)
 }
 
-/// Canonical hash key of a [`System`], as one flat word list: the variable
-/// count, the count limit, then the sorted, deduplicated canonical rows
-/// `[kind, constant, coeffs…]` (kind 0 for an equality, 1 for an
-/// inequality), an equality's sign normalized so its first nonzero
-/// coefficient is positive (both signs describe the same hyperplane). Two
-/// systems with the same key describe the same solution set, so their
-/// point counts can be shared.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CountKey(Vec<i64>);
+/// Reused buffers of [`count_key`]: the canonical rows, their sort order,
+/// and the key itself.
+#[derive(Debug, Clone, Default)]
+struct KeyBuf {
+    rows: Vec<i64>,
+    order: Vec<usize>,
+    key: Vec<i64>,
+}
 
-fn count_key(sys: &System, limit: CountLimit) -> CountKey {
-    let width = sys.n + 2;
-    let mut rows: Vec<i64> = Vec::with_capacity(sys.n_rows() * width);
-    for i in 0..sys.n_rows() {
-        let coeffs = sys.coeffs(i);
-        let flip = sys.is_eq(i) && coeffs.iter().find(|&&c| c != 0).is_some_and(|&c| c < 0);
+/// Canonical hash key of the solver system over `n` variables that
+/// `constraints` build, as one flat word list written into `buf` (no
+/// system is built): the variable count, the count limit, then the sorted,
+/// deduplicated canonical rows `[kind, constant, coeffs…]` (kind 0 for an
+/// equality, 1 for an inequality, coefficients zero-padded to `n`), an
+/// equality's sign normalized so its first nonzero coefficient is positive
+/// (both signs describe the same hyperplane). Two systems with the same
+/// key describe the same solution set, so their point counts can be shared.
+fn count_key<'a>(
+    n: usize,
+    constraints: &[Constraint],
+    limit: CountLimit,
+    buf: &'a mut KeyBuf,
+) -> &'a [i64] {
+    let width = n + 2;
+    let KeyBuf { rows, order, key } = buf;
+    rows.clear();
+    for c in constraints {
+        let is_eq = c.kind == ConstraintKind::Eq;
+        let flip = is_eq && c.expr.terms().next().is_some_and(|(_, c)| c < 0);
         let sign = if flip { -1 } else { 1 };
-        rows.push(i64::from(!sys.is_eq(i)));
-        rows.push(sign * sys.constant(i));
-        rows.extend(coeffs.iter().map(|&c| sign * c));
+        rows.push(i64::from(!is_eq));
+        rows.push(sign * c.expr.constant_term());
+        let base = rows.len();
+        rows.resize(base + n, 0);
+        for (v, a) in c.expr.terms() {
+            rows[base + v] = sign * a;
+        }
     }
-    let mut sorted: Vec<&[i64]> = rows.chunks_exact(width).collect();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let mut key = Vec::with_capacity(2 + sorted.len() * width);
-    key.extend([sys.n as i64, limit.0 as i64]);
-    for row in sorted {
-        key.extend_from_slice(row);
+    let row = |r: usize| &rows[r * width..(r + 1) * width];
+    order.clear();
+    order.extend(0..constraints.len());
+    order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+    order.dedup_by(|a, b| row(*a) == row(*b));
+    key.clear();
+    key.extend([n as i64, limit.0 as i64]);
+    for &r in order.iter() {
+        key.extend_from_slice(row(r));
     }
-    CountKey(key)
+    key
 }
 
 /// Memoization cache for [`crate::Set::count_cached`].
@@ -147,7 +166,8 @@ fn count_key(sys: &System, limit: CountLimit) -> CountKey {
 /// through [`CountCache::symbolic`] / [`CountCache::enumerated`].
 #[derive(Debug, Clone)]
 pub struct CountCache {
-    map: HashMap<CountKey, i128>,
+    map: HashMap<Vec<i64>, i128>,
+    key_buf: KeyBuf,
     hits: u64,
     misses: u64,
     symbolic: u64,
@@ -178,6 +198,7 @@ impl CountCache {
     pub fn with_capacity(capacity: usize) -> Self {
         CountCache {
             map: HashMap::new(),
+            key_buf: KeyBuf::default(),
             hits: 0,
             misses: 0,
             symbolic: 0,
@@ -232,20 +253,22 @@ impl CountCache {
     }
 }
 
-/// Counts through the cache: canonical-key lookup first, full counter on a
-/// miss, successful results inserted under the capacity guard.
-pub(crate) fn count_system_cached(
-    sys: &System,
+/// Counts a basic set with determined divs through the cache:
+/// canonical-key lookup first (a hit builds no solver system and allocates
+/// nothing), full counter on a miss, successful results inserted under the
+/// capacity guard.
+pub(crate) fn count_basic_cached(
+    set: &BasicSet,
     limit: CountLimit,
     cache: &mut CountCache,
 ) -> Result<i128> {
-    let key = count_key(sys, limit);
-    if let Some(&c) = cache.map.get(&key) {
+    let key = count_key(set.n_total(), set.constraints(), limit, &mut cache.key_buf);
+    if let Some(&c) = cache.map.get(key) {
         cache.hits += 1;
         return Ok(c);
     }
     cache.misses += 1;
-    let (c, stats) = count_system_with_stats(sys, limit, true)?;
+    let (c, stats) = count_system_with_stats(&set.system(), limit, true)?;
     cache.symbolic += stats.symbolic;
     cache.enumerated += stats.enumerated;
     cache.parallel_splits += stats.parallel_splits;
@@ -253,7 +276,7 @@ pub(crate) fn count_system_cached(
         cache.evictions += cache.map.len() as u64;
         cache.map.clear();
     }
-    cache.map.insert(key, c);
+    cache.map.insert(cache.key_buf.key.clone(), c);
     Ok(c)
 }
 
@@ -673,7 +696,7 @@ pub(crate) mod tests {
         let shifted = Constraint::eq(i - j - LinExpr::constant(3));
         let key = |n: usize, limit: u64, rows: &[&Constraint]| {
             let rows: Vec<Constraint> = rows.iter().map(|&c| c.clone()).collect();
-            count_key(&System::new(n, &rows), CountLimit(limit))
+            count_key(n, &rows, CountLimit(limit), &mut KeyBuf::default()).to_vec()
         };
         let base = key(2, 100, &[&lo, &hi, &diag]);
         // Row order, a repeated row and an equality's sign do not matter.
@@ -693,7 +716,7 @@ pub(crate) mod tests {
         for extent in [3i64, 4, 5] {
             let mut b = BasicSet::universe(Space::set(0, 1));
             b.add_range(0, 0, extent);
-            let c = count_system_cached(&b.system(), CountLimit::default(), &mut cache).unwrap();
+            let c = count_basic_cached(&b, CountLimit::default(), &mut cache).unwrap();
             assert_eq!(c, (extent + 1) as i128);
         }
         // Third insert hits the bound: the map is cleared (2 evictions)
@@ -703,7 +726,7 @@ pub(crate) mod tests {
         // Evicted entries recount as misses, with unchanged values.
         let mut b = BasicSet::universe(Space::set(0, 1));
         b.add_range(0, 0, 3);
-        let c = count_system_cached(&b.system(), CountLimit::default(), &mut cache).unwrap();
+        let c = count_basic_cached(&b, CountLimit::default(), &mut cache).unwrap();
         assert_eq!(c, 4);
         assert_eq!(cache.misses(), 4);
     }
@@ -715,9 +738,8 @@ pub(crate) mod tests {
         b.add_range(0, 0, 9);
         b.add_ge0(LinExpr::var(1));
         b.add_ge0(LinExpr::var(0) - LinExpr::var(1));
-        let sys = b.system();
-        count_system_cached(&sys, CountLimit::default(), &mut cache).unwrap();
-        count_system_cached(&sys, CountLimit::default(), &mut cache).unwrap();
+        count_basic_cached(&b, CountLimit::default(), &mut cache).unwrap();
+        count_basic_cached(&b, CountLimit::default(), &mut cache).unwrap();
         assert_eq!(cache.hits(), 1);
         assert!(cache.symbolic() >= 1);
         assert_eq!(cache.enumerated(), 0);

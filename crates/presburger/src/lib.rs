@@ -61,6 +61,7 @@ mod context;
 mod count;
 mod enumerate;
 mod error;
+mod inline;
 mod lexorder;
 mod linexpr;
 mod map;

@@ -31,9 +31,10 @@
 //! All arithmetic is exact: rationals over `i128` with checked operations;
 //! any overflow aborts the symbolic attempt rather than corrupting a count.
 
-use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use crate::basic::{ceil_div, floor_div, Budget, System};
+use crate::inline::InlineVec;
 use crate::{BasicSet, Constraint, ConstraintKind, LinExpr};
 
 /// Work cap for one symbolic attempt, in elementary polynomial/region
@@ -116,22 +117,25 @@ impl Rat {
 // Multivariate polynomials with rational coefficients
 // ---------------------------------------------------------------------------
 
-/// A monomial: sorted `(variable, exponent > 0)` pairs.
-type Monomial = Vec<(usize, u32)>;
+/// A monomial: sorted `(variable, exponent > 0)` pairs, in place up to
+/// four variables.
+type Monomial = InlineVec<(usize, u32), 4>;
 
-/// A multivariate polynomial over the solver variables, stored as a
-/// canonical monomial → coefficient map (zero coefficients are dropped, so
-/// equality and term counts are meaningful).
+/// A multivariate polynomial over the solver variables, stored as its terms
+/// sorted by monomial with zero coefficients dropped (so equality and term
+/// counts are meaningful). The order is the one a monomial-keyed
+/// `BTreeMap` iterates in, so every operation meets its terms — and any
+/// checked overflow — in that order.
 #[derive(Debug, Clone, Default)]
 struct Poly {
-    terms: BTreeMap<Monomial, Rat>,
+    terms: Vec<(Monomial, Rat)>,
 }
 
 impl Poly {
     fn constant(r: Rat) -> Poly {
         let mut p = Poly::default();
         if !r.is_zero() {
-            p.terms.insert(Vec::new(), r);
+            p.terms.push((Monomial::default(), r));
         }
         p
     }
@@ -142,9 +146,17 @@ impl Poly {
 
     /// Lifts an affine expression into a polynomial.
     fn from_affine(e: &LinExpr) -> Poly {
-        let mut p = Poly::constant(Rat::int(e.constant_term() as i128));
+        let mut p = Poly {
+            terms: Vec::with_capacity(1 + e.len()),
+        };
+        let k = Rat::int(e.constant_term() as i128);
+        if !k.is_zero() {
+            p.terms.push((Monomial::default(), k));
+        }
         for (v, c) in e.terms() {
-            p.terms.insert(vec![(v, 1)], Rat::int(c as i128));
+            let mut m = Monomial::default();
+            m.push((v, 1));
+            p.terms.push((m, Rat::int(c as i128)));
         }
         p
     }
@@ -153,72 +165,67 @@ impl Poly {
         if r.is_zero() {
             return Some(());
         }
-        match self.terms.entry(m) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(r);
-            }
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                let s = e.get().add(r)?;
+        match self.terms.binary_search_by(|(k, _)| k[..].cmp(&m)) {
+            Err(i) => self.terms.insert(i, (m, r)),
+            Ok(i) => {
+                let s = self.terms[i].1.add(r)?;
                 if s.is_zero() {
-                    e.remove();
+                    self.terms.remove(i);
                 } else {
-                    *e.get_mut() = s;
+                    self.terms[i].1 = s;
                 }
             }
         }
         Some(())
     }
 
-    fn add(&self, o: &Poly) -> Option<Poly> {
-        let mut out = self.clone();
-        for (m, &r) in &o.terms {
-            out.add_term(m.clone(), r)?;
+    /// `self += r · o`, in place, term by term in `o`'s order.
+    fn add_scaled(&mut self, o: &Poly, r: Rat) -> Option<()> {
+        for (m, c) in &o.terms {
+            self.add_term(m.clone(), c.mul(r)?)?;
         }
-        Some(out)
+        Some(())
     }
 
     fn mul(&self, o: &Poly, work: &mut Work) -> Option<Poly> {
         let mut out = Poly::default();
-        for (ma, &ra) in &self.terms {
-            for (mb, &rb) in &o.terms {
+        for (ma, ra) in &self.terms {
+            for (mb, rb) in &o.terms {
                 work.tick(1)?;
-                out.add_term(mul_monomials(ma, mb)?, ra.mul(rb)?)?;
+                out.add_term(mul_monomials(ma, mb)?, ra.mul(*rb)?)?;
             }
         }
         (out.terms.len() <= MAX_TERMS).then_some(out)
     }
 
-    fn mul_rat(&self, r: Rat) -> Option<Poly> {
-        let mut out = Poly::default();
-        for (m, &c) in &self.terms {
-            out.add_term(m.clone(), c.mul(r)?)?;
-        }
-        Some(out)
-    }
-
-    /// Splits by the power of `v`: returns `(k, Q_k)` pairs such that
-    /// `self = Σ_k Q_k · v^k` and no `Q_k` mentions `v`.
+    /// Splits by the power of `v`: returns `(k, Q_k)` pairs, ascending in
+    /// `k`, such that `self = Σ_k Q_k · v^k` and no `Q_k` mentions `v`.
     fn split_var(&self, v: usize) -> Vec<(u32, Poly)> {
-        let mut by_pow: BTreeMap<u32, Poly> = BTreeMap::new();
-        for (m, &r) in &self.terms {
+        let mut by_pow: Vec<(u32, Poly)> = Vec::new();
+        for (m, r) in &self.terms {
             let k = m
                 .iter()
                 .find(|&&(var, _)| var == v)
                 .map(|&(_, e)| e)
                 .unwrap_or(0);
-            let rest: Monomial = m.iter().filter(|&&(var, _)| var != v).cloned().collect();
-            // Coefficients of distinct source monomials with the same
-            // residual monomial cannot collide (the split is a bijection),
-            // so the unwrap-free insert below cannot lose terms.
-            by_pow
-                .entry(k)
-                .or_default()
-                .terms
-                .entry(rest)
-                .and_modify(|c| *c = c.add(r).unwrap_or(Rat::ZERO))
-                .or_insert(r);
+            let mut rest = Monomial::default();
+            m.iter().filter(|p| p.0 != v).for_each(|&p| rest.push(p));
+            let at = match by_pow.binary_search_by_key(&k, |(p, _)| *p) {
+                Ok(i) => i,
+                Err(i) => {
+                    by_pow.insert(i, (k, Poly::default()));
+                    i
+                }
+            };
+            // Distinct source monomials with the same power of `v` have
+            // distinct residual monomials (the split is a bijection), so
+            // each `Q_k` only needs sorting, never merging.
+            by_pow[at].1.terms.push((rest, *r));
         }
-        by_pow.into_iter().collect()
+        for (_, q) in &mut by_pow {
+            q.terms.sort_unstable_by(|a, b| a.0[..].cmp(&b.0));
+        }
+        by_pow
     }
 
     /// Substitutes variable `v` with an affine expression.
@@ -227,7 +234,7 @@ impl Poly {
         let mut out = Poly::default();
         for (k, q) in self.split_var(v) {
             let p = repl.pow(k, work)?;
-            out = out.add(&q.mul(&p, work)?)?;
+            out.add_scaled(&q.mul(&p, work)?, Rat::int(1))?;
         }
         Some(out)
     }
@@ -243,10 +250,9 @@ impl Poly {
     /// The value of a constant polynomial (fails on any remaining
     /// variable or a non-integer constant).
     fn as_const_int(&self) -> Option<i128> {
-        match self.terms.len() {
-            0 => Some(0),
-            1 => {
-                let (m, r) = self.terms.iter().next()?;
+        match self.terms.as_slice() {
+            [] => Some(0),
+            [(m, r)] => {
                 m.is_empty().then_some(())?;
                 r.as_int()
             }
@@ -256,8 +262,8 @@ impl Poly {
 }
 
 fn mul_monomials(a: &Monomial, b: &Monomial) -> Option<Monomial> {
-    let mut out: Monomial = a.clone();
-    for &(v, e) in b {
+    let mut out = a.clone();
+    for &(v, e) in b.iter() {
         match out.iter_mut().find(|(var, _)| *var == v) {
             Some((_, oe)) => *oe = oe.checked_add(e)?,
             None => out.push((v, e)),
@@ -271,9 +277,16 @@ fn mul_monomials(a: &Monomial, b: &Monomial) -> Option<Monomial> {
 // Faulhaber power sums
 // ---------------------------------------------------------------------------
 
-/// Bernoulli numbers `B⁺_0..=B⁺_m` (the `B_1 = +1/2` convention used by the
-/// Faulhaber formula), by the standard recurrence.
-fn bernoulli_plus(m: usize) -> Option<Vec<Rat>> {
+/// Bernoulli numbers `B⁺_0..=B⁺_m` for `m <= MAX_DEGREE` (the `B_1 = +1/2`
+/// convention used by the Faulhaber formula), computed once.
+fn bernoulli_plus(m: usize) -> Option<&'static [Rat]> {
+    static TABLE: OnceLock<Option<Vec<Rat>>> = OnceLock::new();
+    let table = TABLE.get_or_init(|| bernoulli_table(MAX_DEGREE as usize));
+    table.as_deref().map(|b| &b[..=m])
+}
+
+/// `B⁺_0..=B⁺_m` by the standard recurrence.
+fn bernoulli_table(m: usize) -> Option<Vec<Rat>> {
     let mut b: Vec<Rat> = Vec::with_capacity(m + 1);
     b.push(Rat::int(1));
     for n in 1..=m {
@@ -311,16 +324,20 @@ fn power_sum(k: u32, x: &Poly, work: &mut Work) -> Option<Poly> {
     let mut pows: Vec<Poly> = Vec::with_capacity(k as usize + 2);
     pows.push(Poly::one());
     for i in 1..=(k + 1) {
-        let prev = pows[i as usize - 1].clone();
-        pows.push(prev.mul(x, work)?);
+        let next = pows[i as usize - 1].mul(x, work)?;
+        pows.push(next);
     }
     // S_k(x) = 1/(k+1) · Σ_{j=0}^{k} C(k+1, j) B⁺_j x^{k+1-j}
     let mut acc = Poly::default();
     for (j, bj) in bern.iter().enumerate() {
         let coef = Rat::int(binom(k + 1, j as u32)?).mul(*bj)?;
-        acc = acc.add(&pows[(k + 1) as usize - j].mul_rat(coef)?)?;
+        acc.add_scaled(&pows[(k + 1) as usize - j], coef)?;
     }
-    acc.mul_rat(Rat::new(1, k as i128 + 1)?)
+    let r = Rat::new(1, k as i128 + 1)?;
+    for (_, c) in &mut acc.terms {
+        *c = c.mul(r)?;
+    }
+    Some(acc)
 }
 
 // ---------------------------------------------------------------------------
@@ -771,10 +788,9 @@ fn sum_over(poly: &Poly, v: usize, lo: &LinExpr, up: &LinExpr, work: &mut Work) 
     let lom1 = Poly::from_affine(&(lo.clone() - LinExpr::constant(1)));
     let mut acc = Poly::default();
     for (k, q) in poly.split_var(v) {
-        let hi = power_sum(k, &up_p, work)?;
-        let lo = power_sum(k, &lom1, work)?;
-        let diff = hi.add(&lo.mul_rat(Rat::int(-1))?)?;
-        acc = acc.add(&q.mul(&diff, work)?)?;
+        let mut diff = power_sum(k, &up_p, work)?;
+        diff.add_scaled(&power_sum(k, &lom1, work)?, Rat::int(-1))?;
+        acc.add_scaled(&q.mul(&diff, work)?, Rat::int(1))?;
     }
     Some(acc)
 }

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::basic::BasicSet;
-use crate::count::{count_system, count_system_cached, CountCache, CountLimit};
+use crate::count::{count_basic_cached, count_system, CountCache, CountLimit};
 use crate::enumerate::enumerate_points;
 use crate::error::{Error, Result};
 use crate::space::Space;
@@ -126,7 +126,7 @@ impl Set {
         let mut total: i128 = 0;
         for b in &self.basics {
             let c = if b.all_divs_determined() {
-                count_system_cached(&b.system(), limit, cache)?
+                count_basic_cached(b, limit, cache)?
             } else {
                 enumerate_points(b, limit.0)?.len() as i128
             };

@@ -544,23 +544,20 @@ impl Engine {
             }));
             let outcome = match run {
                 Ok((body, report, prefix_hit)) => {
-                    if prefix_hit {
-                        shared.prefix_hits.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        shared.prefix_misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                    match report {
-                        Some(r) => {
-                            // A prefix hit re-ran only the search; its
-                            // report clones the cached stage-1–3 counters,
-                            // which were already totaled when the prefix
-                            // was built.
-                            if !prefix_hit {
-                                shared.counts.add(&r);
-                            }
+                    match (report, prefix_hit) {
+                        // Only the search ran: the prefix's stage-1–3
+                        // counters were totaled when it was built.
+                        (_, true) => {
+                            shared.prefix_hits.fetch_add(1, Ordering::Relaxed);
                             shared.compiled.fetch_add(1, Ordering::Relaxed);
                         }
-                        None => {
+                        (Some(r), false) => {
+                            shared.prefix_misses.fetch_add(1, Ordering::Relaxed);
+                            shared.counts.add(&r);
+                            shared.compiled.fetch_add(1, Ordering::Relaxed);
+                        }
+                        (None, false) => {
+                            shared.prefix_misses.fetch_add(1, Ordering::Relaxed);
                             shared.errors.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -843,11 +840,13 @@ fn front_end(
 }
 
 /// Runs the pipeline for a prepared request against per-worker state and
-/// renders the response body. The report is `Some` only for successful
-/// compiles; the final flag says whether the ε-independent prefix came
-/// from the worker's cache (then only POLYUFC-SEARCH ran, and code
-/// generation if the reply prints scf). Rejection and model errors
-/// render as deterministic typed bodies, cached like artifacts.
+/// renders the response body, with the outcome the worker accounts:
+/// `(body, Some(report), false)` for a fresh compile, `(body, None, true)`
+/// for a prefix hit — the ε-independent prefix came from the worker's
+/// cache, so only POLYUFC-SEARCH ran (and code generation if the reply
+/// prints scf) and there is no new report — and `(body, None, false)` for
+/// an error. Rejection and model errors render as deterministic typed
+/// bodies, cached like artifacts.
 pub fn compile_prepared(
     p: &Prepared,
     state: &mut WorkerState,
@@ -857,7 +856,7 @@ pub fn compile_prepared(
         .with_assoc_mode(p.opts.assoc);
     pipeline.epsilon = p.opts.epsilon;
     if let Some(entry) = state.prefix.get(&p.keys.prefix) {
-        return finish(&pipeline, &p.opts, entry, true);
+        return (finish(&pipeline, &p.opts, entry).0, None, true);
     }
     let parsed;
     let (program, warnings) = match &p.front {
@@ -883,7 +882,10 @@ pub fn compile_prepared(
                 warnings: warnings.clone(),
             };
             let entry = state.prefix.entry(p.keys.prefix.clone()).or_insert(entry);
-            finish(&pipeline, &p.opts, entry, false)
+            let (body, search_us) = finish(&pipeline, &p.opts, entry);
+            let mut report = entry.characterized.report.clone();
+            report.steps_4_6_us += search_us;
+            (body, Some(report), false)
         }
         Err(polyufc::Error::AnalysisRejected(report)) => (render_rejected(&report), None, false),
         Err(polyufc::Error::Model(e)) => {
@@ -894,22 +896,15 @@ pub fn compile_prepared(
 }
 
 /// Stages 4–6 on a cached or fresh prefix, rendered (codegen only when
-/// the reply prints the scf text).
-fn finish(
-    pipeline: &Pipeline,
-    opts: &CompileOptions,
-    entry: &PrefixEntry,
-    prefix_hit: bool,
-) -> (String, Option<CompileReport>, bool) {
+/// the reply prints the scf text), and the time they took in µs.
+fn finish(pipeline: &Pipeline, opts: &CompileOptions, entry: &PrefixEntry) -> (String, u128) {
     let ch = &entry.characterized;
     let fin = pipeline.finish(ch);
     let scf = opts
         .emit_scf
         .then(|| capped_scf(&ch.optimized, &fin.caps_ghz));
-    let mut report = ch.report.clone();
-    report.steps_4_6_us += fin.elapsed_us;
     let body = render_artifact(opts, entry, &fin, scf.as_ref());
-    (body, Some(report), prefix_hit)
+    (body, fin.elapsed_us)
 }
 
 /// One-shot entry point shared with `polyufc compile --json`: same
@@ -1128,8 +1123,9 @@ mod tests {
             req.opts.epsilon = eps;
             let p = prepare(&req).expect("prepare");
             let (body, report, prefix_hit) = compile_prepared(&p, &mut state);
-            assert!(report.is_some());
             assert_eq!(prefix_hit, i > 0, "first compile builds the prefix");
+            // Only the compile that built the prefix reports stages 1–3.
+            assert_eq!(report.is_some(), !prefix_hit);
             // Each variant must also match a completely fresh compile.
             assert_eq!(body, oneshot_response(&req), "prefix hit changed bytes");
             bodies.push(body);
@@ -1158,7 +1154,7 @@ mod tests {
         let mut state = WorkerState::new();
         for prefix_hit in [false, true] {
             let (body, report, hit) = compile_prepared(&known, &mut state);
-            assert_eq!((report.is_some(), hit), (true, prefix_hit));
+            assert_eq!((report.is_some(), hit), (!prefix_hit, prefix_hit));
             assert_eq!(body, expected);
         }
     }

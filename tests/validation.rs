@@ -15,10 +15,9 @@ fn static_oi_tracks_measured_oi() {
     let mut within_2x = 0;
     let mut total = 0;
     for w in polybench_suite(PolybenchSize::Small) {
-        let out = match pipe.compile_affine(&w.program) {
-            Ok(o) => o,
-            Err(_) => continue,
-        };
+        let out = pipe
+            .compile_affine(&w.program)
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         let omega: f64 = out.cache_stats.iter().map(|s| s.flops).sum();
         let q_est: f64 = out.cache_stats.iter().map(|s| s.q_dram_bytes).sum();
         let mut q_meas = 0.0;
@@ -56,10 +55,9 @@ fn model_time_tracks_machine() {
     let mut good = 0;
     let mut total = 0;
     for w in polybench_suite(PolybenchSize::Small) {
-        let out = match pipe.compile_affine(&w.program) {
-            Ok(o) => o,
-            Err(_) => continue,
-        };
+        let out = pipe
+            .compile_affine(&w.program)
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         for f in [plat.uncore_min_ghz, plat.uncore_max_ghz] {
             let mut t_est = 0.0;
             let mut t_hw = 0.0;
@@ -97,10 +95,9 @@ fn cache_model_tracks_simulator() {
     let mut close = 0;
     let mut total = 0;
     for w in polybench_suite(PolybenchSize::Small) {
-        let out = match pipe.compile_affine(&w.program) {
-            Ok(o) => o,
-            Err(_) => continue,
-        };
+        let out = pipe
+            .compile_affine(&w.program)
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         for (k, st) in out.optimized.kernels.iter().zip(&out.cache_stats) {
             let c = measure_kernel(&plat, &out.optimized, k);
             let est = st.levels.last().unwrap().misses.max(1.0);
