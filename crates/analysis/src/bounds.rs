@@ -11,8 +11,8 @@ use crate::diag::{Diagnostic, Location, Severity, Witness};
 /// Pass identifier.
 pub const PASS: &str = "bounds";
 
-/// One out-of-shape half-space to decide, with everything needed to
-/// render a diagnostic if it turns out inhabited.
+/// One side of one subscript to check, with everything needed to render a
+/// diagnostic if its out-of-shape half-space turns out inhabited.
 struct SideCheck<'a> {
     /// Identifies the subscript: (statement index, access index, dim).
     subscript: (usize, usize, usize),
@@ -21,8 +21,9 @@ struct SideCheck<'a> {
     is_write: bool,
     side: &'static str,
     extent: i64,
-    expr: LinExpr,
-    viol: BasicSet,
+    expr: &'a LinExpr,
+    /// Index of the half-space in the deduplicated list.
+    space: usize,
 }
 
 /// Checks every access of `kernel` against its array's declared shape.
@@ -35,9 +36,11 @@ struct SideCheck<'a> {
 /// referencing out-of-scope iterators) are skipped — the IR verifier
 /// reports those.
 ///
-/// Every out-of-shape half-space of every access is built up front and
-/// decided in one emptiness batch through the shared solver [`Context`];
-/// only inhabited ones pay for a witness sample.
+/// Every distinct out-of-shape half-space of the kernel is built once —
+/// subscripts repeat across accesses, and a half-space is fixed by its
+/// constraint alone — and all are decided in one emptiness batch through
+/// the shared solver [`Context`]; each side shares its half-space's
+/// verdict, and only inhabited ones pay for a witness sample.
 pub fn check_kernel_in(
     program: &AffineProgram,
     kernel: &AffineKernel,
@@ -48,6 +51,8 @@ pub fn check_kernel_in(
     let dom = kernel.domain();
     let dom_b = &dom.basics()[0];
     let mut checks = Vec::new();
+    // (excess, D ∩ { excess >= 0 }) per distinct half-space.
+    let mut spaces: Vec<(LinExpr, BasicSet)> = Vec::new();
     for (si, s) in kernel.statements.iter().enumerate() {
         for (ai, a) in s.accesses.iter().enumerate() {
             if a.array.0 >= program.arrays.len() {
@@ -68,8 +73,11 @@ pub fn check_kernel_in(
                     ("above", e.clone() - LinExpr::constant(extent)),
                 ];
                 for (side, excess) in sides {
-                    let mut viol = dom_b.clone();
-                    viol.add_ge0(excess);
+                    let space = spaces.iter().position(|(x, _)| *x == excess);
+                    let space = space.unwrap_or_else(|| {
+                        spaces.push((excess.clone(), dom_b.with_ge0(excess)));
+                        spaces.len() - 1
+                    });
                     checks.push(SideCheck {
                         subscript: (si, ai, j),
                         statement: &s.name,
@@ -77,19 +85,19 @@ pub fn check_kernel_in(
                         is_write: a.is_write,
                         side,
                         extent,
-                        expr: e.clone(),
-                        viol,
+                        expr: e,
+                        space,
                     });
                 }
             }
         }
     }
-    let verdicts = ctx.check_all(checks.iter().map(|c| &c.viol));
+    let verdicts = ctx.check_all(spaces.iter().map(|(_, viol)| viol));
     // One witness per subscript dimension suffices: once a subscript has
     // produced a diagnostic, its remaining sides are skipped (matching the
     // sequential checker's per-subscript `break`).
     let mut done_subscript = None;
-    for (c, verdict) in checks.iter().zip(verdicts) {
+    for c in &checks {
         if done_subscript == Some(c.subscript) {
             continue;
         }
@@ -98,10 +106,10 @@ pub fn check_kernel_in(
                 .statement(c.statement)
                 .array(c.array)
         };
-        match verdict {
+        match &verdicts[c.space] {
             Emptiness::Empty => {}
             Emptiness::NonEmpty => {
-                let pt = match ctx.sample(&c.viol) {
+                let pt = match ctx.sample(&spaces[c.space].1) {
                     Ok(Some(pt)) => pt,
                     Ok(None) => continue,
                     Err(e) => {

@@ -4,7 +4,7 @@
 //! verify gate builds it and hands it to Pluto.
 
 use std::cell::OnceCell;
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 use polyufc_presburger::{BasicMap, BasicSet, LinExpr, Set, Space};
 
@@ -34,18 +34,19 @@ pub struct Dependence {
 pub struct DepSummary {
     depth: usize,
     /// The distinct delta sets of the dependent access pairs. Every query
-    /// below is ∃/∀/max over this list, so pairs that repeat a set already
-    /// recorded (stencil taps, repeated reads) add nothing and are not
-    /// stored twice.
+    /// below is ∃/∀/max over this list, so pairs that repeat analysed
+    /// conflict equations (stencil taps, repeated reads) add nothing and
+    /// are skipped; a set keeps its relation's rows, so sets of distinct
+    /// equations or levels are distinct.
     pub dependences: Vec<Dependence>,
     /// Whether some set's emptiness check ran out of solver budget; the
     /// set was then kept at its carrying level, so every answer stays
     /// conservative ("dependence present").
     pub budget_exceeded: bool,
-    /// [`DepSummary::can_be_negative_at`] per level, filled on first use:
-    /// the permutability test before and after skewing and the tiling
-    /// gate all ask.
-    negative_at: Vec<OnceCell<bool>>,
+    /// [`DepSummary::first_negative_at`] per level, filled on first use:
+    /// the permutability test before and after skewing, the skew search
+    /// and the tiling gate all ask.
+    negative_at: Vec<OnceCell<Result<Option<usize>, ()>>>,
 }
 
 /// `{ i -> i' : i, i' ∈ D, E_src(i) = E_sink(i') }`: the iteration pairs
@@ -54,14 +55,18 @@ pub struct DepSummary {
 pub fn access_relation(domain: &BasicSet, src: &Access, sink: &Access) -> BasicMap {
     let depth = domain.space().n_dim();
     let mut rel = BasicMap::universe(Space::map(0, depth, depth));
-    for (e1, e2) in src.indices.iter().zip(&sink.indices) {
-        // e1 over in-dims (vars 0..depth), e2 shifted to out-dims.
-        rel.basic_set_mut()
-            .add_eq(e2.shift_vars(0, depth) - e1.clone());
+    for e in conflict_eqs(depth, src, sink) {
+        rel.basic_set_mut().add_eq(e);
     }
     rel.intersect_domain(domain)
         .and_then(|r| r.intersect_range(domain))
         .expect("relation and domain both have the kernel's depth")
+}
+
+/// `E_sink(i') - E_src(i)` per array dimension, over `[i, i']`.
+fn conflict_eqs(depth: usize, src: &Access, sink: &Access) -> Vec<LinExpr> {
+    let eq = |(e1, e2): (&LinExpr, &LinExpr)| e2.shift_vars(0, depth) - e1.clone();
+    src.indices.iter().zip(&sink.indices).map(eq).collect()
 }
 
 /// Builds the dependence summary of a kernel: for every pair of accesses to
@@ -69,6 +74,8 @@ pub fn access_relation(domain: &BasicSet, src: &Access, sink: &Access) -> BasicM
 /// distance vectors `i' - i` over pairs `i ≺ i'` (or `i ⪯ i'` when the
 /// source statement precedes the destination statement textually) touching
 /// the same element.
+/// Each lexicographic piece is decided on the pair relation; only a piece
+/// with points pays for its delta set (one more variable per dimension).
 pub fn analyze_kernel(kernel: &AffineKernel) -> DepSummary {
     let depth = kernel.depth();
     let mut summary = DepSummary {
@@ -94,10 +101,12 @@ pub fn analyze_kernel(kernel: &AffineKernel) -> DepSummary {
         .flat_map(|(si, s)| (0..s.accesses.len()).map(move |ai| (si, ai)))
         .collect();
 
-    // The relation of a pair is a function of the array, the two index
-    // vectors and whether the identity piece is included; an ordered pair
-    // that repeats an analysed one would rebuild the same delta sets.
-    let mut analysed = HashSet::new();
+    // A pair's relation is a function of its conflict equations alone (the
+    // domain is the kernel's), so a pair repeating analysed ones — e.g. the
+    // same index functions on another array, or `A[i-1]`/`A[i]` after
+    // `A[i]`/`A[i+1]` — owes at most the identity piece, if that has not
+    // joined yet; each key maps to whether it has.
+    let mut analysed = HashMap::new();
     for &(si, ai) in &accesses {
         for &(sj, aj) in &accesses {
             let a1 = &kernel.statements[si].accesses[ai];
@@ -105,42 +114,41 @@ pub fn analyze_kernel(kernel: &AffineKernel) -> DepSummary {
             if a1.array != a2.array || (!a1.is_write && !a2.is_write) {
                 continue;
             }
-            if !analysed.insert((a1.array, &a1.indices, &a2.indices, si < sj)) {
-                continue;
-            }
+            let eqs = conflict_eqs(depth, a1, a2);
+            let joins = si < sj;
+            let first = match analysed.get(&eqs) {
+                None => 0,
+                Some(false) if joins => depth,
+                Some(_) => continue,
+            };
+            analysed.insert(eqs, joins);
             let rel = access_relation(dom_basic, a1, a2);
-            let pieces = lex.basics().iter().chain((si < sj).then_some(&identity));
-            for (level, piece) in pieces.enumerate() {
-                let delta = rel.intersect(piece).expect("same space").deltas();
-                if summary
-                    .dependences
-                    .iter()
-                    .any(|d| d.delta.basics()[0] == delta)
-                {
+            let pieces = lex.basics().iter().chain(joins.then_some(&identity));
+            for (level, piece) in pieces.enumerate().skip(first) {
+                let pair_rel = rel.intersect(piece).expect("same space");
+                let empty = pair_rel.as_basic_set().is_empty();
+                if let Ok(true) = empty {
                     continue;
                 }
-                let empty = delta.is_empty();
                 summary.budget_exceeded |= empty.is_err();
-                if !matches!(empty, Ok(true)) {
-                    summary.dependences.push(Dependence {
-                        level,
-                        delta: Set::from_basic(delta),
-                        pair: [(si, ai), (sj, aj)],
-                    });
-                }
+                summary.dependences.push(Dependence {
+                    level,
+                    delta: Set::from_basic(pair_rel.deltas()),
+                    pair: [(si, ai), (sj, aj)],
+                });
             }
         }
     }
     summary
 }
 
-/// Whether `s` has no point with `e >= 0`. Each disjunct gets the probe
-/// row appended and is decided as it stands, with no re-simplification.
-fn empty_where(s: &Set, e: LinExpr) -> polyufc_presburger::Result<bool> {
+/// Whether `s` has no point with `δ_level <= -1 - k`. Each disjunct gets
+/// the probe row appended and is decided as it stands, with no
+/// re-simplification.
+fn empty_below(s: &Set, level: usize, k: i64) -> polyufc_presburger::Result<bool> {
+    let e = -LinExpr::var(level) - LinExpr::constant(k + 1);
     for b in s.basics() {
-        let mut probe = b.clone();
-        probe.add_ge0(e.clone());
-        if !probe.is_empty()? {
+        if !b.with_ge0(e.clone()).is_empty()? {
             return Ok(false);
         }
     }
@@ -149,10 +157,23 @@ fn empty_where(s: &Set, e: LinExpr) -> polyufc_presburger::Result<bool> {
 
 impl DepSummary {
     /// Whether a delta with `δ_level <= -1` exists in any dependence
-    /// (conservatively `true` on solver failure): the first probe of
-    /// [`DepSummary::min_delta_at`].
+    /// (conservatively `true` on solver failure).
     pub fn can_be_negative_at(&self, level: usize) -> bool {
-        *self.negative_at[level].get_or_init(|| self.min_delta_at(level, 0) != Some(0))
+        self.first_negative_at(level) != Ok(None)
+    }
+
+    /// The index of the first dependence carried above `level` with a
+    /// point at `δ_level <= -1` (`Ok(None)`: none; `Err(())`: a probe
+    /// failed), probed once per level.
+    fn first_negative_at(&self, level: usize) -> Result<Option<usize>, ()> {
+        *self.negative_at[level].get_or_init(|| {
+            for (i, d) in self.dependences.iter().enumerate() {
+                if d.level < level && !empty_below(&d.delta, level, 0).map_err(|_| ())? {
+                    return Ok(Some(i));
+                }
+            }
+            Ok(None)
+        })
     }
 
     /// Whether the full band `0..depth` is fully permutable: every delta is
@@ -174,10 +195,16 @@ impl DepSummary {
     /// Only sets carried at an outer level are probed; every other set has
     /// `δ_level >= 0`.
     pub fn min_delta_at(&self, level: usize, limit: i64) -> Option<i64> {
+        // The sets before the first negative one cannot go negative, and
+        // that one's k = 0 probe is answered.
+        let Some(first) = self.first_negative_at(level).ok()? else {
+            return Some(0);
+        };
         let mut worst = 0i64;
-        for d in self.dependences.iter().filter(|d| d.level < level) {
+        let outer = self.dependences.iter().enumerate().skip(first);
+        for (i, d) in outer.filter(|(_, d)| d.level < level) {
             let mut k = 0i64;
-            while !empty_where(&d.delta, -LinExpr::var(level) - LinExpr::constant(k + 1)).ok()? {
+            while (i, k) == (first, 0) || !empty_below(&d.delta, level, k).ok()? {
                 k += 1;
                 if k > limit {
                     return None;

@@ -6,14 +6,20 @@
 //! vectors say — before and after `skewed(inner, f)`, whose oracle is the
 //! brute force of the kernel `skew_loop` actually builds. Pluto fed a
 //! summary the verify gate built transforms exactly as Pluto analysing for
-//! itself.
+//! itself. `analyze_kernel`, which decides each lexicographic piece on
+//! the pair relation, records exactly the dependences the per-piece
+//! delta-set analysis it replaced recorded, on the random kernels (also
+//! with every index function shared by two arrays) and on every suite
+//! kernel.
 
 use std::collections::{HashMap, HashSet};
 
 use polyufc_ir::affine::{Access, AffineKernel, AffineProgram, Bound, Loop, Statement};
+use polyufc_ir::deps::access_relation;
 use polyufc_ir::types::ElemType;
 use polyufc_pluto::{analyze_kernel, skew_loop, DepSummary, PlutoOptimizer};
-use polyufc_presburger::LinExpr;
+use polyufc_presburger::{lex_lt_map, BasicMap, BasicSet, LinExpr};
+use polyufc_workloads::{ml_suite, polybench_suite, PolybenchSize};
 use proptest::prelude::*;
 
 /// A program holding one random kernel drawn from `seed`.
@@ -155,6 +161,111 @@ fn check(
     Ok(())
 }
 
+/// `program(seed)` with a twin of each array that every access repeats on:
+/// every index function is then shared by two arrays.
+fn program_with_twins(seed: u64) -> AffineProgram {
+    let mut p = program(seed);
+    let twins: Vec<_> = (0..p.arrays.len())
+        .map(|a| {
+            let dims = p.arrays[a].dims.clone();
+            p.add_array(format!("T{a}"), dims, ElemType::F64)
+        })
+        .collect();
+    for s in &mut p.kernels[0].statements {
+        let copies: Vec<Access> = s
+            .accesses
+            .iter()
+            .map(|a| Access {
+                array: twins[a.array.0],
+                ..a.clone()
+            })
+            .collect();
+        s.accesses.extend(copies);
+    }
+    p
+}
+
+/// One recorded dependence: carrying level, delta set, access pair.
+type Recorded = (usize, BasicSet, [(usize, usize); 2]);
+
+/// The dependence analysis before pieces were decided on the pair
+/// relation: per ordered pair (keyed with its array), every piece's delta
+/// set is built, skipped if already recorded, then decided on its own.
+fn analyze_per_piece_deltas(kernel: &AffineKernel) -> (Vec<Recorded>, bool) {
+    let depth = kernel.depth();
+    let (mut recorded, mut budget_exceeded) = (Vec::<Recorded>::new(), false);
+    if depth == 0 {
+        return (recorded, budget_exceeded);
+    }
+    let domain = kernel.domain();
+    let lex = lex_lt_map(0, depth);
+    let identity = BasicMap::identity(0, depth);
+    let accesses: Vec<(usize, usize)> = kernel
+        .statements
+        .iter()
+        .enumerate()
+        .flat_map(|(si, s)| (0..s.accesses.len()).map(move |ai| (si, ai)))
+        .collect();
+    let mut analysed = HashSet::new();
+    for &(si, ai) in &accesses {
+        for &(sj, aj) in &accesses {
+            let a1 = &kernel.statements[si].accesses[ai];
+            let a2 = &kernel.statements[sj].accesses[aj];
+            if a1.array != a2.array || (!a1.is_write && !a2.is_write) {
+                continue;
+            }
+            if !analysed.insert((a1.array, &a1.indices, &a2.indices, si < sj)) {
+                continue;
+            }
+            let rel = access_relation(&domain.basics()[0], a1, a2);
+            let pieces = lex.basics().iter().chain((si < sj).then_some(&identity));
+            for (level, piece) in pieces.enumerate() {
+                let delta = rel.intersect(piece).expect("same space").deltas();
+                if recorded.iter().any(|(_, d, _)| *d == delta) {
+                    continue;
+                }
+                let empty = delta.is_empty();
+                budget_exceeded |= empty.is_err();
+                if !matches!(empty, Ok(true)) {
+                    recorded.push((level, delta, [(si, ai), (sj, aj)]));
+                }
+            }
+        }
+    }
+    (recorded, budget_exceeded)
+}
+
+/// `analyze_kernel` against [`analyze_per_piece_deltas`]: the same
+/// dependences (level, delta set, pair) in the same order, and the same
+/// budget flag.
+fn matches_per_piece_deltas(k: &AffineKernel) -> Result<(), String> {
+    let got = analyze_kernel(k);
+    let got_recorded: Vec<Recorded> = got
+        .dependences
+        .iter()
+        .map(|d| (d.level, d.delta.basics()[0].clone(), d.pair))
+        .collect();
+    let (want, want_budget) = analyze_per_piece_deltas(k);
+    prop_assert_eq!(got_recorded, want, "{}", k.name);
+    prop_assert_eq!(got.budget_exceeded, want_budget, "{}", k.name);
+    Ok(())
+}
+
+#[test]
+fn suite_kernels_match_per_piece_deltas() {
+    for size in [PolybenchSize::Mini, PolybenchSize::Large] {
+        let programs = polybench_suite(size)
+            .into_iter()
+            .map(|w| w.program)
+            .chain(ml_suite().into_iter().map(|w| w.affine()));
+        for p in programs {
+            for k in &p.kernels {
+                matches_per_piece_deltas(k).unwrap_or_else(|e| panic!("{}: {e}", p.name));
+            }
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn dep_summary_matches_brute_force(seed in any::<u64>()) {
@@ -190,5 +301,11 @@ proptest! {
         let (got, got_report) = PlutoOptimizer.optimize_with(&p, vec![gate]);
         prop_assert_eq!(&got.kernels, &want.kernels, "{:?}", k);
         prop_assert_eq!(&got_report.decisions, &want_report.decisions, "{:?}", k);
+    }
+
+    #[test]
+    fn relation_level_pieces_match_per_piece_deltas(seed in any::<u64>()) {
+        matches_per_piece_deltas(&program(seed).kernels[0])?;
+        matches_per_piece_deltas(&program_with_twins(seed).kernels[0])?;
     }
 }

@@ -14,6 +14,7 @@
 use std::fmt;
 
 use crate::error::{Error, Result};
+use crate::inline::InlineVec;
 use crate::linexpr::LinExpr;
 use crate::space::Space;
 use crate::{Constraint, ConstraintKind};
@@ -108,6 +109,26 @@ impl BasicSet {
         self.add_constraint(Constraint::ge0(expr));
     }
 
+    /// A copy of the set with the constraint `expr >= 0` added (a probe or
+    /// half-space built from a shared domain).
+    pub fn with_ge0(&self, expr: LinExpr) -> BasicSet {
+        let mut out = self.with_room(1);
+        out.add_ge0(expr);
+        out
+    }
+
+    /// A copy whose constraint list has room for `extra` more, so adding
+    /// them does not reallocate it.
+    pub(crate) fn with_room(&self, extra: usize) -> BasicSet {
+        let mut constraints = Vec::with_capacity(self.constraints.len() + extra);
+        constraints.extend_from_slice(&self.constraints);
+        BasicSet {
+            space: self.space.clone(),
+            divs: self.divs.clone(),
+            constraints,
+        }
+    }
+
     /// Adds the constraint `lo <= var_idx <= hi` (inclusive bounds).
     pub fn add_range(&mut self, var_idx: usize, lo: i64, hi: i64) {
         self.add_ge0(LinExpr::var(var_idx) - LinExpr::constant(lo));
@@ -176,7 +197,7 @@ impl BasicSet {
                 found: other.space.to_string(),
             });
         }
-        let mut out = self.clone();
+        let mut out = self.with_room(other.constraints.len());
         let shift = self.divs.len();
         let at = self.space.n_var();
         for d in &other.divs {
@@ -844,42 +865,45 @@ impl System {
     /// Detects contradictions between pairs of inequalities with exactly
     /// negated variable parts (`e >= 0` and `-e + k >= 0` with `k` too
     /// small), which interval propagation cannot see. Returns `false` on
-    /// contradiction. Also refutes violated constant rows.
+    /// contradiction. Also refutes violated constant rows. Negated parts
+    /// agree once scaled to a positive leading coefficient, so rows are
+    /// filed under a signature of that and only rows sharing one compared.
     pub fn negated_pair_consistent(&self) -> bool {
         let n = self.n;
-        let stride = self.stride;
-        let rows = self.rows.as_slice();
-        let n_rows = self.n_rows();
-        for i in 0..n_rows {
-            let ri = &rows[i * stride..(i + 1) * stride];
-            if row_is_constant(ri, n) {
-                if !row_constant_ok(ri, n) {
+        let mut filed: InlineVec<(u64, usize), 32> = InlineVec::default();
+        for (i, row) in self.rows.as_slice().chunks_exact(self.stride).enumerate() {
+            let Some(&lead) = row[..n].iter().find(|&&c| c != 0) else {
+                if !row_constant_ok(row, n) {
                     return false;
                 }
                 continue;
-            }
-            // Equalities contribute both signs of their expression.
-            let signs_i: &[i64] = if ri[n + 1] == KIND_EQ { &[1, -1] } else { &[1] };
-            for j in (i + 1)..n_rows {
-                let rj = &rows[j * stride..(j + 1) * stride];
-                if row_is_constant(rj, n) {
-                    continue;
-                }
-                let signs_j: &[i64] = if rj[n + 1] == KIND_EQ { &[1, -1] } else { &[1] };
-                for &si in signs_i {
-                    for &sj in signs_j {
-                        if (0..n).all(|t| si * ri[t] == -(sj * rj[t]))
-                            && si * ri[n] + sj * rj[n] < 0
-                        {
-                            // part·x + k_i >= 0 and -part·x + k_j >= 0
-                            // require k_i + k_j >= 0.
-                            return false;
-                        }
-                    }
-                }
-            }
+            };
+            let sign = lead.signum();
+            let signature = row[..n].iter().fold(0xcbf2_9ce4_8422_2325, |h, &c| {
+                (h ^ sign.wrapping_mul(c) as u64).wrapping_mul(0x0100_0000_01b3)
+            });
+            filed.push((signature, i));
         }
-        true
+        filed.sort_unstable();
+        filed.chunk_by(|a, b| a.0 == b.0).all(|run| {
+            run.iter()
+                .enumerate()
+                .all(|(x, &(_, i))| run[x + 1..].iter().all(|&(_, j)| !self.negated_pair(i, j)))
+        })
+    }
+
+    /// Whether rows `i` and `j` read `part·x + k_i >= 0` and
+    /// `-part·x + k_j >= 0` with `k_i + k_j < 0` (an equality stands for
+    /// both signs of its expression).
+    fn negated_pair(&self, i: usize, j: usize) -> bool {
+        static SIGNS: [i64; 2] = [1, -1];
+        let (n, ri, rj) = (self.n, self.row(i), self.row(j));
+        let signs = |r: &[i64]| &SIGNS[..1 + usize::from(r[n + 1] == KIND_EQ)];
+        signs(ri).iter().any(|&si| {
+            signs(rj).iter().any(|&sj| {
+                (0..n).all(|t| si * ri[t] == -(sj * rj[t])) && si * ri[n] + sj * rj[n] < 0
+            })
+        })
     }
 
     /// Decides feasibility without producing a sample: eliminates
@@ -1479,5 +1503,103 @@ mod tests {
         assert_eq!(active.len(), 1);
         // No equality rows left.
         assert!((0..sys.n_rows()).all(|i| !sys.is_eq(i)));
+    }
+
+    /// The all-pairs loop [`System::negated_pair_consistent`] replaced:
+    /// every constant row, then every pair of non-constant rows, each
+    /// equality under both signs.
+    fn negated_pair_consistent_all_pairs(sys: &System) -> bool {
+        let n = sys.n;
+        let row = |i: usize| (sys.coeffs(i).to_vec(), sys.row(i)[n], sys.is_eq(i));
+        for i in 0..sys.n_rows() {
+            let (pi, ki, eqi) = row(i);
+            if pi.iter().all(|&c| c == 0) {
+                if if eqi { ki != 0 } else { ki < 0 } {
+                    return false;
+                }
+                continue;
+            }
+            for j in i + 1..sys.n_rows() {
+                let (pj, kj, eqj) = row(j);
+                if pj.iter().all(|&c| c == 0) {
+                    continue;
+                }
+                let signs = |eq: bool| if eq { vec![1, -1] } else { vec![1] };
+                for si in signs(eqi) {
+                    for sj in signs(eqj) {
+                        if (0..n).all(|t| si * pi[t] == -(sj * pj[t])) && si * ki + sj * kj < 0 {
+                            return false;
+                        }
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// A random system over 1–4 variables with up to 48 rows (past the
+    /// 32 rows `negated_pair_consistent` files in place): random rows,
+    /// constant rows, copies and doubles of earlier rows `e`, and exact
+    /// negations `-e + s`. Every row holds at a random point, or is tight
+    /// there, so nothing can be refuted — except that in half the systems
+    /// one row in eight has its constant lowered by one. A constant row
+    /// may then be violated, and a negation of a tight `e` (slack `s` −1,
+    /// where untouched ones have 0 or +1) or a copy of a tight equality
+    /// then contradicts it.
+    fn random_system(seed: u64) -> System {
+        let mut rng = proptest::test_runner::TestRng::new(seed);
+        let mut pick = |lo: i64, hi: i64| rng.next_in_range(lo as i128, hi as i128) as i64;
+        let n = pick(1, 4) as usize;
+        let n_rows = pick(0, 48);
+        let point: Vec<i64> = (0..n).map(|_| pick(-2, 2)).collect();
+        let hostile = pick(0, 1) == 1;
+        let mut rows: Vec<Constraint> = Vec::new();
+        for _ in 0..n_rows {
+            let kind = match pick(0, 3) {
+                0 => ConstraintKind::Eq,
+                _ => ConstraintKind::GeZero,
+            };
+            let earlier = (!rows.is_empty())
+                .then(|| rows[pick(0, rows.len() as i64 - 1) as usize].expr.clone());
+            let base = match (pick(0, 5), earlier) {
+                (0, _) => LinExpr::zero(),
+                (1, Some(e)) => e * pick(1, 2),
+                (2 | 3, Some(e)) => -e,
+                _ => (0..n).fold(LinExpr::zero(), |e, v| e + LinExpr::var(v) * pick(-2, 2)),
+            };
+            let slack = match kind {
+                ConstraintKind::Eq => 0,
+                ConstraintKind::GeZero => pick(0, 1),
+            };
+            let lowered = i64::from(hostile && pick(0, 7) == 0);
+            let expr = base.clone() + LinExpr::constant(slack - base.eval(&point) - lowered);
+            rows.push(Constraint { expr, kind });
+        }
+        System::new(n, &rows)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn negated_pair_consistent_matches_all_pairs(seed in proptest::prelude::any::<u64>()) {
+            let sys = random_system(seed);
+            proptest::prop_assert_eq!(
+                sys.negated_pair_consistent(),
+                negated_pair_consistent_all_pairs(&sys),
+                "{:?}",
+                sys.to_constraints()
+            );
+        }
+    }
+
+    /// The generator reaches both verdicts, in systems small enough to
+    /// file in place and in systems past that.
+    #[test]
+    fn negated_pair_systems_cover_both_verdicts_past_the_buffer() {
+        let mut seen = [[false; 2]; 2];
+        for seed in 0..512 {
+            let sys = random_system(seed);
+            seen[usize::from(sys.n_rows() > 32)][usize::from(sys.negated_pair_consistent())] = true;
+        }
+        assert_eq!(seen, [[true; 2]; 2]);
     }
 }

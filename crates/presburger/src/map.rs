@@ -93,7 +93,7 @@ impl BasicMap {
                 found: format!("set of {} dims", s.space().n_dim()),
             });
         }
-        let mut out = self.inner.clone();
+        let mut out = self.inner.with_room(s.constraints().len());
         let div_base = out.n_total();
         // Map s's vars [p, dims, divs_s] into the map layout.
         let mut perm = vec![0usize; s.n_total()];
