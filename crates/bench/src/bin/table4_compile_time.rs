@@ -8,7 +8,8 @@ use polyufc_bench::{print_table, size_from_args};
 use polyufc_machine::Platform;
 use polyufc_workloads::{ml_suite, polybench_suite};
 
-/// Renders the Presburger counting-cache saving as `hits/queries (rate)`.
+/// Renders the Presburger counting-cache saving as `hits/lookups (rate)`; a
+/// lookup is a whole counting question or one of its components.
 fn hit_rate(hits: u64, misses: u64) -> String {
     let total = hits + misses;
     if total == 0 {

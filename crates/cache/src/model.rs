@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use polyufc_ir::affine::{AffineKernel, AffineProgram};
-use polyufc_presburger::{BasicSet, CountCache, LinExpr, Set, Space};
+use polyufc_presburger::{CountCache, CountLimit, LinExpr};
 
 use crate::config::{AssocMode, CacheHierarchy};
 
@@ -858,7 +858,8 @@ fn count_prefix_trips(
 
 /// Counts the number of distinct value combinations of the given iterator
 /// dims (sorted ascending), with all other iterators' occurrences in
-/// bounds replaced by midpoints.
+/// bounds replaced by midpoints. The bound rows are written straight into
+/// the count cache's question over the compact dims.
 fn count_outer(
     kernel: &AffineKernel,
     mids: &[i64],
@@ -866,36 +867,38 @@ fn count_outer(
     count_cache: &mut CountCache,
 ) -> Result<i128, ModelError> {
     debug_assert!(dims.windows(2).all(|w| w[0] < w[1]));
-    let k = dims.len();
-    let space = Space::set(0, k);
-    let mut b = BasicSet::universe(space);
-    // Map original dim -> compact index.
-    let pos = |d: usize| dims.iter().position(|&x| x == d);
+    let mut q = count_cache.question(dims.len());
     for (ci, &d) in dims.iter().enumerate() {
         let l = &kernel.loops[d];
         for e in &l.lb.exprs {
-            // i_d >= e  =>  i_d - e >= 0 with e remapped.
-            b.add_ge0(LinExpr::var(ci) - remap_expr(e, &pos, mids));
+            // i_d >= e  =>  i_d - e >= 0.
+            let row = q.ge0();
+            row[ci] = 1;
+            add_remapped(row, e, -1, dims, mids);
         }
         for e in &l.ub.exprs {
-            b.add_ge0(remap_expr(e, &pos, mids) - LinExpr::var(ci) - LinExpr::constant(1));
+            // i_d < e  =>  e - i_d - 1 >= 0.
+            let row = q.ge0();
+            row[ci] = -1;
+            row[dims.len()] = -1;
+            add_remapped(row, e, 1, dims, mids);
         }
     }
-    let set = Set::from_basic(b);
-    Ok(set.count_cached(count_cache)?)
+    Ok(q.count(CountLimit::default())?)
 }
 
-/// Remaps an expression over original iterators to the compact dim space,
-/// substituting midpoints for iterators not in the compact set.
-fn remap_expr(e: &LinExpr, pos: &impl Fn(usize) -> Option<usize>, mids: &[i64]) -> LinExpr {
-    let mut out = LinExpr::constant(e.constant_term());
+/// Adds `sign · e` to a question row (`[compact coeffs…, constant]`): an
+/// iterator in `dims` lands on its compact column, any other contributes
+/// its midpoint to the constant.
+fn add_remapped(row: &mut [i64], e: &LinExpr, sign: i64, dims: &[usize], mids: &[i64]) {
+    let k = dims.len();
+    row[k] += sign * e.constant_term();
     for (v, c) in e.terms() {
-        match pos(v) {
-            Some(ci) => out.set_coeff(ci, out.coeff(ci) + c),
-            None => out.add_constant(c * mids.get(v).copied().unwrap_or(0)),
+        match dims.binary_search(&v) {
+            Ok(ci) => row[ci] += sign * c,
+            Err(_) => row[k] += sign * c * mids.get(v).copied().unwrap_or(0),
         }
     }
-    out
 }
 
 #[cfg(test)]

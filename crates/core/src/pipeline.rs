@@ -77,10 +77,12 @@ pub struct CompileReport {
     pub polyufc_cm_us: u128,
     /// Stages 4–6 (characterization, search, code generation).
     pub steps_4_6_us: u128,
-    /// Presburger counting queries answered from the memoization cache
-    /// during PolyUFC-CM analysis (Table IV compile-time saving).
+    /// Count-cache lookups (whole counting questions and their
+    /// independent components) answered from the memoization cache during
+    /// PolyUFC-CM analysis (Table IV compile-time saving).
     pub count_cache_hits: u64,
-    /// Presburger counting queries that had to run the full counter.
+    /// Count-cache lookups that found no entry: a whole question, and
+    /// each component of it that had to run the counter.
     pub count_cache_misses: u64,
     /// Coupled components resolved by the closed-form symbolic counting
     /// layer (size-independent work) across all cache misses.

@@ -3,7 +3,7 @@
 //! level. Pluto and the verifier's race pass read one [`DepSummary`]; the
 //! verify gate builds it and hands it to Pluto.
 
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
 
 use polyufc_presburger::{BasicMap, BasicSet, LinExpr, Set, Space};
@@ -47,6 +47,10 @@ pub struct DepSummary {
     /// the permutability test before and after skewing, the skew search
     /// and the tiling gate all ask.
     negative_at: Vec<OnceCell<Result<Option<usize>, ()>>>,
+    /// Per level, an index below which every set not carried at level 0 is
+    /// known to have `δ_level >= 0` (recorded by the skew search). A skew
+    /// leaves those sets unchanged, so the proof carries over.
+    unsheared_ok: Vec<Cell<usize>>,
 }
 
 /// `{ i -> i' : i, i' ∈ D, E_src(i) = E_sink(i') }`: the iteration pairs
@@ -83,6 +87,7 @@ pub fn analyze_kernel(kernel: &AffineKernel) -> DepSummary {
         dependences: Vec::new(),
         budget_exceeded: false,
         negative_at: vec![OnceCell::new(); depth],
+        unsheared_ok: vec![Cell::new(0); depth],
     };
     if depth == 0 {
         return summary;
@@ -146,6 +151,8 @@ pub fn analyze_kernel(kernel: &AffineKernel) -> DepSummary {
 /// the probe row appended and is decided as it stands, with no
 /// re-simplification.
 fn empty_below(s: &Set, level: usize, k: i64) -> polyufc_presburger::Result<bool> {
+    #[cfg(test)]
+    tests::PROBES.with(|p| p.set(p.get() + 1));
     let e = -LinExpr::var(level) - LinExpr::constant(k + 1);
     for b in s.basics() {
         if !b.with_ge0(e.clone()).is_empty()? {
@@ -167,8 +174,12 @@ impl DepSummary {
     /// failed), probed once per level.
     fn first_negative_at(&self, level: usize) -> Result<Option<usize>, ()> {
         *self.negative_at[level].get_or_init(|| {
-            for (i, d) in self.dependences.iter().enumerate() {
-                if d.level < level && !empty_below(&d.delta, level, 0).map_err(|_| ())? {
+            let ok = &self.unsheared_ok[level];
+            let outer = self.dependences.iter().enumerate();
+            for (i, d) in outer.filter(|(_, d)| d.level < level) {
+                if (d.level == 0 || i >= ok.get())
+                    && !empty_below(&d.delta, level, 0).map_err(|_| ())?
+                {
                     return Ok(Some(i));
                 }
             }
@@ -200,9 +211,16 @@ impl DepSummary {
         let Some(first) = self.first_negative_at(level).ok()? else {
             return Some(0);
         };
+        // While every set a skew leaves unchanged has probed non-negative,
+        // record how far that is known for summaries skewed from this one.
+        let ok = &self.unsheared_ok[level];
         let mut worst = 0i64;
+        let mut proving = true;
         let outer = self.dependences.iter().enumerate().skip(first);
         for (i, d) in outer.filter(|(_, d)| d.level < level) {
+            if proving && d.level > 0 {
+                ok.set(ok.get().max(i));
+            }
             let mut k = 0i64;
             while (i, k) == (first, 0) || !empty_below(&d.delta, level, k).ok()? {
                 k += 1;
@@ -210,7 +228,11 @@ impl DepSummary {
                     return None;
                 }
             }
+            proving &= d.level == 0 || k == 0;
             worst = worst.max(k);
+        }
+        if proving {
+            ok.set(self.dependences.len());
         }
         Some(-worst)
     }
@@ -220,7 +242,9 @@ impl DepSummary {
     /// first, and otherwise distances are unchanged — so every dependence
     /// keeps its access pair and its carrying level: a set carried at
     /// level 0 maps by `δ_inner ↦ δ_inner + factor·δ_0`, every other set
-    /// has `δ_0 = 0` and stays as it is. Only level `inner`'s answers move.
+    /// has `δ_0 = 0` and stays as it is. Only level `inner`'s answers move,
+    /// and its search skips the unchanged sets this summary already proved
+    /// non-negative there.
     pub fn skewed(&self, inner: usize, factor: i64) -> DepSummary {
         let shear = LinExpr::var(inner) - LinExpr::var(0) * factor;
         let dependences = self
@@ -241,6 +265,7 @@ impl DepSummary {
             dependences,
             budget_exceeded: self.budget_exceeded,
             negative_at,
+            unsheared_ok: self.unsheared_ok.clone(),
         }
     }
 }
@@ -248,8 +273,13 @@ impl DepSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::affine::{Access, AffineKernel, AffineProgram, Loop, Statement};
+    use crate::affine::{Access, AffineKernel, AffineProgram, Bound, Loop, Statement};
     use crate::types::ElemType;
+
+    thread_local! {
+        /// `empty_below` probes issued on this thread.
+        pub(super) static PROBES: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn matmul_kernel() -> AffineKernel {
         let mut p = AffineProgram::new("mm");
@@ -344,5 +374,64 @@ mod tests {
         assert!(d.dependences.is_empty());
         assert!(d.loop_parallel(0));
         assert!(d.fully_permutable());
+    }
+
+    /// seidel-2d-style: `for t { for i { for j { A[i][j] = f(A[i±1][j±1],
+    /// A[i±1][j], A[i][j±1], A[i][j]) } } }` in place (no `A[i-1][j+1]`
+    /// tap), so dependences are carried at every level and both inner
+    /// levels need a skew.
+    fn seidel_kernel() -> AffineKernel {
+        let mut p = AffineProgram::new("sd");
+        let a = p.add_array("A", vec![12, 12], ElemType::F64);
+        let (vi, vj) = (LinExpr::var(1), LinExpr::var(2));
+        let inner = || Loop::new(Bound::constant(1), Bound::constant(11));
+        let at = |di: i64, dj: i64| {
+            vec![
+                vi.clone() + LinExpr::constant(di),
+                vj.clone() + LinExpr::constant(dj),
+            ]
+        };
+        AffineKernel {
+            name: "sd".into(),
+            loops: vec![Loop::range(4), inner(), inner()],
+            statements: vec![Statement {
+                name: "S".into(),
+                accesses: vec![
+                    Access::read(a, at(-1, -1)),
+                    Access::read(a, at(-1, 0)),
+                    Access::read(a, at(0, -1)),
+                    Access::read(a, at(0, 0)),
+                    Access::read(a, at(0, 1)),
+                    Access::read(a, at(1, 0)),
+                    Access::read(a, at(1, 1)),
+                    Access::write(a, at(0, 0)),
+                ],
+                flops: 7,
+            }],
+        }
+    }
+
+    #[test]
+    fn skewed_summary_reprobes_only_sheared_sets() {
+        // Pluto's flow: the permutability test, a skew search per inner
+        // level, then the tiling gate's permutability test on the result.
+        let mut d = analyze_kernel(&seidel_kernel());
+        assert!(!d.fully_permutable());
+        let mut skews = Vec::new();
+        for inner in 1..3 {
+            if let Some(min_d @ ..=-1) = d.min_delta_at(inner, 8) {
+                d = d.skewed(inner, -min_d);
+                skews.push((inner, -min_d));
+            }
+        }
+        assert_eq!(skews, [(1, 1), (2, 1)]);
+        let carried = |l: usize| d.dependences.iter().filter(|x| x.level == l).count();
+        assert_eq!((carried(0), carried(1)), (7, 2));
+        // The gate re-probes the level-0 sets at both skewed levels, each
+        // once at k = 0; the level-1 sets, unchanged by either skew, were
+        // proved non-negative at level 2 by the second skew search.
+        let before = PROBES.with(Cell::get);
+        assert!(d.fully_permutable());
+        assert_eq!(PROBES.with(Cell::get) - before, 2 * carried(0));
     }
 }

@@ -438,9 +438,9 @@ impl Interval {
 const INLINE_WORDS: usize = 160;
 
 /// Row kind tag stored in the last word of each row: equality (`expr == 0`).
-const KIND_EQ: i64 = 0;
+pub(crate) const KIND_EQ: i64 = 0;
 /// Row kind tag: inequality (`expr >= 0`).
-const KIND_GE: i64 = 1;
+pub(crate) const KIND_GE: i64 = 1;
 
 /// Contiguous `i64` storage: a fixed boxed block while the rows fit, a
 /// `Vec` once they do not. Cloning allocates either way; a fixed block
@@ -596,6 +596,15 @@ impl System {
             stride: n + 2,
             rows: Slab::new(),
         }
+    }
+
+    /// A system over `n` variables holding a copy of `rows`, which are
+    /// laid out as this type stores them (`n + 2` words each).
+    pub fn from_rows(n: usize, rows: &[i64]) -> Self {
+        let mut sys = System::empty(n);
+        sys.rows.extend_zeros(rows.len());
+        sys.rows.as_mut_slice().copy_from_slice(rows);
+        sys
     }
 
     /// O(1) bulk reset: drops all rows (keeping heap capacity) and switches

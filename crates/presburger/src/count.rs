@@ -15,7 +15,9 @@
 
 use std::collections::HashMap;
 
-use crate::basic::{row_is_constant, Budget, System};
+use crate::basic::{
+    ceil_div, floor_div, row_constant_ok, row_is_constant, Budget, System, KIND_EQ, KIND_GE,
+};
 use crate::error::{Error, Result};
 use crate::{polysum, BasicSet, Constraint, ConstraintKind};
 
@@ -71,9 +73,14 @@ pub(crate) fn count_system_with_stats(
         allow_symbolic,
         stats: StrategyStats::default(),
     };
-    let active: Vec<usize> = (0..sys.n).collect();
-    let c = count_rec(sys.clone(), &active, &mut ctx)?;
+    let c = count_in(sys.clone(), &mut ctx)?;
     Ok((c, ctx.stats))
+}
+
+/// Counts the integer solutions of `sys` (every variable free) in `ctx`.
+fn count_in(sys: System, ctx: &mut Ctx) -> Result<i128> {
+    let active: Vec<usize> = (0..sys.n).collect();
+    count_rec(sys, &active, ctx)
 }
 
 /// Counts a basic set with the symbolic closed-form layer disabled: every
@@ -95,47 +102,62 @@ pub fn count_basic_enumerative(set: &BasicSet, limit: CountLimit) -> Result<i128
     count_system_with_stats(&set.system(), limit, false).map(|(c, _)| c)
 }
 
-/// Reused buffers of [`count_key`]: the canonical rows, their sort order,
-/// and the key itself.
+/// Reused buffers of one count question.
 #[derive(Debug, Clone, Default)]
 struct KeyBuf {
+    /// Variables of the question being written.
+    n: usize,
+    /// Rows as written, in [`System`] layout (`n + 2` words: coefficients,
+    /// constant, kind), equalities sign-normalized.
     rows: Vec<i64>,
     order: Vec<usize>,
     key: Vec<i64>,
+    label: Vec<usize>,
+    /// Compact rows and key of the component being looked up.
+    part_rows: Vec<i64>,
+    part_key: Vec<i64>,
 }
 
-/// Canonical hash key of the solver system over `n` variables that
-/// `constraints` build, as one flat word list written into `buf` (no
-/// system is built): the variable count, the count limit, then the sorted,
-/// deduplicated canonical rows `[kind, constant, coeffs…]` (kind 0 for an
-/// equality, 1 for an inequality, coefficients zero-padded to `n`), an
-/// equality's sign normalized so its first nonzero coefficient is positive
-/// (both signs describe the same hyperplane). Two systems with the same
-/// key describe the same solution set, so their point counts can be shared.
-fn count_key<'a>(
-    n: usize,
-    constraints: &[Constraint],
-    limit: CountLimit,
-    buf: &'a mut KeyBuf,
-) -> &'a [i64] {
-    let width = n + 2;
-    let KeyBuf { rows, order, key } = buf;
-    rows.clear();
-    for c in constraints {
+impl KeyBuf {
+    /// Appends a zeroed row of `kind` and returns its words
+    /// `[c_0, …, c_{n-1}, constant]`.
+    fn push_row(&mut self, kind: i64) -> &mut [i64] {
+        let (n, base) = (self.n, self.rows.len());
+        self.rows.resize(base + n + 2, 0);
+        self.rows[base + n + 1] = kind;
+        &mut self.rows[base..base + n + 1]
+    }
+
+    /// Appends `c` as a row; an equality's first nonzero coefficient is
+    /// made positive (both signs describe the same hyperplane).
+    fn push(&mut self, c: &Constraint) {
         let is_eq = c.kind == ConstraintKind::Eq;
         let flip = is_eq && c.expr.terms().next().is_some_and(|(_, c)| c < 0);
         let sign = if flip { -1 } else { 1 };
-        rows.push(i64::from(!is_eq));
-        rows.push(sign * c.expr.constant_term());
-        let base = rows.len();
-        rows.resize(base + n, 0);
+        let n = self.n;
+        let row = self.push_row(if is_eq { KIND_EQ } else { KIND_GE });
+        row[n] = sign * c.expr.constant_term();
         for (v, a) in c.expr.terms() {
-            rows[base + v] = sign * a;
+            row[v] = sign * a;
         }
     }
+}
+
+/// Writes the canonical key of `rows` (over `n` variables, `n + 2` words
+/// each) into `key`: the variable count, the count limit, then the rows
+/// sorted and deduplicated. Two questions with the same key have the same
+/// solution set, so their point counts can be shared.
+fn canonical_key(
+    rows: &[i64],
+    n: usize,
+    limit: CountLimit,
+    order: &mut Vec<usize>,
+    key: &mut Vec<i64>,
+) {
+    let width = n + 2;
     let row = |r: usize| &rows[r * width..(r + 1) * width];
     order.clear();
-    order.extend(0..constraints.len());
+    order.extend(0..rows.len() / width);
     order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
     order.dedup_by(|a, b| row(*a) == row(*b));
     key.clear();
@@ -143,38 +165,68 @@ fn count_key<'a>(
     for &r in order.iter() {
         key.extend_from_slice(row(r));
     }
-    key
 }
 
-/// Memoization cache for [`crate::Set::count_cached`].
+/// Memoization cache of count questions, written row by row through
+/// [`CountCache::question`] (whole sets through
+/// [`crate::Set::count_cached`]).
 ///
-/// The PolyUFC cache model issues the *same* Presburger counting query many
-/// times while analyzing one kernel — once per reference per cache level
-/// for the dominating-prefix and outer-trip counts. Keys are the canonical
-/// form of the solver system (sorted, sign-normalized constraints), so hits
-/// are exact: a cached count is returned only for a query whose solution
-/// set provably equals a previously answered one. Only successful counts
-/// are cached; errors (budget, unboundedness) are recomputed so their
-/// diagnostics stay accurate.
+/// The PolyUFC cache model asks the *same* counting question many times
+/// per kernel, and its questions are often products of independent
+/// pieces (tile/point pairs, box dimensions) that recur across questions.
+/// Keys are canonical rows, so a hit is exact. A question is looked up
+/// whole; on a miss its variables are split into connected components.
+/// Constant rows and one-variable components are decided on the spot;
+/// every larger component is looked up under its own compact key and
+/// counted only on a miss, from the question's one work budget, and the
+/// product is stored under the whole key.
+/// [`CountCache::hits`] and [`CountCache::misses`] count lookups of both
+/// kinds. Only successful counts are cached.
 ///
 /// The cache is bounded: once [`CountCache::len`] reaches the capacity
 /// given to [`CountCache::with_capacity`], the next insert clears the map
 /// (a generational reset — cheaper and less pathological than per-entry
 /// LRU for the compile pipeline's bursty, phase-local reuse). Evicted
 /// entries are tallied in [`CountCache::evictions`]. The cache also
-/// aggregates the per-strategy tallies of every miss it computed, surfaced
-/// through [`CountCache::symbolic`] / [`CountCache::enumerated`].
+/// aggregates the per-strategy tallies of every component it counted,
+/// surfaced through [`CountCache::symbolic`] / [`CountCache::enumerated`].
 #[derive(Debug, Clone)]
 pub struct CountCache {
-    map: HashMap<Vec<i64>, i128>,
+    memo: Memo,
     key_buf: KeyBuf,
-    hits: u64,
-    misses: u64,
     symbolic: u64,
     enumerated: u64,
     parallel_splits: u64,
+}
+
+/// The map of a [`CountCache`] with its lookup tallies and capacity guard.
+#[derive(Debug, Clone, Default)]
+struct Memo {
+    map: HashMap<Vec<i64>, i128>,
+    hits: u64,
+    misses: u64,
     evictions: u64,
     capacity: usize,
+}
+
+impl Memo {
+    /// Looks `key` up (a `Vec<i64>` key hashes as its slice), tallying a
+    /// hit or a miss.
+    fn get(&mut self, key: &[i64]) -> Option<i128> {
+        let c = self.map.get(key).copied();
+        self.hits += u64::from(c.is_some());
+        self.misses += u64::from(c.is_none());
+        c
+    }
+
+    /// Inserts `key → c`, clearing a full map first.
+    fn store(&mut self, key: &[i64], c: i128) {
+        if self.map.len() >= self.capacity {
+            self.evictions += self.map.len() as u64;
+            self.map.clear();
+        }
+        self.map.insert(key.to_vec(), c);
+    }
 }
 
 impl Default for CountCache {
@@ -197,41 +249,48 @@ impl CountCache {
     /// An empty cache bounded to `capacity` entries.
     pub fn with_capacity(capacity: usize) -> Self {
         CountCache {
-            map: HashMap::new(),
+            memo: Memo {
+                capacity,
+                ..Memo::default()
+            },
             key_buf: KeyBuf::default(),
-            hits: 0,
-            misses: 0,
             symbolic: 0,
             enumerated: 0,
             parallel_splits: 0,
-            evictions: 0,
-            capacity,
         }
     }
 
-    /// Queries answered from the cache.
+    /// Starts a count question over `n` variables, written row by row
+    /// into the cache's own buffer: a hit builds nothing.
+    pub fn question(&mut self, n: usize) -> CountQuestion<'_> {
+        self.key_buf.n = n;
+        self.key_buf.rows.clear();
+        CountQuestion { cache: self }
+    }
+
+    /// Lookups (whole questions and components) answered from the cache.
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.memo.hits
     }
 
-    /// Queries that had to run the counter.
+    /// Lookups (whole questions and components) that found no entry.
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.memo.misses
     }
 
-    /// Number of distinct cached systems.
+    /// Number of cached entries (whole questions and components).
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.memo.map.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.memo.map.is_empty()
     }
 
     /// Entries discarded by the capacity guard so far.
     pub fn evictions(&self) -> u64 {
-        self.evictions
+        self.memo.evictions
     }
 
     /// Coupled components resolved by the closed-form symbolic layer
@@ -251,33 +310,185 @@ impl CountCache {
     pub fn parallel_splits(&self) -> u64 {
         self.parallel_splits
     }
+
+    /// Counts the question in the key buffer after its whole key missed:
+    /// per component, or whole (the uncached path, which reports a
+    /// variable in no row as unbounded) when there is one component or a
+    /// variable is in no row.
+    fn count_factored(&mut self, limit: CountLimit, ctx: &mut Ctx) -> Result<i128> {
+        let CountCache {
+            memo, key_buf: b, ..
+        } = self;
+        let (n, width) = (b.n, b.n + 2);
+        let rows = || b.rows.chunks_exact(width);
+        if rows().any(|r| row_is_constant(r, n) && !row_constant_ok(r, n)) {
+            return Ok(0);
+        }
+        label_components(rows().map(|r| &r[..n]), |_| true, n, &mut b.label);
+        let label = &b.label;
+        let free = (0..n).any(|v| rows().all(|r| r[v] == 0));
+        if free || (n > 1 && (1..n).all(|v| label[v] == 0)) {
+            return count_in(System::from_rows(n, &b.rows), ctx);
+        }
+        // The count is the product over components, in order of their
+        // smallest variable; a one-variable component is counted from its
+        // bounds and never stored (a daemon session would keep thousands).
+        let mut total: i128 = 1;
+        for r in (0..n).filter(|&v| label[v] == v) {
+            let cols = || (r..n).filter(move |&v| label[v] == r);
+            let in_part = |row: &&[i64]| row[..n].iter().position(|&c| c != 0).map(|f| label[f]);
+            let k = cols().count();
+            let c = if k == 1 {
+                count_single(&b.rows, n, r)?
+            } else {
+                b.part_rows.clear();
+                for row in rows().filter(|row| in_part(row) == Some(r)) {
+                    b.part_rows.extend(cols().map(|v| row[v]));
+                    b.part_rows.extend_from_slice(&row[n..]);
+                }
+                canonical_key(&b.part_rows, k, limit, &mut b.order, &mut b.part_key);
+                if let Some(c) = memo.get(&b.part_key) {
+                    c
+                } else {
+                    let c = count_in(System::from_rows(k, &b.part_rows), ctx).map_err(|e| {
+                        let Error::Unbounded { var } = e else {
+                            return e;
+                        };
+                        Error::Unbounded {
+                            var: cols().nth(var).unwrap_or(r),
+                        }
+                    })?;
+                    memo.store(&b.part_key, c);
+                    c
+                }
+            };
+            total = total.checked_mul(c).ok_or(Error::Overflow)?;
+            if total == 0 {
+                return Ok(0);
+            }
+        }
+        Ok(total)
+    }
 }
 
-/// Counts a basic set with determined divs through the cache:
-/// canonical-key lookup first (a hit builds no solver system and allocates
-/// nothing), full counter on a miss, successful results inserted under the
-/// capacity guard.
+/// A count question being written into a [`CountCache`] (see
+/// [`CountCache::question`]).
+#[derive(Debug)]
+pub struct CountQuestion<'a> {
+    cache: &'a mut CountCache,
+}
+
+impl CountQuestion<'_> {
+    /// Appends the row `c_0·x_0 + … + c_{n-1}·x_{n-1} + constant >= 0` and
+    /// returns its words `[c_0, …, c_{n-1}, constant]`, zeroed, to fill in.
+    pub fn ge0(&mut self) -> &mut [i64] {
+        self.cache.key_buf.push_row(KIND_GE)
+    }
+
+    /// Counts the question's integer points: the whole key first (a hit
+    /// counts nothing), then its components (see [`CountCache`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Unbounded`] if a variable has no finite range,
+    /// [`Error::SearchBudgetExceeded`] when `limit` runs out, and
+    /// [`Error::Overflow`] if the count does not fit.
+    pub fn count(self, limit: CountLimit) -> Result<i128> {
+        let cache = self.cache;
+        let b = &mut cache.key_buf;
+        canonical_key(&b.rows, b.n, limit, &mut b.order, &mut b.key);
+        if let Some(c) = cache.memo.get(&b.key) {
+            return Ok(c);
+        }
+        let mut ctx = Ctx {
+            budget: Budget::with_limit(limit.0),
+            allow_symbolic: true,
+            stats: StrategyStats::default(),
+        };
+        let c = cache.count_factored(limit, &mut ctx);
+        cache.symbolic += ctx.stats.symbolic;
+        cache.enumerated += ctx.stats.enumerated;
+        cache.parallel_splits += ctx.stats.parallel_splits;
+        c.inspect(|&c| cache.memo.store(&cache.key_buf.key, c))
+    }
+}
+
+/// Labels each variable `active` says to label with the smallest variable
+/// of its connected component over the rows' coefficient parts (others get
+/// `usize::MAX`).
+fn label_components<'r>(
+    rows: impl Iterator<Item = &'r [i64]>,
+    active: impl Fn(usize) -> bool,
+    n: usize,
+    label: &mut Vec<usize>,
+) {
+    label.clear();
+    label.extend((0..n).map(|v| if active(v) { v } else { usize::MAX }));
+    for coeffs in rows {
+        let mut first = None;
+        for v in (0..n).filter(|&v| coeffs[v] != 0) {
+            match (first, label[v]) {
+                (_, usize::MAX) => {}
+                (None, _) => first = Some(v),
+                (Some(f), _) => {
+                    let (ra, rb) = (find(label, f), find(label, v));
+                    label[ra.max(rb)] = ra.min(rb);
+                }
+            }
+        }
+    }
+    for v in 0..n {
+        if label[v] != usize::MAX {
+            label[v] = find(label, v);
+        }
+    }
+}
+
+/// Union-find root of `v` (path halving).
+fn find(parent: &mut [usize], mut v: usize) -> usize {
+    while parent[v] != v {
+        parent[v] = parent[parent[v]];
+        v = parent[v];
+    }
+    v
+}
+
+/// Counts the values of variable `v` allowed by the rows (`n + 2` words
+/// each) when no row couples it to another variable.
+fn count_single(rows: &[i64], n: usize, v: usize) -> Result<i128> {
+    let (mut lo, mut hi) = (None::<i64>, None::<i64>);
+    for row in rows.chunks_exact(n + 2).filter(|row| row[v] != 0) {
+        // a·x + k >= 0, or == 0 for an equality.
+        let (a, k) = (row[v], row[n]);
+        let (l, h) = match (row[n + 1] == KIND_EQ, a > 0) {
+            (true, _) if k % a != 0 => return Ok(0),
+            (true, _) => (Some(-k / a), Some(-k / a)),
+            (false, true) => (Some(ceil_div(-k, a)), None),
+            (false, false) => (None, Some(floor_div(k, -a))),
+        };
+        lo = lo.max(l);
+        hi = match (hi, h) {
+            (Some(x), Some(y)) => Some(x.min(y)),
+            (x, y) => x.or(y),
+        };
+    }
+    match (lo, hi) {
+        (Some(l), Some(h)) => Ok((i128::from(h) - i128::from(l) + 1).max(0)),
+        _ => Err(Error::Unbounded { var: v }),
+    }
+}
+
+/// Counts a basic set with determined divs through the cache.
 pub(crate) fn count_basic_cached(
     set: &BasicSet,
     limit: CountLimit,
     cache: &mut CountCache,
 ) -> Result<i128> {
-    let key = count_key(set.n_total(), set.constraints(), limit, &mut cache.key_buf);
-    if let Some(&c) = cache.map.get(key) {
-        cache.hits += 1;
-        return Ok(c);
+    let q = cache.question(set.n_total());
+    for c in set.constraints() {
+        q.cache.key_buf.push(c);
     }
-    cache.misses += 1;
-    let (c, stats) = count_system_with_stats(&set.system(), limit, true)?;
-    cache.symbolic += stats.symbolic;
-    cache.enumerated += stats.enumerated;
-    cache.parallel_splits += stats.parallel_splits;
-    if cache.map.len() >= cache.capacity {
-        cache.evictions += cache.map.len() as u64;
-        cache.map.clear();
-    }
-    cache.map.insert(cache.key_buf.key.clone(), c);
-    Ok(c)
+    q.count(limit)
 }
 
 fn count_rec(mut sys: System, active: &[usize], ctx: &mut Ctx) -> Result<i128> {
@@ -420,47 +631,19 @@ fn count_component(
     Ok(total)
 }
 
+/// The connected components of `vars` in the variable-interaction graph
+/// of `sys`, each sorted, in order of their smallest variable.
 fn connected_components(sys: &System, vars: &[usize]) -> Vec<Vec<usize>> {
-    use std::collections::HashMap;
-    let mut parent: HashMap<usize, usize> = vars.iter().map(|&v| (v, v)).collect();
-
-    fn find(parent: &mut HashMap<usize, usize>, x: usize) -> usize {
-        let p = parent[&x];
-        if p == x {
-            x
-        } else {
-            let r = find(parent, p);
-            parent.insert(x, r);
-            r
+    let mut label = Vec::new();
+    let rows = (0..sys.n_rows()).map(|r| sys.coeffs(r));
+    label_components(rows, |v| vars.contains(&v), sys.n, &mut label);
+    let mut out: Vec<Vec<usize>> = Vec::new();
+    for v in (0..sys.n).filter(|&v| label[v] != usize::MAX) {
+        match out.iter_mut().find(|g| g[0] == label[v]) {
+            Some(g) => g.push(v),
+            None => out.push(vec![v]),
         }
     }
-
-    for r in 0..sys.n_rows() {
-        let coeffs = sys.coeffs(r);
-        let mut prev: Option<usize> = None;
-        for (i, &c) in coeffs.iter().enumerate() {
-            if c == 0 || !parent.contains_key(&i) {
-                continue; // zero, fixed, or foreign variable
-            }
-            if let Some(p) = prev {
-                let (ra, rb) = (find(&mut parent, p), find(&mut parent, i));
-                if ra != rb {
-                    parent.insert(ra, rb);
-                }
-            }
-            prev = Some(i);
-        }
-    }
-    let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-    for &v in vars {
-        let r = find(&mut parent, v);
-        groups.entry(r).or_default().push(v);
-    }
-    let mut out: Vec<Vec<usize>> = groups.into_values().collect();
-    for g in &mut out {
-        g.sort_unstable();
-    }
-    out.sort_by_key(|g| g[0]);
     out
 }
 
@@ -695,8 +878,16 @@ pub(crate) mod tests {
         let as_ge = Constraint::ge0(i.clone() - j.clone() - LinExpr::constant(2));
         let shifted = Constraint::eq(i - j - LinExpr::constant(3));
         let key = |n: usize, limit: u64, rows: &[&Constraint]| {
-            let rows: Vec<Constraint> = rows.iter().map(|&c| c.clone()).collect();
-            count_key(n, &rows, CountLimit(limit), &mut KeyBuf::default()).to_vec()
+            let mut buf = KeyBuf {
+                n,
+                ..KeyBuf::default()
+            };
+            for &c in rows {
+                buf.push(c);
+            }
+            let mut key = Vec::new();
+            canonical_key(&buf.rows, n, CountLimit(limit), &mut buf.order, &mut key);
+            key
         };
         let base = key(2, 100, &[&lo, &hi, &diag]);
         // Row order, a repeated row and an equality's sign do not matter.

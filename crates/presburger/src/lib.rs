@@ -19,8 +19,9 @@
 //!   dependences.
 //! * Batched emptiness and sampling through one reusable solver arena
 //!   ([`Context`]).
-//! * Integer point counting ([`Set::count`], memoized by
-//!   [`Set::count_cached`] through a [`CountCache`]) by closed-form
+//! * Integer point counting ([`Set::count`], memoized in a [`CountCache`]
+//!   fed rows by [`CountCache::question`] or whole sets by
+//!   [`Set::count_cached`], per independent component) by closed-form
 //!   symbolic summation ([`symbolic_count`]) with recursive bound
 //!   decomposition, connected-component factoring, and a verified
 //!   enumerating fallback ([`count_basic_enumerative`]), plus an
@@ -71,7 +72,7 @@ mod space;
 
 pub use basic::{BasicSet, Div};
 pub use context::{Context, Emptiness};
-pub use count::{count_basic_enumerative, CountCache, CountLimit};
+pub use count::{count_basic_enumerative, CountCache, CountLimit, CountQuestion};
 pub use error::{Error, Result};
 pub use lexorder::lex_lt_map;
 pub use linexpr::LinExpr;

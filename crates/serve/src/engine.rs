@@ -117,9 +117,10 @@ impl Default for EngineConfig {
 /// shed, cached, and prefix-cached requests contribute nothing).
 #[derive(Debug, Default)]
 pub struct CountTotals {
-    /// Counting queries answered from warm per-worker session caches.
+    /// Count-cache lookups (whole questions and their components)
+    /// answered from warm per-worker session caches.
     pub hits: AtomicU64,
-    /// Counting queries that ran the full counter.
+    /// Count-cache lookups that found no entry.
     pub misses: AtomicU64,
     /// Components resolved by the closed-form symbolic layer.
     pub symbolic: AtomicU64,
