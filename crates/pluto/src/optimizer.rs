@@ -108,12 +108,10 @@ impl PlutoOptimizer {
             l.parallel = p;
         }
 
-        // Tile fully permutable bands.
-        let big_enough = k
-            .domain_size()
-            .map(|s| s >= MIN_POINTS_TO_TILE)
-            .unwrap_or(false);
-        if k.depth() >= 2 && big_enough && deps.fully_permutable() {
+        // Tile fully permutable bands. Counting the domain is the gate's
+        // one costly test, so it goes last.
+        let big_enough = || k.domain_size().is_ok_and(|s| s >= MIN_POINTS_TO_TILE);
+        if k.depth() >= 2 && deps.fully_permutable() && big_enough() {
             if let Some(tiled) = tile_kernel(&k, TILE_SIZE) {
                 k = tiled;
                 dec.tiled = true;

@@ -8,16 +8,15 @@
 //!   the request's JSON, builds both keys from the request as sent
 //!   ([`CompileRequest::keys`]) and probes the quarantine and artifact
 //!   tiers — a cache hit completes without parsing the kernel source or
-//!   touching the pool. A miss leads or joins a compile, and the reactor
-//!   [`prepare`]s it (source parsed and sanitized) only when no worker
-//!   has compiled its program yet ([`ArtifactCache::known`]), so a parse
-//!   error is still answered inline;
-//! * a **worker thread** (with its persistent [`CompileSession`] and a
-//!   per-worker characterization-prefix cache) runs the expensive
-//!   pipeline only when the key missed, and only once per key no matter
-//!   how many requests race (single flight). A known program's request
-//!   arrives unparsed: the worker finishes it from its prefix cache, or
-//!   runs the front end itself when it does not hold the prefix.
+//!   touching the pool. A miss leads or joins a compile. When some
+//!   attempt has characterized its program, the reactor takes that
+//!   shared prefix ([`ArtifactCache::prefix`]); otherwise it
+//!   [`prepare`]s it (source parsed and sanitized), so a parse error is
+//!   still answered inline;
+//! * a **worker thread** (with its persistent [`CompileSession`]) runs
+//!   the expensive pipeline only when the key missed, and only once per
+//!   key no matter how many requests race (single flight). A request
+//!   that carries a prefix runs only the ε-dependent stages on it.
 //!
 //! The engine's entry point is asynchronous: [`Engine::submit`] either
 //! answers immediately ([`Submitted::Ready`]) or dispatches a compile and
@@ -30,18 +29,19 @@
 //! `overloaded` response and ends its attempt so joiners shed too —
 //! backpressure is explicit, never an unbounded buffer.
 //!
-//! **Prefix cache:** stage timing shows warm recompiles are dominated by
+//! **Prefix tier:** stage timing shows warm recompiles are dominated by
 //! Pluto re-optimization (hundreds of µs to ms), while the only stages
 //! that read `epsilon`/`objective` are POLYUFC-SEARCH (≈ 1 µs a kernel)
 //! and code generation, which runs only for a `"emit":"scf"` reply, the
-//! one that prints it. Each worker therefore caches
-//! [`CharacterizedProgram`] prefixes keyed on (platform, assoc, source),
-//! each with the sanitize warnings of its source: a request differing
-//! only in search parameters re-runs only [`Pipeline::finish`] (and
-//! [`capped_scf`]) on a borrow of the cached prefix, 5–9 µs in all.
-//! Responses stay byte-identical by construction — the prefix is exactly
-//! the pipeline's own stage-1–3 output, and the warnings are what the
-//! front end printed for the same source bytes.
+//! one that prints it. A worker's fresh compile therefore hands its
+//! [`CharacterizedProgram`], with the sanitize warnings of its source,
+//! to the artifact cache, which keeps it on the shard of its prefix key
+//! (platform, assoc, source) for every worker: a request differing only
+//! in search parameters re-runs only [`Pipeline::finish`] (and
+//! [`capped_scf`]) on the shared entry, 5–9 µs in all, whichever worker
+//! takes it. Responses stay byte-identical by construction — the prefix
+//! is exactly the pipeline's own stage-1–3 output, and the warnings are
+//! what the front end printed for the same source bytes.
 
 use polyufc_chk::OrderedMutex;
 use std::collections::HashMap;
@@ -283,8 +283,8 @@ impl std::fmt::Debug for Submitted {
     }
 }
 
-/// A compile request keyed and, unless its program is known to parse,
-/// parsed and sanitized — everything the reactor/connection thread
+/// A compile request keyed and either parsed and sanitized or given its
+/// program's shared prefix — everything the reactor/connection thread
 /// computes before a miss leads or joins.
 pub struct Prepared {
     front: Front,
@@ -296,11 +296,12 @@ pub struct Prepared {
 enum Front {
     /// Parsed and sanitized, with the sanitize warnings.
     Parsed(AffineProgram, Vec<String>),
-    /// The source as sent, of a program some worker already compiled.
-    Known(SourceFormat, String, String),
+    /// The shared prefix of a program some attempt already characterized.
+    Prefix(Arc<PrefixEntry>),
 }
 
-/// A worker's cached ε-independent prefix of one source.
+/// The ε-independent prefix of one source, held by the artifact cache's
+/// prefix tier and never changed once built.
 struct PrefixEntry {
     characterized: CharacterizedProgram,
     /// Sanitize warnings of the source, which every reply prints.
@@ -308,23 +309,16 @@ struct PrefixEntry {
 }
 
 /// Per-worker compile state: the persistent [`CompileSession`] (warm
-/// Presburger caches) plus a bounded cache of ε-independent prefixes.
+/// Presburger caches).
 pub struct WorkerState {
     session: CompileSession,
-    prefix: HashMap<Vec<u8>, PrefixEntry>,
 }
 
-/// Prefix entries per worker; generational clear on overflow, like the
-/// other bounded caches. Characterized mini-suite programs are a few KB
-/// each, so this bounds worker memory to low MB.
-pub(crate) const PREFIX_CACHE_CAP: usize = 64;
-
 impl WorkerState {
-    /// Fresh state: empty session caches, empty prefix cache.
+    /// Fresh state: empty session caches.
     pub fn new() -> Self {
         WorkerState {
             session: CompileSession::new(),
-            prefix: HashMap::new(),
         }
     }
 }
@@ -340,7 +334,7 @@ impl Default for WorkerState {
 /// circuit breaker, seeded chaos injection).
 pub struct Engine {
     pool: Arc<StatefulPool<WorkerState>>,
-    cache: Arc<ArtifactCache>,
+    cache: Arc<ArtifactCache<PrefixEntry>>,
     shared: Arc<Shared>,
     chaos: Arc<ChaosPlan>,
     /// Per-fingerprint chaos attempt counters (bounded; only touched
@@ -483,22 +477,21 @@ impl Engine {
         if let Some(body) = self.cache.ready_get(&keys.artifact) {
             return hit(body);
         }
-        // Only a miss of a program no worker has compiled runs the front
-        // end here, so an unparseable source still ends here: counted as
-        // an error, cached in no tier.
-        let prepared = if self.cache.known(&keys.prefix) {
-            let front = Front::Known(req.format, req.source, req.name);
-            let opts = req.opts;
-            Prepared { front, opts, keys }
-        } else {
-            match prepare_keyed(&req, keys) {
-                Ok(p) => p,
+        // Only a miss of a program no attempt has characterized runs the
+        // front end here, so an unparseable source still ends here:
+        // counted as an error, cached in no tier.
+        let front = match self.cache.prefix(&keys.prefix) {
+            Some(entry) => Front::Prefix(entry),
+            None => match front_end(&req) {
+                Ok(front) => front,
                 Err(e) => {
                     self.shared.errors.fetch_add(1, Ordering::Relaxed);
                     return self.ready(t0, string_body(e.render()));
                 }
-            }
+            },
         };
+        let opts = req.opts;
+        let prepared = Prepared { front, opts, keys };
         let RequestKeys { artifact, prefix } = &prepared.keys;
         match self
             .cache
@@ -541,20 +534,20 @@ impl Engine {
                     }
                     None => {}
                 }
-                compile_prepared(&prepared, state)
+                compile(&prepared, &mut state.session)
             }));
-            let outcome = match run {
-                Ok((body, report, prefix_hit)) => {
-                    match (report, prefix_hit) {
+            let (outcome, entry) = match run {
+                Ok((body, entry, prefix_hit)) => {
+                    match (&entry, prefix_hit) {
                         // Only the search ran: the prefix's stage-1–3
                         // counters were totaled when it was built.
                         (_, true) => {
                             shared.prefix_hits.fetch_add(1, Ordering::Relaxed);
                             shared.compiled.fetch_add(1, Ordering::Relaxed);
                         }
-                        (Some(r), false) => {
+                        (Some(fresh), false) => {
                             shared.prefix_misses.fetch_add(1, Ordering::Relaxed);
-                            shared.counts.add(&r);
+                            shared.counts.add(&fresh.characterized.report);
                             shared.compiled.fetch_add(1, Ordering::Relaxed);
                         }
                         (None, false) => {
@@ -562,16 +555,16 @@ impl Engine {
                             shared.errors.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    Ok(string_body(body))
+                    (Ok(string_body(body)), entry)
                 }
                 Err(_) => {
                     *state = WorkerState::new();
-                    Err(Abort::Internal)
+                    (Err(Abort::Internal), None)
                 }
             };
             // `None`: the watchdog or the shutdown drain ended this attempt
             // and already accounted for it; the late outcome is dropped.
-            if let Some(ended) = cache.finish(&prepared.keys.artifact, attempt, outcome) {
+            if let Some(ended) = cache.finish(&prepared.keys.artifact, attempt, outcome, entry) {
                 ended.run(&cache);
             }
         });
@@ -582,7 +575,7 @@ impl Engine {
             // `overloaded` body through its callback, inline.
             if let Some(ended) = self
                 .cache
-                .finish(&shed_key, attempt, Err(Abort::Overloaded))
+                .finish(&shed_key, attempt, Err(Abort::Overloaded), None)
             {
                 ended.run(&self.cache);
             }
@@ -805,16 +798,10 @@ fn body_string(b: &Body) -> String {
 ///
 /// `parse_error` when the kernel source does not parse.
 pub fn prepare(req: &CompileRequest) -> Result<Prepared, WireError> {
-    prepare_keyed(req, req.keys())
-}
-
-/// [`prepare`] for a caller that already built the request's keys.
-fn prepare_keyed(req: &CompileRequest, keys: RequestKeys) -> Result<Prepared, WireError> {
-    let (program, warnings) = front_end(req.format, &req.source, &req.name)?;
     Ok(Prepared {
-        front: Front::Parsed(program, warnings),
+        front: front_end(req)?,
         opts: req.opts.clone(),
-        keys,
+        keys: req.keys(),
     })
 }
 
@@ -822,71 +809,42 @@ fn prepare_keyed(req: &CompileRequest, keys: RequestKeys) -> Result<Prepared, Wi
 /// CLI must transform the program identically or byte-identity breaks:
 /// unprovable `parallel` flags are sanitized here exactly as `polyufc
 /// compile` does before its pipeline call.
-fn front_end(
-    format: SourceFormat,
-    source: &str,
-    name: &str,
-) -> Result<(AffineProgram, Vec<String>), WireError> {
-    let mut program = match format {
-        SourceFormat::TextualIr => parse_affine_program(source)
+fn front_end(req: &CompileRequest) -> Result<Front, WireError> {
+    let mut program = match req.format {
+        SourceFormat::TextualIr => parse_affine_program(&req.source)
             .map_err(|e| WireError::new(codes::PARSE_ERROR, format!("textual IR: {e}")))?,
-        SourceFormat::C => parse_scop(source, name)
+        SourceFormat::C => parse_scop(&req.source, &req.name)
             .map_err(|e| WireError::new(codes::PARSE_ERROR, format!("cgeist: {e}")))?,
     };
     let warnings = sanitize_parallel(&mut program)
         .iter()
         .map(|d| d.to_string())
         .collect();
-    Ok((program, warnings))
+    Ok(Front::Parsed(program, warnings))
 }
 
-/// Runs the pipeline for a prepared request against per-worker state and
-/// renders the response body, with the outcome the worker accounts:
-/// `(body, Some(report), false)` for a fresh compile, `(body, None, true)`
-/// for a prefix hit — the ε-independent prefix came from the worker's
-/// cache, so only POLYUFC-SEARCH ran (and code generation if the reply
-/// prints scf) and there is no new report — and `(body, None, false)` for
-/// an error. Rejection and model errors render as deterministic typed
+/// Runs the pipeline for a prepared request in a worker's session and
+/// renders the response body. A fresh compile also returns the prefix
+/// entry it built; a request that carried its prefix runs only
+/// POLYUFC-SEARCH (and codegen if the reply prints scf) and returns
+/// `true`. Rejection and model errors render as deterministic typed
 /// bodies, cached like artifacts.
-pub fn compile_prepared(
-    p: &Prepared,
-    state: &mut WorkerState,
-) -> (String, Option<CompileReport>, bool) {
+fn compile(p: &Prepared, session: &mut CompileSession) -> (String, Option<Arc<PrefixEntry>>, bool) {
     let mut pipeline = Pipeline::new(p.opts.platform.clone())
         .with_objective(p.opts.objective)
         .with_assoc_mode(p.opts.assoc);
     pipeline.epsilon = p.opts.epsilon;
-    if let Some(entry) = state.prefix.get(&p.keys.prefix) {
-        return (finish(&pipeline, &p.opts, entry).0, None, true);
-    }
-    let parsed;
     let (program, warnings) = match &p.front {
+        Front::Prefix(entry) => return (finish(&pipeline, &p.opts, entry), None, true),
         Front::Parsed(program, warnings) => (program, warnings),
-        // Another worker holds this program's prefix: run the front end
-        // here. It parsed before, and parsing reads only the key's bytes.
-        Front::Known(format, source, name) => match front_end(*format, source, name) {
-            Ok(front) => {
-                parsed = front;
-                (&parsed.0, &parsed.1)
-            }
-            Err(e) => return (e.render(), None, false),
-        },
     };
-    match pipeline.characterize_affine_in(program, &mut state.session) {
+    match pipeline.characterize_affine_in(program, session) {
         Ok(characterized) => {
-            if state.prefix.len() >= PREFIX_CACHE_CAP {
-                // Generational clear, like the other bounded caches.
-                state.prefix.clear();
-            }
-            let entry = PrefixEntry {
+            let entry = Arc::new(PrefixEntry {
                 characterized,
                 warnings: warnings.clone(),
-            };
-            let entry = state.prefix.entry(p.keys.prefix.clone()).or_insert(entry);
-            let (body, search_us) = finish(&pipeline, &p.opts, entry);
-            let mut report = entry.characterized.report.clone();
-            report.steps_4_6_us += search_us;
-            (body, Some(report), false)
+            });
+            (finish(&pipeline, &p.opts, &entry), Some(entry), false)
         }
         Err(polyufc::Error::AnalysisRejected(report)) => (render_rejected(&report), None, false),
         Err(polyufc::Error::Model(e)) => {
@@ -896,16 +854,31 @@ pub fn compile_prepared(
     }
 }
 
-/// Stages 4–6 on a cached or fresh prefix, rendered (codegen only when
-/// the reply prints the scf text), and the time they took in µs.
-fn finish(pipeline: &Pipeline, opts: &CompileOptions, entry: &PrefixEntry) -> (String, u128) {
+/// Runs the pipeline for a prepared request against a worker's state:
+/// `(body, Some(report), false)` for a fresh compile, with the report of
+/// stages 1–3, `(body, None, true)` for a prefix hit and `(body, None,
+/// false)` for a typed error.
+pub fn compile_prepared(
+    p: &Prepared,
+    state: &mut WorkerState,
+) -> (String, Option<CompileReport>, bool) {
+    let (body, entry, prefix_hit) = compile(p, &mut state.session);
+    (
+        body,
+        entry.map(|e| e.characterized.report.clone()),
+        prefix_hit,
+    )
+}
+
+/// Stages 4–6 on a shared or fresh prefix, rendered (codegen only when
+/// the reply prints the scf text).
+fn finish(pipeline: &Pipeline, opts: &CompileOptions, entry: &PrefixEntry) -> String {
     let ch = &entry.characterized;
     let fin = pipeline.finish(ch);
     let scf = opts
         .emit_scf
         .then(|| capped_scf(&ch.optimized, &fin.caps_ghz));
-    let body = render_artifact(opts, entry, &fin, scf.as_ref());
-    (body, fin.elapsed_us)
+    render_artifact(opts, entry, &fin, scf.as_ref())
 }
 
 /// One-shot entry point shared with `polyufc compile --json`: same
@@ -956,7 +929,7 @@ fn quarantine_body() -> Body {
 /// never the daemon.
 fn spawn_watchdog(
     deadline: Duration,
-    cache: Arc<ArtifactCache>,
+    cache: Arc<ArtifactCache<PrefixEntry>>,
     shared: Arc<Shared>,
     pool: Arc<StatefulPool<WorkerState>>,
 ) -> Watchdog {
@@ -1110,11 +1083,13 @@ mod tests {
     }
 
     #[test]
-    fn prefix_cache_reuses_characterization_across_epsilons() {
-        let source = "// affine program `copy`\nmemref %A : 512xf64\nmemref %B : 512xf64\nfunc @k {\n  affine.for %i0 = max(0) to min(512) {\n    S0: load %A[i0]; store %B[i0] // 1 flops\n  }\n}\n";
-        let mut state = WorkerState::new();
-        let mut bodies = Vec::new();
-        for (i, eps) in [1e-3, 2e-3, 4e-3].into_iter().enumerate() {
+    fn a_prefix_finishes_every_epsilon_with_the_oneshot_bytes() {
+        // Sanitize downgrades this fixture's racy `parallel` flag, so
+        // every reply carries a front-end warning the prefix must keep.
+        let source = include_str!("../../analysis/tests/fixtures/false_parallel_reduction.mlir");
+        let mut session = CompileSession::new();
+        let mut shared = None;
+        for eps in [1e-3, 2e-3, 4e-3] {
             let mut req = CompileRequest {
                 format: crate::protocol::SourceFormat::TextualIr,
                 source: source.to_string(),
@@ -1122,41 +1097,24 @@ mod tests {
                 opts: crate::protocol::CompileOptions::default(),
             };
             req.opts.epsilon = eps;
-            let p = prepare(&req).expect("prepare");
-            let (body, report, prefix_hit) = compile_prepared(&p, &mut state);
-            assert_eq!(prefix_hit, i > 0, "first compile builds the prefix");
-            // Only the compile that built the prefix reports stages 1–3.
-            assert_eq!(report.is_some(), !prefix_hit);
-            // Each variant must also match a completely fresh compile.
-            assert_eq!(body, oneshot_response(&req), "prefix hit changed bytes");
-            bodies.push(body);
-        }
-        assert_eq!(state.prefix.len(), 1, "one prefix entry for 3 epsilons");
-    }
-
-    #[test]
-    fn a_known_request_compiles_with_or_without_the_prefix() {
-        let source = include_str!("../../analysis/tests/fixtures/false_parallel_reduction.mlir");
-        let req = CompileRequest {
-            format: crate::protocol::SourceFormat::TextualIr,
-            source: source.to_string(),
-            name: "request".to_string(),
-            opts: crate::protocol::CompileOptions::default(),
-        };
-        let known = Prepared {
-            front: Front::Known(req.format, req.source.clone(), req.name.clone()),
-            opts: req.opts.clone(),
-            keys: req.keys(),
-        };
-        let expected = oneshot_response(&req);
-        assert!(!expected.contains("\"warnings\":[]"), "{expected}");
-        // A worker without the prefix runs the front end itself, then
-        // holds the prefix and its warnings.
-        let mut state = WorkerState::new();
-        for prefix_hit in [false, true] {
-            let (body, report, hit) = compile_prepared(&known, &mut state);
-            assert_eq!((report.is_some(), hit), (!prefix_hit, prefix_hit));
-            assert_eq!(body, expected);
+            let mut p = prepare(&req).expect("prepare");
+            if let Some(entry) = &shared {
+                p.front = Front::Prefix(Arc::clone(entry));
+            }
+            let (body, entry, prefix_hit) = compile(&p, &mut session);
+            assert_eq!(prefix_hit, shared.is_some(), "ε {eps}");
+            assert_eq!(
+                entry.is_some(),
+                !prefix_hit,
+                "ε {eps}: only a fresh compile builds one"
+            );
+            shared = shared.or(entry);
+            assert!(!body.contains("\"warnings\":[]"), "{body}");
+            assert_eq!(
+                body,
+                oneshot_response(&req),
+                "ε {eps}: prefix hit changed bytes"
+            );
         }
     }
 }

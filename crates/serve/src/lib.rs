@@ -15,13 +15,13 @@
 //!   single-flight dedup — N concurrent identical requests compile once,
 //!   and the pending cache slot is the only record of that compile —
 //!   plus an exact-line response tier that answers repeat request lines
-//!   without parsing even their JSON.
+//!   without parsing even their JSON, and the prefix tier that holds
+//!   each characterized program's ε-independent prefix for every worker.
 //! * [`engine`]: asynchronous compile submission into the bounded
 //!   [`polyufc_par::StatefulPool`], one persistent
-//!   [`polyufc::CompileSession`] and an ε-independent characterization
-//!   prefix cache per worker, and explicit shed (`overloaded`) when the
-//!   queue is full; a deadline watchdog and the shutdown drain end
-//!   pending compiles through the same cache slot.
+//!   [`polyufc::CompileSession`] per worker, and explicit shed
+//!   (`overloaded`) when the queue is full; a deadline watchdog and the
+//!   shutdown drain end pending compiles through the same cache slot.
 //! * `reactor` / [`server`]: a single epoll event loop owns every
 //!   connection — nonblocking sockets, pipelined NDJSON with in-order
 //!   replies, vectored writes of shared body buffers, an eventfd doorbell

@@ -1,5 +1,5 @@
-//! The sharded content-addressed artifact cache, and the single record
-//! of every in-flight compile.
+//! The sharded content-addressed artifact cache, the single record of
+//! every in-flight compile, and the one prefix tier every worker shares.
 //!
 //! Keys are opaque bytes to this module: the engine passes the two
 //! content addresses [`CompileRequest::keys`](crate::CompileRequest::keys)
@@ -10,6 +10,11 @@
 //! parsed artifact makes the hot path a single map probe + `Arc` clone,
 //! and makes byte-identity between hits, fresh compilations, and the
 //! one-shot CLI a structural property instead of a test hope.
+//!
+//! **Prefix tier:** each shard also maps fingerprints to the opaque,
+//! immutable `Arc<P>` a successful attempt built
+//! ([`ArtifactCache::prefix`]), which any worker then reads with no lock
+//! held.
 //!
 //! **Sharding:** keys hash (SipHash) onto `next_pow2(workers * 4)` shards,
 //! each behind its own mutex, so cache *hits* — the common case — never
@@ -36,9 +41,9 @@
 //! * **(b) The ender accounts, then wakes.** The one caller whose call
 //!   removed the slot (worker, watchdog, shutdown drain, or a shedding
 //!   submitter) runs the [`Ended`] it got back, and [`Ended::step`]
-//!   records the outcome — on success strikes cleared and the fingerprint
-//!   recorded as [known](ArtifactCache::known), one strike for an
-//!   outcome that [`Abort::strikes`] — *before* it runs the waiters, so a
+//!   records the outcome — on success strikes cleared and the attempt's
+//!   new [prefix entry](ArtifactCache::prefix) recorded, one strike for
+//!   an outcome that [`Abort::strikes`] — *before* it runs the waiters, so a
 //!   client that retries the instant it sees `deadline_exceeded` already
 //!   meets the quarantine its failure tripped. Nobody else does any
 //!   accounting: which outcome strikes is decided here and nowhere else.
@@ -64,11 +69,11 @@
 //! a shard's ready-entry count reaches its share of the capacity, the
 //! next insert clears that shard's ready entries (one `evictions` tick)
 //! while pending slots are retained, since dropping one would strand its
-//! waiters. The known-fingerprint record is cleared the same way at
-//! `KNOWN_CAP` entries per shard.
+//! waiters. The prefix tier is cleared the same way at `PREFIX_CAP`
+//! entries per shard.
 
 use polyufc_chk::OrderedMutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -119,17 +124,20 @@ struct Waiters {
 /// (a)). Running it is invariant (b): account for the outcome, then wake
 /// the waiters, with nothing held in between (invariant (c)).
 #[must_use = "an ended attempt's waiters stay parked until it is run"]
-pub struct Ended {
+pub struct Ended<P> {
     parked: Waiters,
     outcome: Result<Body, Abort>,
+    /// The prefix entry the attempt built, if it built one.
+    entry: Option<Arc<P>>,
     accounted: bool,
 }
 
-impl Ended {
-    fn new(parked: Waiters, outcome: Result<Body, Abort>) -> Ended {
+impl<P> Ended<P> {
+    fn new(parked: Waiters, outcome: Result<Body, Abort>, entry: Option<Arc<P>>) -> Ended<P> {
         Ended {
             parked,
             outcome,
+            entry,
             accounted: false,
         }
     }
@@ -139,12 +147,13 @@ impl Ended {
     /// shard (one lock region) and returns `true`; the second runs every
     /// waiter with a clone of the outcome, no lock held, and returns
     /// `false`.
-    pub fn step(&mut self, cache: &ArtifactCache) -> bool {
+    pub fn step(&mut self, cache: &ArtifactCache<P>) -> bool {
         if !self.accounted {
             self.accounted = true;
+            let fingerprint = std::mem::take(&mut self.parked.fingerprint);
             match self.outcome {
-                Ok(_) => cache.record_success(std::mem::take(&mut self.parked.fingerprint)),
-                Err(abort) if abort.strikes() => cache.record_strike(&self.parked.fingerprint),
+                Ok(_) => cache.record_success(fingerprint, self.entry.take()),
+                Err(abort) if abort.strikes() => cache.record_strike(&fingerprint),
                 Err(_) => {}
             }
             return true;
@@ -156,7 +165,7 @@ impl Ended {
     }
 
     /// Accounts, then wakes.
-    pub fn run(mut self, cache: &ArtifactCache) {
+    pub fn run(mut self, cache: &ArtifactCache<P>) {
         while self.step(cache) {}
     }
 }
@@ -223,8 +232,7 @@ enum Slot {
     Pending(Pending),
 }
 
-#[derive(Default)]
-struct ShardInner {
+struct ShardInner<P> {
     /// Keyed artifact tier: artifact key → ready body or in-flight
     /// compile.
     map: HashMap<Vec<u8>, Slot>,
@@ -242,20 +250,34 @@ struct ShardInner {
     /// Poison-pill tier: fingerprints that struck out, mapped to the
     /// cached typed rejection their requests get without compiling.
     quarantined: HashMap<Vec<u8>, Body>,
-    /// Fingerprints some attempt ended `Ok` for ([`ArtifactCache::known`]).
-    known: HashSet<Vec<u8>>,
+    /// Prefix tier: fingerprint → the entry an accounted success built.
+    prefixes: HashMap<Vec<u8>, Arc<P>>,
 }
 
-/// Known fingerprints per shard: one worker's whole prefix cache. The
-/// engine has `next_pow2(workers * 4)` shards, so the record has room for
-/// the whole prefix tier (`PREFIX_CACHE_CAP` × workers) four times over,
-/// while a stream of distinct programs holds at most this many source
-/// keys per shard.
-const KNOWN_CAP: usize = crate::engine::PREFIX_CACHE_CAP;
+impl<P> Default for ShardInner<P> {
+    fn default() -> Self {
+        ShardInner {
+            map: HashMap::new(),
+            ready: 0,
+            next_attempt: 0,
+            evictions: 0,
+            lines: HashMap::new(),
+            strikes: HashMap::new(),
+            quarantined: HashMap::new(),
+            prefixes: HashMap::new(),
+        }
+    }
+}
+
+/// Prefix entries per shard. The engine has `next_pow2(workers * 4)`
+/// shards, so a hot set of this many programs fits with room to spare,
+/// while a stream of distinct programs holds at most this many
+/// characterizations per shard.
+const PREFIX_CAP: usize = 64;
 
 /// The slot transitions. Plain state changes: the caller holds the shard
 /// lock, and runs whatever waiters come back only after releasing it.
-impl ShardInner {
+impl<P> ShardInner<P> {
     fn lookup(
         &mut self,
         key: &[u8],
@@ -319,13 +341,13 @@ impl ShardInner {
     }
 
     /// Ends every slot pending for at least `age` with `abort`.
-    fn take_expired(&mut self, age: Duration, abort: Abort, out: &mut Vec<Ended>) {
+    fn take_expired(&mut self, age: Duration, abort: Abort, out: &mut Vec<Ended<P>>) {
         if self.map.len() == self.ready {
             return;
         }
         self.map.retain(|_, slot| match slot {
             Slot::Pending(p) if p.started.elapsed() >= age => {
-                out.push(Ended::new(std::mem::take(&mut p.parked), Err(abort)));
+                out.push(Ended::new(std::mem::take(&mut p.parked), Err(abort), None));
                 false
             }
             _ => true,
@@ -334,9 +356,9 @@ impl ShardInner {
 }
 
 /// Bounded, sharded, content-addressed response cache with single-flight
-/// dedup and an exact-line fast tier.
-pub struct ArtifactCache {
-    shards: Box<[OrderedMutex<ShardInner>]>,
+/// dedup, an exact-line fast tier, and a prefix tier of shared `Arc<P>`.
+pub struct ArtifactCache<P> {
+    shards: Box<[OrderedMutex<ShardInner<P>>]>,
     /// `shards.len() - 1`; shard count is a power of two.
     mask: u64,
     /// Ready-entry capacity per shard (keyed tier).
@@ -354,7 +376,7 @@ pub struct ArtifactCache {
     quarantined_total: AtomicU64,
 }
 
-impl ArtifactCache {
+impl<P> ArtifactCache<P> {
     /// A cache bounded to `capacity` ready entries (at least 1) split
     /// over `shards` shards (rounded up to a power of two, at least 1),
     /// whose circuit breaker quarantines a fingerprint behind `rejection`
@@ -390,7 +412,7 @@ impl ArtifactCache {
     /// maps behind it keep the default (keyed) hasher. SipHash with std's
     /// fixed keys is deterministic within a build and takes eight bytes a
     /// round, which matters on a request line of hundreds of bytes.
-    fn shard(&self, bytes: &[u8]) -> &OrderedMutex<ShardInner> {
+    fn shard(&self, bytes: &[u8]) -> &OrderedMutex<ShardInner<P>> {
         let mut h = DefaultHasher::new();
         h.write(bytes);
         &self.shards[(h.finish() & self.mask) as usize]
@@ -438,22 +460,29 @@ impl ArtifactCache {
         body
     }
 
-    /// Ends attempt `id` of `key` with `outcome`: iff the slot is still
-    /// that attempt, an `Ok` body replaces it as a ready entry and an
-    /// `Err` removes it, and the attempt comes back [`Ended`] for the
-    /// caller to run. `None` means someone else already ended the attempt
-    /// (deadline, shutdown) and answered its waiters; the late outcome is
-    /// dropped, accounting included.
-    pub fn finish(&self, key: &[u8], id: u64, outcome: Result<Body, Abort>) -> Option<Ended> {
+    /// Ends attempt `id` of `key` with `outcome` and the prefix `entry`
+    /// the attempt built, if any: iff the slot is still that attempt, an
+    /// `Ok` body replaces it as a ready entry and an `Err` removes it, and
+    /// the attempt comes back [`Ended`] for the caller to run, which
+    /// records the entry. `None` means someone else already ended the
+    /// attempt (deadline, shutdown) and answered its waiters; the late
+    /// outcome is dropped, accounting and entry included.
+    pub fn finish(
+        &self,
+        key: &[u8],
+        id: u64,
+        outcome: Result<Body, Abort>,
+        entry: Option<Arc<P>>,
+    ) -> Option<Ended<P>> {
         let mut inner = self.shard(key).lock().unwrap();
         let parked = inner.finish(key, id, &outcome, self.shard_cap)?;
-        Some(Ended::new(parked, outcome))
+        Some(Ended::new(parked, outcome, entry))
     }
 
     /// Ends every attempt pending for at least `age` with `abort`,
     /// freeing its key (the deadline scan; with a zero age, the shutdown
     /// drain). The caller runs each returned attempt.
-    pub fn take_expired(&self, age: Duration, abort: Abort) -> Vec<Ended> {
+    pub fn take_expired(&self, age: Duration, abort: Abort) -> Vec<Ended<P>> {
         let mut taken = Vec::new();
         for shard in self.shards.iter() {
             shard.lock().unwrap().take_expired(age, abort, &mut taken);
@@ -535,26 +564,24 @@ impl ArtifactCache {
     }
 
     /// After a successful compile: clears the fingerprint's
-    /// consecutive-failure strikes and records it as known. Only
-    /// [`Ended::step`] calls this.
-    fn record_success(&self, fingerprint: Vec<u8>) {
+    /// consecutive-failure strikes and records the prefix entry the
+    /// attempt built. Only [`Ended::step`] calls this.
+    fn record_success(&self, fingerprint: Vec<u8>, entry: Option<Arc<P>>) {
         let mut inner = self.shard(&fingerprint).lock().unwrap();
         inner.strikes.remove(&fingerprint);
-        if !inner.known.contains(&fingerprint) {
-            if inner.known.len() >= KNOWN_CAP {
-                inner.known.clear();
+        let Some(entry) = entry else { return };
+        if !inner.prefixes.contains_key(&fingerprint) {
+            if inner.prefixes.len() >= PREFIX_CAP {
+                inner.prefixes.clear();
             }
-            inner.known.insert(fingerprint);
+            inner.prefixes.insert(fingerprint, entry);
         }
     }
 
-    /// Whether an attempt with this fingerprint ended `Ok`. The prefix
-    /// key holds the source bytes, format and C name, so its source is
-    /// known to parse: every `Ok` outcome, typed rejections included, comes
-    /// from a request that got past the front end.
-    pub fn known(&self, fingerprint: &[u8]) -> bool {
+    /// The prefix entry an attempt with this fingerprint built, shared.
+    pub fn prefix(&self, fingerprint: &[u8]) -> Option<Arc<P>> {
         let inner = self.shard(fingerprint).lock().unwrap();
-        inner.known.contains(fingerprint)
+        inner.prefixes.get(fingerprint).map(Arc::clone)
     }
 
     /// Counter snapshot. Counters are lock-free reads; entry counts take
@@ -602,12 +629,15 @@ mod tests {
         Arc::from(s.as_bytes())
     }
 
+    /// The engine's prefix entries stand in as numbers here.
+    type Cache = ArtifactCache<u64>;
+
     /// A cache whose breaker trips at `threshold` behind `"poison"`.
-    fn breaker(capacity: usize, shards: usize, threshold: u32) -> ArtifactCache {
+    fn breaker(capacity: usize, shards: usize, threshold: u32) -> Cache {
         ArtifactCache::new(capacity, shards, threshold, body("poison"))
     }
 
-    fn cache(capacity: usize, shards: usize) -> ArtifactCache {
+    fn cache(capacity: usize, shards: usize) -> Cache {
         breaker(capacity, shards, 3)
     }
 
@@ -622,7 +652,7 @@ mod tests {
 
     /// Looks `key` up expecting to lead; returns the attempt id and the
     /// leader's own parked probe.
-    fn lead(c: &ArtifactCache, key: &[u8]) -> (u64, Receiver<Outcome>) {
+    fn lead(c: &Cache, key: &[u8]) -> (u64, Receiver<Outcome>) {
         let (waiter, rx) = probe();
         match c.lookup(key, b"fp", || waiter) {
             Lookup::Lead(id) => (id, rx),
@@ -630,7 +660,7 @@ mod tests {
         }
     }
 
-    fn join(c: &ArtifactCache, key: &[u8]) -> Receiver<Outcome> {
+    fn join(c: &Cache, key: &[u8]) -> Receiver<Outcome> {
         let (waiter, rx) = probe();
         match c.lookup(key, b"fp", || waiter) {
             Lookup::Joined => rx,
@@ -639,18 +669,18 @@ mod tests {
     }
 
     /// Ends an attempt the way its owner does: finish, then run.
-    fn end(c: &ArtifactCache, key: &[u8], id: u64, outcome: Outcome) {
-        c.finish(key, id, outcome)
+    fn end(c: &Cache, key: &[u8], id: u64, outcome: Outcome) {
+        c.finish(key, id, outcome, None)
             .expect("attempt still pending")
             .run(c);
     }
 
-    fn publish(c: &ArtifactCache, key: &[u8], s: &str) {
+    fn publish(c: &Cache, key: &[u8], s: &str) {
         let (id, _rx) = lead(c, key);
         end(c, key, id, Ok(body(s)));
     }
 
-    fn hit(c: &ArtifactCache, key: &[u8]) -> Body {
+    fn hit(c: &Cache, key: &[u8]) -> Body {
         match c.lookup(key, b"fp", || panic!("a hit never builds its waiter")) {
             Lookup::Hit(b) => b,
             other => panic!("{other:?}"),
@@ -735,7 +765,7 @@ mod tests {
         let joiner = join(&c, b"k");
         assert_ne!(old, new);
         // The expired attempt's compile finally returns: not its slot.
-        assert!(c.finish(b"k", old, Ok(body("stale"))).is_none());
+        assert!(c.finish(b"k", old, Ok(body("stale")), None).is_none());
         assert!(new_rx.try_recv().is_err(), "newer waiters stay parked");
         assert!(joiner.try_recv().is_err(), "newer waiters stay parked");
         assert_eq!(c.stats().inflight, 1);
@@ -743,7 +773,7 @@ mod tests {
         assert_eq!(&*new_rx.recv().unwrap().unwrap(), b"fresh");
         assert_eq!(&*joiner.recv().unwrap().unwrap(), b"fresh");
         assert!(old_rx.try_recv().is_err(), "answered exactly once");
-        assert!(c.finish(b"k", new, Ok(body("twice"))).is_none());
+        assert!(c.finish(b"k", new, Ok(body("twice")), None).is_none());
         assert_eq!(&*hit(&c, b"k"), b"fresh");
     }
 
@@ -828,7 +858,7 @@ mod tests {
         c.record_strike(fp);
         c.record_strike(fp);
         // A success between failures resets the consecutive count.
-        c.record_success(fp.to_vec());
+        c.record_success(fp.to_vec(), None);
         c.record_strike(fp);
         c.record_strike(fp);
         assert!(c.quarantine_get(fp).is_none());
@@ -867,7 +897,9 @@ mod tests {
         let Lookup::Lead(id) = c.lookup(key, fp, || waiter) else {
             panic!("fresh key leads");
         };
-        let mut ended = c.finish(key, id, Err(Abort::Internal)).expect("pending");
+        let mut ended = c
+            .finish(key, id, Err(Abort::Internal), None)
+            .expect("pending");
         assert!(rx.try_recv().is_err(), "finish alone wakes nobody");
         assert!(
             ended.step(&c),
@@ -883,26 +915,43 @@ mod tests {
     }
 
     #[test]
-    fn only_an_accounted_success_makes_a_fingerprint_known() {
+    fn only_an_accounted_success_records_a_prefix() {
         let c = cache(8, 1);
         for abort in [Abort::Overloaded, Abort::Internal] {
             let (id, _rx) = lead(&c, b"k");
-            end(&c, b"k", id, Err(abort));
-            assert!(!c.known(b"fp"), "{abort:?}");
+            let ended = c.finish(b"k", id, Err(abort), Some(Arc::new(1)));
+            ended.expect("pending").run(&c);
+            assert!(c.prefix(b"fp").is_none(), "{abort:?}");
         }
+        // A late outcome drops its entry along with its accounting.
+        let (late, _rx) = lead(&c, b"k");
+        for ended in c.take_expired(Duration::ZERO, Abort::ShuttingDown) {
+            ended.run(&c);
+        }
+        assert!(c
+            .finish(b"k", late, Ok(body("x")), Some(Arc::new(2)))
+            .is_none());
+        assert!(c.prefix(b"fp").is_none(), "late");
         let (id, _rx) = lead(&c, b"k");
-        let mut ended = c.finish(b"k", id, Ok(body("x"))).expect("pending");
-        assert!(!c.known(b"fp"), "finishing accounts nothing");
+        let ended = c.finish(b"k", id, Ok(body("x")), Some(Arc::new(3)));
+        let mut ended = ended.expect("pending");
+        assert!(c.prefix(b"fp").is_none(), "finishing accounts nothing");
         assert!(ended.step(&c));
-        assert!(c.known(b"fp"), "the accounting step records it");
+        let recorded = c.prefix(b"fp");
+        assert_eq!(
+            recorded.as_deref(),
+            Some(&3),
+            "the accounting step records it"
+        );
         assert!(!ended.step(&c));
         // Bounded generationally, like the shard's other maps.
-        for i in 0..KNOWN_CAP as u64 {
-            c.record_success(i.to_le_bytes().to_vec());
+        for i in 0..PREFIX_CAP as u64 {
+            c.record_success(i.to_le_bytes().to_vec(), Some(Arc::new(i)));
         }
-        let known = c.shards[0].lock().unwrap().known.len();
-        assert!(known <= KNOWN_CAP, "{known}");
-        assert!(c.known(&(KNOWN_CAP as u64 - 1).to_le_bytes()));
+        let held = c.shards[0].lock().unwrap().prefixes.len();
+        assert!(held <= PREFIX_CAP, "{held}");
+        let last = PREFIX_CAP as u64 - 1;
+        assert_eq!(c.prefix(&last.to_le_bytes()).as_deref(), Some(&last));
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! queued on; `finish` ends an attempt iff it is the pending one; the
 //! cache's strike count and quarantine flag equal what the *accounted*
 //! attempts say after every step (strikes move when an `Ended` accounts,
-//! not when its slot ended), and so does whether the fingerprint is
-//! known; a probe sees the quarantine iff it has tripped.
+//! not when its slot ended), and so does whether the fingerprint has a
+//! prefix entry; a probe sees the quarantine iff it has tripped.
 //!
 //! Planted misuses live in this shell, not in `shard.rs` ([`Misuse`]).
 //! The old `quarantine` model's split read/write strike is not among
@@ -65,7 +65,7 @@ enum Pc {
     Probe,
     Lookup,
     Finish(u64),
-    Ending(Vec<Ended>),
+    Ending(Vec<Ended<u64>>),
     /// Requester: parked until answered. Watchdog: ready to tick.
     Idle,
     Stop,
@@ -76,7 +76,8 @@ enum Pc {
 struct Lifecycle {
     leaders_panic: bool,
     misuse: Misuse,
-    cache: ArtifactCache,
+    /// Each successful attempt brings its id as its prefix entry.
+    cache: ArtifactCache<u64>,
     /// Requesters, then the watchdog, then shutdown when present.
     pc: Vec<Pc>,
     answers_tx: Sender<(usize, Result<Body, Abort>)>,
@@ -92,7 +93,7 @@ struct Lifecycle {
     ready: Option<Body>,
     strikes: u32,
     quarantined: bool,
-    known: bool,
+    prefixed: bool,
 }
 
 fn body_of(attempt: u64) -> Body {
@@ -125,7 +126,7 @@ fn lifecycle(leaders_panic: bool, shutdown: bool, misuse: Misuse) -> impl Fn() -
             ready: None,
             strikes: 0,
             quarantined: false,
-            known: false,
+            prefixed: false,
         }
     }
 }
@@ -163,11 +164,11 @@ impl Lifecycle {
 
     /// One `Ended::step` of the front attempt. The accounting ground
     /// truth moves here: when an `Ended` accounts, whenever its slot ended.
-    fn step_ending(&mut self, t: usize, mut ending: Vec<Ended>) {
+    fn step_ending(&mut self, t: usize, mut ending: Vec<Ended<u64>>) {
         let ended = ending.first_mut().expect("ending threads hold an attempt");
         let accounting = !ended.accounted;
         match ended.outcome {
-            Ok(_) if accounting => (self.strikes, self.known) = (0, true),
+            Ok(_) if accounting => (self.strikes, self.prefixed) = (0, true),
             Err(abort) if accounting && abort.strikes() && !self.quarantined => {
                 self.strikes += 1;
                 if self.strikes == THRESHOLD {
@@ -225,7 +226,8 @@ impl Lifecycle {
                     Misuse::FinishNewest => self.newest,
                     _ => own,
                 };
-                let ended = self.cache.finish(KEY, id, outcome.clone());
+                let entry = outcome.is_ok().then(|| Arc::new(own));
+                let ended = self.cache.finish(KEY, id, outcome.clone(), entry);
                 if ended.is_some() != (self.pending == Some(id)) {
                     return Err(format!(
                         "finish of attempt {id} ended {} attempt with {:?} pending",
@@ -343,8 +345,8 @@ impl Model for Lifecycle {
                  the accounted attempts say {told:?}"
             ));
         }
-        if self.cache.known(FP) != self.known {
-            return Err(format!("known record is not {}", self.known));
+        if self.cache.prefix(FP).is_some() != self.prefixed {
+            return Err(format!("prefix presence is not {}", self.prefixed));
         }
         Ok(())
     }

@@ -6,9 +6,12 @@
 //! the same table as `benchmark`'s `class_labels_match_the_tier_that_
 //! answers`, so a tier drifting fails here and not only in the benchmark.
 
+use std::sync::mpsc::channel;
+
 use polyufc_serve::json;
 use polyufc_serve::{
     oneshot_response, parse_request, ChaosPlan, CompileRequest, Engine, EngineConfig, Request,
+    Submitted,
 };
 use polyufc_workloads::{polybench_suite, PolybenchSize};
 
@@ -208,30 +211,100 @@ fn sanitize_warnings_survive_a_prefix_hit() {
 }
 
 #[test]
-fn fresh_epsilon_variants_compile_on_either_of_two_workers() {
-    // Each worker has its own prefix cache, so a variant of a program one
-    // worker compiled may land on the other, which then runs the front
-    // end itself. Which worker takes which job is up to the schedule.
-    let engine = Engine::new(&EngineConfig {
-        workers: 2,
-        ..EngineConfig::default()
-    });
+fn fresh_epsilon_variants_are_prefix_hits_on_every_worker() {
+    // The prefix tier is shared: once one compile of a program has
+    // answered, every ε variant finds its prefix, whichever worker takes
+    // it and in whatever order the variants run. They are all submitted
+    // before any reply is read, so they race for the workers.
     let gemm = mini_source("gemm");
     let warmed = compile_line("", &gemm);
-    assert_eq!(
-        engine.handle_line(&warmed).body(),
-        oneshot_response(&request(&warmed))
-    );
-    let before = counters(&engine);
-    let variants = ["0.002", "0.003", "0.004", "0.005", "0.006", "0.007"];
-    for eps in variants {
-        let line = compile_line(&format!("\"epsilon\":{eps},"), &gemm);
-        let body = engine.handle_line(&line).body().to_string();
-        assert_eq!(body, oneshot_response(&request(&line)), "epsilon {eps}");
+    let variants = [
+        "0.002", "0.003", "0.004", "0.005", "0.006", "0.007", "0.008", "0.009",
+    ];
+    for workers in [2, 4] {
+        let engine = Engine::new(&EngineConfig {
+            workers,
+            queue_cap: variants.len(),
+            ..EngineConfig::default()
+        });
+        assert_eq!(
+            engine.handle_line(&warmed).body(),
+            oneshot_response(&request(&warmed))
+        );
+        let before = counters(&engine);
+        let (tx, rx) = channel();
+        let lines: Vec<String> = variants
+            .iter()
+            .map(|eps| compile_line(&format!("\"epsilon\":{eps},"), &gemm))
+            .collect();
+        for (i, line) in lines.iter().enumerate() {
+            let tx = tx.clone();
+            let submitted = engine.submit(line, move |body| {
+                let _ = tx.send((i, body));
+            });
+            assert!(matches!(submitted, Submitted::Pending), "{submitted:?}");
+        }
+        drop(tx);
+        let mut answered = 0;
+        for (i, body) in rx {
+            let body = String::from_utf8(body.to_vec()).expect("UTF-8 body");
+            assert_eq!(
+                body,
+                oneshot_response(&request(&lines[i])),
+                "{workers}: {i}"
+            );
+            answered += 1;
+        }
+        assert_eq!(answered, variants.len());
+        let after = counters(&engine);
+        let delta = |k: usize| after[k] - before[k];
+        let n = variants.len() as u64;
+        assert_eq!(
+            (delta(3), delta(4), delta(5)),
+            (n, 0, 0),
+            "{workers} workers"
+        );
+        engine.shutdown();
     }
+}
+
+#[test]
+fn a_worker_reset_by_a_panic_keeps_getting_prefix_hits() {
+    // One worker: gemm compiles, atax's compile panics (the worker gets
+    // fresh state), then a fresh ε of gemm must still be a prefix hit.
+    let gemm = mini_source("gemm");
+    let (warmed, variant) = (
+        compile_line("", &gemm),
+        compile_line("\"epsilon\":0.002,", &gemm),
+    );
+    let crashing = compile_line("", &mini_source("atax"));
+    let fingerprint = |line: &str| request(line).keys().prefix;
+    let (gemm_fp, atax_fp) = (fingerprint(&warmed), fingerprint(&crashing));
+    // The draws are seeded per (fingerprint, attempt): find a seed that
+    // spares gemm's two attempts and panics atax's first.
+    let plan = |seed| ChaosPlan::panicking_compiles(seed, 0.5);
+    let seed = (0..1000)
+        .find(|&seed| {
+            let p = plan(seed);
+            p.compile_fault(&gemm_fp, 0).is_none()
+                && p.compile_fault(&gemm_fp, 1).is_none()
+                && p.compile_fault(&atax_fp, 0).is_some()
+        })
+        .expect("a seed with these draws");
+    let engine = Engine::new(&EngineConfig {
+        workers: 1,
+        chaos: plan(seed),
+        ..EngineConfig::default()
+    });
+    let body = engine.handle_line(&warmed).body().to_string();
+    assert_eq!(body, oneshot_response(&request(&warmed)));
+    let body = engine.handle_line(&crashing).body().to_string();
+    assert!(body.contains("\"code\":\"internal\""), "{body}");
+    let before = counters(&engine);
+    let body = engine.handle_line(&variant).body().to_string();
+    assert_eq!(body, oneshot_response(&request(&variant)));
     let after = counters(&engine);
-    let prefix_compiles = (after[3] + after[4]) - (before[3] + before[4]);
-    assert_eq!(prefix_compiles, variants.len() as u64);
-    assert_eq!(after[5], 0, "no errors");
+    assert_eq!((after[3] - before[3], after[4] - before[4]), (1, 0));
+    assert_eq!(engine.chaos().injections_charged(), 1);
     engine.shutdown();
 }

@@ -68,7 +68,7 @@ fn run_sequence(ops: &[Op]) -> Result<(), String> {
     // One shard forces every key through the same lock, the worst case
     // for slot-state confusion; capacity high enough that eviction never
     // interferes with the reference (eviction is a separate concern).
-    let cache = ArtifactCache::new(1024, 1, 0, Arc::from(&b""[..]));
+    let cache: ArtifactCache<()> = ArtifactCache::new(1024, 1, 0, Arc::from(&b""[..]));
     let mut reference: HashMap<u8, RefSlot> = HashMap::new();
     let mut observers: Vec<Arc<Observed>> = Vec::new();
     // What the reference expects each waiter to eventually receive.
@@ -83,7 +83,7 @@ fn run_sequence(ops: &[Op]) -> Result<(), String> {
                expected: &mut Vec<Result<Vec<u8>, Abort>>|
      -> Result<(), String> {
         cache
-            .finish(&[k], attempt, outcome.clone())
+            .finish(&[k], attempt, outcome.clone(), None)
             .ok_or_else(|| format!("key {k}: the pending attempt was not the leader's"))?
             .run(&cache);
         for id in waiters {
