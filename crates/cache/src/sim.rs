@@ -7,8 +7,9 @@
 //! (see `polyufc_ir::interp::RunGroup`): per innermost-loop instance it
 //! walks each access stream's cache-*line* crossings instead of probing
 //! the hierarchy once per element. Invariants 1–3 make the coalesced
-//! walk produce *bit-identical* [`SimStats`] to per-event simulation, and
-//! invariant 4 makes the one-pass victim search exact:
+//! walk produce *bit-identical* [`SimStats`] to per-event simulation,
+//! invariant 4 makes the one-pass victim search exact, and invariant 5
+//! lets whole groups be skipped:
 //!
 //! 1. **Order preservation** — within one step every stream is touched in
 //!    program order, and streams are advanced step-major, so the sequence
@@ -39,6 +40,24 @@
 //!    way, found in the same scan, and the fill writes that way. Between
 //!    a level's probe and its fill only slower levels change (their fills
 //!    and the write-backs those evict), so the victim is still the LRU.
+//! 5. **Warping over repeated all-hit groups** — a group is skipped, and
+//!    counted as `runs × steps` L1 hits, when its predecessor on this
+//!    simulator had no L1 miss (or was itself skipped) and matches it:
+//!    the same step count and, run by run in order, the same array,
+//!    stride, width and write flag, with lines that agree at every step
+//!    (the same first address, or the same first line and a stride that
+//!    is a multiple of the line, zero included). Then both groups touch
+//!    one line sequence `T`. The predecessor missed nowhere, so it
+//!    inserted nothing and evicted nothing: every line of `T` is
+//!    resident after it, ordered in its set above every other line by
+//!    its last touch in `T`, and every line `T` writes is already dirty.
+//!    Replaying `T` on that state hits throughout and rebuilds exactly
+//!    that order and those masks, and lower levels are never reached. So
+//!    the skipped group leaves every level as it found it and ticks no
+//!    clock (LRU compares stamps only within a set, and L1 touch counters
+//!    only against snapshots taken in the same group). By induction a
+//!    skipped group licenses its successor as its predecessor did. A
+//!    per-event [`TraceSink::access`] voids the licence.
 //!
 //! The differential property suite feeds the same trace event by event
 //! through [`TraceSink::access`] and asserts both routes agree exactly.
@@ -54,7 +73,7 @@
 //! precomputed-reciprocal remainder (Lemire fastmod) otherwise.
 
 use polyufc_ir::affine::AffineProgram;
-use polyufc_ir::interp::{AccessEvent, RunGroup, TraceSink};
+use polyufc_ir::interp::{AccessEvent, AccessRun, RunGroup, TraceSink};
 use polyufc_ir::types::ArrayId;
 
 use crate::config::CacheHierarchy;
@@ -169,8 +188,12 @@ impl Level {
     #[cold]
     #[inline(never)]
     fn renormalise(&mut self) {
+        let mut stamps = [0u32; 32];
+        let old = &mut stamps[..self.assoc];
         for set in self.ways.chunks_exact_mut(self.assoc) {
-            let old: Vec<u32> = set.iter().map(|w| w.stamp).collect();
+            old.iter_mut()
+                .zip(set.iter())
+                .for_each(|(o, w)| *o = w.stamp);
             for way in set.iter_mut().filter(|w| w.stamp != 0) {
                 way.stamp = old.iter().filter(|&&s| s != 0 && s <= way.stamp).count() as u32;
             }
@@ -250,6 +273,11 @@ struct RunState {
     line: u64,
     /// First step at which the stream leaves `line` (`u64::MAX` never).
     next_cross: u64,
+    /// Steps from one line crossing to the next once the stream has
+    /// crossed, when constant (`0` otherwise): a stride of at least a line
+    /// crosses every step, and one dividing the line keeps its in-line
+    /// offset modulo the stride, so it crosses every `line / |stride|`.
+    period: u64,
     /// L1 way holding `line` after its last touch; valid until eviction,
     /// which the fast-hit guarantee rules out while `snapshot` is fresh.
     way: usize,
@@ -272,7 +300,15 @@ pub struct CacheSim {
     /// refresh or insert). Only *differences* against [`RunState`]
     /// snapshots are consulted, to bound evictions (module invariant 2).
     l1_set_clock: Vec<u64>,
+    /// Stream cursors of the last walked group, kept after the walk for
+    /// the warp's comparison with the next group.
     scratch: Vec<RunState>,
+    /// Step count of the last walked group while it licenses a warp (it
+    /// had no L1 miss; module invariant 5), `0` once a group misses in L1
+    /// or an event is fed.
+    last_steps: u64,
+    /// Groups skipped by the warp.
+    warped: u64,
     /// Clock ticks every level can still take without wrapping: a lower
     /// bound, spent per touch and per step by [`CacheSim::reserve`].
     headroom: u64,
@@ -285,6 +321,7 @@ impl std::fmt::Debug for CacheSim {
         f.debug_struct("CacheSim")
             .field("levels", &self.levels.len())
             .field("stats", &self.stats)
+            .field("warped_groups", &self.warped)
             .finish()
     }
 }
@@ -328,6 +365,8 @@ impl CacheSim {
             base_addrs,
             l1_set_clock: vec![0; l1_sets],
             scratch: Vec::new(),
+            last_steps: 0,
+            warped: 0,
             headroom: u32::MAX.into(),
             stats: SimStats {
                 hits: vec![0; n],
@@ -417,6 +456,20 @@ impl CacheSim {
         self.stats.dram_writebacks += 1;
     }
 
+    /// Whether run `r` touches the same line at every step as stream `s`
+    /// of the last walked group: the same byte stride and write flag, and
+    /// the same first address, or the same first line and a stride that
+    /// is a multiple of the line (zero included).
+    fn same_lines(&self, r: &AccessRun, s: &RunState) -> bool {
+        let addr = (self.base_addrs[r.array.0] as i64 + r.base * r.bytes as i64) as u64;
+        let sb = r.stride * r.bytes as i64;
+        // The walk moved `s.addr` on by `s.tpos` steps.
+        let first = (s.addr as i64 - s.sb * s.tpos as i64) as u64;
+        let same_line = addr >> self.line_shift == first >> self.line_shift;
+        (sb, r.is_write) == (s.sb, s.is_write)
+            && (addr == first || sb.trailing_zeros() >= self.line_shift && same_line)
+    }
+
     /// The coalesced consumption of one run group (see the module docs for
     /// the exactness invariants).
     fn consume_group(&mut self, g: RunGroup<'_>) {
@@ -432,6 +485,18 @@ impl CacheSim {
         if k == 0 || g.steps == 0 {
             return;
         }
+        // A repeat of an all-hit group is all hits (module invariant 5).
+        if g.steps == self.last_steps
+            && k == self.scratch.len()
+            && g.runs
+                .iter()
+                .zip(&self.scratch)
+                .all(|(r, s)| self.same_lines(r, s))
+        {
+            self.stats.hits[0] += k as u64 * g.steps;
+            self.warped += 1;
+            return;
+        }
 
         let line_mask = (1u64 << self.line_shift) - 1;
         let mut rs = std::mem::take(&mut self.scratch);
@@ -439,18 +504,28 @@ impl CacheSim {
         for r in g.runs {
             let addr = (self.base_addrs[r.array.0] as i64 + r.base * r.bytes as i64) as u64;
             let line = addr >> self.line_shift;
+            let sb = r.stride * r.bytes as i64;
+            let stride = sb.unsigned_abs();
             rs.push(RunState {
-                sb: r.stride * r.bytes as i64,
+                sb,
                 addr,
                 tpos: 0,
                 line,
                 next_cross: 0,
+                period: if stride > line_mask {
+                    1
+                } else if stride.is_power_of_two() {
+                    (line_mask + 1) >> stride.trailing_zeros()
+                } else {
+                    0
+                },
                 way: 0,
                 l1set: self.levels[0].set_index.of(line) as usize,
                 snapshot: 0,
                 is_write: r.is_write,
             });
         }
+        let misses0 = self.stats.misses[0];
         // A step ticks a level at most `k` times for guaranteed hits or a
         // stretch refresh, plus what its touches tick.
         let step_ticks = (k * (self.levels.len() + 1)) as u64;
@@ -474,19 +549,18 @@ impl CacheSim {
             // A stretch needs every stream's residency guarantee to hold at
             // entry: inserts from crossings late in the previous step can
             // have pushed an early stream's set past the eviction bound.
-            if stretchable
-                && rs
-                    .iter()
-                    .all(|s| self.l1_set_clock[s.l1set] - s.snapshot < assoc0)
-            {
+            if stretchable {
                 // While no stream crosses a line boundary, every step is an
-                // identical all-L1-hit step.
-                let nc = rs
-                    .iter()
-                    .map(|s| s.next_cross)
-                    .min()
-                    .unwrap_or(u64::MAX)
-                    .min(g.steps);
+                // identical all-L1-hit step. One pass finds the first
+                // crossing, or gives up (`nc = t`) on a stale guarantee.
+                let mut nc = g.steps;
+                for s in rs.iter() {
+                    if self.l1_set_clock[s.l1set] - s.snapshot >= assoc0 {
+                        nc = t;
+                        break;
+                    }
+                    nc = nc.min(s.next_cross);
+                }
                 if nc > t {
                     hits0 += k as u64 * (nc - t);
                     for s in rs.iter_mut() {
@@ -506,7 +580,10 @@ impl CacheSim {
                     s.addr = (s.addr as i64 + s.sb * (t - s.tpos) as i64) as u64;
                     s.tpos = t;
                     s.line = s.addr >> self.line_shift;
-                    s.next_cross = next_cross(s.addr, s.sb, t, line_mask);
+                    s.next_cross = match s.period {
+                        0 => next_cross(s.addr, s.sb, t, line_mask),
+                        p => t + p,
+                    };
                     s.way = self.touch(s.line, s.is_write);
                     s.l1set = self.levels[0].set_index.of(s.line) as usize;
                     s.snapshot = self.l1_set_clock[s.l1set];
@@ -528,6 +605,11 @@ impl CacheSim {
         }
         self.stats.hits[0] += hits0;
         self.scratch = rs;
+        self.last_steps = if self.stats.misses[0] == misses0 {
+            g.steps
+        } else {
+            0
+        };
     }
 }
 
@@ -559,6 +641,7 @@ impl TraceSink for CacheSim {
         self.stats.bytes_requested += ev.bytes as u64;
         self.reserve(self.levels.len() as u64);
         self.touch(line, ev.is_write);
+        self.last_steps = 0;
     }
 
     fn flops(&mut self, n: u64) {
@@ -574,6 +657,7 @@ impl TraceSink for CacheSim {
 mod tests {
     use super::*;
     use crate::config::CacheLevelConfig;
+    use polyufc_ir::affine::AffineKernel;
     use polyufc_ir::types::ElemType;
 
     fn tiny_hierarchy(l1_lines: u64, assoc: u32) -> CacheHierarchy {
@@ -870,12 +954,99 @@ mod tests {
         }
     }
 
+    /// Forwards only `access`/`flops`, so the default expansion feeds the
+    /// simulator per event.
+    struct Events<'a>(&'a mut CacheSim);
+
+    impl TraceSink for Events<'_> {
+        fn access(&mut self, ev: AccessEvent) {
+            self.0.access(ev);
+        }
+
+        fn flops(&mut self, n: u64) {
+            self.0.flops(n);
+        }
+    }
+
+    /// `x2[i] += A[j][i] * y2[j]` over the `n × n` matrix `a`, in `t × t`
+    /// tiles with the column walk innermost — mvt's second kernel as Pluto
+    /// tiles it. Consecutive groups of a tile differ only in `i`, so while
+    /// `i` stays within one line of `A` and `x2` they touch the same lines.
+    fn tiled_column_walk(p: &mut AffineProgram, a: ArrayId, n: i64, t: i64) -> AffineKernel {
+        use polyufc_ir::affine::{Access, Loop, Statement};
+        use polyufc_presburger::LinExpr;
+        let x2 = p.add_array("x2", vec![n as usize], ElemType::F64);
+        let y2 = p.add_array("y2", vec![n as usize], ElemType::F64);
+        let i = LinExpr::var(0) * t + LinExpr::var(2);
+        let j = LinExpr::var(1) * t + LinExpr::var(3);
+        AffineKernel {
+            name: "mvt_x2".into(),
+            loops: vec![
+                Loop::range(n / t),
+                Loop::range(n / t),
+                Loop::range(t),
+                Loop::range(t),
+            ],
+            statements: vec![Statement {
+                name: "S".into(),
+                accesses: vec![
+                    Access::read(x2, vec![i.clone()]),
+                    Access::read(a, vec![j.clone(), i.clone()]),
+                    Access::read(y2, vec![j]),
+                    Access::write(x2, vec![i]),
+                ],
+                flops: 2,
+            }],
+        }
+    }
+
+    #[test]
+    fn repeated_all_hit_groups_warp() {
+        // 40 x 40 f64 (5 lines a row) in 8 x 8 tiles: a tile's column walk
+        // touches 8 lines of A in 8 distinct sets of an 8-set L1.
+        let mut p = AffineProgram::new("mvt");
+        let a = p.add_array("A", vec![40, 40], ElemType::F64);
+        let k = tiled_column_walk(&mut p, a, 40, 8);
+        p.kernels.push(k);
+        let two_level = CacheHierarchy::new(vec![
+            CacheLevelConfig {
+                size_bytes: 64 * 64,
+                line_bytes: 64,
+                assoc: 8,
+                shared: false,
+            },
+            CacheLevelConfig {
+                size_bytes: 96 * 64,
+                line_bytes: 64,
+                assoc: 4,
+                shared: true,
+            },
+        ]);
+        for h in [tiny_hierarchy(64, 8), two_level] {
+            let mut sim = CacheSim::new(&h, &p);
+            polyufc_ir::interp::interpret_program(&p, &mut sim);
+            // Per tile, the first of its 8 groups misses on A, the second
+            // walks all-hit and licenses the warp, and the other six warp.
+            assert_eq!(sim.warped, 25 * 6);
+            let mut events = CacheSim::new(&h, &p);
+            polyufc_ir::interp::interpret_program(&p, &mut Events(&mut events));
+            assert_eq!(events.warped, 0);
+            assert_eq!(sim.stats, events.stats);
+            if h.levels.len() == 1 {
+                let mut reference = crate::refsim::RefSim::new(&h, &p);
+                polyufc_ir::interp::interpret_program(&p, &mut reference);
+                assert_eq!(sim.stats, reference.stats);
+            }
+        }
+    }
+
     #[test]
     fn clocks_near_wrap_give_a_fresh_simulators_stats() {
         use polyufc_ir::affine::{Access, AffineKernel, Loop, Statement};
         use polyufc_presburger::LinExpr;
         // B[j][i] += A[i][j] over 40 x 40: a row walk, a column walk and a
-        // write stream, through 3 levels with a non-power-of-two L2.
+        // write stream, through 3 levels with a non-power-of-two L2; then a
+        // tiled column walk whose warps interleave with renormalisations.
         let mut p = AffineProgram::new("transpose");
         let a = p.add_array("A", vec![40, 40], ElemType::F64);
         let b = p.add_array("B", vec![40, 40], ElemType::F64);
@@ -893,6 +1064,8 @@ mod tests {
                 flops: 1,
             }],
         });
+        let k = tiled_column_walk(&mut p, a, 40, 8);
+        p.kernels.push(k);
         let lvl = |lines: u64, assoc: u32| CacheLevelConfig {
             size_bytes: lines * 64,
             line_bytes: 64,
@@ -908,6 +1081,7 @@ mod tests {
         let mut aged = Aged(&mut sim, 0);
         polyufc_ir::interp::interpret_program(&p, &mut aged);
         assert!(aged.1 >= 40, "renormalised only {} times", aged.1);
+        assert!(sim.warped > 0 && sim.warped == fresh.warped);
         assert_eq!(sim.stats, fresh.stats);
 
         let mut sim = CacheSim::new(&h, &p);

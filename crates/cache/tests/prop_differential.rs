@@ -1,116 +1,21 @@
 //! Differential property tests for the coalesced trace simulator: on
-//! random affine kernels — strides of 0, negative coefficients, several
-//! statements, low associativities, multi-level hierarchies with
+//! random affine kernels — strides of 0, negative and line-multiple
+//! coefficients, several statements, run groups that repeat their
+//! predecessor, low associativities, multi-level hierarchies with
 //! non-power-of-two set counts — the run-length/line-coalesced path must
 //! produce *exactly* the same [`SimStats`] as the per-event path, counter
 //! for counter. A second property pins the stamp-LRU + fastmod core
 //! against the frozen pre-optimization simulator on single-level
 //! hierarchies (where the historical write-back bug cannot manifest).
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::{build_program, kernel_spec};
 use polyufc_cache::{CacheHierarchy, CacheLevelConfig, CacheSim, RefSim, SimStats};
-use polyufc_ir::affine::{Access, AffineKernel, AffineProgram, Loop, Statement};
+use polyufc_ir::affine::AffineProgram;
 use polyufc_ir::interp::{interpret_program, AccessEvent, TraceSink};
-use polyufc_ir::types::ElemType;
-use polyufc_presburger::LinExpr;
-
-const ARRAY_ELEMS: usize = 4096;
-
-/// Builds an in-bounds index expression from per-iterator coefficients:
-/// the constant is shifted so the minimum offset over the (rectangular)
-/// domain is zero.
-fn in_bounds_expr(coeffs: &[i64], extents: &[i64]) -> LinExpr {
-    let mut e = LinExpr::constant(0);
-    let mut min = 0i64;
-    for (v, (&c, &ext)) in coeffs.iter().zip(extents).enumerate() {
-        if c != 0 {
-            e = e + LinExpr::var(v) * c;
-        }
-        min += (c * (ext - 1)).min(0);
-    }
-    e + LinExpr::constant(-min)
-}
-
-/// One access: per-iterator index coefficients and whether it writes.
-type AccessSpec = (Vec<i64>, bool);
-
-#[derive(Debug, Clone)]
-struct KernelSpec {
-    extents: Vec<i64>,
-    /// Per statement: flops and its accesses.
-    stmts: Vec<(u64, Vec<AccessSpec>)>,
-}
-
-const MAX_DEPTH: usize = 3;
-
-fn kernel_spec() -> impl Strategy<Value = KernelSpec> {
-    // The vendored proptest has no `prop_flat_map`: draw everything at the
-    // maximum depth and truncate to the drawn depth in `prop_map`.
-    let coeff = prop_oneof![
-        Just(0i64),
-        Just(1),
-        Just(-1),
-        Just(2),
-        Just(-2),
-        Just(3),
-        Just(9),
-        Just(-9),
-    ];
-    let accesses = proptest::collection::vec(
-        (proptest::collection::vec(coeff, MAX_DEPTH), any::<bool>()),
-        1..5,
-    );
-    let stmts = proptest::collection::vec((0u64..4, accesses), 1..3);
-    (
-        2usize..=MAX_DEPTH,
-        proptest::collection::vec(1i64..10, MAX_DEPTH),
-        stmts,
-    )
-        .prop_map(|(depth, mut extents, mut stmts)| {
-            extents.truncate(depth);
-            for (_, accesses) in &mut stmts {
-                for (coeffs, _) in accesses {
-                    coeffs.truncate(depth);
-                }
-            }
-            KernelSpec { extents, stmts }
-        })
-}
-
-fn build_program(spec: &KernelSpec) -> AffineProgram {
-    let mut p = AffineProgram::new("diff");
-    let a = p.add_array("A", vec![ARRAY_ELEMS], ElemType::F64);
-    let b = p.add_array("B", vec![ARRAY_ELEMS], ElemType::F32);
-    let statements = spec
-        .stmts
-        .iter()
-        .enumerate()
-        .map(|(si, (flops, accesses))| Statement {
-            name: format!("S{si}"),
-            accesses: accesses
-                .iter()
-                .enumerate()
-                .map(|(ai, (coeffs, is_write))| {
-                    let arr = if (si + ai) % 2 == 0 { a } else { b };
-                    let idx = in_bounds_expr(coeffs, &spec.extents);
-                    if *is_write {
-                        Access::write(arr, vec![idx])
-                    } else {
-                        Access::read(arr, vec![idx])
-                    }
-                })
-                .collect(),
-            flops: *flops,
-        })
-        .collect();
-    p.kernels.push(AffineKernel {
-        name: "k".into(),
-        loops: spec.extents.iter().map(|&e| Loop::range(e)).collect(),
-        statements,
-    });
-    p
-}
 
 /// Hierarchies chosen to exercise every simulator regime: direct-mapped
 /// (fast-hit fallback since group size > assoc), non-power-of-two set
@@ -159,8 +64,34 @@ fn run_stats(h: &CacheHierarchy, p: &AffineProgram, per_event: bool) -> SimStats
     sim.stats
 }
 
+/// Groups the simulator skipped by its warp over repeated all-hit
+/// groups, as its `Debug` output reports them.
+fn warped_groups(sim: &CacheSim) -> u64 {
+    let debug = format!("{sim:?}");
+    let (_, count) = debug.split_once("warped_groups: ").expect("reported");
+    count.trim_end_matches(" }").parse().expect("a count")
+}
+
+#[test]
+fn generated_kernels_warp() {
+    let mut rng = proptest::test_runner::TestRng::new(0x5eed);
+    let (mut runs, mut warping) = (0, 0);
+    for _ in 0..256 {
+        let p = build_program(&kernel_spec().sample(&mut rng));
+        for h in hierarchies() {
+            let mut sim = CacheSim::new(&h, &p);
+            interpret_program(&p, &mut sim);
+            runs += 1;
+            warping += usize::from(warped_groups(&sim) > 0);
+        }
+    }
+    // 300 of 1,536 when written; a generator that stops repeating groups
+    // would leave the warp untested.
+    assert!(warping * 8 >= runs, "only {warping} of {runs} runs warp");
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    // Default config, so `PROPTEST_CASES` deepens both properties.
 
     #[test]
     fn coalesced_equals_per_event(spec in kernel_spec()) {

@@ -1,13 +1,17 @@
 //! Property tests: the optimized cache simulator must agree exactly with
 //! naive reference LRU implementations on random traces — one level, and a
-//! whole multi-level hierarchy with write-backs — and basic conservation
-//! laws must hold.
+//! whole multi-level hierarchy with write-backs, fed event by event and
+//! from random kernels' run groups — and basic conservation laws must
+//! hold.
+
+mod common;
 
 use proptest::prelude::*;
 
+use common::{build_program, kernel_spec};
 use polyufc_cache::{CacheHierarchy, CacheLevelConfig, CacheSim, SimStats};
 use polyufc_ir::affine::AffineProgram;
-use polyufc_ir::interp::{AccessEvent, TraceSink};
+use polyufc_ir::interp::{interpret_program, AccessEvent, TraceSink};
 use polyufc_ir::types::{ArrayId, ElemType};
 
 /// A naive, obviously-correct single-level LRU set-associative cache.
@@ -107,9 +111,9 @@ impl RefHierarchy {
         evicted
     }
 
-    fn access(&mut self, line: u64, write: bool) {
+    fn access(&mut self, line: u64, bytes: u32, write: bool) {
         self.stats.accesses += 1;
-        self.stats.bytes_requested += 8;
+        self.stats.bytes_requested += u64::from(bytes);
         let levels = self.shape.len();
         let mut missed = 0;
         while missed < levels && !self.refresh(missed, line, write && missed == 0) {
@@ -139,6 +143,24 @@ impl RefHierarchy {
                 self.write_back(level + 1, victim);
             }
         }
+    }
+}
+
+/// Feeds [`RefHierarchy`] the interpreter's events, laid out as
+/// [`CacheSim`] lays out the program's arrays.
+struct RefSink {
+    reference: RefHierarchy,
+    base_addrs: Vec<u64>,
+}
+
+impl TraceSink for RefSink {
+    fn access(&mut self, ev: AccessEvent) {
+        let addr = self.base_addrs[ev.array.0] + ev.offset * u64::from(ev.bytes);
+        self.reference.access(addr / 64, ev.bytes, ev.is_write);
+    }
+
+    fn flops(&mut self, n: u64) {
+        self.reference.stats.flops += n;
     }
 }
 
@@ -257,8 +279,22 @@ proptest! {
         let mut reference = RefHierarchy::new(&h);
         for &(offset, write) in &trace {
             sim.access(AccessEvent { array: ArrayId(0), offset, bytes: 8, is_write: write });
-            reference.access(offset * 8 / 64, write);
+            reference.access(offset * 8 / 64, 8, write);
         }
         prop_assert_eq!(&sim.stats, &reference.stats, "hierarchy {:?}", h.levels);
+    }
+
+    #[test]
+    fn kernel_run_groups_match_reference_with_writebacks(
+        spec in kernel_spec(),
+        h in hierarchy(),
+    ) {
+        let p = build_program(&spec);
+        let mut sim = CacheSim::new(&h, &p);
+        let base_addrs = (0..p.arrays.len()).map(|a| sim.base_addr(ArrayId(a))).collect();
+        interpret_program(&p, &mut sim);
+        let mut sink = RefSink { reference: RefHierarchy::new(&h), base_addrs };
+        interpret_program(&p, &mut sink);
+        prop_assert_eq!(&sim.stats, &sink.reference.stats, "hierarchy {:?} spec {:?}", h.levels, &spec);
     }
 }

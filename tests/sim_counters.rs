@@ -4,7 +4,8 @@
 //! fits in L1; `small` adds capacity and conflict misses at every level.
 //! The simulator stands in for the hardware counters behind Fig. 6/7, so a
 //! change to its replacement state or walk that claims bit-identical
-//! counters must leave every row below alone.
+//! counters must leave every row below alone. Some rows must exercise
+//! the simulator's warp over repeated all-hit run groups.
 
 use polyufc::Pipeline;
 use polyufc_cache::{CacheSim, SimStats};
@@ -83,15 +84,23 @@ const PINS: &[Pin] = &[
     ("small", "jacobi-2d", "RPL", true, [7359337, 5517, 0], [21143, 15626, 15626], 15626, 0, 7380480, 6150400, 59043840),
 ];
 
-fn simulate(platform: &Platform, program: &AffineProgram) -> SimStats {
+/// The simulator's counters, and how many run groups it skipped by its
+/// warp over repeated all-hit groups (reported by its `Debug` output).
+fn simulate(platform: &Platform, program: &AffineProgram) -> (SimStats, u64) {
     let mut sim = CacheSim::new(&platform.hierarchy, program);
     interpret_program(program, &mut sim);
-    sim.stats
+    let debug = format!("{sim:?}");
+    let (_, warped) = debug.split_once("warped_groups: ").expect("reported");
+    (
+        sim.stats,
+        warped.trim_end_matches(" }").parse().expect("a count"),
+    )
 }
 
 #[test]
 fn simulator_counters_are_pinned() {
     let mut got = Vec::new();
+    let mut warping_rows = 0;
     for (size, preset) in [
         ("mini", PolybenchSize::Mini),
         ("small", PolybenchSize::Small),
@@ -104,7 +113,8 @@ fn simulator_counters_are_pinned() {
                 }
                 let optimized = pipe.compile_affine(&w.program).expect("compiles").optimized;
                 for (opt, program) in [(false, &w.program), (true, &optimized)] {
-                    let st = simulate(&platform, program);
+                    let (st, warped) = simulate(&platform, program);
+                    warping_rows += usize::from(warped > 0);
                     got.push((
                         size,
                         w.name,
@@ -122,6 +132,11 @@ fn simulator_counters_are_pinned() {
             }
         }
     }
+    // 12 rows warp when written: gemm and mvt at mini, gemm at small.
+    assert!(
+        warping_rows > 0,
+        "no pinned row exercises the warp over repeated all-hit groups"
+    );
     assert_eq!(
         got.len(),
         PINS.len(),
