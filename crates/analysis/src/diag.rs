@@ -209,7 +209,7 @@ pub struct AnalysisStats {
     pub emptiness_batches: u64,
     /// Individual emptiness checks issued (across all batches).
     pub emptiness_checks: u64,
-    /// High-water mark of the solver arena, in bytes.
+    /// High-water mark of one query's solver row storage, in bytes.
     pub peak_arena_bytes: usize,
 }
 

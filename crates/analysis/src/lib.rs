@@ -77,8 +77,8 @@ impl Analyzer {
     /// Runs the structural, bounds, and race passes.
     ///
     /// All Presburger queries of one run outside the dependence summaries
-    /// go through a single batched [`Context`], one arena-backed solver
-    /// system; the report's [`AnalysisStats`] records its accounting.
+    /// go through a single batched [`Context`]; the report's
+    /// [`AnalysisStats`] records its accounting.
     pub fn analyze(&self, program: &AffineProgram) -> AnalysisReport {
         self.analyze_in(program, &mut Context::new())
     }

@@ -4,7 +4,6 @@
 //! (defaults: `mvt`, `rpl`, `small`).
 
 use polyufc::{ParametricModel, Pipeline};
-use polyufc_bench::parse_size;
 use polyufc_machine::{measure_kernel, ExecutionEngine, Platform};
 use polyufc_workloads::{ml_suite, polybench_suite, PolybenchSize};
 
@@ -16,16 +15,17 @@ fn unknown(what: &str, got: &str, accepted: &str) -> ! {
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "mvt".into());
-    let plat = match std::env::args().nth(2).as_deref() {
-        Some("bdw") => Platform::broadwell(),
-        None | Some("rpl") => Platform::raptor_lake(),
-        Some(other) => unknown("platform", other, "bdw|rpl"),
+    let plat = match std::env::args().nth(2) {
+        None => Platform::raptor_lake(),
+        Some(s) => s
+            .parse()
+            .unwrap_or_else(|()| unknown("platform", &s, "bdw|rpl")),
     };
     let size = match std::env::args().nth(3) {
         None => PolybenchSize::Small,
-        Some(s) => {
-            parse_size(&s).unwrap_or_else(|| unknown("size", &s, "mini|small|large|xl|extralarge"))
-        }
+        Some(s) => s
+            .parse()
+            .unwrap_or_else(|()| unknown("size", &s, "mini|small|large|xl|extralarge")),
     };
     let program = polybench_suite(size)
         .into_iter()

@@ -19,7 +19,6 @@ mod suite;
 use std::cell::OnceCell;
 
 use polyufc::{ParametricModel, Pipeline, PipelineOutput};
-use polyufc_bench::parse_size;
 use polyufc_ir::affine::AffineKernel;
 use polyufc_machine::{ExecutionEngine, KernelCounters};
 use polyufc_workloads::{ml_suite, polybench_suite, PolybenchSize};
@@ -69,7 +68,7 @@ fn parse_args(argv: &[String]) -> Result<(Vec<View>, Ctx), String> {
                 if a == "--only" {
                     ctx.only = Some(v.clone());
                 } else {
-                    ctx.size = parse_size(v).ok_or_else(|| {
+                    ctx.size = v.parse().map_err(|()| {
                         format!("unknown size '{v}' (expected mini|small|large|xl|extralarge)")
                     })?;
                 }

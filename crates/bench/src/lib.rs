@@ -228,21 +228,10 @@ pub fn size_from_args() -> PolybenchSize {
     }
     match spelled.as_deref() {
         None => PolybenchSize::Large,
-        Some(s) => parse_size(s).unwrap_or_else(|| {
+        Some(s) => s.parse().unwrap_or_else(|()| {
             eprintln!("unknown size '{s}' (expected mini|small|large|xl|extralarge)");
             std::process::exit(2);
         }),
-    }
-}
-
-/// Parses one size preset name; `None` if unrecognized.
-pub fn parse_size(s: &str) -> Option<PolybenchSize> {
-    match s {
-        "mini" => Some(PolybenchSize::Mini),
-        "small" => Some(PolybenchSize::Small),
-        "large" => Some(PolybenchSize::Large),
-        "xl" | "extralarge" => Some(PolybenchSize::ExtraLarge),
-        _ => None,
     }
 }
 

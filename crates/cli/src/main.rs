@@ -107,11 +107,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         };
         match a.as_str() {
             "--platform" => {
-                o.platform = match value("--platform")?.as_str() {
-                    "bdw" | "BDW" => Platform::broadwell(),
-                    "rpl" | "RPL" => Platform::raptor_lake(),
-                    other => return Err(format!("unknown platform `{other}` (bdw|rpl)")),
-                }
+                let name = value("--platform")?;
+                o.platform = name
+                    .parse()
+                    .map_err(|()| format!("unknown platform `{name}` (bdw|rpl)"))?;
             }
             "--objective" => {
                 o.objective = match value("--objective")?.as_str() {
@@ -537,17 +536,10 @@ fn lint(args: &[String]) -> Result<u8, String> {
             "--workloads" => workloads = true,
             "--self" => self_lint = true,
             "--size" => {
-                size = match it.next().map(String::as_str) {
-                    Some("mini") => PolybenchSize::Mini,
-                    Some("small") => PolybenchSize::Small,
-                    Some("large") => PolybenchSize::Large,
-                    Some("xl") => PolybenchSize::ExtraLarge,
-                    other => {
-                        return Err(format!(
-                            "--size: expected mini|small|large|xl, got {other:?}"
-                        ))
-                    }
-                }
+                let name = it.next().map(String::as_str);
+                size = name
+                    .and_then(|s| s.parse().ok())
+                    .ok_or_else(|| format!("--size: expected mini|small|large|xl, got {name:?}"))?;
             }
             other if !other.starts_with('-') && path.is_none() => path = Some(a),
             other => return Err(format!("unknown lint option `{other}`")),

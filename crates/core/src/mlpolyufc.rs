@@ -8,10 +8,9 @@
 //! * [`CapGranularity::Tensor`] — one cap per torch-level op (coarse:
 //!   a single `sdpa` op hides CB → BB* → CB phase changes);
 //! * [`CapGranularity::Linalg`] — one cap per linalg op (the paper's
-//!   chosen trade-off between control granularity and switch overhead);
-//! * [`CapGranularity::Affine`] — one cap per affine kernel (here equal
-//!   to linalg granularity, since each structured op lowers to one
-//!   nest; kept distinct for IRs where that is not true).
+//!   chosen trade-off between control granularity and switch overhead).
+//!   Each structured op lowers to one affine nest, so this is also one cap
+//!   per affine kernel.
 //!
 //! The module also produces the Fig. 5 phase report: the CB/BB phase
 //! sequence of a tensor graph at each dialect level.
@@ -30,10 +29,9 @@ use crate::pipeline::{Error, Pipeline, PipelineOutput};
 pub enum CapGranularity {
     /// One cap per tensor (torch) op.
     Tensor,
-    /// One cap per linalg op (the paper's choice).
+    /// One cap per linalg op (the paper's choice), which is one cap per
+    /// affine kernel.
     Linalg,
-    /// One cap per affine kernel.
-    Affine,
 }
 
 /// The CB/BB phase sequence at every dialect level (Fig. 5).
@@ -85,7 +83,7 @@ impl MlPolyUfc {
     pub fn compile(&self, graph: &TensorGraph, elem: ElemType) -> Result<PipelineOutput, Error> {
         let mut out = self.pipeline.compile_tensor(graph, elem)?;
         match self.granularity {
-            CapGranularity::Linalg | CapGranularity::Affine => Ok(out),
+            CapGranularity::Linalg => Ok(out),
             CapGranularity::Tensor => {
                 // Aggregate caps per tensor op: min over CB groups, max
                 // over BB groups (Sec. VII-A aggregation rule), using the

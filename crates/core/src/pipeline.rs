@@ -96,7 +96,8 @@ pub struct CompileReport {
     pub emptiness_batches: u64,
     /// Individual emptiness checks inside those batches.
     pub emptiness_checks: u64,
-    /// High-water mark of the verify gate's solver arena, in bytes.
+    /// High-water mark of one verify-gate query's solver row storage, in
+    /// bytes.
     pub presburger_arena_bytes: u64,
     /// Polysum region splits fanned out across the worker pool during
     /// counting (0 when every count stayed sequential).
@@ -114,8 +115,8 @@ impl CompileReport {
 /// daemon): the cache model's Presburger counting cache and the verify
 /// gate's batched-emptiness [`Context`](polyufc_presburger::Context) both
 /// persist across compilations, so a hot daemon amortizes
-/// canonicalization, arena growth, and repeated iteration-domain counts
-/// across requests instead of rebuilding them per compile. The session
+/// canonicalization and repeated iteration-domain counts across requests
+/// instead of rebuilding them per compile. The session
 /// holds one count cache: the verify gate only checks emptiness and
 /// samples witnesses, and a [`Context`](polyufc_presburger::Context) does
 /// not count.
@@ -431,8 +432,8 @@ impl Pipeline {
                 count_cache_evictions: count_cache.evictions() - cc0.4,
                 // `analyze_in` reports the context's cumulative counters;
                 // subtract the pre-compile snapshot so a session's Nth
-                // request reports only its own solver traffic. (The arena
-                // high-water mark is monotone and stays cumulative.)
+                // request reports only its own solver traffic. (The row
+                // storage high-water mark is monotone and stays cumulative.)
                 emptiness_batches: verify_stats.emptiness_batches.saturating_sub(batches0),
                 emptiness_checks: verify_stats.emptiness_checks.saturating_sub(checks0),
                 presburger_arena_bytes: verify_stats.peak_arena_bytes as u64,

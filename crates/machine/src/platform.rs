@@ -63,6 +63,20 @@ pub struct Platform {
     pub has_uncore_rapl_zone: bool,
 }
 
+/// Looks a platform up by its short name: `bdw` or `BDW` for
+/// [`Platform::broadwell`], `rpl` or `RPL` for [`Platform::raptor_lake`].
+impl std::str::FromStr for Platform {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        match s {
+            "bdw" | "BDW" => Ok(Platform::broadwell()),
+            "rpl" | "RPL" => Ok(Platform::raptor_lake()),
+            _ => Err(()),
+        }
+    }
+}
+
 // Referenced by the `#[serde(default = "...")]` attribute above; the
 // vendored offline serde derive ignores helper attributes, so the
 // reference is invisible to dead-code analysis.

@@ -2,12 +2,13 @@
 //! the integer feasibility solver shared by emptiness, sampling, counting
 //! and enumeration.
 //!
-//! The solver [`System`] stores constraints as *flat arena rows*: one
-//! contiguous `i64` slab holding `stride = n + 2` words per constraint
-//! (`n` coefficients, the constant, and a kind tag). A small system lives
-//! in one fixed-size heap block, so building or cloning a system during
-//! branch-and-bound is one allocation plus one copy (or zero-fill) of that
-//! block, and every hot operation (substitution, Gaussian elimination,
+//! The solver [`System`] stores constraints as *flat rows*: one contiguous
+//! `i64` buffer holding `stride = n + 2` words per constraint (`n`
+//! coefficients, the constant, and a kind tag). The buffer holds 160 words
+//! in place and spills to the heap above that, so building or cloning a
+//! small system during branch-and-bound copies about 1.3 KB and allocates
+//! nothing. Propagated intervals and candidate points are held in place the
+//! same way, and every hot operation (substitution, Gaussian elimination,
 //! interval tightening, membership checks) runs over dense slices. See
 //! DESIGN.md § "Presburger core".
 
@@ -259,9 +260,8 @@ impl BasicSet {
     /// Propagates solver budget errors.
     #[allow(clippy::type_complexity)]
     pub fn var_intervals(&self) -> Result<Option<Vec<(Option<i64>, Option<i64>)>>> {
-        let sys = self.system();
-        let iv = sys.propagate(&mut Budget::default())?;
-        Ok(iv.map(|v| v.into_iter().map(|i| (i.lo, i.hi)).collect()))
+        let iv = self.system().propagate(&mut Budget::default())?;
+        Ok(iv.map(|v| v.iter().map(|i| (i.lo, i.hi)).collect()))
     }
 
     /// Whether the set contains no integer points.
@@ -331,7 +331,7 @@ impl fmt::Display for BasicSet {
 }
 
 // ---------------------------------------------------------------------------
-// Integer feasibility solver (flat arena rows)
+// Integer feasibility solver (flat rows, held in place)
 // ---------------------------------------------------------------------------
 
 /// Integer division rounding toward negative infinity.
@@ -346,44 +346,26 @@ pub(crate) fn ceil_div(a: i64, b: i64) -> i64 {
     -(-a).div_euclid(b)
 }
 
-/// Work budget for branch-and-bound searches, carrying a reusable scratch
-/// buffer so per-trial full-assignment vectors in [`System::sample`] are
-/// allocated once per query instead of once per trial.
+/// Work budget for branch-and-bound searches: a step counter and its
+/// limit.
 #[derive(Debug, Clone)]
 pub(crate) struct Budget {
     pub steps: u64,
     pub limit: u64,
-    /// Scratch for trial assignments (see `sample_rec`); contents are
-    /// meaningless between uses.
-    pub scratch: Vec<i64>,
-    /// Recycled interval buffer for [`System::propagate`]; straight-line
-    /// callers hand the returned vector back here so batched queries stop
-    /// allocating it per call. Contents are meaningless between uses.
-    pub ivs: Vec<Interval>,
 }
 
 impl Default for Budget {
     fn default() -> Self {
-        Budget {
-            steps: 0,
-            limit: 50_000_000,
-            scratch: Vec::new(),
-            ivs: Vec::new(),
-        }
+        Budget::with_limit(50_000_000)
     }
 }
 
 impl Budget {
     pub fn with_limit(limit: u64) -> Self {
-        Budget {
-            limit,
-            ..Budget::default()
-        }
+        Budget { steps: 0, limit }
     }
 
-    /// Rearms the step counter for a fresh query while keeping the scratch
-    /// buffers (used by [`crate::Context`] to amortize allocation across a
-    /// batch).
+    /// Rearms the step counter for a fresh query.
     pub fn reset(&mut self) {
         self.steps = 0;
     }
@@ -398,18 +380,15 @@ impl Budget {
     }
 }
 
-/// Variable interval with optional (unbounded) endpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Variable interval with optional (unbounded) endpoints; the default is
+/// unbounded on both sides.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Interval {
     pub lo: Option<i64>,
     pub hi: Option<i64>,
 }
 
 impl Interval {
-    pub fn full() -> Self {
-        Interval { lo: None, hi: None }
-    }
-
     pub fn is_empty(&self) -> bool {
         matches!((self.lo, self.hi), (Some(l), Some(h)) if l > h)
     }
@@ -429,121 +408,32 @@ impl Interval {
     }
 }
 
-/// Words in a [`Slab`]'s fixed block before it spills to a growable `Vec`.
+/// Row words a [`System`] holds in place before spilling to the heap.
 /// 160 words hold e.g. 16 rows of an 8-variable system (stride 10), which
-/// covers the vast majority of analysis-pass queries. The block is boxed:
-/// every new or cloned system allocates its 1280 bytes and zero-fills or
-/// copies all of them. Storing rows in a plain `Vec<i64>` instead measured
-/// slower on `compile_cold` (EXPERIMENTS.md).
-const INLINE_WORDS: usize = 160;
+/// covers the vast majority of analysis-pass queries; the in-place buffer
+/// makes a system about 1.3 KB, of which a search frame holds one or two.
+const ROW_WORDS: usize = 160;
+
+/// Variables whose intervals and candidate values are held in place;
+/// those of a wider system spill to the heap.
+const VARS_IN_PLACE: usize = 16;
+
+/// Per-variable intervals from [`System::propagate`].
+pub(crate) type Intervals = InlineVec<Interval, VARS_IN_PLACE>;
+
+/// A full assignment tried against a system.
+type Point = InlineVec<i64, VARS_IN_PLACE>;
+
+/// The candidate point of a box: each variable at its lower endpoint,
+/// else its upper one, else 0.
+fn corner(iv: &[Interval]) -> Point {
+    iv.iter().map(|i| i.lo.or(i.hi).unwrap_or(0)).collect()
+}
 
 /// Row kind tag stored in the last word of each row: equality (`expr == 0`).
 pub(crate) const KIND_EQ: i64 = 0;
 /// Row kind tag: inequality (`expr >= 0`).
 pub(crate) const KIND_GE: i64 = 1;
-
-/// Contiguous `i64` storage: a fixed boxed block while the rows fit, a
-/// `Vec` once they do not. Cloning allocates either way; a fixed block
-/// copies all [`INLINE_WORDS`] words, a spilled one only its length.
-#[derive(Clone)]
-pub(crate) enum Slab {
-    /// Data lives in a fixed-size boxed block of [`INLINE_WORDS`] words.
-    Inline {
-        len: usize,
-        buf: Box<[i64; INLINE_WORDS]>,
-    },
-    /// Spilled to a growable `Vec` once the fixed block was exceeded.
-    Heap(Vec<i64>),
-}
-
-impl fmt::Debug for Slab {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Slab")
-            .field("len", &self.len())
-            .field("inline", &matches!(self, Slab::Inline { .. }))
-            .finish()
-    }
-}
-
-impl Slab {
-    fn new() -> Self {
-        Slab::Inline {
-            len: 0,
-            buf: Box::new([0; INLINE_WORDS]),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Slab::Inline { len, .. } => *len,
-            Slab::Heap(v) => v.len(),
-        }
-    }
-
-    fn as_slice(&self) -> &[i64] {
-        match self {
-            Slab::Inline { len, buf } => &buf[..*len],
-            Slab::Heap(v) => v,
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [i64] {
-        match self {
-            Slab::Inline { len, buf } => &mut buf[..*len],
-            Slab::Heap(v) => v,
-        }
-    }
-
-    /// Drops all contents; heap capacity is retained for reuse (this is the
-    /// O(1) bulk reset between batched queries).
-    fn clear(&mut self) {
-        match self {
-            Slab::Inline { len, .. } => *len = 0,
-            Slab::Heap(v) => v.clear(),
-        }
-    }
-
-    fn truncate(&mut self, new_len: usize) {
-        match self {
-            Slab::Inline { len, .. } => {
-                if new_len < *len {
-                    *len = new_len;
-                }
-            }
-            Slab::Heap(v) => v.truncate(new_len),
-        }
-    }
-
-    /// Appends `extra` zeroed words, spilling to a `Vec` if the fixed
-    /// capacity is exceeded.
-    fn extend_zeros(&mut self, extra: usize) {
-        match self {
-            Slab::Inline { len, buf } => {
-                if *len + extra <= INLINE_WORDS {
-                    buf[*len..*len + extra].fill(0);
-                    *len += extra;
-                } else {
-                    let mut v = Vec::with_capacity((*len + extra).max(2 * INLINE_WORDS));
-                    v.extend_from_slice(&buf[..*len]);
-                    v.resize(*len + extra, 0);
-                    *self = Slab::Heap(v);
-                }
-            }
-            Slab::Heap(v) => {
-                let n = v.len();
-                v.resize(n + extra, 0);
-            }
-        }
-    }
-
-    /// Allocated capacity in bytes (a fixed block reports its whole size).
-    fn capacity_bytes(&self) -> usize {
-        match self {
-            Slab::Inline { .. } => INLINE_WORDS * std::mem::size_of::<i64>(),
-            Slab::Heap(v) => v.capacity() * std::mem::size_of::<i64>(),
-        }
-    }
-}
 
 /// Whether a row's coefficient part is all zero (a constant constraint).
 #[inline]
@@ -564,25 +454,21 @@ pub(crate) fn row_constant_ok(row: &[i64], n: usize) -> bool {
 /// A constraint system over `n` integer variables, used by emptiness,
 /// sampling, counting, and enumeration.
 ///
-/// Rows are stored back-to-back in one [`Slab`] with `stride = n + 2`:
+/// Rows are stored back-to-back in one buffer with `stride = n + 2`:
 /// `[c_0, ..., c_{n-1}, constant, kind]`. The kind column lives inside the
-/// slab so that the whole system is a single contiguous allocation and
-/// `clone` is one allocation plus one copy.
+/// buffer so that the whole system is one contiguous block, held in place
+/// up to [`ROW_WORDS`] words: `clone` is then a copy and no allocation.
 #[derive(Debug, Clone)]
 pub(crate) struct System {
     pub n: usize,
     stride: usize,
-    rows: Slab,
+    rows: InlineVec<i64, ROW_WORDS>,
 }
 
 impl System {
     /// Builds a system over `n` variables from a constraint list.
     pub fn new(n: usize, constraints: &[Constraint]) -> Self {
-        let mut sys = System {
-            n,
-            stride: n + 2,
-            rows: Slab::new(),
-        };
+        let mut sys = System::empty(n);
         for c in constraints {
             sys.push_constraint(c);
         }
@@ -590,11 +476,11 @@ impl System {
     }
 
     /// An empty system over `n` variables.
-    pub fn empty(n: usize) -> Self {
+    fn empty(n: usize) -> Self {
         System {
             n,
             stride: n + 2,
-            rows: Slab::new(),
+            rows: InlineVec::default(),
         }
     }
 
@@ -602,26 +488,8 @@ impl System {
     /// laid out as this type stores them (`n + 2` words each).
     pub fn from_rows(n: usize, rows: &[i64]) -> Self {
         let mut sys = System::empty(n);
-        sys.rows.extend_zeros(rows.len());
-        sys.rows.as_mut_slice().copy_from_slice(rows);
+        sys.rows.extend_from_slice(rows);
         sys
-    }
-
-    /// O(1) bulk reset: drops all rows (keeping heap capacity) and switches
-    /// the variable space to `n`. Used by [`crate::Context`] to amortize
-    /// arena setup across batched queries.
-    pub fn reset(&mut self, n: usize) {
-        self.n = n;
-        self.stride = n + 2;
-        self.rows.clear();
-    }
-
-    /// Resets to the constraint system of `set` (see [`System::reset`]).
-    pub fn reset_from(&mut self, set: &BasicSet) {
-        self.reset(set.n_total());
-        for c in set.constraints() {
-            self.push_constraint(c);
-        }
     }
 
     /// Number of constraint rows.
@@ -634,8 +502,8 @@ impl System {
     pub fn push_constraint(&mut self, c: &Constraint) {
         let base = self.rows.len();
         let n = self.n;
-        self.rows.extend_zeros(self.stride);
-        let row = &mut self.rows.as_mut_slice()[base..];
+        self.rows.resize(base + self.stride, 0);
+        let row = &mut self.rows[base..];
         for (v, coef) in c.expr.terms() {
             debug_assert!(v < n, "constraint references unknown variable");
             row[v] = coef;
@@ -649,7 +517,7 @@ impl System {
 
     #[inline]
     fn row(&self, i: usize) -> &[i64] {
-        &self.rows.as_slice()[i * self.stride..(i + 1) * self.stride]
+        &self.rows[i * self.stride..(i + 1) * self.stride]
     }
 
     /// The coefficient slice of row `i`.
@@ -666,17 +534,14 @@ impl System {
 
     /// Whether any row has a nonzero coefficient on `v`.
     pub fn var_appears(&self, v: usize) -> bool {
-        self.rows
-            .as_slice()
-            .chunks_exact(self.stride)
-            .any(|row| row[v] != 0)
+        self.rows.chunks_exact(self.stride).any(|row| row[v] != 0)
     }
 
-    /// Keeps only the rows for which `keep` returns true, compacting the
-    /// slab in place.
+    /// Keeps only the rows for which `keep` returns true, compacting them
+    /// in place.
     pub fn retain_rows(&mut self, mut keep: impl FnMut(&[i64]) -> bool) {
         let stride = self.stride;
-        let slice = self.rows.as_mut_slice();
+        let slice = &mut self.rows[..];
         let len = slice.len();
         let mut w = 0;
         let mut r = 0;
@@ -689,17 +554,13 @@ impl System {
             }
             r += stride;
         }
-        self.rows.truncate(w);
+        self.rows.resize(w, 0);
     }
 
     /// A new system holding only the rows for which `keep` returns true.
     pub fn filtered(&self, mut keep: impl FnMut(&[i64]) -> bool) -> System {
-        let mut out = System {
-            n: self.n,
-            stride: self.stride,
-            rows: Slab::new(),
-        };
-        for row in self.rows.as_slice().chunks_exact(self.stride) {
+        let mut out = System::empty(self.n);
+        for row in self.rows.chunks_exact(self.stride) {
             if keep(row) {
                 out.push_row(row);
             }
@@ -709,9 +570,7 @@ impl System {
 
     /// Appends one raw row (`stride` words: coefficients, constant, kind).
     fn push_row(&mut self, row: &[i64]) {
-        let base = self.rows.len();
-        self.rows.extend_zeros(self.stride);
-        self.rows.as_mut_slice()[base..].copy_from_slice(row);
+        self.rows.extend_from_slice(row);
     }
 
     /// Converts the rows back into per-constraint objects (used by the
@@ -719,7 +578,6 @@ impl System {
     pub fn to_constraints(&self) -> Vec<Constraint> {
         let n = self.n;
         self.rows
-            .as_slice()
             .chunks_exact(self.stride)
             .map(|row| {
                 let mut e = LinExpr::constant(row[n]);
@@ -737,9 +595,10 @@ impl System {
             .collect()
     }
 
-    /// Allocated arena capacity in bytes (for peak-memory counters).
+    /// Bytes the row storage holds (for peak-memory counters): the whole
+    /// in-place buffer, or the heap capacity once the rows spilled.
     pub fn arena_bytes(&self) -> usize {
-        self.rows.capacity_bytes()
+        self.rows.capacity() * std::mem::size_of::<i64>()
     }
 
     /// Substitutes away equality-defined variables (Gaussian elimination on
@@ -749,13 +608,12 @@ impl System {
     pub fn gauss_eliminate(&mut self, active: &mut Vec<usize>) {
         let n = self.n;
         let stride = self.stride;
-        let mut pivot_buf: Vec<i64> = Vec::new();
         loop {
             // First equality row with a ±1 coefficient on an active
             // variable (rows in order, variables ascending — the same scan
             // order as the per-constraint representation).
             let mut pivot: Option<(usize, usize, i64)> = None;
-            'scan: for (i, row) in self.rows.as_slice().chunks_exact(stride).enumerate() {
+            'scan: for (i, row) in self.rows.chunks_exact(stride).enumerate() {
                 if row[n + 1] != KIND_EQ {
                     continue;
                 }
@@ -773,17 +631,17 @@ impl System {
             // pivot row subtracted (coefficients and constant): since
             // `s = ±1`, this zeroes `v` everywhere, including in the pivot
             // row itself (`a = s` gives `s - s³ = 0`).
-            pivot_buf.clear();
             let pbase = p * stride;
             {
-                let rows = self.rows.as_mut_slice();
-                pivot_buf.extend_from_slice(&rows[pbase..pbase + n + 1]);
+                let rows = &mut self.rows[..];
+                let pivot: InlineVec<i64, { VARS_IN_PLACE + 1 }> =
+                    rows[pbase..pbase + n + 1].iter().copied().collect();
                 let mut rbase = 0;
                 while rbase < rows.len() {
                     let a = rows[rbase + v];
                     if a != 0 {
                         let f = a * s;
-                        for (t, &pv) in pivot_buf.iter().enumerate() {
+                        for (t, &pv) in pivot.iter().enumerate() {
                             rows[rbase + t] -= f * pv;
                         }
                     }
@@ -838,7 +696,7 @@ impl System {
         let n = self.n;
         // [upper: e + k₁ - c·t >= 0, lower: -e + k₂ + c·t >= 0]
         let mut pair: [Option<&[i64]>; 2] = [None, None];
-        for row in self.rows.as_slice().chunks_exact(self.stride) {
+        for row in self.rows.chunks_exact(self.stride) {
             if row[t] == 0 {
                 continue;
             }
@@ -880,7 +738,7 @@ impl System {
     pub fn negated_pair_consistent(&self) -> bool {
         let n = self.n;
         let mut filed: InlineVec<(u64, usize), 32> = InlineVec::default();
-        for (i, row) in self.rows.as_slice().chunks_exact(self.stride).enumerate() {
+        for (i, row) in self.rows.chunks_exact(self.stride).enumerate() {
             let Some(&lead) = row[..n].iter().find(|&&c| c != 0) else {
                 if !row_constant_ok(row, n) {
                     return false;
@@ -934,19 +792,8 @@ impl System {
         if !coupled_eq {
             match self.propagate(budget)? {
                 None => return Ok(false),
-                Some(iv) => {
-                    budget.scratch.clear();
-                    budget
-                        .scratch
-                        .extend(iv.iter().map(|i| i.lo.or(i.hi).unwrap_or(0)));
-                    budget.ivs = iv;
-                    let candidate = std::mem::take(&mut budget.scratch);
-                    let hit = self.check(&candidate);
-                    budget.scratch = candidate;
-                    if hit {
-                        return Ok(true);
-                    }
-                }
+                Some(iv) if self.check(&corner(&iv)) => return Ok(true),
+                Some(_) => {}
             }
         }
         let mut sys = self.clone();
@@ -962,19 +809,8 @@ impl System {
         // remaining rows, so checking the reduced system is sound.
         match sys.propagate(budget)? {
             None => return Ok(false),
-            Some(iv) => {
-                budget.scratch.clear();
-                budget
-                    .scratch
-                    .extend(iv.iter().map(|i| i.lo.or(i.hi).unwrap_or(0)));
-                budget.ivs = iv;
-                let candidate = std::mem::take(&mut budget.scratch);
-                let hit = sys.check(&candidate);
-                budget.scratch = candidate;
-                if hit {
-                    return Ok(true);
-                }
-            }
+            Some(iv) if sys.check(&corner(&iv)) => return Ok(true),
+            Some(_) => {}
         }
         sys.feasible_rec(&active, budget)
     }
@@ -1048,41 +884,33 @@ impl System {
     pub(crate) fn constant_rows_ok(&self) -> bool {
         let n = self.n;
         self.rows
-            .as_slice()
             .chunks_exact(self.stride)
             .all(|row| !row_is_constant(row, n) || row_constant_ok(row, n))
     }
 
     /// Interval propagation to (bounded) fixpoint. Returns `None` if a
     /// contradiction is detected.
-    pub fn propagate(&self, budget: &mut Budget) -> Result<Option<Vec<Interval>>> {
+    pub fn propagate(&self, budget: &mut Budget) -> Result<Option<Intervals>> {
         let n = self.n;
         let stride = self.stride;
-        // Reuse the budget's recycled buffer when a previous caller gave
-        // it back; refutation paths always return it, so batched queries
-        // that refute or use the fast paths allocate nothing here.
-        let mut iv = std::mem::take(&mut budget.ivs);
-        iv.clear();
-        iv.resize(n, Interval::full());
+        let mut iv = Intervals::default();
+        iv.resize(n, Interval::default());
         // Round-robin until fixpoint or iteration cap.
         let max_rounds = 4 + 2 * n.max(4);
         for _ in 0..max_rounds {
             budget.tick(self.n_rows() as u64)?;
             let mut changed = false;
-            for row in self.rows.as_slice().chunks_exact(stride) {
+            for row in self.rows.chunks_exact(stride) {
                 if !tighten_row(&row[..n], row[n], 1, &mut iv, &mut changed) {
-                    budget.ivs = iv;
                     return Ok(None);
                 }
                 if row[n + 1] == KIND_EQ
                     && !tighten_row(&row[..n], row[n], -1, &mut iv, &mut changed)
                 {
-                    budget.ivs = iv;
                     return Ok(None);
                 }
             }
             if iv.iter().any(Interval::is_empty) {
-                budget.ivs = iv;
                 return Ok(None);
             }
             if !changed {
@@ -1097,7 +925,7 @@ impl System {
     pub fn substitute(&mut self, idx: usize, value: i64) {
         let n = self.n;
         let stride = self.stride;
-        for row in self.rows.as_mut_slice().chunks_exact_mut(stride) {
+        for row in self.rows.chunks_exact_mut(stride) {
             let c = row[idx];
             if c != 0 {
                 row[n] += c * value;
@@ -1109,7 +937,7 @@ impl System {
     /// Checks whether a full assignment satisfies all constraints.
     pub fn check(&self, values: &[i64]) -> bool {
         let n = self.n;
-        self.rows.as_slice().chunks_exact(self.stride).all(|row| {
+        self.rows.chunks_exact(self.stride).all(|row| {
             let mut v = row[n];
             for (i, &c) in row[..n].iter().enumerate() {
                 if c != 0 {
@@ -1136,14 +964,13 @@ impl System {
         // while skipping the whole search.
         match self.propagate(budget)? {
             None => return Ok(None),
-            Some(iv) => {
-                let bounded = iv.iter().all(|i| i.lo.is_some() && i.hi.is_some());
-                let corner: Vec<i64> = iv.iter().map(|i| i.lo.unwrap_or(0)).collect();
-                budget.ivs = iv;
-                if bounded && self.check(&corner) {
-                    return Ok(Some(corner));
+            Some(iv) if iv.iter().all(|i| i.lo.is_some() && i.hi.is_some()) => {
+                let corner = corner(&iv);
+                if self.check(&corner) {
+                    return Ok(Some(corner.to_vec()));
                 }
             }
+            Some(_) => {}
         }
         let mut values = vec![None; self.n];
         if self.sample_rec(&mut values, budget)? {
@@ -1193,27 +1020,21 @@ impl System {
         }
         match best {
             None => {
-                // Trial assignments reuse the budget's scratch buffer
-                // instead of collecting a fresh Vec per attempt.
-                let mut full = std::mem::take(&mut budget.scratch);
                 if let Some(u) = unbounded_free {
                     // Try anchoring each half-bounded variable at its finite
                     // endpoint (covers common one-sided cases like `i >= 0`);
                     // fully free variables get 0.
-                    full.clear();
-                    full.extend(
-                        values
-                            .iter()
-                            .enumerate()
-                            .map(|(i, v)| v.unwrap_or_else(|| iv[i].lo.or(iv[i].hi).unwrap_or(0))),
-                    );
+                    let full: Point = values
+                        .iter()
+                        .enumerate()
+                        .map(|(i, v)| v.unwrap_or_else(|| iv[i].lo.or(iv[i].hi).unwrap_or(0)))
+                        .collect();
                     if self.check(&full) {
                         for (i, v) in values.iter_mut().enumerate() {
                             if v.is_none() {
                                 *v = Some(full[i]);
                             }
                         }
-                        budget.scratch = full;
                         return Ok(true);
                     }
                     // Residual constraints still mention a free variable and
@@ -1228,22 +1049,18 @@ impl System {
                     let residual_mentions_free =
                         (0..self.n).any(|i| values[i].is_none() && sys2.var_appears(i));
                     if residual_mentions_free {
-                        budget.scratch = full;
                         return Err(Error::Unbounded { var: u });
                     }
                 }
-                full.clear();
-                full.extend(values.iter().map(|v| v.unwrap_or(0)));
+                let full: Point = values.iter().map(|v| v.unwrap_or(0)).collect();
                 if self.check(&full) {
                     for (i, v) in values.iter_mut().enumerate() {
                         if v.is_none() {
                             *v = Some(full[i]);
                         }
                     }
-                    budget.scratch = full;
                     Ok(true)
                 } else {
-                    budget.scratch = full;
                     for i in fixed {
                         values[i] = None;
                     }
@@ -1470,26 +1287,93 @@ mod tests {
         }
     }
 
+    /// The points of `b` inside the box `ranges` (one `(lo, hi)` per
+    /// variable, every point of `b` inside it), in lexicographic order.
+    fn brute_points(b: &BasicSet, ranges: &[(i64, i64)]) -> Vec<Vec<i64>> {
+        let mut out = Vec::new();
+        let mut p: Vec<i64> = ranges.iter().map(|r| r.0).collect();
+        'points: loop {
+            if b.contains(&p).unwrap() {
+                out.push(p.clone());
+            }
+            for v in (0..p.len()).rev() {
+                if p[v] < ranges[v].1 {
+                    p[v] += 1;
+                    continue 'points;
+                }
+                p[v] = ranges[v].0;
+            }
+            return out;
+        }
+    }
+
+    /// `is_empty`, `sample` (through a set and a context) and the count of
+    /// `b` against brute-force enumeration over `ranges`.
+    fn assert_matches_brute(b: &BasicSet, ranges: &[(i64, i64)]) {
+        let points = brute_points(b, ranges);
+        assert_eq!(b.is_empty().unwrap(), points.is_empty());
+        let n = b.space().n_var();
+        let mut ctx = crate::Context::new();
+        for sample in [b.sample().unwrap(), ctx.sample(b).unwrap()] {
+            match sample {
+                Some(p) => assert!(points.contains(&p[..n].to_vec()), "{p:?}"),
+                None => assert!(points.is_empty()),
+            }
+        }
+        assert_eq!(ctx.check(b).is_empty(), points.is_empty());
+        let count = crate::Set::from_basic(b.clone()).count().unwrap();
+        assert_eq!(count, points.len() as i128);
+    }
+
     #[test]
-    fn slab_spills_to_heap_and_resets() {
-        // More rows than the fixed block can hold: the slab must spill
-        // and keep answering correctly.
+    fn wide_system_spills_rows_to_the_heap() {
+        // 6 variables (stride 8) in 36 rows: 288 words, past the 160 held
+        // in place.
         let mut b = BasicSet::universe(Space::set(0, 6));
         for d in 0..6 {
-            b.add_range(d, 0, 9);
+            b.add_range(d, 0, 2);
             // Redundant extra constraints to force many rows.
             for k in 0..4 {
                 b.add_ge0(LinExpr::var(d) + LinExpr::constant(k));
             }
         }
-        let mut sys = b.system();
-        assert!(sys.arena_bytes() > 0);
-        assert!(!b.is_empty().unwrap());
-        // Bulk reset keeps the system usable for a different query.
-        sys.reset_from(&box2(4, 3));
-        assert_eq!(sys.n, 2);
-        assert_eq!(sys.n_rows(), 4);
-        assert!(sys.is_feasible(&mut Budget::default()).unwrap());
+        b.add_ge0(
+            LinExpr::constant(7) - (0..6).map(LinExpr::var).fold(LinExpr::zero(), |a, v| a + v),
+        );
+        b.add_eq(LinExpr::var(0) - LinExpr::var(5));
+        assert!(matches!(b.system().rows, InlineVec::Heap(_)));
+        let ranges = [(0, 2); 6];
+        assert_matches_brute(&b, &ranges);
+        b.add_ge0(LinExpr::var(1) + LinExpr::var(2) + LinExpr::var(3) - LinExpr::constant(7));
+        assert!(b.is_empty().unwrap());
+        assert_matches_brute(&b, &ranges);
+    }
+
+    #[test]
+    fn many_variables_spill_intervals_to_the_heap() {
+        // 17 variables, one past the intervals held in place: x0..x2 free
+        // in [0, 2], the rest pinned, and two rows coupling them.
+        let n = VARS_IN_PLACE + 1;
+        let mut b = BasicSet::universe(Space::set(0, n));
+        let mut ranges = vec![(0, 2); 3];
+        for v in 3..n {
+            let x = (v % 3) as i64;
+            ranges.push((x, x));
+        }
+        for (v, &(lo, hi)) in ranges.iter().enumerate() {
+            b.add_range(v, lo, hi);
+        }
+        b.add_ge0(LinExpr::var(0) + LinExpr::var(1) - LinExpr::var(n - 1));
+        b.add_ge0(LinExpr::constant(3) - LinExpr::var(1) - LinExpr::var(2));
+        let iv = b
+            .system()
+            .propagate(&mut Budget::default())
+            .unwrap()
+            .unwrap();
+        assert!(matches!(iv, InlineVec::Heap(_)));
+        assert_matches_brute(&b, &ranges);
+        b.add_eq(LinExpr::var(0) + LinExpr::var(1) + LinExpr::var(2) - LinExpr::constant(7));
+        assert_matches_brute(&b, &ranges);
     }
 
     #[test]

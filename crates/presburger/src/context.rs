@@ -1,12 +1,12 @@
-//! Batched query context: one arena-backed solver [`System`] reused across
-//! many emptiness and sampling queries, amortizing allocation and setup.
+//! Batched query context: emptiness and sampling queries answered under one
+//! work budget, with the tallies the compile report prints.
 //!
 //! The analysis passes issue hundreds of emptiness checks per kernel (one
-//! per ordered access pair, per out-of-shape half-space, per domain). Each
-//! standalone [`BasicSet::is_empty`] builds its own solver system; a
-//! [`Context`] instead bulk-resets one slab (O(1), capacity retained) per
-//! query and tallies batch sizes and peak arena bytes for the compile
-//! report.
+//! per ordered access pair, per out-of-shape half-space, per domain). A
+//! [`Context`] builds each query's solver system with `BasicSet::system`,
+//! whose rows are held in place (no allocation unless they pass 160
+//! words), rearms its budget, and tallies checks, batches and the peak
+//! bytes of row storage.
 
 use crate::basic::{Budget, System};
 use crate::error::{Error, Result};
@@ -32,68 +32,57 @@ impl Emptiness {
     }
 }
 
-/// Reusable solver state for batched emptiness and sampling queries: a
-/// scratch [`System`] whose arena persists across queries, and query
-/// counters. Counting does not go through a context; callers that memoize
-/// counts own a [`crate::CountCache`].
-#[derive(Debug)]
+/// State for batched emptiness and sampling queries: the work budget each
+/// query rearms, and query counters. Counting does not go through a
+/// context; callers that memoize counts own a [`crate::CountCache`].
+#[derive(Debug, Default)]
 pub struct Context {
-    sys: System,
     budget: Budget,
     checks: u64,
     batches: u64,
     peak_arena_bytes: usize,
 }
 
-impl Default for Context {
-    fn default() -> Self {
-        Context::new()
-    }
-}
-
 impl Context {
-    /// A fresh context with an empty arena.
+    /// A fresh context with zeroed counters.
     pub fn new() -> Self {
-        Context {
-            sys: System::empty(0),
-            budget: Budget::default(),
-            checks: 0,
-            batches: 0,
-            peak_arena_bytes: 0,
-        }
+        Context::default()
     }
 
-    /// Decides emptiness of one basic set through the shared arena.
+    /// The solver system of one query, with the budget rearmed for it and
+    /// its row storage counted toward [`Context::peak_arena_bytes`].
+    fn system(&mut self, set: &BasicSet) -> System {
+        let sys = set.system();
+        self.peak_arena_bytes = self.peak_arena_bytes.max(sys.arena_bytes());
+        self.budget.reset();
+        sys
+    }
+
+    /// Decides emptiness of one basic set.
     pub fn check(&mut self, set: &BasicSet) -> Emptiness {
         self.checks += 1;
-        self.sys.reset_from(set);
-        self.peak_arena_bytes = self.peak_arena_bytes.max(self.sys.arena_bytes());
-        self.budget.reset();
-        match self.sys.is_feasible(&mut self.budget) {
+        match self.system(set).is_feasible(&mut self.budget) {
             Ok(true) => Emptiness::NonEmpty,
             Ok(false) => Emptiness::Empty,
             Err(e) => Emptiness::Unknown(e),
         }
     }
 
-    /// Samples one integer point from a basic set through the shared
-    /// arena — the batched witness-extraction primitive (dependence
-    /// analysis samples a concrete violating pair from every non-empty
-    /// relation it just checked).
+    /// Samples one integer point from a basic set — the batched
+    /// witness-extraction primitive (dependence analysis samples a
+    /// concrete violating pair from every non-empty relation it just
+    /// checked).
     ///
     /// # Errors
     ///
     /// Same contract as [`BasicSet::sample`].
     pub fn sample(&mut self, set: &BasicSet) -> Result<Option<Vec<i64>>> {
-        self.sys.reset_from(set);
-        self.peak_arena_bytes = self.peak_arena_bytes.max(self.sys.arena_bytes());
-        self.budget.reset();
-        self.sys.sample(&mut self.budget)
+        self.system(set).sample(&mut self.budget)
     }
 
-    /// Decides emptiness of every set in one batch, reusing the arena
-    /// across all of them. Results are in input order; a failed query
-    /// yields [`Emptiness::Unknown`] for that slot only.
+    /// Decides emptiness of every set in one batch. Results are in input
+    /// order; a failed query yields [`Emptiness::Unknown`] for that slot
+    /// only.
     pub fn check_all<'a, I>(&mut self, sets: I) -> Vec<Emptiness>
     where
         I: IntoIterator<Item = &'a BasicSet>,
@@ -126,7 +115,9 @@ impl Context {
         self.checks
     }
 
-    /// High-water mark of the shared arena's capacity, in bytes.
+    /// High-water mark of one query's row storage, in bytes: 1,280 while
+    /// every system's rows fit in place, the heap capacity of the widest
+    /// one that spilled otherwise.
     pub fn peak_arena_bytes(&self) -> usize {
         self.peak_arena_bytes
     }
@@ -161,5 +152,24 @@ mod tests {
         for (s, e) in sets.iter().zip(&out) {
             assert_eq!(s.is_empty().unwrap(), e.is_empty());
         }
+    }
+
+    #[test]
+    fn peak_arena_bytes_reads_the_widest_row_storage() {
+        let mut ctx = Context::new();
+        ctx.check(&boxed(0, 7));
+        assert_eq!(ctx.peak_arena_bytes(), 1280);
+        // 6 variables (stride 8) in 36 rows: 288 words spill, and a spill
+        // reserves twice the 160 in-place words.
+        let mut wide = BasicSet::universe(Space::set(0, 6));
+        for d in 0..6 {
+            for k in 0..6 {
+                wide.add_ge0(LinExpr::var(d) + LinExpr::constant(k));
+            }
+        }
+        ctx.sample(&wide).unwrap();
+        assert_eq!(ctx.peak_arena_bytes(), 2 * 1280);
+        ctx.check(&boxed(0, 7));
+        assert_eq!(ctx.peak_arena_bytes(), 2 * 1280);
     }
 }

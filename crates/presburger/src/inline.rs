@@ -1,7 +1,10 @@
 //! A small vector of `Copy` values stored in place up to `N` elements, with
-//! a heap spill above that: the storage of [`crate::LinExpr`] coefficients
-//! and of polysum monomials, which are almost always short and are built
-//! and dropped in the solver's inner loops.
+//! a heap spill above that: the storage of [`crate::LinExpr`] coefficients,
+//! polysum monomials, and the solver's constraint rows, intervals and
+//! candidate points, which are almost always short and are built, cloned
+//! and dropped in the solver's inner loops. A spill reserves room for at
+//! least `2 * N` elements, so a vector that just outgrew its place does not
+//! reallocate on the next few pushes.
 //!
 //! Equality, hashing and `Debug` are those of the element slice (as for
 //! `Vec<T>`), so a value that spilled and shrank back compares and hashes
@@ -30,13 +33,35 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
                 *len = n as u8;
             }
             InlineVec::Inline { .. } => {
-                let mut v = Vec::with_capacity(n);
+                let mut v = Vec::with_capacity(n.max(2 * N));
                 v.extend_from_slice(self);
                 v.resize(n, x);
                 *self = InlineVec::Heap(v);
             }
             InlineVec::Heap(v) => v.resize(n, x),
         }
+    }
+
+    pub(crate) fn extend_from_slice(&mut self, xs: &[T]) {
+        let at = self.len();
+        self.resize(at + xs.len(), T::default());
+        self[at..].copy_from_slice(xs);
+    }
+
+    /// Elements the storage holds without growing: `N` in place.
+    pub(crate) fn capacity(&self) -> usize {
+        match self {
+            InlineVec::Inline { .. } => N,
+            InlineVec::Heap(v) => v.capacity(),
+        }
+    }
+}
+
+impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut out = InlineVec::default();
+        iter.into_iter().for_each(|x| out.push(x));
+        out
     }
 }
 

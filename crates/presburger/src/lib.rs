@@ -17,8 +17,8 @@
 //!   built on, and pair enumeration for the exact cache model.
 //! * [`lex_lt_map`], the strict lexicographic order that orients
 //!   dependences.
-//! * Batched emptiness and sampling through one reusable solver arena
-//!   ([`Context`]).
+//! * Batched emptiness and sampling ([`Context`]) on solver systems whose
+//!   rows are held in place.
 //! * Integer point counting ([`Set::count`], memoized in a [`CountCache`]
 //!   fed rows by [`CountCache::question`] or whole sets by
 //!   [`Set::count_cached`], per independent component) by closed-form

@@ -134,9 +134,9 @@ impl BasicMap {
 
     /// A concrete `(x, y)` pair in the relation, if one exists, sampled
     /// through a batched [`crate::Context`] — the witness-extraction
-    /// primitive for dependence analysis. It reuses the context's solver
-    /// arena (the relation was typically just checked non-empty in the
-    /// same batch).
+    /// primitive for dependence analysis. It runs under the context's
+    /// budget and counters (the relation was typically just checked
+    /// non-empty in the same batch).
     ///
     /// # Errors
     ///

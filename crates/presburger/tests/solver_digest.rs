@@ -2,7 +2,8 @@
 //! about 2000 small sets — boxes with random cuts, triangles, bands, strided
 //! div sets and 3-D boxes — each folded into an FNV-1a hash through its
 //! emptiness verdict, the point `BasicSet::sample` returns, the point
-//! `Context::sample` returns from a shared arena, and its count.
+//! `Context::sample` returns (one context for the whole sweep), and its
+//! count.
 //!
 //! The brute-force suite (`prop.rs`) checks that every answer is *correct*;
 //! this test checks that the answers, down to which point is sampled, do not

@@ -283,16 +283,13 @@ fn parse_compile(mut v: Value) -> Result<CompileRequest, WireError> {
         }
     };
     let name = req_str(v, "name")?.unwrap_or("request").to_string();
-    let platform = match req_str(v, "platform")?.unwrap_or("bdw") {
-        "bdw" | "BDW" => Platform::broadwell(),
-        "rpl" | "RPL" => Platform::raptor_lake(),
-        other => {
-            return Err(WireError::new(
-                codes::BAD_REQUEST,
-                format!("unknown platform `{other}` (bdw|rpl)"),
-            ))
-        }
-    };
+    let platform_name = req_str(v, "platform")?.unwrap_or("bdw");
+    let platform: Platform = platform_name.parse().map_err(|()| {
+        WireError::new(
+            codes::BAD_REQUEST,
+            format!("unknown platform `{platform_name}` (bdw|rpl)"),
+        )
+    })?;
     let objective = match req_str(v, "objective")?.unwrap_or("edp") {
         "edp" => Objective::Edp,
         "energy" => Objective::Energy,

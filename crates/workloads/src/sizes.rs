@@ -17,6 +17,22 @@ pub enum PolybenchSize {
     ExtraLarge,
 }
 
+/// Looks a preset up by name: `mini`, `small`, `large`, or `xl` /
+/// `extralarge`.
+impl std::str::FromStr for PolybenchSize {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        match s {
+            "mini" => Ok(PolybenchSize::Mini),
+            "small" => Ok(PolybenchSize::Small),
+            "large" => Ok(PolybenchSize::Large),
+            "xl" | "extralarge" => Ok(PolybenchSize::ExtraLarge),
+            _ => Err(()),
+        }
+    }
+}
+
 impl PolybenchSize {
     /// Extent for 3-D (matmul-like) kernels.
     pub fn n3(self) -> usize {
