@@ -144,7 +144,7 @@ fn main() {
         ],
         &rows,
     );
-    println!("\npeak verify-gate solver arena: {} KiB", arena_peak / 1024);
+    println!("\npeak verify-gate solver arena: {arena_peak} bytes");
     if all_fallbacks.is_empty() {
         println!("\nfallback kernels: none (all analyses finished within the solver budget)");
     } else {

@@ -5,42 +5,45 @@
 //!
 //! The simulator consumes the interpreter's run-length trace directly
 //! (see `polyufc_ir::interp::RunGroup`): per innermost-loop instance it
-//! walks each access stream's cache-*line* crossings instead of probing
-//! the hierarchy once per element. Invariants 1–3 make the coalesced
-//! walk produce *bit-identical* [`SimStats`] to per-event simulation,
-//! invariant 4 makes the one-pass victim search exact, and invariant 5
-//! lets whole groups be skipped:
+//! visits only the steps where some access stream crosses a cache *line*
+//! (or must re-touch a line an L1 fill evicted) instead of probing the
+//! hierarchy once per element. Invariants 1–2 make this event walk produce
+//! *bit-identical* [`SimStats`] to per-event simulation, invariant 3 makes
+//! the one-pass victim search exact, and invariant 4 lets whole groups be
+//! skipped:
 //!
 //! 1. **Order preservation** — within one step every stream is touched in
 //!    program order, and streams are advanced step-major, so the sequence
 //!    of line touches equals the per-event trace's.
-//! 2. **Stable-stream fast hits** — evicting a line some stream was
-//!    refreshed on requires at least `assoc(L1)` *touches of its L1 set*
-//!    afterwards: the line starts as its set's most-recent way, each
-//!    touch (hit-refresh or insert) promotes at most one way above it,
-//!    and LRU victimizes the minimum. The simulator keeps one touch
-//!    counter per L1 set; while a stream's set has seen fewer than
-//!    `assoc` touches since the stream's last refresh, a repeat access to
-//!    the same line is a *guaranteed* L1 hit: the counters and the
-//!    recency update are applied without probing the set; a writing
-//!    stream's line is already dirty from the touch that loaded it. (This
-//!    subsumes the narrow-group case — `k ≤ assoc` streams can never
-//!    accumulate `assoc` touches between a stream's consecutive steps —
-//!    and extends the regime to wide stencil groups, where a stream's
-//!    set is shared with only a few neighbours.)
-//! 3. **Stretch extrapolation** — while *no* stream crosses a line
-//!    boundary, no inserts happen at all, so consecutive steps are
-//!    identical all-L1-hit steps; the hit counter is bumped
-//!    arithmetically and a single recency refresh in touch order stands
-//!    for the stretch (LRU only ever compares relative stamp order,
-//!    which is preserved, and a compressed refresh still bumps each
-//!    touched set's counter once per way it promotes — the invariant
-//!    guarantee 2 relies on).
-//! 4. **Victims stay valid** — a probe that misses returns its set's LRU
+//! 2. **Deferred L1 stamps** — every access ticks the L1 clock exactly
+//!    once, so access `q` of step `t` in a group of `k` streams carries the
+//!    per-event stamp `base + t·k + q + 1` (`base` = the L1 clock at the
+//!    walk's start). A stream that stays on a line it touched *holds* that
+//!    way, and its later accesses to it are L1 hits whose stamps are
+//!    computed, not stored: the walk visits a step only where some stream
+//!    is due (it crosses a line, or its line was evicted), and a held way's
+//!    stored stamp may lag its true one, which is the maximum of the stored
+//!    stamp and its holders' last computed ones. The maximum is written
+//!    back when a holder leaves the line, at the end of a walk, and when an
+//!    L1 miss's probe picks a held way as victim. Exactness: lines change
+//!    only through L1 fills, and a way no stream holds carries its exact
+//!    stamp (its last touch was probed, or written back when its last
+//!    holder left). A lagging stamp only understates recency, and LRU
+//!    victimises the minimum, so an unheld victim's stamp is at most every
+//!    stored and hence every true stamp of its set: it is the exact victim
+//!    (stamps of live ways are distinct; empty ways are never held). A held
+//!    victim makes the walk write back the held stamps of that set and
+//!    probe again, on exact stamps. Its holders are then evicted, which the
+//!    walk knows at once: each re-touches its line at its next access, this
+//!    step if it comes later in the step, the next step otherwise. A walk
+//!    reserves its clock ticks up front and ends with every stamp exact, so
+//!    a group too long for one reservation is walked in chunks, each
+//!    starting with every stream due.
+//! 3. **Victims stay valid** — a probe that misses returns its set's LRU
 //!    way, found in the same scan, and the fill writes that way. Between
 //!    a level's probe and its fill only slower levels change (their fills
 //!    and the write-backs those evict), so the victim is still the LRU.
-//! 5. **Warping over repeated all-hit groups** — a group is skipped, and
+//! 4. **Warping over repeated all-hit groups** — a group is skipped, and
 //!    counted as `runs × steps` L1 hits, when its predecessor on this
 //!    simulator had no L1 miss (or was itself skipped) and matches it:
 //!    the same step count and, run by run in order, the same array,
@@ -54,8 +57,8 @@
 //!    Replaying `T` on that state hits throughout and rebuilds exactly
 //!    that order and those masks, and lower levels are never reached. So
 //!    the skipped group leaves every level as it found it and ticks no
-//!    clock (LRU compares stamps only within a set, and L1 touch counters
-//!    only against snapshots taken in the same group). By induction a
+//!    clock (LRU compares stamps only within a set, and a walk's computed
+//!    stamps are relative to the clock at its start). By induction a
 //!    skipped group licenses its successor as its predecessor did. A
 //!    per-event [`TraceSink::access`] voids the licence.
 //!
@@ -158,11 +161,11 @@ struct Level {
     set_index: SetIndex,
     ways: Vec<Way>,
     dirty: Vec<u32>,
-    /// Recency clock; incremented on every touch. Only the *relative*
-    /// order of stamps within a set is ever consulted, which is what lets
-    /// the coalesced path compress a stretch of identical steps into one
-    /// refresh, and [`Level::renormalise`] restart the clock before it
-    /// wraps ([`CacheSim::reserve`]).
+    /// Recency clock; incremented on every touch (L1's is set by the group
+    /// walk, which computes the stamps of the hits it does not visit;
+    /// module invariant 2). Only the *relative* order of stamps within a
+    /// set is ever consulted, which is what lets [`Level::renormalise`]
+    /// restart the clock before it wraps ([`CacheSim::reserve`]).
     clock: u32,
 }
 
@@ -260,6 +263,9 @@ impl Level {
     }
 }
 
+/// [`RunState::way`] of a stream that holds no L1 way.
+const NO_WAY: usize = usize::MAX;
+
 /// Per-stream cursor while consuming one run group.
 #[derive(Clone, Copy)]
 struct RunState {
@@ -278,15 +284,13 @@ struct RunState {
     /// crosses every step, and one dividing the line keeps its in-line
     /// offset modulo the stride, so it crosses every `line / |stride|`.
     period: u64,
-    /// L1 way holding `line` after its last touch; valid until eviction,
-    /// which the fast-hit guarantee rules out while `snapshot` is fresh.
+    /// Next step at which the stream touches the hierarchy: its next
+    /// crossing, or the re-touch of a line an L1 fill evicted.
+    next: u64,
+    /// L1 way of `line` while the stream holds it, hitting it with
+    /// deferred stamps until `next` (module invariant 2); `NO_WAY` when it
+    /// holds none (it is due at the next step, or its line was evicted).
     way: usize,
-    /// L1 set of `line` (recomputed on every crossing).
-    l1set: usize,
-    /// Value of the L1 set's touch counter right after this stream's last
-    /// touch or refresh. The line is guaranteed resident while the counter
-    /// has advanced by less than `assoc(L1)` (module invariant 2).
-    snapshot: u64,
     is_write: bool,
 }
 
@@ -296,21 +300,20 @@ pub struct CacheSim {
     levels: Vec<Level>,
     line_shift: u32,
     base_addrs: Vec<u64>,
-    /// Per-L1-set touch counter: bumped once per L1 way promotion (hit
-    /// refresh or insert). Only *differences* against [`RunState`]
-    /// snapshots are consulted, to bound evictions (module invariant 2).
-    l1_set_clock: Vec<u64>,
+    /// Per L1 way, how many streams of the group being walked hold it
+    /// (module invariant 2); all zero between walks.
+    holders: Vec<u32>,
     /// Stream cursors of the last walked group, kept after the walk for
     /// the warp's comparison with the next group.
     scratch: Vec<RunState>,
     /// Step count of the last walked group while it licenses a warp (it
-    /// had no L1 miss; module invariant 5), `0` once a group misses in L1
+    /// had no L1 miss; module invariant 4), `0` once a group misses in L1
     /// or an event is fed.
     last_steps: u64,
     /// Groups skipped by the warp.
     warped: u64,
     /// Clock ticks every level can still take without wrapping: a lower
-    /// bound, spent per touch and per step by [`CacheSim::reserve`].
+    /// bound, spent per access and per walk by [`CacheSim::reserve`].
     headroom: u64,
     /// Statistics accumulated so far.
     pub stats: SimStats,
@@ -358,12 +361,11 @@ impl CacheSim {
             .map(|l| Level::new(l.n_sets(), l.assoc as usize))
             .collect::<Vec<_>>();
         let n = levels.len();
-        let l1_sets = hierarchy.levels[0].n_sets() as usize;
         CacheSim {
+            holders: vec![0; levels[0].ways.len()],
             levels,
             line_shift: line.trailing_zeros(),
             base_addrs,
-            l1_set_clock: vec![0; l1_sets],
             scratch: Vec::new(),
             last_steps: 0,
             warped: 0,
@@ -381,41 +383,26 @@ impl CacheSim {
         self.base_addrs[array.0]
     }
 
-    /// Accounts for up to `ticks` clock ticks on every level,
-    /// renormalising all levels first if one could wrap. A touch ticks a
-    /// level at most `levels` times: its own probe or fill, plus one per
-    /// write-back cascade started above it.
+    /// Accounts for the clock ticks of up to `steps` steps of `per_step`
+    /// ticks on every level, and returns how many steps it accounted for:
+    /// at least one, renormalising all levels first if not even one fits.
+    /// An access ticks a level at most `levels` times: its own probe or
+    /// fill, plus one per write-back cascade started above it.
     #[inline]
-    fn reserve(&mut self, ticks: u64) {
-        if self.headroom < ticks {
+    fn reserve(&mut self, per_step: u64, steps: u64) -> u64 {
+        if self.headroom < per_step {
             self.levels.iter_mut().for_each(Level::renormalise);
             // Each clock now equals its level's associativity, at most 32.
             self.headroom = (u32::MAX - 32).into();
         }
-        self.headroom -= ticks;
-    }
-
-    /// One demand access to a line: probes the hierarchy top-down, fills
-    /// missed levels, and returns the L1 way now holding the line.
-    ///
-    /// Every touch promotes exactly one L1 way — the hit way's refresh or
-    /// the fill — so the set's touch counter is bumped once here.
-    #[inline]
-    fn touch(&mut self, line: u64, write: bool) -> usize {
-        let set0 = self.levels[0].set_index.of(line) as usize;
-        self.l1_set_clock[set0] += 1;
-        match self.levels[0].probe(line, write) {
-            Ok(w) => {
-                self.stats.hits[0] += 1;
-                w
-            }
-            Err(victim) => self.miss(0, victim, line, write),
-        }
+        let n = steps.min(self.headroom / per_step);
+        self.headroom -= n * per_step;
+        n
     }
 
     /// `level` missed `line`, and its probe chose `victim`: fetches the
     /// line from the levels below, then fills it into `victim` (module
-    /// invariant 4) and returns that way. Missed levels fill slowest
+    /// invariant 3) and returns that way. Missed levels fill slowest
     /// first.
     fn miss(&mut self, level: usize, victim: usize, line: u64, write: bool) -> usize {
         self.stats.misses[level] += 1;
@@ -485,7 +472,7 @@ impl CacheSim {
         if k == 0 || g.steps == 0 {
             return;
         }
-        // A repeat of an all-hit group is all hits (module invariant 5).
+        // A repeat of an all-hit group is all hits (module invariant 4).
         if g.steps == self.last_steps
             && k == self.scratch.len()
             && g.runs
@@ -503,15 +490,14 @@ impl CacheSim {
         rs.clear();
         for r in g.runs {
             let addr = (self.base_addrs[r.array.0] as i64 + r.base * r.bytes as i64) as u64;
-            let line = addr >> self.line_shift;
             let sb = r.stride * r.bytes as i64;
             let stride = sb.unsigned_abs();
             rs.push(RunState {
                 sb,
                 addr,
                 tpos: 0,
-                line,
-                next_cross: 0,
+                line: addr >> self.line_shift,
+                next_cross: next_cross(addr, sb, 0, line_mask),
                 period: if stride > line_mask {
                     1
                 } else if stride.is_power_of_two() {
@@ -519,97 +505,118 @@ impl CacheSim {
                 } else {
                     0
                 },
-                way: 0,
-                l1set: self.levels[0].set_index.of(line) as usize,
-                snapshot: 0,
+                next: 0,
+                way: NO_WAY,
                 is_write: r.is_write,
             });
         }
         let misses0 = self.stats.misses[0];
-        // A step ticks a level at most `k` times for guaranteed hits or a
-        // stretch refresh, plus what its touches tick.
-        let step_ticks = (k * (self.levels.len() + 1)) as u64;
-        self.reserve(step_ticks);
-        // Step 0: full probes seed each stream's L1 way and next crossing.
-        for s in rs.iter_mut() {
-            s.way = self.touch(s.line, s.is_write);
-            s.snapshot = self.l1_set_clock[s.l1set];
-            s.next_cross = next_cross(s.addr, s.sb, 0, line_mask);
-        }
-        let assoc0 = self.levels[0].assoc as u64;
-        // With a stream that crosses on every step, no stretch can form —
-        // the min-scan would be pure per-step overhead.
-        let stretchable = !rs.iter().any(|s| s.sb.unsigned_abs() > line_mask);
-        // Guaranteed-hit counts accumulate in a register and land on the
-        // stats once per group.
-        let mut hits0 = 0u64;
-        let mut t = 1u64;
+        let per_step = (k * self.levels.len()) as u64;
+        let mut t = 0;
         while t < g.steps {
-            self.reserve(step_ticks);
-            // A stretch needs every stream's residency guarantee to hold at
-            // entry: inserts from crossings late in the previous step can
-            // have pushed an early stream's set past the eviction bound.
-            if stretchable {
-                // While no stream crosses a line boundary, every step is an
-                // identical all-L1-hit step. One pass finds the first
-                // crossing, or gives up (`nc = t`) on a stale guarantee.
-                let mut nc = g.steps;
-                for s in rs.iter() {
-                    if self.l1_set_clock[s.l1set] - s.snapshot >= assoc0 {
-                        nc = t;
-                        break;
-                    }
-                    nc = nc.min(s.next_cross);
-                }
-                if nc > t {
-                    hits0 += k as u64 * (nc - t);
-                    for s in rs.iter_mut() {
-                        self.levels[0].refresh(s.way);
-                        let c = self.l1_set_clock[s.l1set] + 1;
-                        self.l1_set_clock[s.l1set] = c;
-                        s.snapshot = c;
-                    }
-                    t = nc;
-                    if t >= g.steps {
-                        break;
-                    }
-                }
-            }
-            for s in rs.iter_mut() {
-                if s.next_cross == t {
-                    s.addr = (s.addr as i64 + s.sb * (t - s.tpos) as i64) as u64;
-                    s.tpos = t;
-                    s.line = s.addr >> self.line_shift;
-                    s.next_cross = match s.period {
-                        0 => next_cross(s.addr, s.sb, t, line_mask),
-                        p => t + p,
-                    };
-                    s.way = self.touch(s.line, s.is_write);
-                    s.l1set = self.levels[0].set_index.of(s.line) as usize;
-                    s.snapshot = self.l1_set_clock[s.l1set];
-                } else if self.l1_set_clock[s.l1set] - s.snapshot < assoc0 {
-                    // Same line as the previous step, and fewer than
-                    // `assoc` touches of its set since the last refresh:
-                    // guaranteed L1 hit (module invariant 2).
-                    hits0 += 1;
-                    self.levels[0].refresh(s.way);
-                    let c = self.l1_set_clock[s.l1set] + 1;
-                    self.l1_set_clock[s.l1set] = c;
-                    s.snapshot = c;
-                } else {
-                    s.way = self.touch(s.line, s.is_write);
-                    s.snapshot = self.l1_set_clock[s.l1set];
-                }
-            }
-            t += 1;
+            let end = t + self.reserve(per_step, g.steps - t);
+            self.walk(&mut rs, t, end);
+            t = end;
         }
-        self.stats.hits[0] += hits0;
+        // Every access the walk did not count as an L1 miss hit.
+        let misses = self.stats.misses[0] - misses0;
+        self.stats.hits[0] += k as u64 * g.steps - misses;
         self.scratch = rs;
-        self.last_steps = if self.stats.misses[0] == misses0 {
-            g.steps
-        } else {
-            0
-        };
+        self.last_steps = if misses == 0 { g.steps } else { 0 };
+    }
+
+    /// Walks steps `t0..t1` of a group with stream cursors `rs`, every
+    /// stream due at `t0`, visiting only steps where a stream is due
+    /// (module invariant 2). Counts L1 misses but not L1 hits; the clock
+    /// ticks must be reserved. Ends with every stamp exact and no way held.
+    fn walk(&mut self, rs: &mut [RunState], t0: u64, t1: u64) {
+        let (k, clock0) = (rs.len() as u64, u64::from(self.levels[0].clock));
+        let line_mask = (1u64 << self.line_shift) - 1;
+        rs.iter_mut().for_each(|s| s.next = t0);
+        let mut t = t0;
+        while t < t1 {
+            let mut due = u64::MAX;
+            for q in 0..rs.len() {
+                let s = &mut rs[q];
+                if s.next == t {
+                    // The L1 clock just before access `q` of step `t`.
+                    let now = clock0 + (t - t0) * k + q as u64;
+                    if t == s.next_cross {
+                        if s.way != NO_WAY {
+                            // Leaving the line: its last hit was a step ago.
+                            let w = &mut self.levels[0].ways[s.way];
+                            w.stamp = w.stamp.max((now + 1 - k) as u32);
+                            self.holders[s.way] -= 1;
+                        }
+                        s.addr = (s.addr as i64 + s.sb * (t - s.tpos) as i64) as u64;
+                        s.tpos = t;
+                        s.line = s.addr >> self.line_shift;
+                        s.next_cross = match s.period {
+                            0 => next_cross(s.addr, s.sb, t, line_mask),
+                            p => t + p,
+                        };
+                    }
+                    let (line, write) = (s.line, s.is_write);
+                    self.levels[0].clock = now as u32;
+                    let way = match self.levels[0].probe(line, write) {
+                        Ok(w) => w,
+                        Err(mut v) => {
+                            if self.holders[v] != 0 {
+                                // The victim's stamp may lag: settle the
+                                // set and pick again, on exact stamps.
+                                self.settle(rs, now, q, Some(v / self.levels[0].assoc));
+                                v = self.levels[0].probe(line, write).unwrap_err();
+                                if self.holders[v] != 0 {
+                                    self.holders[v] = 0;
+                                    for (p, e) in rs.iter_mut().enumerate() {
+                                        if e.way == v {
+                                            e.way = NO_WAY;
+                                            e.next = e.next.min(t + u64::from(p < q));
+                                        }
+                                    }
+                                    due = due.min(t + 1);
+                                }
+                            }
+                            self.miss(0, v, line, write)
+                        }
+                    };
+                    let s = &mut rs[q];
+                    s.next = s.next_cross;
+                    // A stream due at the next step has no hits to defer.
+                    s.way = if s.next > t + 1 {
+                        self.holders[way] += 1;
+                        way
+                    } else {
+                        NO_WAY
+                    };
+                }
+                due = due.min(rs[q].next);
+            }
+            debug_assert!(due > t, "a stream fell behind the walk");
+            t = due;
+        }
+        let end = clock0 + (t1 - t0) * k;
+        self.settle(rs, end, 0, None);
+        for s in rs.iter_mut().filter(|s| s.way != NO_WAY) {
+            self.holders[s.way] = 0;
+            s.way = NO_WAY;
+        }
+        self.levels[0].clock = end as u32;
+    }
+
+    /// Writes back the deferred stamps of the streams holding an L1 way (in
+    /// L1 set `set`, if given), as seen just before stream `qn`'s access at
+    /// L1 clock `now`: a holder before `qn` last hit in this step, one at
+    /// or after it in the step before.
+    fn settle(&mut self, rs: &[RunState], now: u64, qn: usize, set: Option<usize>) {
+        let (k, l1) = (rs.len(), &mut self.levels[0]);
+        for (q, s) in rs.iter().enumerate() {
+            if s.way != NO_WAY && set.is_none_or(|set| s.way / l1.assoc == set) {
+                let back = if q < qn { qn - q } else { qn + k - q };
+                let w = &mut l1.ways[s.way];
+                w.stamp = w.stamp.max((now + 1 - back as u64) as u32);
+            }
+        }
     }
 }
 
@@ -639,8 +646,11 @@ impl TraceSink for CacheSim {
         let line = addr >> self.line_shift;
         self.stats.accesses += 1;
         self.stats.bytes_requested += ev.bytes as u64;
-        self.reserve(self.levels.len() as u64);
-        self.touch(line, ev.is_write);
+        self.reserve(self.levels.len() as u64, 1);
+        match self.levels[0].probe(line, ev.is_write) {
+            Ok(_) => self.stats.hits[0] += 1,
+            Err(victim) => _ = self.miss(0, victim, line, ev.is_write),
+        }
         self.last_steps = 0;
     }
 
@@ -906,7 +916,7 @@ mod tests {
 
     /// Pushes every level's clock to within a few ticks of wrapping before
     /// each run group (or each access, per event), so renormalisation
-    /// fires over and over, mid-group included.
+    /// fires over and over, between the chunks of a group's walk included.
     struct Aged<'a>(&'a mut CacheSim, u32);
 
     impl Aged<'_> {
@@ -1038,6 +1048,123 @@ mod tests {
                 assert_eq!(sim.stats, reference.stats);
             }
         }
+    }
+
+    /// Stats of `p` on `h`, fed by run groups, after asserting that they
+    /// equal per-event feeding's and, on one level, `RefSim`'s.
+    fn checked_stats(h: &CacheHierarchy, p: &AffineProgram) -> SimStats {
+        let mut sim = CacheSim::new(h, p);
+        polyufc_ir::interp::interpret_program(p, &mut sim);
+        let mut events = CacheSim::new(h, p);
+        polyufc_ir::interp::interpret_program(p, &mut Events(&mut events));
+        assert_eq!(sim.stats, events.stats);
+        if h.levels.len() == 1 {
+            let mut reference = crate::refsim::RefSim::new(h, p);
+            polyufc_ir::interp::interpret_program(p, &mut reference);
+            assert_eq!(sim.stats, reference.stats);
+        }
+        sim.stats
+    }
+
+    /// `C[i][j] += B[k][j]` over 16 x 16 f64 (two lines a row) with `k`
+    /// innermost: a stride-0 read/write pair and a column walk. `C`'s and
+    /// `B`'s bases are 32 lines apart, so in a 2-set L1 every line the
+    /// kernel touches for one `j` falls in one set, as `C[i][j]` and a
+    /// 32-row column tile of `B` do in BDW's L1 at n = 512.
+    fn accumulator_beside_column_walk() -> AffineProgram {
+        use polyufc_ir::affine::{Access, Loop, Statement};
+        use polyufc_presburger::LinExpr;
+        let mut p = AffineProgram::new("gemm");
+        let c = p.add_array("C", vec![16, 16], ElemType::F64);
+        let b = p.add_array("B", vec![16, 16], ElemType::F64);
+        let (i, j, k) = (LinExpr::var(0), LinExpr::var(1), LinExpr::var(2));
+        p.kernels.push(AffineKernel {
+            name: "gemm".into(),
+            loops: vec![Loop::range(4), Loop::range(16), Loop::range(16)],
+            statements: vec![Statement {
+                name: "S".into(),
+                accesses: vec![
+                    Access::read(c, vec![i.clone(), j.clone()]),
+                    Access::read(b, vec![k, j.clone()]),
+                    Access::write(c, vec![i, j]),
+                ],
+                flops: 1,
+            }],
+        });
+        p
+    }
+
+    #[test]
+    fn a_held_way_is_settled_before_it_can_be_a_stale_victim() {
+        // 16 lines of B cycle through the 3 ways C leaves them, so B misses
+        // every step while C hits. C's stored stamp lags from its group's
+        // first step on, so after three misses the probe's minimum is C's
+        // way: the walk must settle it and evict the oldest B line instead.
+        let p = accumulator_beside_column_walk();
+        let two_level = CacheHierarchy::new(vec![
+            CacheLevelConfig {
+                size_bytes: 8 * 64,
+                line_bytes: 64,
+                assoc: 4,
+                shared: false,
+            },
+            CacheLevelConfig {
+                size_bytes: 24 * 64,
+                line_bytes: 64,
+                assoc: 2,
+                shared: true,
+            },
+        ]);
+        for h in [tiny_hierarchy(8, 4), two_level] {
+            let stats = checked_stats(&h, &p);
+            // Every B access misses; C misses once per line per `i`.
+            assert_eq!(stats.misses[0], 4 * 16 * 16 + 4 * 2);
+        }
+    }
+
+    #[test]
+    fn held_lines_evicted_within_a_step_are_retouched() {
+        use polyufc_ir::affine::{Access, Loop, Statement};
+        use polyufc_presburger::LinExpr;
+        // A 2-set, 2-way L1. X = A[1008] is held in set 0; Z = A[16k + 256]
+        // moves to a new set-0 line every step and Y = A[8k] to a new line
+        // every step, in set 0 every other step. So X survives one step
+        // and is evicted by Z the next: by a later stream in program order
+        // X, Y, Z (X re-touches at the next step), and by an earlier one in
+        // order Y, Z, X (X re-touches in the same step).
+        let mut p = AffineProgram::new("evict");
+        let a = p.add_array("A", vec![1024], ElemType::F64);
+        let k = LinExpr::var(1);
+        let x = Access::read(a, vec![LinExpr::constant(1008)]);
+        let y = Access::read(a, vec![k.clone() * 8]);
+        let z = Access::write(a, vec![k * 16 + LinExpr::constant(256)]);
+        for accesses in [vec![x.clone(), y.clone(), z.clone()], vec![y, z, x]] {
+            p.kernels.push(AffineKernel {
+                name: "k".into(),
+                loops: vec![Loop::range(3), Loop::range(32)],
+                statements: vec![Statement {
+                    name: "S".into(),
+                    accesses,
+                    flops: 1,
+                }],
+            });
+        }
+        let stats = checked_stats(&tiny_hierarchy(4, 2), &p);
+        assert!(stats.hits[0] > 0 && stats.dram_writebacks > 0);
+    }
+
+    #[test]
+    fn a_group_longer_than_one_reservation_is_walked_in_chunks() {
+        // Aged to 40 ticks of headroom, each 16-step group of 3 streams on
+        // one level (48 ticks) is walked as 13 steps, a renormalisation,
+        // and 3 steps, with C held and B's lines in flight across the cut.
+        let p = accumulator_beside_column_walk();
+        let h = tiny_hierarchy(8, 4);
+        let mut sim = CacheSim::new(&h, &p);
+        let mut aged = Aged(&mut sim, 0);
+        polyufc_ir::interp::interpret_program(&p, &mut aged);
+        assert_eq!(aged.1, 4 * 16, "one renormalisation per group");
+        assert_eq!(sim.stats, checked_stats(&h, &p));
     }
 
     #[test]

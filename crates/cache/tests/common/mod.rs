@@ -1,5 +1,8 @@
 //! Random affine kernels for the simulator's property suites: strides of
-//! 0, negative and line-multiple coefficients, several statements, and
+//! 0, negative and line-multiple coefficients, several statements,
+//! innermost trip counts up to 48, neighbour accesses that share an array
+//! and a subscript up to a constant offset of 0–3 elements and ±1 row (so
+//! their streams cross lines at different phases, as a stencil's do), and
 //! kernels whose second-innermost iterator no subscript reads, so that
 //! consecutive run groups repeat and the warp over repeated all-hit
 //! groups fires.
@@ -11,6 +14,9 @@ use polyufc_ir::types::ElemType;
 use polyufc_presburger::LinExpr;
 
 const ARRAY_ELEMS: usize = 4096;
+
+/// Added to every subscript, so that a row offset of -1 stays in bounds.
+const MARGIN: i64 = 16;
 
 /// Builds an in-bounds index expression from per-iterator coefficients:
 /// the constant is shifted so the minimum offset over the (rectangular)
@@ -27,8 +33,11 @@ fn in_bounds_expr(coeffs: &[i64], extents: &[i64]) -> LinExpr {
     e + LinExpr::constant(-min)
 }
 
-/// One access: per-iterator index coefficients and whether it writes.
-type AccessSpec = (Vec<i64>, bool);
+/// One access: per-iterator index coefficients, whether it writes, a
+/// constant offset in elements, an offset in rows (one row is the
+/// coefficient of the second-innermost iterator), and whether it takes
+/// its statement's first array and subscript instead of its own.
+type AccessSpec = (Vec<i64>, bool, i64, i64, bool);
 
 #[derive(Debug, Clone)]
 pub struct KernelSpec {
@@ -58,20 +67,34 @@ pub fn kernel_spec() -> impl Strategy<Value = KernelSpec> {
         Just(16),
     ];
     let accesses = proptest::collection::vec(
-        (proptest::collection::vec(coeff, MAX_DEPTH), any::<bool>()),
+        (
+            proptest::collection::vec(coeff, MAX_DEPTH),
+            any::<bool>(),
+            0i64..4,
+            -1i64..=1,
+            any::<bool>(),
+        ),
         1..5,
     );
     let stmts = proptest::collection::vec((0u64..4, accesses), 1..3);
     (
         2usize..=MAX_DEPTH,
         proptest::collection::vec(1i64..10, MAX_DEPTH),
+        // Three in four kernels keep short groups, which tiny caches can
+        // hold whole, so repeated groups still warp.
+        prop_oneof![1i64..10, 1i64..10, 1i64..10, 10i64..=48],
         stmts,
         any::<bool>(),
     )
-        .prop_map(|(depth, mut extents, mut stmts, repeat)| {
+        .prop_map(|(depth, mut extents, inner, mut stmts, repeat)| {
             extents.truncate(depth);
+            extents[depth - 1] = inner;
             for (_, accesses) in &mut stmts {
-                for (coeffs, _) in accesses {
+                let first = accesses[0].0.clone();
+                for (coeffs, _, _, _, neighbour) in accesses {
+                    if *neighbour {
+                        coeffs.clone_from(&first);
+                    }
                     coeffs.truncate(depth);
                     if repeat {
                         // No subscript reads the second-innermost
@@ -97,9 +120,13 @@ pub fn build_program(spec: &KernelSpec) -> AffineProgram {
             accesses: accesses
                 .iter()
                 .enumerate()
-                .map(|(ai, (coeffs, is_write))| {
+                .map(|(ai, (coeffs, is_write, offset, rows, neighbour))| {
+                    // A neighbour uses its statement's first array.
+                    let ai = if *neighbour { 0 } else { ai };
                     let arr = if (si + ai) % 2 == 0 { a } else { b };
-                    let idx = in_bounds_expr(coeffs, &spec.extents);
+                    let row = coeffs[coeffs.len() - 2];
+                    let idx = in_bounds_expr(coeffs, &spec.extents)
+                        + LinExpr::constant(MARGIN + offset + rows * row);
                     if *is_write {
                         Access::write(arr, vec![idx])
                     } else {

@@ -1,12 +1,13 @@
 //! Differential property tests for the coalesced trace simulator: on
 //! random affine kernels — strides of 0, negative and line-multiple
-//! coefficients, several statements, run groups that repeat their
-//! predecessor, low associativities, multi-level hierarchies with
-//! non-power-of-two set counts — the run-length/line-coalesced path must
-//! produce *exactly* the same [`SimStats`] as the per-event path, counter
-//! for counter. A second property pins the stamp-LRU + fastmod core
-//! against the frozen pre-optimization simulator on single-level
-//! hierarchies (where the historical write-back bug cannot manifest).
+//! coefficients, several statements, neighbour streams that cross lines
+//! at different phases, run groups that repeat their predecessor, low
+//! associativities, multi-level hierarchies with non-power-of-two set
+//! counts — the event walk over run groups must produce *exactly* the
+//! same [`SimStats`] as the per-event path, counter for counter. A second
+//! property pins the stamp-LRU + fastmod core against the frozen
+//! pre-optimization simulator on single-level hierarchies (where the
+//! historical write-back bug cannot manifest).
 
 mod common;
 
@@ -17,9 +18,10 @@ use polyufc_cache::{CacheHierarchy, CacheLevelConfig, CacheSim, RefSim, SimStats
 use polyufc_ir::affine::AffineProgram;
 use polyufc_ir::interp::{interpret_program, AccessEvent, TraceSink};
 
-/// Hierarchies chosen to exercise every simulator regime: direct-mapped
-/// (fast-hit fallback since group size > assoc), non-power-of-two set
-/// counts (fastmod), and three levels (write-back cascades).
+/// Hierarchies chosen to exercise every path of the event walk:
+/// direct-mapped and 2-way sets (held lines evicted within a step, by
+/// earlier and by later streams), non-power-of-two set counts (fastmod),
+/// and three levels (write-back cascades).
 fn hierarchies() -> Vec<CacheHierarchy> {
     let lvl = |lines: u64, assoc: u32, shared| CacheLevelConfig {
         size_bytes: lines * 64,
@@ -32,9 +34,9 @@ fn hierarchies() -> Vec<CacheHierarchy> {
         CacheHierarchy::new(vec![lvl(6, 2, false)]), // 3 sets: fastmod
         CacheHierarchy::new(vec![lvl(2, 2, false), lvl(12, 2, true)]), // 6 sets
         CacheHierarchy::new(vec![lvl(2, 1, false), lvl(8, 2, false), lvl(24, 4, true)]),
-        // High associativity, tiny set counts: every group runs the
-        // fast-hit regime with constant set collisions, stressing the
-        // deferred-stamp materialization.
+        // High associativity, tiny set counts: held ways share their set
+        // with every other stream, so a miss's probe often picks a held
+        // way whose deferred stamp lags, and the walk must settle it.
         CacheHierarchy::new(vec![lvl(8, 8, false), lvl(32, 8, true)]), // 1 set L1
         CacheHierarchy::new(vec![lvl(16, 8, false)]),                  // 2 sets
     ]
@@ -85,8 +87,9 @@ fn generated_kernels_warp() {
             warping += usize::from(warped_groups(&sim) > 0);
         }
     }
-    // 300 of 1,536 when written; a generator that stops repeating groups
-    // would leave the warp untested.
+    // 230 of 1,536 (300 before the generator's neighbour offsets and long
+    // innermost loops); a generator that stops repeating groups would
+    // leave the warp untested.
     assert!(warping * 8 >= runs, "only {warping} of {runs} runs warp");
 }
 
