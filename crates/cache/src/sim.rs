@@ -3,42 +3,48 @@
 //! static model is validated against, and the memory system of the
 //! machine simulator.
 //!
-//! The simulator consumes the interpreter's run-length trace directly
-//! (see `polyufc_ir::interp::RunGroup`): per innermost-loop instance it
-//! visits only the steps where some access stream crosses a cache *line*
-//! (or must re-touch a line an L1 fill evicted) instead of probing the
-//! hierarchy once per element. Invariants 1–2 make this event walk produce
-//! *bit-identical* [`SimStats`] to per-event simulation, invariant 3 makes
-//! the one-pass victim search exact, and invariant 4 lets whole groups be
-//! skipped:
+//! The simulator consumes the interpreter's block trace directly (see
+//! `polyufc_ir::interp::RunBlock`): per block of innermost-loop instances
+//! (run groups) it visits only the steps where some access stream crosses
+//! a cache *line*, jumps at a group start, or must re-touch a line an L1
+//! fill evicted, instead of probing the hierarchy once per element. A
+//! block of `G` groups of `S` steps is walked over its linear step index
+//! `T = g·S + t`; a lone run group is a block of one group. Invariants
+//! 1–2 make this event walk produce *bit-identical* [`SimStats`] to
+//! per-event simulation, invariant 3 makes the one-pass victim search
+//! exact, and invariant 4 lets whole groups be skipped:
 //!
 //! 1. **Order preservation** — within one step every stream is touched in
-//!    program order, and streams are advanced step-major, so the sequence
-//!    of line touches equals the per-event trace's.
+//!    program order, and streams are advanced step-major, group after
+//!    group, so the sequence of line touches equals the per-event trace's.
 //! 2. **Deferred L1 stamps** — every access ticks the L1 clock exactly
-//!    once, so access `q` of step `t` in a group of `k` streams carries the
-//!    per-event stamp `base + t·k + q + 1` (`base` = the L1 clock at the
-//!    walk's start). A stream that stays on a line it touched *holds* that
-//!    way, and its later accesses to it are L1 hits whose stamps are
-//!    computed, not stored: the walk visits a step only where some stream
-//!    is due (it crosses a line, or its line was evicted), and a held way's
-//!    stored stamp may lag its true one, which is the maximum of the stored
-//!    stamp and its holders' last computed ones. The maximum is written
-//!    back when a holder leaves the line, at the end of a walk, and when an
-//!    L1 miss's probe picks a held way as victim. Exactness: lines change
-//!    only through L1 fills, and a way no stream holds carries its exact
-//!    stamp (its last touch was probed, or written back when its last
-//!    holder left). A lagging stamp only understates recency, and LRU
-//!    victimises the minimum, so an unheld victim's stamp is at most every
-//!    stored and hence every true stamp of its set: it is the exact victim
-//!    (stamps of live ways are distinct; empty ways are never held). A held
-//!    victim makes the walk write back the held stamps of that set and
-//!    probe again, on exact stamps. Its holders are then evicted, which the
-//!    walk knows at once: each re-touches its line at its next access, this
-//!    step if it comes later in the step, the next step otherwise. A walk
-//!    reserves its clock ticks up front and ends with every stamp exact, so
-//!    a group too long for one reservation is walked in chunks, each
-//!    starting with every stream due.
+//!    once, and every step of every group has the same `k` accesses, so
+//!    access `q` of step `T` of a block carries the per-event stamp
+//!    `base + T·k + q + 1` (`base` = the L1 clock at the walk's start). A
+//!    stream that stays on a line it touched *holds* that way, and its
+//!    later accesses to it are L1 hits whose stamps are computed, not
+//!    stored: the walk visits a step only where some stream is due (it
+//!    crosses a line, its line was evicted, or its group starts and its
+//!    jump by the outer stride lands on another line), and a held way's
+//!    stored stamp may lag its true one, which is the maximum of the
+//!    stored stamp and its holders' last computed ones. A stream whose
+//!    jump keeps it on its line goes on holding its way across the group
+//!    boundary. The maximum is written back when a holder leaves the line,
+//!    at the end of a walk, and when an L1 miss's probe picks a held way
+//!    as victim. Exactness: lines change only through L1 fills, and a way
+//!    no stream holds carries its exact stamp (its last touch was probed,
+//!    or written back when its last holder left). A lagging stamp only
+//!    understates recency, and LRU victimises the minimum, so an unheld
+//!    victim's stamp is at most every stored and hence every true stamp of
+//!    its set: it is the exact victim (stamps of live ways are distinct;
+//!    empty ways are never held). A held victim makes the walk write back
+//!    the held stamps of that set and probe again, on exact stamps. Its
+//!    holders are then evicted, which the walk knows at once: each
+//!    re-touches its line at its next access, this step if it comes later
+//!    in the step, the next step otherwise. A walk reserves its clock
+//!    ticks up front and ends with every stamp exact, so a block too long
+//!    for one reservation is walked in chunks, each starting with every
+//!    stream due; a chunk may end inside a group.
 //! 3. **Victims stay valid** — a probe that misses returns its set's LRU
 //!    way, found in the same scan, and the fill writes that way. Between
 //!    a level's probe and its fill only slower levels change (their fills
@@ -60,10 +66,17 @@
 //!    clock (LRU compares stamps only within a set, and a walk's computed
 //!    stamps are relative to the clock at its start). By induction a
 //!    skipped group licenses its successor as its predecessor did. A
-//!    per-event [`TraceSink::access`] voids the licence.
+//!    per-event [`TraceSink::access`] voids the licence. Two groups of one
+//!    block differ by the outer strides, so they can match only if every
+//!    run has outer stride 0, or a line-multiple stride and an outer
+//!    stride shorter than a line; the walk decides this once per block.
+//!    Only such blocks are walked group by group, each group compared
+//!    with its predecessor; every other block is walked whole after its
+//!    first group's comparison.
 //!
 //! The differential property suite feeds the same trace event by event
-//! through [`TraceSink::access`] and asserts both routes agree exactly.
+//! through [`TraceSink::access`], and group by group through
+//! [`TraceSink::run`], and asserts that all three routes agree exactly.
 //!
 //! Replacement state is one 8-byte `(u32 tag, u32 stamp)` record per way
 //! — a hit is one tag scan plus one stamp store, and the victim is the
@@ -76,7 +89,7 @@
 //! precomputed-reciprocal remainder (Lemire fastmod) otherwise.
 
 use polyufc_ir::affine::AffineProgram;
-use polyufc_ir::interp::{AccessEvent, AccessRun, RunGroup, TraceSink};
+use polyufc_ir::interp::{AccessEvent, AccessRun, RunBlock, RunGroup, TraceSink};
 use polyufc_ir::types::ArrayId;
 
 use crate::config::CacheHierarchy;
@@ -161,7 +174,7 @@ struct Level {
     set_index: SetIndex,
     ways: Vec<Way>,
     dirty: Vec<u32>,
-    /// Recency clock; incremented on every touch (L1's is set by the group
+    /// Recency clock; incremented on every touch (L1's is set by the block
     /// walk, which computes the stamps of the hits it does not visit;
     /// module invariant 2). Only the *relative* order of stamps within a
     /// set is ever consulted, which is what lets [`Level::renormalise`]
@@ -266,18 +279,21 @@ impl Level {
 /// [`RunState::way`] of a stream that holds no L1 way.
 const NO_WAY: usize = usize::MAX;
 
-/// Per-stream cursor while consuming one run group.
+/// Per-stream cursor while walking a block of run groups.
 #[derive(Clone, Copy)]
 struct RunState {
     /// Byte stride per innermost step.
     sb: i64,
-    /// Byte address at step `tpos`.
-    addr: u64,
-    /// The step `addr` corresponds to.
-    tpos: u64,
+    /// Byte stride per group (along the second-innermost loop).
+    ob: i64,
+    /// Byte address at step `gpos`, the first step of the stream's group.
+    gbase: u64,
+    /// The step `gbase` corresponds to.
+    gpos: u64,
     /// Current cache line.
     line: u64,
-    /// First step at which the stream leaves `line` (`u64::MAX` never).
+    /// First step of the group at which the stream leaves `line`
+    /// (`u64::MAX` never); the next group start is an event of its own.
     next_cross: u64,
     /// Steps from one line crossing to the next once the stream has
     /// crossed, when constant (`0` otherwise): a stride of at least a line
@@ -300,7 +316,7 @@ pub struct CacheSim {
     levels: Vec<Level>,
     line_shift: u32,
     base_addrs: Vec<u64>,
-    /// Per L1 way, how many streams of the group being walked hold it
+    /// Per L1 way, how many streams of the block being walked hold it
     /// (module invariant 2); all zero between walks.
     holders: Vec<u32>,
     /// Stream cursors of the last walked group, kept after the walk for
@@ -443,59 +459,92 @@ impl CacheSim {
         self.stats.dram_writebacks += 1;
     }
 
-    /// Whether run `r` touches the same line at every step as stream `s`
-    /// of the last walked group: the same byte stride and write flag, and
-    /// the same first address, or the same first line and a stride that
-    /// is a multiple of the line (zero included).
-    fn same_lines(&self, r: &AccessRun, s: &RunState) -> bool {
-        let addr = (self.base_addrs[r.array.0] as i64 + r.base * r.bytes as i64) as u64;
-        let sb = r.stride * r.bytes as i64;
-        // The walk moved `s.addr` on by `s.tpos` steps.
-        let first = (s.addr as i64 - s.sb * s.tpos as i64) as u64;
-        let same_line = addr >> self.line_shift == first >> self.line_shift;
-        (sb, r.is_write) == (s.sb, s.is_write)
-            && (addr == first || sb.trailing_zeros() >= self.line_shift && same_line)
+    /// Byte address of run `r`'s first step in group `g` of its block,
+    /// `outer` being its element stride per group.
+    fn first_addr(&self, r: &AccessRun, outer: i64, g: u64) -> u64 {
+        (self.base_addrs[r.array.0] as i64 + (r.base + outer * g as i64) * r.bytes as i64) as u64
     }
 
-    /// The coalesced consumption of one run group (see the module docs for
-    /// the exactness invariants).
-    fn consume_group(&mut self, g: RunGroup<'_>) {
-        // Aggregate counters are linear in the trip count.
-        for s in g.stmts {
-            self.stats.flops += s.flops * g.steps;
-        }
-        let k = g.runs.len();
-        self.stats.accesses += k as u64 * g.steps;
-        for r in g.runs {
-            self.stats.bytes_requested += r.bytes as u64 * g.steps;
-        }
-        if k == 0 || g.steps == 0 {
-            return;
-        }
-        // A repeat of an all-hit group is all hits (module invariant 4).
-        if g.steps == self.last_steps
-            && k == self.scratch.len()
-            && g.runs
+    /// Whether group `g` of the block whose first group is `first` touches
+    /// the same line at every step as the last walked group, run by run:
+    /// the same byte stride and write flag, and the same first address, or
+    /// the same first line and a stride that is a multiple of the line
+    /// (zero included).
+    fn repeats(&self, first: RunGroup<'_>, outer: &[i64], g: u64) -> bool {
+        first.steps == self.last_steps
+            && first.runs.len() == self.scratch.len()
+            && first
+                .runs
                 .iter()
+                .zip(outers(outer))
                 .zip(&self.scratch)
-                .all(|(r, s)| self.same_lines(r, s))
-        {
-            self.stats.hits[0] += k as u64 * g.steps;
-            self.warped += 1;
+                .all(|((r, o), s)| {
+                    let addr = self.first_addr(r, o, g);
+                    let sb = r.stride * r.bytes as i64;
+                    let same_line = addr >> self.line_shift == s.gbase >> self.line_shift;
+                    (sb, r.is_write) == (s.sb, s.is_write)
+                        && (addr == s.gbase || sb.trailing_zeros() >= self.line_shift && same_line)
+                })
+    }
+
+    /// Consumes `groups` run groups, group `g` being `first` with each
+    /// run's base moved on by `g` times its entry of `outer` (empty for a
+    /// lone group). See the module docs for the exactness invariants.
+    fn consume(&mut self, first: RunGroup<'_>, outer: &[i64], groups: u64) {
+        // Aggregate counters are linear in the trip count.
+        let steps = first.steps * groups;
+        for s in first.stmts {
+            self.stats.flops += s.flops * steps;
+        }
+        let k = first.runs.len();
+        self.stats.accesses += k as u64 * steps;
+        for r in first.runs {
+            self.stats.bytes_requested += r.bytes as u64 * steps;
+        }
+        if k == 0 || steps == 0 {
             return;
         }
+        // Consecutive groups can repeat each other's lines only if every
+        // run stays put, or keeps its first line with a line-multiple
+        // stride (module invariant 4); only then are they compared one by
+        // one. Any block's first group is compared with the last walked.
+        let line = 1u64 << self.line_shift;
+        let licensed = first.runs.iter().zip(outers(outer)).all(|(r, o)| {
+            let ob = o * r.bytes as i64;
+            let sb = r.stride * r.bytes as i64;
+            ob == 0 || sb.trailing_zeros() >= self.line_shift && ob.unsigned_abs() < line
+        });
+        let mut g = 0;
+        while g < groups {
+            if self.repeats(first, outer, g) {
+                // A repeat of an all-hit group is all hits.
+                self.stats.hits[0] += k as u64 * first.steps;
+                self.warped += 1;
+                g += 1;
+                continue;
+            }
+            let n = if licensed { 1 } else { groups - g };
+            self.walk_groups(first, outer, g, n);
+            g += n;
+        }
+    }
 
+    /// Walks groups `g..g + n` of a block (see [`CacheSim::consume`]) in
+    /// as many chunks as the clocks' headroom needs, and keeps the stream
+    /// cursors for the warp's comparison with the next group.
+    fn walk_groups(&mut self, first: RunGroup<'_>, outer: &[i64], g: u64, n: u64) {
         let line_mask = (1u64 << self.line_shift) - 1;
         let mut rs = std::mem::take(&mut self.scratch);
         rs.clear();
-        for r in g.runs {
-            let addr = (self.base_addrs[r.array.0] as i64 + r.base * r.bytes as i64) as u64;
+        for (r, o) in first.runs.iter().zip(outers(outer)) {
+            let addr = self.first_addr(r, o, g);
             let sb = r.stride * r.bytes as i64;
             let stride = sb.unsigned_abs();
             rs.push(RunState {
                 sb,
-                addr,
-                tpos: 0,
+                ob: o * r.bytes as i64,
+                gbase: addr,
+                gpos: 0,
                 line: addr >> self.line_shift,
                 next_cross: next_cross(addr, sb, 0, line_mask),
                 period: if stride > line_mask {
@@ -511,89 +560,107 @@ impl CacheSim {
             });
         }
         let misses0 = self.stats.misses[0];
-        let per_step = (k * self.levels.len()) as u64;
+        let per_step = (rs.len() * self.levels.len()) as u64;
+        let steps = n * first.steps;
         let mut t = 0;
-        while t < g.steps {
-            let end = t + self.reserve(per_step, g.steps - t);
-            self.walk(&mut rs, t, end);
+        while t < steps {
+            let end = t + self.reserve(per_step, steps - t);
+            self.walk(&mut rs, first.steps, t, end);
             t = end;
         }
         // Every access the walk did not count as an L1 miss hit.
         let misses = self.stats.misses[0] - misses0;
-        self.stats.hits[0] += k as u64 * g.steps - misses;
+        self.stats.hits[0] += rs.len() as u64 * steps - misses;
         self.scratch = rs;
-        self.last_steps = if misses == 0 { g.steps } else { 0 };
+        // A walk that missed nowhere licenses the warp: so did its last
+        // group.
+        self.last_steps = if misses == 0 { first.steps } else { 0 };
     }
 
-    /// Walks steps `t0..t1` of a group with stream cursors `rs`, every
-    /// stream due at `t0`, visiting only steps where a stream is due
-    /// (module invariant 2). Counts L1 misses but not L1 hits; the clock
-    /// ticks must be reserved. Ends with every stamp exact and no way held.
-    fn walk(&mut self, rs: &mut [RunState], t0: u64, t1: u64) {
+    /// Walks steps `t0..t1` of a block of groups of `len` steps with
+    /// stream cursors `rs`, every stream due at `t0`, visiting only steps
+    /// where a stream is due or a group starts (module invariant 2).
+    /// Counts L1 misses but not L1 hits; the clock ticks must be reserved.
+    /// Ends with every stamp exact and no way held.
+    fn walk(&mut self, rs: &mut [RunState], len: u64, t0: u64, t1: u64) {
         let (k, clock0) = (rs.len() as u64, u64::from(self.levels[0].clock));
         let line_mask = (1u64 << self.line_shift) - 1;
         rs.iter_mut().for_each(|s| s.next = t0);
+        // The next group start: `t0` itself if a group after the first
+        // starts there.
+        let mut gend = t0.next_multiple_of(len).max(len);
         let mut t = t0;
         while t < t1 {
-            let mut due = u64::MAX;
-            for q in 0..rs.len() {
-                let s = &mut rs[q];
-                if s.next == t {
-                    // The L1 clock just before access `q` of step `t`.
-                    let now = clock0 + (t - t0) * k + q as u64;
-                    if t == s.next_cross {
-                        if s.way != NO_WAY {
-                            // Leaving the line: its last hit was a step ago.
-                            let w = &mut self.levels[0].ways[s.way];
-                            w.stamp = w.stamp.max((now + 1 - k) as u32);
-                            self.holders[s.way] -= 1;
+            if t == gend {
+                self.jump(rs, clock0 + (t - t0) * k, t);
+                gend += len;
+            }
+            // Within a group the walk moves from due step to due step;
+            // bounding that loop by the group's end keeps the group start
+            // out of it (a check per visited step made jacobi-2d simulate
+            // 1.3× slower).
+            let stop = gend.min(t1);
+            while t < stop {
+                let mut due = u64::MAX;
+                for q in 0..rs.len() {
+                    let s = &mut rs[q];
+                    if s.next == t {
+                        // The L1 clock just before access `q` of step `t`.
+                        let now = clock0 + (t - t0) * k + q as u64;
+                        if t == s.next_cross {
+                            if s.way != NO_WAY {
+                                // Leaving the line: its last hit was a step ago.
+                                let w = &mut self.levels[0].ways[s.way];
+                                w.stamp = w.stamp.max((now + 1 - k) as u32);
+                                self.holders[s.way] -= 1;
+                            }
+                            let addr = s.gbase.wrapping_add_signed(s.sb * (t - s.gpos) as i64);
+                            s.line = addr >> self.line_shift;
+                            s.next_cross = match s.period {
+                                0 => next_cross(addr, s.sb, t, line_mask),
+                                p => t + p,
+                            };
                         }
-                        s.addr = (s.addr as i64 + s.sb * (t - s.tpos) as i64) as u64;
-                        s.tpos = t;
-                        s.line = s.addr >> self.line_shift;
-                        s.next_cross = match s.period {
-                            0 => next_cross(s.addr, s.sb, t, line_mask),
-                            p => t + p,
+                        let (line, write) = (s.line, s.is_write);
+                        self.levels[0].clock = now as u32;
+                        let way = match self.levels[0].probe(line, write) {
+                            Ok(w) => w,
+                            Err(mut v) => {
+                                if self.holders[v] != 0 {
+                                    // The victim's stamp may lag: settle the
+                                    // set and pick again, on exact stamps.
+                                    self.settle(rs, now, q, Some(v / self.levels[0].assoc));
+                                    v = self.levels[0].probe(line, write).unwrap_err();
+                                    if self.holders[v] != 0 {
+                                        self.holders[v] = 0;
+                                        for (p, e) in rs.iter_mut().enumerate() {
+                                            if e.way == v {
+                                                e.way = NO_WAY;
+                                                e.next = e.next.min(t + u64::from(p < q));
+                                            }
+                                        }
+                                        due = due.min(t + 1);
+                                    }
+                                }
+                                self.miss(0, v, line, write)
+                            }
+                        };
+                        let s = &mut rs[q];
+                        s.next = s.next_cross;
+                        // A stream due at the next step has no hits to defer.
+                        s.way = if s.next > t + 1 {
+                            self.holders[way] += 1;
+                            way
+                        } else {
+                            NO_WAY
                         };
                     }
-                    let (line, write) = (s.line, s.is_write);
-                    self.levels[0].clock = now as u32;
-                    let way = match self.levels[0].probe(line, write) {
-                        Ok(w) => w,
-                        Err(mut v) => {
-                            if self.holders[v] != 0 {
-                                // The victim's stamp may lag: settle the
-                                // set and pick again, on exact stamps.
-                                self.settle(rs, now, q, Some(v / self.levels[0].assoc));
-                                v = self.levels[0].probe(line, write).unwrap_err();
-                                if self.holders[v] != 0 {
-                                    self.holders[v] = 0;
-                                    for (p, e) in rs.iter_mut().enumerate() {
-                                        if e.way == v {
-                                            e.way = NO_WAY;
-                                            e.next = e.next.min(t + u64::from(p < q));
-                                        }
-                                    }
-                                    due = due.min(t + 1);
-                                }
-                            }
-                            self.miss(0, v, line, write)
-                        }
-                    };
-                    let s = &mut rs[q];
-                    s.next = s.next_cross;
-                    // A stream due at the next step has no hits to defer.
-                    s.way = if s.next > t + 1 {
-                        self.holders[way] += 1;
-                        way
-                    } else {
-                        NO_WAY
-                    };
+                    due = due.min(rs[q].next);
                 }
-                due = due.min(rs[q].next);
+                debug_assert!(due > t, "a stream fell behind the walk");
+                t = due;
             }
-            debug_assert!(due > t, "a stream fell behind the walk");
-            t = due;
+            t = stop;
         }
         let end = clock0 + (t1 - t0) * k;
         self.settle(rs, end, 0, None);
@@ -602,6 +669,31 @@ impl CacheSim {
             s.way = NO_WAY;
         }
         self.levels[0].clock = end as u32;
+    }
+
+    /// Moves every stream on to the group that starts at step `t`, with
+    /// the L1 clock at `now` before the step's first access. A held stream
+    /// whose jump keeps it on its line goes on holding its way; one that
+    /// lands on another line writes back its last stamp, from the step
+    /// before, and is due at `t`, as is every stream that holds nothing.
+    fn jump(&mut self, rs: &mut [RunState], now: u64, t: u64) {
+        let (k, line_mask) = (rs.len() as u64, (1u64 << self.line_shift) - 1);
+        for (q, s) in rs.iter_mut().enumerate() {
+            s.gbase = s.gbase.wrapping_add_signed(s.ob);
+            s.gpos = t;
+            let line = s.gbase >> self.line_shift;
+            if line != s.line {
+                if s.way != NO_WAY {
+                    let w = &mut self.levels[0].ways[s.way];
+                    w.stamp = w.stamp.max((now + q as u64 + 1 - k) as u32);
+                    self.holders[s.way] -= 1;
+                    s.way = NO_WAY;
+                }
+                s.line = line;
+            }
+            s.next_cross = next_cross(s.gbase, s.sb, t, line_mask);
+            s.next = if s.way == NO_WAY { t } else { s.next_cross };
+        }
     }
 
     /// Writes back the deferred stamps of the streams holding an L1 way (in
@@ -618,6 +710,12 @@ impl CacheSim {
             }
         }
     }
+}
+
+/// Per run, its element stride per group: `outer`'s entries, then zeros
+/// (a lone group has none).
+fn outers(outer: &[i64]) -> impl Iterator<Item = i64> + '_ {
+    outer.iter().copied().chain(std::iter::repeat(0))
 }
 
 /// First step after `t` at which a stream with byte stride `sb`, currently
@@ -659,7 +757,11 @@ impl TraceSink for CacheSim {
     }
 
     fn run(&mut self, g: RunGroup<'_>) {
-        self.consume_group(g);
+        self.consume(g, &[], 1);
+    }
+
+    fn block(&mut self, b: RunBlock<'_>) {
+        self.consume(b.first, b.outer, b.groups);
     }
 }
 
@@ -915,8 +1017,8 @@ mod tests {
     }
 
     /// Pushes every level's clock to within a few ticks of wrapping before
-    /// each run group (or each access, per event), so renormalisation
-    /// fires over and over, between the chunks of a group's walk included.
+    /// each block (or each run group or access, fed so), so renormalisation
+    /// fires over and over, between the chunks of a walk included.
     struct Aged<'a>(&'a mut CacheSim, u32);
 
     impl Aged<'_> {
@@ -949,9 +1051,32 @@ mod tests {
         fn run(&mut self, g: RunGroup<'_>) {
             self.aged(|sim| sim.run(g));
         }
+
+        fn block(&mut self, b: RunBlock<'_>) {
+            self.aged(|sim| sim.block(b));
+        }
     }
 
-    /// [`Aged`] without `run`, so the default expansion feeds it per event.
+    /// [`Aged`] without `block`, so the default expansion feeds it per run
+    /// group.
+    struct AgedGroups<'a>(Aged<'a>);
+
+    impl TraceSink for AgedGroups<'_> {
+        fn access(&mut self, ev: AccessEvent) {
+            self.0.access(ev);
+        }
+
+        fn flops(&mut self, n: u64) {
+            self.0.flops(n);
+        }
+
+        fn run(&mut self, g: RunGroup<'_>) {
+            self.0.run(g);
+        }
+    }
+
+    /// [`Aged`] without `block` and `run`, so the default expansions feed
+    /// it per event.
     struct AgedEvents<'a>(Aged<'a>);
 
     impl TraceSink for AgedEvents<'_> {
@@ -975,6 +1100,24 @@ mod tests {
 
         fn flops(&mut self, n: u64) {
             self.0.flops(n);
+        }
+    }
+
+    /// Forwards `run` but not `block`, so the default expansion feeds the
+    /// simulator one run group at a time.
+    struct Groups<'a>(&'a mut CacheSim);
+
+    impl TraceSink for Groups<'_> {
+        fn access(&mut self, ev: AccessEvent) {
+            self.0.access(ev);
+        }
+
+        fn flops(&mut self, n: u64) {
+            self.0.flops(n);
+        }
+
+        fn run(&mut self, g: RunGroup<'_>) {
+            self.0.run(g);
         }
     }
 
@@ -1050,11 +1193,14 @@ mod tests {
         }
     }
 
-    /// Stats of `p` on `h`, fed by run groups, after asserting that they
-    /// equal per-event feeding's and, on one level, `RefSim`'s.
+    /// Stats of `p` on `h`, fed by blocks, after asserting that they equal
+    /// per-group and per-event feeding's and, on one level, `RefSim`'s.
     fn checked_stats(h: &CacheHierarchy, p: &AffineProgram) -> SimStats {
         let mut sim = CacheSim::new(h, p);
         polyufc_ir::interp::interpret_program(p, &mut sim);
+        let mut groups = CacheSim::new(h, p);
+        polyufc_ir::interp::interpret_program(p, &mut Groups(&mut groups));
+        assert_eq!(sim.stats, groups.stats);
         let mut events = CacheSim::new(h, p);
         polyufc_ir::interp::interpret_program(p, &mut Events(&mut events));
         assert_eq!(sim.stats, events.stats);
@@ -1161,10 +1307,133 @@ mod tests {
         let p = accumulator_beside_column_walk();
         let h = tiny_hierarchy(8, 4);
         let mut sim = CacheSim::new(&h, &p);
-        let mut aged = Aged(&mut sim, 0);
+        let mut aged = AgedGroups(Aged(&mut sim, 0));
         polyufc_ir::interp::interpret_program(&p, &mut aged);
-        assert_eq!(aged.1, 4 * 16, "one renormalisation per group");
+        assert_eq!(aged.0 .1, 4 * 16, "one renormalisation per group");
         assert_eq!(sim.stats, checked_stats(&h, &p));
+    }
+
+    /// `x1[i] += A[i][j] * y1[j]` over `n x n` f64 with `j` innermost —
+    /// mvt's first kernel, untiled — as one block of `n` groups. `x1[i]`
+    /// has inner stride 0 and outer stride 8 bytes, so its read/write pair
+    /// holds its line across the boundaries of the groups that share it;
+    /// `A`'s rows (an outer stride of `n` elements beside an inner stride
+    /// under a line) keep the warp's licence off, so the block is walked
+    /// whole.
+    fn row_walk_with_accumulator(n: usize) -> AffineProgram {
+        use polyufc_ir::affine::{Access, Loop, Statement};
+        use polyufc_presburger::LinExpr;
+        let mut p = AffineProgram::new("mvt");
+        let a = p.add_array("A", vec![n, n], ElemType::F64);
+        let x1 = p.add_array("x1", vec![n], ElemType::F64);
+        let y1 = p.add_array("y1", vec![n], ElemType::F64);
+        let (i, j) = (LinExpr::var(0), LinExpr::var(1));
+        p.kernels.push(AffineKernel {
+            name: "mvt_x1".into(),
+            loops: vec![Loop::range(n as i64), Loop::range(n as i64)],
+            statements: vec![Statement {
+                name: "S".into(),
+                accesses: vec![
+                    Access::read(x1, vec![i.clone()]),
+                    Access::read(a, vec![i.clone(), j.clone()]),
+                    Access::read(y1, vec![j]),
+                    Access::write(x1, vec![i]),
+                ],
+                flops: 2,
+            }],
+        });
+        p
+    }
+
+    #[test]
+    fn a_line_held_across_group_boundaries() {
+        // 20 x 20 f64: rows of 2.5 lines, so A's lines straddle groups;
+        // A (50 lines), x1 and y1 (3 lines each) fit a 64-line L1, so only
+        // cold misses remain, while x1's line is held for 8 groups at a
+        // time and written back dirty only at the walk's end.
+        let p = row_walk_with_accumulator(20);
+        let two_level = CacheHierarchy::new(vec![
+            CacheLevelConfig {
+                size_bytes: 64 * 64,
+                line_bytes: 64,
+                assoc: 8,
+                shared: false,
+            },
+            CacheLevelConfig {
+                size_bytes: 96 * 64,
+                line_bytes: 64,
+                assoc: 4,
+                shared: true,
+            },
+        ]);
+        for h in [tiny_hierarchy(64, 8), two_level] {
+            let stats = checked_stats(&h, &p);
+            assert_eq!(stats.misses[0], 50 + 3 + 3);
+            let mut sim = CacheSim::new(&h, &p);
+            polyufc_ir::interp::interpret_program(&p, &mut sim);
+            assert_eq!(sim.warped, 0, "a licence-free block is never compared");
+        }
+        // In a 4-line L1, A's and y1's lines evict x1's held line mid-group.
+        checked_stats(&tiny_hierarchy(4, 2), &p);
+    }
+
+    #[test]
+    fn a_held_line_evicted_in_a_later_group_is_retouched() {
+        use polyufc_ir::affine::{Access, Loop, Statement};
+        use polyufc_presburger::LinExpr;
+        // A direct-mapped 4-line L1. X = A[0] (line 0, set 0) is read and
+        // written every step and held from the first group on; Y = B[24i +
+        // j] reads one line per group, lines 1, 4, 7, 10, 13, 16 — sets 1,
+        // 0, 3, 2, 1, 0 — so Y's fill in groups 1 and 5 evicts X's dirty
+        // line, which X re-touches in the same step (order Y, X) or the
+        // next (order X, Y).
+        let mut p = AffineProgram::new("evict");
+        let a = p.add_array("A", vec![8], ElemType::F64);
+        let b = p.add_array("B", vec![8 * 24], ElemType::F64);
+        let (i, j) = (LinExpr::var(0), LinExpr::var(1));
+        let x = [0, 1].map(|w| {
+            let idx = vec![LinExpr::constant(0)];
+            if w == 0 {
+                Access::read(a, idx)
+            } else {
+                Access::write(a, idx)
+            }
+        });
+        let y = Access::read(b, vec![i * 24 + j]);
+        for accesses in [
+            vec![x[0].clone(), y.clone(), x[1].clone()],
+            vec![y, x[0].clone(), x[1].clone()],
+        ] {
+            p.kernels.push(AffineKernel {
+                name: "k".into(),
+                loops: vec![Loop::range(6), Loop::range(8)],
+                statements: vec![Statement {
+                    name: "S".into(),
+                    accesses,
+                    flops: 1,
+                }],
+            });
+        }
+        let stats = checked_stats(&tiny_hierarchy(4, 1), &p);
+        assert!(stats.dram_writebacks >= 4, "X's dirty line is evicted");
+    }
+
+    #[test]
+    fn a_block_is_walked_in_chunks_across_a_renormalisation() {
+        // Aged to 40 ticks of headroom, the 4 streams' first chunk is 10
+        // steps: with groups of 10 steps the cut falls on a group boundary
+        // (the next chunk starts with the jump), with groups of 7 inside
+        // group 1, where x1's line was held across the boundary before it.
+        for n in [10, 7] {
+            let p = row_walk_with_accumulator(n);
+            for h in [tiny_hierarchy(8, 2), tiny_hierarchy(64, 8)] {
+                let mut sim = CacheSim::new(&h, &p);
+                let mut aged = Aged(&mut sim, 0);
+                polyufc_ir::interp::interpret_program(&p, &mut aged);
+                assert_eq!(aged.1, 1, "one renormalisation per block");
+                assert_eq!(sim.stats, checked_stats(&h, &p));
+            }
+        }
     }
 
     #[test]
@@ -1205,9 +1474,9 @@ mod tests {
         assert!(fresh.stats.dram_writebacks > 0 && fresh.stats.hits[1] > 0);
 
         let mut sim = CacheSim::new(&h, &p);
-        let mut aged = Aged(&mut sim, 0);
+        let mut aged = AgedGroups(Aged(&mut sim, 0));
         polyufc_ir::interp::interpret_program(&p, &mut aged);
-        assert!(aged.1 >= 40, "renormalised only {} times", aged.1);
+        assert!(aged.0 .1 >= 40, "renormalised only {} times", aged.0 .1);
         assert!(sim.warped > 0 && sim.warped == fresh.warped);
         assert_eq!(sim.stats, fresh.stats);
 

@@ -5,11 +5,16 @@
 //! their streams cross lines at different phases, as a stencil's do), and
 //! kernels whose second-innermost iterator no subscript reads, so that
 //! consecutive run groups repeat and the warp over repeated all-hit
-//! groups fires.
+//! groups fires. The same coefficients give each run an outer stride —
+//! its step from one group of a block to the next — of 0, under a line or
+//! a line or more; accumulators (no innermost coefficient) make the
+//! streams that hold one line across group boundaries; and innermost
+//! bounds that read the second-innermost iterator (lower and upper
+//! triangles, a moving band) cut loops into blocks by trip count.
 
 use proptest::prelude::*;
 
-use polyufc_ir::affine::{Access, AffineKernel, AffineProgram, Loop, Statement};
+use polyufc_ir::affine::{Access, AffineKernel, AffineProgram, Bound, Loop, Statement};
 use polyufc_ir::types::ElemType;
 use polyufc_presburger::LinExpr;
 
@@ -35,13 +40,18 @@ fn in_bounds_expr(coeffs: &[i64], extents: &[i64]) -> LinExpr {
 
 /// One access: per-iterator index coefficients, whether it writes, a
 /// constant offset in elements, an offset in rows (one row is the
-/// coefficient of the second-innermost iterator), and whether it takes
-/// its statement's first array and subscript instead of its own.
-type AccessSpec = (Vec<i64>, bool, i64, i64, bool);
+/// coefficient of the second-innermost iterator), whether it takes its
+/// statement's first array and subscript instead of its own, and whether
+/// it is an accumulator (its innermost coefficient is zeroed).
+type AccessSpec = (Vec<i64>, bool, i64, i64, bool, bool);
 
 #[derive(Debug, Clone)]
 pub struct KernelSpec {
     extents: Vec<i64>,
+    /// Innermost bounds, `j` innermost and `i` second-innermost within
+    /// `0..extent`: rectangular (0–2, 6, 7), `j <= i` (3), `i <= j` (4) or
+    /// `i <= j <= i + 1` (5).
+    shape: u8,
     /// Per statement: flops and its accesses.
     stmts: Vec<(u64, Vec<AccessSpec>)>,
 }
@@ -73,6 +83,7 @@ pub fn kernel_spec() -> impl Strategy<Value = KernelSpec> {
             0i64..4,
             -1i64..=1,
             any::<bool>(),
+            prop_oneof![Just(false), Just(false), Just(false), Just(true)],
         ),
         1..5,
     );
@@ -85,25 +96,42 @@ pub fn kernel_spec() -> impl Strategy<Value = KernelSpec> {
         prop_oneof![1i64..10, 1i64..10, 1i64..10, 10i64..=48],
         stmts,
         any::<bool>(),
+        // Five in eight nests are rectangular: only their groups can all
+        // be as long as their predecessors, so they carry the warp.
+        0u8..8,
     )
-        .prop_map(|(depth, mut extents, inner, mut stmts, repeat)| {
+        .prop_map(|(depth, mut extents, inner, mut stmts, repeat, shape)| {
             extents.truncate(depth);
             extents[depth - 1] = inner;
+            // The interpreter fixes trailing loops of one iteration, so
+            // in a rectangular nest groups step along the deepest loop of
+            // more than one; the two arms below act on the loops it groups.
+            let levels = match shape {
+                3..=5 => depth,
+                _ => extents.iter().rposition(|&e| e > 1).map_or(1, |d| d + 1),
+            };
             for (_, accesses) in &mut stmts {
                 let first = accesses[0].0.clone();
-                for (coeffs, _, _, _, neighbour) in accesses {
+                for (coeffs, _, _, _, neighbour, accumulator) in accesses {
                     if *neighbour {
                         coeffs.clone_from(&first);
                     }
                     coeffs.truncate(depth);
-                    if repeat {
+                    if repeat && levels > 1 {
                         // No subscript reads the second-innermost
                         // iterator: its groups repeat one another.
-                        coeffs[depth - 2] = 0;
+                        coeffs[levels - 2] = 0;
+                    }
+                    if *accumulator {
+                        coeffs[levels - 1] = 0;
                     }
                 }
             }
-            KernelSpec { extents, stmts }
+            KernelSpec {
+                extents,
+                shape,
+                stmts,
+            }
         })
 }
 
@@ -120,7 +148,7 @@ pub fn build_program(spec: &KernelSpec) -> AffineProgram {
             accesses: accesses
                 .iter()
                 .enumerate()
-                .map(|(ai, (coeffs, is_write, offset, rows, neighbour))| {
+                .map(|(ai, (coeffs, is_write, offset, rows, neighbour, _))| {
                     // A neighbour uses its statement's first array.
                     let ai = if *neighbour { 0 } else { ai };
                     let arr = if (si + ai) % 2 == 0 { a } else { b };
@@ -137,9 +165,25 @@ pub fn build_program(spec: &KernelSpec) -> AffineProgram {
             flops: *flops,
         })
         .collect();
+    let mut loops: Vec<Loop> = spec.extents.iter().map(|&e| Loop::range(e)).collect();
+    // Every shape keeps `j` within `0..inner`, so subscripts stay in bounds.
+    let depth = loops.len();
+    let (i, inner) = (LinExpr::var(depth - 2), spec.extents[depth - 1]);
+    let upto = |e: LinExpr| Bound {
+        exprs: vec![e, LinExpr::constant(inner)],
+    };
+    match spec.shape {
+        3 => loops[depth - 1].ub = upto(i + LinExpr::constant(1)),
+        4 => loops[depth - 1].lb = Bound::expr(i),
+        5 => {
+            loops[depth - 1].lb = Bound::expr(i.clone());
+            loops[depth - 1].ub = upto(i + LinExpr::constant(2));
+        }
+        _ => {}
+    }
     p.kernels.push(AffineKernel {
         name: "k".into(),
-        loops: spec.extents.iter().map(|&e| Loop::range(e)).collect(),
+        loops,
         statements,
     });
     p

@@ -1,10 +1,12 @@
 //! Differential property tests for the coalesced trace simulator: on
 //! random affine kernels — strides of 0, negative and line-multiple
 //! coefficients, several statements, neighbour streams that cross lines
-//! at different phases, run groups that repeat their predecessor, low
-//! associativities, multi-level hierarchies with non-power-of-two set
-//! counts — the event walk over run groups must produce *exactly* the
-//! same [`SimStats`] as the per-event path, counter for counter. A second
+//! at different phases, run groups that repeat their predecessor, outer
+//! strides of 0, under a line and of a line or more, triangular inner
+//! bounds, low associativities, multi-level hierarchies with
+//! non-power-of-two set counts — the event walk over whole blocks must
+//! produce *exactly* the same [`SimStats`] as the walk fed one run group
+//! at a time and as the per-event path, counter for counter. A second
 //! property pins the stamp-LRU + fastmod core against the frozen
 //! pre-optimization simulator on single-level hierarchies (where the
 //! historical write-back bug cannot manifest).
@@ -16,7 +18,7 @@ use proptest::prelude::*;
 use common::{build_program, kernel_spec};
 use polyufc_cache::{CacheHierarchy, CacheLevelConfig, CacheSim, RefSim, SimStats};
 use polyufc_ir::affine::AffineProgram;
-use polyufc_ir::interp::{interpret_program, AccessEvent, TraceSink};
+use polyufc_ir::interp::{interpret_program, AccessEvent, RunGroup, TraceSink};
 
 /// Hierarchies chosen to exercise every path of the event walk:
 /// direct-mapped and 2-way sets (held lines evicted within a step, by
@@ -56,12 +58,38 @@ impl TraceSink for PerEvent<'_> {
     }
 }
 
-fn run_stats(h: &CacheHierarchy, p: &AffineProgram, per_event: bool) -> SimStats {
+/// Forwards `run` but not `block`, so [`TraceSink::block`]'s default
+/// expansion feeds the wrapped simulator one run group at a time.
+struct PerGroup<'a>(&'a mut CacheSim);
+
+impl TraceSink for PerGroup<'_> {
+    fn access(&mut self, ev: AccessEvent) {
+        self.0.access(ev);
+    }
+
+    fn flops(&mut self, n: u64) {
+        self.0.flops(n);
+    }
+
+    fn run(&mut self, g: RunGroup<'_>) {
+        self.0.run(g);
+    }
+}
+
+/// How the trace reaches the simulator.
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    Blocks,
+    Groups,
+    Events,
+}
+
+fn run_stats(h: &CacheHierarchy, p: &AffineProgram, route: Route) -> SimStats {
     let mut sim = CacheSim::new(h, p);
-    if per_event {
-        interpret_program(p, &mut PerEvent(&mut sim));
-    } else {
-        interpret_program(p, &mut sim);
+    match route {
+        Route::Blocks => interpret_program(p, &mut sim),
+        Route::Groups => interpret_program(p, &mut PerGroup(&mut sim)),
+        Route::Events => interpret_program(p, &mut PerEvent(&mut sim)),
     }
     sim.stats
 }
@@ -87,9 +115,10 @@ fn generated_kernels_warp() {
             warping += usize::from(warped_groups(&sim) > 0);
         }
     }
-    // 230 of 1,536 (300 before the generator's neighbour offsets and long
-    // innermost loops); a generator that stops repeating groups would
-    // leave the warp untested.
+    // 228 of 1,536 (230 before the generator's accumulators, triangular
+    // bounds and trailing one-iteration loops, 300 before its neighbour
+    // offsets and long innermost loops); a generator that stops repeating
+    // groups would leave the warp untested.
     assert!(warping * 8 >= runs, "only {warping} of {runs} runs warp");
 }
 
@@ -100,9 +129,11 @@ proptest! {
     fn coalesced_equals_per_event(spec in kernel_spec()) {
         let p = build_program(&spec);
         for h in hierarchies() {
-            let fast = run_stats(&h, &p, false);
-            let slow = run_stats(&h, &p, true);
-            prop_assert_eq!(&fast, &slow, "hierarchy {:?} spec {:?}", h.levels, &spec);
+            let fast = run_stats(&h, &p, Route::Blocks);
+            for route in [Route::Groups, Route::Events] {
+                let slow = run_stats(&h, &p, route);
+                prop_assert_eq!(&fast, &slow, "{:?}: hierarchy {:?} spec {:?}", route, h.levels, &spec);
+            }
         }
     }
 

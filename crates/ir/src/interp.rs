@@ -3,15 +3,27 @@
 //! both the exact cache simulator and the machine model — the stand-in for
 //! running the compiled binary on hardware.
 //!
-//! Traces are produced in *run-length* form: one innermost-loop instance
-//! is delivered to the sink as a single [`RunGroup`] holding one
-//! [`AccessRun`] per (statement, access) pair, instead of one
-//! [`AccessEvent`] per executed access. Sinks that care only about
-//! aggregates (or about line granularity, like the cache simulator)
-//! consume runs directly; every other sink keeps working unchanged
-//! through the default [`TraceSink::run`] implementation, which expands
-//! the group into per-event calls in exactly the order the interpreter
-//! used to emit them.
+//! Traces are produced in *block* form. One innermost-loop instance is a
+//! [`RunGroup`] holding one [`AccessRun`] per (statement, access) pair,
+//! instead of one [`AccessEvent`] per executed access; and consecutive
+//! instances along the second-innermost loop whose innermost bounds agree
+//! are one [`RunBlock`]: a group count, the first group, and each run's
+//! element stride along that outer loop. Where the innermost bounds do not
+//! read the second-innermost iterator, its whole loop is one block;
+//! triangular nests are cut into maximal stretches of equal innermost
+//! lower bound and trip count. A depth-1 kernel is a block of one group.
+//! Trailing loops that run once whatever the iterators (their bounds read
+//! only the iterators of such loops and span one iteration, as a 1 × 1
+//! convolution's filter loops do) are fixed at that iteration, so here
+//! "innermost" is the deepest loop above them: the per-event order is the
+//! same, and groups are not one step long.
+//!
+//! Sinks that care only about aggregates (or about line granularity, like
+//! the cache simulator) consume blocks directly. Every other sink keeps
+//! working unchanged through the default [`TraceSink::block`], which
+//! expands a block into [`TraceSink::run`] calls, and the default
+//! [`TraceSink::run`], which expands a group into per-event calls, both in
+//! exactly the order the interpreter used to emit them.
 
 use crate::affine::{AffineKernel, AffineProgram};
 use crate::types::ArrayId;
@@ -78,6 +90,22 @@ pub struct RunGroup<'a> {
     pub stmts: &'a [StmtSpan],
 }
 
+/// Consecutive innermost-loop instances along one second-innermost loop:
+/// group `g` (`0 <= g < groups`) is [`RunBlock::first`] with every run's
+/// base moved on by `g` times its entry of [`RunBlock::outer`]. All groups
+/// share the step count and the statement spans.
+#[derive(Debug, Clone, Copy)]
+pub struct RunBlock<'a> {
+    /// Number of groups (always > 0).
+    pub groups: u64,
+    /// The first group.
+    pub first: RunGroup<'a>,
+    /// Per run of `first`, in order: the element-offset delta from one
+    /// group to the next (the run's coefficient of the second-innermost
+    /// iterator; zero for a block of one group).
+    pub outer: &'a [i64],
+}
+
 /// Consumer of an interpretation trace.
 pub trait TraceSink {
     /// Called for every array access, in program order.
@@ -108,6 +136,22 @@ pub trait TraceSink {
             }
         }
     }
+    /// Called once per block of innermost-loop instances. The default
+    /// expands the block into one [`TraceSink::run`] call per group, in
+    /// order, so sinks that do not override it observe an unchanged
+    /// sequence of groups.
+    fn block(&mut self, block: RunBlock<'_>) {
+        let mut runs = block.first.runs.to_vec();
+        for _ in 0..block.groups {
+            self.run(RunGroup {
+                runs: &runs,
+                ..block.first
+            });
+            for (r, &o) in runs.iter_mut().zip(block.outer) {
+                r.base += o;
+            }
+        }
+    }
 }
 
 /// A [`TraceSink`] that aggregates totals; useful for tests and for
@@ -126,6 +170,26 @@ pub struct TraceStats {
     pub bytes: u64,
 }
 
+impl TraceStats {
+    /// Adds `instances` instances of `group` at once: every counter is
+    /// linear in the step count, so this is O(#runs), not O(steps × #runs).
+    fn add(&mut self, group: RunGroup<'_>, instances: u64) {
+        let steps = group.steps * instances;
+        for s in group.stmts {
+            self.flops += s.flops * steps;
+        }
+        for r in group.runs {
+            self.accesses += steps;
+            if r.is_write {
+                self.writes += steps;
+            } else {
+                self.reads += steps;
+            }
+            self.bytes += r.bytes as u64 * steps;
+        }
+    }
+}
+
 impl TraceSink for TraceStats {
     fn access(&mut self, ev: AccessEvent) {
         self.accesses += 1;
@@ -142,20 +206,11 @@ impl TraceSink for TraceStats {
     }
 
     fn run(&mut self, group: RunGroup<'_>) {
-        // O(#runs) instead of O(steps × #runs): every counter is linear in
-        // the step count.
-        for s in group.stmts {
-            self.flops += s.flops * group.steps;
-        }
-        for r in group.runs {
-            self.accesses += group.steps;
-            if r.is_write {
-                self.writes += group.steps;
-            } else {
-                self.reads += group.steps;
-            }
-            self.bytes += r.bytes as u64 * group.steps;
-        }
+        self.add(group, 1);
+    }
+
+    fn block(&mut self, block: RunBlock<'_>) {
+        self.add(block.first, block.groups);
     }
 }
 
@@ -169,12 +224,13 @@ struct CompiledAccess {
     is_write: bool,
 }
 
-/// Reusable buffers for building run groups without per-instance
+/// Reusable buffers for building run blocks without per-block
 /// allocation.
 #[derive(Default)]
 struct RunBufs {
     runs: Vec<AccessRun>,
     spans: Vec<StmtSpan>,
+    outer: Vec<i64>,
 }
 
 /// Interprets one kernel, streaming events to `sink`.
@@ -214,71 +270,157 @@ pub fn interpret_kernel(program: &AffineProgram, kernel: &AffineKernel, sink: &m
         stmts.push((s.flops, cas));
     }
 
+    // The loops that run once whatever the iterators: their bounds read
+    // only such loops' iterators and span one iteration. Trailing ones are
+    // fixed at it (module docs).
     let mut iters = vec![0i64; depth];
-    let mut bufs = RunBufs::default();
-    walk(kernel, &stmts, &mut bufs, &mut iters, 0, sink);
+    let mut once = vec![false; depth];
+    for (d, l) in kernel.loops.iter().enumerate() {
+        let fixed = |b: &crate::affine::Bound| {
+            b.exprs
+                .iter()
+                .all(|e| (0..d).all(|v| once[v] || e.coeff(v) == 0))
+        };
+        if fixed(&l.lb) && fixed(&l.ub) {
+            let lb = l.lb.eval_lb(&iters);
+            once[d] = l.ub.eval_ub(&iters) == lb + 1;
+            iters[d] = lb;
+        }
+    }
+    let levels = once.iter().rposition(|&o| !o).map_or(1, |d| d + 1);
+    let nest = Nest {
+        kernel,
+        stmts,
+        levels,
+    };
+    walk(&nest, &mut RunBufs::default(), &mut iters, 0, sink);
 }
 
+/// A kernel ready to interpret: its accesses compiled, and the number of
+/// loop levels that form groups and blocks (the kernel's depth, less the
+/// trailing loops fixed at their one iteration).
+struct Nest<'a> {
+    kernel: &'a AffineKernel,
+    stmts: Vec<(u64, Vec<CompiledAccess>)>,
+    levels: usize,
+}
+
+/// Runs the loops from `depth` down: the loops above the second-innermost
+/// one one iteration at a time, the last two as blocks.
 fn walk(
-    kernel: &AffineKernel,
-    stmts: &[(u64, Vec<CompiledAccess>)],
+    nest: &Nest<'_>,
     bufs: &mut RunBufs,
     iters: &mut [i64],
     depth: usize,
     sink: &mut impl TraceSink,
 ) {
-    let l = &kernel.loops[depth];
+    let n = nest.levels;
+    let l = &nest.kernel.loops[depth];
     let lb = l.lb.eval_lb(iters);
     let ub = l.ub.eval_ub(iters);
-    if depth + 1 == kernel.depth() {
-        let steps = (ub - lb).max(0) as u64;
-        if steps == 0 {
+    if depth + 1 == n {
+        // A depth-1 nest: one group.
+        emit(nest, bufs, iters, 1, (lb, ub), sink);
+    } else if depth + 2 < n {
+        for i in lb..ub {
+            iters[depth] = i;
+            walk(nest, bufs, iters, depth + 1, sink);
+        }
+    } else if lb < ub {
+        // The second-innermost loop: cut it into maximal stretches whose
+        // innermost bounds agree — the whole loop when they do not read
+        // this iterator, so they are evaluated once.
+        let inner = &nest.kernel.loops[n - 1];
+        let reads_outer = |b: &crate::affine::Bound| b.exprs.iter().any(|e| e.coeff(depth) != 0);
+        let bounds = |iters: &[i64]| (inner.lb.eval_lb(iters), inner.ub.eval_ub(iters));
+        iters[depth] = lb;
+        if !reads_outer(&inner.lb) && !reads_outer(&inner.ub) {
+            emit(nest, bufs, iters, (ub - lb) as u64, bounds(iters), sink);
             return;
         }
-        // Innermost level: one run per (statement, access), based at
-        // iters[depth] = lb, advancing by the iterator's coefficient.
-        iters[depth] = lb;
-        bufs.runs.clear();
-        bufs.spans.clear();
-        for (flops, cas) in stmts {
-            let start = bufs.runs.len() as u32;
-            for ca in cas {
-                let mut base = ca.constant;
-                for (v, &c) in ca.coeffs.iter().enumerate() {
-                    base += c * iters[v];
-                }
-                let stride = ca.coeffs[depth];
-                debug_assert!(
-                    base >= 0 && base + stride * (steps as i64 - 1) >= 0,
-                    "negative offset in `{}`",
-                    kernel.name
-                );
-                bufs.runs.push(AccessRun {
-                    array: ca.array,
-                    base,
-                    stride,
-                    count: steps,
-                    bytes: ca.bytes,
-                    is_write: ca.is_write,
-                });
+        // Equal lower bound and trip count; empty stretches all agree.
+        let same = |(l0, u0): (i64, i64), (l1, u1): (i64, i64)| {
+            (u0 - l0).max(0) == (u1 - l1).max(0) && (u0 <= l0 || l0 == l1)
+        };
+        let (mut start, mut cur) = (lb, bounds(iters));
+        // `ub` itself only closes the last stretch.
+        for i in lb + 1..=ub {
+            iters[depth] = i;
+            let next = (i < ub).then(|| bounds(iters));
+            if next.is_some_and(|b| same(cur, b)) {
+                continue;
             }
-            bufs.spans.push(StmtSpan {
-                flops: *flops,
-                start,
-                len: bufs.runs.len() as u32 - start,
-            });
+            iters[depth] = start;
+            emit(nest, bufs, iters, (i - start) as u64, cur, sink);
+            if let Some(b) = next {
+                (start, cur) = (i, b);
+            }
         }
-        sink.run(RunGroup {
+    }
+}
+
+/// Emits a block of `groups` instances of the innermost loop `lb..ub`, the
+/// first at the iterators in `iters` (nothing if the loop is empty).
+fn emit(
+    nest: &Nest<'_>,
+    bufs: &mut RunBufs,
+    iters: &mut [i64],
+    groups: u64,
+    (lb, ub): (i64, i64),
+    sink: &mut impl TraceSink,
+) {
+    let steps = (ub - lb).max(0) as u64;
+    if steps == 0 {
+        return;
+    }
+    // One run per (statement, access), based at the first group's
+    // iterators, advancing by the innermost iterator's coefficient per step
+    // and by the second-innermost one's per group.
+    let depth = nest.levels - 1;
+    iters[depth] = lb;
+    bufs.runs.clear();
+    bufs.spans.clear();
+    bufs.outer.clear();
+    for (flops, cas) in &nest.stmts {
+        let start = bufs.runs.len() as u32;
+        for ca in cas {
+            let mut base = ca.constant;
+            for (v, &c) in ca.coeffs.iter().enumerate() {
+                base += c * iters[v];
+            }
+            let stride = ca.coeffs[depth];
+            let outer = if groups > 1 { ca.coeffs[depth - 1] } else { 0 };
+            debug_assert!(
+                base + (stride * (steps as i64 - 1)).min(0) + (outer * (groups as i64 - 1)).min(0)
+                    >= 0,
+                "negative offset in `{}`",
+                nest.kernel.name
+            );
+            bufs.runs.push(AccessRun {
+                array: ca.array,
+                base,
+                stride,
+                count: steps,
+                bytes: ca.bytes,
+                is_write: ca.is_write,
+            });
+            bufs.outer.push(outer);
+        }
+        bufs.spans.push(StmtSpan {
+            flops: *flops,
+            start,
+            len: bufs.runs.len() as u32 - start,
+        });
+    }
+    sink.block(RunBlock {
+        groups,
+        first: RunGroup {
             steps,
             runs: &bufs.runs,
             stmts: &bufs.spans,
-        });
-    } else {
-        for i in lb..ub {
-            iters[depth] = i;
-            walk(kernel, stmts, bufs, iters, depth + 1, sink);
-        }
-    }
+        },
+        outer: &bufs.outer,
+    });
 }
 
 /// Interprets every kernel of a program in order.
@@ -328,6 +470,34 @@ mod tests {
         fn run(&mut self, group: RunGroup<'_>) {
             self.groups
                 .push((group.steps, group.runs.to_vec(), group.stmts.to_vec()));
+        }
+    }
+
+    /// A sink that records raw blocks (no expansion).
+    #[derive(Default)]
+    struct BlockRecorder {
+        /// Per block: group count, step count, first group's runs, outer
+        /// strides.
+        blocks: Vec<(u64, u64, Vec<AccessRun>, Vec<i64>)>,
+    }
+
+    impl TraceSink for BlockRecorder {
+        fn access(&mut self, _ev: AccessEvent) {
+            panic!("interpreter must emit blocks, not events");
+        }
+        fn flops(&mut self, _n: u64) {
+            panic!("interpreter must emit blocks, not events");
+        }
+        fn run(&mut self, _group: RunGroup<'_>) {
+            panic!("interpreter must emit blocks, not groups");
+        }
+        fn block(&mut self, b: RunBlock<'_>) {
+            self.blocks.push((
+                b.groups,
+                b.first.steps,
+                b.first.runs.to_vec(),
+                b.outer.to_vec(),
+            ));
         }
     }
 
@@ -524,5 +694,184 @@ mod tests {
         let mut rr = RunRecorder::default();
         interpret_program(&p, &mut rr);
         assert!(rr.groups.is_empty(), "empty instances are not emitted");
+    }
+
+    #[test]
+    fn blocks_carry_group_counts_and_outer_strides() {
+        let p = matmul_program(3, 4, 5);
+        let mut br = BlockRecorder::default();
+        interpret_kernel(&p, &p.kernels[0], &mut br);
+        // One block per i, spanning the j loop; each group spans k.
+        assert_eq!(br.blocks.len(), 3);
+        for (i, (groups, steps, runs, outer)) in br.blocks.iter().enumerate() {
+            assert_eq!((*groups, *steps), (4, 5));
+            // A[i,k], B[k,j], C[i,j] (read), C[i,j] (write) at j = 0, k = 0.
+            let bases: Vec<i64> = runs.iter().map(|r| r.base).collect();
+            let i = i as i64;
+            assert_eq!(bases, [i * 5, 0, i * 4, i * 4]);
+            // Per j: A does not move, B and C move by one element.
+            assert_eq!(outer, &[0, 1, 1, 1]);
+        }
+    }
+
+    /// `for i in 0..n { for j in lb(i)..ub(i) { read A[i][j] } }` over a
+    /// 6 x 6 array.
+    fn triangle(lb: LinExpr, ub: Vec<LinExpr>) -> AffineProgram {
+        let mut p = AffineProgram::new("tri");
+        let a = p.add_array("A", vec![6, 6], ElemType::F32);
+        p.kernels.push(AffineKernel {
+            name: "tri".into(),
+            loops: vec![
+                Loop::range(6),
+                Loop::new(Bound::expr(lb), Bound { exprs: ub }),
+            ],
+            statements: vec![Statement {
+                name: "S".into(),
+                accesses: vec![Access::read(a, vec![LinExpr::var(0), LinExpr::var(1)])],
+                flops: 1,
+            }],
+        });
+        p
+    }
+
+    #[test]
+    fn triangular_nests_are_cut_into_blocks_by_trip_count() {
+        let i = LinExpr::var(0);
+        // j < min(i + 1, 3): trips 1, 2, 3, 3, 3, 3.
+        let capped = triangle(
+            LinExpr::constant(0),
+            vec![i.clone() + LinExpr::constant(1), LinExpr::constant(3)],
+        );
+        // i <= j < 6: trips 6, 5, 4, 3, 2, 1, each its own lower bound.
+        let upper = triangle(i.clone(), vec![LinExpr::constant(6)]);
+        // i <= j < min(i + 2, 6): a trip count of 2 (1 in the last row),
+        // but a lower bound that moves with every group.
+        let band = triangle(
+            i.clone(),
+            vec![i + LinExpr::constant(2), LinExpr::constant(6)],
+        );
+        for (p, expected) in [
+            (capped, vec![(1, 1, 0), (1, 2, 6), (4, 3, 12)]),
+            (upper, (0..6).map(|i| (1, 6 - i, 7 * i as i64)).collect()),
+            (
+                band,
+                vec![
+                    (1, 2, 0),
+                    (1, 2, 7),
+                    (1, 2, 14),
+                    (1, 2, 21),
+                    (1, 2, 28),
+                    (1, 1, 35),
+                ],
+            ),
+        ] {
+            let mut br = BlockRecorder::default();
+            interpret_program(&p, &mut br);
+            let got: Vec<(u64, u64, i64)> = br
+                .blocks
+                .iter()
+                .map(|(g, s, runs, _)| (*g, *s, runs[0].base))
+                .collect();
+            assert_eq!(got, expected);
+            // Every block moves one row per group, and the blocks' default
+            // expansion is the per-event trace.
+            assert!(br.blocks.iter().all(|b| b.0 == 1 || b.3 == [6]));
+            let mut fast = TraceStats::default();
+            interpret_program(&p, &mut fast);
+            let mut slow = Recorder::default();
+            interpret_program(&p, &mut slow);
+            assert_eq!(fast.accesses, slow.events.len() as u64);
+            let offsets: Vec<u64> = slow.events.iter().map(|e| e.offset).collect();
+            let mut expected = Vec::new();
+            for (g, s, runs, outer) in &br.blocks {
+                for group in 0..*g as i64 {
+                    let base = runs[0].base + group * outer[0];
+                    expected.extend((0..*s as i64).map(|t| (base + t) as u64));
+                }
+            }
+            assert_eq!(offsets, expected);
+        }
+    }
+
+    #[test]
+    fn trailing_loops_of_one_iteration_are_fixed() {
+        // for i in 0..3, j in 0..4, t in 0..1, k in t + 1..t + 2:
+        // read X[i][j + k] over a 3 x 8 array. `t` and `k` run once, so
+        // groups step along `j` and blocks along `i`. With `k in j..j + 1`
+        // instead, `k` reads a loop that runs four times: every group is
+        // one step of `k`, each with its own lower bound.
+        let (i, j, t, k) = (
+            LinExpr::var(0),
+            LinExpr::var(1),
+            LinExpr::var(2),
+            LinExpr::var(3),
+        );
+        let by_column: Vec<(u64, u64, i64, i64, i64)> = (0..3)
+            .flat_map(|r| (0..4).map(move |c| (1, 1, 8 * r + 2 * c, 1, 0)))
+            .collect();
+        for (k_from, expected, k_at) in [
+            (
+                t + LinExpr::constant(1),
+                vec![(3, 4, 1, 1, 8)],
+                (|_| 1) as fn(u64) -> u64,
+            ),
+            (j.clone(), by_column, |j| j),
+        ] {
+            let mut p = AffineProgram::new("once");
+            let x = p.add_array("X", vec![3, 8], ElemType::F64);
+            p.kernels.push(AffineKernel {
+                name: "once".into(),
+                loops: vec![
+                    Loop::range(3),
+                    Loop::range(4),
+                    Loop::range(1),
+                    Loop::new(
+                        Bound::expr(k_from.clone()),
+                        Bound::expr(k_from + LinExpr::constant(1)),
+                    ),
+                ],
+                statements: vec![Statement {
+                    name: "S".into(),
+                    accesses: vec![Access::read(x, vec![i.clone(), j.clone() + k.clone()])],
+                    flops: 1,
+                }],
+            });
+            let mut br = BlockRecorder::default();
+            interpret_program(&p, &mut br);
+            let got: Vec<(u64, u64, i64, i64, i64)> = br
+                .blocks
+                .iter()
+                .map(|(g, s, runs, outer)| (*g, *s, runs[0].base, runs[0].stride, outer[0]))
+                .collect();
+            assert_eq!(got, expected);
+            let mut slow = Recorder::default();
+            interpret_program(&p, &mut slow);
+            let offsets: Vec<u64> = slow.events.iter().map(|e| e.offset).collect();
+            let brute: Vec<u64> = (0..3)
+                .flat_map(|r| (0..4).map(move |c| 8 * r + c + k_at(c)))
+                .collect();
+            assert_eq!(offsets, brute);
+        }
+    }
+
+    #[test]
+    fn a_depth_one_kernel_is_one_block_of_one_group() {
+        let mut p = AffineProgram::new("sum");
+        let a = p.add_array("A", vec![7], ElemType::F64);
+        p.kernels.push(AffineKernel {
+            name: "sum".into(),
+            loops: vec![Loop::range(7)],
+            statements: vec![Statement {
+                name: "S".into(),
+                accesses: vec![Access::read(a, vec![LinExpr::var(0)])],
+                flops: 1,
+            }],
+        });
+        let mut br = BlockRecorder::default();
+        interpret_program(&p, &mut br);
+        assert_eq!(br.blocks.len(), 1);
+        let (groups, steps, runs, outer) = &br.blocks[0];
+        assert_eq!((*groups, *steps, runs[0].stride), (1, 7, 1));
+        assert_eq!(outer, &[0]);
     }
 }
